@@ -2,8 +2,9 @@
 # Tier-1 gate: the full test suite must pass with observability off (the
 # default) and on (REPRO_OBS=1), proving instrumentation never changes
 # behavior. Pass --bench to also run the benchmark telemetry smoke pass
-# (scripts/bench.sh), and --chaos to run the seeded fault-injection smoke
-# (scripts/chaos_smoke.py), --recovery to run the seeded kill-mid-write
+# (scripts/bench.sh) plus the repository benchmark's smoke sizes and its
+# own tests (bench/run.py --smoke, bench/tests), and --chaos to run the
+# seeded fault-injection smoke (scripts/chaos_smoke.py), --recovery to run the seeded kill-mid-write
 # durability smoke (scripts/recovery_smoke.py), and --monitors to run the
 # chaos profiles under strict runtime invariant monitors
 # (scripts/monitor_smoke.py), --profile to run the phase-profiling
@@ -86,4 +87,7 @@ fi
 
 if [ "$run_bench" = 1 ]; then
   scripts/bench.sh
+  echo "== bench: repository benchmark, smoke sizes, and its tests =="
+  env -u REPRO_OBS python3 bench/run.py --smoke
+  env -u REPRO_OBS python -m pytest bench/tests -q
 fi

@@ -230,12 +230,22 @@ class Mempool:
         return reinjected
 
     def revalidate(self) -> list[Transaction]:
-        """Re-check every entry after a reorg; returns evicted transactions."""
+        """Re-check every entry after a reorg; returns evicted transactions.
+
+        Inputs present, maturity and value only: a script verdict is a
+        function of the spending transaction and the scripts it spends, and
+        the txid that admission verified pins both.
+        """
         evicted = []
         for txid in list(self._entries):
             entry = self._entries[txid]
             try:
-                check_tx_inputs(entry.tx, self.chain.utxos, self.chain.height + 1)
+                check_tx_inputs(
+                    entry.tx,
+                    self.chain.utxos,
+                    self.chain.height + 1,
+                    verify_scripts=False,
+                )
             except ValidationError:
                 self.remove(txid)
                 evicted.append(entry.tx)

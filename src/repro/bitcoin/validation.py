@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
+from functools import partial
 
 from repro import obs
 from repro.bitcoin import sigcache
 from repro.bitcoin.script import Script, execute_script
 from repro.bitcoin.sighash import SighashCache, signature_hash
-from repro.bitcoin.standard import ScriptType, classify
+from repro.bitcoin.standard import ScriptType, _is_pubkey_shaped, classify
 from repro.bitcoin.transaction import MAX_MONEY, Transaction
 from repro.bitcoin.utxo import COINBASE_MATURITY, UTXOSet
 from repro.crypto.ecdsa import Signature, batch_verify, verify as ecdsa_verify
@@ -95,6 +96,45 @@ def check_transaction(tx: Transaction) -> None:
 _DEFAULT_SIG_CACHE = object()
 
 
+def _shared_sig_cache(sig_cache):
+    return sigcache.default_cache() if sig_cache is _DEFAULT_SIG_CACHE else sig_cache
+
+
+def _check_signature(
+    sighash, cache, on_miss, sig_with_type: bytes, pubkey_bytes: bytes
+) -> bool:
+    """One signature check, ordered as Bitcoin Core's caching checker.
+
+    Byte-shape checks, the digest (``sighash(hash_type)``), the signature
+    cache on the raw bytes; only a miss decodes the key — a modular square
+    root — and asks ``on_miss`` for the ECDSA verdict.  The cache key is the
+    exact ``(digest, pubkey bytes, sig bytes)`` triple and a triple is stored
+    only after it decoded, so a hit is believed unparsed.
+    """
+    if len(sig_with_type) != 65 or not _is_pubkey_shaped(pubkey_bytes):
+        return False
+    sig_bytes = sig_with_type[:-1]
+    try:
+        digest = sighash(sig_with_type[-1])
+    except ValueError as exc:
+        try:  # an undecodable key answers False before the sighash is asked
+            Point.decode(pubkey_bytes)
+        except ValueError:
+            return False
+        raise ValidationError(str(exc)) from exc
+    if cache is not None:
+        cached = cache.get(digest, pubkey_bytes, sig_bytes)
+        if cached is not None:
+            return cached
+    try:
+        pubkey = Point.decode(pubkey_bytes)
+    except ValueError:
+        return False
+    return on_miss(
+        pubkey, digest, Signature.decode(sig_bytes), pubkey_bytes, sig_bytes
+    )
+
+
 def make_sig_checker(
     tx: Transaction,
     input_index: int,
@@ -113,39 +153,19 @@ def make_sig_checker(
     `(digest, pubkey, sig)` triples already verified — by default the shared
     :func:`repro.bitcoin.sigcache.default_cache`, pass ``None`` to disable.
     """
+    if sighash_cache is not None:
+        sighash = partial(sighash_cache.digest, input_index, script_code)
+    else:
+        sighash = partial(signature_hash, tx, input_index, script_code)
+    cache = _shared_sig_cache(sig_cache)
 
-    def checker(sig_with_type: bytes, pubkey_bytes: bytes) -> bool:
-        if len(sig_with_type) < 2:
-            return False
-        hash_type = sig_with_type[-1]
-        sig_bytes = sig_with_type[:-1]
-        try:
-            signature = Signature.decode(sig_bytes)
-            pubkey = Point.decode(pubkey_bytes)
-        except ValueError:
-            return False
-        try:
-            if sighash_cache is not None:
-                digest = sighash_cache.digest(input_index, script_code, hash_type)
-            else:
-                digest = signature_hash(tx, input_index, script_code, hash_type)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        cache = (
-            sigcache.default_cache()
-            if sig_cache is _DEFAULT_SIG_CACHE
-            else sig_cache
-        )
-        if cache is not None:
-            cached = cache.get(digest, pubkey_bytes, sig_bytes)
-            if cached is not None:
-                return cached
+    def verify(pubkey, digest, signature, pubkey_bytes, sig_bytes) -> bool:
         verdict = ecdsa_verify(pubkey, digest, signature)
         if cache is not None:
             cache.put(digest, pubkey_bytes, sig_bytes, verdict)
         return verdict
 
-    return checker
+    return partial(_check_signature, sighash, cache, verify)
 
 
 def check_tx_inputs(
@@ -352,37 +372,21 @@ def _make_collecting_checker(
 ):
     """A sig checker that defers the ECDSA verify into a batch.
 
-    Structural checks (DER/point decoding) and the sighash run eagerly —
-    their failures are deterministic and cheap.  The signature cache is
-    consulted first; only misses join ``pending`` as
+    Everything short of ECDSA runs eagerly, as in :func:`_check_signature`:
+    shape, sighash and decoding failures are deterministic and cheap, and
+    a signature-cache hit answers at once.  Only misses join ``pending`` as
     ``(pubkey, digest, signature, pubkey_bytes, sig_bytes)``, and the
     checker answers **True optimistically** — the batch equation is the
     authority, and any batch failure triggers the authoritative serial
     re-run in :func:`verify_scripts_batched`.
     """
 
-    def checker(sig_with_type: bytes, pubkey_bytes: bytes) -> bool:
-        if len(sig_with_type) < 2:
-            return False
-        hash_type = sig_with_type[-1]
-        sig_bytes = sig_with_type[:-1]
-        try:
-            signature = Signature.decode(sig_bytes)
-            pubkey = Point.decode(pubkey_bytes)
-        except ValueError:
-            return False
-        try:
-            digest = sighash_cache.digest(input_index, script_code, hash_type)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        if cache is not None:
-            cached = cache.get(digest, pubkey_bytes, sig_bytes)
-            if cached is not None:
-                return cached
-        pending.append((pubkey, digest, signature, pubkey_bytes, sig_bytes))
-        return True  # optimistic: the batch verdict below is the authority
+    def defer(*miss) -> bool:
+        pending.append(miss)
+        return True  # optimistic: the batch verdict is the authority
 
-    return checker
+    sighash = partial(sighash_cache.digest, input_index, script_code)
+    return partial(_check_signature, sighash, cache, defer)
 
 
 def verify_scripts_batched(
@@ -408,11 +412,7 @@ def verify_scripts_batched(
     if not jobs:
         return
     groups = ParallelScriptVerifier._grouped(jobs)
-    cache = (
-        sigcache.default_cache()
-        if sig_cache is _DEFAULT_SIG_CACHE
-        else sig_cache
-    )
+    cache = _shared_sig_cache(sig_cache)
     pending: list[tuple[Point, bytes, Signature, bytes, bytes]] = []
     optimistic_ok = True
     try:

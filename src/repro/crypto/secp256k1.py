@@ -30,6 +30,7 @@ singleton :data:`INFINITY` whose ``x``/``y`` are ``None``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro import obs
 
@@ -82,16 +83,10 @@ class Point:
     def decode(data: bytes) -> "Point":
         """Decode a SEC1-encoded point."""
         if len(data) == 33 and data[0] in (2, 3):
-            x = int.from_bytes(data[1:], "big")
-            if x >= FIELD_PRIME:
-                raise ValueError("x coordinate out of range")
-            y_sq = (pow(x, 3, FIELD_PRIME) + _B) % FIELD_PRIME
-            y = pow(y_sq, (FIELD_PRIME + 1) // 4, FIELD_PRIME)
-            if (y * y) % FIELD_PRIME != y_sq:
-                raise ValueError("x coordinate has no square root (not on curve)")
-            if (y % 2) != (data[0] == 3):
-                y = FIELD_PRIME - y
-            return Point(x, y)
+            point = _decompress(bytes(data))
+            if isinstance(point, str):
+                raise ValueError(point)
+            return point
         if len(data) == 65 and data[0] == 4:
             return Point(
                 int.from_bytes(data[1:33], "big"), int.from_bytes(data[33:], "big")
@@ -105,8 +100,9 @@ def _point_unchecked(x: int, y: int) -> Point:
     Internal results of correct group arithmetic are on the curve by
     construction; paying a field multiplication and a cube per intermediate
     conversion was pure overhead.  Anything crossing the trust boundary
-    (``Point.decode``, user construction) still goes through the checked
-    constructor.
+    still goes through the checked constructor (user construction,
+    uncompressed ``Point.decode``) or derives ``y`` from the curve equation
+    itself (compressed ``Point.decode``, via :func:`lift_x`).
     """
     point = object.__new__(Point)
     object.__setattr__(point, "x", x)
@@ -498,6 +494,34 @@ def lift_x(x: int, odd: bool) -> Point | None:
     if bool(y & 1) != odd:
         y = FIELD_PRIME - y
     return _point_unchecked(x, y)
+
+
+@lru_cache(maxsize=1024)
+def _decompress(data: bytes) -> Point | str:
+    """The point a compressed SEC1 encoding names, or why there is none.
+
+    The memo behind :meth:`Point.decode`.  A node meets the same few keys
+    on every input it checks (a principal *is* a key), and each meeting
+    would otherwise repeat a 256-bit modular square root.  A failure is
+    returned rather than raised so that it is memoised too: a Typecoin
+    metadata pseudo-key is off-curve half the time and is the first key
+    every carrier CHECKMULTISIG offers.  Points are immutable, so sharing
+    one is safe.
+    """
+    prof = obs.PROFILER if obs.ENABLED else None
+    if prof is not None:
+        prof.enter("ecmult")
+    try:
+        x = int.from_bytes(data[1:], "big")
+        if x >= FIELD_PRIME:
+            return "x coordinate out of range"
+        point = lift_x(x, odd=data[0] == 3)
+        if point is None:
+            return "x coordinate has no square root (not on curve)"
+        return point
+    finally:
+        if prof is not None:
+            prof.exit()
 
 
 def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:

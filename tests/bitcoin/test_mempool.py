@@ -129,12 +129,22 @@ def test_fee_rate_ordering(funded):
     assert ordered_fees == sorted(fees, reverse=True)
 
 
-def test_revalidate_evicts_conflicts(funded):
+def test_revalidate_evicts_conflicts(funded, monkeypatch):
     net, alice, bob = funded
     tx = alice.create_transaction(
         net.chain, [TxOut(COIN, p2pkh_script(bob.key_hash))], fee=1000
     )
     net.send(tx)
+    # Admission ran the scripts and the txid pins them: revalidation asks
+    # only whether the inputs are still there, mature and sufficient.
+    from repro.bitcoin import validation
+
+    def no_scripts(*args):
+        raise AssertionError("revalidate() ran a script")
+
+    monkeypatch.setattr(validation, "execute_script", no_scripts)
+    assert net.mempool.revalidate() == []
+    assert tx.txid in net.mempool
     # Simulate the inputs disappearing (e.g. after a reorg made them spent):
     # manually remove them from the UTXO set.
     for txin in tx.vin:

@@ -6,25 +6,32 @@ accept/reject verdicts are identical with the sigcache on, off, undersized
 processes.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.bitcoin import sigcache
+from repro.bitcoin import sigcache, validation
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.sigcache import SignatureCache
-from repro.bitcoin.standard import p2pkh_script
-from repro.bitcoin.transaction import Script, Transaction, TxOut
+from repro.bitcoin.sighash import SighashCache, signature_hash
+from repro.bitcoin.standard import multisig_script, p2pkh_script
+from repro.bitcoin.transaction import OutPoint, Script, Transaction, TxIn, TxOut
 from repro.bitcoin.validation import (
     ParallelScriptVerifier,
     ValidationError,
+    _make_collecting_checker,
     check_tx_inputs,
     make_sig_checker,
 )
 from repro.bitcoin.wallet import Wallet
+from repro.core.overlay import metadata_pubkey
+from repro.crypto import secp256k1
 from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.keys import PrivateKey
+from repro.crypto.secp256k1 import Point
 
 
 @pytest.fixture(autouse=True)
@@ -312,3 +319,250 @@ def test_worker_death_mid_block_falls_back_serially():
     assert _run_scenario(
         verifier=ParallelScriptVerifier(workers=2), cache=SignatureCache()
     ) == baseline
+
+
+# ----------------------------------------------------------------------
+# Differential: cache-before-decode checker vs the decode-first oracle
+# ----------------------------------------------------------------------
+
+
+def _decode_first_checker(
+    tx, input_index, script_code, sighash_cache, cache, pending=None
+):
+    """The checker as it stood while decoding came before the sigcache.
+
+    Test-only oracle: parse signature and key, then sighash, then cache,
+    then ECDSA — or, given ``pending``, the collecting (batch) variant.
+    """
+
+    def checker(sig_with_type: bytes, pubkey_bytes: bytes) -> bool:
+        if len(sig_with_type) < 2:
+            return False
+        hash_type = sig_with_type[-1]
+        sig_bytes = sig_with_type[:-1]
+        try:
+            signature = Signature.decode(sig_bytes)
+            pubkey = Point.decode(pubkey_bytes)
+        except ValueError:
+            return False
+        try:
+            if sighash_cache is not None:
+                digest = sighash_cache.digest(input_index, script_code, hash_type)
+            else:
+                digest = signature_hash(tx, input_index, script_code, hash_type)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+        if cache is not None:
+            cached = cache.get(digest, pubkey_bytes, sig_bytes)
+            if cached is not None:
+                return cached
+        if pending is not None:
+            pending.append((pubkey, digest, signature, pubkey_bytes, sig_bytes))
+            return True
+        verdict = ecdsa_verify(pubkey, digest, signature)
+        if cache is not None:
+            cache.put(digest, pubkey_bytes, sig_bytes, verdict)
+        return verdict
+
+    return checker
+
+
+def _decodes(pubkey_bytes: bytes) -> bool:
+    try:
+        Point.decode(pubkey_bytes)
+    except ValueError:
+        return False
+    return True
+
+
+def _pseudo_key(on_curve: bool) -> bytes:
+    """A ``metadata_pubkey`` that does / does not decode as a point."""
+    candidates = (
+        metadata_pubkey(hashlib.sha256(b"pseudo-%d" % i).digest()) for i in range(64)
+    )
+    return next(key for key in candidates if _decodes(key) == on_curve)
+
+
+_DIFF_KEY = PrivateKey.from_seed(b"diff-signer")
+_DIFF_OTHER = PrivateKey.from_seed(b"diff-bystander")
+_DIFF_CODE = p2pkh_script(_DIFF_KEY.public.key_hash)
+_DIFF_TX = Transaction(
+    [TxIn(OutPoint(b"\x11" * 32, 0)), TxIn(OutPoint(b"\x22" * 32, 1))],
+    [TxOut(5000, _DIFF_CODE), TxOut(7000, _DIFF_CODE)],
+)
+_HASH_TYPES = [0x01, 0x02, 0x03, 0x81, 0x83, 0x00, 0x04, 0x80, 0xFF]
+# Signatures that verify for exactly one (input index, hash type) each.
+_GOOD_SIGS = [
+    _DIFF_KEY.sign_digest(signature_hash(_DIFF_TX, index, _DIFF_CODE, ht)).encode()
+    for index in (0, 1)
+    for ht in (0x01, 0x83)
+]
+_SIG_BODIES = st.one_of(
+    st.sampled_from(
+        _GOOD_SIGS
+        + [bytes([_GOOD_SIGS[0][0] ^ 1]) + _GOOD_SIGS[0][1:]]  # corrupted
+        + [b"", b"\x00" * 63, b"\x00" * 64, b"\x00" * 65, b"\xff" * 64]
+    ),
+    st.binary(min_size=60, max_size=68),
+)
+_KEYS = st.one_of(
+    st.sampled_from(
+        [
+            _DIFF_KEY.public.encoded,
+            _DIFF_KEY.public.point.encode(compressed=False),
+            _DIFF_OTHER.public.encoded,
+            _pseudo_key(on_curve=True),
+            _pseudo_key(on_curve=False),
+            b"\x02" + b"\xff" * 32,  # x >= p
+            b"\x04" + b"\x01" * 64,  # uncompressed, off-curve
+            b"\x05" + _DIFF_KEY.public.encoded[1:],  # bad prefix
+            _DIFF_KEY.public.encoded[:32],  # short
+            b"",
+        ]
+    ),
+    st.binary(min_size=32, max_size=33).map(lambda tail: b"\x03" + tail),
+)
+_CACHE_STATES = ["disabled", "cold", "warm-true", "warm-false"]
+
+
+def _cache_in_state(state, index, sig_with_type, pubkey_bytes):
+    """A fresh cache in the named state for this ask.
+
+    Pre-warming respects the cache's one invariant: the checkers store a
+    triple only after its key decoded, so an undecodable key is never in it.
+    """
+    if state == "disabled":
+        return None
+    cache = SignatureCache()
+    if state != "cold" and sig_with_type and _decodes(pubkey_bytes):
+        try:
+            digest = signature_hash(_DIFF_TX, index, _DIFF_CODE, sig_with_type[-1])
+        except ValueError:
+            return cache
+        cache.put(digest, pubkey_bytes, sig_with_type[:-1], state == "warm-true")
+    return cache
+
+
+def _outcome(checker, sig_with_type, pubkey_bytes):
+    try:
+        return checker(sig_with_type, pubkey_bytes)
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    sig_body=_SIG_BODIES,
+    hash_type=st.one_of(st.none(), st.sampled_from(_HASH_TYPES)),
+    pubkey_bytes=_KEYS,
+    index=st.sampled_from([0, 1, 2, 7, -1]),
+    state=st.sampled_from(_CACHE_STATES),
+    midstates=st.booleans(),
+    batch=st.booleans(),
+)
+def test_checker_matches_decode_first_oracle(
+    sig_body, hash_type, pubkey_bytes, index, state, midstates, batch
+):
+    """Same verdict or same error, same cache contents, same batch."""
+    sig_with_type = sig_body + (b"" if hash_type is None else bytes([hash_type]))
+    ours_cache = _cache_in_state(state, index, sig_with_type, pubkey_bytes)
+    oracle_cache = _cache_in_state(state, index, sig_with_type, pubkey_bytes)
+    ours_pending, oracle_pending = [], []
+    if batch:
+        ours = _make_collecting_checker(
+            index, _DIFF_CODE, SighashCache(_DIFF_TX), ours_cache, ours_pending
+        )
+        oracle = _decode_first_checker(
+            _DIFF_TX, index, _DIFF_CODE, SighashCache(_DIFF_TX),
+            oracle_cache, oracle_pending,
+        )
+    else:
+        ours = make_sig_checker(
+            _DIFF_TX, index, _DIFF_CODE,
+            sighash_cache=SighashCache(_DIFF_TX) if midstates else None,
+            sig_cache=ours_cache,
+        )
+        oracle = _decode_first_checker(
+            _DIFF_TX, index, _DIFF_CODE,
+            SighashCache(_DIFF_TX) if midstates else None, oracle_cache,
+        )
+    assert _outcome(ours, sig_with_type, pubkey_bytes) == _outcome(
+        oracle, sig_with_type, pubkey_bytes
+    )
+    assert ours_pending == oracle_pending
+    if state != "disabled":
+        assert ours_cache._entries == oracle_cache._entries
+
+
+def test_oracle_differential_reaches_every_branch():
+    """The strategy above is not vacuous: pin one example per outcome."""
+    good = _GOOD_SIGS[0] + b"\x01"
+    pub = _DIFF_KEY.public.encoded
+
+    def ask(index, sig, key, cache=None):
+        checker = make_sig_checker(_DIFF_TX, index, _DIFF_CODE, sig_cache=cache)
+        return _outcome(checker, sig, key)
+
+    assert ask(0, good, pub) is True
+    assert ask(1, good, pub) is False  # signed for the other input
+    assert ask(0, good, _pseudo_key(on_curve=False)) is False
+    out_of_range = ask(2, good, pub)
+    assert out_of_range[0] == "ValidationError" and "out of range" in out_of_range[1]
+    # Decode-first order: no key, no signature — before the sighash objects.
+    assert ask(2, good, _pseudo_key(on_curve=False)) is False
+    assert ask(0, good[:-1] + b"\x04", pub)[0] == "ValidationError"
+    assert ask(0, good[:-1] + b"\x04", b"\x02" + b"\xff" * 32) is False
+    # A cached verdict is believed for a byte-equal re-ask, either way.
+    warm = SignatureCache()
+    warm.put(signature_hash(_DIFF_TX, 1, _DIFF_CODE, 1), pub, good[:-1], True)
+    assert ask(1, good, pub, cache=warm) is True
+
+
+# ----------------------------------------------------------------------
+# The warm path does no bignum arithmetic
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pseudo_on_curve", [True, False])
+def test_second_validation_does_no_curve_arithmetic(monkeypatch, pseudo_on_curve):
+    """A P2PKH spend and a 1-of-2 carrier spend, validated twice: the
+    second pass takes no square root and runs no ECDSA verification."""
+    net, alice, bob = _funded_net()
+    carrier_lock = multisig_script(
+        1, [bob.default_key.public.encoded, _pseudo_key(pseudo_on_curve)]
+    )
+    net.send(alice.create_transaction(net.chain, [TxOut(9000, carrier_lock)], fee=2000))
+    net.generate(1, alice.key_hash)
+    p2pkh_spend = alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    carrier_spend = bob.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(alice.key_hash))], fee=2000
+    )
+    assert carrier_spend.vin[0].script_sig.elements[0] == 0  # OP_0: multisig
+
+    counts = {"sqrt": 0, "verify": 0}
+    real_lift_x, real_verify = secp256k1.lift_x, validation.ecdsa_verify
+
+    def counting_lift_x(x, odd):
+        counts["sqrt"] += 1
+        return real_lift_x(x, odd)
+
+    def counting_verify(pubkey, digest, signature):
+        counts["verify"] += 1
+        return real_verify(pubkey, digest, signature)
+
+    monkeypatch.setattr(secp256k1, "lift_x", counting_lift_x)
+    monkeypatch.setattr(validation, "ecdsa_verify", counting_verify)
+    sigcache.set_default_cache(SignatureCache())
+    secp256k1._decompress.cache_clear()
+
+    def validate_both():
+        for tx in (p2pkh_spend, carrier_spend):
+            check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+
+    validate_both()
+    assert counts["verify"] >= 2 and counts["sqrt"] >= 2  # the cold pass paid
+    counts.update(sqrt=0, verify=0)
+    validate_both()
+    assert counts == {"sqrt": 0, "verify": 0}

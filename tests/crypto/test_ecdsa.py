@@ -7,9 +7,12 @@ from repro.crypto.ecdsa import Signature, deterministic_nonce, sign, verify
 from repro.crypto.keys import PrivateKey, PublicKey, new_private_key
 from repro.crypto.secp256k1 import (
     CURVE_ORDER,
+    FIELD_PRIME,
     GENERATOR,
     INFINITY,
     Point,
+    _decompress,
+    lift_x,
     point_add,
     scalar_mult,
 )
@@ -39,8 +42,6 @@ def test_point_add_identity():
 
 def test_point_add_inverse():
     assert GENERATOR.y is not None
-    from repro.crypto.secp256k1 import FIELD_PRIME
-
     neg = Point(GENERATOR.x, FIELD_PRIME - GENERATOR.y)
     assert point_add(GENERATOR, neg).is_infinity
 
@@ -57,15 +58,58 @@ def test_off_curve_point_rejected():
         Point(1, 1)
 
 
-def test_sec1_roundtrip_compressed_and_uncompressed():
-    p = scalar_mult(12345)
-    assert Point.decode(p.encode(compressed=True)) == p
-    assert Point.decode(p.encode(compressed=False)) == p
+@given(st.integers(min_value=1, max_value=CURVE_ORDER - 1))
+@settings(max_examples=25, deadline=None)
+def test_sec1_roundtrip_compressed_and_uncompressed(k):
+    p = scalar_mult(k)
+    for _ in range(2):  # computed, then answered by the decompression memo
+        assert Point.decode(p.encode(compressed=True)) == p
+        assert Point.decode(p.encode(compressed=False)) == p
 
 
 def test_decode_rejects_garbage():
     with pytest.raises(ValueError):
         Point.decode(b"\x05" + b"\x00" * 32)
+
+
+def test_decompression_memo_hits_and_clears():
+    encoded = scalar_mult(777).encode()
+    _decompress.cache_clear()
+    assert Point.decode(encoded) == Point.decode(encoded) == scalar_mult(777)
+    info = _decompress.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    _decompress.cache_clear()  # the cold path again
+    assert Point.decode(encoded) == scalar_mult(777)
+    assert _decompress.cache_info().misses == 1
+
+
+def test_decompression_memo_remembers_failures_with_their_message():
+    no_root = next(x for x in range(1, 64) if lift_x(x, odd=False) is None)
+    cases = {
+        b"\x02" + no_root.to_bytes(32, "big"): (
+            "x coordinate has no square root (not on curve)"
+        ),
+        b"\x03" + FIELD_PRIME.to_bytes(32, "big"): "x coordinate out of range",
+    }
+    _decompress.cache_clear()
+    for encoded, message in cases.items():
+        for _ in range(2):
+            with pytest.raises(ValueError) as caught:
+                Point.decode(encoded)
+            assert str(caught.value) == message
+    info = _decompress.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_decompression_memo_is_bounded():
+    bound = _decompress.cache_info().maxsize
+    assert bound is not None and bound <= 4096
+    for x in range(1, bound + 50):
+        try:
+            Point.decode(b"\x02" + x.to_bytes(32, "big"))
+        except ValueError:
+            pass  # failures take a slot too
+    assert _decompress.cache_info().currsize == bound
 
 
 def test_sign_verify_roundtrip():

@@ -242,6 +242,35 @@ class TestPipelinePhases:
         # No region may be left open after a balanced pipeline run.
         assert prof._stack == []
 
+    def test_key_decompression_is_billed_to_ecmult(self, manual_clock):
+        """The square root behind ``Point.decode`` is curve work: inside a
+        ``script`` region it must not count as interpreter self time."""
+        from repro.crypto import secp256k1
+        from repro.crypto.secp256k1 import Point, scalar_mult
+
+        encoded = scalar_mult(4242).encode()
+        secp256k1._decompress.cache_clear()
+        real_lift_x = secp256k1.lift_x
+
+        def slow_lift_x(x, odd):
+            manual_clock.advance(0.25)
+            return real_lift_x(x, odd)
+
+        obs.enable()
+        prof = PhaseProfiler(clock=manual_clock)
+        obs.set_profiler(prof)
+        secp256k1.lift_x = slow_lift_x
+        try:
+            prof.enter("script")
+            Point.decode(encoded)
+            Point.decode(encoded)  # memo hit: no region, no clock
+            prof.exit()
+        finally:
+            secp256k1.lift_x = real_lift_x
+        phases = prof.snapshot()["phases"]
+        assert phases["ecmult"] == {"seconds": pytest.approx(0.25), "calls": 1}
+        assert phases["script"]["seconds"] == pytest.approx(0.0)
+
     def test_typecoin_pipeline_touches_proof_phases(self):
         from repro.bitcoin.regtest import RegtestNetwork
         from repro.core.builder import simple_transfer
