@@ -67,10 +67,13 @@ def bench_e6_verifier_scaling(benchmark):
     # Shape 1: the bundle really contains the whole upstream set.
     for depth, (net, client, outpoint) in scenarios.items():
         assert len(client.claim_bundle(outpoint, One()).transactions) == depth
-    # Shape 2: cost grows roughly linearly — 32 deep costs much more than
-    # 1 deep, but not quadratically more.
+    # Shape 2: cost is linear in depth — one edge walk, one correspondence
+    # check and one typecheck per upstream transaction.  32 deep reads
+    # 25–31× 1 deep (a fixed per-claim part keeps it under 32×, the
+    # growing ledger pushes it back up); the band leaves 2× for a noisy
+    # single sample either way.  Quadratic levelling read ~100×.
     ratio = timings[32] / timings[1]
-    assert 8 < ratio < 150
+    assert 16 < ratio < 64
     benchmark.extra_info["timings_ms"] = {
         depth: timings[depth] * 1000 for depth in DEPTHS
     }

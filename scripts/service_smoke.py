@@ -7,6 +7,11 @@ as ``timeout``/``overloaded``/``draining``/``error``, never as a false
 ``ok`` or ``invalid`` — then re-runs the inferno profile to prove the
 verdict stream is a pure function of the seed.
 
+The service's second invariant is gated beside the first: a request
+costs at most one edge walk per transaction it presents (§3's "for each
+T ∈ 𝔗"), whatever the faults around it — counted here, per request, by
+wrapping the one place ``dependency_levels`` gets its edges.
+
 Exit status 0 means the service gate passed.
 
 Usage::
@@ -15,10 +20,47 @@ Usage::
 """
 
 import sys
+import threading
+from contextlib import contextmanager
 
 from repro.bitcoin.faults import SERVICE_PROFILES, run_service_chaos
+from repro.core import verifier
+from repro.service import VerificationService
 
 SMOKE_PROFILES = ("service-calm", "service-inferno")
+
+
+@contextmanager
+def edge_walk_meter():
+    """Yield a list that gains ``(transactions, edge walks)`` for every
+    ``VerificationService.verify`` call made inside the block.
+
+    Walks are counted per thread — the overload burst runs requests
+    concurrently — and only between a request's entry and its return, so
+    the oracle's own ``verify_claim`` replays are not billed to anyone.
+    """
+    requests = []
+    current = threading.local()
+    walk, verify = verifier.referenced_txids, VerificationService.verify
+
+    def counting_walk(txn):
+        current.walks = getattr(current, "walks", 0) + 1
+        return walk(txn)
+
+    def metered_verify(self, bundle, **kwargs):
+        current.walks = 0
+        try:
+            return verify(self, bundle, **kwargs)
+        finally:
+            requests.append((len(bundle.transactions), current.walks))
+
+    verifier.referenced_txids = counting_walk
+    VerificationService.verify = metered_verify
+    try:
+        yield requests
+    finally:
+        verifier.referenced_txids = walk
+        VerificationService.verify = verify
 
 
 def main(seed: int = 7) -> int:
@@ -27,17 +69,39 @@ def main(seed: int = 7) -> int:
     )
     results = {}
     for name in SMOKE_PROFILES:
-        result = run_service_chaos(SERVICE_PROFILES[name], seed=seed)
+        with edge_walk_meter() as requests:
+            result = run_service_chaos(SERVICE_PROFILES[name], seed=seed)
         results[name] = result
         status = "ok" if result.ok else "FAIL"
+        # Shed and draining requests never reach the levelling: 0 walks.
+        walked = [walks for _size, walks in requests if walks]
         print(
             f"  {name:>16}: answered={result.answered}"
             f" wrong={result.wrong_verdicts}"
             f" statuses={dict(sorted(result.statuses.items()))}"
             f" respawns={result.respawns}"
             f" poison_rejected={result.poison_rejected}"
-            f" shed={result.shed} [{status}]"
+            f" shed={result.shed}"
+            f" edge_walks/request={min(walked, default=0)}"
+            f"..{max(walked, default=0)}"
+            f" ({len(walked)} of {len(requests)} requests levelled)"
+            f" [{status}]"
         )
+        superlinear = [(size, walks) for size, walks in requests if walks > size]
+        if superlinear:
+            print(
+                f"error: profile {name!r}: requests made more edge walks"
+                f" than they had transactions, as (transactions, walks):"
+                f" {superlinear[:5]}",
+                file=sys.stderr,
+            )
+            return 1
+        if not walked:
+            print(
+                f"error: profile {name!r}: the edge-walk meter saw no walk",
+                file=sys.stderr,
+            )
+            return 1
         if result.wrong_verdicts:
             print(
                 f"error: profile {name!r} returned a wrong verdict",

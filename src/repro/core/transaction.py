@@ -17,6 +17,7 @@ its Bitcoin *carrier* — the transaction its hash is embedded into — so
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,7 +32,7 @@ from repro.logic.propositions import (
     tensor_all,
 )
 from repro.logic.proofterms import ProofTerm
-from repro.lf.syntax import PrincipalLit
+from repro.lf.syntax import ConstRef, PrincipalLit
 
 
 class TxnError(Exception):
@@ -185,6 +186,55 @@ def trivial_output(recipient_pubkey: bytes, amount: int) -> TypecoinOutput:
     return TypecoinOutput(One(), amount, recipient_pubkey)
 
 
+# Child field names per node class, filled in as classes are met.  The
+# syntax tree is built from a fixed handful of frozen dataclasses, so
+# asking ``dataclasses`` about every *node* (as the walk once did) spent
+# half its time rediscovering this table; leaves (str, int, bytes, enum
+# members) map to ``()``.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _child_fields(cls: type) -> tuple[str, ...]:
+    names = (
+        tuple(f.name for f in dataclasses.fields(cls))
+        if dataclasses.is_dataclass(cls)
+        else ()
+    )
+    _CHILD_FIELDS[cls] = names
+    return names
+
+
+def nodes_of_type(txn: TypecoinTransaction, node_type: type) -> list:
+    """Every ``node_type`` node anywhere in the transaction's syntax.
+
+    The one structural traversal: basis bodies, grant, input and output
+    propositions and the proof term, descending through dataclass fields
+    and tuples/lists.  A matching node is collected, not entered.
+    Iterative, so a deep proof term cannot exhaust the interpreter stack.
+    """
+    found = []
+    stack = [decl for _ref, decl in txn.basis]
+    stack.append(txn.grant)
+    stack.extend(inp.prop for inp in txn.inputs)
+    stack.extend(out.prop for out in txn.outputs)
+    stack.append(txn.proof)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, node_type):
+            found.append(node)
+            continue
+        cls = node.__class__
+        names = _CHILD_FIELDS.get(cls)
+        if names is None:
+            if isinstance(node, (tuple, list)):
+                stack.extend(node)
+                continue
+            names = _child_fields(cls)
+        for name in names:
+            stack.append(getattr(node, name))
+    return found
+
+
 def referenced_txids(txn: TypecoinTransaction) -> frozenset[bytes]:
     """Every carrier txid this transaction depends on.
 
@@ -194,31 +244,8 @@ def referenced_txids(txn: TypecoinTransaction) -> frozenset[bytes]:
     The verifier's "set of all Typecoin transactions upstream" (§3) is the
     closure of both.
     """
-    import dataclasses
-
-    from repro.lf.syntax import ConstRef
-
-    found: set[bytes] = {inp.txid for inp in txn.inputs}
-
-    def walk(node) -> None:
-        if isinstance(node, ConstRef):
-            if isinstance(node.space, bytes):
-                found.add(node.space)
-            return
-        if isinstance(node, (tuple, list)):
-            for item in node:
-                walk(item)
-            return
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            for field_info in dataclasses.fields(node):
-                walk(getattr(node, field_info.name))
-
-    for _ref, decl in txn.basis:
-        walk(decl)
-    walk(txn.grant)
-    for inp in txn.inputs:
-        walk(inp.prop)
-    for out in txn.outputs:
-        walk(out.prop)
-    walk(txn.proof)
+    found = {inp.txid for inp in txn.inputs}
+    for ref in nodes_of_type(txn, ConstRef):
+        if isinstance(ref.space, bytes):
+            found.add(ref.space)
     return frozenset(found)

@@ -25,7 +25,7 @@ from repro import obs
 from repro.bitcoin.chain import Blockchain
 from repro.bitcoin.transaction import OutPoint
 from repro.core.overlay import OverlayError, check_carrier_correspondence
-from repro.core.transaction import TypecoinTransaction
+from repro.core.transaction import TypecoinTransaction, referenced_txids
 from repro.core.validate import (
     Ledger,
     ValidationFailure,
@@ -54,34 +54,69 @@ class ClaimBundle:
     transactions: dict[bytes, TypecoinTransaction] = field(default_factory=dict)
 
 
+def dependency_levels(
+    transactions: dict[bytes, TypecoinTransaction],
+    *,
+    single_pass: bool = False,
+) -> list[list[bytes]]:
+    """Group a bundle into dependency levels, in time linear in its size.
+
+    Each transaction is walked exactly once (``referenced_txids``) for its
+    in-bundle edges; references to itself or out of the bundle are not
+    edges.  Ranks are then peeled Kahn-style from those edge sets and the
+    bundle is bucketed by rank in insertion order, so the first failure
+    within a level is the same on every run.
+
+    By default a transaction ranks one above its highest dependency:
+    members of a level share no edges and can be checked independently
+    given the levels before them (the service's wavefronts).  With
+    ``single_pass`` a dependency that also precedes its dependent in the
+    bundle costs no rank, which makes the concatenated levels the order
+    of repeated in-order sweeps that place whatever has become ready —
+    the serial replay's order.
+    """
+    position = {txid: i for i, txid in enumerate(transactions)}
+    dependents: dict[bytes, list[bytes]] = {txid: [] for txid in transactions}
+    waiting: dict[bytes, int] = {}
+    for txid, txn in transactions.items():
+        deps = [
+            dep
+            for dep in referenced_txids(txn)
+            if dep in position and dep != txid
+        ]
+        waiting[txid] = len(deps)
+        for dep in deps:
+            dependents[dep].append(txid)
+
+    rank = {txid: 0 for txid in transactions}
+    ready = [txid for txid, count in waiting.items() if count == 0]
+    for txid in ready:  # grows as dependents become ready
+        for child in dependents[txid]:
+            same_sweep = single_pass and position[txid] < position[child]
+            rank[child] = max(rank[child], rank[txid] + (0 if same_sweep else 1))
+            waiting[child] -= 1
+            if waiting[child] == 0:
+                ready.append(child)
+    if len(ready) < len(transactions):
+        raise VerificationError("claim bundle contains a dependency cycle")
+
+    levels: list[list[bytes]] = [
+        [] for _ in range(max(rank.values(), default=-1) + 1)
+    ]
+    for txid in transactions:
+        levels[rank[txid]].append(txid)
+    return levels
+
+
 def _topological_order(
     transactions: dict[bytes, TypecoinTransaction]
 ) -> list[bytes]:
     """Order the bundle so every transaction follows the ones it spends."""
-    from repro.core.transaction import referenced_txids
-
-    pending = dict(transactions)
-    placed: list[bytes] = []
-    placed_set: set[bytes] = set()
-    while pending:
-        progressed = False
-        for txid in list(pending):
-            txn = pending[txid]
-            deps = {
-                dep
-                for dep in referenced_txids(txn)
-                if dep in transactions and dep != txid
-            }
-            if deps <= placed_set:
-                placed.append(txid)
-                placed_set.add(txid)
-                del pending[txid]
-                progressed = True
-        if not progressed:
-            raise VerificationError(
-                "claim bundle contains a dependency cycle"
-            )
-    return placed
+    return [
+        txid
+        for level in dependency_levels(transactions, single_pass=True)
+        for txid in level
+    ]
 
 
 def verify_claim(

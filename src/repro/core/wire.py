@@ -119,6 +119,12 @@ def decode_bundle(data: bytes) -> ClaimBundle:
     transactions = {}
     for _ in range(cursor.uint()):
         carrier_txid = cursor.blob()
+        if len(carrier_txid) != 32:
+            raise DecodingError("bundle carrier txid must be 32 bytes")
+        if carrier_txid in transactions:
+            raise DecodingError(
+                f"bundle repeats carrier {carrier_txid[:8].hex()}…"
+            )
         transactions[carrier_txid] = decode_transaction(cursor.blob())
     if not cursor.exhausted:
         raise DecodingError("trailing bytes after bundle")

@@ -30,13 +30,13 @@ This module owns the three hard parts:
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro import cancel, obs
+from repro.core.transaction import nodes_of_type
 from repro.logic.conditions import Spent, WorldView
 from repro.service.cache import AffirmationCache, install_affirmation_cache
 
@@ -76,29 +76,9 @@ def spent_atoms(txn) -> frozenset:
     performed during checking can introduce an atom this walk missed —
     shipping just these answers to the worker loses nothing.
     """
-    found = set()
-
-    def walk(node):
-        if isinstance(node, Spent):
-            found.add((node.txid, node.index))
-            return
-        if isinstance(node, (tuple, list)):
-            for item in node:
-                walk(item)
-            return
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            for field_info in dataclasses.fields(node):
-                walk(getattr(node, field_info.name))
-
-    for _ref, decl in txn.basis:
-        walk(decl)
-    walk(txn.grant)
-    for inp in txn.inputs:
-        walk(inp.prop)
-    for out in txn.outputs:
-        walk(out.prop)
-    walk(txn.proof)
-    return frozenset(found)
+    return frozenset(
+        (atom.txid, atom.index) for atom in nodes_of_type(txn, Spent)
+    )
 
 
 def make_job(txid, txn, txn_bytes, ledger, world, budget=None) -> CheckJob:

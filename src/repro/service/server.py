@@ -39,9 +39,12 @@ from dataclasses import dataclass
 
 from repro import cancel, obs
 from repro.core.overlay import OverlayError, check_carrier_correspondence
-from repro.core.transaction import referenced_txids
 from repro.core.validate import Ledger, world_at
-from repro.core.verifier import ClaimBundle, VerificationError
+from repro.core.verifier import (
+    ClaimBundle,
+    VerificationError,
+    dependency_levels,
+)
 from repro.core.wire import encode_transaction
 from repro.logic.propositions import normalize_prop, props_equal
 from repro.service.breaker import CircuitBreaker
@@ -298,7 +301,7 @@ class VerificationService:
         worker errors; returns the accumulated ledger on success.
         """
         ledger = Ledger()
-        for level in _wavefront_levels(bundle.transactions):
+        for level in dependency_levels(bundle.transactions):
             if deadline is not None and deadline.expired():
                 raise cancel.DeadlineExceeded("deadline expired between levels")
             to_check = []  # (txid, txn, txn_bytes, world, digest)
@@ -400,33 +403,3 @@ class VerificationService:
             raise _WorkerFault(
                 f"worker error on {result.txid[:8].hex()}…: {result.detail}"
             )
-
-
-def _wavefront_levels(transactions: dict) -> list[list[bytes]]:
-    """Group the bundle into dependency levels.
-
-    Level *n* contains transactions all of whose in-bundle dependencies
-    sit in levels < *n*; members of one level share no edges, so their
-    typechecks are independent given the ledger accumulated so far.
-    Order within a level follows bundle insertion order, keeping the
-    first-failure choice deterministic.
-    """
-    pending = dict(transactions)
-    placed: set[bytes] = set()
-    levels: list[list[bytes]] = []
-    while pending:
-        level = [
-            txid
-            for txid, txn in pending.items()
-            if all(
-                dep in placed or dep not in transactions or dep == txid
-                for dep in referenced_txids(txn)
-            )
-        ]
-        if not level:
-            raise VerificationError("claim bundle contains a dependency cycle")
-        for txid in level:
-            placed.add(txid)
-            del pending[txid]
-        levels.append(level)
-    return levels

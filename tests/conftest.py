@@ -1,0 +1,33 @@
+"""Fixtures shared across test packages."""
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def working_set():
+    """The benchmark's claim working set on one regtest chain: transfer
+    ladders plus the rich claims (newcoin publish/issue/split/merge, the
+    Figure 3 purchase, ``before``/``spent`` conditionals, escrow), each
+    with its wrong-type twin.  Read-only: tests must not extend the chain.
+    """
+    from bench.workloads.claims import build_working_set
+
+    return build_working_set(7, 1)
+
+
+@pytest.fixture
+def edge_walks(monkeypatch):
+    """The transactions ``dependency_levels`` walks for their edges, in
+    order — it is the one place a request's (or a replay's) edges come
+    from, so the list's length is the request's edge-walk count."""
+    from repro.core import verifier
+
+    walks = []
+    walk = verifier.referenced_txids
+
+    def counting(txn):
+        walks.append(txn)
+        return walk(txn)
+
+    monkeypatch.setattr(verifier, "referenced_txids", counting)
+    return walks

@@ -91,3 +91,39 @@ class TestBundleRoundtrip:
     def test_bundle_magic_checked(self):
         with pytest.raises(DecodingError, match="magic"):
             decode_bundle(b"wrong-magic" + b"\x00" * 20)
+
+    @staticmethod
+    def _bundle_bytes(entries):
+        """A bundle with exactly these (txid key, transaction) entries, in
+        this order — ``encode_bundle`` can emit neither a repeat nor a
+        short key, a hostile prover can."""
+        from repro.logic.encoding import _blob, _uint, encode_prop
+
+        parts = [b"typecoin-bundle:", _blob(b"\x11" * 32), _uint(0)]
+        parts.append(_blob(encode_prop(One())))
+        parts.append(_uint(len(entries)))
+        for txid, txn in entries:
+            parts.append(_blob(txid) + _blob(encode_transaction(txn)))
+        return b"".join(parts)
+
+    def test_handmade_bundle_decodes(self):
+        txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
+        received = decode_bundle(self._bundle_bytes([(b"\x11" * 32, txn)]))
+        assert list(received.transactions) == [b"\x11" * 32]
+
+    def test_repeated_carrier_txid_rejected(self):
+        """The later copy used to replace the earlier one silently."""
+        first = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
+        second = simple_transfer([], [TypecoinOutput(One(), 700, PUBKEY)])
+        for pair in ([first, second], [first, first]):
+            data = self._bundle_bytes([(b"\x11" * 32, txn) for txn in pair])
+            with pytest.raises(DecodingError, match="repeats carrier"):
+                decode_bundle(data)
+
+    @pytest.mark.parametrize("key", [b"", b"xx", b"\x11" * 31, b"\x11" * 33])
+    def test_txid_key_of_wrong_length_rejected(self, key):
+        """Used to decode, and be refused only later as "not in the
+        active chain"."""
+        txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
+        with pytest.raises(DecodingError, match="32 bytes"):
+            decode_bundle(self._bundle_bytes([(key, txn)]))
