@@ -4,9 +4,12 @@ Driven by ``scripts/check.sh --pipeline``.  Three gates:
 
 1. **Differential connect** — a seeded chain of real P2PKH activity is
    replayed through every accelerator configuration (serial, batched
-   signatures, cached UTXO set, both); the tip, UTXO snapshot, and
-   serialized size must be identical, and a corrupted block must be
-   rejected with the *same* first error on every path.
+   signatures, cached UTXO set, both); the tip, UTXO snapshot,
+   serialized size and every wallet's ``spendables`` (coin selection
+   reads the table's owner index, which the cache answers over its
+   merged view) must be identical, the latter also equal to a full scan
+   of the table, and a corrupted block must be rejected with the *same*
+   first error on every path.
 2. **Kill-mid-flush recovery** — the cached chain persists to a
    snapshotting :class:`~repro.store.BlockStore`, crashes without a
    clean close, and has its block-log tail torn off; recovery through
@@ -31,6 +34,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))
+sys.path.insert(0, str(REPO))  # tests.oracles: the full-scan reference
 
 from repro.bitcoin import sigcache
 from repro.bitcoin.block import Block, build_block
@@ -43,6 +47,7 @@ from repro.bitcoin.transaction import COIN, TxOut
 from repro.bitcoin.validation import ValidationError
 from repro.bitcoin.wallet import Wallet
 from repro.store import BlockStore, recover_chain
+from tests.oracles import full_scan_spendables
 
 CONFIGS = [
     ("serial", {}),
@@ -52,11 +57,16 @@ CONFIGS = [
 ]
 
 
+WALLETS = {
+    "alice": Wallet.from_seed(b"pipeline-smoke-alice"),
+    "bob": Wallet.from_seed(b"pipeline-smoke-bob"),
+}
+
+
 def build_sequence():
     """A seeded chain: fund, four single spends, one multi-input spend."""
     net = RegtestNetwork()
-    alice = Wallet.from_seed(b"pipeline-smoke-alice")
-    bob = Wallet.from_seed(b"pipeline-smoke-bob")
+    alice, bob = WALLETS["alice"], WALLETS["bob"]
     net.fund_wallet(alice, blocks=3)
     for i in range(4):
         net.send(
@@ -89,17 +99,30 @@ def gate_differential(blocks) -> None:
     states = {}
     for label, opts in CONFIGS:
         chain = replay(blocks, **opts)
+        spendables = {}
+        for name, wallet in WALLETS.items():
+            spendables[name] = wallet.spendables(chain)
+            if not spendables[name]:
+                raise SystemExit(
+                    f"error: config {label!r} offers {name} nothing to spend"
+                )
+            if spendables[name] != full_scan_spendables(wallet, chain):
+                raise SystemExit(
+                    f"error: config {label!r}: {name}'s spendables differ"
+                    " from a full scan of the table"
+                )
         states[label] = (
             chain.tip.block.hash,
             chain.utxos.snapshot(),
             chain.utxos.serialized_size(),
+            spendables,
         )
     reference = states["serial"]
     for label, state in states.items():
         if state != reference:
             raise SystemExit(f"error: config {label!r} diverged from serial")
     print(f"  differential: {len(CONFIGS)} configs x {len(blocks)} blocks,"
-          f" identical tip/UTXO/size")
+          f" identical tip/UTXO/size/spendables (= full scan)")
 
     # Corrupt one signature bit in the last block; every path must reject
     # with the identical first error and stay at the pre-block tip.

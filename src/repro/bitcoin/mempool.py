@@ -14,12 +14,16 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.bitcoin.chain import Blockchain
-from repro.bitcoin.standard import ScriptType, classify, is_standard
+from repro.bitcoin.standard import (
+    DUST_THRESHOLD,
+    ScriptType,
+    classify,
+    is_standard,
+)
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.bitcoin.validation import ValidationError, check_tx_inputs
 
 DEFAULT_MIN_FEE_RATE = 1  # satoshis per byte
-DUST_THRESHOLD = 546  # satoshis; outputs below this are not relayed
 
 
 class MempoolError(Exception):

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from repro.bitcoin.script import Op, Script
 
 MAX_OP_RETURN_PAYLOAD = 80
+# Satoshis; a spendable output below this is not relayed.  The one relay
+# dust limit: the mempool refuses under it, the wallet folds change under
+# it into the fee, and a bogus metadata output burns exactly it.
+DUST_THRESHOLD = 546
 
 
 class ScriptType(enum.Enum):

@@ -18,6 +18,9 @@ from repro.bitcoin.transaction import OutPoint, Transaction, TxOut
 
 COINBASE_MATURITY = 100
 
+# The schemas whose classified data are keys or key hashes.
+_KEYED = (ScriptType.P2PKH, ScriptType.P2PK, ScriptType.MULTISIG)
+
 
 @dataclass(frozen=True)
 class UTXOEntry:
@@ -40,6 +43,23 @@ class UTXOEntry:
             size = 36 + 8 + 4 + 1 + len(self.output.script_pubkey.serialize())
             self.__dict__["_size"] = size
         return size
+
+    def tags(self) -> tuple[bytes, ...]:
+        """The bytes the script names, each once: a P2PKH key hash, a P2PK
+        key, every multisig key; nothing for any other script.  These are
+        the keys of the table's owner index.  Memoized like the size: the
+        index asks on the way in and again on the way out.
+        """
+        tags = self.__dict__.get("_tags")
+        if tags is None:
+            classified = classify(self.output.script_pubkey)
+            tags = (
+                tuple(dict.fromkeys(classified.data))
+                if classified.type in _KEYED
+                else ()
+            )
+            self.__dict__["_tags"] = tags
+        return tags
 
 
 @dataclass
@@ -67,6 +87,11 @@ class UTXOSet:
         # mutation so the monitors/benchmarks that sample it per block
         # pay O(1), not a full-table walk.
         self._size_bytes = 0
+        # Owner index: tag (see UTXOEntry.tags) -> outpoints of the entries
+        # naming it.  Kept exact by the four storage primitives below, so
+        # a wallet's coin selection visits what its keys are named in, not
+        # the whole table.  No bucket is ever left empty.
+        self._by_tag: dict[bytes, set[OutPoint]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -80,11 +105,33 @@ class UTXOSet:
     def items(self):
         return self._entries.items()
 
+    def entries_naming(self, tags) -> list[tuple[OutPoint, UTXOEntry]]:
+        """Every entry whose script names any of ``tags``, each once, in
+        no particular order."""
+        entries = self._entries
+        return [(op, entries[op]) for op in self._outpoints_naming(tags)]
+
+    def _outpoints_naming(self, tags) -> set[OutPoint]:
+        return set().union(*(self._by_tag.get(tag, ()) for tag in tags))
+
+    def _index(self, outpoint: OutPoint, entry: UTXOEntry) -> None:
+        for tag in entry.tags():
+            self._by_tag.setdefault(tag, set()).add(outpoint)
+
+    def _unindex(self, outpoint: OutPoint, entry: UTXOEntry) -> None:
+        by_tag = self._by_tag
+        for tag in entry.tags():
+            bucket = by_tag[tag]
+            bucket.remove(outpoint)
+            if not bucket:
+                del by_tag[tag]
+
     def add(self, outpoint: OutPoint, entry: UTXOEntry) -> None:
         if outpoint in self._entries:
             raise ValueError(f"duplicate UTXO {outpoint}")
         self._entries[outpoint] = entry
         self._size_bytes += entry.serialized_size()
+        self._index(outpoint, entry)
 
     def remove(self, outpoint: OutPoint) -> UTXOEntry:
         try:
@@ -92,6 +139,7 @@ class UTXOSet:
         except KeyError:
             raise KeyError(f"spending unknown or spent txout {outpoint}") from None
         self._size_bytes -= entry.serialized_size()
+        self._unindex(outpoint, entry)
         return entry
 
     def apply_transaction(
@@ -161,7 +209,9 @@ class UTXOSet:
 
     # The two undo primitives are the seam the write-back cache
     # (:class:`repro.bitcoin.utxo_cache.UTXOCache`) overrides, so
-    # apply/undo logic lives here exactly once.
+    # apply/undo logic lives here exactly once.  With add/remove they are
+    # the only four places an entry enters or leaves the table, which is
+    # what keeps the owner index exact.
 
     def _delete_created(self, outpoint: OutPoint) -> bool:
         """Delete a block-created output during undo; False if absent."""
@@ -169,12 +219,14 @@ class UTXOSet:
         if entry is None:
             return False
         self._size_bytes -= entry.serialized_size()
+        self._unindex(outpoint, entry)
         return True
 
     def _restore_spent(self, outpoint: OutPoint, entry: UTXOEntry) -> None:
         """Re-insert a spent output during undo (key known absent)."""
         self._entries[outpoint] = entry
         self._size_bytes += entry.serialized_size()
+        self._index(outpoint, entry)
 
     def total_value(self) -> int:
         return sum(e.output.value for e in self._entries.values())

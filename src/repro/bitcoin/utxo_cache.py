@@ -52,7 +52,9 @@ class UTXOCache(UTXOSet):
     """
 
     def __init__(self, base: UTXOSet, max_entries: int = 100_000):
-        super().__init__()  # the inherited dict stays empty; state is below
+        # The inherited entry dict stays empty (state is below); the
+        # inherited owner index covers the overlay's live entries.
+        super().__init__()
         self.base = base
         self.max_entries = max_entries
         self._overlay: dict[OutPoint, UTXOEntry | None] = {}
@@ -95,6 +97,17 @@ class UTXOCache(UTXOSet):
             if entry is not None:
                 yield outpoint, entry
 
+    def entries_naming(self, tags) -> list[tuple[OutPoint, UTXOEntry]]:
+        """The owner query over the merged view: the base's answer minus
+        what the overlay shadows, plus the overlay's own live entries."""
+        overlay = self._overlay
+        found = [
+            item for item in self.base.entries_naming(tags)
+            if item[0] not in overlay
+        ]
+        found.extend((op, overlay[op]) for op in self._outpoints_naming(tags))
+        return found
+
     def overlay_len(self) -> int:
         """How many outpoints the overlay currently shadows."""
         return len(self._overlay)
@@ -117,6 +130,7 @@ class UTXOCache(UTXOSet):
                 raise ValueError(f"duplicate UTXO {outpoint}")
             self._overlay[outpoint] = entry
             self._fresh.add(outpoint)
+        self._index(outpoint, entry)
         self._len_delta += 1
         self._size_delta += entry.serialized_size()
 
@@ -127,6 +141,7 @@ class UTXOCache(UTXOSet):
                 raise KeyError(
                     f"spending unknown or spent txout {outpoint}"
                 )
+            self._unindex(outpoint, current)
             if outpoint in self._fresh:
                 # Created and spent inside the cache: the pair annihilates
                 # without the base (or the store behind it) ever seeing it.
@@ -160,13 +175,15 @@ class UTXOCache(UTXOSet):
             self._overlay[outpoint] = None
         elif current is None:
             return False
-        elif outpoint in self._fresh:
-            del self._overlay[outpoint]
-            self._fresh.discard(outpoint)
-            if obs.ENABLED:
-                obs.inc("utxocache.annihilated_total")
         else:
-            self._overlay[outpoint] = None
+            self._unindex(outpoint, current)
+            if outpoint in self._fresh:
+                del self._overlay[outpoint]
+                self._fresh.discard(outpoint)
+                if obs.ENABLED:
+                    obs.inc("utxocache.annihilated_total")
+            else:
+                self._overlay[outpoint] = None
         self._len_delta -= 1
         self._size_delta -= current.serialized_size()
         return True
@@ -181,6 +198,7 @@ class UTXOCache(UTXOSet):
             # The spend annihilated a fresh entry, or happened before this
             # cache's lifetime (pre-attach or flushed): re-create it.
             self._overlay[outpoint] = entry
+            self._index(outpoint, entry)
             if outpoint not in self.base:
                 self._fresh.add(outpoint)
         self._len_delta += 1
@@ -237,6 +255,7 @@ class UTXOCache(UTXOSet):
             written += 1
         self._overlay.clear()
         self._fresh.clear()
+        self._by_tag.clear()
         self._len_delta = 0
         self._size_delta = 0
         return written

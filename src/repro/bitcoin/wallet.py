@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from repro.bitcoin.chain import Blockchain
 from repro.bitcoin.script import Op, Script
 from repro.bitcoin.sighash import SigHashType, signature_hash
-from repro.bitcoin.standard import ScriptType, classify, p2pkh_script
+from repro.bitcoin.standard import (
+    DUST_THRESHOLD,
+    ScriptType,
+    classify,
+    p2pkh_script,
+)
 from repro.bitcoin.transaction import OutPoint, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.crypto.keys import PrivateKey
@@ -99,9 +104,20 @@ class Wallet:
         return False
 
     def spendables(self, chain: Blockchain) -> list[Spendable]:
-        """Outputs in the chain's UTXO set this wallet can spend now."""
+        """Outputs in the chain's UTXO set this wallet can spend now.
+
+        Asks the table's owner index for the entries naming one of our
+        keys or key hashes, so the cost follows what the wallet owns, not
+        what the chain holds; ``_controls`` then settles multisig
+        thresholds.
+        """
+        tags = [
+            tag
+            for key in self._keys
+            for tag in (key.public.key_hash, key.public.encoded)
+        ]
         result = []
-        for outpoint, entry in chain.utxos.items():
+        for outpoint, entry in chain.utxos.entries_naming(tags):
             if not self._controls(entry.output.script_pubkey):
                 continue
             # Same expression as consensus (check_tx_inputs): a coinbase
@@ -202,7 +218,9 @@ class Wallet:
         """Fund, build, and sign a transaction paying ``outputs`` plus ``fee``.
 
         Selects this wallet's spendables oldest-first; any surplus above
-        outputs+fee returns to ``change_key_hash`` (default: our key).
+        outputs+fee returns to ``change_key_hash`` (default: our key),
+        unless it is under the relay dust limit: no mempool would take
+        that output, so the surplus goes to the fee instead.
         ``exclude`` skips outpoints already committed elsewhere (e.g. spent
         by a transaction still in the mempool).
         """
@@ -223,7 +241,7 @@ class Wallet:
 
         vout = list(outputs)
         change = total - target
-        if change > 0:
+        if change >= DUST_THRESHOLD:
             change_hash = change_key_hash or self.key_hash
             vout.append(TxOut(change, p2pkh_script(change_hash)))
 

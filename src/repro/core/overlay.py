@@ -18,6 +18,7 @@ import enum
 from repro.bitcoin.chain import Blockchain
 from repro.bitcoin.script import Script
 from repro.bitcoin.standard import (
+    DUST_THRESHOLD,
     ScriptType,
     classify,
     multisig_script,
@@ -30,7 +31,7 @@ from repro.bitcoin.wallet import Spendable, Wallet, WalletError
 from repro.core.transaction import TypecoinTransaction
 
 DUST_SAFE_AMOUNT = 600  # §3: "all the bitcoin amounts will be very small"
-BOGUS_OUTPUT_AMOUNT = 546  # the minimum a bogus output must burn
+BOGUS_OUTPUT_AMOUNT = DUST_THRESHOLD  # the minimum a bogus output must burn
 
 
 class OverlayError(Exception):

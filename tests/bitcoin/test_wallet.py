@@ -4,7 +4,12 @@ import pytest
 
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.sighash import SigHashType
-from repro.bitcoin.standard import multisig_script, p2pk_script, p2pkh_script
+from repro.bitcoin.standard import (
+    DUST_THRESHOLD,
+    multisig_script,
+    p2pk_script,
+    p2pkh_script,
+)
 from repro.bitcoin.transaction import COIN, Transaction, TxIn, TxOut
 from repro.bitcoin.validation import check_tx_inputs
 from repro.bitcoin.wallet import Spendable, Wallet, WalletError
@@ -42,6 +47,34 @@ def test_create_transaction_with_change(funded):
     assert bob.balance(net.chain) == 10 * COIN
     # Alice got change: balance = 100 - 10 - fee.
     assert alice.balance(net.chain) == 90 * COIN - 5000
+
+
+def test_sub_dust_change_goes_to_the_fee(funded):
+    """A surplus under the relay dust limit used to become a change
+    output every mempool refuses ("output 1 is dust (100 sat)")."""
+    net, alice = funded
+    bob = Wallet.from_seed(b"w-bob-dust")
+    first, second = alice.spendables(net.chain)[:2]
+
+    def fee_of(tx):
+        return check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1).fee
+
+    pay = TxOut(first.output.value - 5000 - 100, p2pkh_script(bob.key_hash))
+    tx = alice.create_transaction(net.chain, [pay], fee=5000)
+    assert tx.vout == (pay,)  # no 100-satoshi change output
+    assert fee_of(tx) == 5100
+    net.send(tx)
+
+    # At the limit itself the change is relayable, and is made.
+    pay = TxOut(
+        second.output.value - 5000 - DUST_THRESHOLD, p2pkh_script(bob.key_hash)
+    )
+    tx = alice.create_transaction(
+        net.chain, [pay], fee=5000, exclude={first.outpoint}
+    )
+    assert [out.value for out in tx.vout] == [pay.value, DUST_THRESHOLD]
+    assert fee_of(tx) == 5000
+    net.send(tx)
 
 
 def test_insufficient_funds(funded):

@@ -31,3 +31,21 @@ def edge_walks(monkeypatch):
 
     monkeypatch.setattr(verifier, "referenced_txids", counting)
     return walks
+
+
+@pytest.fixture
+def controls_calls(monkeypatch):
+    """The scripts ``Wallet._controls`` classifies, in order — coin
+    selection asks it once per table entry it visits, so the list's
+    length is the entries-visited count of whatever ran."""
+    from repro.bitcoin.wallet import Wallet
+
+    calls = []
+    controls = Wallet._controls
+
+    def counting(self, script_pubkey):
+        calls.append(script_pubkey)
+        return controls(self, script_pubkey)
+
+    monkeypatch.setattr(Wallet, "_controls", counting)
+    return calls
