@@ -1,23 +1,24 @@
-"""B3 — high-throughput block pipeline (PR 9 batch ECDSA + UTXO cache +
-zero-copy codecs).
+"""B3 — what connecting a block costs: signatures, codecs, the sigcache.
 
 Rule 4 of paper §2 makes signature verification the block-connect
-bottleneck; this experiment measures the three PR-9 layers end to end and
-differentially, on the same data in the same run:
+bottleneck; this experiment measures three layers differentially, on the
+same data in the same run:
 
 * **Batched ECDSA** — :func:`repro.crypto.ecdsa.batch_verify` (one
-  multi-scalar equation per block, parity-hinted R reconstruction) versus
-  the serial :func:`verify` loop on identical triples, verdict-checked.
+  multi-scalar equation, parity-hinted R reconstruction) versus the
+  serial :func:`verify` loop on identical triples, verdict-checked —
+  once with the hints this process recorded while signing, once with
+  none, which is what a block from another node looks like (R's parity
+  is not on the wire).  No chain code calls it (docs/performance.md,
+  "What was retired from block connect").
 * **Zero-copy codecs** — ``Block.parse`` (struct/memoryview) versus a
   slice-based naive parser on a 10k-transaction block, equality-checked.
 * **Block connect** — a 1000-spend P2PKH block connected on freshly
-  replayed chains under serial/batch × plain/cached-UTXO × cold/warm
-  sigcache configurations, state-identity-checked across every
-  configuration.
+  replayed chains with a cold signature cache (first sight of every
+  signature) and with the cache its transactions left when they came
+  through the mempool, state-identity-checked.
 
-The acceptance bar from ISSUE 9: the full pipeline (batch + UTXO cache +
-the mempool-warmed sigcache, the live relay path) connects the 1k-tx
-block at ≥ 2× the serial/cold/no-cache baseline *in the same run*, with
+The bar asserted in-run: the warm connect is ≥ 2× the cold one, with
 bit-identical resulting UTXO state.
 """
 
@@ -39,13 +40,17 @@ from repro.bitcoin.transaction import (
     read_varint,
 )
 from repro.bitcoin.wallet import Wallet
-from repro.crypto.ecdsa import batch_verify, verify as serial_verify
+from repro.crypto.ecdsa import (
+    batch_verify,
+    clear_parity_hints,
+    verify as serial_verify,
+)
 from repro.crypto.keys import PrivateKey
 
 BLOCK_TXS = 1_000  # spends in the headline connect block
 PARSE_TXS = 10_000  # transactions in the codec-throughput block
 BATCH_SIGS = 256  # triples in the ECDSA micro-benchmark
-SPEEDUP_FLOOR = 2.0  # ISSUE 9 acceptance bar, asserted in-run
+SPEEDUP_FLOOR = 2.0  # warm vs cold connect, asserted in-run
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +64,8 @@ def _triples(count=BATCH_SIGS, keys=8):
     for i in range(count):
         key = privs[i % keys]
         digest = bytes([i & 0xFF, (i >> 8) & 0xFF, 0xB3, 0x00]) * 8
-        # sign_digest warms the parity-hint table, the validating-node
-        # steady state the batch path is designed for.
+        # sign_digest records R's parity in the hint table: only the
+        # process that signed (or already verified) a triple can batch it.
         out.append((key.public.point, digest, key.sign_digest(digest)))
     return out
 
@@ -76,6 +81,10 @@ def bench_b3_batch_ecdsa(benchmark):
         assert verdicts == serial_verdicts
         return len(triples) / seconds
 
+    # One pass only: every triple takes the serial leaf, which records
+    # the hint the hinted rounds below then use.
+    clear_parity_hints()
+    unhinted_ops = run_batch()
     batch_ops = benchmark.pedantic(run_batch, rounds=3, iterations=1)
 
     start = time.perf_counter()
@@ -85,13 +94,21 @@ def bench_b3_batch_ecdsa(benchmark):
 
     benchmark.extra_info["batch_sigs"] = len(triples)
     benchmark.extra_info["batch_ops_per_s"] = batch_ops
+    benchmark.extra_info["unhinted_batch_ops_per_s"] = unhinted_ops
     benchmark.extra_info["serial_ops_per_s"] = serial_ops
     benchmark.extra_info["speedup_batch_vs_serial"] = batch_ops / serial_ops
+    benchmark.extra_info["speedup_unhinted_batch_vs_serial"] = (
+        unhinted_ops / serial_ops
+    )
 
-    print(f"\nB3: ECDSA batch vs serial ({len(triples)} sigs, hinted)")
-    print(f"{'path':>10} {'ops/s':>9}")
-    print(f"{'serial':>10} {serial_ops:>9.1f}")
-    print(f"{'batched':>10} {batch_ops:>9.1f}  ({batch_ops / serial_ops:.2f}x)")
+    print(f"\nB3: ECDSA batch vs serial ({len(triples)} sigs)")
+    print(f"{'path':>18} {'ops/s':>9}")
+    print(f"{'serial':>18} {serial_ops:>9.1f}")
+    for label, ops in (
+        ("batched, hinted", batch_ops),
+        ("batched, unhinted", unhinted_ops),
+    ):
+        print(f"{label:>18} {ops:>9.1f}  ({ops / serial_ops:.2f}x)")
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +236,7 @@ def bench_b3_codec_parse(benchmark):
 
 
 # ----------------------------------------------------------------------
-# End-to-end block connect across pipeline configurations
+# End-to-end block connect, cold vs warm signature cache
 # ----------------------------------------------------------------------
 
 
@@ -229,8 +246,8 @@ def _build_connect_scenario(n_tx=BLOCK_TXS):
     One fanout transaction gives alice ``n_tx`` P2PKH outputs (non-coinbase,
     so no maturity wait); each becomes an independent single-signature
     spend.  Mempool acceptance verifies every spend once — warming the
-    shared signature cache and the R-parity hints exactly as the live
-    relay path would before the block arrives.
+    shared signature cache exactly as the live relay path would before
+    the block arrives.
     """
     old_cache = sigcache.set_default_cache(SignatureCache())
     try:
@@ -262,15 +279,11 @@ def _build_connect_scenario(n_tx=BLOCK_TXS):
         sigcache.set_default_cache(old_cache)
 
 
-def _connect_once(base_blocks, block, warm_cache, *, batch, cache, warm):
-    """Replay the base chain under one configuration, time the big block."""
-    old = sigcache.set_default_cache(
-        warm_cache if warm else SignatureCache()
-    )
+def _connect_once(base_blocks, block, sig_cache):
+    """Replay the base chain, then time the big block under ``sig_cache``."""
+    old = sigcache.set_default_cache(sig_cache)
     try:
-        chain = Blockchain(
-            ChainParams.regtest(), batch_sig_verify=batch, utxo_cache=cache
-        )
+        chain = Blockchain(ChainParams.regtest())
         for prior in base_blocks:
             assert chain.add_block(prior)
         start = time.perf_counter()
@@ -281,26 +294,17 @@ def _connect_once(base_blocks, block, warm_cache, *, batch, cache, warm):
         sigcache.set_default_cache(old)
 
 
-CONNECT_CONFIGS = [
-    # (row label, batch_sig_verify, utxo_cache, warm sigcache)
-    ("serial/cold", False, False, False),
-    ("batch/cold", True, False, False),
-    ("batch+cache/cold", True, True, False),
-    ("pipeline/warm", True, True, True),
-]
-
-
 def bench_b3_block_connect(benchmark):
     base_blocks, block, warm_cache = _build_connect_scenario()
 
     def run_all():
         rows = []
         snapshots = []
-        for label, batch, cache, warm in CONNECT_CONFIGS:
-            seconds, snapshot = _connect_once(
-                base_blocks, block, warm_cache, batch=batch, cache=cache,
-                warm=warm,
-            )
+        for label, sig_cache in (
+            ("cold sigcache", SignatureCache()),
+            ("warm sigcache", warm_cache),
+        ):
+            seconds, snapshot = _connect_once(base_blocks, block, sig_cache)
             rows.append(
                 {
                     "config": label,
@@ -309,32 +313,29 @@ def bench_b3_block_connect(benchmark):
                 }
             )
             snapshots.append(snapshot)
-        # Every configuration must produce the identical UTXO state.
-        assert all(snap == snapshots[0] for snap in snapshots[1:])
+        # The cache changes the cost, never the resulting UTXO state.
+        assert snapshots[0] == snapshots[1]
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    baseline = rows[0]["txs_per_s"]
-    headline = rows[-1]["txs_per_s"]
-    speedup = headline / baseline
+    cold, warm = (row["txs_per_s"] for row in rows)
+    speedup = warm / cold
 
     benchmark.extra_info["block_txs"] = BLOCK_TXS
     benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["speedup_pipeline_vs_serial"] = speedup
-    benchmark.extra_info["speedup_batch_vs_serial"] = (
-        rows[1]["txs_per_s"] / baseline
-    )
+    benchmark.extra_info["speedup_warm_vs_cold"] = speedup
 
     print(f"\nB3: block connect ({BLOCK_TXS} P2PKH spends per block)")
-    print(f"{'config':>18} {'connect':>9} {'txs/s':>8} {'vs serial':>10}")
+    print(f"{'config':>18} {'connect':>9} {'txs/s':>8} {'vs cold':>10}")
     for row in rows:
         print(
             f"{row['config']:>18} {row['connect_seconds'] * 1e3:>7.0f}ms"
             f" {row['txs_per_s']:>8.1f}"
-            f" {row['txs_per_s'] / baseline:>9.2f}x"
+            f" {row['txs_per_s'] / cold:>9.2f}x"
         )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"pipeline speedup {speedup:.2f}x under the {SPEEDUP_FLOOR}x bar"
+        f"warm connect {speedup:.2f}x the cold one, under the"
+        f" {SPEEDUP_FLOOR}x bar"
     )
 
 

@@ -20,10 +20,10 @@ python benchmarks/compare.py --check-schema BENCH_*.json
 echo "== bench: self-compare (gate sanity) =="
 python benchmarks/compare.py BENCH_smoke.json BENCH_smoke.json
 
-echo "== bench: b3 block-pipeline gate (2x headline + state identity) =="
-# Full standalone pass of the block-pipeline experiment: its in-bench
-# asserts fail the script if the pipeline-warm connect drops under the 2x
-# acceptance bar or any accelerator configuration diverges in UTXO state.
+echo "== bench: b3 block-connect gate (warm >= 2x cold + state identity) =="
+# Full standalone pass of the block-connect experiment: its in-bench
+# asserts fail the script if the warm-sigcache connect drops under 2x the
+# cold one or the two leave different UTXO state.
 python benchmarks/bench_b3_block_pipeline.py
 
 echo "== bench: regression gate vs committed BENCH_pr2.json baseline =="

@@ -10,11 +10,9 @@
 # (scripts/monitor_smoke.py), --profile to run the phase-profiling
 # smoke (scripts/profile_smoke.py), and --service to run the seeded
 # verification-service chaos smoke (scripts/service_smoke.py), and
-# --pipeline to run the block-pipeline differential smoke
-# (scripts/pipeline_smoke.py), and --swarm to run the 200-node
-# population-driven compact-relay differential smoke
-# (scripts/swarm_smoke.py). Run from
-# anywhere; paths resolve relative to the repo root.
+# --swarm to run the 200-node population-driven compact-relay
+# differential smoke (scripts/swarm_smoke.py). Run from anywhere; paths
+# resolve relative to the repo root.
 set -euo pipefail
 
 run_bench=0
@@ -23,7 +21,6 @@ run_recovery=0
 run_monitors=0
 run_profile=0
 run_service=0
-run_pipeline=0
 run_swarm=0
 for arg in "$@"; do
   case "$arg" in
@@ -33,9 +30,8 @@ for arg in "$@"; do
     --monitors) run_monitors=1 ;;
     --profile) run_profile=1 ;;
     --service) run_service=1 ;;
-    --pipeline) run_pipeline=1 ;;
     --swarm) run_swarm=1 ;;
-    *) echo "usage: $0 [--bench] [--chaos] [--recovery] [--monitors] [--profile] [--service] [--pipeline] [--swarm]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--bench] [--chaos] [--recovery] [--monitors] [--profile] [--service] [--swarm]" >&2; exit 2 ;;
   esac
 done
 
@@ -73,11 +69,6 @@ fi
 if [ "$run_profile" = 1 ]; then
   echo "== profile: one profiled A1 run (ledger + folded output) =="
   python scripts/profile_smoke.py
-fi
-
-if [ "$run_pipeline" = 1 ]; then
-  echo "== pipeline: batch ECDSA + UTXO cache differential smoke =="
-  env -u REPRO_OBS python scripts/pipeline_smoke.py
 fi
 
 if [ "$run_swarm" = 1 ]; then

@@ -27,13 +27,11 @@ from repro.bitcoin.pow import (
 )
 from repro.bitcoin.transaction import COIN, OutPoint, Script, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import BlockUndo, UTXOSet
-from repro.bitcoin.utxo_cache import UTXOCache
 from repro.bitcoin.validation import (
     ParallelScriptVerifier,
     ScriptJob,
     ValidationError,
     check_tx_inputs,
-    verify_scripts_batched,
 )
 
 HALVING_INTERVAL = 210_000
@@ -107,22 +105,11 @@ class Blockchain:
         self,
         params: ChainParams | None = None,
         script_verifier: ParallelScriptVerifier | None = None,
-        batch_sig_verify: bool = False,
-        utxo_cache: bool = False,
     ):
         self.params = params or ChainParams.regtest()
         # workers=1 verifies serially in-process; pass a verifier with more
         # workers to fan block-connect script checks across a process pool.
         self.script_verifier = script_verifier or ParallelScriptVerifier(workers=1)
-        # Opt-in pipeline accelerators (verdicts and state are identical
-        # either way; see docs/performance.md, "The block pipeline"):
-        # batch_sig_verify defers single-key CHECKSIGs into one
-        # multi-scalar multiplication (single-process verifiers only —
-        # a worker pool already owns the script jobs); utxo_cache layers
-        # a write-back dirty-entry cache over the UTXO set, flushed at
-        # snapshot boundaries.
-        self.batch_sig_verify = bool(batch_sig_verify)
-        self._use_utxo_cache = bool(utxo_cache)
         self.genesis = make_genesis(self.params)
         genesis_hash = self.genesis.hash
         self._index: dict[bytes, BlockIndexEntry] = {
@@ -134,7 +121,7 @@ class Blockchain:
             )
         }
         self._active: list[bytes] = [genesis_hash]
-        self.utxos = UTXOCache(UTXOSet()) if self._use_utxo_cache else UTXOSet()
+        self.utxos = UTXOSet()
         self._connected: dict[bytes, _ConnectedState] = {}
         # txid -> hash of the active-chain block containing it.
         self._tx_index: dict[bytes, bytes] = {}
@@ -175,8 +162,6 @@ class Blockchain:
         recovered,
         params: ChainParams | None = None,
         script_verifier: ParallelScriptVerifier | None = None,
-        batch_sig_verify: bool = False,
-        utxo_cache: bool = False,
     ) -> "Blockchain":
         """Rebuild a chain from a :class:`repro.store.RecoveredState`.
 
@@ -192,12 +177,7 @@ class Blockchain:
         The returned chain has **no store attached** — appends during
         replay would duplicate the log.  Call :meth:`attach_store` after.
         """
-        chain = cls(
-            params,
-            script_verifier,
-            batch_sig_verify=batch_sig_verify,
-            utxo_cache=utxo_cache,
-        )
+        chain = cls(params, script_verifier)
         if (
             recovered.genesis is not None
             and recovered.genesis != chain.genesis.hash
@@ -253,11 +233,7 @@ class Blockchain:
                 "snapshot tip does not match replayed index "
                 f"(height {self.height} vs {snapshot.height})"
             )
-        base = snapshot.to_utxo_set()
-        # The snapshot's set becomes the cache's *base* (it is exactly the
-        # flushed state the running chain wrote), with a fresh empty
-        # overlay for the post-snapshot replay.
-        self.utxos = UTXOCache(base) if self._use_utxo_cache else base
+        self.utxos = snapshot.to_utxo_set()
         for block_hash in self._active[1:]:
             undo = undo_by_hash.get(block_hash)
             if undo is None:
@@ -486,12 +462,7 @@ class Blockchain:
         if entry.chain_work > self.tip.chain_work:
             self._reorganize_to(entry)
             if self.store is not None and self.store.should_snapshot():
-                # Snapshot only at a settled tip, never mid-reorg.  A
-                # write-back cache flushes first so the durable snapshot
-                # (taken from the base set) holds the full merged state.
-                flush = getattr(self.utxos, "flush", None)
-                if flush is not None:
-                    flush(reason="snapshot")
+                # Snapshot only at a settled tip, never mid-reorg.
                 self.store.write_snapshot(
                     self.utxos, self.height, self.tip.block.hash
                 )
@@ -583,6 +554,10 @@ class Blockchain:
 
             fees = 0
             script_jobs: list[ScriptJob] = []
+            # Rule 3 at block scope: check_tx_inputs reads the pre-block
+            # table, so a second spender of one outpoint must be caught
+            # here, before apply_block_txs mutates anything.
+            spent_in_block: set[OutPoint] = set()
             for tx in block.txs[1:]:
                 if not is_final(tx, height, block.header.timestamp):
                     raise ValidationError("non-final transaction in block")
@@ -594,15 +569,17 @@ class Blockchain:
                 )
                 fees += result.fee
                 for index, txin in enumerate(tx.vin):
+                    if txin.prevout in spent_in_block:
+                        raise ValidationError(
+                            f"missing or spent input {txin.prevout}"
+                        )
+                    spent_in_block.add(txin.prevout)
                     utxo_entry = self.utxos.get(txin.prevout)
                     assert utxo_entry is not None  # check_tx_inputs passed
                     script_jobs.append(
                         (tx, index, utxo_entry.output.script_pubkey)
                     )
-            if self.batch_sig_verify and self.script_verifier.workers == 1:
-                verify_scripts_batched(script_jobs)
-            else:
-                self.script_verifier.verify_all(script_jobs)
+            self.script_verifier.verify_all(script_jobs)
             coinbase_value = block.txs[0].total_output_value()
             if coinbase_value > block_subsidy(height) + fees:
                 raise ValidationError("coinbase pays more than subsidy plus fees")

@@ -207,11 +207,9 @@ class UTXOSet:
         for spent in reversed(undo.spent):
             self._restore_spent(spent.outpoint, spent.entry)
 
-    # The two undo primitives are the seam the write-back cache
-    # (:class:`repro.bitcoin.utxo_cache.UTXOCache`) overrides, so
-    # apply/undo logic lives here exactly once.  With add/remove they are
-    # the only four places an entry enters or leaves the table, which is
-    # what keeps the owner index exact.
+    # With add/remove, the two undo primitives are the only four places
+    # an entry enters or leaves the table, which is what keeps the owner
+    # index exact.
 
     def _delete_created(self, outpoint: OutPoint) -> bool:
         """Delete a block-created output during undo; False if absent."""

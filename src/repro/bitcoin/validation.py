@@ -24,10 +24,10 @@ from repro import obs
 from repro.bitcoin import sigcache
 from repro.bitcoin.script import Script, execute_script
 from repro.bitcoin.sighash import SighashCache, signature_hash
-from repro.bitcoin.standard import ScriptType, _is_pubkey_shaped, classify
+from repro.bitcoin.standard import _is_pubkey_shaped
 from repro.bitcoin.transaction import MAX_MONEY, Transaction
 from repro.bitcoin.utxo import COINBASE_MATURITY, UTXOSet
-from repro.crypto.ecdsa import Signature, batch_verify, verify as ecdsa_verify
+from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.secp256k1 import Point
 
 
@@ -96,20 +96,16 @@ def check_transaction(tx: Transaction) -> None:
 _DEFAULT_SIG_CACHE = object()
 
 
-def _shared_sig_cache(sig_cache):
-    return sigcache.default_cache() if sig_cache is _DEFAULT_SIG_CACHE else sig_cache
-
-
 def _check_signature(
-    sighash, cache, on_miss, sig_with_type: bytes, pubkey_bytes: bytes
+    sighash, cache, sig_with_type: bytes, pubkey_bytes: bytes
 ) -> bool:
     """One signature check, ordered as Bitcoin Core's caching checker.
 
     Byte-shape checks, the digest (``sighash(hash_type)``), the signature
     cache on the raw bytes; only a miss decodes the key — a modular square
-    root — and asks ``on_miss`` for the ECDSA verdict.  The cache key is the
-    exact ``(digest, pubkey bytes, sig bytes)`` triple and a triple is stored
-    only after it decoded, so a hit is believed unparsed.
+    root — and runs ECDSA.  The cache key is the exact ``(digest, pubkey
+    bytes, sig bytes)`` triple and a triple is stored only after it
+    decoded, so a hit is believed unparsed.
     """
     if len(sig_with_type) != 65 or not _is_pubkey_shaped(pubkey_bytes):
         return False
@@ -130,9 +126,10 @@ def _check_signature(
         pubkey = Point.decode(pubkey_bytes)
     except ValueError:
         return False
-    return on_miss(
-        pubkey, digest, Signature.decode(sig_bytes), pubkey_bytes, sig_bytes
-    )
+    verdict = ecdsa_verify(pubkey, digest, Signature.decode(sig_bytes))
+    if cache is not None:
+        cache.put(digest, pubkey_bytes, sig_bytes, verdict)
+    return verdict
 
 
 def make_sig_checker(
@@ -157,15 +154,9 @@ def make_sig_checker(
         sighash = partial(sighash_cache.digest, input_index, script_code)
     else:
         sighash = partial(signature_hash, tx, input_index, script_code)
-    cache = _shared_sig_cache(sig_cache)
-
-    def verify(pubkey, digest, signature, pubkey_bytes, sig_bytes) -> bool:
-        verdict = ecdsa_verify(pubkey, digest, signature)
-        if cache is not None:
-            cache.put(digest, pubkey_bytes, sig_bytes, verdict)
-        return verdict
-
-    return partial(_check_signature, sighash, cache, verify)
+    if sig_cache is _DEFAULT_SIG_CACHE:
+        sig_cache = sigcache.default_cache()
+    return partial(_check_signature, sighash, sig_cache)
 
 
 def check_tx_inputs(
@@ -351,119 +342,3 @@ class ParallelScriptVerifier:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-
-
-# ----------------------------------------------------------------------
-# Batched ECDSA verification (block connect, single-process)
-# ----------------------------------------------------------------------
-
-# Script shapes whose single CHECKSIG verdict may be deferred into a batch.
-# Multisig needs its verdicts *inline* (the interpreter walks key/sig lists
-# based on each result), so it always verifies serially.
-_BATCHABLE_TYPES = (ScriptType.P2PK, ScriptType.P2PKH)
-
-
-def _make_collecting_checker(
-    input_index: int,
-    script_code,
-    sighash_cache: SighashCache,
-    cache,
-    pending: list,
-):
-    """A sig checker that defers the ECDSA verify into a batch.
-
-    Everything short of ECDSA runs eagerly, as in :func:`_check_signature`:
-    shape, sighash and decoding failures are deterministic and cheap, and
-    a signature-cache hit answers at once.  Only misses join ``pending`` as
-    ``(pubkey, digest, signature, pubkey_bytes, sig_bytes)``, and the
-    checker answers **True optimistically** — the batch equation is the
-    authority, and any batch failure triggers the authoritative serial
-    re-run in :func:`verify_scripts_batched`.
-    """
-
-    def defer(*miss) -> bool:
-        pending.append(miss)
-        return True  # optimistic: the batch verdict is the authority
-
-    sighash = partial(sighash_cache.digest, input_index, script_code)
-    return partial(_check_signature, sighash, cache, defer)
-
-
-def verify_scripts_batched(
-    jobs: list[ScriptJob], sig_cache=_DEFAULT_SIG_CACHE
-) -> None:
-    """Verify block-connect script jobs with batched ECDSA.
-
-    Single-key scripts (P2PK/P2PKH — one CHECKSIG whose verdict is the
-    script's verdict) run the interpreter with a *collecting* checker:
-    sigcache hits answer immediately, misses defer into one
-    ``(pubkey, digest, signature)`` batch checked by a single multi-scalar
-    multiplication.  Everything else verifies inline exactly as the serial
-    path does.
-
-    Any failure anywhere — a script that fails structurally, an inline
-    check, or a batch that does not sum to infinity — discards the
-    optimistic results and re-runs **every** group through
-    :func:`_verify_job_group`, so the error raised is bit-identical to the
-    serial path's first error (earliest transaction, earliest input).  A
-    fully green batch warms the signature cache, so the mempool→block
-    re-validation of the same signatures stays cache-hits.
-    """
-    if not jobs:
-        return
-    groups = ParallelScriptVerifier._grouped(jobs)
-    cache = _shared_sig_cache(sig_cache)
-    pending: list[tuple[Point, bytes, Signature, bytes, bytes]] = []
-    optimistic_ok = True
-    try:
-        for tx, items in groups:
-            shared = SighashCache(tx)
-            for index, script_code in items:
-                if classify(script_code).type in _BATCHABLE_TYPES:
-                    checker = _make_collecting_checker(
-                        index, script_code, shared, cache, pending
-                    )
-                else:
-                    checker = make_sig_checker(
-                        tx,
-                        index,
-                        script_code,
-                        sighash_cache=shared,
-                        sig_cache=sig_cache,
-                    )
-                if not execute_script(
-                    tx.vin[index].script_sig, script_code, checker
-                ):
-                    optimistic_ok = False
-                    break
-            if not optimistic_ok:
-                break
-    except ValidationError:
-        # A sighash error surfaced mid-collection; the serial re-run below
-        # reproduces it (or an earlier failure) deterministically.
-        optimistic_ok = False
-    if optimistic_ok and pending:
-        if obs.ENABLED:
-            obs.inc("script.batch_collected_total", len(pending))
-        verdicts = batch_verify(
-            [(pubkey, digest, sig) for pubkey, digest, sig, _, _ in pending]
-        )
-        if all(verdicts):
-            if cache is not None:
-                # The batch proved every deferred triple: warm the shared
-                # sigcache so revalidation never re-runs the math.
-                for _, digest, _, pubkey_bytes, sig_bytes in pending:
-                    cache.put(digest, pubkey_bytes, sig_bytes, True)
-        else:
-            optimistic_ok = False
-    if optimistic_ok:
-        return
-    # Authoritative serial pass: same grouping and order as
-    # ParallelScriptVerifier.verify_all(workers=1), so the first error is
-    # the same error serial validation would raise.
-    if obs.ENABLED:
-        obs.inc("script.batch_fallback_total")
-    for tx, items in groups:
-        ok, message = _verify_job_group(tx, items, sig_cache=sig_cache)
-        if not ok:
-            raise ValidationError(message)

@@ -196,23 +196,14 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("service.inflight", "g"),
     # Block-connect script pool crash fallback (serial re-verification).
     ("script.pool_broken_total", "c"),
-    # High-throughput block pipeline: batched ECDSA (multi-scalar
-    # multiplication + optimistic collection) and the write-back UTXO
-    # cache hierarchy.
+    # Batched ECDSA (repro.crypto.ecdsa.batch_verify over one
+    # multi-scalar multiplication).
     ("ecmult.batch_total", "c"),
     ("ecmult.batch_terms_total", "c"),
     ("ecmult.batch_verify_total", "c"),
     ("ecmult.batch_verify_sigs_total", "c"),
     ("ecmult.batch_unhinted_total", "c"),
     ("ecmult.batch_bisect_total", "c"),
-    ("script.batch_collected_total", "c"),
-    ("script.batch_fallback_total", "c"),
-    ("utxocache.hits_total", "c"),
-    ("utxocache.misses_total", "c"),
-    ("utxocache.annihilated_total", "c"),
-    ("utxocache.flushes_total", "c"),
-    ("utxocache.flushed_entries_total", "c"),
-    ("utxocache.overlay_size", "g"),
     # Compact block relay (BIP 152-style): announcements received,
     # reconstruction outcomes, and round-trip recovery traffic.
     ("compact.blocks_total", "c"),

@@ -59,7 +59,6 @@ PHASES: tuple[tuple[str, str], ...] = (
     ("sigcache", "signature-cache lookups and inserts"),
     ("utxo_apply", "UTXO set block apply"),
     ("utxo_undo", "UTXO set block undo (reorg rollback)"),
-    ("utxo_flush", "UTXO cache write-back flush"),
     ("chain_connect", "block connect orchestration"),
     ("miner_template", "block template assembly"),
     ("store_append", "durable store appends (incl. fsync)"),
@@ -80,7 +79,6 @@ _SPAN_PHASES: dict[str, str] = {
     "chain.connect_block": "chain_connect",
     "utxo.apply_block": "utxo_apply",
     "utxo.undo_block": "utxo_undo",
-    "utxocache.flush": "utxo_flush",
     "miner.build_template": "miner_template",
     "store.recover": "store_recover",
     "proof.check": "logic_check",

@@ -24,25 +24,19 @@ def recover_chain(
     store: BlockStore,
     params: ChainParams | None = None,
     script_verifier: ParallelScriptVerifier | None = None,
-    batch_sig_verify: bool = False,
-    utxo_cache: bool = False,
 ) -> Blockchain:
     """Rebuild a :class:`Blockchain` from ``store`` and attach it.
 
     The store must already be :meth:`~BlockStore.open`-ed (which is what
     truncates torn tails).  An empty store yields a fresh genesis-only
     chain with the store attached — first boot and recovery are the same
-    code path.  ``batch_sig_verify`` / ``utxo_cache`` carry the pipeline
-    accelerator opts into the rebuilt chain (recovery itself never
-    re-verifies scripts, so only the cache opt affects the replay).
+    code path.
     """
     if obs.ENABLED:
         with obs.trace_span(
             "store.recover", metric="store.recover_seconds"
         ):
-            chain = _recover_inner(
-                store, params, script_verifier, batch_sig_verify, utxo_cache
-            )
+            chain = _recover_inner(store, params, script_verifier)
         obs.inc("store.recoveries_total")
         obs.emit(
             "store.recovered",
@@ -52,25 +46,14 @@ def recover_chain(
             from_snapshot=bool(store._manifest.get("snapshot")),
         )
         return chain
-    return _recover_inner(
-        store, params, script_verifier, batch_sig_verify, utxo_cache
-    )
+    return _recover_inner(store, params, script_verifier)
 
 
 def _recover_inner(
     store: BlockStore,
     params: ChainParams | None,
     script_verifier: ParallelScriptVerifier | None,
-    batch_sig_verify: bool = False,
-    utxo_cache: bool = False,
 ) -> Blockchain:
-    recovered = store.recover()
-    chain = Blockchain.restore(
-        recovered,
-        params=params,
-        script_verifier=script_verifier,
-        batch_sig_verify=batch_sig_verify,
-        utxo_cache=utxo_cache,
-    )
+    chain = Blockchain.restore(store.recover(), params, script_verifier)
     chain.attach_store(store)
     return chain

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.bitcoin.block import Block
+from repro.bitcoin.block import Block, build_block
 from repro.bitcoin.chain import Blockchain, ChainParams, block_subsidy
 from repro.bitcoin.miner import Miner
+from repro.bitcoin.script import Script
 from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.transaction import COIN, OutPoint, TxOut
 from repro.bitcoin.validation import ValidationError
@@ -75,8 +76,6 @@ class TestBasics:
         miner = Miner(chain, miner_key)
         template = miner.assemble()
         greedy_coinbase = miner.make_coinbase(1, fees=COIN)  # claims phantom fees
-        from repro.bitcoin.block import build_block
-
         block = build_block(
             template.header.prev_hash,
             [greedy_coinbase],
@@ -199,3 +198,123 @@ class TestReorg:
         assert shared.height == 3
         assert shared.has_block(rival_blocks[-1].hash)
         assert not shared.in_active_chain(rival_blocks[-1].hash)
+
+
+def funded_net(seed):
+    net = RegtestNetwork()
+    wallet = Wallet.from_seed(seed)
+    net.fund_wallet(wallet, blocks=2)
+    return net, wallet
+
+
+def block_on_tip(chain, miner_key, spends, extra_nonce=0):
+    """A mined block on ``chain``'s tip carrying ``spends``, not submitted."""
+    miner = Miner(chain, miner_key)
+    template = miner.assemble(extra_nonce=extra_nonce)
+    return miner.grind(
+        build_block(
+            template.header.prev_hash,
+            [template.txs[0], *spends],
+            template.header.timestamp,
+            template.header.bits,
+        )
+    )
+
+
+def double_spend(chain, wallet):
+    """Two different transactions spending the same outpoint."""
+    first, second = (
+        wallet.create_transaction(
+            chain, [TxOut(COIN + i, p2pkh_script(wallet.key_hash))], fee=1000
+        )
+        for i in range(2)
+    )
+    assert first.txid != second.txid
+    assert first.vin[0].prevout == second.vin[0].prevout
+    return [first, second]
+
+
+def table_state(chain):
+    utxos = chain.utxos
+    return (
+        chain.tip.block.hash,
+        len(utxos),
+        utxos.serialized_size(),
+        utxos.snapshot(),
+    )
+
+
+class TestRejectedAtConnect:
+    """A block that fails contextual validation changes nothing."""
+
+    def test_bad_signature_block_leaves_the_pre_block_tip(self, miner_key):
+        net, alice = funded_net(b"badsig-alice")
+        tx = alice.create_transaction(
+            net.chain, [TxOut(COIN, p2pkh_script(miner_key))], fee=1000
+        )
+        elements = tx.vin[0].script_sig.elements
+        sig = bytearray(elements[0])
+        sig[10] ^= 0x01
+        bad = tx.with_input_script(0, Script([bytes(sig), *elements[1:]]))
+        before = table_state(net.chain)
+        with pytest.raises(
+            ValidationError, match="^script validation failed on input 0$"
+        ):
+            net.chain.add_block(block_on_tip(net.chain, miner_key, [bad]))
+        assert table_state(net.chain) == before
+
+    def test_double_spend_across_transactions_is_a_validation_error(
+        self, miner_key
+    ):
+        net, alice = funded_net(b"dspend-alice")
+        chain = net.chain
+        block = block_on_tip(chain, miner_key, double_spend(chain, alice))
+        before = table_state(chain)
+        with pytest.raises(ValidationError, match="missing or spent input"):
+            chain.add_block(block)
+        assert table_state(chain) == before
+        assert chain.entry(block.hash).invalid
+        miner = Miner(chain, miner_key)
+        child = miner.grind(
+            build_block(
+                block.hash,
+                [miner.make_coinbase(chain.height + 2, fees=0)],
+                block.header.timestamp + 1,
+                block.header.bits,
+            )
+        )
+        with pytest.raises(ValidationError, match="parent block is invalid"):
+            chain.add_block(child)
+        assert table_state(chain) == before
+
+    def test_double_spend_heading_a_heavier_branch_restores_the_old_chain(
+        self, miner_key
+    ):
+        net, alice = funded_net(b"dspend-reorg-alice")
+        chain = net.chain
+        rival = Blockchain(ChainParams.regtest())
+        for block in chain.export_active():
+            rival.add_block(block)
+        # The active chain moves on two blocks, one of them a payment.
+        net.send(
+            alice.create_transaction(
+                chain, [TxOut(2 * COIN, p2pkh_script(miner_key))], fee=1000
+            )
+        )
+        net.confirm(2)
+        before = table_state(chain)
+        # The side branch: two honest blocks (equal work, so stored but
+        # inactive), then the double-spend block that would tip the scale.
+        rival_key = Wallet.from_seed(b"dspend-rival").key_hash
+        side = mine(rival, rival_key, 2, extra_nonce_base=7000)
+        head = block_on_tip(rival, rival_key, double_spend(rival, alice))
+        for block in side:
+            assert not chain.add_block(block)
+        with pytest.raises(ValidationError, match="missing or spent input"):
+            chain.add_block(head)
+        assert table_state(chain) == before
+        assert chain.entry(head.hash).invalid
+        assert not any(chain.in_active_chain(b.hash) for b in side)
+        # The restored chain still extends.
+        mine(chain, miner_key, 1, extra_nonce_base=9000)
+        assert chain.height == rival.height + 1

@@ -1,6 +1,9 @@
 """Tests for the discrete-event network simulator and race models."""
 
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -317,3 +320,56 @@ class TestSeenEviction:
             == rejected_before
         )
         assert a.misbehavior_score(b) == 0
+
+
+def newest_a1_baseline_rows(root: Path) -> "list | None":
+    """The a1_fork_rate rows of the newest committed BENCH_pr*.json.
+
+    The pin anchors to the *newest* recording rather than a fixed file:
+    a deliberate protocol change (e.g. PR 10's relay echo-to-origin
+    bugfix) shifts every seeded RNG stream and is re-recorded, while
+    accidental drift against the newest baseline still fails loudly.
+    """
+    best_rows, best_n = None, -1
+    for path in root.glob("BENCH_pr*.json"):
+        try:
+            n = int(path.stem.removeprefix("BENCH_pr"))
+        except ValueError:
+            continue
+        try:
+            data = json.loads(path.read_text())
+        except ValueError:
+            continue
+        rows = (
+            data.get("experiments", {})
+            .get("a1_fork_rate", {})
+            .get("benches", {})
+            .get("bench_a1_fork_rate_vs_latency", {})
+            .get("extra_info", {})
+            .get("rows")
+        )
+        if rows and n > best_n:
+            best_rows, best_n = rows, n
+    return best_rows
+
+
+class TestSeededTrajectory:
+    """Nothing that is not a deliberate protocol change — the chaos
+    machinery with no faults configured included — may perturb a single
+    simulated event: the A1 ablation reproduces the newest recorded
+    baseline rows bit for bit."""
+
+    def test_a1_rows_match_recorded_baseline(self):
+        root = Path(__file__).resolve().parents[2]
+        rows = newest_a1_baseline_rows(root)
+        if rows is None:
+            pytest.skip("no recorded baseline in this checkout")
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_a1_fork_rate", root / "benchmarks" / "bench_a1_fork_rate.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+
+        for row in rows:
+            assert bench.run_with_latency(row["latency"]) == row

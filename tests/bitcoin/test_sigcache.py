@@ -22,7 +22,6 @@ from repro.bitcoin.transaction import OutPoint, Script, Transaction, TxIn, TxOut
 from repro.bitcoin.validation import (
     ParallelScriptVerifier,
     ValidationError,
-    _make_collecting_checker,
     check_tx_inputs,
     make_sig_checker,
 )
@@ -326,13 +325,11 @@ def test_worker_death_mid_block_falls_back_serially():
 # ----------------------------------------------------------------------
 
 
-def _decode_first_checker(
-    tx, input_index, script_code, sighash_cache, cache, pending=None
-):
+def _decode_first_checker(tx, input_index, script_code, sighash_cache, cache):
     """The checker as it stood while decoding came before the sigcache.
 
     Test-only oracle: parse signature and key, then sighash, then cache,
-    then ECDSA — or, given ``pending``, the collecting (batch) variant.
+    then ECDSA.
     """
 
     def checker(sig_with_type: bytes, pubkey_bytes: bytes) -> bool:
@@ -356,9 +353,6 @@ def _decode_first_checker(
             cached = cache.get(digest, pubkey_bytes, sig_bytes)
             if cached is not None:
                 return cached
-        if pending is not None:
-            pending.append((pubkey, digest, signature, pubkey_bytes, sig_bytes))
-            return True
         verdict = ecdsa_verify(pubkey, digest, signature)
         if cache is not None:
             cache.put(digest, pubkey_bytes, sig_bytes, verdict)
@@ -458,38 +452,26 @@ def _outcome(checker, sig_with_type, pubkey_bytes):
     index=st.sampled_from([0, 1, 2, 7, -1]),
     state=st.sampled_from(_CACHE_STATES),
     midstates=st.booleans(),
-    batch=st.booleans(),
 )
 def test_checker_matches_decode_first_oracle(
-    sig_body, hash_type, pubkey_bytes, index, state, midstates, batch
+    sig_body, hash_type, pubkey_bytes, index, state, midstates
 ):
-    """Same verdict or same error, same cache contents, same batch."""
+    """Same verdict or same error, same cache contents."""
     sig_with_type = sig_body + (b"" if hash_type is None else bytes([hash_type]))
     ours_cache = _cache_in_state(state, index, sig_with_type, pubkey_bytes)
     oracle_cache = _cache_in_state(state, index, sig_with_type, pubkey_bytes)
-    ours_pending, oracle_pending = [], []
-    if batch:
-        ours = _make_collecting_checker(
-            index, _DIFF_CODE, SighashCache(_DIFF_TX), ours_cache, ours_pending
-        )
-        oracle = _decode_first_checker(
-            _DIFF_TX, index, _DIFF_CODE, SighashCache(_DIFF_TX),
-            oracle_cache, oracle_pending,
-        )
-    else:
-        ours = make_sig_checker(
-            _DIFF_TX, index, _DIFF_CODE,
-            sighash_cache=SighashCache(_DIFF_TX) if midstates else None,
-            sig_cache=ours_cache,
-        )
-        oracle = _decode_first_checker(
-            _DIFF_TX, index, _DIFF_CODE,
-            SighashCache(_DIFF_TX) if midstates else None, oracle_cache,
-        )
+    ours = make_sig_checker(
+        _DIFF_TX, index, _DIFF_CODE,
+        sighash_cache=SighashCache(_DIFF_TX) if midstates else None,
+        sig_cache=ours_cache,
+    )
+    oracle = _decode_first_checker(
+        _DIFF_TX, index, _DIFF_CODE,
+        SighashCache(_DIFF_TX) if midstates else None, oracle_cache,
+    )
     assert _outcome(ours, sig_with_type, pubkey_bytes) == _outcome(
         oracle, sig_with_type, pubkey_bytes
     )
-    assert ours_pending == oracle_pending
     if state != "disabled":
         assert ours_cache._entries == oracle_cache._entries
 

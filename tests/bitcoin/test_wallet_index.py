@@ -3,10 +3,9 @@
 ``Wallet.spendables`` asks the unspent-txout table for the entries naming
 one of its keys instead of classifying the whole table.  The old full
 scan survives as ``tests.oracles.full_scan_spendables``; here random
-block histories are applied, undone, reorganised and flushed on a plain
-``UTXOSet`` and a ``UTXOCache`` side by side, and after every step the
-indexed answer must equal the scan on both, and each index must equal one
-rebuilt from the live entries.
+block histories are applied, undone and reorganised on a ``UTXOSet``, and
+after every step the indexed answer must equal the scan and the index
+must equal one rebuilt from the live entries.
 """
 
 from types import SimpleNamespace
@@ -14,8 +13,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bitcoin.chain import Blockchain, ChainParams
-from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.script import Op, Script
 from repro.bitcoin.standard import (
     ScriptType,
@@ -27,7 +24,6 @@ from repro.bitcoin.standard import (
 )
 from repro.bitcoin.transaction import COIN, OutPoint, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import COINBASE_MATURITY, UTXOEntry, UTXOSet
-from repro.bitcoin.utxo_cache import UTXOCache
 from repro.bitcoin.wallet import Wallet
 from repro.core.overlay import output_script
 from repro.crypto.keys import PrivateKey
@@ -77,23 +73,22 @@ def expected_tags(entry):
     return set()
 
 
-def assert_index_exact(table, live):
-    """``table``'s owner index equals one rebuilt from ``live`` — so its
+def assert_index_exact(table):
+    """``table``'s owner index equals one rebuilt from its entries — so its
     bucket sizes sum to the tags of the live entries, and no empty bucket
     (nor any other stale one) outlives its last outpoint."""
     rebuilt = {}
-    for outpoint, entry in live:
+    for outpoint, entry in table.items():
         for tag in expected_tags(entry):
             rebuilt.setdefault(tag, set()).add(outpoint)
     assert table._by_tag == rebuilt
 
 
 class History:
-    """A plain table and a cached one driven through the same blocks."""
+    """A table driven through a sequence of blocks."""
 
     def __init__(self):
-        self.plain = UTXOSet()
-        base = UTXOSet()
+        self.table = UTXOSet()
         # Entries a snapshot would have installed: coinbases to us around
         # the maturity edge, and one ordinary output of each kind.
         planted = [
@@ -114,12 +109,10 @@ class History:
             for i, kind in enumerate(KINDS)
         ]
         for outpoint, entry in planted:
-            self.plain.add(outpoint, entry)
-            base.add(outpoint, entry)
-        self.cached = UTXOCache(base)
+            self.table.add(outpoint, entry)
         self.height = START
         self.wallet = Wallet([OURS])
-        self.connected = []  # (txs, plain undo, cached undo), tip last
+        self.connected = []  # (txs, undo), tip last
         self.undone = []  # blocks taken off the tip, most recent last
         self.serial = 0
 
@@ -146,7 +139,7 @@ class History:
                 vout=[TxOut(50 * COIN, SCRIPTS[coinbase_kind])],
             )
         ]
-        available = sorted(self.plain.snapshot())
+        available = sorted(self.table.snapshot())
         for picks, kinds in tx_specs:
             prevouts = []
             for pick in picks:
@@ -166,11 +159,7 @@ class History:
     def connect(self, txs):
         self.height += 1
         self.connected.append(
-            (
-                txs,
-                self.plain.apply_block_txs(txs, self.height),
-                self.cached.apply_block_txs(txs, self.height),
-            )
+            (txs, self.table.apply_block_txs(txs, self.height))
         )
 
     # -- operations -----------------------------------------------------
@@ -181,15 +170,13 @@ class History:
 
     def undo(self, count):
         for _ in range(min(count, len(self.connected))):
-            txs, plain_undo, cached_undo = self.connected.pop()
-            self.plain.undo_block(plain_undo)
-            self.cached.undo_block(cached_undo)
+            txs, undo = self.connected.pop()
+            self.table.undo_block(undo)
             self.height -= 1
             self.undone.append(txs)
 
     def redo(self):
-        """Reconnect the block most recently taken off the tip: after a
-        flush in between, its outputs are re-created over tombstones."""
+        """Reconnect the block most recently taken off the tip."""
         if self.undone:
             self.connect(self.undone.pop())
 
@@ -198,9 +185,6 @@ class History:
         for spec in specs:
             self.apply(spec)
 
-    def flush(self):
-        self.cached.flush()
-
     def add_key(self):
         if len(self.wallet.keys) == 1:
             self.wallet.add_key(LATER)
@@ -208,25 +192,11 @@ class History:
     # -- the properties -------------------------------------------------
 
     def check(self):
-        assert self.cached.snapshot() == self.plain.snapshot()
-        answers = []
-        for table in (self.plain, self.cached):
-            chain = SimpleNamespace(utxos=table, height=self.height)
-            answer = self.wallet.spendables(chain)
-            assert answer == full_scan_spendables(self.wallet, chain)
-            answers.append(answer)
-        assert answers[0] == answers[1]
-        assert_index_exact(self.plain, self.plain.items())
-        assert_index_exact(self.cached.base, self.cached.base.items())
-        assert_index_exact(
-            self.cached,
-            [
-                (outpoint, entry)
-                for outpoint, entry in self.cached._overlay.items()
-                if entry is not None
-            ],
-        )
-        return answers[0]
+        chain = SimpleNamespace(utxos=self.table, height=self.height)
+        answer = self.wallet.spendables(chain)
+        assert answer == full_scan_spendables(self.wallet, chain)
+        assert_index_exact(self.table)
+        return answer
 
 
 a_kind = st.sampled_from(KINDS)
@@ -240,7 +210,6 @@ an_operation = st.one_of(
     st.tuples(st.just("undo"), st.integers(1, 3)),
     st.tuples(st.just("redo")),
     st.tuples(st.just("reorg"), st.integers(1, 3), st.lists(a_block, max_size=3)),
-    st.tuples(st.just("flush")),
     st.tuples(st.just("add_key")),
 )
 
@@ -295,35 +264,6 @@ def test_coinbase_maturity_edge_moves_with_the_tip():
     assert mature_coinbases() == [edge - 2, edge - 1, edge]
 
 
-def test_respend_over_tombstone_after_flush_and_redo():
-    history = History()
-    history.apply(block("p2pkh-ours", ([0], ["p2pkh-ours", "carrier-ours"])))
-    before = history.check()
-    history.flush()
-    history.undo(1)
-    assert history.check() != before
-    history.redo()  # re-created over tombstones: live, not fresh
-    assert history.check() == before
-    history.flush()
-    assert history.check() == before
-
-
-def test_created_and_spent_inside_the_cache_leaves_no_bucket():
-    history = History()
-    history.flush()
-    history.apply(block("nonstandard", ([0], ["carrier-ours"])))
-    created = history.connected[-1][0][1].outpoint(0)
-    assert history.cached._outpoints_naming([pub(OURS)]) == {created}
-    # Picks index the sorted live outpoints; find the one just created.
-    pick = sorted(history.plain.snapshot()).index(created)
-    history.apply(block("nonstandard", ([pick], ["op-return"])))
-    assert history.cached.get(created) is None
-    assert history.cached._by_tag == {}  # the pair annihilated
-    history.check()
-    history.undo(2)
-    history.check()
-
-
 # ----------------------------------------------------------------------
 # The visited-entries meter
 # ----------------------------------------------------------------------
@@ -359,36 +299,3 @@ def test_create_transaction_visits_what_the_wallet_owns(controls_calls, foreign)
     del controls_calls[:]
     assert len(full_scan_spendables(wallet, chain)) == 3
     assert len(controls_calls) == foreign + 3  # what the scan paid
-
-
-# ----------------------------------------------------------------------
-# A real chain behind the cache
-# ----------------------------------------------------------------------
-
-
-def test_wallet_over_a_cached_chain_selects_the_same_coins():
-    net = RegtestNetwork()
-    alice = Wallet.from_seed(b"index-alice")
-    bob = Wallet.from_seed(b"index-bob")
-    net.fund_wallet(alice, blocks=2)
-    net.send(
-        alice.create_transaction(
-            net.chain, [TxOut(3 * COIN, p2pkh_script(bob.key_hash))], fee=1000
-        )
-    )
-    net.confirm()
-
-    cached = Blockchain(ChainParams.regtest(), utxo_cache=True)
-    for blk in net.chain.export_active():
-        assert cached.add_block(blk)
-    for wallet in (alice, bob):
-        assert wallet.spendables(cached) == wallet.spendables(net.chain)
-        assert wallet.spendables(cached) == full_scan_spendables(wallet, cached)
-    assert bob.balance(cached) == 3 * COIN
-
-    outputs = [TxOut(60 * COIN, p2pkh_script(bob.key_hash))]
-    assert alice.create_transaction(
-        cached, outputs, fee=2000
-    ) == alice.create_transaction(net.chain, outputs, fee=2000)
-    cached.utxos.flush()
-    assert alice.spendables(cached) == alice.spendables(net.chain)

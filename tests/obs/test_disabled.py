@@ -158,7 +158,7 @@ def test_a1_rows_bit_identical_with_profiler_installed_but_disabled(poisoned):
     import json
     from pathlib import Path
 
-    from tests.bitcoin.test_chaos import newest_a1_baseline_rows
+    from tests.bitcoin.test_network import newest_a1_baseline_rows
 
     root = Path(__file__).resolve().parents[2]
     rows = newest_a1_baseline_rows(root)
