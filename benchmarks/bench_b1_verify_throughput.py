@@ -43,7 +43,9 @@ CONNECT_TXS = 12
 
 def _naive_verify(public, digest, signature) -> bool:
     """The pre-PR verify: two independent double-and-add ladders joined by
-    an affine addition — kept here as the measured baseline."""
+    an affine addition — kept here as the measured baseline.  Its Fermat
+    ``pow(s, n − 2, n)`` is part of what that code paid, so it stays when
+    the library's own inverses are Euclid's."""
     r, s = signature.r, signature.s
     if not (1 <= r < CURVE_ORDER and 1 <= s < CURVE_ORDER):
         return False
@@ -88,6 +90,9 @@ def bench_b1_ecdsa_verify(benchmark):
     ec._POINT_TABLE_CACHE.clear()
     cold_ops = _ops_per_s(fast_verify, batch)
     naive_ops = _ops_per_s(_naive_verify, batch[:NAIVE_SAMPLE])
+
+    # ISSUE 4's bar; the naive side is ≈ 6 ms a verify, the fast ≈ 0.9 ms.
+    assert warm_ops >= 3 * naive_ops, (warm_ops, naive_ops)
 
     benchmark.extra_info["fast_warm_ops_per_s"] = warm_ops
     benchmark.extra_info["fast_cold_ops_per_s"] = cold_ops

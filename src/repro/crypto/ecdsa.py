@@ -122,7 +122,7 @@ def sign(secret: int, digest: bytes) -> Signature:
         if r == 0:
             digest = hashlib.sha256(digest).digest()
             continue
-        k_inv = pow(k, CURVE_ORDER - 2, CURVE_ORDER)
+        k_inv = pow(k, -1, CURVE_ORDER)
         s = (k_inv * (z + r * secret)) % CURVE_ORDER
         if s == 0:
             digest = hashlib.sha256(digest).digest()
@@ -151,7 +151,7 @@ def verify(public: Point, digest: bytes, signature: Signature) -> bool:
     if public.is_infinity:
         return False
     z = _digest_to_int(digest)
-    s_inv = pow(s, CURVE_ORDER - 2, CURVE_ORDER)
+    s_inv = pow(s, -1, CURVE_ORDER)
     u1 = (z * s_inv) % CURVE_ORDER
     u2 = (r * s_inv) % CURVE_ORDER
     point = dual_scalar_mult(u1, u2, public)
@@ -225,7 +225,7 @@ def batch_verify(
             # above): the serial comparison x(P) ≡ r can never hold.
             continue
         z = _digest_to_int(digest)
-        s_inv = pow(s, CURVE_ORDER - 2, CURVE_ORDER)
+        s_inv = pow(s, -1, CURVE_ORDER)
         u1 = z * s_inv % CURVE_ORDER
         u2 = r * s_inv % CURVE_ORDER
         prepared[index] = (u1, u2, public, r_point)

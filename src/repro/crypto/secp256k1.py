@@ -6,19 +6,26 @@ arithmetic with a Jacobian fast path for scalar multiplication; it is pure
 Python and deterministic.
 
 Scalar multiplication is the hot path of the whole reproduction (rule 4 of
-paper §2 runs two of them per signature), so three layered accelerations
-live here:
+paper §2 runs one per signature made and one per signature checked), so the
+kernel is kept at what CPython's bignums cost:
 
-* **w-NAF** — scalars are recoded into width-w non-adjacent form, cutting
-  the additions per multiplication from ~128 to ~n/(w+1) against a small
-  table of odd multiples of the base point;
-* **fixed-window generator tables** — multiples ``d·16^i·G`` are
-  precomputed once per process, so generator multiplications (signing,
-  the ``u1·G`` half of verification) need no doublings at all;
-* **Strauss/Shamir** — :func:`dual_scalar_mult` computes ``u1·G + u2·Q``
-  in one interleaved pass that shares the doubling ladder between both
-  scalars and stays in Jacobian coordinates until a single final field
-  inversion.
+* **Euclid inverses** — every modular inverse is ``pow(x, -1, m)`` (extended
+  Euclid, ≈ 8–18 µs) instead of the Fermat power ``pow(x, m − 2, m)``
+  (≈ 120–185 µs); zero has no inverse and asking for it is an error;
+* **GLV** — the endomorphism φ(x, y) = (β·x, y) acts as multiplication by λ,
+  so every scalar splits into two ~128-bit halves;
+* **an 8-bit generator comb** — ``d·256^i·G`` for 16 windows of 255 digits
+  (4 080 affine points, built once per process on first use), so ``k·G``
+  (signing) is one mixed addition per non-zero byte of the two GLV halves —
+  at most 32 additions, no doublings; the λ-image of an entry costs one
+  ``β·x``;
+* **one Strauss/Shamir ladder** — :func:`_ladder` walks any number of
+  width-w NAF digit streams down ONE shared doubling chain (at most 128
+  doublings for GLV halves) with the doubling and the mixed addition
+  inlined, and stays in Jacobian coordinates until a single final inversion.
+  :func:`scalar_mult` on an arbitrary point, :func:`dual_scalar_mult`
+  (ECDSA verification) and :func:`multi_scalar_mult` differ only in the
+  streams they hand it.
 
 The naive double-and-add ladder is kept as :func:`scalar_mult_naive`; the
 property tests and benchmarks pin the fast paths against it.
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from repro import obs
 
@@ -41,13 +49,14 @@ _B = 7
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
-# w-NAF window width for arbitrary points (table built per multiplication)
-# and for the generator's shared table (built once per process).
+# w-NAF window width for arbitrary points (one cached table per point) and
+# for the generator, whose odd multiples are read out of the comb.
 _WNAF_WIDTH = 5
 _GEN_WNAF_WIDTH = 8
-# Fixed-window width for pure generator multiplications: 64 windows of 4
-# bits cover a 256-bit scalar with one mixed addition each, no doublings.
-_FIXED_WINDOW = 4
+_POINT_TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1P … 15P
+# Generator comb: a GLV half is below 2¹²⁸ (see _glv_split), so 16 byte-wide
+# windows cover it.
+_COMB_WINDOWS = 16
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,10 @@ class Point:
         if self.x is None:
             return
         assert self.y is not None
+        # Range before equation: x + p satisfies the equation whenever x
+        # does, but is another Point with an encoding no decoder accepts.
+        if not (0 <= self.x < FIELD_PRIME and 0 <= self.y < FIELD_PRIME):
+            raise ValueError("point coordinate out of range")
         if (self.y * self.y - (self.x**3 + _B)) % FIELD_PRIME != 0:
             raise ValueError("point is not on secp256k1")
 
@@ -115,7 +128,10 @@ GENERATOR = Point(_GX, _GY)
 
 
 def _inv(a: int) -> int:
-    return pow(a, FIELD_PRIME - 2, FIELD_PRIME)
+    """The inverse of ``a`` in GF(p), by extended Euclid."""
+    if a % FIELD_PRIME == 0:
+        raise ValueError("zero has no inverse in the field")
+    return pow(a, -1, FIELD_PRIME)
 
 
 def point_add(p: Point, q: Point) -> Point:
@@ -152,7 +168,7 @@ def _from_jacobian(j: tuple[int, int, int]) -> Point:
     x, y, z = j
     if z == 0:
         return INFINITY
-    zinv = pow(z, FIELD_PRIME - 2, FIELD_PRIME)
+    zinv = pow(z, -1, FIELD_PRIME)
     zinv2 = (zinv * zinv) % FIELD_PRIME
     return _point_unchecked(
         (x * zinv2) % FIELD_PRIME, (y * zinv2 * zinv) % FIELD_PRIME
@@ -235,14 +251,18 @@ def _jacobian_madd(
 def _batch_to_affine(jacs: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """Normalize many Jacobian points with ONE field inversion (Montgomery's
     trick): invert the product of the Z's, then peel per-point inverses off
-    with multiplications.  Callers guarantee no point is the identity."""
+    with multiplications.  The identity has no affine form, and one Z = 0
+    would zero the shared product, so it is refused rather than returned
+    as a table of wrong points."""
     p = FIELD_PRIME
     prefix: list[int] = []
     acc = 1
     for _, _, z in jacs:
         prefix.append(acc)
         acc = acc * z % p
-    inv = pow(acc, p - 2, p)
+    if acc == 0:
+        raise ValueError("cannot normalise the point at infinity to affine")
+    inv = pow(acc, -1, p)
     out: list[tuple[int, int]] = [(0, 0)] * len(jacs)
     for i in range(len(jacs) - 1, -1, -1):
         x, y, z = jacs[i]
@@ -276,37 +296,11 @@ def _wnaf(k: int, width: int) -> list[int]:
     return naf
 
 
-def _odd_multiples_affine(p: Point, count: int) -> list[tuple[int, int]]:
-    """Affine ``[1P, 3P, 5P, …, (2·count−1)P]`` for w-NAF table lookups."""
-    jac = _to_jacobian(p)
-    twice = _jacobian_double(jac)
-    muls = [jac]
-    for _ in range(count - 1):
-        muls.append(_jacobian_add(muls[-1], twice))
-    return _batch_to_affine(muls)
-
-
-# Per-point w-NAF tables are cached: building one costs a field inversion
-# (~250 multiplications), and real workloads verify many signatures against
-# few distinct public keys (a wallet's inputs, a miner's coinbase chain).
-_POINT_TABLE_CACHE: dict[tuple[int, int], list[tuple[int, int]]] = {}
-_POINT_TABLE_CACHE_MAX = 256
-
-
-def _point_wnaf_table(p: Point) -> list[tuple[int, int]]:
-    """The (cached) odd-multiples table of an arbitrary point."""
-    key = (p.x, p.y)  # type: ignore[assignment]
-    table = _POINT_TABLE_CACHE.get(key)
-    if table is not None:
-        return table
-    table = _odd_multiples_affine(p, 1 << (_WNAF_WIDTH - 2))
-    if len(_POINT_TABLE_CACHE) >= _POINT_TABLE_CACHE_MAX:
-        # Drop the oldest insertion (dicts preserve insertion order).
-        _POINT_TABLE_CACHE.pop(next(iter(_POINT_TABLE_CACHE)))
-    _POINT_TABLE_CACHE[key] = table
-    if obs.ENABLED:
-        obs.inc("ecmult.point_table_builds_total")
-    return table
+def _wnaf_signed(k: int, width: int) -> list[int]:
+    """w-NAF of a possibly negative scalar (digits negated for -k)."""
+    if k < 0:
+        return [-d for d in _wnaf(-k, width)]
+    return _wnaf(k, width)
 
 
 # --- GLV endomorphism: secp256k1 has an efficiently computable
@@ -327,11 +321,13 @@ _GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 
 
 def _glv_split(k: int) -> tuple[int, int]:
-    """Return (k1, k2) with k ≡ k1 + k2·λ (mod n) and both ≈ 128 bits.
+    """Return (k1, k2) with k ≡ k1 + k2·λ (mod n) and both below 2¹²⁸.
 
     Babai rounding against the lattice basis; exact bigint arithmetic, so
-    the only property relied on is the congruence (asserted by the
-    property tests), not any rounding subtlety.
+    the congruence holds whatever the rounding does (the property tests
+    assert it).  Rounding leaves at most half of each basis vector, so
+    |k1| ≤ (a1 + a2)/2 ≈ 0.64·2¹²⁸ and |k2| ≤ (|b1| + b2)/2 ≈ 0.54·2¹²⁸:
+    the bound the generator comb's 16 rows rest on.
     """
     n = CURVE_ORDER
     c1 = (_GLV_A1 * k + (n >> 1)) // n  # round(b2·k / n), b2 = a1
@@ -341,86 +337,159 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k1, k2
 
 
-# --- Generator tables, built lazily once per process. ---
-
-_GEN_FIXED: list[list[tuple[int, int]]] | None = None
-_GEN_WNAF: list[tuple[int, int]] | None = None
-_GEN_LAMBDA_WNAF: list[tuple[int, int]] | None = None
+_Table = list[tuple[int, int]]
 
 
-def _gen_fixed_table() -> list[list[tuple[int, int]]]:
-    """``table[i][d-1] = d · 16^i · G`` for d in 1..15, i in 0..63."""
-    global _GEN_FIXED
-    if _GEN_FIXED is None:
-        windows = 256 // _FIXED_WINDOW
-        digits = (1 << _FIXED_WINDOW) - 1
+def _with_lambda(table: _Table) -> tuple[_Table, _Table]:
+    """``table`` beside the same multiples of λ·P: the endomorphism costs
+    one field multiplication per entry and no group operation."""
+    return table, [(_BETA * x % FIELD_PRIME, y) for x, y in table]
+
+
+def _odd_multiples(p: Point) -> list[tuple[int, int, int]]:
+    """Jacobian ``[1P, 3P, 5P, …, 15P]``, the digits of a width-5 NAF."""
+    jac = _to_jacobian(p)
+    twice = _jacobian_double(jac)
+    muls = [jac]
+    for _ in range(_POINT_TABLE_SIZE - 1):
+        muls.append(_jacobian_add(muls[-1], twice))
+    return muls
+
+
+# Per-point w-NAF tables are cached: building one costs eight group
+# operations and an inversion, and real workloads verify many signatures
+# against few distinct public keys (a wallet's inputs, a miner's coinbase
+# chain).
+_POINT_TABLE_CACHE: dict[tuple[int, int], tuple[_Table, _Table]] = {}
+_POINT_TABLE_CACHE_MAX = 256
+
+
+def _point_wnaf_tables(p: Point) -> tuple[_Table, _Table]:
+    """The (cached) odd-multiples tables of an arbitrary point and of λ·P."""
+    key = (p.x, p.y)  # type: ignore[assignment]
+    tables = _POINT_TABLE_CACHE.get(key)
+    if tables is not None:
+        return tables
+    tables = _with_lambda(_batch_to_affine(_odd_multiples(p)))
+    if len(_POINT_TABLE_CACHE) >= _POINT_TABLE_CACHE_MAX:
+        # Drop the oldest insertion (dicts preserve insertion order).
+        _POINT_TABLE_CACHE.pop(next(iter(_POINT_TABLE_CACHE)))
+    _POINT_TABLE_CACHE[key] = tables
+    if obs.ENABLED:
+        obs.inc("ecmult.point_table_builds_total")
+    return tables
+
+
+# --- The generator's table, built lazily once per process. ---
+
+_GEN_TABLES: tuple[list[_Table], tuple[_Table, _Table]] | None = None
+
+
+def _gen_tables() -> tuple[list[_Table], tuple[_Table, _Table]]:
+    """``(comb, odd)`` for the generator.
+
+    ``comb[i][d-1] = d·256^i·G`` for d in 1..255 and i in 0..15: one row per
+    byte of a GLV half.  ``odd`` is the ladder's pair of odd-multiples
+    tables ``(G, λG)``; the first is read out of ``comb[0]``.
+    """
+    global _GEN_TABLES
+    if _GEN_TABLES is None:
         flat: list[tuple[int, int, int]] = []
         base = _to_jacobian(GENERATOR)
-        for _ in range(windows):
+        for _ in range(_COMB_WINDOWS):
             entry = base
-            for _ in range(digits):
+            for _ in range(255):
                 flat.append(entry)
                 entry = _jacobian_add(entry, base)
-            # base ← 16·base for the next window.
-            for _ in range(_FIXED_WINDOW):
-                base = _jacobian_double(base)
+            base = entry  # 256·base, the next row's unit
         affine = _batch_to_affine(flat)
-        _GEN_FIXED = [
-            affine[w * digits : (w + 1) * digits] for w in range(windows)
-        ]
+        comb = [affine[i : i + 255] for i in range(0, len(affine), 255)]
+        odd = _with_lambda(comb[0][: 1 << (_GEN_WNAF_WIDTH - 1) : 2])
+        _GEN_TABLES = comb, odd
         if obs.ENABLED:
             obs.inc("ecmult.table_builds_total")
-    return _GEN_FIXED
-
-
-def _gen_wnaf_table() -> list[tuple[int, int]]:
-    """Odd multiples of G for the Strauss/Shamir interleaved pass."""
-    global _GEN_WNAF
-    if _GEN_WNAF is None:
-        _GEN_WNAF = _odd_multiples_affine(
-            GENERATOR, 1 << (_GEN_WNAF_WIDTH - 2)
-        )
-        if obs.ENABLED:
-            obs.inc("ecmult.table_builds_total")
-    return _GEN_WNAF
-
-
-def _gen_lambda_wnaf_table() -> list[tuple[int, int]]:
-    """Odd multiples of λ·G: the G table mapped through the endomorphism
-    (one field multiplication per entry — no group operations)."""
-    global _GEN_LAMBDA_WNAF
-    if _GEN_LAMBDA_WNAF is None:
-        _GEN_LAMBDA_WNAF = [
-            (_BETA * x % FIELD_PRIME, y) for x, y in _gen_wnaf_table()
-        ]
-        if obs.ENABLED:
-            obs.inc("ecmult.table_builds_total")
-    return _GEN_LAMBDA_WNAF
-
-
-def _madd_digit(
-    acc: tuple[int, int, int], table: list[tuple[int, int]], digit: int
-) -> tuple[int, int, int]:
-    """Add ``digit``·(table base) where ``table`` holds odd multiples."""
-    if digit > 0:
-        return _jacobian_madd(acc, table[digit >> 1])
-    x, y = table[(-digit) >> 1]
-    return _jacobian_madd(acc, (x, FIELD_PRIME - y))
+    return _GEN_TABLES
 
 
 def _gen_mult_jacobian(k: int) -> tuple[int, int, int]:
-    """``k·G`` via the fixed-window table: one mixed add per nonzero
-    4-bit window, no doublings."""
-    table = _gen_fixed_table()
+    """``k·G`` from the comb: one mixed addition per non-zero byte of the
+    two GLV halves of ``k`` and no doublings."""
+    comb = _gen_tables()[0]
+    p = FIELD_PRIME
     acc = (0, 0, 0)
-    i = 0
-    while k:
-        d = k & 15
-        if d:
-            acc = _jacobian_madd(acc, table[i][d - 1])
-        k >>= 4
-        i += 1
+    for half, beta in zip(_glv_split(k), (1, _BETA)):
+        digits = abs(half).to_bytes(_COMB_WINDOWS, "little")
+        for row, d in zip(comb, digits):
+            if d:
+                x, y = row[d - 1]
+                acc = _jacobian_madd(
+                    acc, (x * beta % p, p - y if half < 0 else y)
+                )
     return acc
+
+
+def _glv_streams(
+    k: int, tables: tuple[_Table, _Table], width: int
+) -> list[tuple[list[int], _Table]]:
+    """The ladder streams of ``k·P``: the w-NAF of each non-zero GLV half
+    of ``k`` over the odd multiples of P and of λ·P."""
+    return [
+        (_wnaf_signed(half, width), table)
+        for half, table in zip(_glv_split(k), tables)
+        if half
+    ]
+
+
+def _ladder(streams: list[tuple[list[int], _Table]]) -> tuple[int, int, int]:
+    """``Σ (Σᵢ dᵢ·2^i)·P`` over ``(digits, table)`` streams, in Jacobian form.
+
+    The one Strauss/Shamir loop: every stream's digits (least significant
+    first, odd or zero) ride the same doubling chain, and a non-zero digit
+    ``d`` adds ``table[|d| >> 1]`` — an affine odd multiple of the stream's
+    point — negated for ``d < 0``.  Doubling and mixed addition are written
+    out because this loop is where a verification's time goes; the
+    additions a signature never meets in practice (accumulator equal or
+    opposite to the addend) go to :func:`_jacobian_madd`.
+    """
+    p = FIELD_PRIME
+    top = max((len(digits) for digits, _ in streams), default=0)
+    padded = [
+        (digits + [0] * (top - len(digits)), table) for digits, table in streams
+    ]
+    x = y = z = 0
+    for i in range(top - 1, -1, -1):
+        if z:
+            z = 2 * y * z % p
+            yy = y * y % p
+            s = 4 * x * yy % p
+            m = 3 * x * x % p  # a = 0 for secp256k1
+            x = (m * m - 2 * s) % p
+            y = (m * (s - x) - 8 * yy * yy) % p
+        for digits, table in padded:
+            d = digits[i]
+            if not d:
+                continue
+            if d > 0:
+                x2, y2 = table[d >> 1]
+            else:
+                x2, y2 = table[-d >> 1]
+                y2 = p - y2
+            if not z:
+                x, y, z = x2, y2, 1
+                continue
+            zz = z * z % p
+            h = x2 * zz % p - x
+            if not h:
+                x, y, z = _jacobian_madd((x, y, z), (x2, y2))
+                continue
+            r = y2 * z % p * zz % p - y
+            h2 = h * h % p
+            h3 = h * h2 % p
+            v = x * h2 % p
+            x = (r * r - h3 - 2 * v) % p
+            y = (r * (v - x) - y * h3) % p
+            z = h * z % p
+    return x, y, z
 
 
 def scalar_mult_naive(k: int, p: Point = GENERATOR) -> Point:
@@ -444,7 +513,7 @@ def scalar_mult_naive(k: int, p: Point = GENERATOR) -> Point:
 
 
 def scalar_mult(k: int, p: Point = GENERATOR) -> Point:
-    """Compute k·P — fixed-window for the generator, w-NAF otherwise."""
+    """Compute k·P — the comb for the generator, the ladder otherwise."""
     k %= CURVE_ORDER
     if k == 0 or p.is_infinity:
         return INFINITY
@@ -457,24 +526,11 @@ def scalar_mult(k: int, p: Point = GENERATOR) -> Point:
     try:
         if p.x == _GX and p.y == _GY:
             return _from_jacobian(_gen_mult_jacobian(k))
-        table = _point_wnaf_table(p)
-        naf = _wnaf(k, _WNAF_WIDTH)
-        acc = (0, 0, 0)
-        for digit in reversed(naf):
-            acc = _jacobian_double(acc)
-            if digit:
-                acc = _madd_digit(acc, table, digit)
-        return _from_jacobian(acc)
+        streams = _glv_streams(k, _point_wnaf_tables(p), _WNAF_WIDTH)
+        return _from_jacobian(_ladder(streams))
     finally:
         if prof is not None:
             prof.exit()
-
-
-def _wnaf_signed(k: int, width: int) -> list[int]:
-    """w-NAF of a possibly negative scalar (digits negated for -k)."""
-    if k < 0:
-        return [-d for d in _wnaf(-k, width)]
-    return _wnaf(k, width)
 
 
 def lift_x(x: int, odd: bool) -> Point | None:
@@ -530,9 +586,8 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
     Both scalars are split through the λ endomorphism into half-width
     halves, so four ~128-bit w-NAF streams share ONE ~128-step doubling
     ladder: the generator halves read the process-wide G / λG tables, the
-    ``Q`` halves a small per-call table of odd multiples (its λQ twin
-    costs one field multiplication per entry).  Everything stays in
-    Jacobian coordinates until the single final inversion — this is the
+    ``Q`` halves the cached odd multiples of Q and λQ.  Everything stays
+    in Jacobian coordinates until the single final inversion — this is the
     primitive ECDSA verification is built on.
     """
     u1 %= CURVE_ORDER
@@ -548,52 +603,12 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
         if prof is not None:
             prof.enter("ecmult")
     try:
-        streams: list[tuple[list[int], list[tuple[int, int]]]] = []
+        streams: list[tuple[list[int], _Table]] = []
         if u1:
-            k1, k2 = _glv_split(u1)
-            if k1:
-                streams.append(
-                    (_wnaf_signed(k1, _GEN_WNAF_WIDTH), _gen_wnaf_table())
-                )
-            if k2:
-                streams.append(
-                    (_wnaf_signed(k2, _GEN_WNAF_WIDTH), _gen_lambda_wnaf_table())
-                )
+            streams += _glv_streams(u1, _gen_tables()[1], _GEN_WNAF_WIDTH)
         if u2:
-            k1, k2 = _glv_split(u2)
-            qtab = _point_wnaf_table(q)
-            if k1:
-                streams.append((_wnaf_signed(k1, _WNAF_WIDTH), qtab))
-            if k2:
-                lqtab = [(_BETA * x % FIELD_PRIME, y) for x, y in qtab]
-                streams.append((_wnaf_signed(k2, _WNAF_WIDTH), lqtab))
-
-        top = max(len(naf) for naf, _ in streams)
-        # Pad every stream to the ladder length so the hot loop is
-        # branch-light.
-        padded = [
-            (naf + [0] * (top - len(naf)), tab) for naf, tab in streams
-        ]
-        p = FIELD_PRIME
-        x, y, z = 0, 0, 0
-        for i in range(top - 1, -1, -1):
-            if z:
-                if y == 0:
-                    x, y, z = 0, 0, 0
-                else:
-                    # Inlined Jacobian doubling: the ladder's innermost step.
-                    yy = y * y % p
-                    s = 4 * x * yy % p
-                    m = 3 * x * x % p
-                    x3 = (m * m - 2 * s) % p
-                    y3 = (m * (s - x3) - 8 * yy * yy) % p
-                    z = 2 * y * z % p
-                    x, y = x3, y3
-            for naf, tab in padded:
-                digit = naf[i]
-                if digit:
-                    x, y, z = _madd_digit((x, y, z), tab, digit)
-        return _from_jacobian((x, y, z))
+            streams += _glv_streams(u2, _point_wnaf_tables(q), _WNAF_WIDTH)
+        return _from_jacobian(_ladder(streams))
     finally:
         if prof is not None:
             prof.exit()
@@ -639,79 +654,23 @@ def multi_scalar_mult(terms) -> Point:
         if prof is not None:
             prof.enter("ecmult")
     try:
-        streams: list[tuple[list[int], list[tuple[int, int]]]] = []
+        streams: list[tuple[list[int], _Table]] = []
         if gen_k:
-            k1, k2 = _glv_split(gen_k)
-            if k1:
-                streams.append(
-                    (_wnaf_signed(k1, _GEN_WNAF_WIDTH), _gen_wnaf_table())
-                )
-            if k2:
-                streams.append(
-                    (_wnaf_signed(k2, _GEN_WNAF_WIDTH), _gen_lambda_wnaf_table())
-                )
+            streams += _glv_streams(gen_k, _gen_tables()[1], _GEN_WNAF_WIDTH)
         # Cached tables are reused as-is; tables for new points are built
-        # in Jacobian coordinates and normalized together below — the
-        # whole batch pays one field inversion, not one per point.
-        count = 1 << (_WNAF_WIDTH - 2)
-        tables: list[list[tuple[int, int]] | None] = []
+        # in Jacobian coordinates and normalized together — the whole batch
+        # pays one field inversion, not one per point.
         pending: list[tuple[int, int, int]] = []
         for _, point in others:
-            cached = _POINT_TABLE_CACHE.get((point.x, point.y))
-            if cached is not None:
-                tables.append(cached)
-                continue
-            jac = _to_jacobian(point)
-            twice = _jacobian_double(jac)
-            muls = [jac]
-            for _ in range(count - 1):
-                muls.append(_jacobian_add(muls[-1], twice))
-            pending.extend(muls)
-            tables.append(None)
-        if pending:
-            affine = _batch_to_affine(pending)
-            cursor = 0
-            for slot, table in enumerate(tables):
-                if table is None:
-                    tables[slot] = affine[cursor : cursor + count]
-                    cursor += count
-        for (k, _), table in zip(others, tables):
-            assert table is not None
-            k1, k2 = _glv_split(k)
-            if k1:
-                streams.append((_wnaf_signed(k1, _WNAF_WIDTH), table))
-            if k2:
-                lam_table = [
-                    (_BETA * x % FIELD_PRIME, y) for x, y in table
-                ]
-                streams.append((_wnaf_signed(k2, _WNAF_WIDTH), lam_table))
-        if not streams:
-            # Every GLV half reduced to zero (k ≡ 0 splits are filtered
-            # above, so this is unreachable in practice — kept for safety).
-            return INFINITY
-        top = max(len(naf) for naf, _ in streams)
-        padded = [
-            (naf + [0] * (top - len(naf)), tab) for naf, tab in streams
-        ]
-        p = FIELD_PRIME
-        x, y, z = 0, 0, 0
-        for i in range(top - 1, -1, -1):
-            if z:
-                if y == 0:
-                    x, y, z = 0, 0, 0
-                else:
-                    yy = y * y % p
-                    s = 4 * x * yy % p
-                    m = 3 * x * x % p
-                    x3 = (m * m - 2 * s) % p
-                    y3 = (m * (s - x3) - 8 * yy * yy) % p
-                    z = 2 * y * z % p
-                    x, y = x3, y3
-            for naf, tab in padded:
-                digit = naf[i]
-                if digit:
-                    x, y, z = _madd_digit((x, y, z), tab, digit)
-        return _from_jacobian((x, y, z))
+            if (point.x, point.y) not in _POINT_TABLE_CACHE:
+                pending.extend(_odd_multiples(point))
+        fresh = iter(_batch_to_affine(pending))
+        for k, point in others:
+            tables = _POINT_TABLE_CACHE.get((point.x, point.y))
+            if tables is None:
+                tables = _with_lambda(list(islice(fresh, _POINT_TABLE_SIZE)))
+            streams += _glv_streams(k, tables, _WNAF_WIDTH)
+        return _from_jacobian(_ladder(streams))
     finally:
         if prof is not None:
             prof.exit()

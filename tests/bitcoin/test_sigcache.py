@@ -213,6 +213,32 @@ def test_checker_surfaces_out_of_range_as_validation_error():
         checker(sig, key.public.encoded)
 
 
+def test_checker_refuses_a_key_with_an_unreduced_coordinate():
+    """``04 ‖ (1 + p) ‖ y`` names the point x = 1 a second time.  It is not
+    a key: the checker answers False as for any undecodable key — before
+    the sighash is asked, and without storing a verdict under bytes that
+    never decoded."""
+    one = secp256k1.lift_x(1, odd=False)
+    alias = (
+        b"\x04"
+        + (1 + secp256k1.FIELD_PRIME).to_bytes(32, "big")
+        + one.y.to_bytes(32, "big")
+    )
+    with pytest.raises(ValueError, match="out of range"):
+        Point.decode(alias)
+    net, alice, bob = _funded_net()
+    tx = alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    sig = PrivateKey.from_seed(b"any").sign_digest(b"\x01" * 32).encode() + b"\x01"
+    cache = SignatureCache()
+    checker = make_sig_checker(tx, 0, Script(), sig_cache=cache)
+    assert checker(sig, alias) is False
+    assert len(cache) == 0
+    out_of_range_input = make_sig_checker(tx, len(tx.vin) + 3, Script())
+    assert out_of_range_input(sig, alias) is False
+
+
 # ----------------------------------------------------------------------
 # Differential: cache/parallelism on and off give identical verdicts
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for secp256k1 point arithmetic and ECDSA."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +67,41 @@ def test_sec1_roundtrip_compressed_and_uncompressed(k):
     for _ in range(2):  # computed, then answered by the decompression memo
         assert Point.decode(p.encode(compressed=True)) == p
         assert Point.decode(p.encode(compressed=False)) == p
+
+
+def _one_on_curve() -> tuple[int, int]:
+    point = lift_x(1, odd=False)  # x = 1 is on the curve
+    assert point is not None and point.y is not None
+    return 1, point.y
+
+
+@pytest.mark.parametrize(
+    "dx,dy",
+    [(FIELD_PRIME, 0), (0, FIELD_PRIME), (0, -FIELD_PRIME)],
+    ids=["x+p", "y+p", "y-p"],
+)
+def test_unreduced_coordinates_are_not_a_point(dx, dy):
+    """x + p satisfies the curve equation whenever x does, but it is a
+    second name for the same point — unequal to the first and encoded as
+    bytes no decoder accepts — so the range is checked before the equation."""
+    x, y = _one_on_curve()
+    assert Point(x, y) == Point.decode(b"\x02" + x.to_bytes(32, "big"))
+    with pytest.raises(ValueError, match="out of range"):
+        Point(x + dx, y + dy)
+
+
+def test_uncompressed_decoder_refuses_what_the_compressed_one_refuses():
+    x, y = _one_on_curve()
+    good = b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
+    assert Point.decode(good) == Point(x, y)
+    alias = b"\x04" + (x + FIELD_PRIME).to_bytes(32, "big") + y.to_bytes(32, "big")
+    with pytest.raises(ValueError, match="out of range"):
+        Point.decode(alias)
+    with pytest.raises(ValueError, match="out of range"):
+        Point.decode(b"\x02" + (x + FIELD_PRIME).to_bytes(32, "big"))
+    top = b"\x04" + b"\xff" * 32 + y.to_bytes(32, "big")
+    with pytest.raises(ValueError, match="out of range"):
+        Point.decode(top)
 
 
 def test_decode_rejects_garbage():
@@ -135,6 +172,73 @@ def test_verify_rejects_wrong_key():
 def test_signatures_deterministic():
     key = PrivateKey.from_seed(b"det")
     assert sign(key.secret, b"\x01" * 32) == sign(key.secret, b"\x01" * 32)
+
+
+# RFC 6979 known answers, low-s normalised: (secret, message, r, s, whether
+# the raw s was in the upper half).  The first is the vector every secp256k1
+# library carries; all were recorded before the kernel was rewritten, and a
+# deterministic nonce means no faster multiplication may move any of them —
+# a signature is inside a txid, and the txid inside every receipt.
+_N = CURVE_ORDER
+_RFC6979_VECTORS = [
+    (1, b"Satoshi Nakamoto",
+     0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
+     0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5, True),
+    (1, b"All those moments will be lost in time, like tears in rain. "
+        b"Time to die...",
+     0x8600DBD41E348FE5C9465AB92D23E3DB8B98B873BEECD930736488696438CB6B,
+     0x547FE64427496DB33BF66019DACBF0039C04199ABB0122918601DB38A72CFC21, True),
+    (_N - 1, b"Satoshi Nakamoto",
+     0xFD567D121DB66E382991534ADA77A6BD3106F0A1098C231E47993447CD6AF2D0,
+     0x6B39CD0EB1BC8603E159EF5C20A5C8AD685A45B06CE9BEBED3F153D10D93BED5, True),
+    (0xF8B8AF8CE3C7CCA5E300D33939540C10D45CE001B8F252BFBC57BA0342904181,
+     b"Alan Turing",
+     0x7063AE83E7F62BBB171798131B4A0564B956930092B33B07B395615D9EC7E15C,
+     0x58DFCC1E00A35E1572F366FFE34BA0FC47DB1E7189759B9FB233C5B05AB388EA, True),
+    (0xE91671C46231F833A6406CCBEA0E3E392C76C167BAC1CB013F6F1013980455C2,
+     b"There is a computer disease that anybody who works with computers "
+     b"knows about. It's a very serious disease and it interferes completely "
+     b"with the work. The trouble with computers is that you 'play' with them!",
+     0xB552EDD27580141F3B2A5463048CB7CD3E047B97C9F98076C32DBDF85A68718B,
+     0x279FA72DD19BFAE05577E06C7C0C1900C371FCD5893F7E1D56A37D30174671F6, False),
+    (2, b"typecoin",
+     0xDC73248C2B2A7D620744969783AE708EB3024201656A5D92A8317168E6C95491,
+     0x482CC4BE1805BD6FD1B4FDFA6554259BE102F147A213B0E238BC8AC1C3713341, False),
+    (3, b"affine commitment",
+     0x6CE890B5A425ADF595113B05D07A044B3BAADF7050D1B7435A200839AAD76070,
+     0x41AA4BBE659367B2BEB7508902344C70C5D4D0962B53E9C2FA4790D7493555F6, False),
+    (0x123456789ABCDEF, b"peer-to-peer",
+     0x08A71D266C65F3FC41D33D2DD29294F11C0BC9CCFF68651ACEEA8F5F79A284C1,
+     0x7A34A4C0CF61A0407C90284253C0A0D1F0F59772EE81C763A07969D7E52BA017, True),
+]
+
+
+@pytest.mark.parametrize("secret,message,r,s,raw_s_was_high", _RFC6979_VECTORS)
+def test_rfc6979_known_answers(secret, message, r, s, raw_s_was_high):
+    digest = hashlib.sha256(message).digest()
+    signature = sign(secret, digest)
+    assert (signature.r, signature.s) == (r, s)
+    assert verify(scalar_mult(secret), digest, signature)
+    # The s the signing equation gives before normalisation, from the nonce.
+    k = deterministic_nonce(secret, digest)
+    raw_s = pow(k, -1, _N) * (int.from_bytes(digest, "big") + r * secret) % _N
+    assert (raw_s > _N // 2) == raw_s_was_high
+    assert s == (_N - raw_s if raw_s_was_high else raw_s)
+
+
+@pytest.mark.parametrize(
+    "k,encoded",
+    [
+        (1, "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"),
+        (2, "02c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5"),
+        (3, "02f9308a019258c31049344f85f89d5229b531c845836f99b08601f113bce036f9"),
+        (_N - 1,
+         "0379be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"),
+    ],
+)
+def test_known_public_keys(k, encoded):
+    assert scalar_mult(k).encode().hex() == encoded
+    assert PrivateKey(k).public.encoded.hex() == encoded
 
 
 def test_low_s_normalization():

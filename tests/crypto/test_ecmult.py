@@ -1,23 +1,33 @@
 """Property tests for the fast EC multiplication paths.
 
-The fast paths (fixed-window generator tables, per-point w-NAF, GLV split,
-Strauss/Shamir dual multiplication) must agree with the naive
-double-and-add ladder on every scalar, including the awkward ones: 0, 1,
-n−1, and values at or beyond the curve order.
+The fast paths (the generator's byte comb, per-point w-NAF, GLV split, the
+one Strauss/Shamir ladder behind single, dual and multi multiplication)
+must agree with the naive double-and-add ladder on every scalar, including
+the awkward ones: 0, 1, n−1, values at or beyond the curve order, scalars
+on the comb's window boundaries and additions that meet the accumulator.
+The budget tests at the end count group operations instead of timing them.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.crypto import ecdsa, secp256k1 as ec
 from repro.crypto.secp256k1 import (
     CURVE_ORDER,
+    FIELD_PRIME,
     GENERATOR,
     INFINITY,
     Point,
     _glv_split,
     _wnaf,
     dual_scalar_mult,
+    multi_scalar_mult,
     point_add,
     scalar_mult,
     scalar_mult_naive,
@@ -82,8 +92,8 @@ def test_glv_split_congruence(k):
     lam = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
     k1, k2 = _glv_split(k)
     assert (k1 + k2 * lam - k) % CURVE_ORDER == 0
-    assert abs(k1) < 1 << 129
-    assert abs(k2) < 1 << 129
+    assert abs(k1) < 1 << 128
+    assert abs(k2) < 1 << 128
 
 
 def test_dual_scalar_mult_matches_naive_pairs():
@@ -127,8 +137,6 @@ def test_dual_scalar_mult_cancellation_to_infinity():
 
 
 def test_point_table_cache_bounded():
-    from repro.crypto import secp256k1 as ec
-
     ec._POINT_TABLE_CACHE.clear()
     rng = random.Random(77)
     points = [scalar_mult_naive(rng.getrandbits(200) | 1) for _ in range(12)]
@@ -144,3 +152,269 @@ def test_point_table_cache_bounded():
     finally:
         ec._POINT_TABLE_CACHE_MAX = saved_max
         ec._POINT_TABLE_CACHE.clear()
+
+
+# ----------------------------------------------------------------------
+# The generator comb: one row per byte of a GLV half
+# ----------------------------------------------------------------------
+
+_N = CURVE_ORDER
+
+
+def _glv_corners() -> list[int]:
+    """Scalars whose halves sit at the edge of what Babai rounding leaves:
+    ±(a1 ± a2)/2 and ±(|b1| ± b2)/2, every sign pattern, a step inside."""
+    out = []
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            k1 = (s1 * ec._GLV_A1 + s2 * ec._GLV_A2) // 2
+            k2 = (-s1 * ec._GLV_B1 + s2 * ec._GLV_A1) // 2
+            for nudge in (-3, 0, 3):
+                out.append((k1 + nudge + (k2 - nudge) * ec._LAMBDA) % _N)
+    return out
+
+
+_WINDOW_SCALARS = sorted(
+    {(1 << (8 * i)) + e for i in range(33) for e in (-1, 0, 1)}
+    | {(1 << (8 * i)) - 1 for i in range(1, 33)}  # i bytes of 0xFF
+    | {b << (8 * i) for i in range(32) for b in (0x01, 0x80, 0xFF)}
+    | {_N - 1, _N - 2, (_N - 1) // 2, (_N + 1) // 2}
+    | {ec._LAMBDA, _N - ec._LAMBDA, ec._LAMBDA + 1, (ec._LAMBDA << 8) % _N}
+    | set(_glv_corners())
+)
+
+
+@pytest.mark.parametrize("k", _WINDOW_SCALARS)
+def test_generator_comb_on_window_boundaries(k):
+    assert scalar_mult(k) == scalar_mult_naive(k)
+
+
+def test_window_scalars_cover_every_shape_of_half():
+    """The list above is only as good as the halves it produces: negative
+    and positive ones, a 128-bit one (the widest there is — the comb has
+    no row for a 17th byte) and a half that is zero."""
+    splits = [_glv_split(k % _N) for k in _WINDOW_SCALARS]
+    halves = [h for split in splits for h in split]
+    signs = {(k1 < 0, k2 < 0) for k1, k2 in splits}
+    assert signs == {(False, False), (False, True), (True, False), (True, True)}
+    assert max(abs(h).bit_length() for h in halves) == 128
+    assert 0 in halves
+
+
+def test_comb_rows_are_the_multiples_they_claim():
+    comb, (odd, lam_odd) = ec._gen_tables()
+    assert len(comb) == ec._COMB_WINDOWS and {len(row) for row in comb} == {255}
+    for i in (0, 1, 7, 15):
+        for d in (1, 2, 128, 255):
+            want = scalar_mult_naive(d << (8 * i))
+            assert comb[i][d - 1] == (want.x, want.y)
+    for j in (0, 1, 63):
+        want = scalar_mult_naive(2 * j + 1)
+        assert odd[j] == (want.x, want.y)
+        want = scalar_mult_naive((2 * j + 1) * ec._LAMBDA)
+        assert lam_odd[j] == (want.x, want.y)
+
+
+# ----------------------------------------------------------------------
+# The one ladder, against the naive oracle
+# ----------------------------------------------------------------------
+
+_scalars = st.one_of(
+    st.integers(min_value=0, max_value=2**256 - 1),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from(_EDGE_SCALARS + _glv_corners()),
+)
+_points = st.integers(min_value=1, max_value=_N - 1).map(scalar_mult_naive)
+
+
+@given(_scalars, _points)
+@settings(max_examples=40, deadline=None)
+def test_ladder_single_matches_naive(k, base):
+    assert scalar_mult(k, base) == scalar_mult_naive(k, base)
+
+
+@given(_scalars, _scalars, _points)
+@settings(max_examples=40, deadline=None)
+def test_ladder_dual_matches_naive(u1, u2, q):
+    want = point_add(scalar_mult_naive(u1), scalar_mult_naive(u2, q))
+    assert dual_scalar_mult(u1, u2, q) == want
+
+
+@given(st.lists(st.tuples(_scalars, st.one_of(_points, st.just(GENERATOR))),
+                max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_ladder_multi_matches_naive(terms):
+    want = INFINITY
+    for k, point in terms:
+        want = point_add(want, scalar_mult_naive(k, point))
+    ec._POINT_TABLE_CACHE.clear()  # the uncached, jointly normalised tables
+    assert multi_scalar_mult(terms) == want
+    for _, point in terms[:2]:  # …and beside cached ones
+        scalar_mult(3, point)
+    assert multi_scalar_mult(terms) == want
+
+
+def _neg(point: Point) -> Point:
+    return Point(point.x, FIELD_PRIME - point.y)
+
+
+_LAMBDA_G = scalar_mult_naive(ec._LAMBDA)
+
+
+@pytest.mark.parametrize(
+    "u1,u2,q,want",
+    [
+        # The inlined addition meets its own accumulator: same x, same y.
+        (1, 1, GENERATOR, scalar_mult_naive(2)),
+        (5, 5, GENERATOR, scalar_mult_naive(10)),
+        (ec._LAMBDA, 1, _LAMBDA_G, scalar_mult_naive(2 * ec._LAMBDA)),
+        # …and its negation: same x, opposite y.
+        (1, 1, _neg(GENERATOR), INFINITY),
+        (ec._LAMBDA, 1, _neg(_LAMBDA_G), INFINITY),
+        (ec._LAMBDA, _N - 1, _LAMBDA_G, INFINITY),
+        # u1·G = −u2·Q with nothing special about the digits.
+        (_N - 77 * 1234567, 77, scalar_mult_naive(1234567), INFINITY),
+        # The accumulator cancels at the top digit and the ladder goes on.
+        ((1 << 40) + 1, 1 << 40, _neg(GENERATOR), GENERATOR),
+        ((1 << 100) + 9, 1 << 100, _neg(GENERATOR), scalar_mult_naive(9)),
+    ],
+)
+def test_ladder_edges_where_addend_meets_accumulator(
+    u1, u2, q, want, monkeypatch
+):
+    rare = []
+    madd = ec._jacobian_madd
+    monkeypatch.setattr(
+        ec, "_jacobian_madd", lambda acc, pt: rare.append(pt) or madd(acc, pt)
+    )
+    assert dual_scalar_mult(u1, u2, q) == want
+    assert rare, "the ladder's equal-x branch was not reached"
+    assert multi_scalar_mult([(u2, q), (u1, GENERATOR)]) == want
+
+
+def test_ladder_passes_through_infinity_mid_way():
+    """Driven directly: +G and −G on the top digit, then more digits."""
+    table = ec._gen_tables()[1][0]
+    streams = [([3, 0, 0, 0, 0, 0, 1], table), ([0, 0, 0, 0, 0, 0, -1], table)]
+    assert ec._from_jacobian(ec._ladder(streams)) == scalar_mult_naive(3)
+    assert ec._ladder([]) == (0, 0, 0)
+    assert ec._ladder([([0, 0, 0], table)])[2] == 0
+
+
+# ----------------------------------------------------------------------
+# Inverses: zero has none
+# ----------------------------------------------------------------------
+
+
+def test_field_inverse_is_exact_and_refuses_zero():
+    for a in (1, 2, FIELD_PRIME - 1, ec._GX, FIELD_PRIME + 5, -3):
+        assert a * ec._inv(a) % FIELD_PRIME == 1
+    for zero in (0, FIELD_PRIME, -FIELD_PRIME):
+        with pytest.raises(ValueError, match="zero has no inverse"):
+            ec._inv(zero)
+
+
+def test_batch_to_affine_refuses_the_identity():
+    """One Z = 0 zeroes the shared product: the Fermat inverse answered
+    (0, 0) for every point of the table instead of failing."""
+    jacs = [ec._jacobian_double((ec._GX, ec._GY, 1)), (ec._GX, ec._GY, 1)]
+    two_g = scalar_mult_naive(2)
+    assert ec._batch_to_affine(jacs) == [(two_g.x, two_g.y), (ec._GX, ec._GY)]
+    assert ec._batch_to_affine([]) == []
+    for position in range(3):
+        with pytest.raises(ValueError, match="point at infinity"):
+            ec._batch_to_affine(jacs[:position] + [(0, 0, 0)] + jacs[position:])
+
+
+def test_point_add_special_cases_stay_exact():
+    p3 = scalar_mult_naive(3)
+    assert point_add(p3, _neg(p3)) is INFINITY
+    assert point_add(p3, p3) == scalar_mult_naive(6)
+    assert point_add(p3, INFINITY) is p3 and point_add(INFINITY, p3) is p3
+    assert point_add(INFINITY, INFINITY) is INFINITY
+    assert point_add(p3, GENERATOR) == scalar_mult_naive(4)
+    assert ec._from_jacobian((0, 0, 0)) is INFINITY
+    assert ec._from_jacobian((5, 0, 0)) is INFINITY
+
+
+# ----------------------------------------------------------------------
+# Budgets: group operations counted, not timed
+# ----------------------------------------------------------------------
+
+
+def test_importing_the_curve_builds_no_table():
+    code = (
+        "import repro.crypto.ecdsa, repro.crypto.keys;"
+        "from repro.crypto import secp256k1 as ec;"
+        "assert ec._GEN_TABLES is None and not ec._POINT_TABLE_CACHE;"
+        "ec.scalar_mult(2); assert ec._GEN_TABLES is not None"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_generator_table_is_built_once_and_stays_small(monkeypatch):
+    saved = obs.set_registry(obs.Registry())
+    monkeypatch.setattr(obs, "ENABLED", True)
+    monkeypatch.setattr(ec, "_GEN_TABLES", None)
+    try:
+        public = scalar_mult(99)
+        for i in range(3):
+            digest = bytes([i]) * 32
+            assert ecdsa.verify(public, digest, ecdsa.sign(99, digest))
+        multi_scalar_mult([(5, GENERATOR), (7, public)])
+        builds = obs.registry().counter("ecmult.table_builds_total").value
+        comb, (odd, lam_odd) = ec._gen_tables()
+    finally:
+        obs.set_registry(saved)
+    assert builds == 1
+    distinct = {id(pt) for row in comb for pt in row}
+    distinct |= {id(pt) for pt in odd} | {id(pt) for pt in lam_odd}
+    assert len(distinct) == 255 * 16 + 64 <= 4400
+
+
+def _budget_scalars() -> list[int]:
+    rng = random.Random(0xB0D6E7)
+    return [rng.randrange(1, _N) for _ in range(1000)]
+
+
+def test_generator_multiplication_addition_budget(monkeypatch):
+    """At most one mixed addition per byte of the two halves, counted on
+    the real code; the totals repeat exactly from run to run."""
+    calls = []
+    madd = ec._jacobian_madd
+
+    def counting(acc, point):
+        calls.append(point)
+        return madd(acc, point)
+
+    monkeypatch.setattr(ec, "_jacobian_madd", counting)
+    worst = total = 0
+    for k in _budget_scalars():
+        calls.clear()
+        ec._gen_mult_jacobian(k)
+        worst = max(worst, len(calls))
+        total += len(calls)
+    assert worst == 32 <= 34
+    assert total == 31_870  # 31.87 a multiplication
+
+
+def test_verification_ladder_budget():
+    """From the recodings alone: the ladder doubles once per digit
+    position below the top one and adds once per non-zero digit."""
+    scalars = _budget_scalars()
+    public = scalar_mult_naive(0xC0FFEE)
+    worst_doublings = worst_additions = total_additions = 0
+    for u1, u2 in zip(scalars, reversed(scalars)):
+        streams = ec._glv_streams(u1, ec._gen_tables()[1], ec._GEN_WNAF_WIDTH)
+        streams += ec._glv_streams(
+            u2, ec._point_wnaf_tables(public), ec._WNAF_WIDTH
+        )
+        additions = sum(1 for digits, _ in streams for d in digits if d)
+        worst_doublings = max(worst_doublings, max(len(d) for d, _ in streams) - 1)
+        worst_additions = max(worst_additions, additions)
+        total_additions += additions
+    assert worst_doublings == 128 <= 130
+    assert worst_additions == 77
+    assert total_additions == 72_437  # 72.4 a verification
