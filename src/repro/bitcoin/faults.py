@@ -891,11 +891,7 @@ class ServiceChaosProfile:
     name: str
     depth: int = 6  # upstream-set depth of the claim chain
     requests: int = 30  # sequential requests driven through the client
-    workers: int = 2
     max_inflight: int = 3
-    kill_every: int = 0  # crash a worker (breaks the pool; respawn path)
-    slow_every: int = 0  # straggler pill occupying one worker
-    slow_delay: float = 0.2
     poison_every: int = 0  # corrupt a memo entry (digest check must catch)
     invalid_every: int = 0  # requests whose correct verdict is ``invalid``
     overload_burst: int = 0  # concurrent burst fired once, mid-run
@@ -913,9 +909,6 @@ class ServiceChaosResult:
     wrong_verdicts: int = 0  # verdicts disagreeing with the oracle
     answered: int = 0  # requests that got a real verdict (ok/invalid)
     poison_rejected: int = 0  # poisoned memo entries caught by digest check
-    respawns: int = 0  # pool rebuilds after worker deaths
-    breaker_trips: int = 0
-    degraded_served: int = 0  # verdicts served below the pooled tier
     shed: int = 0  # admissions refused with ``overloaded``
     retries: int = 0  # client-side retry attempts
 
@@ -932,13 +925,11 @@ SERVICE_PROFILES: dict[str, ServiceChaosProfile] = {
     "service-calm": ServiceChaosProfile(
         name="service-calm", requests=12, invalid_every=4
     ),
-    # The acceptance scenario: worker kills, stragglers, memo poisoning,
-    # wrong-claim requests, and one concurrent overload burst.
+    # The acceptance scenario: memo poisoning, wrong-claim requests, and
+    # one concurrent overload burst.
     "service-inferno": ServiceChaosProfile(
         name="service-inferno",
         requests=30,
-        kill_every=7,
-        slow_every=5,
         poison_every=4,
         invalid_every=3,
         overload_burst=8,
@@ -989,9 +980,9 @@ def run_service_chaos(
     """Drive the verification service through a seeded fault schedule.
 
     Every request's expected verdict comes from a trusted oracle — a
-    plain single-process :func:`repro.core.verifier.verify_claim` replay
-    run before any fault fires — and the result counts every service
-    verdict that disagrees.  Infrastructure statuses (``timeout`` /
+    plain :func:`repro.core.verifier.verify_claim` replay run before any
+    fault fires — and the result counts every service verdict that
+    disagrees.  Infrastructure statuses (``timeout`` /
     ``overloaded`` / ``error`` / ``draining``) are legitimate non-answers
     and never count as wrong: the service may fail to answer under
     chaos, but it may never answer incorrectly.
@@ -1004,7 +995,7 @@ def run_service_chaos(
 
     net, valid_bundle, invalid_bundle = _service_world(profile.depth)
 
-    # The trusted replay: single process, no caches, no pool.
+    # The trusted replay: no memo, no admission, no deadline.
     def oracle(bundle) -> str:
         try:
             verify_claim(net.chain, bundle)
@@ -1017,9 +1008,7 @@ def run_service_chaos(
 
     rng = derive_rng("service-chaos", profile.name, seed)
     service = VerificationService(
-        net.chain,
-        workers=profile.workers,
-        max_inflight=profile.max_inflight,
+        net.chain, max_inflight=profile.max_inflight
     )
     client = ServiceClient(
         service,
@@ -1037,8 +1026,6 @@ def run_service_chaos(
 
     def score(verdict, want: str) -> None:
         statuses[verdict.status] = statuses.get(verdict.status, 0) + 1
-        if verdict.degraded and verdict.is_verdict:
-            result.degraded_served += 1
         if verdict.is_verdict:
             result.answered += 1
             if verdict.status != want:
@@ -1046,27 +1033,40 @@ def run_service_chaos(
 
     burst_at = profile.requests // 2 if profile.overload_burst else -1
     for i in range(profile.requests):
-        if fires(profile.kill_every, i) and service.pool is not None:
-            service.pool.kill_worker()
-        if fires(profile.slow_every, i) and service.pool is not None:
-            service.pool.slow_worker(profile.slow_delay)
         if fires(profile.poison_every, i):
             service.memo.poison(rng.choice(chain_txids), b"\x00" * 32)
         if i == burst_at:
-            # Concurrent burst straight at the service (no retry layer):
-            # above ``max_inflight`` of these must shed as ``overloaded``,
-            # and the ones that do get through must still be right.
+            # Concurrent burst straight at the service (no retry layer).
+            # Each request waits for the rest of the burst — an admitted
+            # one at the door, holding its slot; a shed one on its way
+            # out — so exactly the excess over ``max_inflight`` sheds as
+            # ``overloaded`` whatever the thread scheduler does, and the
+            # ones that do get through must still be right.
             verdicts = [None] * profile.overload_burst
+            arrived = threading.Barrier(profile.overload_burst)
+            admitted = service._verify
+
+            def held(bundle, deadline):
+                arrived.wait(timeout=30.0)
+                return admitted(bundle, deadline)
+
             def fire(slot: int) -> None:
-                verdicts[slot] = service.verify(valid_bundle)
+                verdict = verdicts[slot] = service.verify(valid_bundle)
+                if verdict.status == "overloaded":
+                    arrived.wait(timeout=30.0)
+
             threads = [
                 threading.Thread(target=fire, args=(slot,))
                 for slot in range(profile.overload_burst)
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            service._verify = held
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            finally:
+                del service._verify
             for verdict in verdicts:
                 score(verdict, expected["valid"])
         if fires(profile.invalid_every, i):
@@ -1077,8 +1077,6 @@ def run_service_chaos(
     service.close(timeout=30.0)
     result.statuses = statuses
     result.poison_rejected = service.memo.poison_rejected
-    result.respawns = service.pool.respawns if service.pool is not None else 0
-    result.breaker_trips = service.breaker.trips
     result.shed = service.shed
     result.retries = client.retries
     return result

@@ -40,7 +40,7 @@ from repro.core.validate import Ledger
 from repro.core.verifier import (
     ClaimBundle,
     VerificationError,
-    _topological_order,
+    dependency_levels,
     verify_claim,
 )
 from repro.core.wallet import TypecoinClient
@@ -237,9 +237,10 @@ class BatchServer:
         # Adopt the verified history into the server's own ledger, parents
         # first — with a fresh ledger (journal replay after a restart) a
         # child would otherwise fail to re-validate before its ancestors.
-        for txid in _topological_order(bundle.transactions):
-            if txid not in self.client.ledger.transactions:
-                self.client.learn(txid, bundle.transactions[txid])
+        for level in dependency_levels(bundle.transactions):
+            for txid in level:
+                if txid not in self.client.ledger.transactions:
+                    self.client.learn(txid, bundle.transactions[txid])
         resource_id = self._new_id()
         self._resources[resource_id] = _Resource(
             prop=entry.prop,

@@ -21,6 +21,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from repro.bitcoin.transaction import OutPoint
 from repro.crypto.hashing import sha256d
 from repro.lf.basis import Basis
 from repro.logic.encoding import _blob, _uint, encode_proof, encode_prop
@@ -179,6 +180,17 @@ class TypecoinTransaction:
         if not 0 <= index < len(self.outputs):
             raise TxnError(f"no output {index}")
         return substitute_this_prop(self.outputs[index].prop, carrier_txid)
+
+
+@dataclass
+class ClaimBundle:
+    """What a prover hands a verifier: the claimed txout and type, plus
+    T_I and all Typecoin transactions upstream of it, keyed by carrier
+    txid."""
+
+    outpoint: OutPoint
+    prop: Proposition
+    transactions: dict[bytes, TypecoinTransaction] = field(default_factory=dict)
 
 
 def trivial_output(recipient_pubkey: bytes, amount: int) -> TypecoinOutput:

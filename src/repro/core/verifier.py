@@ -15,108 +15,93 @@ for each T ∈ 𝔗, that:
 
 Verification is performed *by interested parties, outside the Bitcoin
 mechanism* — the network never sees a proposition.
+
+That loop is written once, in :func:`_verify_claim`.  :func:`verify_claim`
+is it as a library call; :class:`repro.service.VerificationService` is
+admission, a deadline and a typecheck memo around the same body, so the
+two cannot disagree about a claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 
-from repro import obs
+from repro import cancel, obs
 from repro.bitcoin.chain import Blockchain
-from repro.bitcoin.transaction import OutPoint
 from repro.core.overlay import OverlayError, check_carrier_correspondence
-from repro.core.transaction import TypecoinTransaction, referenced_txids
+from repro.core.transaction import (
+    ClaimBundle,
+    TypecoinTransaction,
+    referenced_txids,
+)
 from repro.core.validate import (
     Ledger,
     ValidationFailure,
     check_typecoin_transaction,
     world_at,
 )
-from repro.logic.propositions import (
-    Proposition,
-    normalize_prop,
-    props_equal,
-)
+from repro.core.wire import encode_transaction
+from repro.crypto.hashing import sha256
+from repro.logic.propositions import normalize_prop, props_equal
 
 
 class VerificationError(Exception):
     """A claim failed verification, with the failing check named."""
 
 
-@dataclass
-class ClaimBundle:
-    """What a prover hands a verifier: the claimed txout and type, plus
-    T_I and all Typecoin transactions upstream of it, keyed by carrier
-    txid."""
+def _references(
+    transactions: dict[bytes, TypecoinTransaction]
+) -> dict[bytes, frozenset[bytes]]:
+    """The carrier txids each bundle transaction refers to, itself
+    excluded — the one structural walk a transaction gets per request."""
+    return {
+        txid: referenced_txids(txn) - {txid}
+        for txid, txn in transactions.items()
+    }
 
-    outpoint: OutPoint
-    prop: Proposition
-    transactions: dict[bytes, TypecoinTransaction] = field(default_factory=dict)
 
-
-def dependency_levels(
-    transactions: dict[bytes, TypecoinTransaction],
-    *,
-    single_pass: bool = False,
-) -> list[list[bytes]]:
-    """Group a bundle into dependency levels, in time linear in its size.
-
-    Each transaction is walked exactly once (``referenced_txids``) for its
-    in-bundle edges; references to itself or out of the bundle are not
-    edges.  Ranks are then peeled Kahn-style from those edge sets and the
-    bundle is bucketed by rank in insertion order, so the first failure
-    within a level is the same on every run.
-
-    By default a transaction ranks one above its highest dependency:
-    members of a level share no edges and can be checked independently
-    given the levels before them (the service's wavefronts).  With
-    ``single_pass`` a dependency that also precedes its dependent in the
-    bundle costs no rank, which makes the concatenated levels the order
-    of repeated in-order sweeps that place whatever has become ready —
-    the serial replay's order.
-    """
-    position = {txid: i for i, txid in enumerate(transactions)}
-    dependents: dict[bytes, list[bytes]] = {txid: [] for txid in transactions}
+def _levels(references: dict[bytes, frozenset[bytes]]) -> list[list[bytes]]:
+    """Peel ranks Kahn-style from the in-bundle edges of ``references``."""
+    dependents: dict[bytes, list[bytes]] = {txid: [] for txid in references}
     waiting: dict[bytes, int] = {}
-    for txid, txn in transactions.items():
-        deps = [
-            dep
-            for dep in referenced_txids(txn)
-            if dep in position and dep != txid
-        ]
+    for txid, refs in references.items():
+        deps = [dep for dep in refs if dep in references]
         waiting[txid] = len(deps)
         for dep in deps:
             dependents[dep].append(txid)
 
-    rank = {txid: 0 for txid in transactions}
+    rank = dict.fromkeys(references, 0)
     ready = [txid for txid, count in waiting.items() if count == 0]
     for txid in ready:  # grows as dependents become ready
         for child in dependents[txid]:
-            same_sweep = single_pass and position[txid] < position[child]
-            rank[child] = max(rank[child], rank[txid] + (0 if same_sweep else 1))
+            rank[child] = max(rank[child], rank[txid] + 1)
             waiting[child] -= 1
             if waiting[child] == 0:
                 ready.append(child)
-    if len(ready) < len(transactions):
+    if len(ready) < len(references):
         raise VerificationError("claim bundle contains a dependency cycle")
 
     levels: list[list[bytes]] = [
         [] for _ in range(max(rank.values(), default=-1) + 1)
     ]
-    for txid in transactions:
+    for txid in references:
         levels[rank[txid]].append(txid)
     return levels
 
 
-def _topological_order(
+def dependency_levels(
     transactions: dict[bytes, TypecoinTransaction]
-) -> list[bytes]:
-    """Order the bundle so every transaction follows the ones it spends."""
-    return [
-        txid
-        for level in dependency_levels(transactions, single_pass=True)
-        for txid in level
-    ]
+) -> list[list[bytes]]:
+    """Group a bundle into dependency levels, in time linear in its size.
+
+    Each transaction is walked exactly once (``referenced_txids``) for its
+    in-bundle edges; references to itself or out of the bundle are not
+    edges.  A transaction ranks one above its highest dependency, and the
+    bundle is bucketed by rank in insertion order: the levels concatenated
+    are a parents-first order, and the first failure is the same on every
+    run.
+    """
+    return _levels(_references(transactions))
 
 
 def verify_claim(
@@ -155,46 +140,91 @@ def _verify_claim(
     bundle: ClaimBundle,
     min_confirmations: int,
     require_unspent: bool,
-    base_ledger: Ledger | None,
+    base_ledger: Ledger | None = None,
+    memo=None,
 ) -> Ledger:
-    if base_ledger is not None:
+    """The §3 loop — the only one.
+
+    Raises ``VerificationError`` naming the first failing check in level
+    order, and ``cancel.DeadlineExceeded`` when a deadline scoped by the
+    caller passes (read between levels here, every 64th step inside the
+    checkers).
+
+    ``memo`` (``lookup(txid, digest)`` / ``record(txid, digest)``) may
+    stand in for check 2 on a transaction it has seen pass, and for
+    nothing else: the digest is re-derived from the presented transaction,
+    the hash embedding is checked on every request, a hit counts only once
+    the ledger holds everything the transaction refers to — the first
+    thing the typecheck would have asked — and outputs are registered from
+    the presented object, never from a cache.  A transaction is recorded
+    only after its own check and registration completed.
+    """
+    if base_ledger is None:
+        ledger = Ledger()
+    else:
+        # Entries are copied: ``register`` marks the outputs a transaction
+        # spends, and a claim — a refused one above all — must not edit
+        # the caller's trusted records.
         ledger = Ledger(
             global_basis=base_ledger.global_basis,
             transactions=dict(base_ledger.transactions),
-            outputs={k: v for k, v in base_ledger.outputs.items()},
+            outputs={
+                key: dataclasses.replace(entry)
+                for key, entry in base_ledger.outputs.items()
+            },
         )
-    else:
-        ledger = Ledger()
 
-    for txid in _topological_order(bundle.transactions):
-        txn = bundle.transactions[txid]
-        if txid in ledger.transactions:
-            continue
-        found = chain.get_transaction(txid)
-        if found is None:
-            raise VerificationError(
-                f"carrier {txid[:8].hex()}… is not in the active chain"
-            )
-        carrier, height = found
-        confirmations = chain.height - height + 1
-        if confirmations < min_confirmations:
-            raise VerificationError(
-                f"carrier {txid[:8].hex()}… has {confirmations}"
-                f" confirmations, policy requires {min_confirmations}"
-            )
-        # Check 1: the hash embedding (and full structural correspondence).
-        try:
-            check_carrier_correspondence(carrier, txn)
-        except OverlayError as exc:
-            raise VerificationError(f"hash embedding check failed: {exc}") from exc
-        # Checks 2 and 3: the transaction typechecks against history, with
-        # conditions discharged in the world where it confirmed.
-        world = world_at(chain, height)
-        try:
-            check_typecoin_transaction(ledger, txn, world)
-        except ValidationFailure as exc:
-            raise VerificationError(f"type check failed: {exc}") from exc
-        ledger.register(txid, txn)
+    deadline = cancel.current_deadline()
+    references = _references(bundle.transactions)
+    for level in _levels(references):
+        if deadline is not None and deadline.expired():
+            raise cancel.DeadlineExceeded("deadline expired between levels")
+        for txid in level:
+            if txid in ledger.transactions:
+                continue
+            txn = bundle.transactions[txid]
+            found = chain.get_transaction(txid)
+            if found is None:
+                raise VerificationError(
+                    f"carrier {txid[:8].hex()}… is not in the active chain"
+                )
+            carrier, height = found
+            confirmations = chain.height - height + 1
+            if confirmations < min_confirmations:
+                raise VerificationError(
+                    f"carrier {txid[:8].hex()}… has {confirmations}"
+                    f" confirmations, policy requires {min_confirmations}"
+                )
+            # Check 1: the hash embedding (and full structural
+            # correspondence) — it binds the presented object to the chain.
+            try:
+                check_carrier_correspondence(carrier, txn)
+            except OverlayError as exc:
+                raise VerificationError(
+                    f"hash embedding check failed: {exc}"
+                ) from exc
+            checked = False
+            if memo is not None:
+                digest = sha256(encode_transaction(txn))
+                checked = (
+                    references[txid] <= ledger.transactions.keys()
+                    and memo.lookup(txid, digest)
+                )
+            if not checked:
+                # Checks 2 and 3: the transaction typechecks against
+                # history, with conditions discharged in the world where
+                # it confirmed.
+                try:
+                    check_typecoin_transaction(
+                        ledger, txn, world_at(chain, height)
+                    )
+                except ValidationFailure as exc:
+                    raise VerificationError(
+                        f"type check failed: {exc}"
+                    ) from exc
+            ledger.register(txid, txn)
+            if memo is not None:
+                memo.record(txid, digest)
 
     # Finally: I's type is as claimed.
     target = ledger.output(bundle.outpoint.txid, bundle.outpoint.index)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from repro.bitcoin.transaction import OutPoint
 from repro.core.transaction import (
+    ClaimBundle,
     TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
 )
-from repro.core.verifier import ClaimBundle
 from repro.lf.basis import Basis, KindDecl, PropDecl, TypeDecl
 from repro.logic.decoding import (
     Cursor,

@@ -179,19 +179,15 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("monitor.violations_total", "c"),
     ("flight.dumps_total", "c"),
     ("fault.inflations_total", "c"),
-    # Fault-tolerant verification service: admission, memo/cache, pool,
-    # circuit breaker, degraded path, client retries.
+    # Fault-tolerant verification service: admission, memo, client
+    # retries.
     ("service.requests_total", "c"),
     ("service.verdicts_total", "c"),
     ("service.verify_seconds", "h"),
     ("service.memo_hits_total", "c"),
     ("service.memo_misses_total", "c"),
     ("service.memo_poison_rejected_total", "c"),
-    ("service.breaker_trips_total", "c"),
-    ("service.pool_respawns_total", "c"),
-    ("service.worker_jobs_total", "c"),
     ("service.shed_total", "c"),
-    ("service.degraded_total", "c"),
     ("service.retries_total", "c"),
     ("service.inflight", "g"),
     # Block-connect script pool crash fallback (serial re-verification).

@@ -103,17 +103,11 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     # --- schema v3: fault-tolerant verification service ---
     # One request's terminal verdict (the full status set is documented
     # in docs/service.md: ok/invalid/timeout/overloaded/draining/error).
-    "service.verdict": ("status", "degraded"),
-    # The circuit breaker changed state (closed/open/half_open).
-    "service.breaker_transition": ("state",),
-    # The worker pool died and was respawned; `pending` jobs re-dispatch.
-    "service.pool_respawn": ("pending",),
+    "service.verdict": ("status",),
     # A memoized typecheck entry failed its digest check and was evicted.
     "service.poison_rejected": ("txid",),
     # Admission control refused a request (queue full / draining).
     "service.shed": ("inflight", "reason"),
-    # A request was served on the degraded (serial, cache-off) path.
-    "service.degraded": ("reason",),
     # The block-connect script pool broke; verification fell back serial.
     "script.pool_broken": ("groups",),
     # --- schema v4: compact block relay (BIP 152-style) ---
@@ -139,11 +133,8 @@ EVENT_KINDS_SINCE_V2 = frozenset(
 EVENT_KINDS_SINCE_V3 = frozenset(
     {
         "service.verdict",
-        "service.breaker_transition",
-        "service.pool_respawn",
         "service.poison_rejected",
         "service.shed",
-        "service.degraded",
         "script.pool_broken",
     }
 )

@@ -1,52 +1,34 @@
 """``repro.service`` — the fault-tolerant proof-verification service.
 
 The paper's §3 verification protocol run as a long-lived server instead
-of a one-shot library call: per-transaction typecheck results memoized
-by txid (sound because chain-embedded transactions are immutable),
-proof-check signature verifications shared through a bounded LRU, and
-independent checks fanned across a process pool.  Every failure mode is
-first-class — deadlines propagate into the recursive checkers
-(:mod:`repro.cancel`), the client retries with capped jittered backoff
-(:mod:`repro.backoff`), a circuit breaker sheds a sick worker pool, a
-bounded admission queue sheds overload, and worker crashes respawn with
-idempotent re-dispatch.  The load-bearing invariant: the service never
-returns a wrong verdict; infrastructure trouble surfaces as
+of a one-shot library call: the same loop ``verify_claim`` runs
+(:func:`repro.core.verifier._verify_claim`), with per-transaction
+typecheck results memoized by txid (sound because chain-embedded
+transactions are immutable) and proof-check signature verifications
+shared through a bounded LRU.  Every failure mode is first-class —
+deadlines propagate into the recursive checkers (:mod:`repro.cancel`),
+the client retries with capped jittered backoff (:mod:`repro.backoff`),
+a bounded admission queue sheds overload, and shutdown drains.  The
+load-bearing invariant: the service never returns a wrong verdict;
+infrastructure trouble surfaces as
 ``timeout``/``overloaded``/``draining``/``error``, never as a false
 ``ok`` or ``invalid``.  See ``docs/service.md``.
 """
 
-from repro.service.breaker import CircuitBreaker
 from repro.service.cache import (
     AffirmationCache,
     TxMemoTable,
     install_affirmation_cache,
-    tx_digest,
 )
 from repro.service.client import RETRYABLE_STATUSES, ServiceClient
-from repro.service.pool import (
-    CheckJob,
-    JobResult,
-    PoolBroken,
-    WorkerPool,
-    make_job,
-    run_job,
-)
 from repro.service.server import Verdict, VerificationService
 
 __all__ = [
     "AffirmationCache",
-    "CheckJob",
-    "CircuitBreaker",
-    "JobResult",
-    "PoolBroken",
     "RETRYABLE_STATUSES",
     "ServiceClient",
     "TxMemoTable",
     "Verdict",
     "VerificationService",
-    "WorkerPool",
     "install_affirmation_cache",
-    "make_job",
-    "run_job",
-    "tx_digest",
 ]

@@ -24,8 +24,8 @@ verifier:
   that 4-tuple is malleability-safe for the same reason
   :mod:`repro.bitcoin.sigcache` is — the signature bytes are part of
   the key.  Install it with :func:`install_affirmation_cache`; the
-  service installs one per worker process and one in-process, and
-  *uninstalls* it on the degraded (cache-off) path.
+  service installs one at construction and restores the previous one
+  at close.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import threading
 from collections import OrderedDict
 
 from repro import obs
-from repro.crypto.hashing import sha256
 from repro.logic import checker as _checker
 
 __all__ = [
@@ -42,13 +41,7 @@ __all__ = [
     "LRU",
     "TxMemoTable",
     "install_affirmation_cache",
-    "tx_digest",
 ]
-
-
-def tx_digest(txn_bytes: bytes) -> bytes:
-    """The memo digest of a transaction's wire encoding."""
-    return sha256(txn_bytes)
 
 
 class LRU:
@@ -171,8 +164,8 @@ def install_affirmation_cache(cache: AffirmationCache | None):
     """Install (or, with ``None``, remove) the checker-level cache.
 
     Returns the previously installed cache so callers can restore it —
-    the service does this around its degraded cache-off path and at
-    close, keeping the global hook's lifetime exactly the service's.
+    the service does this at close, keeping the global hook's lifetime
+    exactly the service's.
     """
     previous = _checker.AFFIRMATION_CACHE
     _checker.AFFIRMATION_CACHE = cache

@@ -1,12 +1,11 @@
 """Dependency levelling and the structural walk, pinned to what they replaced.
 
-``dependency_levels`` took over from two quadratic routines (the
-service's wavefront levelling and the replay's repeated sweeps), and
-``nodes_of_type`` from two reflective ``dataclasses.fields`` walkers.
-The old bodies live on here, as oracles only: generated dependency
-graphs must level identically (same levels, same order, same cycle
-error), and every transaction of the rich working set must yield the
-same references and ``spent`` atoms.
+``dependency_levels`` took over from the service's quadratic wavefront
+levelling, and ``nodes_of_type`` from two reflective
+``dataclasses.fields`` walkers.  The old bodies live on here, as oracles
+only: generated dependency graphs must level identically (same levels,
+same order, same cycle error), and every transaction of the rich working
+set must yield the same references and ``spent`` atoms.
 """
 
 import dataclasses
@@ -18,19 +17,15 @@ from repro.core.transaction import (
     TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
+    nodes_of_type,
     referenced_txids,
 )
-from repro.core.verifier import (
-    VerificationError,
-    _topological_order,
-    dependency_levels,
-)
+from repro.core.verifier import VerificationError, dependency_levels
 from repro.lf.basis import Basis
 from repro.lf.syntax import ConstRef, TConst
 from repro.logic.conditions import Spent
 from repro.logic.proofterms import OneIntro
 from repro.logic.propositions import Atom, One, Tensor
-from repro.service.pool import spent_atoms
 
 PUBKEY = b"\x02" + b"\x44" * 32
 
@@ -62,36 +57,10 @@ def quadratic_levels(transactions):
     return levels
 
 
-def sweep_order(transactions):
-    """``core.verifier._topological_order`` as it was: repeated in-order
-    sweeps, each placing whatever has become ready."""
-    pending = dict(transactions)
-    placed = []
-    placed_set = set()
-    while pending:
-        progressed = False
-        for txid in list(pending):
-            txn = pending[txid]
-            deps = {
-                dep
-                for dep in referenced_txids(txn)
-                if dep in transactions and dep != txid
-            }
-            if deps <= placed_set:
-                placed.append(txid)
-                placed_set.add(txid)
-                del pending[txid]
-                progressed = True
-        if not progressed:
-            raise VerificationError(
-                "claim bundle contains a dependency cycle"
-            )
-    return placed
-
-
 def reflective_nodes(txn, node_type):
-    """The walker ``referenced_txids`` and ``spent_atoms`` each carried:
-    ``is_dataclass``/``fields`` asked of every node."""
+    """The walker ``referenced_txids`` and the pool's ``spent``-atom
+    collector each carried: ``is_dataclass``/``fields`` asked of every
+    node."""
     found = []
 
     def walk(node):
@@ -125,10 +94,9 @@ def reflective_referenced_txids(txn):
     return frozenset(found)
 
 
-def reflective_spent_atoms(txn):
-    return frozenset(
-        (atom.txid, atom.index) for atom in reflective_nodes(txn, Spent)
-    )
+def spent_nodes(walker, txn):
+    """The ``spent(txid.n)`` atoms ``walker`` finds, as a set of pairs."""
+    return {(atom.txid, atom.index) for atom in walker(txn, Spent)}
 
 
 # -- generated dependency graphs ----------------------------------------
@@ -195,73 +163,56 @@ def test_levels_equal_the_quadratic_oracle(transactions):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(bundles())
-def test_replay_order_equals_the_sweep_oracle(transactions):
-    assert outcome(_topological_order, transactions) == outcome(
-        sweep_order, transactions
-    )
-
-
 # The shapes the issue names, spelled out: (edges, insertion order,
-# expected levels, expected replay order) — numbers stand for txids.
+# expected levels) — numbers stand for txids.
 NAMED = {
-    "empty": ({}, [], [], []),
+    "empty": ({}, [], []),
     "chain": (
         {0: ((), ()), 1: ((0,), ()), 2: ((1,), ())},
         [0, 1, 2],
         [[0], [1], [2]],
-        [0, 1, 2],
     ),
     "chain, children first": (
         {0: ((), ()), 1: ((0,), ()), 2: ((1,), ())},
         [2, 1, 0],
         [[0], [1], [2]],
-        [0, 1, 2],
     ),
     "diamond": (
         {0: ((), ()), 1: ((0,), ()), 2: ((0,), ()), 3: ((1, 2), ())},
         [3, 2, 0, 1],
         [[0], [2, 1], [3]],
-        [0, 1, 2, 3],
     ),
     "shared basis": (
         {0: ((), ()), 1: ((), (0,)), 2: ((), (0,)), 3: ((1,), (0,))},
         [0, 1, 2, 3],
         [[0], [1, 2], [3]],
-        [0, 1, 2, 3],
     ),
     "independent beside a chain": (
         {0: ((), ()), 1: ((0,), ()), 2: ((), ())},
         [0, 1, 2],
         [[0, 2], [1]],
-        [0, 1, 2],
     ),
     "self-reference": (
         {0: ((0,), (0,)), 1: ((0, 1), ())},
         [1, 0],
         [[0], [1]],
-        [0, 1],
     ),
     "references out of the bundle": (
         {0: ((200,), (201,)), 1: ((0, 201), ())},
         [0, 1],
         [[0], [1]],
-        [0, 1],
     ),
 }
 
 
 @pytest.mark.parametrize("name", NAMED)
 def test_named_shapes(name):
-    edges, order, levels, replay = NAMED[name]
+    edges, order, levels = NAMED[name]
     transactions = bundle_of(edges, order)
     assert dependency_levels(transactions) == [
         [txid_of(n) for n in level] for level in levels
     ]
-    assert _topological_order(transactions) == [txid_of(n) for n in replay]
     assert dependency_levels(transactions) == quadratic_levels(transactions)
-    assert _topological_order(transactions) == sweep_order(transactions)
 
 
 @pytest.mark.parametrize(
@@ -274,10 +225,9 @@ def test_named_shapes(name):
 )
 def test_cycle_is_the_same_verification_error(edges):
     transactions = bundle_of(edges)
-    for fn in (dependency_levels, _topological_order):
-        with pytest.raises(VerificationError) as caught:
-            fn(transactions)
-        assert str(caught.value) == "claim bundle contains a dependency cycle"
+    with pytest.raises(VerificationError) as caught:
+        dependency_levels(transactions)
+    assert str(caught.value) == "claim bundle contains a dependency cycle"
     assert outcome(dependency_levels, transactions) == outcome(
         quadratic_levels, transactions
     )
@@ -289,9 +239,6 @@ def test_each_transaction_is_walked_once(edge_walks):
     edges = {n: ((n - 1,) if n else (), ()) for n in range(12)}
     transactions = bundle_of(edges, list(reversed(range(12))))
     assert len(dependency_levels(transactions)) == 12
-    assert len(edge_walks) == 12
-    del edge_walks[:]
-    assert _topological_order(transactions) == [txid_of(n) for n in range(12)]
     assert len(edge_walks) == 12
 
 
@@ -306,11 +253,13 @@ def test_traversal_equals_the_reflective_walkers(working_set):
     with_basis_refs = with_spent = 0
     for txn in seen.values():
         assert referenced_txids(txn) == reflective_referenced_txids(txn)
-        assert spent_atoms(txn) == reflective_spent_atoms(txn)
+        assert spent_nodes(nodes_of_type, txn) == spent_nodes(
+            reflective_nodes, txn
+        )
         with_basis_refs += bool(
             referenced_txids(txn) - {inp.txid for inp in txn.inputs}
         )
-        with_spent += bool(spent_atoms(txn))
+        with_spent += bool(nodes_of_type(txn, Spent))
     # The set exercises both collectors, not just input edges.
     assert with_basis_refs and with_spent
 
@@ -327,4 +276,4 @@ def test_traversal_survives_a_proof_deeper_than_the_stack():
         Basis(), One(), [], [TypecoinOutput(One(), 0, PUBKEY)], proof
     )
     assert referenced_txids(txn) == frozenset()
-    assert spent_atoms(txn) == frozenset()
+    assert nodes_of_type(txn, Spent) == []

@@ -7,11 +7,12 @@ import pytest
 from repro.bitcoin.transaction import OutPoint
 from repro.core.builder import basis_publication, simple_transfer
 from repro.core.transaction import TypecoinInput, TypecoinOutput
+from repro.core.validate import Ledger
 from repro.core.verifier import ClaimBundle, VerificationError, verify_claim
 from repro.lf.basis import Basis, KindDecl
 from repro.lf.syntax import KIND_PROP, KPi, NatLit, TApp, TConst
 from repro.lf.basis import NAT_T
-from repro.logic.propositions import Atom, One, props_equal
+from repro.logic.propositions import Atom, One, Tensor, props_equal
 
 from tests.core.conftest import publish_newcoin
 from tests.core.test_batch import issue_to
@@ -141,3 +142,43 @@ class TestVerifyClaim:
 
         with pytest.raises(VerificationError, match="cycle"):
             verify_claim(Blockchain(ChainParams.regtest()), bundle)
+
+    def test_base_ledger_is_left_as_it_was(self, net, alice):
+        """A claim — accepted or refused — reads the trusted history it is
+        seeded with and never writes to it (§3.2: a batch server passes
+        its own records)."""
+        out = TypecoinOutput(One(), 600, alice.pubkey)
+        first = simple_transfer([], [out])
+        first_txid = alice.submit(first).txid
+        net.confirm(1)
+        alice.sync()
+        second = simple_transfer(
+            [alice.input_for(OutPoint(first_txid, 0))], [out]
+        )
+        outpoint = OutPoint(alice.submit(second).txid, 0)
+        net.confirm(1)
+        alice.sync()
+
+        base = Ledger()
+        base.register(first_txid, first)
+
+        def fields():
+            return (
+                base.global_basis,
+                dict(base.transactions),
+                {
+                    key: dataclasses.replace(entry)
+                    for key, entry in base.outputs.items()
+                },
+            )
+
+        before = fields()
+        verify_claim(
+            net.chain, alice.claim_bundle(outpoint, One()), base_ledger=base
+        )
+        assert fields() == before
+        wrong = alice.claim_bundle(outpoint, Tensor(One(), One()))
+        with pytest.raises(VerificationError, match="claimed type"):
+            verify_claim(net.chain, wrong, base_ledger=base)
+        assert fields() == before
+        assert not base.spent_oracle(first_txid, 0)

@@ -237,12 +237,9 @@ class TestSchemaV3:
     @pytest.mark.parametrize(
         "kind, payload",
         [
-            ("service.verdict", {"status": "ok", "degraded": False}),
-            ("service.breaker_transition", {"state": "open"}),
-            ("service.pool_respawn", {"pending": 3}),
+            ("service.verdict", {"status": "ok"}),
             ("service.poison_rejected", {"txid": "aabbccdd"}),
             ("service.shed", {"inflight": 4, "reason": "overloaded"}),
-            ("service.degraded", {"reason": "breaker_open"}),
             ("script.pool_broken", {"groups": 7}),
         ],
     )
@@ -260,7 +257,7 @@ class TestSchemaV3:
             "seq": 0,
             "ts": 0.0,
             "kind": "service.verdict",
-            "data": {"status": "ok", "degraded": False},
+            "data": {"status": "ok"},
         }
         with pytest.raises(EventSchemaError, match="introduced in schema v3"):
             validate_event(event)
@@ -326,7 +323,7 @@ class TestSchemaV4:
             "seq": 1,
             "ts": 0.5,
             "kind": "service.verdict",
-            "data": {"status": "ok", "degraded": False},
+            "data": {"status": "ok"},
         })
 
 

@@ -185,18 +185,18 @@ class TestHealthz:
 
     def test_health_source_fields_merge_and_gate_readiness(self):
         obs.enable()
-        state = {"ready": True, "breaker": "closed"}
+        state = {"ready": True, "shed": 0}
         with ObsServer(health_source=lambda: dict(state)) as srv:
             payload = json.loads(_get(srv, "/healthz").read())
-            assert payload["breaker"] == "closed"
+            assert payload["shed"] == 0
             assert payload["ready"] is True
             state["ready"] = False
-            state["breaker"] = "open"
+            state["shed"] = 3
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(srv, "/healthz")
             assert excinfo.value.code == 503
             payload = json.loads(excinfo.value.read())
-            assert payload["breaker"] == "open"
+            assert payload["shed"] == 3
             assert payload["ready"] is False
             # The exporter itself is fine: only the app gated readiness.
             assert payload["draining"] is False

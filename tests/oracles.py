@@ -3,6 +3,16 @@ the program against.  Nothing under ``src/`` imports this module."""
 
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.bitcoin.wallet import Spendable
+from repro.core.overlay import OverlayError, check_carrier_correspondence
+from repro.core.transaction import referenced_txids
+from repro.core.validate import (
+    Ledger,
+    ValidationFailure,
+    check_typecoin_transaction,
+    world_at,
+)
+from repro.core.verifier import VerificationError
+from repro.logic.propositions import normalize_prop, props_equal
 
 
 def full_scan_spendables(wallet, chain):
@@ -19,3 +29,72 @@ def full_scan_spendables(wallet, chain):
         )
     result.sort(key=lambda s: (s.height, s.outpoint))
     return result
+
+
+def sweep_order(transactions):
+    """A parents-first order by repeated in-order sweeps over the bundle,
+    each placing whatever has become ready (quadratic on a reversed
+    chain) — how ``core.verifier`` ordered a bundle before it levelled."""
+    pending = dict(transactions)
+    placed = []
+    placed_set = set()
+    while pending:
+        progressed = False
+        for txid in list(pending):
+            deps = {
+                dep
+                for dep in referenced_txids(pending[txid])
+                if dep in transactions and dep != txid
+            }
+            if deps <= placed_set:
+                placed.append(txid)
+                placed_set.add(txid)
+                del pending[txid]
+                progressed = True
+        if not progressed:
+            raise VerificationError(
+                "claim bundle contains a dependency cycle"
+            )
+    return placed
+
+
+def replay_claim(chain, bundle, min_confirmations=1, require_unspent=True):
+    """``verify_claim`` as it was while the library and the service each
+    had their own §3 loop: the library's, in sweep order, with no levels
+    and no memo.  Returns the ledger; raises ``VerificationError``."""
+    ledger = Ledger()
+    for txid in sweep_order(bundle.transactions):
+        txn = bundle.transactions[txid]
+        found = chain.get_transaction(txid)
+        if found is None:
+            raise VerificationError(
+                f"carrier {txid[:8].hex()}… is not in the active chain"
+            )
+        carrier, height = found
+        confirmations = chain.height - height + 1
+        if confirmations < min_confirmations:
+            raise VerificationError(
+                f"carrier {txid[:8].hex()}… has {confirmations}"
+                f" confirmations, policy requires {min_confirmations}"
+            )
+        try:
+            check_carrier_correspondence(carrier, txn)
+        except OverlayError as exc:
+            raise VerificationError(f"hash embedding check failed: {exc}") from exc
+        try:
+            check_typecoin_transaction(ledger, txn, world_at(chain, height))
+        except ValidationFailure as exc:
+            raise VerificationError(f"type check failed: {exc}") from exc
+        ledger.register(txid, txn)
+
+    target = ledger.output(bundle.outpoint.txid, bundle.outpoint.index)
+    if target is None:
+        raise VerificationError("claimed txout is not produced by the bundle")
+    if not props_equal(target.prop, bundle.prop):
+        raise VerificationError(
+            f"claimed type {normalize_prop(bundle.prop)} but output has type"
+            f" {normalize_prop(target.prop)}"
+        )
+    if require_unspent and chain.is_spent(bundle.outpoint):
+        raise VerificationError("claimed txout has already been spent")
+    return ledger

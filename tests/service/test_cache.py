@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.crypto.hashing import sha256
 from repro.logic import checker as _checker
 from repro.service.cache import (
     LRU,
     AffirmationCache,
     TxMemoTable,
     install_affirmation_cache,
-    tx_digest,
 )
 
 
@@ -51,7 +51,7 @@ class TestTxMemoTable:
 
     def test_miss_then_hit(self):
         memo = TxMemoTable()
-        digest = tx_digest(b"payload")
+        digest = sha256(b"payload")
         assert not memo.lookup(self.TXID, digest)
         memo.record(self.TXID, digest)
         assert memo.lookup(self.TXID, digest)
@@ -60,7 +60,7 @@ class TestTxMemoTable:
 
     def test_poisoned_entry_rejected_and_evicted(self):
         memo = TxMemoTable()
-        digest = tx_digest(b"payload")
+        digest = sha256(b"payload")
         memo.record(self.TXID, digest)
         memo.poison(self.TXID, b"\x00" * 32)
         # The digest check catches the corruption: no hit, entry gone.
@@ -73,7 +73,7 @@ class TestTxMemoTable:
     def test_capacity_bounds_entries(self):
         memo = TxMemoTable(capacity=2)
         for i in range(5):
-            memo.record(bytes([i]) * 32, tx_digest(bytes([i])))
+            memo.record(bytes([i]) * 32, sha256(bytes([i])))
         assert len(memo) == 2
 
 

@@ -82,7 +82,7 @@ class TestCheckerIntegration:
     def test_deep_proof_check_is_cancellable(self, world):
         """An expired deadline unwinds the real checkers mid-flight."""
         from repro.core.validate import Ledger, check_typecoin_transaction, world_at
-        from repro.core.verifier import _topological_order
+        from repro.core.verifier import dependency_levels
 
         net, bundle, _ = world
         clock = ManualClock()
@@ -90,7 +90,7 @@ class TestCheckerIntegration:
         clock.now = 2.0  # already expired
         ledger = Ledger()
         # The root transaction: checkable against an empty ledger.
-        txid = _topological_order(bundle.transactions)[0]
+        txid = dependency_levels(bundle.transactions)[0][0]
         txn = bundle.transactions[txid]
         _, height = net.chain.get_transaction(txid)
         with cancel.deadline_scope(deadline):

@@ -14,7 +14,6 @@ class TestCalmProfile:
         assert result.wrong_verdicts == 0
         # No faults configured: every request resolves to a verdict.
         assert result.statuses == {"ok": 9, "invalid": 3}
-        assert result.respawns == 0
         assert result.shed == 0
 
     def test_deterministic_per_seed(self):
@@ -30,7 +29,6 @@ class TestFaultPaths:
             name="poison-only",
             depth=4,
             requests=8,
-            workers=0,  # in-process: isolates the memo from pool effects
             poison_every=2,
             invalid_every=3,
         )
@@ -39,21 +37,16 @@ class TestFaultPaths:
         assert result.wrong_verdicts == 0
         assert result.poison_rejected > 0
 
-    def test_worker_kills_recovered_without_wrong_verdicts(self):
-        # Poison each round too: without it the memo warms after the
-        # first request and the killed pool would never be exercised.
+    def test_overload_burst_sheds_exactly_the_excess(self):
         profile = ServiceChaosProfile(
-            name="kill-only",
+            name="burst-only",
             depth=3,
-            requests=3,
-            workers=1,
-            kill_every=1,
-            poison_every=1,
+            requests=2,
+            max_inflight=2,
+            overload_burst=5,
         )
         result = run_service_chaos(profile, seed=0)
         assert result.ok
-        assert result.wrong_verdicts == 0
-        assert result.respawns >= 1
-        # Every request still got a real verdict: the respawn path
-        # answers, it does not shed.
-        assert result.answered == profile.requests
+        assert result.shed == 3
+        # Two sequential requests, two admitted of the burst, three shed.
+        assert result.statuses == {"ok": 4, "overloaded": 3}

@@ -1,16 +1,11 @@
-"""The verification service: verdicts, caches, degradation, lifecycle."""
+"""The verification service: verdicts, memo, admission, lifecycle."""
 
 import threading
 
 import pytest
 
 from repro import cancel
-from repro.service import (
-    PoolBroken,
-    VerificationService,
-    WorkerPool,
-)
-from repro.service.breaker import OPEN
+from repro.service import VerificationService
 from repro.logic import checker as _checker
 
 
@@ -26,7 +21,6 @@ class TestVerdicts:
         verdict = service.verify(valid_bundle)
         assert verdict.status == "ok", verdict.detail
         assert verdict.is_verdict
-        assert not verdict.degraded
 
     def test_wrong_claimed_type_is_invalid(self, service, invalid_bundle):
         verdict = service.verify(invalid_bundle)
@@ -47,7 +41,7 @@ class TestVerdicts:
         svc = VerificationService(net.chain)
         try:
             monkeypatch.setattr(
-                svc, "_run_protocol",
+                svc.memo, "lookup",
                 lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
             )
             verdict = svc.verify(valid_bundle)
@@ -97,13 +91,13 @@ class TestAdmission:
     def test_concurrent_burst_sheds_above_capacity(self, net, valid_bundle):
         svc = VerificationService(net.chain, max_inflight=1)
         release = threading.Event()
-        original = svc._run_protocol
+        original = svc._verify
 
-        def gated(bundle, deadline, **kwargs):
+        def gated(bundle, deadline):
             release.wait(timeout=10)
-            return original(bundle, deadline, **kwargs)
+            return original(bundle, deadline)
 
-        svc._run_protocol = gated
+        svc._verify = gated
         try:
             verdicts = [None, None]
 
@@ -137,7 +131,6 @@ class TestAdmission:
                 "ready": False,
                 "draining": True,
                 "inflight": 0,
-                "breaker": "closed",
                 "memo_entries": 0,
                 "requests": 1,
                 "shed": 0,
@@ -149,14 +142,14 @@ class TestAdmission:
         svc = VerificationService(net.chain)
         entered = threading.Event()
         release = threading.Event()
-        original = svc._run_protocol
+        original = svc._verify
 
-        def gated(bundle, deadline, **kwargs):
+        def gated(bundle, deadline):
             entered.set()
             release.wait(timeout=10)
-            return original(bundle, deadline, **kwargs)
+            return original(bundle, deadline)
 
-        svc._run_protocol = gated
+        svc._verify = gated
         done = {}
 
         def request():
@@ -175,89 +168,6 @@ class TestAdmission:
         finally:
             release.set()
             thread.join(timeout=5)
-            svc.close()
-
-
-class _RiggedPool:
-    """A pool whose run() always reports the executor as unrecoverable."""
-
-    def __init__(self):
-        self.respawns = 0
-        self.calls = 0
-
-    def run(self, jobs, deadline=None):
-        self.calls += 1
-        raise PoolBroken("rigged")
-
-    def close(self):
-        pass
-
-
-class TestDegradation:
-    def test_pool_broken_falls_back_serially_same_verdict(
-        self, net, valid_bundle
-    ):
-        pool = _RiggedPool()
-        svc = VerificationService(net.chain, pool=pool)
-        try:
-            verdict = svc.verify(valid_bundle)
-            assert verdict.status == "ok"
-            assert pool.calls > 0
-        finally:
-            svc.close()
-
-    def test_repeated_pool_failures_trip_the_breaker(self, net, valid_bundle):
-        svc = VerificationService(net.chain, pool=_RiggedPool())
-        try:
-            for _ in range(svc.breaker.failure_threshold):
-                assert svc.verify(valid_bundle).status == "ok"
-            assert svc.breaker.state == OPEN
-            # Breaker open: served degraded (cache-off, in-process)...
-            verdict = svc.verify(valid_bundle)
-            assert verdict.status == "ok"
-            assert verdict.degraded
-        finally:
-            svc.close()
-
-    def test_degraded_path_runs_cache_off(self, net, valid_bundle):
-        svc = VerificationService(net.chain, pool=_RiggedPool())
-        observed = {}
-        original = svc._run_protocol
-
-        def spying(bundle, deadline, **kwargs):
-            observed["affirmation_cache"] = _checker.AFFIRMATION_CACHE
-            observed["kwargs"] = kwargs
-            return original(bundle, deadline, **kwargs)
-
-        svc._run_protocol = spying
-        try:
-            for _ in range(svc.breaker.failure_threshold):
-                svc.verify(valid_bundle)
-            svc.memo.poison(next(iter(valid_bundle.transactions)), b"\x01" * 32)
-            verdict = svc.verify(valid_bundle)
-            assert verdict.status == "ok"
-            assert verdict.degraded
-            # The affirmation sigcache was uninstalled for the request and
-            # the memo was not consulted (the poisoned entry stayed put).
-            assert observed["affirmation_cache"] is None
-            assert observed["kwargs"] == {
-                "use_pool": False, "use_caches": False,
-            }
-            assert svc.memo.poison_rejected == 0
-            # ...and reinstalled afterwards.
-            assert _checker.AFFIRMATION_CACHE is svc._affirmations
-        finally:
-            svc.close()
-
-    def test_invalid_verdicts_never_feed_the_breaker(
-        self, net, invalid_bundle
-    ):
-        svc = VerificationService(net.chain, workers=0)
-        try:
-            for _ in range(5):
-                assert svc.verify(invalid_bundle).status == "invalid"
-            assert svc.breaker.state == "closed"
-        finally:
             svc.close()
 
 
