@@ -44,13 +44,18 @@ def run_recovery(blocks, snapshot_interval):
     root = tempfile.mkdtemp(prefix="bench-recovery-")
     try:
         tip, utxo_size = build_store(root, blocks, snapshot_interval)
-        store = BlockStore(root, snapshot_interval=snapshot_interval).open()
-        start = time.perf_counter()
-        chain = recover_chain(store, ChainParams.regtest())
-        elapsed = time.perf_counter() - start
-        assert chain.tip.block.hash == tip, "recovered to the wrong tip"
-        assert chain.utxos.serialized_size() == utxo_size
-        store.close()
+        # Best of three restarts: one 13 ms sample with file I/O in it
+        # swings by more than the 1.5x the shape assert below allows.
+        samples = []
+        for _ in range(3):
+            store = BlockStore(root, snapshot_interval=snapshot_interval).open()
+            start = time.perf_counter()
+            chain = recover_chain(store, ChainParams.regtest())
+            samples.append(time.perf_counter() - start)
+            assert chain.tip.block.hash == tip, "recovered to the wrong tip"
+            assert chain.utxos.serialized_size() == utxo_size
+            store.close()
+        elapsed = min(samples)
         return {
             "blocks": blocks,
             "snapshot": snapshot_interval > 0,

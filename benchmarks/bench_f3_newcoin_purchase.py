@@ -11,7 +11,8 @@ import sys
 import pathlib
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+# The repo root, so the ``tests`` package resolves outside pytest too.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.core.validate import (

@@ -15,8 +15,8 @@ a Perfetto-loadable Chrome trace and a JSONL event log of the last
 benchmark run.  ``REPRO_OBS_PROFILE=1`` adds the per-phase self-time
 table (``repro.obs.profile``), and ``REPRO_OBS_FOLDED=<path>`` runs the
 call-stack sampler and writes speedscope-loadable collapsed stacks.
-``benchmarks/runner.py`` drives the same machinery to record whole
-trajectories.
+``benchmarks/runner.py`` drives the same machinery over every experiment
+and gates on the obs counters.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class StubStats:
 
     pytest-benchmark's ``benchmark.stats`` supports both attribute and
     item access (``stats.mean`` / ``stats["mean"]``); this mirrors the
-    fields the benchmarks and the telemetry runner consume, computed from
-    the raw per-round timings.
+    fields the benchmarks consume, computed from the raw per-round
+    timings.
     """
 
     FIELDS = ("min", "max", "mean", "median", "stddev", "rounds", "total", "ops")
@@ -104,9 +104,9 @@ class StubStats:
 class StubBenchmark:
     """Just enough of pytest-benchmark's fixture for standalone runs.
 
-    ``max_rounds`` clamps every ``pedantic(rounds=...)`` request — the
-    telemetry runner's smoke mode sets it to 1 so a full trajectory stays
-    cheap enough for CI.
+    ``max_rounds`` clamps every ``pedantic(rounds=...)`` request —
+    ``runner.py`` sets it to 1, so an experiment's work counts do not
+    depend on how many rounds its timing asked for.
     """
 
     def __init__(self, max_rounds: int | None = None) -> None:

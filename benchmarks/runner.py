@@ -1,34 +1,34 @@
-"""Benchmark telemetry runner: every experiment, one trajectory file.
+"""Run the paper experiments and gate them on exact work counts.
 
-Discovers each ``benchmarks/bench_*.py`` experiment, runs its bench
-functions through the :mod:`obs_harness` stub driver (same fixture
-injection, same pytest-benchmark-shaped stats), and writes one
-schema-versioned ``BENCH_<label>.json`` at the repo root with, per
-experiment: wall time, per-bench timing stats and ``extra_info``, and the
-observability metric snapshot — plus the git SHA and timestamp of the
-run.  ``benchmarks/compare.py`` diffs two such files and gates on
-regressions, so every perf PR can state "here is the before/after
-trajectory" instead of a claim.
+Each ``benchmarks/bench_*.py`` experiment runs once (every benchmark
+clamped to one round) with observability on, in a process of its own, so
+the process-wide caches (the ``k·G`` comb, the ``Point.decode`` memo, the
+per-key tables, the default sigcache) start cold and ``--only X`` reads
+for X exactly what the full run reads.  The run fails when an in-bench
+assert fails, or when any obs counter of any experiment differs from
+``benchmarks/counters.json`` (``{experiment: {series: count}}``, non-zero
+entries only; an absent series is expected to read 0).  Counts are a
+property of the code, so the comparison has no tolerance; wall times are
+printed by the experiments' own tables and gate nothing — speed is
+``bench/run.py``'s job (docs/benchmarking.md).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/runner.py --label pr2
-    PYTHONPATH=src python benchmarks/runner.py --label smoke --smoke
-    PYTHONPATH=src python benchmarks/runner.py --label x --only e6 --only f1
+    python benchmarks/runner.py                # every experiment
+    python benchmarks/runner.py --only e6      # substring filter, repeatable
+    python benchmarks/runner.py --record       # rewrite counters.json
 
-Observability is enabled by default (the snapshot is part of the
-artifact; overhead is identical across runs being compared).  Use
-``--no-obs`` for a bare-timing run — the file records which mode it was.
+``--record`` is the right answer when a change moves work on purpose: the
+diff of ``counters.json`` then shows the reviewer which work moved.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
 import json
+import multiprocessing
 import os
-import subprocess
 import sys
 import time
 import traceback
@@ -40,12 +40,10 @@ for path in (os.path.join(REPO_ROOT, "src"), BENCH_DIR):
         sys.path.insert(0, path)
 
 from repro import obs  # noqa: E402
-from repro.obs.report import render_report  # noqa: E402
 
 from obs_harness import StubBenchmark, run_bench  # noqa: E402
 
-# Bump when the trajectory file shape changes.
-BENCH_SCHEMA = "repro.bench/1"
+COUNTERS_FILE = "counters.json"
 
 
 def discover_experiments(only: list[str] | None = None) -> list[str]:
@@ -75,190 +73,146 @@ def bench_functions(module) -> list:
     return functions
 
 
-def git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+def run_experiment(module_name: str) -> dict:
+    """Run one experiment module in this process.
 
-
-def _obs_metrics(snapshot: dict) -> dict:
-    """The metric portion of a snapshot (spans/events stay out of the
-    trajectory file: they are per-run detail, not comparable series)."""
-    return {
-        "counters": snapshot["counters"],
-        "gauges": snapshot["gauges"],
-        "histograms": snapshot["histograms"],
-    }
-
-
-def run_experiment(
-    module_name: str,
-    max_rounds: int | None = None,
-    quiet: bool = True,
-    profile: bool = False,
-) -> dict:
-    """Run one experiment module; returns its trajectory record.
-
-    With ``profile=True`` a fresh :class:`repro.obs.PhaseProfiler` is
-    installed for the experiment's duration and its per-phase cost vector
-    lands in the record's ``"profile"`` section — the input
-    ``compare.py --blame`` uses to name which phase a wall-time
-    regression came from.
+    Returns ``{"ok", "errors", "counters"}``: a bench that raises (an
+    in-bench assert included) or a module that does not import makes
+    ``ok`` false and lands its traceback in ``errors``; the remaining
+    benches of the module still run.  ``counters`` holds the non-zero obs
+    counters of the whole experiment.
     """
-    record: dict = {"file": f"{module_name}.py", "benches": {}, "ok": True}
-    wall_start = time.perf_counter()
+    obs.enable()
+    result: dict = {"ok": True, "errors": [], "counters": {}}
     try:
         module = importlib.import_module(module_name)
     except Exception:
-        record["ok"] = False
-        record["error"] = traceback.format_exc(limit=3)
-        record["wall_seconds"] = time.perf_counter() - wall_start
-        return record
-    if obs.ENABLED:
-        obs.reset()
-    prev_profiler = None
-    if profile and obs.ENABLED:
-        prev_profiler = obs.set_profiler(obs.PhaseProfiler())
-    try:
-        for bench in bench_functions(module):
-            stub = StubBenchmark(max_rounds=max_rounds)
-            bench_record: dict = {"ok": True}
-            try:
-                run_bench(bench, stub)
-            except Exception:
-                bench_record["ok"] = False
-                bench_record["error"] = traceback.format_exc(limit=3)
-                record["ok"] = False
-            bench_record["stats"] = stub.stats.as_dict()
-            bench_record["extra_info"] = _jsonable(stub.extra_info)
-            record["benches"][bench.__name__] = bench_record
-        record["wall_seconds"] = time.perf_counter() - wall_start
-        if obs.ENABLED:
-            snap = obs.snapshot()
-            record["obs"] = _obs_metrics(snap)
-            if profile:
-                record["profile"] = obs.PROFILER.snapshot()
-            if not quiet:
-                print(render_report(snap, title=module_name))
-    finally:
-        if profile and obs.ENABLED:
-            obs.set_profiler(prev_profiler)
-    return record
-
-
-def _jsonable(value):
-    """extra_info may hold bytes keys/values and tuples; normalize them."""
-    if isinstance(value, dict):
-        return {_jsonable_key(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _jsonable_key(key) -> str:
-    if isinstance(key, bytes):
-        return key.hex()
-    return str(key)
-
-
-def run_all(
-    label: str,
-    only: list[str] | None = None,
-    max_rounds: int | None = None,
-    use_obs: bool = True,
-    out_path: str | None = None,
-    profile: bool = True,
-) -> tuple[dict, str]:
-    """Run every experiment and write ``BENCH_<label>.json``.
-
-    Returns (trajectory dict, output path).  Phase profiling is on by
-    default when observability is (the deterministic profiler costs a
-    few clock reads per span/hook, identical across the runs being
-    compared); ``profile=False`` drops the per-phase vectors.
-    """
-    if use_obs:
-        obs.enable()
-    profile = profile and use_obs
-    trajectory: dict = {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "created_unix": time.time(),
-        "git_sha": git_sha(),
-        "obs_enabled": use_obs,
-        "profile_enabled": profile,
-        "smoke": max_rounds is not None,
-        "python": sys.version.split()[0],
-        "experiments": {},
+        result["ok"] = False
+        result["errors"].append(traceback.format_exc(limit=3))
+        return result
+    obs.reset()
+    for bench in bench_functions(module):
+        try:
+            run_bench(bench, StubBenchmark(max_rounds=1))
+        except Exception:
+            result["ok"] = False
+            result["errors"].append(
+                f"{bench.__name__}: {traceback.format_exc(limit=3)}"
+            )
+    result["counters"] = {
+        series: count
+        for series, count in obs.snapshot()["counters"].items()
+        if count
     }
-    names = discover_experiments(only)
-    for index, module_name in enumerate(names, 1):
-        key = experiment_key(module_name)
-        print(f"[{index}/{len(names)}] {key} ...", flush=True)
-        # Collect the previous experiment's garbage outside the timed
-        # window, so a heap-heavy experiment (A3's 20-node swarm) cannot
-        # tax its alphabetical successors with its collection pauses.
-        gc.collect()
-        started = time.perf_counter()
-        record = run_experiment(
-            module_name, max_rounds=max_rounds, profile=profile
-        )
-        status = "ok" if record["ok"] else "FAILED"
-        print(f"    {status} in {time.perf_counter() - started:.1f}s", flush=True)
-        trajectory["experiments"][key] = record
-    out_path = out_path or os.path.join(REPO_ROOT, f"BENCH_{label}.json")
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return trajectory, out_path
+    return result
+
+
+def _child(module_name: str, conn) -> None:
+    conn.send(run_experiment(module_name))
+
+
+def run_isolated(module_name: str) -> dict:
+    """:func:`run_experiment` in a fresh interpreter of its own."""
+    ctx = multiprocessing.get_context("spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=_child, args=(module_name, sender))
+    process.start()
+    sender.close()
+    try:
+        result = receiver.recv()
+    except EOFError:  # the child died before it could answer
+        result = None
+    process.join()
+    return result or {"ok": False, "counters": {}, "errors": [
+        f"process exited {process.exitcode} without a result"
+    ]}
+
+
+def diff_counters(expected: dict, got: dict) -> list[str]:
+    """One line per difference between two ``{experiment: {series: count}}``.
+
+    A series absent from one side reads 0 there; an experiment absent
+    from either side is itself a difference.
+    """
+    lines = []
+    for key in sorted(expected.keys() | got.keys()):
+        if key not in got:
+            lines.append(f"{key}: in {COUNTERS_FILE} but did not run")
+            continue
+        if key not in expected:
+            lines.append(f"{key}: ran but is not in {COUNTERS_FILE}")
+            continue
+        want, have = expected[key], got[key]
+        for series in sorted(want.keys() | have.keys()):
+            if want.get(series, 0) != have.get(series, 0):
+                lines.append(
+                    f"{key}: {series} expected {want.get(series, 0)}"
+                    f" got {have.get(series, 0)}"
+                )
+    return lines
+
+
+def counters_path() -> str:
+    return os.path.join(BENCH_DIR, COUNTERS_FILE)
+
+
+def load_counters() -> dict:
+    with open(counters_path(), encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True,
-                        help="trajectory label; writes BENCH_<label>.json")
     parser.add_argument("--only", action="append", default=None,
                         help="substring filter on experiment names (repeatable)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="clamp every benchmark to 1 round (CI smoke mode)")
-    parser.add_argument("--no-obs", dest="use_obs", action="store_false",
-                        help="run without the observability snapshot")
-    parser.add_argument("--no-profile", dest="profile", action="store_false",
-                        help="skip the per-phase cost vectors")
-    parser.add_argument("--out", default=None,
-                        help="output path (default: <repo>/BENCH_<label>.json)")
+    parser.add_argument("--record", action="store_true",
+                        help=f"rewrite {COUNTERS_FILE} from this run")
     args = parser.parse_args(argv)
 
-    trajectory, out_path = run_all(
-        args.label,
-        only=args.only,
-        max_rounds=1 if args.smoke else None,
-        use_obs=args.use_obs,
-        out_path=args.out,
-        profile=args.profile,
-    )
-    failed = [
-        key for key, record in trajectory["experiments"].items()
-        if not record["ok"]
-    ]
-    total = sum(
-        record["wall_seconds"] for record in trajectory["experiments"].values()
-    )
-    print(f"\nwrote {out_path}: {len(trajectory['experiments'])} experiments,"
-          f" {total:.1f}s total")
+    names = discover_experiments(args.only)
+    got, failed = {}, []
+    for index, module_name in enumerate(names, 1):
+        key = experiment_key(module_name)
+        print(f"[{index}/{len(names)}] {key} ...", flush=True)
+        started = time.perf_counter()
+        result = run_isolated(module_name)
+        if result["ok"]:
+            got[key] = result["counters"]
+        else:
+            failed.append(key)
+            print("\n".join(result["errors"]), file=sys.stderr)
+        status = "ok" if result["ok"] else "FAILED"
+        print(f"    {status} in {time.perf_counter() - started:.1f}s", flush=True)
     if failed:
-        print(f"FAILED experiments: {', '.join(failed)}", file=sys.stderr)
+        print(f"\nFAILED experiments: {', '.join(failed)}", file=sys.stderr)
+
+    # Under --only, the experiments left out keep their recorded entries
+    # and are not compared; a full run answers for the whole file.
+    if args.record:
+        if failed:
+            return 1
+        kept = load_counters() if args.only else {}
+        with open(counters_path(), "w", encoding="utf-8") as handle:
+            json.dump({**kept, **got}, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        print(f"\nrecorded {len(got)} experiments in {counters_path()}")
+        return 0
+    recorded = load_counters()
+    if args.only:
+        recorded = {key: recorded[key] for key in got if key in recorded}
+    for key in failed:  # already reported; its counts stopped part-way
+        recorded.pop(key, None)
+    differences = diff_counters(recorded, got)
+    if differences:
+        print(f"\n{len(differences)} counter differences from"
+              f" {COUNTERS_FILE} (experiment: series expected got):",
+              file=sys.stderr)
+        print("\n".join(differences), file=sys.stderr)
+    if failed or differences:
         return 1
+    total = sum(len(counts) for counts in got.values())
+    print(f"\nok: {len(got)} experiments, {total} non-zero counters,"
+          f" all equal to {COUNTERS_FILE}")
     return 0
 
 

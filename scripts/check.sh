@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full test suite must pass with observability off (the
 # default) and on (REPRO_OBS=1), proving instrumentation never changes
-# behavior. Pass --bench to also run the benchmark telemetry smoke pass
-# (scripts/bench.sh) plus the repository benchmark's smoke sizes and its
-# own tests (bench/run.py --smoke, bench/tests), and --chaos to run the
-# seeded fault-injection smoke (scripts/chaos_smoke.py), --recovery to run the seeded kill-mid-write
-# durability smoke (scripts/recovery_smoke.py), and --monitors to run the
-# chaos profiles under strict runtime invariant monitors
-# (scripts/monitor_smoke.py), --profile to run the phase-profiling
-# smoke (scripts/profile_smoke.py), and --service to run the seeded
-# verification-service chaos smoke (scripts/service_smoke.py), and
-# --swarm to run the 200-node population-driven compact-relay
-# differential smoke (scripts/swarm_smoke.py). Run from anywhere; paths
-# resolve relative to the repo root.
+# behavior. Each flag adds one seeded smoke:
+#   --bench     the paper experiments gated on their asserts and exact work
+#               counts (benchmarks/runner.py), then the repository
+#               benchmark's smoke sizes and its own tests
+#               (bench/run.py --smoke, bench/tests)
+#   --chaos     fault injection (scripts/chaos_smoke.py)
+#   --recovery  kill-mid-write durability (scripts/recovery_smoke.py)
+#   --monitors  the chaos profiles under strict runtime invariant monitors
+#               (scripts/monitor_smoke.py)
+#   --profile   phase profiling (scripts/profile_smoke.py)
+#   --service   verification-service chaos (scripts/service_smoke.py)
+#   --swarm     the 200-node population-driven compact-relay differential
+#               (scripts/swarm_smoke.py)
+# Run from anywhere; paths resolve relative to the repo root.
 set -euo pipefail
 
 run_bench=0
@@ -77,7 +79,8 @@ if [ "$run_swarm" = 1 ]; then
 fi
 
 if [ "$run_bench" = 1 ]; then
-  scripts/bench.sh
+  echo "== bench: paper experiments, asserts and exact work counts =="
+  env -u REPRO_OBS python benchmarks/runner.py
   echo "== bench: repository benchmark, smoke sizes, and its tests =="
   env -u REPRO_OBS python3 bench/run.py --smoke
   env -u REPRO_OBS python -m pytest bench/tests -q

@@ -10,16 +10,13 @@ profiler is installed:
   spent in nested phases — so the per-phase totals never double-count
   and sum to at most the profiled wall time.  ``track_alloc=True``
   additionally records net ``tracemalloc`` allocation deltas per phase.
-  The ledger snapshot is embedded in benchmark trajectories
-  (``benchmarks/runner.py``) so ``compare.py --blame`` can name the
-  phases a wall-time regression came from.
 
 * :class:`StackSampler` — a ``sys.setprofile`` call-stack profiler that
   accumulates wall time per call stack and emits collapsed-stack
   ("folded") output: one ``frame;frame;frame value`` line per unique
   stack, the format speedscope, FlameGraph, and ``inferno`` load
   directly.  Heavyweight (it hooks every Python call), so it is meant
-  for one-off investigations, never for recorded trajectories.
+  for one-off investigations.
 
 Recursion within one phase is collapsed: re-entering the phase at the
 top of the stack costs two integer operations, not a clock read, so the

@@ -75,10 +75,10 @@ def render_report(snapshot: dict | None = None, title: str = "observability") ->
 def render_phases(profile: dict | None = None, title: str = "phases") -> str:
     """Format a profiler snapshot's phase ledger as an aligned table.
 
-    ``profile`` is a :meth:`repro.obs.PhaseProfiler.snapshot` dict (live
-    or loaded from a ``BENCH_*.json`` experiment record); ``None`` reads
-    the installed profiler.  Rows are sorted by self-time, descending, so
-    the top line answers "where did this run spend its time?".
+    ``profile`` is a :meth:`repro.obs.PhaseProfiler.snapshot` dict;
+    ``None`` reads the installed profiler.  Rows are sorted by self-time,
+    descending, so the top line answers "where did this run spend its
+    time?".
     """
     if profile is None:
         prof = obs.profiler()

@@ -1,7 +1,8 @@
-"""The benchmark telemetry pipeline: stub stats, runner pieces, compare gate."""
+"""The paper-experiment runner: stub stats, discovery, the counter gate."""
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -11,7 +12,6 @@ pytestmark = pytest.mark.obs
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
 sys.path.insert(0, os.path.abspath(BENCH_DIR))
 
-import compare  # noqa: E402
 import runner  # noqa: E402
 from obs_harness import StubBenchmark, StubStats, run_bench  # noqa: E402
 
@@ -101,127 +101,135 @@ class TestRunnerDiscovery:
         )
 
 
-def make_trajectory(label="base", wall=1.0, ok=True, sha="a" * 40):
-    stats = {"min": wall, "max": wall, "mean": wall, "median": wall,
-             "stddev": 0.0, "rounds": 1, "total": wall, "ops": 1 / wall}
-    return {
-        "schema": compare.BENCH_SCHEMA,
-        "label": label,
-        "created_unix": 0.0,
-        "git_sha": sha,
-        "obs_enabled": True,
-        "smoke": True,
-        "python": "3",
-        "experiments": {
-            "e1": {"file": "bench_e1.py", "wall_seconds": wall, "ok": ok,
-                   "benches": {"bench_e1": {"ok": ok, "stats": stats,
-                                            "extra_info": {}}}},
-        },
-    }
+EXPECTED = {
+    "e6": {"ecmult.mults_total": 213, "sigcache.hits_total": 222},
+    "f1": {},
+}
 
 
-class TestCompare:
-    def test_identical_trajectories_pass(self):
-        base = make_trajectory()
-        _lines, failures = compare.compare(base, base)
-        assert failures == []
+class TestCounterGate:
+    def test_matching_run_passes(self):
+        assert runner.diff_counters(EXPECTED, dict(EXPECTED)) == []
 
-    def test_regression_beyond_threshold_fails(self):
-        base = make_trajectory(wall=1.0)
-        slow = make_trajectory(label="slow", wall=2.0)
-        _lines, failures = compare.compare(base, slow, threshold=0.25)
-        assert len(failures) == 1
-        assert "e1" in failures[0] and "+100%" in failures[0]
+    def test_edited_count_names_experiment_series_expected_and_got(self):
+        got = {**EXPECTED, "e6": {**EXPECTED["e6"], "ecmult.mults_total": 214}}
+        assert runner.diff_counters(EXPECTED, got) == [
+            "e6: ecmult.mults_total expected 213 got 214"
+        ]
 
-    def test_regression_within_threshold_passes(self):
-        base = make_trajectory(wall=1.0)
-        slightly = make_trajectory(label="s", wall=1.2)
-        _lines, failures = compare.compare(base, slightly, threshold=0.25)
-        assert failures == []
+    def test_absent_series_is_expected_to_read_zero(self):
+        got = {**EXPECTED, "f1": {"lf.typecheck_total": 4}}
+        assert runner.diff_counters(EXPECTED, got) == [
+            "f1: lf.typecheck_total expected 0 got 4"
+        ]
+        assert runner.diff_counters(got, EXPECTED) == [
+            "f1: lf.typecheck_total expected 4 got 0"
+        ]
 
-    def test_speedup_passes(self):
-        base = make_trajectory(wall=2.0)
-        fast = make_trajectory(label="fast", wall=0.5)
-        lines, failures = compare.compare(base, fast)
-        assert failures == []
-        assert any("faster" in line for line in lines)
+    def test_experiment_missing_from_either_side_fails(self):
+        only_e6 = {"e6": EXPECTED["e6"]}
+        (line,) = runner.diff_counters(EXPECTED, only_e6)
+        assert line.startswith("f1:") and "did not run" in line
+        (line,) = runner.diff_counters(only_e6, EXPECTED)
+        assert line.startswith("f1:") and "not in counters.json" in line
 
-    def test_missing_experiment_fails_unless_allowed(self):
-        base = make_trajectory()
-        new = make_trajectory(label="new")
-        new["experiments"] = {"other": base["experiments"]["e1"]}
-        _lines, failures = compare.compare(base, new)
-        assert any("missing" in failure for failure in failures)
-        _lines, failures = compare.compare(base, new, allow_missing=True)
-        assert failures == []
-
-    def test_failed_candidate_experiment_fails(self):
-        base = make_trajectory()
-        broken = make_trajectory(label="broken", ok=False)
-        _lines, failures = compare.compare(base, broken)
-        assert any("failed" in failure for failure in failures)
-
-    def test_cli_round_trip(self, tmp_path, capsys):
-        base_path = tmp_path / "BENCH_base.json"
-        slow_path = tmp_path / "BENCH_slow.json"
-        base_path.write_text(json.dumps(make_trajectory(wall=1.0)))
-        slow_path.write_text(json.dumps(make_trajectory("slow", wall=3.0)))
-        assert compare.main([str(base_path), str(base_path)]) == 0
-        assert compare.main([str(base_path), str(slow_path)]) == 1
-        assert compare.main(["--check-schema", str(base_path)]) == 0
+    def test_counters_file_has_one_entry_per_experiment(self):
+        recorded = runner.load_counters()
+        assert sorted(recorded) == sorted(
+            runner.experiment_key(name) for name in runner.discover_experiments()
+        )
+        for counts in recorded.values():
+            assert list(counts) == sorted(counts)
+            assert all(type(n) is int and n > 0 for n in counts.values())
 
 
-class TestSchema:
-    def test_valid(self):
-        compare.check_schema(make_trajectory())
+COUNTING_BENCH = (
+    "from repro import obs\n"
+    "def bench_zz_count(benchmark):\n"
+    "    benchmark.pedantic(lambda: obs.inc('script.ops_total', 3), rounds=5)\n"
+)
+BROKEN_BENCH = (
+    "def bench_zz_boom(benchmark):\n"
+    "    raise RuntimeError('intentional')\n"
+)
 
-    def test_wrong_schema_string(self):
-        bad = make_trajectory()
-        bad["schema"] = "repro.bench/0"
-        with pytest.raises(compare.SchemaError, match="schema"):
-            compare.check_schema(bad)
 
-    def test_missing_top_level_field(self):
-        bad = make_trajectory()
-        del bad["git_sha"]
-        with pytest.raises(compare.SchemaError, match="git_sha"):
-            compare.check_schema(bad)
+@pytest.fixture
+def bench_dir(tmp_path, monkeypatch):
+    """An empty experiments directory standing in for ``benchmarks/``;
+    the isolated child finds its modules through the inherited path."""
+    monkeypatch.setattr(runner, "BENCH_DIR", str(tmp_path))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return tmp_path
 
-    def test_empty_experiments(self):
-        bad = make_trajectory()
-        bad["experiments"] = {}
-        with pytest.raises(compare.SchemaError, match="non-empty"):
-            compare.check_schema(bad)
 
-    def test_bench_missing_stats_field(self):
-        bad = make_trajectory()
-        del bad["experiments"]["e1"]["benches"]["bench_e1"]["stats"]["mean"]
-        with pytest.raises(compare.SchemaError, match="mean"):
-            compare.check_schema(bad)
+class TestRunnerMain:
+    def test_record_then_check_round_trips(self, bench_dir, capfd):
+        (bench_dir / "bench_zz_counting.py").write_text(COUNTING_BENCH)
+        assert runner.main(["--record"]) == 0
+        counters = bench_dir / runner.COUNTERS_FILE
+        # One round, whatever the bench asked for: 3, not 15.
+        assert json.loads(counters.read_text()) == {
+            "zz_counting": {"script.ops_total": 3}
+        }
+        assert runner.main([]) == 0
+        assert runner.main(["--only", "zz_counting"]) == 0
+
+        counters.write_text(json.dumps({"zz_counting": {"script.ops_total": 4}}))
+        capfd.readouterr()
+        assert runner.main([]) == 1
+        assert ("zz_counting: script.ops_total expected 4 got 3"
+                in capfd.readouterr().err)
+
+    def test_failing_bench_is_reported_and_the_rest_still_run(
+        self, bench_dir, capfd
+    ):
+        (bench_dir / "bench_zz_a_broken.py").write_text(BROKEN_BENCH)
+        (bench_dir / "bench_zz_b_counting.py").write_text(COUNTING_BENCH)
+        assert runner.main(["--record"]) == 1
+        assert not (bench_dir / runner.COUNTERS_FILE).exists()
+        captured = capfd.readouterr()
+        assert "[2/2] zz_b_counting" in captured.out
+        assert "intentional" in captured.err
+        assert "FAILED experiments: zz_a_broken" in captured.err
+
+    def test_figure3_experiment_runs_on_its_own(self):
+        """``--only f3`` in a fresh interpreter: the experiment must find
+        the ``tests`` package without e8 having put the repo root on the
+        path first, and read the counts the full run recorded."""
+        done = subprocess.run(
+            [sys.executable, os.path.join(BENCH_DIR, "runner.py"),
+             "--only", "f3"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestRunExperiment:
     def test_records_failure_without_crashing(self, tmp_path, monkeypatch):
         # A module whose bench raises must yield ok=False, not a crash.
-        bad = tmp_path / "bench_zz_broken.py"
-        bad.write_text(
-            "def bench_zz_boom(benchmark):\n"
-            "    raise RuntimeError('intentional')\n"
-        )
+        (tmp_path / "bench_zz_broken.py").write_text(BROKEN_BENCH)
         monkeypatch.syspath_prepend(str(tmp_path))
-        record = runner.run_experiment("bench_zz_broken")
-        assert record["ok"] is False
-        bench = record["benches"]["bench_zz_boom"]
-        assert bench["ok"] is False
-        assert "intentional" in bench["error"]
+        result = runner.run_experiment("bench_zz_broken")
+        assert result["ok"] is False
+        (error,) = result["errors"]
+        assert error.startswith("bench_zz_boom:") and "intentional" in error
 
     def test_import_failure_recorded(self, tmp_path, monkeypatch):
         bad = tmp_path / "bench_zz_unimportable.py"
         bad.write_text("raise ImportError('no such dep')\n")
         monkeypatch.syspath_prepend(str(tmp_path))
-        record = runner.run_experiment("bench_zz_unimportable")
-        assert record["ok"] is False
-        assert "no such dep" in record["error"]
+        result = runner.run_experiment("bench_zz_unimportable")
+        assert result["ok"] is False
+        assert "no such dep" in result["errors"][0]
 
-    def test_extra_info_bytes_normalized(self):
-        assert runner._jsonable({b"\x01": (b"\x02", 3)}) == {"01": ["02", 3]}
+    def test_counts_one_round_and_ignores_extra_info(self, tmp_path, monkeypatch):
+        # extra_info may hold bytes keys and tuples; nothing serialises it.
+        (tmp_path / "bench_zz_info.py").write_text(
+            COUNTING_BENCH
+            + "    benchmark.extra_info[b'\\x01'] = (b'\\x02', 3)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        assert runner.run_experiment("bench_zz_info") == {
+            "ok": True, "errors": [], "counters": {"script.ops_total": 3},
+        }

@@ -149,29 +149,24 @@ def test_regtest_observe_flag_enables():
 
 
 def test_a1_rows_bit_identical_with_profiler_installed_but_disabled(poisoned):
-    """The disabled path is pinned to the newest recorded baseline: with
-    obs off — even with a (poisoned) profiler installed — the A1
-    experiment reproduces the exact rows last recorded (the anchor moves
-    only when a deliberate protocol change re-records the trajectory,
-    e.g. PR 10's relay echo-to-origin fix)."""
+    """The disabled path is pinned to the recorded rows: with obs off —
+    even with a (poisoned) profiler installed — the A1 experiment
+    reproduces ``A1_ROWS`` (the anchor moves only when a deliberate
+    protocol change re-anchors the literals, e.g. PR 10's relay
+    echo-to-origin fix)."""
     import importlib.util
-    import json
     from pathlib import Path
 
-    from tests.bitcoin.test_network import newest_a1_baseline_rows
+    from tests.bitcoin.test_network import A1_ROWS
 
     root = Path(__file__).resolve().parents[2]
-    rows = newest_a1_baseline_rows(root)
-    if rows is None:
-        pytest.skip("no recorded baseline in this checkout")
-
     spec = importlib.util.spec_from_file_location(
         "bench_a1_fork_rate", root / "benchmarks" / "bench_a1_fork_rate.py"
     )
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
 
-    for row in rows:
+    for row in A1_ROWS:
         fresh = bench.run_with_latency(row["latency"])
         assert fresh["found"] == row["found"]
         assert fresh["height"] == row["height"]

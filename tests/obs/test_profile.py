@@ -1,10 +1,8 @@
-"""The phase profiler: taxonomy, self-time attribution, span integration,
-the stack sampler's folded output, and the compare.py blame acceptance
-test (an injected per-phase slowdown must be named as the top regressor).
+"""The phase profiler: taxonomy, self-time attribution, span integration
+and the stack sampler's folded output.
 """
 
 import json
-import os
 import sys
 
 import pytest
@@ -24,11 +22,6 @@ from repro.obs.profile import (
 from repro.obs.report import render_phases
 
 pytestmark = pytest.mark.obs
-
-BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
-sys.path.insert(0, os.path.abspath(BENCH_DIR))
-
-import compare  # noqa: E402
 
 
 class TestTaxonomy:
@@ -418,154 +411,3 @@ class TestRenderPhases:
     def test_empty_profile_renders_placeholder(self):
         assert "no phase activity" in render_phases({"phases": {}})
         assert "no profiler installed" in render_phases(None)
-
-
-def _trajectory(label, experiments):
-    return {
-        "schema": "repro.bench/1",
-        "label": label,
-        "created_unix": 0.0,
-        "git_sha": label * 10,
-        "experiments": experiments,
-    }
-
-
-def _experiment(wall, phases=None, ok=True):
-    record = {
-        "file": "bench_x.py",
-        "wall_seconds": wall,
-        "ok": ok,
-        "benches": {
-            "bench_x": {"stats": {"min": wall, "mean": wall, "max": wall,
-                                  "rounds": 1}}
-        },
-    }
-    if phases is not None:
-        record["profile"] = {
-            "schema": PROFILE_SCHEMA,
-            "track_alloc": False,
-            "phases": {
-                phase: {"seconds": seconds, "calls": 10}
-                for phase, seconds in phases.items()
-            },
-        }
-    return record
-
-
-class TestBlame:
-    def test_injected_slowdown_names_the_phase(self, manual_clock):
-        """The acceptance test: profile a baseline run and a run with an
-        artificial slowdown injected into one phase; --blame must name
-        that phase as the top regressor."""
-        def profile_run(script_cost):
-            prof = PhaseProfiler(clock=manual_clock)
-            prof.enter("chain_connect")
-            manual_clock.advance(0.4)
-            prof.enter("script")
-            manual_clock.advance(script_cost)  # the injected slowdown
-            prof.exit()
-            prof.enter("ecmult")
-            manual_clock.advance(0.3)
-            prof.exit()
-            prof.exit()
-            return prof.snapshot()
-
-        base_profile = profile_run(0.2)
-        slow_profile = profile_run(0.8)  # +0.6s injected into "script"
-
-        base_record = _experiment(0.9, None)
-        base_record["profile"] = base_profile
-        slow_record = _experiment(1.5, None)
-        slow_record["profile"] = slow_profile
-
-        base = _trajectory("base", {"a1": base_record})
-        new = _trajectory("slow", {"a1": slow_record})
-        lines, failures = compare.compare(base, new)
-        blame_lines = [l for l in lines if "blame:" in l]
-        assert blame_lines, lines
-        assert "script" in blame_lines[0]
-        assert "+0.600s" in blame_lines[0]
-        assert "100% of phase growth" in blame_lines[0]
-        assert len(failures) == 1 and "[script +0.600s]" in failures[0]
-
-    def test_blame_skips_records_without_profiles(self):
-        base = _trajectory("base", {"a1": _experiment(1.0)})
-        new = _trajectory("new", {"a1": _experiment(2.0)})
-        lines, failures = compare.compare(base, new)
-        assert failures  # still gates on wall time
-        assert not any("blame:" in l for l in lines)
-
-    def test_blame_all_prints_for_non_regressed(self):
-        base = _trajectory("base", {"a1": _experiment(1.0, {"script": 0.5})})
-        new = _trajectory("new", {"a1": _experiment(1.01, {"script": 0.52})})
-        lines, failures = compare.compare(base, new, blame_all=True)
-        assert not failures
-        assert any("blame: script" in l for l in lines)
-
-    def test_failed_baseline_skipped_with_note(self):
-        base = _trajectory("base", {"a1": _experiment(1.0, ok=False)})
-        new = _trajectory("new", {"a1": _experiment(5.0)})
-        lines, failures = compare.compare(base, new)
-        assert not failures
-        assert any("skipped (baseline run failed)" in l for l in lines)
-
-    def test_missing_and_new_experiments_do_not_crash(self):
-        base = _trajectory("base", {"gone": _experiment(1.0)})
-        new = _trajectory("new", {"added": _experiment(1.0)})
-        lines, failures = compare.compare(base, new, allow_missing=True)
-        assert not failures
-        assert any("MISSING" in l for l in lines)
-        assert any(l.startswith("added") and "new" in l for l in lines)
-
-
-class TestProfileSchema:
-    def test_valid_profile_section_passes(self):
-        data = _trajectory("ok", {"a1": _experiment(1.0, {"script": 0.5})})
-        compare.check_schema(data)
-
-    def test_profileless_trajectory_still_valid(self):
-        data = _trajectory("ok", {"a1": _experiment(1.0)})
-        compare.check_schema(data)
-
-    def test_bad_profile_schema_rejected(self):
-        data = _trajectory("bad", {"a1": _experiment(1.0, {"script": 0.5})})
-        data["experiments"]["a1"]["profile"]["schema"] = "nope/9"
-        with pytest.raises(compare.SchemaError):
-            compare.check_schema(data)
-
-    def test_phase_missing_seconds_rejected(self):
-        data = _trajectory("bad", {"a1": _experiment(1.0, {"script": 0.5})})
-        del data["experiments"]["a1"]["profile"]["phases"]["script"]["seconds"]
-        with pytest.raises(compare.SchemaError):
-            compare.check_schema(data)
-
-    def test_phase_missing_calls_rejected(self):
-        data = _trajectory("bad", {"a1": _experiment(1.0, {"script": 0.5})})
-        del data["experiments"]["a1"]["profile"]["phases"]["script"]["calls"]
-        with pytest.raises(compare.SchemaError):
-            compare.check_schema(data)
-
-
-class TestRunnerIntegration:
-    def test_run_experiment_embeds_profile(self):
-        import runner
-
-        obs.enable()
-        record = runner.run_experiment(
-            "bench_f2_conditionals", max_rounds=1, profile=True
-        )
-        assert record["ok"], record.get("error")
-        profile = record["profile"]
-        assert profile["schema"] == PROFILE_SCHEMA
-        assert profile["phases"], "expected phase activity in F2"
-        assert all(phase in PHASE_NAMES for phase in profile["phases"])
-
-    def test_run_experiment_without_profile_has_no_section(self):
-        import runner
-
-        obs.enable()
-        record = runner.run_experiment(
-            "bench_f2_conditionals", max_rounds=1, profile=False
-        )
-        assert record["ok"]
-        assert "profile" not in record
