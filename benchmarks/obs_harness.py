@@ -12,11 +12,8 @@ its headline output::
 
 Set ``REPRO_OBS_TRACE=<path>`` / ``REPRO_OBS_EVENTS=<path>`` to also dump
 a Perfetto-loadable Chrome trace and a JSONL event log of the last
-benchmark run.  ``REPRO_OBS_PROFILE=1`` adds the per-phase self-time
-table (``repro.obs.profile``), and ``REPRO_OBS_FOLDED=<path>`` runs the
-call-stack sampler and writes speedscope-loadable collapsed stacks.
-``benchmarks/runner.py`` drives the same machinery over every experiment
-and gates on the obs counters.
+benchmark run.  ``benchmarks/runner.py`` drives the same machinery over
+every experiment and gates on the obs counters.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ import os
 import time
 
 from repro import obs
-from repro.obs.export import write_chrome_trace, write_folded
-from repro.obs.report import render_phases, render_report
+from repro.obs.export import write_chrome_trace
+from repro.obs.report import render_report
 
 
 class StubStats:
@@ -188,38 +185,19 @@ def run_standalone(*benches) -> None:
         obs.enable()
     trace_path = os.environ.get("REPRO_OBS_TRACE")
     events_path = os.environ.get("REPRO_OBS_EVENTS")
-    profile = os.environ.get("REPRO_OBS_PROFILE", "") not in ("", "0")
-    folded_path = os.environ.get("REPRO_OBS_FOLDED")
     for bench in benches:
         if obs.ENABLED:
             obs.reset()
-        prev_profiler = None
-        if profile and obs.ENABLED:
-            prev_profiler = obs.set_profiler(obs.PhaseProfiler())
-        sampler = obs.StackSampler() if folded_path else None
         stub = StubBenchmark()
         print(f"== {bench.__name__} ==")
-        try:
-            if sampler is not None:
-                with sampler:
-                    run_bench(bench, stub)
-            else:
-                run_bench(bench, stub)
-        finally:
-            if profile and obs.ENABLED:
-                profiled = obs.set_profiler(prev_profiler)
+        run_bench(bench, stub)
         if obs.ENABLED:
             print()
             print(render_report(obs.snapshot(), title=bench.__name__))
-            if profile:
-                print(render_phases(profiled.snapshot(), title=bench.__name__))
             if trace_path:
                 count = write_chrome_trace(trace_path)
                 print(f"chrome trace ({count} events) -> {trace_path}")
             if events_path:
                 count = obs.events().write_jsonl(events_path)
                 print(f"event log ({count} events) -> {events_path}")
-        if sampler is not None:
-            count = write_folded(folded_path, sampler.folded())
-            print(f"folded stacks ({count} stacks) -> {folded_path}")
         print()

@@ -10,7 +10,6 @@
 #   --recovery  kill-mid-write durability (scripts/recovery_smoke.py)
 #   --monitors  the chaos profiles under strict runtime invariant monitors
 #               (scripts/monitor_smoke.py)
-#   --profile   phase profiling (scripts/profile_smoke.py)
 #   --service   verification-service chaos (scripts/service_smoke.py)
 #   --swarm     the 200-node population-driven compact-relay differential
 #               (scripts/swarm_smoke.py)
@@ -21,7 +20,6 @@ run_bench=0
 run_chaos=0
 run_recovery=0
 run_monitors=0
-run_profile=0
 run_service=0
 run_swarm=0
 for arg in "$@"; do
@@ -30,15 +28,14 @@ for arg in "$@"; do
     --chaos) run_chaos=1 ;;
     --recovery) run_recovery=1 ;;
     --monitors) run_monitors=1 ;;
-    --profile) run_profile=1 ;;
     --service) run_service=1 ;;
     --swarm) run_swarm=1 ;;
-    *) echo "usage: $0 [--bench] [--chaos] [--recovery] [--monitors] [--profile] [--service] [--swarm]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--bench] [--chaos] [--recovery] [--monitors] [--service] [--swarm]" >&2; exit 2 ;;
   esac
 done
 
 cd "$(dirname "$0")/.."
-export PYTHONPATH=src
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: observability disabled =="
 env -u REPRO_OBS python -m pytest -x -q
@@ -66,11 +63,6 @@ fi
 if [ "$run_service" = 1 ]; then
   echo "== service: seeded verification-service chaos smoke =="
   env -u REPRO_OBS python scripts/service_smoke.py
-fi
-
-if [ "$run_profile" = 1 ]; then
-  echo "== profile: one profiled A1 run (ledger + folded output) =="
-  python scripts/profile_smoke.py
 fi
 
 if [ "$run_swarm" = 1 ]; then

@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from repro import obs
 from repro.bitcoin.pow import check_proof_of_work
 from repro.bitcoin.transaction import Transaction, read_varint, varint
 from repro.crypto.hashing import sha256d
@@ -123,26 +122,19 @@ class Block:
         also rejects trailing bytes, since every caller frames blocks
         exactly.
         """
-        prof = obs.PROFILER if obs.ENABLED else None
-        if prof is not None:
-            prof.enter("parse")
-        try:
-            buf = data if isinstance(data, memoryview) else memoryview(data)
-            header = BlockHeader.parse(buf)
-            count, offset = read_varint(buf, HEADER_SIZE)
-            txs = []
-            for _ in range(count):
-                tx, offset = Transaction.parse_from(buf, offset)
-                txs.append(tx)
-            if strict and offset != len(buf):
-                raise ValueError(
-                    f"trailing bytes after block: parsed {offset} of "
-                    f"{len(buf)}"
-                )
-            return Block(header, txs)
-        finally:
-            if prof is not None:
-                prof.exit()
+        buf = data if isinstance(data, memoryview) else memoryview(data)
+        header = BlockHeader.parse(buf)
+        count, offset = read_varint(buf, HEADER_SIZE)
+        txs = []
+        for _ in range(count):
+            tx, offset = Transaction.parse_from(buf, offset)
+            txs.append(tx)
+        if strict and offset != len(buf):
+            raise ValueError(
+                f"trailing bytes after block: parsed {offset} of "
+                f"{len(buf)}"
+            )
+        return Block(header, txs)
 
     def compute_merkle_root(self) -> bytes:
         return merkle_root([tx.txid for tx in self.txs])

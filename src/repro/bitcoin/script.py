@@ -606,27 +606,20 @@ def execute_script(
             raise ScriptError("scriptSig must be push-only")
     machine = _Machine()
     enabled = obs.ENABLED
-    prof = obs.PROFILER if enabled else None
     op_counts: dict[Op, int] | None = None
     if enabled:
         machine.track_depth = True
         op_counts = {}
     ok = True
     exhausted: ScriptResourceError | None = None
-    if prof is not None:
-        prof.enter("script")
     try:
-        try:
-            _run(script_sig, machine, checker, op_counts)
-            _run(script_pubkey, machine, checker, op_counts)
-        except ScriptResourceError as exc:
-            ok = False
-            exhausted = exc
-        except ScriptError:
-            ok = False
-    finally:
-        if prof is not None:
-            prof.exit()
+        _run(script_sig, machine, checker, op_counts)
+        _run(script_pubkey, machine, checker, op_counts)
+    except ScriptResourceError as exc:
+        ok = False
+        exhausted = exc
+    except ScriptError:
+        ok = False
     result = ok and bool(machine.stack) and cast_to_bool(machine.stack[-1])
     if enabled:
         obs.inc("script.executions_total")

@@ -49,25 +49,14 @@ class SignatureCache:
         if verdict is None:
             if obs.ENABLED:
                 obs.inc("sigcache.misses_total")
-                prof = obs.PROFILER
-                if prof is not None:
-                    prof.enter("sigcache")
-                    prof.exit()
             return None
         self._entries.move_to_end(key)
         if obs.ENABLED:
             obs.inc("sigcache.hits_total")
-            prof = obs.PROFILER
-            if prof is not None:
-                prof.enter("sigcache")
-                prof.exit()
         return verdict
 
     def put(self, digest: bytes, pubkey: bytes, sig: bytes, verdict: bool) -> None:
         """Record a verdict, evicting the least-recently-used on overflow."""
-        prof = obs.PROFILER if obs.ENABLED else None
-        if prof is not None:
-            prof.enter("sigcache")
         key = (digest, pubkey, sig)
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -78,8 +67,6 @@ class SignatureCache:
                 obs.inc("sigcache.evictions_total")
         if obs.ENABLED:
             obs.gauge_set("sigcache.size", len(self._entries))
-        if prof is not None:
-            prof.exit()
 
     def clear(self) -> None:
         self._entries.clear()

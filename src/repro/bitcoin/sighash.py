@@ -78,49 +78,42 @@ def signature_hash(
             f" transaction with {len(tx.vin)} inputs"
         )
 
-    prof = obs.PROFILER if obs.ENABLED else None
-    if prof is not None:
-        prof.enter("sighash")
-    try:
-        base = SigHashType.base(hash_type)
-        anyonecanpay = SigHashType.anyone_can_pay(hash_type)
+    base = SigHashType.base(hash_type)
+    anyonecanpay = SigHashType.anyone_can_pay(hash_type)
 
-        if base == SigHashType.SINGLE and input_index >= len(tx.vout):
-            return _SINGLE_BUG_DIGEST
+    if base == SigHashType.SINGLE and input_index >= len(tx.vout):
+        return _SINGLE_BUG_DIGEST
 
-        # Blank all scriptSigs; the signed input carries the script code.
-        vin: list[TxIn] = []
-        for i, txin in enumerate(tx.vin):
-            if anyonecanpay and i != input_index:
-                continue
-            if i == input_index:
-                vin.append(replace(txin, script_sig=script_code))
-            else:
-                sequence = txin.sequence
-                if base in (SigHashType.NONE, SigHashType.SINGLE):
-                    sequence = 0
-                vin.append(
-                    replace(txin, script_sig=Script(), sequence=sequence)
-                )
-
-        if base == SigHashType.NONE:
-            vout: list[TxOut] = []
-        elif base == SigHashType.SINGLE:
-            # Keep only outputs up to the signed index; earlier ones are
-            # blanked (value -1, empty script) so they can change freely.
-            vout = [
-                TxOut(-1, Script()) for _ in range(input_index)
-            ] + [tx.vout[input_index]]
+    # Blank all scriptSigs; the signed input carries the script code.
+    vin: list[TxIn] = []
+    for i, txin in enumerate(tx.vin):
+        if anyonecanpay and i != input_index:
+            continue
+        if i == input_index:
+            vin.append(replace(txin, script_sig=script_code))
         else:
-            vout = list(tx.vout)
+            sequence = txin.sequence
+            if base in (SigHashType.NONE, SigHashType.SINGLE):
+                sequence = 0
+            vin.append(
+                replace(txin, script_sig=Script(), sequence=sequence)
+            )
 
-        preimage = Transaction(
-            vin, vout, version=tx.version, locktime=tx.locktime
-        ).serialize() + hash_type.to_bytes(4, "little")
-        return sha256d(preimage)
-    finally:
-        if prof is not None:
-            prof.exit()
+    if base == SigHashType.NONE:
+        vout: list[TxOut] = []
+    elif base == SigHashType.SINGLE:
+        # Keep only outputs up to the signed index; earlier ones are
+        # blanked (value -1, empty script) so they can change freely.
+        vout = [
+            TxOut(-1, Script()) for _ in range(input_index)
+        ] + [tx.vout[input_index]]
+    else:
+        vout = list(tx.vout)
+
+    preimage = Transaction(
+        vin, vout, version=tx.version, locktime=tx.locktime
+    ).serialize() + hash_type.to_bytes(4, "little")
+    return sha256d(preimage)
 
 
 class SighashCache:
@@ -219,40 +212,32 @@ class SighashCache:
             if obs.ENABLED:
                 obs.inc("sighash.cache_hits_total")
             return cached
-        prof = None
         if obs.ENABLED:
             obs.inc("sighash.cache_misses_total")
-            prof = obs.PROFILER
-            if prof is not None:
-                prof.enter("sighash")
-        try:
-            base = SigHashType.base(hash_type)
-            if base == SigHashType.SINGLE and input_index >= len(tx.vout):
-                self._digests[key] = _SINGLE_BUG_DIGEST
-                return _SINGLE_BUG_DIGEST
+        base = SigHashType.base(hash_type)
+        if base == SigHashType.SINGLE and input_index >= len(tx.vout):
+            self._digests[key] = _SINGLE_BUG_DIGEST
+            return _SINGLE_BUG_DIGEST
 
-            signed = self._signed_piece(input_index, script_code)
-            if SigHashType.anyone_can_pay(hash_type):
-                vin_segment = b"\x01" + signed
-            else:
-                pieces = list(
-                    self._blanked_pieces(
-                        base in (SigHashType.NONE, SigHashType.SINGLE)
-                    )
+        signed = self._signed_piece(input_index, script_code)
+        if SigHashType.anyone_can_pay(hash_type):
+            vin_segment = b"\x01" + signed
+        else:
+            pieces = list(
+                self._blanked_pieces(
+                    base in (SigHashType.NONE, SigHashType.SINGLE)
                 )
-                pieces[input_index] = signed
-                vin_segment = varint(len(pieces)) + b"".join(pieces)
-
-            preimage = (
-                self._head
-                + vin_segment
-                + self._outputs_segment(base, input_index)
-                + self._tail
-                + hash_type.to_bytes(4, "little")
             )
-            digest = sha256d(preimage)
-            self._digests[key] = digest
-            return digest
-        finally:
-            if prof is not None:
-                prof.exit()
+            pieces[input_index] = signed
+            vin_segment = varint(len(pieces)) + b"".join(pieces)
+
+        preimage = (
+            self._head
+            + vin_segment
+            + self._outputs_segment(base, input_index)
+            + self._tail
+            + hash_type.to_bytes(4, "little")
+        )
+        digest = sha256d(preimage)
+        self._digests[key] = digest
+        return digest

@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro import obs
 from repro.bitcoin.script import Script
 from repro.crypto.hashing import sha256d
 
@@ -163,17 +162,6 @@ class Transaction:
     @staticmethod
     def parse_from(data, start: int) -> "tuple[Transaction, int]":
         """Parse one transaction at ``start``; returns (tx, next_offset)."""
-        prof = obs.PROFILER if obs.ENABLED else None
-        if prof is not None:
-            prof.enter("parse")
-        try:
-            return Transaction._parse_from(data, start)
-        finally:
-            if prof is not None:
-                prof.exit()
-
-    @staticmethod
-    def _parse_from(data, start: int) -> "tuple[Transaction, int]":
         # Zero-copy decoding: fixed-width fields are unpacked in place
         # (no per-field slice objects); the only bytes that are copied out
         # of the buffer are the ones that outlive it — 32-byte txids (the

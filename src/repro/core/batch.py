@@ -24,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro import cancel, obs
+from repro import cancel
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.core.proofs import (
     decompose_tensor,
@@ -211,12 +211,6 @@ class BatchServer:
         party"), requires the txout to be locked to its own key, and
         credits ``owner``.
         """
-        if obs.ENABLED:
-            with obs.trace_span("batch.deposit", owner=owner.hex()[:8]):
-                return self._deposit(bundle, owner)
-        return self._deposit(bundle, owner)
-
-    def _deposit(self, bundle: ClaimBundle, owner: bytes) -> int:
         try:
             # Replay relaxes ONLY the is-currently-unspent check: the
             # journal witnessed the outpoint unspent at deposit time, and
@@ -285,16 +279,6 @@ class BatchServer:
         ``authorizations`` maps each input owner's principal to a
         (pubkey, signature) pair over :meth:`VirtualTransaction.payload`.
         """
-        if obs.ENABLED:
-            with obs.trace_span("batch.transact", inputs=len(vtx.inputs)):
-                return self._transact(vtx, authorizations)
-        return self._transact(vtx, authorizations)
-
-    def _transact(
-        self,
-        vtx: VirtualTransaction,
-        authorizations: dict[bytes, tuple[bytes, bytes]],
-    ) -> int:
         if not vtx.inputs:
             raise BatchError("virtual transactions need at least one input")
         # Duplicate notify: the payload signs the complete operation, so
@@ -423,20 +407,6 @@ class BatchServer:
         the server's records untouched, so the caller can simply retry.
         State mutates only after the carrier is handed to the network.
         """
-        if obs.ENABLED:
-            with obs.trace_span("batch.withdraw", resource=resource_id):
-                return self._withdraw(
-                    resource_id, recipient_pubkey, fee, deadline
-                )
-        return self._withdraw(resource_id, recipient_pubkey, fee, deadline)
-
-    def _withdraw(
-        self,
-        resource_id: int,
-        recipient_pubkey: bytes,
-        fee: int,
-        deadline: cancel.Deadline | None = None,
-    ) -> Transaction:
         if deadline is not None and deadline.expired():
             raise cancel.DeadlineExceeded("withdrawal deadline already expired")
         target = self._resources.get(resource_id)
@@ -569,7 +539,7 @@ class BatchServer:
     def _apply_journal(self, record: dict) -> None:
         op = record["op"]
         if op == "deposit":
-            self._deposit(
+            self.deposit(
                 decode_bundle(bytes.fromhex(record["bundle"])),
                 bytes.fromhex(record["owner"]),
             )
@@ -594,7 +564,7 @@ class BatchServer:
                 )
                 for owner_hex, (pub_hex, sig_hex) in record["auth"].items()
             }
-            self._transact(vtx, auths)
+            self.transact(vtx, auths)
         elif op == "withdraw":
             carrier_txid = bytes.fromhex(record["carrier"])
             self._resources[record["resource"]].withdrawn = True

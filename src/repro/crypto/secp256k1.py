@@ -517,20 +517,12 @@ def scalar_mult(k: int, p: Point = GENERATOR) -> Point:
     k %= CURVE_ORDER
     if k == 0 or p.is_infinity:
         return INFINITY
-    prof = None
     if obs.ENABLED:
         obs.inc("ecmult.mults_total")
-        prof = obs.PROFILER
-        if prof is not None:
-            prof.enter("ecmult")
-    try:
-        if p.x == _GX and p.y == _GY:
-            return _from_jacobian(_gen_mult_jacobian(k))
-        streams = _glv_streams(k, _point_wnaf_tables(p), _WNAF_WIDTH)
-        return _from_jacobian(_ladder(streams))
-    finally:
-        if prof is not None:
-            prof.exit()
+    if p.x == _GX and p.y == _GY:
+        return _from_jacobian(_gen_mult_jacobian(k))
+    streams = _glv_streams(k, _point_wnaf_tables(p), _WNAF_WIDTH)
+    return _from_jacobian(_ladder(streams))
 
 
 def lift_x(x: int, odd: bool) -> Point | None:
@@ -564,20 +556,13 @@ def _decompress(data: bytes) -> Point | str:
     every carrier CHECKMULTISIG offers.  Points are immutable, so sharing
     one is safe.
     """
-    prof = obs.PROFILER if obs.ENABLED else None
-    if prof is not None:
-        prof.enter("ecmult")
-    try:
-        x = int.from_bytes(data[1:], "big")
-        if x >= FIELD_PRIME:
-            return "x coordinate out of range"
-        point = lift_x(x, odd=data[0] == 3)
-        if point is None:
-            return "x coordinate has no square root (not on curve)"
-        return point
-    finally:
-        if prof is not None:
-            prof.exit()
+    x = int.from_bytes(data[1:], "big")
+    if x >= FIELD_PRIME:
+        return "x coordinate out of range"
+    point = lift_x(x, odd=data[0] == 3)
+    if point is None:
+        return "x coordinate has no square root (not on curve)"
+    return point
 
 
 def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
@@ -596,22 +581,14 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
         u2 = 0
     if not u1 and not u2:
         return INFINITY
-    prof = None
     if obs.ENABLED:
         obs.inc("ecmult.dual_total")
-        prof = obs.PROFILER
-        if prof is not None:
-            prof.enter("ecmult")
-    try:
-        streams: list[tuple[list[int], _Table]] = []
-        if u1:
-            streams += _glv_streams(u1, _gen_tables()[1], _GEN_WNAF_WIDTH)
-        if u2:
-            streams += _glv_streams(u2, _point_wnaf_tables(q), _WNAF_WIDTH)
-        return _from_jacobian(_ladder(streams))
-    finally:
-        if prof is not None:
-            prof.exit()
+    streams: list[tuple[list[int], _Table]] = []
+    if u1:
+        streams += _glv_streams(u1, _gen_tables()[1], _GEN_WNAF_WIDTH)
+    if u2:
+        streams += _glv_streams(u2, _point_wnaf_tables(q), _WNAF_WIDTH)
+    return _from_jacobian(_ladder(streams))
 
 
 def multi_scalar_mult(terms) -> Point:
@@ -644,33 +621,25 @@ def multi_scalar_mult(terms) -> Point:
     others = [(k, point) for point, k in by_point.items() if k]
     if not gen_k and not others:
         return INFINITY
-    prof = None
     if obs.ENABLED:
         obs.inc("ecmult.batch_total")
         obs.inc(
             "ecmult.batch_terms_total", len(others) + (1 if gen_k else 0)
         )
-        prof = obs.PROFILER
-        if prof is not None:
-            prof.enter("ecmult")
-    try:
-        streams: list[tuple[list[int], _Table]] = []
-        if gen_k:
-            streams += _glv_streams(gen_k, _gen_tables()[1], _GEN_WNAF_WIDTH)
-        # Cached tables are reused as-is; tables for new points are built
-        # in Jacobian coordinates and normalized together — the whole batch
-        # pays one field inversion, not one per point.
-        pending: list[tuple[int, int, int]] = []
-        for _, point in others:
-            if (point.x, point.y) not in _POINT_TABLE_CACHE:
-                pending.extend(_odd_multiples(point))
-        fresh = iter(_batch_to_affine(pending))
-        for k, point in others:
-            tables = _POINT_TABLE_CACHE.get((point.x, point.y))
-            if tables is None:
-                tables = _with_lambda(list(islice(fresh, _POINT_TABLE_SIZE)))
-            streams += _glv_streams(k, tables, _WNAF_WIDTH)
-        return _from_jacobian(_ladder(streams))
-    finally:
-        if prof is not None:
-            prof.exit()
+    streams: list[tuple[list[int], _Table]] = []
+    if gen_k:
+        streams += _glv_streams(gen_k, _gen_tables()[1], _GEN_WNAF_WIDTH)
+    # Cached tables are reused as-is; tables for new points are built
+    # in Jacobian coordinates and normalized together — the whole batch
+    # pays one field inversion, not one per point.
+    pending: list[tuple[int, int, int]] = []
+    for _, point in others:
+        if (point.x, point.y) not in _POINT_TABLE_CACHE:
+            pending.extend(_odd_multiples(point))
+    fresh = iter(_batch_to_affine(pending))
+    for k, point in others:
+        tables = _POINT_TABLE_CACHE.get((point.x, point.y))
+        if tables is None:
+            tables = _with_lambda(list(islice(fresh, _POINT_TABLE_SIZE)))
+        streams += _glv_streams(k, tables, _WNAF_WIDTH)
+    return _from_jacobian(_ladder(streams))

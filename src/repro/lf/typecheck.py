@@ -84,17 +84,6 @@ def infer_kind(basis: Basis, ctx: LFContext, family: TypeFamily) -> KindT:
         # DeadlineExceeded, which is NOT an LFTypeError — expiry is an
         # infrastructure outcome, never a typing verdict.
         cancel.checkpoint()
-    prof = obs.PROFILER if obs.ENABLED else None
-    if prof is not None:
-        prof.enter("lf_typecheck")
-    try:
-        return _infer_kind(basis, ctx, family)
-    finally:
-        if prof is not None:
-            prof.exit()
-
-
-def _infer_kind(basis: Basis, ctx: LFContext, family: TypeFamily) -> KindT:
     if isinstance(family, TConst):
         try:
             decl = basis.lookup(family.ref)
@@ -132,24 +121,8 @@ def infer_type(basis: Basis, ctx: LFContext, term: Term) -> TypeFamily:
     """Judgement Σ;Ψ ⊢ m : τ (type synthesis)."""
     if cancel.ACTIVE:
         cancel.checkpoint()
-    prof = None
     if obs.ENABLED:
         obs.inc("lf.typecheck_total")
-        prof = obs.PROFILER
-        if prof is not None:
-            # Recursive per-node calls re-enter the phase at the top of the
-            # profiler stack, which collapses to a counter bump — no clock
-            # reads on the recursion, so profiling doesn't distort the
-            # typechecker's own cost.
-            prof.enter("lf_typecheck")
-    try:
-        return _infer_type(basis, ctx, term)
-    finally:
-        if prof is not None:
-            prof.exit()
-
-
-def _infer_type(basis: Basis, ctx: LFContext, term: Term) -> TypeFamily:
     if isinstance(term, Var):
         return ctx.lookup(term.name)
     if isinstance(term, Const):

@@ -198,16 +198,10 @@ class CheckerContext:
 
 def check_prop_formation(basis: Basis, lf_ctx: LFContext, prop: Proposition) -> None:
     """Judgement Σ;Ψ ⊢ A prop."""
-    prof = obs.PROFILER if obs.ENABLED else None
-    if prof is not None:
-        prof.enter("logic_check")
     try:
         _check_prop_formation(basis, lf_ctx, prop)
     except LFTypeError as exc:
         raise ProofError(f"ill-formed proposition {prop}: {exc}") from exc
-    finally:
-        if prof is not None:
-            prof.exit()
 
 
 def _check_prop_formation(basis: Basis, lf_ctx: LFContext, prop: Proposition) -> None:
@@ -307,23 +301,8 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
         # ProofError — it unwinds through the validation stack as an
         # infrastructure timeout, never as a proof verdict.
         cancel.checkpoint()
-    prof = None
     if obs.ENABLED:
         obs.inc("proof.nodes_total")
-        prof = obs.PROFILER
-        if prof is not None:
-            # Per-node recursion collapses to a counter bump in the
-            # profiler (same phase at top of stack), so proof checking is
-            # not distorted by its own instrumentation.
-            prof.enter("logic_check")
-    try:
-        return _infer(ctx, term)
-    finally:
-        if prof is not None:
-            prof.exit()
-
-
-def _infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
     if isinstance(term, PVar):
         if term.name in ctx.affine:
             return ctx.affine[term.name], frozenset((term.name,))

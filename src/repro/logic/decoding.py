@@ -12,6 +12,7 @@ binders, ``p0, p1, …`` for proof binders), so ``decode(encode(x))`` is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.lf.syntax import (
@@ -58,12 +59,26 @@ class DecodingError(Exception):
     """Malformed or truncated wire data."""
 
 
+# The deepest term the decoders build before refusing the input.  Wire
+# data is hostile and the decoders recurse once per constructor, so without
+# a bound 5 KB of ``¬`` leaves them as RecursionError, not DecodingError.
+# Measured: the deepest transaction of the benchmark's working set
+# (``build_working_set(7, 1)``, 79 transactions) nests 23 levels, the
+# deepest anything in tier-1 decodes 15, and a plain transfer 3 per
+# input/output pair, so 256 is an order of magnitude of headroom and ≈ 85
+# pairs.  The checkers take ≈ 990 levels before Python's own limit;
+# ``decode_proof``, at three frames a level the costliest decoder, reaches
+# 256 in ≈ 770 of the interpreter's 1 000 frames.
+MAX_NESTING = 256
+
+
 @dataclass
 class Cursor:
     """A byte reader with LEB128/blob primitives and binder environments."""
 
     data: bytes
     pos: int = 0
+    nesting: int = 0  # constructor levels open above the read position
 
     def byte(self) -> int:
         if self.pos >= len(self.data):
@@ -97,6 +112,28 @@ class Cursor:
         return self.pos == len(self.data)
 
 
+def _nested(decode):
+    """Count one constructor level around ``decode``; refuse past the bound.
+
+    The count lives on the cursor, so it spans every syntactic category a
+    term passes through (a proof inside a proposition inside a family …)
+    and does not depend on how deep the caller's own stack is.
+    """
+
+    @functools.wraps(decode)
+    def bounded(cursor: Cursor, *depths: int):
+        if cursor.nesting >= MAX_NESTING:
+            raise DecodingError(
+                f"nesting too deep: more than {MAX_NESTING} constructor levels"
+            )
+        cursor.nesting += 1
+        result = decode(cursor, *depths)
+        cursor.nesting -= 1
+        return result
+
+    return bounded
+
+
 def _lf_name(depth: int) -> str:
     return f"u{depth}"
 
@@ -117,6 +154,7 @@ def decode_ref(cursor: Cursor) -> ConstRef:
     raise DecodingError(f"unknown namespace tag {space_blob[:1]!r}")
 
 
+@_nested
 def decode_term(cursor: Cursor, depth: int = 0) -> Term:
     tag = cursor.byte()
     if tag == 0x10:
@@ -141,6 +179,7 @@ def decode_term(cursor: Cursor, depth: int = 0) -> Term:
     raise DecodingError(f"unknown term tag 0x{tag:02x}")
 
 
+@_nested
 def decode_family(cursor: Cursor, depth: int = 0) -> TypeFamily:
     tag = cursor.byte()
     if tag == 0x20:
@@ -156,6 +195,7 @@ def decode_family(cursor: Cursor, depth: int = 0) -> TypeFamily:
     raise DecodingError(f"unknown family tag 0x{tag:02x}")
 
 
+@_nested
 def decode_kind(cursor: Cursor, depth: int = 0) -> KindT:
     tag = cursor.byte()
     if tag == 0x30:
@@ -168,6 +208,7 @@ def decode_kind(cursor: Cursor, depth: int = 0) -> KindT:
     raise DecodingError(f"unknown kind tag 0x{tag:02x}")
 
 
+@_nested
 def decode_cond(cursor: Cursor, depth: int = 0) -> Condition:
     tag = cursor.byte()
     if tag == 0x40:
@@ -187,6 +228,7 @@ def decode_cond(cursor: Cursor, depth: int = 0) -> Condition:
     raise DecodingError(f"unknown condition tag 0x{tag:02x}")
 
 
+@_nested
 def decode_prop(cursor: Cursor, depth: int = 0) -> Proposition:
     tag = cursor.byte()
     if tag == 0x50:
@@ -223,6 +265,7 @@ def decode_prop(cursor: Cursor, depth: int = 0) -> Proposition:
     raise DecodingError(f"unknown proposition tag 0x{tag:02x}")
 
 
+@_nested
 def decode_proof(
     cursor: Cursor, depth: int = 0, lf_depth: int = 0
 ) -> pt.ProofTerm:

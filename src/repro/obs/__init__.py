@@ -1,4 +1,4 @@
-"""``repro.obs`` — metrics, structured tracing, and profiling hooks.
+"""``repro.obs`` — metrics, structured tracing and events.
 
 The observability substrate for the whole validation pipeline: a
 dependency-free metrics registry (:mod:`repro.obs.metrics`), a span tracer
@@ -52,13 +52,6 @@ from repro.obs.metrics import (
     Registry,
     series_name,
 )
-from repro.obs.profile import (
-    PHASES,
-    PhaseLedger,
-    PhaseProfiler,
-    StackSampler,
-    phase_of,
-)
 from repro.obs.trace import Span, Tracer, _ActiveSpan
 
 __all__ = [
@@ -69,9 +62,6 @@ __all__ = [
     "inc", "observe", "gauge_set", "gauge_max", "trace_span",
     "snapshot", "render_text", "spans",
     "NodeTelemetry", "node_scope", "current_node",
-    "PROFILER", "set_profiler", "profiler",
-    "SAMPLER", "set_sampler", "sampler",
-    "PHASES", "PhaseLedger", "PhaseProfiler", "StackSampler", "phase_of",
     "Registry", "Tracer", "Span", "Counter", "Gauge", "Histogram",
     "Event", "EventLog", "EVENT_KINDS", "EVENT_SCHEMA_VERSION",
     "COUNT_BUCKETS", "DEFAULT_BUCKETS", "CATALOGUE", "series_name",
@@ -245,18 +235,6 @@ _tracer = Tracer()
 _events = EventLog(clock=_event_clock)
 _clock: Callable[[], float] = time.perf_counter
 
-# The installed phase profiler, or None.  Call sites read this module
-# attribute directly (``obs.PROFILER``) behind their ``obs.ENABLED``
-# guard, so the disabled path performs no profile traffic at all and
-# the enabled-but-unprofiled path pays one attribute load and a None
-# check.  Install with :func:`set_profiler`.
-PROFILER: PhaseProfiler | None = None
-
-# The installed call-stack sampler (``repro.obs.serve`` exposes its folded
-# output on ``/profile.folded``), or None.  Install with
-# :func:`set_sampler`.
-SAMPLER: StackSampler | None = None
-
 ENABLED: bool = os.environ.get("REPRO_OBS", "") not in ("", "0")
 if ENABLED:
     _declare_catalogue(_registry)
@@ -308,36 +286,6 @@ def tracer() -> Tracer:
 def set_tracer(trc: Tracer) -> Tracer:
     global _tracer
     previous, _tracer = _tracer, trc
-    return previous
-
-
-def profiler() -> PhaseProfiler | None:
-    """The installed phase profiler, if any."""
-    return PROFILER
-
-
-def set_profiler(prof: PhaseProfiler | None) -> PhaseProfiler | None:
-    """Install (or remove, with ``None``) the phase profiler; returns the
-    previous one.  Profiling hooks only fire while observability is
-    enabled — the profiler reuses the same ``obs.ENABLED`` guards as the
-    metric call sites."""
-    global PROFILER
-    previous, PROFILER = PROFILER, prof
-    return previous
-
-
-def sampler() -> StackSampler | None:
-    """The installed call-stack sampler, if any."""
-    return SAMPLER
-
-
-def set_sampler(smp: StackSampler | None) -> StackSampler | None:
-    """Install (or remove, with ``None``) the call-stack sampler; returns
-    the previous one.  Installing only publishes the sampler for exporters
-    — call :meth:`StackSampler.install` (or use it as a context manager)
-    to actually start sampling."""
-    global SAMPLER
-    previous, SAMPLER = SAMPLER, smp
     return previous
 
 
@@ -521,11 +469,9 @@ def trace_span(name: str, metric: str | None = None, **attrs: object):
         telemetry = _node_stack[-1]
         return _ActiveSpan(
             telemetry.tracer, _registry, _clock, name, metric, attrs,
-            extra_registry=telemetry.registry, profiler=PROFILER,
+            extra_registry=telemetry.registry,
         )
-    return _ActiveSpan(
-        _tracer, _registry, _clock, name, metric, attrs, profiler=PROFILER
-    )
+    return _ActiveSpan(_tracer, _registry, _clock, name, metric, attrs)
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,7 @@ from typing import Callable, IO
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
-    "SUPPORTED_EVENT_SCHEMA_VERSIONS",
     "EVENT_KINDS",
-    "EVENT_KINDS_SINCE_V2",
-    "EVENT_KINDS_SINCE_V3",
-    "EVENT_KINDS_SINCE_V4",
     "Event",
     "EventLog",
     "EventSchemaError",
@@ -40,12 +36,9 @@ __all__ = [
 ]
 
 # Bump when the envelope or a kind's required fields change shape.
-# v2 added the swarm-telemetry kinds (relay.hop, monitor.violation,
-# node.crash); v3 added the verification-service kinds (service.*,
-# script.pool_broken); v4 added the compact-relay kinds (compact.*).
-# The envelope is unchanged throughout, so older dumps still validate.
+# Only the current version validates: no committed artifact holds an
+# older event.
 EVENT_SCHEMA_VERSION = 4
-SUPPORTED_EVENT_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
 # kind -> required payload field names.  Emitting an unknown kind or
 # omitting a required field raises immediately: a typo at a call site
@@ -122,33 +115,6 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "compact.withheld": ("node", "peer", "hash"),
 }
 
-# Kinds that did not exist before schema v2: a v1 event claiming one of
-# these is malformed (no v1 writer ever produced them), so a consumer
-# can flag a corrupted or hand-edited dump early.
-EVENT_KINDS_SINCE_V2 = frozenset(
-    {"relay.hop", "monitor.violation", "node.crash", "fault.inflation"}
-)
-
-# Likewise for schema v3 (the verification-service kinds).
-EVENT_KINDS_SINCE_V3 = frozenset(
-    {
-        "service.verdict",
-        "service.poison_rejected",
-        "service.shed",
-        "script.pool_broken",
-    }
-)
-
-# Likewise for schema v4 (the compact-relay kinds).
-EVENT_KINDS_SINCE_V4 = frozenset(
-    {
-        "compact.received",
-        "compact.getblocktxn",
-        "compact.fallback",
-        "compact.withheld",
-    }
-)
-
 
 class EventSchemaError(ValueError):
     """An event does not conform to the documented schema."""
@@ -206,10 +172,9 @@ def validate_event(obj: dict) -> None:
     for key in ("v", "seq", "ts", "kind", "data"):
         if key not in obj:
             raise EventSchemaError(f"missing envelope field {key!r}")
-    if obj["v"] not in SUPPORTED_EVENT_SCHEMA_VERSIONS:
+    if obj["v"] != EVENT_SCHEMA_VERSION:
         raise EventSchemaError(
-            f"schema version {obj['v']!r} not in "
-            f"{SUPPORTED_EVENT_SCHEMA_VERSIONS}"
+            f"schema version {obj['v']!r} is not {EVENT_SCHEMA_VERSION}"
         )
     if not isinstance(obj["seq"], int) or obj["seq"] < 0:
         raise EventSchemaError(f"seq must be a non-negative int, got {obj['seq']!r}")
@@ -219,21 +184,6 @@ def validate_event(obj: dict) -> None:
     required = EVENT_KINDS.get(kind)
     if required is None:
         raise EventSchemaError(f"unknown event kind {kind!r}")
-    if obj["v"] < 2 and kind in EVENT_KINDS_SINCE_V2:
-        raise EventSchemaError(
-            f"kind {kind!r} was introduced in schema v2 "
-            f"but the event claims v{obj['v']}"
-        )
-    if obj["v"] < 3 and kind in EVENT_KINDS_SINCE_V3:
-        raise EventSchemaError(
-            f"kind {kind!r} was introduced in schema v3 "
-            f"but the event claims v{obj['v']}"
-        )
-    if obj["v"] < 4 and kind in EVENT_KINDS_SINCE_V4:
-        raise EventSchemaError(
-            f"kind {kind!r} was introduced in schema v4 "
-            f"but the event claims v{obj['v']}"
-        )
     data = obj["data"]
     if not isinstance(data, dict):
         raise EventSchemaError("data must be an object")

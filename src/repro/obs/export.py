@@ -33,13 +33,11 @@ from repro.obs.metrics import quantile_from_cumulative
 
 __all__ = [
     "QUANTILES",
-    "phase_counter_events",
     "quantile_from_cumulative",
     "snapshot_quantiles",
     "to_chrome_trace",
     "swarm_chrome_trace",
     "write_chrome_trace",
-    "write_folded",
     "write_swarm_chrome_trace",
 ]
 
@@ -271,52 +269,6 @@ def write_chrome_trace(path: str, snapshot: dict | None = None) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle, sort_keys=True)
     return len(trace["traceEvents"])
-
-
-def phase_counter_events(
-    checkpoints: list[tuple[float, dict[str, float]]],
-    pid: int = 1,
-    name: str = "phase_seconds",
-) -> list[dict]:
-    """Render profiler checkpoints as a Perfetto counter track.
-
-    ``checkpoints`` is :attr:`repro.obs.profile.PhaseProfiler.checkpoints`
-    — ``(clock_ts, {phase: cumulative_self_seconds})`` samples.  Each
-    becomes a ``"ph": "C"`` counter event whose ``args`` carry one series
-    per phase, so Perfetto draws stacked per-phase cost over time next to
-    the span tracks from :func:`to_chrome_trace`.
-    """
-    events: list[dict] = [
-        {
-            "ph": "C",
-            "name": name,
-            "pid": pid,
-            "tid": 0,
-            "ts": ts * 1e6,
-            "args": {
-                phase: round(seconds, 9)
-                for phase, seconds in sorted(cumulative.items())
-            },
-        }
-        for ts, cumulative in checkpoints
-    ]
-    events.sort(key=lambda e: e["ts"])
-    return events
-
-
-def write_folded(path: str, folded: str) -> int:
-    """Write collapsed-stack (folded) sampler output to ``path``.
-
-    The text is :meth:`repro.obs.profile.StackSampler.folded` output —
-    one ``frame;frame;frame weight`` line per unique stack — which
-    speedscope and ``flamegraph.pl`` load directly.  Returns the number
-    of stack lines written.
-    """
-    if folded and not folded.endswith("\n"):
-        folded += "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(folded)
-    return sum(1 for line in folded.splitlines() if line.strip())
 
 
 def write_swarm_chrome_trace(

@@ -72,47 +72,6 @@ def render_report(snapshot: dict | None = None, title: str = "observability") ->
     return "\n".join(lines)
 
 
-def render_phases(profile: dict | None = None, title: str = "phases") -> str:
-    """Format a profiler snapshot's phase ledger as an aligned table.
-
-    ``profile`` is a :meth:`repro.obs.PhaseProfiler.snapshot` dict;
-    ``None`` reads the installed profiler.  Rows are sorted by self-time,
-    descending, so the top line answers "where did this run spend its
-    time?".
-    """
-    if profile is None:
-        prof = obs.profiler()
-        if prof is None:
-            return f"--- {title}: no profiler installed ---"
-        profile = prof.snapshot()
-    phases = profile.get("phases") or {}
-    lines = [f"--- {title}: per-phase self time ---"]
-    if not phases:
-        lines.append("(no phase activity recorded)")
-        return "\n".join(lines)
-    track_alloc = any("alloc_bytes" in entry for entry in phases.values())
-    header = f"{'phase':<18}{'self':>11}{'calls':>10}{'share':>8}"
-    if track_alloc:
-        header += f"{'alloc':>12}"
-    lines.append(header)
-    total = sum(entry.get("seconds", 0.0) for entry in phases.values())
-    ordered = sorted(
-        phases.items(),
-        key=lambda item: (-item[1].get("seconds", 0.0), item[0]),
-    )
-    for phase, entry in ordered:
-        seconds = entry.get("seconds", 0.0)
-        share = seconds / total if total else 0.0
-        row = (
-            f"{phase:<18}{_fmt_seconds(seconds):>11}"
-            f"{entry.get('calls', 0):>10}{share:>8.1%}"
-        )
-        if track_alloc:
-            row += f"{entry.get('alloc_bytes', 0):>11}B"
-        lines.append(row)
-    return "\n".join(lines)
-
-
 def render_trace(snapshot: dict | None = None, limit: int = 40) -> str:
     """An indented listing of the ``limit`` most recent spans."""
     snap = snapshot if snapshot is not None else obs.snapshot()

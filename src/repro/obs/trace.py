@@ -85,8 +85,7 @@ class _ActiveSpan:
     """Context manager for one open span (created only when enabled)."""
 
     __slots__ = ("tracer", "registry", "clock", "name", "metric", "attrs",
-                 "span_id", "parent", "depth", "start", "extra_registry",
-                 "profiler")
+                 "span_id", "parent", "depth", "start", "extra_registry")
 
     def __init__(
         self,
@@ -97,7 +96,6 @@ class _ActiveSpan:
         metric: str | None,
         attrs: dict[str, object],
         extra_registry: Registry | None = None,
-        profiler=None,
     ):
         self.tracer = tracer
         self.registry = registry
@@ -106,7 +104,6 @@ class _ActiveSpan:
         self.metric = metric
         self.attrs = attrs
         self.extra_registry = extra_registry
-        self.profiler = profiler
         self.span_id = -1
         self.parent: int | None = None
         self.depth = 0
@@ -119,8 +116,6 @@ class _ActiveSpan:
         self.parent = stack[-1].span_id if stack else None
         self.depth = len(stack)
         stack.append(self)
-        if self.profiler is not None:
-            self.profiler.span_enter(self.name)
         self.start = self.clock()
         return self
 
@@ -130,8 +125,6 @@ class _ActiveSpan:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = self.clock() - self.start
-        if self.profiler is not None:
-            self.profiler.span_exit()
         stack = self.tracer._open
         # Tolerate a child that leaked (e.g. an exception skipped its exit).
         while stack and stack[-1] is not self:

@@ -148,7 +148,7 @@ class VerificationService:
         install_affirmation_cache(self._prior_affirmation_cache)
 
     def health(self) -> dict:
-        """Liveness/readiness snapshot (`/healthz` serves this)."""
+        """Liveness/readiness snapshot, read in-process."""
         with self._lock:
             draining = self._draining
             inflight = self._inflight

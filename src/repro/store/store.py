@@ -272,19 +272,12 @@ class BlockStore:
     def append_connect(self, block: Block, height: int, undo: BlockUndo) -> None:
         """Persist one block connect: the block record plus its undo."""
         self._require_open()
-        prof = obs.PROFILER if obs.ENABLED else None
-        if prof is not None:
-            prof.enter("store_append")
-        try:
-            written = self._append(
-                self._block_log, codec.encode_connect(block, height)
-            )
-            written += self._append(
-                self._undo_log, codec.encode_undo_record(block.hash, height, undo)
-            )
-        finally:
-            if prof is not None:
-                prof.exit()
+        written = self._append(
+            self._block_log, codec.encode_connect(block, height)
+        )
+        written += self._append(
+            self._undo_log, codec.encode_undo_record(block.hash, height, undo)
+        )
         self._connects_since_snapshot += 1
         if obs.ENABLED:
             obs.inc("store.blocks_appended_total")
@@ -293,16 +286,9 @@ class BlockStore:
     def append_disconnect(self, block_hash: bytes, height: int) -> None:
         """Persist one tip disconnect (reorg rollback marker)."""
         self._require_open()
-        prof = obs.PROFILER if obs.ENABLED else None
-        if prof is not None:
-            prof.enter("store_append")
-        try:
-            written = self._append(
-                self._block_log, codec.encode_disconnect(block_hash, height)
-            )
-        finally:
-            if prof is not None:
-                prof.exit()
+        written = self._append(
+            self._block_log, codec.encode_disconnect(block_hash, height)
+        )
         if obs.ENABLED:
             obs.inc("store.disconnects_appended_total")
             obs.inc("store.bytes_written_total", written)
@@ -321,18 +307,11 @@ class BlockStore:
         lie *after* the newest snapshot's offsets.
         """
         self._require_open()
-        prof = obs.PROFILER if obs.ENABLED else None
-        if prof is not None:
-            prof.enter("store_snapshot")
-        try:
-            for fh in (self._block_log, self._undo_log):
-                fh.flush()
-                os.fsync(fh.fileno())
-            path = self.snapshot_path(height)
-            size = write_snapshot_file(path, utxos, height, tip)
-        finally:
-            if prof is not None:
-                prof.exit()
+        for fh in (self._block_log, self._undo_log):
+            fh.flush()
+            os.fsync(fh.fileno())
+        path = self.snapshot_path(height)
+        size = write_snapshot_file(path, utxos, height, tip)
         previous = self._manifest.get("snapshot") or {}
         self._manifest["version"] = MANIFEST_VERSION
         self._manifest["snapshot"] = {

@@ -5,20 +5,31 @@ import pytest
 from repro.bitcoin.transaction import OutPoint
 from repro.core.builder import basis_publication, simple_transfer
 from repro.core.transaction import TypecoinInput, TypecoinOutput
-from repro.core.verifier import verify_claim
+from repro.core.verifier import VerificationError, verify_claim
 from repro.core.wire import (
     decode_bundle,
     decode_transaction,
     encode_bundle,
     encode_transaction,
 )
-from repro.logic.decoding import DecodingError
-from repro.logic.propositions import One, props_equal
+from repro.logic.decoding import MAX_NESTING, DecodingError
+from repro.logic.encoding import encode_proof
+from repro.logic.proofterms import BangIntro, OneIntro
+from repro.logic.propositions import Bang, One, props_equal
 
 from tests.core.conftest import publish_newcoin
 from tests.core.test_batch import issue_to
 
 PUBKEY = b"\x02" + b"\x44" * 32
+
+
+def over_nested_transaction(levels=3000):
+    """Well-framed transaction bytes whose proof is ``levels`` × ``fst``
+    deep: only the proof, the last field, is hostile."""
+    txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
+    data, proof = encode_transaction(txn), encode_proof(txn.proof)
+    assert data.endswith(proof)
+    return data[: -len(proof)] + b"\x67" * levels + proof
 
 
 class TestTransactionRoundtrip:
@@ -58,6 +69,10 @@ class TestTransactionRoundtrip:
         with pytest.raises(DecodingError, match="trailing"):
             decode_transaction(encode_transaction(txn) + b"\x00")
 
+    def test_over_nested_proof_rejected(self):
+        with pytest.raises(DecodingError, match="nesting too deep"):
+            decode_transaction(over_nested_transaction())
+
 
 class TestBundleRoundtrip:
     def test_bundle_survives_the_wire_and_verifies(self, net, bank, alice):
@@ -82,8 +97,6 @@ class TestBundleRoundtrip:
         wire_bytes = bytearray(encode_bundle(bundle))
         # Flip a byte deep in the payload.
         wire_bytes[len(wire_bytes) // 2] ^= 0xFF
-        from repro.core.verifier import VerificationError
-
         with pytest.raises((DecodingError, VerificationError, Exception)):
             received = decode_bundle(bytes(wire_bytes))
             verify_claim(net.chain, received)
@@ -94,16 +107,17 @@ class TestBundleRoundtrip:
 
     @staticmethod
     def _bundle_bytes(entries):
-        """A bundle with exactly these (txid key, transaction) entries, in
-        this order — ``encode_bundle`` can emit neither a repeat nor a
-        short key, a hostile prover can."""
+        """A bundle with exactly these (txid key, transaction or its bytes)
+        entries, in this order — ``encode_bundle`` can emit neither a
+        repeat nor a short key, a hostile prover can."""
         from repro.logic.encoding import _blob, _uint, encode_prop
 
         parts = [b"typecoin-bundle:", _blob(b"\x11" * 32), _uint(0)]
         parts.append(_blob(encode_prop(One())))
         parts.append(_uint(len(entries)))
         for txid, txn in entries:
-            parts.append(_blob(txid) + _blob(encode_transaction(txn)))
+            data = txn if isinstance(txn, bytes) else encode_transaction(txn)
+            parts.append(_blob(txid) + _blob(data))
         return b"".join(parts)
 
     def test_handmade_bundle_decodes(self):
@@ -127,3 +141,42 @@ class TestBundleRoundtrip:
         txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
         with pytest.raises(DecodingError, match="32 bytes"):
             decode_bundle(self._bundle_bytes([(key, txn)]))
+
+    def test_over_nested_proof_rejected(self):
+        data = self._bundle_bytes([(b"\x11" * 32, over_nested_transaction())])
+        with pytest.raises(DecodingError, match="nesting too deep"):
+            decode_bundle(data)
+
+    def test_claim_nested_to_the_bound_gets_an_answer(self, net, bank):
+        """What the decoder lets through, the checkers can finish: the
+        deepest transaction that decodes is answered, not crashed on."""
+
+        def promoted(levels):
+            prop, proof = One(), OneIntro()
+            for _ in range(levels):
+                prop, proof = Bang(prop), BangIntro(proof)
+            output = TypecoinOutput(prop, 600, bank.pubkey)
+            return prop, simple_transfer([], [output], body=lambda _ins: proof)
+
+        # The obligation wrapper adds a few levels of its own: find the
+        # deepest promotion that still decodes.
+        levels = MAX_NESTING
+        while True:
+            prop, txn = promoted(levels)
+            try:
+                decode_transaction(encode_transaction(txn))
+                break
+            except DecodingError:
+                levels -= 1
+        with pytest.raises(DecodingError, match="nesting too deep"):
+            decode_transaction(encode_transaction(promoted(levels + 1)[1]))
+
+        carrier = bank.submit(txn)
+        net.confirm(1)
+        bank.sync()
+        bundle = bank.claim_bundle(OutPoint(carrier.txid, 0), prop)
+        received = decode_bundle(encode_bundle(bundle))
+        try:
+            verify_claim(net.chain, received)
+        except VerificationError:
+            pass

@@ -154,6 +154,18 @@ class TestTermTyping:
         with pytest.raises(LFTypeError, match="not an index-term"):
             infer_type(basis, EMPTY_CONTEXT, Const(NAT))
 
+    def test_lambda_nested_600_deep(self, basis):
+        """One Python frame per node: 600 fits the interpreter's 1 000, and
+        did not while ``infer_type`` was a two-function pair."""
+        term = NatLit(0)
+        for i in range(600):
+            term = Lam(f"x{i}", NAT_T, term)
+        family = infer_type(basis, EMPTY_CONTEXT, term)
+        for _ in range(600):
+            assert isinstance(family, TPi) and family.domain == NAT_T
+            family = family.body
+        assert family == NAT_T
+
 
 class TestFamilyKinding:
     def test_base_types(self, basis):
@@ -180,6 +192,12 @@ class TestFamilyKinding:
 
     def test_pi_formation(self, basis):
         fam = arrow(NAT_T, PRINCIPAL_T)
+        assert infer_kind(basis, EMPTY_CONTEXT, fam) == KIND_TYPE
+
+    def test_pi_nested_600_deep(self, basis):
+        fam = NAT_T
+        for i in range(600):
+            fam = TPi(f"x{i}", NAT_T, fam)
         assert infer_kind(basis, EMPTY_CONTEXT, fam) == KIND_TYPE
 
     def test_prop_kind_families(self, basis):

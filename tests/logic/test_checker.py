@@ -236,6 +236,18 @@ class TestExponential:
         term = BangIntro(OneIntro())
         assert proves(ctx, term, Bang(One()))
 
+    def test_promotion_nested_600_deep(self, ctx):
+        """One Python frame per proof node: 600 fits the interpreter's
+        1 000, and did not while ``infer`` was a two-function pair."""
+        term = OneIntro()
+        for _ in range(600):
+            term = BangIntro(term)
+        prop = check_proof(ctx, term)
+        for _ in range(600):
+            assert isinstance(prop, Bang)
+            prop = prop.body
+        assert prop == One()
+
     def test_promotion_rejects_affine_use(self, ctx):
         inner = ctx.with_affine("x", coin(1))
         with pytest.raises(ProofError, match="promotion"):

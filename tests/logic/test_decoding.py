@@ -20,9 +20,11 @@ from repro.lf.syntax import (
 )
 from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
 from repro.logic.decoding import (
+    MAX_NESTING,
     Cursor,
     DecodingError,
     decode_cond,
+    decode_family,
     decode_kind,
     decode_proof,
     decode_prop,
@@ -30,6 +32,7 @@ from repro.logic.decoding import (
 )
 from repro.logic.encoding import (
     encode_cond,
+    encode_family,
     encode_kind,
     encode_proof,
     encode_prop,
@@ -256,3 +259,35 @@ class TestProofs:
             IfBind("x", PVar("i"), IfReturn(CTrue(), PVar("x"))),
         )
         roundtrip_proof(proof)
+
+
+_NAT = encode_family(NAT_T)
+
+# (decoder, encoder, the bytes of one more level, the leaf that closes them)
+_CHAINS = {
+    "cond-not": (decode_cond, encode_cond, b"\x42", b"\x40"),
+    "prop-bang": (decode_prop, encode_prop, b"\x57", b"\x56"),
+    "proof-withfst": (decode_proof, encode_proof, b"\x67", b"\x6c"),
+    "term-lambda": (decode_term, encode_term, b"\x12" + _NAT, b"\x15\x00"),
+    "family-pi": (decode_family, encode_family, b"\x22" + _NAT, _NAT),
+    "kind-pi": (decode_kind, encode_kind, b"\x31" + _NAT, b"\x30\x00"),
+}
+
+
+@pytest.mark.parametrize("chain", _CHAINS)
+class TestNestingBound:
+    """Over-nested input is refused by count, as a ``DecodingError`` —
+    not by the interpreter, as a ``RecursionError``."""
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 5000])
+    def test_past_the_bound_is_a_decoding_error(self, chain, levels):
+        decode, _, level, leaf = _CHAINS[chain]
+        with pytest.raises(DecodingError, match="nesting too deep"):
+            decode(Cursor(level * (levels - 1) + leaf))
+
+    def test_term_at_the_bound_round_trips(self, chain):
+        decode, encode, level, leaf = _CHAINS[chain]
+        data = level * (MAX_NESTING - 1) + leaf
+        cursor = Cursor(data)
+        assert encode(decode(cursor)) == data
+        assert cursor.exhausted and cursor.nesting == 0

@@ -33,14 +33,10 @@ def obs_sandbox():
     # obs.clock (not the default perf_counter) so manual_clock governs
     # event timestamps too.
     saved_events = obs.set_event_log(obs.EventLog(clock=obs.clock))
-    saved_profiler = obs.set_profiler(None)
-    saved_sampler = obs.set_sampler(None)
     yield
     obs.set_registry(saved_registry)
     obs.set_tracer(saved_tracer)
     obs.set_event_log(saved_events)
-    obs.set_profiler(saved_profiler)
-    obs.set_sampler(saved_sampler)
     obs.reset_clock()
     obs.ENABLED = was_enabled
 

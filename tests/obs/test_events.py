@@ -9,7 +9,6 @@ from repro import obs
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
-    SUPPORTED_EVENT_SCHEMA_VERSIONS,
     EventLog,
     EventSchemaError,
     validate_event,
@@ -159,6 +158,14 @@ class TestValidateEvent:
         with pytest.raises(EventSchemaError, match="schema version"):
             validate_event(event)
 
+    @pytest.mark.parametrize("version", range(1, EVENT_SCHEMA_VERSION))
+    def test_older_version_refused(self, version):
+        # base() is a kind every version had: the version alone refuses it.
+        event = self.base()
+        event["v"] = version
+        with pytest.raises(EventSchemaError, match="schema version"):
+            validate_event(event)
+
     def test_unknown_kind(self):
         event = self.base()
         event["kind"] = "nope"
@@ -179,21 +186,10 @@ class TestValidateEvent:
 
 
 class TestSchemaV2:
-    """The v2 bump: new swarm-telemetry kinds, v1 events still accepted."""
+    """The swarm-telemetry kinds."""
 
     def test_current_version_is_four(self):
         assert EVENT_SCHEMA_VERSION == 4
-        assert SUPPORTED_EVENT_SCHEMA_VERSIONS == (1, 2, 3, 4)
-
-    def test_v1_event_still_validates(self):
-        # An event written by a pre-PR-6 run must keep round-tripping.
-        validate_event({
-            "v": 1,
-            "seq": 3,
-            "ts": 1.0,
-            "kind": "block.connected",
-            "data": {"hash": "ab", "height": 1, "txs": 1},
-        })
 
     @pytest.mark.parametrize(
         "kind, payload",
@@ -216,23 +212,8 @@ class TestSchemaV2:
         assert parsed["v"] == EVENT_SCHEMA_VERSION
         assert parsed["data"] == payload
 
-    def test_new_kinds_reject_v1(self):
-        # v1 writers never produced these kinds; flagging a mixed file
-        # early beats silently accepting an impossible combination.
-        event = {
-            "v": 1,
-            "seq": 0,
-            "ts": 0.0,
-            "kind": "relay.hop",
-            "data": {"trace": "t", "from": "a", "to": "b",
-                     "hop": 0, "sim_time": 0.0},
-        }
-        with pytest.raises(EventSchemaError, match="introduced in"):
-            validate_event(event)
-
-
 class TestSchemaV3:
-    """The v3 bump: verification-service kinds, older events accepted."""
+    """The verification-service kinds."""
 
     @pytest.mark.parametrize(
         "kind, payload",
@@ -251,30 +232,8 @@ class TestSchemaV3:
         assert parsed["v"] == EVENT_SCHEMA_VERSION
         assert parsed["data"] == payload
 
-    def test_new_kinds_reject_v2(self):
-        event = {
-            "v": 2,
-            "seq": 0,
-            "ts": 0.0,
-            "kind": "service.verdict",
-            "data": {"status": "ok"},
-        }
-        with pytest.raises(EventSchemaError, match="introduced in schema v3"):
-            validate_event(event)
-
-    def test_v2_event_still_validates(self):
-        validate_event({
-            "v": 2,
-            "seq": 1,
-            "ts": 0.5,
-            "kind": "relay.hop",
-            "data": {"trace": "t", "from": "a", "to": "b",
-                     "hop": 0, "sim_time": 0.0},
-        })
-
-
 class TestSchemaV4:
-    """The v4 bump: compact-relay kinds, older events accepted."""
+    """The compact-relay kinds."""
 
     @pytest.mark.parametrize(
         "kind, payload",
@@ -305,27 +264,6 @@ class TestSchemaV4:
         validate_event(parsed)
         assert parsed["v"] == EVENT_SCHEMA_VERSION
         assert parsed["data"] == payload
-
-    def test_new_kinds_reject_v3(self):
-        event = {
-            "v": 3,
-            "seq": 0,
-            "ts": 0.0,
-            "kind": "compact.fallback",
-            "data": {"node": "a", "hash": "ab", "reason": "timeout"},
-        }
-        with pytest.raises(EventSchemaError, match="introduced in schema v4"):
-            validate_event(event)
-
-    def test_v3_event_still_validates(self):
-        validate_event({
-            "v": 3,
-            "seq": 1,
-            "ts": 0.5,
-            "kind": "service.verdict",
-            "data": {"status": "ok"},
-        })
-
 
 class TestObsIntegration:
     def test_emit_helper_uses_default_log(self):
