@@ -6,8 +6,6 @@
 #               counts (benchmarks/runner.py), then the repository
 #               benchmark's smoke sizes and its own tests
 #               (bench/run.py --smoke, bench/tests)
-#   --chaos     fault injection (scripts/chaos_smoke.py)
-#   --recovery  kill-mid-write durability (scripts/recovery_smoke.py)
 #   --monitors  the chaos profiles under strict runtime invariant monitors
 #               (scripts/monitor_smoke.py)
 #   --service   verification-service chaos (scripts/service_smoke.py)
@@ -17,20 +15,16 @@
 set -euo pipefail
 
 run_bench=0
-run_chaos=0
-run_recovery=0
 run_monitors=0
 run_service=0
 run_swarm=0
 for arg in "$@"; do
   case "$arg" in
     --bench) run_bench=1 ;;
-    --chaos) run_chaos=1 ;;
-    --recovery) run_recovery=1 ;;
     --monitors) run_monitors=1 ;;
     --service) run_service=1 ;;
     --swarm) run_swarm=1 ;;
-    *) echo "usage: $0 [--bench] [--chaos] [--recovery] [--monitors] [--service] [--swarm]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--bench] [--monitors] [--service] [--swarm]" >&2; exit 2 ;;
   esac
 done
 
@@ -44,16 +38,6 @@ echo "== tier-1: observability enabled (REPRO_OBS=1) =="
 REPRO_OBS=1 python -m pytest -x -q
 
 echo "ok: suite passes with observability off and on"
-
-if [ "$run_chaos" = 1 ]; then
-  echo "== chaos: seeded fault-injection smoke =="
-  env -u REPRO_OBS python scripts/chaos_smoke.py
-fi
-
-if [ "$run_recovery" = 1 ]; then
-  echo "== recovery: seeded kill-mid-write smoke =="
-  env -u REPRO_OBS python scripts/recovery_smoke.py
-fi
 
 if [ "$run_monitors" = 1 ]; then
   echo "== monitors: chaos profiles under strict invariant monitors =="

@@ -15,8 +15,8 @@ turns it into a testbed:
   stale-tip forks, double-spends, and orphan spam, countered by per-peer
   misbehavior scoring with ban thresholds and the bounded orphan pool;
 * :data:`PROFILES` / :func:`run_chaos` — named, seeded fault scenarios
-  whose convergence the chaos benchmark and ``scripts/check.sh --chaos``
-  assert.
+  whose convergence the chaos benchmark and
+  ``tests/bitcoin/test_chaos.py::TestChaosScenarios`` assert.
 
 Everything draws randomness from the simulation's seeded RNG, so every
 chaos run — including the attacker's schedule — is exactly reproducible

@@ -124,7 +124,6 @@ class Simulation:
         action()
         if obs.ENABLED:
             obs.inc("net.events_total")
-            obs.gauge_set("net.queue_size", len(self._queue))
 
     def run_until(self, end_time: float) -> str:
         """Process events up to ``end_time``; returns how the run stopped
@@ -194,16 +193,9 @@ class Node:
     store_dir: str | None = None
     snapshot_interval: int = 16  # blocks between UTXO snapshots
     alive: bool = field(default=True, init=False)
-    # Per-node telemetry (registry + tracer + event ring), created only on
-    # instrumented runs; None keeps the node on the global registry alone.
-    telemetry: "obs.NodeTelemetry | None" = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        if obs.ENABLED:
-            self.telemetry = obs.NodeTelemetry(self.name)
-            with obs.node_scope(self.telemetry):
-                self.chain = self._boot_chain()
-        else:
+        with obs.node_scope(self.name if obs.ENABLED else None):
             self.chain = self._boot_chain()
         self.mempool = Mempool(self.chain)
         # Relay-hop distance of each known block / parked orphan from its
@@ -421,15 +413,8 @@ class Node:
         if self.chain.store is not None:
             self.chain.store.close()
         if obs.ENABLED:
-            # Abandon the dead process's in-flight spans before emitting:
-            # they must not become parents of post-restart spans.
-            open_spans = 0
-            if self.telemetry is not None:
-                open_spans = self.telemetry.tracer.abandon_open()
             obs.inc("fault.crashes_total")
-            with obs.node_scope(self.telemetry):
-                obs.emit("fault.crash", node=self.name)
-                obs.emit("node.crash", node=self.name, open_spans=open_spans)
+            obs.emit("fault.crash", node=self.name)
             from repro.obs import flight
 
             flight.trigger("node.crash", sim_time=self.sim.now)
@@ -449,14 +434,6 @@ class Node:
         """
         if self.alive:
             return
-        if obs.ENABLED:
-            if self.telemetry is None:
-                # Observability was enabled after this node was built;
-                # give the reborn process its own telemetry.
-                self.telemetry = obs.NodeTelemetry(self.name)
-            else:
-                # Defensive: crash() already abandoned these.
-                self.telemetry.tracer.abandon_open()
         if self.store_dir is not None:
             if not persist_chain:
                 from repro.store import BlockStore
@@ -477,10 +454,7 @@ class Node:
         self.alive = True
         if obs.ENABLED:
             obs.inc("fault.restarts_total")
-            with obs.node_scope(self.telemetry):
-                obs.emit(
-                    "fault.restart", node=self.name, persisted=persist_chain
-                )
+            obs.emit("fault.restart", node=self.name, persisted=persist_chain)
         peers, self._peers_at_crash = self._peers_at_crash, []
         from repro.bitcoin.sync import start_sync
 
@@ -516,8 +490,8 @@ class Node:
         """
         if not self.alive:
             return
-        if obs.ENABLED and self.telemetry is not None:
-            with obs.node_scope(self.telemetry):
+        if obs.ENABLED:
+            with obs.node_scope(self.name):
                 self._submit_block(block, origin, hop)
         else:
             self._submit_block(block, origin, hop)
@@ -706,8 +680,8 @@ class Node:
     ) -> bool:
         if not self.alive:
             return False
-        if obs.ENABLED and self.telemetry is not None:
-            with obs.node_scope(self.telemetry):
+        if obs.ENABLED:
+            with obs.node_scope(self.name):
                 return self._submit_transaction(tx, origin, hop)
         return self._submit_transaction(tx, origin, hop)
 
@@ -785,8 +759,8 @@ class Node:
         """
         if not self.alive:
             return
-        if obs.ENABLED and self.telemetry is not None:
-            with obs.node_scope(self.telemetry):
+        if obs.ENABLED:
+            with obs.node_scope(self.name):
                 self._submit_compact_block(cb, origin, hop)
         else:
             self._submit_compact_block(cb, origin, hop)
@@ -870,15 +844,14 @@ class Node:
         req = pending.req_seq
         indexes = tuple(pending.missing)
         if obs.ENABLED:
-            with obs.node_scope(self.telemetry):
-                obs.inc("compact.roundtrips_total")
-                obs.emit(
-                    "compact.getblocktxn",
-                    node=self.name,
-                    peer=origin.name,
-                    hash=block_hash,
-                    indexes=len(indexes),
-                )
+            obs.inc("compact.roundtrips_total")
+            obs.emit(
+                "compact.getblocktxn",
+                node=self.name,
+                peer=origin.name,
+                hash=block_hash,
+                indexes=len(indexes),
+            )
         self.send_to(
             origin,
             lambda: origin._serve_block_txns(self, block_hash, indexes, req),
@@ -932,7 +905,7 @@ class Node:
         pending = self._compact_pending.get(block_hash)
         if pending is None or pending.req_seq != req:
             return  # resolved, superseded, or timed out meanwhile
-        with obs.node_scope(self.telemetry if obs.ENABLED else None):
+        with obs.node_scope(self.name if obs.ENABLED else None):
             if payload is None or len(payload) != len(pending.missing):
                 # The peer announced a block it cannot back with data: an
                 # honest sender always can.  (Distinct from a short-id
@@ -980,13 +953,12 @@ class Node:
             pending.fell_back = True
             if obs.ENABLED:
                 obs.inc("compact.fallback_total")
-                with obs.node_scope(self.telemetry):
-                    obs.emit(
-                        "compact.fallback",
-                        node=self.name,
-                        hash=block_hash,
-                        reason=reason,
-                    )
+                obs.emit(
+                    "compact.fallback",
+                    node=self.name,
+                    hash=block_hash,
+                    reason=reason,
+                )
         pending.req_seq += 1
         req = pending.req_seq
         self.send_to(
@@ -1025,7 +997,7 @@ class Node:
         pending = self._compact_pending.get(block_hash)
         if pending is None or pending.req_seq != req:
             return
-        with obs.node_scope(self.telemetry if obs.ENABLED else None):
+        with obs.node_scope(self.name if obs.ENABLED else None):
             if block is None or block.hash != block_hash:
                 if obs.ENABLED:
                     obs.inc("compact.withheld_total")
@@ -1154,17 +1126,12 @@ class PoissonMiner:
             # times track the simulation clock (the retarget rule reads them).
             wall = self.node.chain.genesis.header.timestamp + int(self.node.sim.now)
             timestamp = max(wall, self.node.chain.median_time_past() + 1)
-            if obs.ENABLED and self.node.telemetry is not None:
-                # Attribute the template-build span to the mining node.
-                with obs.node_scope(self.node.telemetry):
-                    block = self._miner.assemble(
-                        self.node.mempool,
-                        timestamp=timestamp,
-                        extra_nonce=self._extra_nonce,
-                    )
-            else:
+            # Attribute the template-build span to the mining node.
+            with obs.node_scope(self.node.name if obs.ENABLED else None):
                 block = self._miner.assemble(
-                    self.node.mempool, timestamp=timestamp, extra_nonce=self._extra_nonce
+                    self.node.mempool,
+                    timestamp=timestamp,
+                    extra_nonce=self._extra_nonce,
                 )
             self.blocks_found += 1
             if obs.ENABLED:

@@ -63,15 +63,9 @@ class SignatureCache:
         self._entries[key] = verdict
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            if obs.ENABLED:
-                obs.inc("sigcache.evictions_total")
-        if obs.ENABLED:
-            obs.gauge_set("sigcache.size", len(self._entries))
 
     def clear(self) -> None:
         self._entries.clear()
-        if obs.ENABLED:
-            obs.gauge_set("sigcache.size", 0)
 
 
 _default_cache: SignatureCache | None = SignatureCache()

@@ -199,8 +199,6 @@ class UTXOSet:
             # does not describe this state (corrupt record, wrong block):
             # disconnecting anyway would silently corrupt the set.
             if not self._delete_created(outpoint):
-                if obs.ENABLED:
-                    obs.inc("utxo.undo_missing_total")
                 raise KeyError(
                     f"undo expected created txout {outpoint} in the set"
                 )

@@ -23,13 +23,25 @@ poisoned registry stub).  Turn it on with :func:`enable`, with
 ``RegtestNetwork(observe=True)``, or by setting ``REPRO_OBS=1`` in the
 environment before the first import.
 
+One log, one tracer
+-------------------
+
+Every signal is written once, to the process-wide registry, tracer and
+event log.  A simulated node attributes what it records by *name*:
+inside ``with obs.node_scope(node.name):`` every event and span is
+stamped ``node=<name>`` (a caller's own ``node=`` wins), so one node's
+view is a filter on that field, not a second sink.  The span and event
+rings are bounded; what does not fit is counted (``spans_dropped``,
+``events_dropped``), never silently lost.
+
 Exports
 -------
 
-Three views of the collected data:
+Two views of the collected data:
 
-* :func:`snapshot` — JSON-able dict of every series (plus spans);
-* :func:`render_text` — Prometheus-style text exposition;
+* :func:`snapshot` — JSON-able dict of every series (plus spans and
+  events), which :func:`repro.obs.export.write_chrome_trace` turns into
+  a Perfetto-loadable trace with one ``pid`` track per node;
 * :func:`repro.obs.report.render_report` — human-readable per-stage
   breakdown the benchmarks print next to their headline numbers.
 
@@ -60,8 +72,8 @@ __all__ = [
     "events", "set_event_log", "emit",
     "clock", "set_clock", "reset_clock",
     "inc", "observe", "gauge_set", "gauge_max", "trace_span",
-    "snapshot", "render_text", "spans",
-    "NodeTelemetry", "node_scope", "current_node",
+    "snapshot", "spans",
+    "node_scope", "current_node",
     "Registry", "Tracer", "Span", "Counter", "Gauge", "Histogram",
     "Event", "EventLog", "EVENT_KINDS", "EVENT_SCHEMA_VERSION",
     "COUNT_BUCKETS", "DEFAULT_BUCKETS", "CATALOGUE", "series_name",
@@ -91,7 +103,6 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("mempool.orphans_total", "c"),
     ("mempool.size", "g"),
     ("net.events_total", "c"),
-    ("net.queue_size", "g"),
     ("net.blocks_relayed_total", "c"),
     ("net.txs_relayed_total", "c"),
     ("net.block_propagation_seconds", "h"),
@@ -143,11 +154,8 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("sighash.cache_misses_total", "c"),
     ("sigcache.hits_total", "c"),
     ("sigcache.misses_total", "c"),
-    ("sigcache.evictions_total", "c"),
-    ("sigcache.size", "g"),
     # Durable block store: append path, snapshots, crash recovery.
     ("store.blocks_appended_total", "c"),
-    ("store.disconnects_appended_total", "c"),
     ("store.bytes_written_total", "c"),
     ("store.snapshots_total", "c"),
     ("store.snapshot_fallbacks_total", "c"),
@@ -158,19 +166,16 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("store.crc_failures_total", "c"),
     ("store.recover_seconds", "h"),
     # Consensus/wallet boundary fixes riding with the store.
-    ("utxo.undo_missing_total", "c"),
     ("mempool.reinjected_total", "c"),
     ("fault.torn_writes_total", "c"),
     # Swarm telemetry: causal relay hops, invariant monitors, flight
     # recorder dumps, supply-inflation fault injection.
     ("relay.hops_total", "c"),
     ("relay.redundant_total", "c"),
-    ("monitor.checks_total", "c"),
     ("monitor.violations_total", "c"),
     ("flight.dumps_total", "c"),
     ("fault.inflations_total", "c"),
-    # Fault-tolerant verification service: admission, memo, client
-    # retries.
+    # Fault-tolerant verification service: admission and memo.
     ("service.requests_total", "c"),
     ("service.verdicts_total", "c"),
     ("service.verify_seconds", "h"),
@@ -178,8 +183,6 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("service.memo_misses_total", "c"),
     ("service.memo_poison_rejected_total", "c"),
     ("service.shed_total", "c"),
-    ("service.retries_total", "c"),
-    ("service.inflight", "g"),
     # Block-connect script pool crash fallback (serial re-verification).
     ("script.pool_broken_total", "c"),
     # Batched ECDSA (repro.crypto.ecdsa.batch_verify over one
@@ -322,78 +325,42 @@ def reset_clock() -> None:
 
 
 # ----------------------------------------------------------------------
-# Per-node telemetry scopes (swarm attribution)
+# Node scopes (swarm attribution)
 # ----------------------------------------------------------------------
 
-
-class NodeTelemetry:
-    """One simulated node's private registry, tracer, and event ring.
-
-    While a :func:`node_scope` for this telemetry is active, every
-    recording helper dual-writes: the process-wide aggregate still sees
-    everything (existing dashboards and gates keep working), and the
-    node's own series accumulate the per-node view that
-    :func:`repro.obs.swarm.swarm_snapshot` merges with a ``node`` label.
-    """
-
-    __slots__ = ("name", "registry", "tracer", "events")
-
-    def __init__(
-        self, name: str, event_capacity: int = 4096, max_spans: int = 4096
-    ):
-        self.name = name
-        self.registry = Registry()
-        self.tracer = Tracer(max_spans=max_spans)
-        self.events = EventLog(capacity=event_capacity, clock=_event_clock)
-
-    def snapshot(self) -> dict:
-        """The node's deterministic JSON-able view (same shape as
-        :func:`snapshot`)."""
-        snap = self.registry.snapshot()
-        snap["spans"] = self.tracer.snapshot()
-        snap["spans_dropped"] = self.tracer.dropped
-        snap["events"] = self.events.snapshot()
-        snap["events_dropped"] = self.events.dropped
-        return snap
-
-    def reset(self) -> None:
-        self.registry.clear()
-        self.tracer.clear()
-        self.events.clear()
-
-
-# Innermost-first stack of active NodeTelemetry scopes.  The simulator is
+# Innermost-last stack of active node names.  The simulator is
 # single-threaded, so a plain module-level list is race-free.
-_node_stack: list[NodeTelemetry] = []
+_node_stack: list[str] = []
 
 
 class _NodeScope:
-    """Context manager routing recordings to one node's telemetry."""
+    """Context manager naming the node that recordings belong to."""
 
-    __slots__ = ("telemetry",)
+    __slots__ = ("name",)
 
-    def __init__(self, telemetry: NodeTelemetry | None):
-        self.telemetry = telemetry
+    def __init__(self, name: str | None):
+        self.name = name
 
-    def __enter__(self) -> NodeTelemetry | None:
-        if self.telemetry is not None:
-            _node_stack.append(self.telemetry)
-        return self.telemetry
+    def __enter__(self) -> str | None:
+        if self.name is not None:
+            _node_stack.append(self.name)
+        return self.name
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.telemetry is not None:
+        if self.name is not None:
             _node_stack.pop()
 
 
-def node_scope(telemetry: NodeTelemetry | None) -> _NodeScope:
-    """Attribute recordings inside the ``with`` to ``telemetry`` (a None
-    telemetry scope is a no-op, so standalone components fall back to the
-    global registry unconditionally)."""
-    return _NodeScope(telemetry)
+def node_scope(name: str | None) -> _NodeScope:
+    """Attribute events and spans recorded inside the ``with`` to the node
+    called ``name``: they are stamped ``node=<name>`` on the one event log
+    and the one tracer.  Scopes nest (innermost wins); a None name is a
+    no-op, so a call site can pass ``name if obs.ENABLED else None``."""
+    return _NodeScope(name)
 
 
-def current_node() -> NodeTelemetry | None:
-    """The innermost active node scope, if any."""
+def current_node() -> str | None:
+    """The innermost active node scope's name, if any."""
     return _node_stack[-1] if _node_stack else None
 
 
@@ -404,8 +371,6 @@ def current_node() -> NodeTelemetry | None:
 
 def inc(name: str, amount: int = 1, **labels: object) -> None:
     _registry.inc(name, amount, **labels)
-    if _node_stack:
-        _node_stack[-1].registry.inc(name, amount, **labels)
 
 
 def observe(
@@ -415,20 +380,14 @@ def observe(
     **labels: object,
 ) -> None:
     _registry.observe(name, value, buckets, **labels)
-    if _node_stack:
-        _node_stack[-1].registry.observe(name, value, buckets, **labels)
 
 
 def gauge_set(name: str, value: float) -> None:
     _registry.gauge_set(name, value)
-    if _node_stack:
-        _node_stack[-1].registry.gauge_set(name, value)
 
 
 def gauge_max(name: str, value: float) -> None:
     _registry.gauge_max(name, value)
-    if _node_stack:
-        _node_stack[-1].registry.gauge_max(name, value)
 
 
 def emit(kind: str, **fields: object) -> None:
@@ -439,17 +398,12 @@ def emit(kind: str, **fields: object) -> None:
 
     Call only behind an ``if obs.ENABLED:`` guard — the kwargs dict alone
     would be an allocation on the disabled path.  Under a node scope the
-    event is stamped with the node's name (unless the caller already set
-    one) and mirrored into the node's private ring.
+    event is stamped with the node's name unless the caller already set
+    one.
     """
-    if _node_stack:
-        telemetry = _node_stack[-1]
-        if "node" not in fields:
-            fields["node"] = telemetry.name
-        # Build/validate once; the node ring mirrors the same object.
-        telemetry.events.append(_events.emit(kind, **fields))
-    else:
-        _events.emit(kind, **fields)
+    if _node_stack and "node" not in fields:
+        fields["node"] = _node_stack[-1]
+    _events.emit(kind, **fields)
 
 
 def trace_span(name: str, metric: str | None = None, **attrs: object):
@@ -462,15 +416,11 @@ def trace_span(name: str, metric: str | None = None, **attrs: object):
     ``metric=`` additionally feeds the duration into that histogram.
     Callers keep the ``ENABLED`` guard at the call site (the kwargs dict
     alone would be an allocation on the disabled path).  Under a node
-    scope the span lands on the node's own tracer (its ``pid`` track in
-    the swarm Chrome trace); the metric histogram feeds both registries.
+    scope the span carries a ``node`` attribute (its ``pid`` track in the
+    Chrome trace) unless the caller already set one.
     """
-    if _node_stack:
-        telemetry = _node_stack[-1]
-        return _ActiveSpan(
-            telemetry.tracer, _registry, _clock, name, metric, attrs,
-            extra_registry=telemetry.registry,
-        )
+    if _node_stack and "node" not in attrs:
+        attrs["node"] = _node_stack[-1]
     return _ActiveSpan(_tracer, _registry, _clock, name, metric, attrs)
 
 
@@ -487,11 +437,6 @@ def snapshot() -> dict:
     snap["events"] = _events.snapshot()
     snap["events_dropped"] = _events.dropped
     return snap
-
-
-def render_text() -> str:
-    """Prometheus-style text exposition of the default registry."""
-    return _registry.render_text()
 
 
 def spans() -> list[Span]:

@@ -89,8 +89,6 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "relay.hop": ("trace", "from", "to", "hop", "sim_time"),
     # A runtime invariant monitor detected a violated invariant.
     "monitor.violation": ("monitor", "detail"),
-    # A node crashed with this many spans still open on its tracer.
-    "node.crash": ("node", "open_spans"),
     # Supply-inflation fault injection (monitor acceptance scenario).
     "fault.inflation": ("node", "amount"),
     # --- schema v3: fault-tolerant verification service ---

@@ -28,6 +28,7 @@ one bucket width.  Two edge cases:
 from __future__ import annotations
 
 import json
+import time
 
 from repro.obs.metrics import quantile_from_cumulative
 
@@ -36,12 +37,10 @@ __all__ = [
     "quantile_from_cumulative",
     "snapshot_quantiles",
     "to_chrome_trace",
-    "swarm_chrome_trace",
     "write_chrome_trace",
-    "write_swarm_chrome_trace",
 ]
 
-# The quantiles attached to snapshots, reports, and expositions.
+# The quantiles attached to snapshots and reports.
 QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
 
@@ -67,191 +66,98 @@ def to_chrome_trace(
     spans: list[dict],
     events: list[dict] | None = None,
     process_name: str = "repro",
+    exported_unix: float | None = None,
 ) -> dict:
     """Serialize span dicts to a Chrome trace-event JSON object.
 
-    ``spans`` is the ``obs.snapshot()["spans"]`` list.  Each span becomes
-    a complete (``"ph": "X"``) event with microsecond ``ts``/``dur``; span
-    attributes ride in ``args``.  Structured events, when given, become
-    instant (``"ph": "i"``) events so rejections and reorgs show up as
-    markers between the spans.  Load the result in Perfetto
-    (https://ui.perfetto.dev — "Open trace file") or ``chrome://tracing``.
+    ``spans`` and ``events`` are the ``obs.snapshot()`` lists.  Each span
+    becomes a complete (``"ph": "X"``) event with microsecond
+    ``ts``/``dur`` and its attributes in ``args``; each structured event
+    becomes a thread-scope instant (``"ph": "i"``), so rejections and
+    reorgs show up as markers between the spans.
+
+    Tracks: one ``pid`` per node stamp — the ``node`` span attribute or
+    event field that :func:`repro.obs.node_scope` sets — in sorted-name
+    order from 2, with unstamped records on pid 1, named
+    ``process_name``.  Span names are dotted (``chain.connect_block``);
+    the prefix is the subsystem and each subsystem is a ``tid`` lane, so
+    a node's chain/utxo/miner activity renders in parallel, with events
+    on a last lane of their own.  ``exported_unix`` lands in ``metadata``
+    and is the only non-deterministic field, so comparisons pass or drop
+    it.  Load the result in Perfetto (https://ui.perfetto.dev — "Open
+    trace file") or ``chrome://tracing``.
     """
-    trace_events: list[dict] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": 1,
-            "tid": 1,
-            "ts": 0,
-            "args": {"name": process_name},
-        }
-    ]
+    events = events or []
+    nodes = sorted(
+        {span["attrs"]["node"] for span in spans if "node" in span["attrs"]}
+        | {event["data"]["node"] for event in events if "node" in event["data"]}
+    )
+    pids = {name: pid for pid, name in enumerate([None, *nodes], start=1)}
+    lanes = sorted({span["name"].partition(".")[0] for span in spans})
+    lanes.append("events")
+    tids = {lane: tid for tid, lane in enumerate(lanes, start=1)}
+
+    records: list[dict] = []
     for span in spans:
+        lane = span["name"].partition(".")[0]
         args = {key: _arg(value) for key, value in span["attrs"].items()}
         args["span_id"] = span["span_id"]
         if span["parent"] is not None:
             args["parent"] = span["parent"]
-        trace_events.append(
+        records.append(
             {
                 "ph": "X",
                 "name": span["name"],
-                "cat": span["name"].partition(".")[0],
-                "pid": 1,
-                "tid": 1,
-                "ts": span["start"] * 1e6,
-                "dur": span["duration"] * 1e6,
-                "args": args,
-            }
-        )
-    for event in events or []:
-        trace_events.append(
-            {
-                "ph": "i",
-                "s": "g",  # global-scope instant: draws a full-height line
-                "name": event["kind"],
-                "cat": "event",
-                "pid": 1,
-                "tid": 1,
-                "ts": event["ts"] * 1e6,
-                "args": dict(event["data"]),
-            }
-        )
-    # Viewers require non-decreasing timestamps within a (pid, tid).
-    trace_events.sort(key=lambda e: e["ts"])
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-def _arg(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _node_track_events(
-    pid: int, name: str, spans: list[dict], events: list[dict]
-) -> list[dict]:
-    """One node's trace events: subsystem ``tid`` tracks under one pid.
-
-    Span names are dotted (``chain.connect_block``); the prefix is the
-    subsystem, and each subsystem gets its own thread track so a node's
-    chain/utxo/miner activity renders as parallel lanes.  Structured
-    events land on a dedicated ``events`` track.
-    """
-    categories = sorted({span["name"].partition(".")[0] for span in spans})
-    tids = {category: index + 1 for index, category in enumerate(categories)}
-    events_tid = len(categories) + 1
-    out: list[dict] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": pid,
-            "tid": 0,
-            "ts": 0,
-            "args": {"name": name},
-        }
-    ]
-    for category in categories:
-        out.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": tids[category],
-                "ts": 0,
-                "args": {"name": category},
-            }
-        )
-    if events:
-        out.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": events_tid,
-                "ts": 0,
-                "args": {"name": "events"},
-            }
-        )
-    for span in spans:
-        args = {key: _arg(value) for key, value in span["attrs"].items()}
-        args["span_id"] = span["span_id"]
-        if span["parent"] is not None:
-            args["parent"] = span["parent"]
-        out.append(
-            {
-                "ph": "X",
-                "name": span["name"],
-                "cat": span["name"].partition(".")[0],
-                "pid": pid,
-                "tid": tids[span["name"].partition(".")[0]],
+                "cat": lane,
+                "pid": pids[span["attrs"].get("node")],
+                "tid": tids[lane],
                 "ts": span["start"] * 1e6,
                 "dur": span["duration"] * 1e6,
                 "args": args,
             }
         )
     for event in events:
-        out.append(
+        records.append(
             {
                 "ph": "i",
-                "s": "t",  # thread-scope instant: stays on the node's track
+                "s": "t",  # thread-scope instant: stays on its node's track
                 "name": event["kind"],
                 "cat": "event",
-                "pid": pid,
-                "tid": events_tid,
+                "pid": pids[event["data"].get("node")],
+                "tid": tids["events"],
                 "ts": event["ts"] * 1e6,
                 "args": dict(event["data"]),
             }
         )
-    return out
 
+    def named(kind: str, pid: int, tid: int, name: str) -> dict:
+        return {"ph": "M", "name": kind, "pid": pid, "tid": tid, "ts": 0,
+                "args": {"name": name}}
 
-def swarm_chrome_trace(
-    swarm_snap: dict,
-    global_snapshot: dict | None = None,
-    exported_unix: float | None = None,
-) -> dict:
-    """Serialize a :func:`repro.obs.swarm.swarm_snapshot` to Chrome trace
-    JSON with one ``pid`` per node and one ``tid`` per subsystem.
-
-    ``global_snapshot`` (an :func:`repro.obs.snapshot` dict), when given,
-    renders as an extra ``pid`` named ``repro`` carrying the process-wide
-    spans and events.  ``exported_unix`` lands in ``metadata`` — it is
-    the only non-deterministic field, so comparisons should drop it.
-    """
-    trace_events: list[dict] = []
-    pid = 1
-    if global_snapshot is not None:
-        trace_events.extend(
-            _node_track_events(
-                pid,
-                "repro",
-                global_snapshot.get("spans", []),
-                global_snapshot.get("events", []),
-            )
-        )
-        pid += 1
-    for name in sorted(swarm_snap.get("nodes", {})):
-        node_snap = swarm_snap["nodes"][name]
-        trace_events.extend(
-            _node_track_events(
-                pid,
-                name,
-                node_snap.get("spans", []),
-                node_snap.get("events", []),
-            )
-        )
-        pid += 1
+    trace_events = [
+        named("process_name", pid, 0, name or process_name)
+        for name, pid in pids.items()
+    ]
+    trace_events += [
+        named("thread_name", pid, tid, lanes[tid - 1])
+        for pid, tid in sorted({(r["pid"], r["tid"]) for r in records})
+    ]
+    trace_events += records
+    # Viewers require non-decreasing timestamps within a (pid, tid).
     trace_events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"]))
     if exported_unix is None:
-        import time
-
         exported_unix = time.time()
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
         "metadata": {"exported_unix": exported_unix},
     }
+
+
+def _arg(value: object) -> object:
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
 
 
 def write_chrome_trace(path: str, snapshot: dict | None = None) -> int:
@@ -266,19 +172,6 @@ def write_chrome_trace(path: str, snapshot: dict | None = None) -> int:
     trace = to_chrome_trace(
         snapshot.get("spans", []), snapshot.get("events", [])
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, sort_keys=True)
-    return len(trace["traceEvents"])
-
-
-def write_swarm_chrome_trace(
-    path: str,
-    swarm_snap: dict,
-    global_snapshot: dict | None = None,
-    exported_unix: float | None = None,
-) -> int:
-    """Dump a swarm snapshot as a per-node-pid Chrome trace file."""
-    trace = swarm_chrome_trace(swarm_snap, global_snapshot, exported_unix)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle, sort_keys=True)
     return len(trace["traceEvents"])

@@ -1,29 +1,27 @@
 """Crash flight recorder: dump the last moments of telemetry on failure.
 
 The bounded rings in :mod:`repro.obs` already hold "the recent past" —
-the last few thousand events and spans per node plus the process-wide
-aggregate.  The flight recorder turns that into a post-mortem artifact:
-when something goes wrong (a :class:`~repro.bitcoin.validation.
-ValidationError` on block connect, an invariant-monitor violation, a
-simulated node crash), :func:`trigger` writes one correlated bundle
-directory and stops after ``max_dumps`` so a failure storm cannot fill
-the disk.
+the last few thousand events and spans of the whole swarm, each stamped
+with the node that recorded it.  The flight recorder turns that into a
+post-mortem artifact: when something goes wrong (a
+:class:`~repro.bitcoin.validation.ValidationError` on block connect, an
+invariant-monitor violation, a simulated node crash), :func:`trigger`
+writes one correlated bundle directory and stops after ``max_dumps`` so
+a failure storm cannot fill the disk.
 
 Bundle layout (``<directory>/flight-<seq>-<reason>/``):
 
 ``MANIFEST.json``
-    reason, dump sequence number, optional ``sim_time``, the node names
-    captured, and each node's open-span count at the moment of dump.
+    reason, dump sequence number, optional ``sim_time``, and the names
+    of the attached nodes.
 ``events.jsonl``
-    The process-wide event ring as JSONL (one validated event per line).
-``node-<name>.events.jsonl``
-    Each captured node's private event ring.
+    The event log as JSONL (one validated event per line); one node's
+    share is the lines whose ``data["node"]`` is its name.
 ``trace.json``
-    A swarm Chrome trace (per-node ``pid`` tracks plus the global
-    ``repro`` track) — loads directly in Perfetto.
+    The Chrome trace of the same spans and events (a ``pid`` track per
+    node plus the unstamped ``repro`` track) — loads directly in Perfetto.
 ``snapshot.json``
-    The merged :func:`repro.obs.swarm.swarm_snapshot` plus the global
-    :func:`repro.obs.snapshot`.
+    :func:`repro.obs.snapshot` — every series, span and event.
 
 The recorder is **disarmed by default**: :func:`trigger` is a cheap
 no-op until :func:`configure` gives it a directory.  Trigger points are
@@ -39,7 +37,7 @@ from pathlib import Path
 
 __all__ = ["FlightRecorder", "configure", "disarm", "recorder", "trigger"]
 
-FLIGHT_SCHEMA = "repro.obs.flight/1"
+FLIGHT_SCHEMA = "repro.obs.flight/2"
 
 
 def _slug(reason: str) -> str:
@@ -57,7 +55,7 @@ class FlightRecorder:
         self.directory = Path(directory) if directory is not None else None
         self.max_dumps = max_dumps
         self.dumps = 0
-        self.nodes: list = []  # node-like objects (see swarm.telemetry_of)
+        self.nodes: list = []  # node-like objects (anything with a .name)
         self.sim = None  # optional Simulation for sim_time stamps
 
     @property
@@ -65,7 +63,7 @@ class FlightRecorder:
         return self.directory is not None and self.dumps < self.max_dumps
 
     def attach(self, nodes: list, sim=None) -> None:
-        """Register the swarm whose telemetry a dump should capture."""
+        """Register the swarm a dump names and the clock it stamps from."""
         self.nodes = list(nodes)
         self.sim = sim
 
@@ -74,8 +72,7 @@ class FlightRecorder:
         if not self.armed:
             return None
         from repro import obs
-        from repro.obs.export import write_swarm_chrome_trace
-        from repro.obs.swarm import swarm_snapshot, telemetry_of
+        from repro.obs.export import write_chrome_trace
 
         if sim_time is None and self.sim is not None:
             sim_time = getattr(self.sim, "now", None)
@@ -85,39 +82,18 @@ class FlightRecorder:
         bundle = self.directory / f"flight-{seq:03d}-{_slug(reason)}"
         bundle.mkdir(parents=True, exist_ok=True)
 
-        global_snap = obs.snapshot()
-        swarm_snap = swarm_snapshot(self.nodes)
-
+        snapshot = obs.snapshot()
         obs.events().write_jsonl(str(bundle / "events.jsonl"))
-        open_spans: dict[str, int] = {"repro": len(obs.tracer()._open)}
-        for node in self.nodes:
-            telemetry = telemetry_of(node)
-            if telemetry is None:
-                continue
-            telemetry.events.write_jsonl(
-                str(bundle / f"node-{telemetry.name}.events.jsonl")
-            )
-            open_spans[telemetry.name] = len(telemetry.tracer._open)
-
-        write_swarm_chrome_trace(
-            str(bundle / "trace.json"), swarm_snap, global_snapshot=global_snap
-        )
+        write_chrome_trace(str(bundle / "trace.json"), snapshot)
         with open(bundle / "snapshot.json", "w", encoding="utf-8") as handle:
-            json.dump(
-                {"global": global_snap, "swarm": swarm_snap},
-                handle,
-                sort_keys=True,
-            )
+            json.dump(snapshot, handle, sort_keys=True)
 
         manifest = {
             "schema": FLIGHT_SCHEMA,
             "reason": reason,
             "seq": seq,
             "sim_time": sim_time,
-            "nodes": sorted(
-                name for name in open_spans if name != "repro"
-            ),
-            "open_spans": dict(sorted(open_spans.items())),
+            "nodes": sorted(node.name for node in self.nodes),
         }
         with open(bundle / "MANIFEST.json", "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=1, sort_keys=True)

@@ -26,7 +26,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 # Buckets for small-integer distributions (reorg depth, bundle size).
 COUNT_BUCKETS: tuple[float, ...] = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
 
-# Quantiles attached to histogram snapshots and expositions.
+# Quantiles attached to histogram snapshots.
 SNAPSHOT_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
 
@@ -163,13 +163,6 @@ def series_name(name: str, labels: dict[str, object]) -> str:
     return f"{name}{{{inner}}}"
 
 
-def _sanitize(name: str) -> str:
-    """Prometheus metric names: dots and other punctuation to underscores."""
-    base, brace, labels = name.partition("{")
-    cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in base)
-    return cleaned + brace + labels
-
-
 class Registry:
     """A named collection of counters, gauges, and histograms."""
 
@@ -271,43 +264,3 @@ class Registry:
         for q in SNAPSHOT_QUANTILES:
             snap[f"p{round(q * 100)}"] = quantile_from_cumulative(q, cumulative)
         return snap
-
-    def render_text(self) -> str:
-        """Prometheus-style text exposition of every series."""
-        lines: list[str] = []
-        for name in sorted(self._counters):
-            clean = _sanitize(name)
-            if "{" not in clean:
-                lines.append(f"# TYPE {clean} counter")
-            lines.append(f"{clean} {self._counters[name].value}")
-        for name in sorted(self._gauges):
-            clean = _sanitize(name)
-            if "{" not in clean:
-                lines.append(f"# TYPE {clean} gauge")
-            lines.append(f"{clean} {self._gauges[name].value}")
-        for name in sorted(self._histograms):
-            hist = self._histograms[name]
-            clean = _sanitize(name)
-            base, brace, labels = clean.partition("{")
-            label_prefix = "," if brace else "{"
-            label_body = labels[:-1] if brace else ""
-            if not brace:
-                lines.append(f"# TYPE {base} histogram")
-            for edge, cum in hist.cumulative():
-                le = f'le="{edge}"'
-                if brace:
-                    lines.append(f"{base}{{{label_body},{le}}} {cum}")
-                else:
-                    lines.append(f"{base}_bucket{{{le}}} {cum}")
-            suffix = f"{{{label_body}}}" if brace else ""
-            lines.append(f"{base}_sum{suffix} {hist.total}")
-            lines.append(f"{base}_count{suffix} {hist.count}")
-            # Summary-style interpolated quantiles next to the raw buckets.
-            for q in SNAPSHOT_QUANTILES:
-                quant = f'quantile="{q}"'
-                value = hist.quantile(q)
-                if brace:
-                    lines.append(f"{base}{{{label_body},{quant}}} {value}")
-                else:
-                    lines.append(f"{base}{{{quant}}} {value}")
-        return "\n".join(lines) + "\n"

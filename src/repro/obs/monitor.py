@@ -125,12 +125,6 @@ class MonitorRegistry:
         self._calls[name] = count + 1
         return count % self.sample_interval == 0
 
-    def _ran(self) -> None:
-        from repro import obs
-
-        self.checks_run += 1
-        obs.inc("monitor.checks_total")
-
     def violate(self, name: str, detail: str) -> None:
         """Record one violation; raises in strict mode."""
         from repro import obs
@@ -151,7 +145,7 @@ class MonitorRegistry:
         """UTXO value conservation against the subsidy schedule."""
         if not self._sampled("supply", force):
             return True
-        self._ran()
+        self.checks_run += 1
         total = chain.utxos.total_value()
         ceiling = cumulative_subsidy(chain.height)
         if total > ceiling:
@@ -170,7 +164,7 @@ class MonitorRegistry:
         # Never sampled away: the check is one integer compare, and a
         # missed regression here cannot be caught later (the attribute
         # would have already advanced).
-        self._ran()
+        self.checks_run += 1
         work = chain.tip.chain_work
         last = getattr(chain, "_monitor_tip_work", None)
         chain._monitor_tip_work = work
@@ -187,7 +181,7 @@ class MonitorRegistry:
         """Pooled spends must target outpoints still unspent on chain."""
         if not self._sampled("mempool_disjoint", force):
             return True
-        self._ran()
+        self.checks_run += 1
         chain = node.chain
         for outpoint in node.mempool.spent_outpoints():
             if chain.utxos.get(outpoint) is None:
@@ -206,7 +200,7 @@ class MonitorRegistry:
             return True
         if not self._sampled("store_offsets", force):
             return True
-        self._ran()
+        self.checks_run += 1
         if not store.snapshot_offsets_consistent():
             self.violate(
                 "store_offsets",

@@ -67,16 +67,6 @@ class Tracer:
         self.dropped = 0
         self._next_id = 0
 
-    def abandon_open(self) -> int:
-        """Discard any still-open spans; returns how many were dropped.
-
-        A crashed node's in-flight spans must not become parents of
-        post-restart spans — the process they belonged to is gone.
-        """
-        count = len(self._open)
-        self._open.clear()
-        return count
-
     def snapshot(self) -> list[dict]:
         return [span.as_dict() for span in self.spans]
 
@@ -85,7 +75,7 @@ class _ActiveSpan:
     """Context manager for one open span (created only when enabled)."""
 
     __slots__ = ("tracer", "registry", "clock", "name", "metric", "attrs",
-                 "span_id", "parent", "depth", "start", "extra_registry")
+                 "span_id", "parent", "depth", "start")
 
     def __init__(
         self,
@@ -95,7 +85,6 @@ class _ActiveSpan:
         name: str,
         metric: str | None,
         attrs: dict[str, object],
-        extra_registry: Registry | None = None,
     ):
         self.tracer = tracer
         self.registry = registry
@@ -103,7 +92,6 @@ class _ActiveSpan:
         self.name = name
         self.metric = metric
         self.attrs = attrs
-        self.extra_registry = extra_registry
         self.span_id = -1
         self.parent: int | None = None
         self.depth = 0
@@ -146,5 +134,3 @@ class _ActiveSpan:
         )
         if self.metric is not None:
             self.registry.observe(self.metric, duration)
-            if self.extra_registry is not None:
-                self.extra_registry.observe(self.metric, duration)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 
-from repro import cancel, obs
+from repro import cancel
 from repro.backoff import backoff_delay, derive_rng
 from repro.service.server import Verdict
 
@@ -86,8 +86,6 @@ class ServiceClient:
             if attempt == self.max_attempts:
                 break
             self.retries += 1
-            if obs.ENABLED:
-                obs.inc("service.retries_total")
             self.sleep(
                 backoff_delay(
                     attempt,

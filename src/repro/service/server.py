@@ -190,8 +190,6 @@ class VerificationService:
                     f"admission queue full ({self._inflight} in flight)",
                 )
             self._inflight += 1
-            if obs.ENABLED:
-                obs.gauge_max("service.inflight", self._inflight)
 
     def _release(self) -> None:
         with self._drain_cv:

@@ -290,7 +290,6 @@ class BlockStore:
             self._block_log, codec.encode_disconnect(block_hash, height)
         )
         if obs.ENABLED:
-            obs.inc("store.disconnects_appended_total")
             obs.inc("store.bytes_written_total", written)
 
     def should_snapshot(self) -> bool:

@@ -664,6 +664,12 @@ class TestChaosScenarios:
     def test_byzantine_profile_bans_the_adversary(self):
         result = run_chaos(PROFILES["byzantine"], seed=7)
         assert result.byzantine_banned_by  # neighbors cut it off
+        # The attacker's schedule is a function of the seed too.
+        again = run_chaos(PROFILES["byzantine"], seed=7)
+        assert (again.tip, again.events_processed) == (
+            result.tip,
+            result.events_processed,
+        )
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

@@ -515,9 +515,8 @@ class TestNodeStore:
 class TestKillMidWrite:
     @pytest.mark.parametrize("mode", ["truncate", "corrupt"])
     def test_scenario_recovers(self, tmp_path, mode):
-        result = run_kill_mid_write(
-            str(tmp_path), seed=3, mode=mode, target_height=16
-        )
+        result = run_kill_mid_write(str(tmp_path), seed=3, mode=mode)
+        assert result.pre_crash_height == 24
         assert result.tip_match
         assert result.utxo_match
         assert result.converged
@@ -531,7 +530,8 @@ class TestKillMidWrite:
         b = run_kill_mid_write(
             str(tmp_path / "b"), seed=5, target_height=12
         )
-        assert (a.recovered_height, a.final_height) == (
+        assert (a.recovered_height, a.refetched_blocks, a.final_height) == (
             b.recovered_height,
+            b.refetched_blocks,
             b.final_height,
         )

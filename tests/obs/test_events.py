@@ -200,7 +200,6 @@ class TestSchemaV2:
                  "to": "node1", "hop": 1, "sim_time": 2.5},
             ),
             ("monitor.violation", {"monitor": "supply", "detail": "x"}),
-            ("node.crash", {"node": "node0", "open_spans": 2}),
             ("fault.inflation", {"node": "node0", "amount": 50}),
         ],
     )

@@ -1,6 +1,7 @@
 """Flight recorder: arming, bundle layout, dump caps, and triggers."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,15 +25,6 @@ def armed_recorder(tmp_path):
     recorder = flight.configure(tmp_path, max_dumps=4)
     yield recorder
     flight.disarm()
-
-
-def _fake_node(name):
-    class FakeNode:
-        pass
-
-    node = FakeNode()
-    node.telemetry = obs.NodeTelemetry(name)
-    return node
 
 
 class TestArming:
@@ -61,41 +53,60 @@ class TestBundleLayout:
     def test_bundle_contains_correlated_artifacts(
         self, enabled, armed_recorder
     ):
-        nodes = [_fake_node("n0"), _fake_node("n1")]
-        armed_recorder.attach(nodes)
-        with obs.node_scope(nodes[0].telemetry):
+        armed_recorder.attach(
+            [SimpleNamespace(name="n0"), SimpleNamespace(name="n1")]
+        )
+        with obs.node_scope("n0"):
             obs.inc("chain.blocks_connected_total")
-            obs.emit("fault.crash", node="n0")
+            obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
+            with obs.trace_span("chain.connect_block"):
+                pass
+        obs.emit("fault.crash", node="n1")
 
         bundle = flight.trigger("block.rejected", sim_time=12.5)
         assert bundle is not None and bundle.is_dir()
         assert bundle.name == "flight-000-block.rejected"
+        assert sorted(path.name for path in bundle.iterdir()) == [
+            "MANIFEST.json", "events.jsonl", "snapshot.json", "trace.json",
+        ]
 
         manifest = json.loads((bundle / "MANIFEST.json").read_text())
-        assert manifest["schema"] == FLIGHT_SCHEMA
-        assert manifest["reason"] == "block.rejected"
-        assert manifest["sim_time"] == 12.5
-        assert manifest["nodes"] == ["n0", "n1"]
-        assert set(manifest["open_spans"]) == {"repro", "n0", "n1"}
+        assert manifest == {
+            "schema": FLIGHT_SCHEMA,
+            "reason": "block.rejected",
+            "seq": 0,
+            "sim_time": 12.5,
+            "nodes": ["n0", "n1"],
+        }
 
-        assert (bundle / "events.jsonl").exists()
-        assert (bundle / "node-n0.events.jsonl").exists()
-        assert (bundle / "node-n1.events.jsonl").exists()
-        node_events = [
+        # One node's share of the one log is a filter on the stamp.
+        events = [
             json.loads(line)
-            for line in (bundle / "node-n0.events.jsonl").read_text().splitlines()
+            for line in (bundle / "events.jsonl").read_text().splitlines()
         ]
-        assert [e["kind"] for e in node_events] == ["fault.crash"]
+        assert [e["kind"] for e in events] == ["store.snapshot", "fault.crash"]
+        n0 = [e for e in events if e["data"].get("node") == "n0"]
+        assert [e["kind"] for e in n0] == ["store.snapshot"]
 
         snapshot = json.loads((bundle / "snapshot.json").read_text())
-        assert set(snapshot) == {"global", "swarm"}
-        counters = snapshot["swarm"]["merged"]["counters"]
-        assert counters["chain.blocks_connected_total"] == 1
+        assert snapshot["counters"]["chain.blocks_connected_total"] == 1
+        assert [s["attrs"] for s in snapshot["spans"]] == [{"node": "n0"}]
+        assert len(snapshot["events"]) == 2
+
+        trace = json.loads((bundle / "trace.json").read_text())
+        tracks = {
+            e["args"]["name"]: e["pid"]
+            for e in trace["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert tracks == {"repro": 1, "n0": 2, "n1": 3}
+        (span,) = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert span["pid"] == tracks["n0"]
 
     def test_trace_json_is_perfetto_loadable_shape(
         self, enabled, armed_recorder
     ):
-        armed_recorder.attach([_fake_node("n0")])
+        armed_recorder.attach([SimpleNamespace(name="n0")])
         bundle = flight.trigger("monitor.supply")
         trace = json.loads((bundle / "trace.json").read_text())
         assert isinstance(trace["traceEvents"], list)

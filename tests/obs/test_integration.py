@@ -95,12 +95,6 @@ class TestFullPipeline:
         trace = render_trace()
         assert "verify.claim" in trace
 
-    def test_render_text_exposes_pipeline_series(self):
-        run_typecoin_flow()
-        text = obs.render_text()
-        assert "script_ops_total" in text
-        assert "validation_rule_seconds_bucket" in text
-
 
 class TestReorgMetrics:
     def test_reorg_counted_with_depth(self):

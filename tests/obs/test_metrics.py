@@ -51,17 +51,6 @@ class TestCountersAndGauges:
         assert series_name("m", {"p": "a\\b"}) == 'm{p="a\\\\b"}'
         assert series_name("m", {"r": "x\ny"}) == 'm{r="x\\ny"}'
 
-    def test_escaped_labels_render_one_line_per_series(self):
-        # A newline smuggled through a label value must not split the
-        # exposition line (it would corrupt the text format).
-        reg = Registry()
-        reg.inc("v.total", 1, reason="multi\nline")
-        exposition = reg.render_text()
-        # render_text sanitizes the metric name (dots -> underscores) but
-        # must keep the escaped label value on a single line.
-        lines = [l for l in exposition.splitlines() if "v_total{" in l]
-        assert lines == ['v_total{reason="multi\\nline"} 1']
-
 
 class TestHistogramBuckets:
     def test_exact_edge_lands_in_its_bucket(self):
@@ -132,37 +121,6 @@ class TestSnapshot:
         reg.inc("z.total")
         reg.inc("a.total")
         assert list(reg.snapshot()["counters"]) == ["a.total", "z.total"]
-
-
-class TestTextExposition:
-    def test_counter_and_gauge_lines(self):
-        reg = Registry()
-        reg.inc("script.ops_total", 3)
-        reg.gauge_set("utxo.set_size", 7)
-        text = reg.render_text()
-        assert "# TYPE script_ops_total counter" in text
-        assert "script_ops_total 3" in text.splitlines()
-        assert "# TYPE utxo_set_size gauge" in text
-        assert "utxo_set_size 7" in text.splitlines()
-        assert text.endswith("\n")
-
-    def test_histogram_exposition(self):
-        reg = Registry()
-        reg.observe("proof.check_seconds", 0.5, (0.1, 1.0))
-        text = reg.render_text()
-        lines = text.splitlines()
-        assert "# TYPE proof_check_seconds histogram" in lines
-        assert 'proof_check_seconds_bucket{le="0.1"} 0' in lines
-        assert 'proof_check_seconds_bucket{le="1.0"} 1' in lines
-        assert 'proof_check_seconds_bucket{le="+Inf"} 1' in lines
-        assert "proof_check_seconds_sum 0.5" in lines
-        assert "proof_check_seconds_count 1" in lines
-
-    def test_labeled_series_keep_labels(self):
-        reg = Registry()
-        reg.inc("validation.tx_total", 2, result="ok")
-        text = reg.render_text()
-        assert 'validation_tx_total{result="ok"} 2' in text.splitlines()
 
 
 class TestCatalogue:

@@ -1,12 +1,12 @@
-"""Per-node telemetry scopes, swarm snapshot merging, and determinism."""
+"""Node scopes: a swarm attributed by name on the one registry, tracer
+and event log, and its determinism."""
 
 import json
 
 import pytest
 
 from repro import obs
-from repro.obs.export import swarm_chrome_trace
-from repro.obs.swarm import SWARM_SCHEMA, swarm_snapshot, telemetry_of
+from repro.obs.export import to_chrome_trace
 
 
 @pytest.fixture
@@ -17,123 +17,70 @@ def enabled(manual_clock):
 
 
 class TestNodeScope:
-    def test_dual_write_counters(self, enabled):
-        node = obs.NodeTelemetry("n0")
+    def test_one_write(self, enabled, monkeypatch):
+        """Under a scope every signal is recorded once: the counting
+        wrappers sit on the class, so a write to *any* registry (a
+        second, per-node one included) would be seen."""
+        calls = {"inc": 0, "observe": 0}
+        real_inc, real_observe = obs.Registry.inc, obs.Registry.observe
+
+        def counting_inc(self, *args, **labels):
+            calls["inc"] += 1
+            real_inc(self, *args, **labels)
+
+        def counting_observe(self, *args, **labels):
+            calls["observe"] += 1
+            real_observe(self, *args, **labels)
+
+        monkeypatch.setattr(obs.Registry, "inc", counting_inc)
+        monkeypatch.setattr(obs.Registry, "observe", counting_observe)
         obs.inc("chain.blocks_connected_total")
-        with obs.node_scope(node):
+        with obs.node_scope("n0"):
             obs.inc("chain.blocks_connected_total", 2)
-        # Global registry sees everything; the node only its own share.
-        assert (
-            obs.registry().counter("chain.blocks_connected_total").value == 3
-        )
-        assert node.registry.counter("chain.blocks_connected_total").value == 2
-
-    def test_none_scope_is_noop(self, enabled):
-        with obs.node_scope(None) as telemetry:
-            assert telemetry is None
-            obs.inc("chain.blocks_connected_total")
-            assert obs.current_node() is None
-
-    def test_scopes_nest_innermost_wins(self, enabled):
-        outer, inner = obs.NodeTelemetry("a"), obs.NodeTelemetry("b")
-        with obs.node_scope(outer):
-            with obs.node_scope(inner):
-                assert obs.current_node() is inner
-                obs.inc("net.events_total")
-            assert obs.current_node() is outer
-        assert inner.registry.counter("net.events_total").value == 1
-        assert outer.registry.counter("net.events_total").value == 0
-
-    def test_event_stamped_with_node_name(self, enabled):
-        node = obs.NodeTelemetry("n3")
-        with obs.node_scope(node):
-            obs.emit("fault.crash", node="explicit")  # caller's name wins
-            obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
-        events = node.events.snapshot()
-        assert events[0]["data"]["node"] == "explicit"
-        assert events[1]["data"]["node"] == "n3"
-        # Mirrored into the global stream too.
-        assert len(obs.events().snapshot()) == 2
-
-    def test_span_lands_on_node_tracer_and_both_registries(self, enabled):
-        node = obs.NodeTelemetry("n4")
-        with obs.node_scope(node):
             with obs.trace_span("chain.connect_block",
                                 metric="chain.connect_seconds"):
                 pass
-        assert [s.name for s in node.tracer.spans] == ["chain.connect_block"]
-        assert obs.tracer().spans == []
-        assert node.registry.histogram("chain.connect_seconds").count == 1
+        assert calls == {"inc": 2, "observe": 1}
+        assert (
+            obs.registry().counter("chain.blocks_connected_total").value == 3
+        )
         assert obs.registry().histogram("chain.connect_seconds").count == 1
 
+    def test_none_scope_is_noop(self, enabled):
+        with obs.node_scope(None) as name:
+            assert name is None
+            obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
+            assert obs.current_node() is None
+        assert "node" not in obs.events().snapshot()[0]["data"]
 
-class TestSwarmSnapshot:
-    def _two_nodes(self):
-        a, b = obs.NodeTelemetry("a"), obs.NodeTelemetry("b")
-        with obs.node_scope(a):
-            obs.inc("chain.blocks_connected_total", 2)
-            obs.gauge_set("mempool.size", 5)
-            obs.observe("chain.connect_seconds", 0.25)
-        with obs.node_scope(b):
-            obs.inc("chain.blocks_connected_total", 3)
-            obs.observe("chain.connect_seconds", 0.75)
-        return a, b
+    def test_scopes_nest_innermost_wins(self, enabled):
+        with obs.node_scope("a"):
+            with obs.node_scope("b"):
+                assert obs.current_node() == "b"
+                obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
+            assert obs.current_node() == "a"
+            obs.emit("store.snapshot", height=2, tip=b"\x02", bytes=10)
+        assert obs.current_node() is None
+        stamps = [e["data"]["node"] for e in obs.events().snapshot()]
+        assert stamps == ["b", "a"]
 
-    def test_merged_counters_sum_and_label(self, enabled):
-        a, b = self._two_nodes()
-        snap = swarm_snapshot([a, b])
-        assert snap["schema"] == SWARM_SCHEMA
-        merged = snap["merged"]["counters"]
-        assert merged["chain.blocks_connected_total"] == 5
-        assert merged['chain.blocks_connected_total{node="a"}'] == 2
-        assert merged['chain.blocks_connected_total{node="b"}'] == 3
+    def test_event_stamped_with_node_name(self, enabled):
+        with obs.node_scope("n3"):
+            obs.emit("fault.crash", node="explicit")  # caller's name wins
+            obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
+        events = obs.events().snapshot()
+        assert [e["data"]["node"] for e in events] == ["explicit", "n3"]
 
-    def test_merged_histograms_sum(self, enabled):
-        a, b = self._two_nodes()
-        snap = swarm_snapshot([a, b])
-        merged = snap["merged"]["histograms"]["chain.connect_seconds"]
-        assert merged["count"] == 2
-        assert merged["sum"] == pytest.approx(1.0)
-
-    def test_gauges_are_per_node_only(self, enabled):
-        a, b = self._two_nodes()
-        snap = swarm_snapshot([a, b])
-        gauges = snap["merged"]["gauges"]
-        assert 'mempool.size{node="a"}' in gauges
-        assert "mempool.size" not in gauges  # summing gauges is meaningless
-
-    def test_events_interleaved_by_time(self, enabled):
-        a, b = obs.NodeTelemetry("a"), obs.NodeTelemetry("b")
-        clock = enabled
-        with obs.node_scope(b):
-            obs.emit("fault.crash", node="b")
-        clock.advance(1.0)
-        with obs.node_scope(a):
-            obs.emit("fault.restart", node="a", persisted=True)
-        snap = swarm_snapshot([a, b])
-        kinds = [e["kind"] for e in snap["events"]]
-        assert kinds == ["fault.crash", "fault.restart"]
-
-    def test_nodes_without_telemetry_are_skipped(self, enabled):
-        a, _ = self._two_nodes()
-
-        class Bare:
-            telemetry = None
-
-        snap = swarm_snapshot([a, Bare()])
-        assert list(snap["nodes"]) == ["a"]
-
-    def test_telemetry_of_accepts_node_or_telemetry(self, enabled):
-        telemetry = obs.NodeTelemetry("x")
-
-        class FakeNode:
+    def test_span_lands_on_the_one_tracer_with_node_attr(self, enabled):
+        with obs.node_scope("n4"):
+            with obs.trace_span("chain.connect_block", height=7):
+                pass
+            with obs.trace_span("chain.connect_block", node="explicit"):
+                pass
+        with obs.trace_span("verify.claim"):
             pass
-
-        node = FakeNode()
-        node.telemetry = telemetry
-        assert telemetry_of(node) is telemetry
-        assert telemetry_of(telemetry) is telemetry
-        assert telemetry_of(object()) is None
+        attrs = [span.attrs for span in obs.tracer().spans]
+        assert attrs == [{"height": 7, "node": "n4"}, {"node": "explicit"}, {}]
 
 
 def _seeded_swarm_run(seed=3):
@@ -150,112 +97,85 @@ def _seeded_swarm_run(seed=3):
     return nodes
 
 
+def _trace(snapshot, exported_unix=0.0):
+    return to_chrome_trace(
+        snapshot["spans"], snapshot["events"], exported_unix=exported_unix
+    )
+
+
+def _tracks(events):
+    """Track name -> pid, from the trace's process_name metadata rows."""
+    return {
+        e["args"]["name"]: e["pid"]
+        for e in events
+        if e["ph"] == "M" and e["name"] == "process_name"
+    }
+
+
 class TestSwarmDeterminism:
     def test_two_identical_runs_byte_identical(self, enabled):
-        nodes = _seeded_swarm_run()
-        first = json.dumps(swarm_snapshot(nodes), sort_keys=True)
-        first_trace = json.dumps(
-            swarm_chrome_trace(
-                swarm_snapshot(nodes), obs.snapshot(), exported_unix=0.0
-            ),
-            sort_keys=True,
-        )
+        _seeded_swarm_run()
+        first = json.dumps(obs.snapshot(), sort_keys=True)
+        first_trace = json.dumps(_trace(obs.snapshot()), sort_keys=True)
 
         obs.reset()
-        nodes = _seeded_swarm_run()
-        second = json.dumps(swarm_snapshot(nodes), sort_keys=True)
-        second_trace = json.dumps(
-            swarm_chrome_trace(
-                swarm_snapshot(nodes), obs.snapshot(), exported_unix=0.0
-            ),
-            sort_keys=True,
-        )
+        _seeded_swarm_run()
+        second = json.dumps(obs.snapshot(), sort_keys=True)
+        second_trace = json.dumps(_trace(obs.snapshot()), sort_keys=True)
 
         assert first == second
         assert first_trace == second_trace
 
     def test_exported_unix_is_only_free_field(self, enabled):
-        nodes = _seeded_swarm_run()
-        snap = swarm_snapshot(nodes)
-        trace_a = swarm_chrome_trace(snap, exported_unix=1.0)
-        trace_b = swarm_chrome_trace(snap, exported_unix=2.0)
+        _seeded_swarm_run()
+        snap = obs.snapshot()
+        trace_a = _trace(snap, exported_unix=1.0)
+        trace_b = _trace(snap, exported_unix=2.0)
         assert trace_a["metadata"]["exported_unix"] == 1.0
         trace_a["metadata"].pop("exported_unix")
         trace_b["metadata"].pop("exported_unix")
         assert trace_a == trace_b
 
 
-class TestCrashTelemetry:
-    def _node(self):
-        from repro.bitcoin.chain import ChainParams
-        from repro.bitcoin.network import Node, Simulation
-
-        sim = Simulation(seed=21)
-        params = ChainParams(
-            max_target=2**252, retarget_window=2**31, require_pow=False
-        )
-        return Node("mortal", sim, params)
-
-    def test_crash_abandons_open_spans_and_reports_count(self, enabled):
-        node = self._node()
-        with obs.node_scope(node.telemetry):
-            # Deliberately leave two spans open, like in-flight work the
-            # dying process never finishes.
-            obs.trace_span("net.deliver").__enter__()
-            obs.trace_span("chain.connect_block").__enter__()
-        assert len(node.telemetry.tracer._open) == 2
-
-        node.crash()
-
-        assert node.telemetry.tracer._open == []
-        crashes = [
-            e for e in node.telemetry.events.snapshot()
-            if e["kind"] == "node.crash"
-        ]
-        assert len(crashes) == 1
-        assert crashes[0]["data"]["open_spans"] == 2
-
-    def test_restart_leaves_tracer_clean(self, enabled):
-        node = self._node()
-        with obs.node_scope(node.telemetry):
-            obs.trace_span("net.deliver").__enter__()
-        node.crash()
-        node.restart()
-        assert node.telemetry.tracer._open == []
-        # The reborn process records fresh spans normally.
-        with obs.node_scope(node.telemetry):
-            with obs.trace_span("net.deliver"):
-                pass
-        assert node.telemetry.tracer.spans[-1].name == "net.deliver"
-
-    def test_crash_without_open_spans_reports_zero(self, enabled):
-        node = self._node()
-        node.crash()
-        crashes = [
-            e for e in node.telemetry.events.snapshot()
-            if e["kind"] == "node.crash"
-        ]
-        assert crashes[0]["data"]["open_spans"] == 0
-
-
 class TestSwarmChromeTrace:
-    def test_per_node_pids_and_subsystem_tids(self, enabled):
+    def test_swarm_spans_reach_the_process_snapshot(self, enabled):
         nodes = _seeded_swarm_run()
-        trace = swarm_chrome_trace(
-            swarm_snapshot(nodes), obs.snapshot(), exported_unix=0.0
-        )
-        events = trace["traceEvents"]
-        names = {
-            e["args"]["name"]: e["pid"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "process_name"
+        names = {node.name for node in nodes}
+        snap = obs.snapshot()
+        connects = [
+            span for span in snap["spans"]
+            if span["name"] == "chain.connect_block"
+        ]
+        assert {span["attrs"]["node"] for span in connects} == names
+        assert snap["spans_dropped"] == 0
+
+        events = _trace(snap)["traceEvents"]
+        pids = _tracks(events)
+        complete = {e["pid"] for e in events if e["ph"] == "X"}
+        assert {pids[name] for name in names} <= complete
+        # One node's own view is a filter on the stamp, not an API.
+        node0 = [e for e in snap["events"] if e["data"].get("node") == "node0"]
+        assert node0 and len(node0) < len(snap["events"])
+
+    def test_per_node_pids_and_subsystem_tids(self, enabled):
+        _seeded_swarm_run()
+        events = _trace(obs.snapshot())["traceEvents"]
+        names = _tracks(events)
+        # The unstamped track is pid 1; nodes follow in sorted-name order.
+        assert names == {
+            "repro": 1, "node0": 2, "node1": 3, "node2": 4, "node3": 5,
         }
-        # Global track is pid 1; nodes follow in sorted-name order.
-        assert names["repro"] == 1
-        assert names["node0"] == 2
-        assert len(names) == 5  # the global track plus all four nodes
-        # Spans keep within their node's pid and a subsystem tid >= 1.
+        lanes = {
+            (e["pid"], e["tid"]): e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
         for event in events:
             if event["ph"] == "X":
-                assert event["pid"] in names.values()
-                assert event["tid"] >= 1
+                # Spans stay inside their node's pid, on their
+                # subsystem's named lane.
+                assert event["pid"] == names[event["args"].get("node", "repro")]
+                assert lanes[event["pid"], event["tid"]] == event["cat"]
+            elif event["ph"] == "i":
+                assert event["pid"] == names[event["args"].get("node", "repro")]
+                assert lanes[event["pid"], event["tid"]] == "events"
