@@ -12,7 +12,7 @@ overload burst).
 
 import time
 
-from repro.bitcoin.faults import SERVICE_PROFILES, _service_world, run_service_chaos
+from repro.service.chaos import SERVICE_PROFILES, _service_world, run_service_chaos
 from repro.service import ServiceClient, VerificationService
 
 DEPTHS = (2, 4, 8)

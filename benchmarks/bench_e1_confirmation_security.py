@@ -12,7 +12,7 @@ spot-check of the full consensus-machinery simulator.
 
 import random
 
-from repro.bitcoin.network import (
+from repro.bitcoin.race import (
     nakamoto_reversal_probability,
     reversal_probability_exact,
     simulate_race,

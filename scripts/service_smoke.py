@@ -23,7 +23,7 @@ import sys
 import threading
 from contextlib import contextmanager
 
-from repro.bitcoin.faults import SERVICE_PROFILES, run_service_chaos
+from repro.service.chaos import SERVICE_PROFILES, run_service_chaos
 from repro.core import verifier
 from repro.service import VerificationService
 

@@ -28,6 +28,7 @@ from repro.bitcoin.pow import (
 from repro.bitcoin.transaction import COIN, OutPoint, Script, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import BlockUndo, UTXOSet
 from repro.bitcoin.validation import (
+    MissingInputError,
     ParallelScriptVerifier,
     ScriptJob,
     ValidationError,
@@ -570,7 +571,7 @@ class Blockchain:
                 fees += result.fee
                 for index, txin in enumerate(tx.vin):
                     if txin.prevout in spent_in_block:
-                        raise ValidationError(
+                        raise MissingInputError(
                             f"missing or spent input {txin.prevout}"
                         )
                     spent_in_block.add(txin.prevout)

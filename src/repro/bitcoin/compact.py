@@ -18,22 +18,32 @@ reconstruction treats an ambiguous or false match as a miss, and the
 relay layer falls back to requesting the full block — per BIP 152, a
 collision is never treated as peer misbehavior.
 
-This module is pure data-plane: hashing, encoding sizes, reconstruction.
-The scheduling half (round-trips, timeouts, fallback, penalties) lives in
-:mod:`repro.bitcoin.network`.
+First the data plane: hashing, encoding sizes, reconstruction.  Then
+:class:`CompactRelay`, the per-node protocol handler that schedules the
+recovery ladder (round-trips, timeouts, fallback, penalties).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro import obs
 from repro.bitcoin.block import Block, BlockHeader
+from repro.bitcoin.sync import start_sync
 from repro.bitcoin.transaction import Transaction, varint
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
+    from repro.bitcoin.network import Node
+
 __all__ = [
+    "COMPACT_MAX_ATTEMPTS",
+    "COMPACT_TXN_TIMEOUT",
+    "POINTS_BAD_COMPACT",
     "SHORT_ID_BYTES",
     "CompactBlock",
+    "CompactRelay",
     "MalformedCompactError",
     "PrefilledTransaction",
     "ReconstructionResult",
@@ -315,3 +325,333 @@ def blocktxn_size(txs) -> int:
     for tx in txs:
         total += len(tx.serialize())
     return total
+
+
+# ----------------------------------------------------------------------
+# The protocol handler: announce, reconstruct, recover
+# ----------------------------------------------------------------------
+
+# Misbehavior points (see Node.penalize) for a compact announcement the
+# sender then refuses to back with data (no blocktxn / no full block / a
+# block that doesn't match its own hash), or one no honest sender could
+# have built: an honest sender always has the block it announced.  Short-id
+# *collisions* never score — per BIP 152 they can happen to honest peers.
+POINTS_BAD_COMPACT = 10
+
+# Round-trip recovery: how long to wait for a blocktxn or full-block reply
+# before retrying, and how many attempts per stage.  The timeout scales
+# with the attempt number (fixed schedule, no RNG: recovery scheduling
+# must not perturb the seeded hop-delay streams).
+COMPACT_TXN_TIMEOUT = 30.0
+COMPACT_MAX_ATTEMPTS = 2
+
+
+@dataclass
+class _PendingCompact:
+    """A compact block mid-recovery (missing txs or full-block fetch)."""
+
+    compact: CompactBlock
+    origin: "Node"
+    hop: int
+    txs: list[Transaction | None]
+    missing: list[int]
+    req_seq: int = 0
+    fell_back: bool = False
+
+
+class CompactRelay:
+    """One node's half of compact block relay: it holds the node and owns
+    the reconstructions in flight.  The seen-set and the tail every
+    received block shares are the gossip handler's, ``node.relay``."""
+
+    def __init__(self, node: "Node"):
+        self.node = node
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every reconstruction in flight (a crash does)."""
+        # Compact blocks awaiting a getblocktxn/full-block round-trip.
+        self._compact_pending: dict[bytes, _PendingCompact] = {}
+
+    def announcement(self, block: Block) -> CompactBlock:
+        """``block`` as this node announces it: salted with the sender's
+        name so every sender keys short ids differently (grinding a
+        collision against one peer's key buys nothing against another's).
+        """
+        return CompactBlock.from_block(block, salt=self.node.name.encode())
+
+    def reconstruct_local(self, cb: CompactBlock) -> Block | None:
+        """Mempool-only reconstruction (no getblocktxn round-trip; None
+        means fetch the full block) — what a catch-up sync reply gets."""
+        try:
+            result = reconstruct(cb, self.node.mempool)
+        except MalformedCompactError:
+            return None
+        if not result.complete:
+            return None
+        return finalize(cb, result.txs)
+
+    def _submit_compact_block(
+        self, cb: CompactBlock, origin: "Node | None", hop: int
+    ) -> None:
+        node, relay = self.node, self.node.relay
+        if obs.ENABLED:
+            obs.inc("compact.blocks_total")
+        fresh = relay._first_sight(cb.hash, origin, hop)
+        if not fresh or cb.hash in self._compact_pending:
+            return
+        if node.chain.has_block(cb.hash):
+            return
+        try:
+            result = reconstruct(cb, node.mempool)
+        except MalformedCompactError as exc:
+            # No honest sender builds an announcement like this.  Forget
+            # the hash so a real block with this header (if one exists)
+            # is not shadowed by the garbage announcement.
+            relay._seen_blocks.pop(cb.hash, None)
+            node.penalize(
+                origin, POINTS_BAD_COMPACT, f"malformed compact block: {exc}"
+            )
+            return
+        if obs.ENABLED:
+            if result.collisions:
+                obs.inc("compact.collisions_total", result.collisions)
+            obs.emit(
+                "compact.received",
+                node=node.name,
+                hash=cb.hash,
+                txs=cb.tx_count,
+                missing=len(result.missing),
+            )
+        if result.complete:
+            block = finalize(cb, result.txs)
+            if block is not None:
+                if obs.ENABLED:
+                    obs.inc("compact.reconstructed_total")
+                relay._accept_block(block, origin, hop)
+                return
+            # Every slot filled, but the merkle root disagrees: a short id
+            # matched the wrong mempool transaction (innocent collision).
+            # Fetch the full block; nobody is penalized.
+        elif obs.ENABLED:
+            obs.inc("compact.misses_total", len(result.missing))
+        if origin is None or not origin.alive:
+            # Nobody to round-trip with; forget the announcement so a
+            # later full relay or sync can deliver the block.
+            relay._seen_blocks.pop(cb.hash, None)
+            return
+        self._compact_pending[cb.hash] = _PendingCompact(
+            compact=cb, origin=origin, hop=hop,
+            txs=list(result.txs), missing=list(result.missing),
+        )
+        if result.complete:
+            self._fallback_full(cb.hash, reason="false-match")
+        else:
+            self._request_block_txns(cb.hash, attempt=1)
+
+    def _request_block_txns(self, block_hash: bytes, attempt: int) -> None:
+        """Ask the announcing peer for the block's missing transactions."""
+        pending = self._compact_pending.get(block_hash)
+        if pending is None:
+            return
+        node, origin = self.node, pending.origin
+        pending.req_seq += 1
+        req = pending.req_seq
+        indexes = tuple(pending.missing)
+        if obs.ENABLED:
+            obs.inc("compact.roundtrips_total")
+            obs.emit(
+                "compact.getblocktxn",
+                node=node.name,
+                peer=origin.name,
+                hash=block_hash,
+                indexes=len(indexes),
+            )
+        node.send_to(
+            origin,
+            lambda: origin.compact._serve_block_txns(
+                node, block_hash, indexes, req
+            ),
+            msg="getblocktxn",
+            size=getblocktxn_size(len(indexes)),
+        )
+        node.sim.schedule(
+            COMPACT_TXN_TIMEOUT * attempt,
+            lambda: self._on_compact_timeout(
+                block_hash, req, attempt, stage="blocktxn"
+            ),
+        )
+
+    def _serve_block_txns(
+        self,
+        requester: "Node",
+        block_hash: bytes,
+        indexes: tuple[int, ...],
+        req: int,
+    ) -> None:
+        """Peer side of ``getblocktxn``: reply with the requested
+        transactions, or None if we don't actually have the block."""
+        node = self.node
+        if not node.alive:
+            return
+        entry = node.chain.entry(block_hash)
+        payload = None
+        if entry is not None and all(
+            0 <= i < len(entry.block.txs) for i in indexes
+        ):
+            payload = tuple(entry.block.txs[i] for i in indexes)
+        node.send_to(
+            requester,
+            lambda: requester.compact._on_block_txns(block_hash, req, payload),
+            msg="blocktxn",
+            size=blocktxn_size(payload) if payload is not None else 40,
+        )
+
+    def _on_block_txns(
+        self,
+        block_hash: bytes,
+        req: int,
+        payload: "tuple[Transaction, ...] | None",
+    ) -> None:
+        node = self.node
+        if not node.alive:
+            return
+        pending = self._compact_pending.get(block_hash)
+        if pending is None or pending.req_seq != req:
+            return  # resolved, superseded, or timed out meanwhile
+        with obs.node_scope(node.name if obs.ENABLED else None):
+            if payload is None or len(payload) != len(pending.missing):
+                self._withheld(block_hash, pending, "blocktxn")
+                return
+            for slot, tx in zip(pending.missing, payload):
+                pending.txs[slot] = tx
+            block = finalize(pending.compact, tuple(pending.txs))
+            if block is None:
+                # Merkle mismatch *after* an honest round-trip: one of our
+                # local short-id matches was a false positive.  Innocent —
+                # fall back to the full block.
+                self._fallback_full(block_hash, reason="merkle-mismatch")
+                return
+            del self._compact_pending[block_hash]
+            if obs.ENABLED:
+                obs.inc("compact.reconstructed_total")
+            node.relay._accept_block(block, pending.origin, pending.hop)
+
+    def _fallback_full(
+        self, block_hash: bytes, reason: str, attempt: int = 1
+    ) -> None:
+        """Give up on reconstruction and request the full block."""
+        pending = self._compact_pending.get(block_hash)
+        if pending is None:
+            return
+        node, origin = self.node, pending.origin
+        if not pending.fell_back:
+            pending.fell_back = True
+            if obs.ENABLED:
+                obs.inc("compact.fallback_total")
+                obs.emit(
+                    "compact.fallback",
+                    node=node.name,
+                    hash=block_hash,
+                    reason=reason,
+                )
+        pending.req_seq += 1
+        req = pending.req_seq
+        node.send_to(
+            origin,
+            lambda: origin.compact._serve_full_block(node, block_hash, req),
+            msg="getblock",
+            size=GETBLOCK_SIZE,
+        )
+        node.sim.schedule(
+            COMPACT_TXN_TIMEOUT * attempt,
+            lambda: self._on_compact_timeout(
+                block_hash, req, attempt, stage="fullblock"
+            ),
+        )
+
+    def _serve_full_block(
+        self, requester: "Node", block_hash: bytes, req: int
+    ) -> None:
+        node = self.node
+        if not node.alive:
+            return
+        entry = node.chain.entry(block_hash)
+        block = entry.block if entry is not None else None
+        node.send_to(
+            requester,
+            lambda: requester.compact._on_full_block(block_hash, req, block),
+            msg="block",
+            size=block.serialized_size() if block is not None else 40,
+        )
+
+    def _on_full_block(
+        self, block_hash: bytes, req: int, block: Block | None
+    ) -> None:
+        node = self.node
+        if not node.alive:
+            return
+        pending = self._compact_pending.get(block_hash)
+        if pending is None or pending.req_seq != req:
+            return
+        with obs.node_scope(node.name if obs.ENABLED else None):
+            if block is None or block.hash != block_hash:
+                self._withheld(block_hash, pending, "a full block")
+                return
+            del self._compact_pending[block_hash]
+            node.relay._accept_block(block, pending.origin, pending.hop)
+
+    def _withheld(
+        self, block_hash: bytes, pending: _PendingCompact, what: str
+    ) -> None:
+        """The peer announced a block it cannot back with ``what``."""
+        if obs.ENABLED:
+            obs.inc("compact.withheld_total")
+            obs.emit(
+                "compact.withheld",
+                node=self.node.name,
+                peer=pending.origin.name,
+                hash=block_hash,
+            )
+        self.node.penalize(
+            pending.origin,
+            POINTS_BAD_COMPACT,
+            f"compact announcement not backed by {what}",
+        )
+        self._give_up_compact(block_hash, resync=False)
+
+    def _on_compact_timeout(
+        self, block_hash: bytes, req: int, attempt: int, stage: str
+    ) -> None:
+        if not self.node.alive:
+            return
+        pending = self._compact_pending.get(block_hash)
+        if pending is None or pending.req_seq != req:
+            return  # a reply (or a newer request) won the race
+        if attempt < COMPACT_MAX_ATTEMPTS:
+            if stage == "blocktxn":
+                self._request_block_txns(block_hash, attempt + 1)
+            else:
+                self._fallback_full(
+                    block_hash, reason="timeout-retry", attempt=attempt + 1
+                )
+        elif stage == "blocktxn":
+            self._fallback_full(block_hash, reason="timeout")
+        else:
+            self._give_up_compact(block_hash, resync=True)
+
+    def _give_up_compact(self, block_hash: bytes, resync: bool) -> None:
+        """Abandon a pending reconstruction entirely.
+
+        The hash is un-remembered so a later relay or catch-up sync can
+        still deliver the block; with ``resync`` (the lossy-link give-up
+        path) a sync with the announcing peer is kicked immediately.
+        """
+        pending = self._compact_pending.pop(block_hash, None)
+        if pending is None:
+            return
+        node = self.node
+        if not node.chain.has_block(block_hash):
+            node.relay._seen_blocks.pop(block_hash, None)
+        if resync and pending.origin.alive and pending.origin in node.peers:
+            start_sync(node, pending.origin, reason="compact")

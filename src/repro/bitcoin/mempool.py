@@ -21,7 +21,12 @@ from repro.bitcoin.standard import (
     is_standard,
 )
 from repro.bitcoin.transaction import OutPoint, Transaction
-from repro.bitcoin.validation import ValidationError, check_tx_inputs
+from repro.bitcoin.validation import (
+    MissingInputError,
+    ValidationError,
+    check_tx_inputs,
+    is_final,
+)
 
 DEFAULT_MIN_FEE_RATE = 1  # satoshis per byte
 
@@ -39,6 +44,11 @@ class MempoolValidationError(MempoolError):
     relays one that fails consensus validation, so only this subclass
     carries misbehavior points (see ``Node.submit_transaction``).
     """
+
+
+class MempoolMissingInputError(MempoolValidationError):
+    """Consensus-invalid only because an input is missing or spent, which
+    a double-spend race produces innocently: it scores a token amount."""
 
 
 @dataclass
@@ -133,8 +143,6 @@ class Mempool:
         if self.require_standard:
             self._check_standard(tx)
 
-        from repro.bitcoin.validation import is_final
-
         if not is_final(
             tx, self.chain.height + 1, self.chain.median_time_past()
         ):
@@ -145,6 +153,8 @@ class Mempool:
         # is connected later, its ECDSA checks are cache hits.
         try:
             validity = check_tx_inputs(tx, self.chain.utxos, self.chain.height + 1)
+        except MissingInputError as exc:
+            raise MempoolMissingInputError(str(exc)) from exc
         except ValidationError as exc:
             raise MempoolValidationError(str(exc)) from exc
 

@@ -37,7 +37,6 @@ from repro import obs
 from repro.backoff import backoff_delay, derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from repro.bitcoin.block import Block
     from repro.bitcoin.network import Node
 
 __all__ = ["SyncConfig", "SyncSession", "start_sync"]
@@ -45,11 +44,16 @@ __all__ = ["SyncConfig", "SyncSession", "start_sync"]
 
 @dataclass(frozen=True)
 class SyncConfig:
-    """Retry/timeout knobs for one catch-up session."""
+    """Retry/timeout knobs for one catch-up session.
 
-    timeout: float = 30.0  # seconds before a request is presumed lost
+    The two times are counted in the requesting node's mean hop latency,
+    not seconds (30 s and 240 s at the default 2 s hop): a timeout that
+    suits a 2 s link presumes every request lost on a 180 s one.
+    """
+
+    timeout_hops: float = 15.0  # hops before a request is presumed lost
     backoff: float = 2.0  # timeout multiplier per retry
-    max_timeout: float = 240.0  # cap on the backed-off timeout
+    max_timeout_hops: float = 120.0  # cap on the backed-off timeout
     jitter: float = 0.2  # ± fraction of timeout, seeded per (node, peer)
     max_retries: int = 4  # attempts per request before the session fails
     max_headers: int = 2000  # hashes per getheaders response
@@ -205,15 +209,6 @@ class SyncSession:
             )
         node.send_to(peer, peer_side, msg="sync", size=request_size)
 
-        timeout = backoff_delay(
-            attempt,
-            base=self.config.timeout,
-            cap=self.config.max_timeout,
-            factor=self.config.backoff,
-            jitter=self.config.jitter,
-            rng=self._backoff_rng,
-        )
-
         def on_timeout() -> None:
             if self.done or self._outstanding != req:
                 return
@@ -234,7 +229,19 @@ class SyncSession:
                 obs.inc("sync.retries_total")
             retry(attempt + 1)
 
-        node.sim.schedule(timeout, on_timeout)
+        node.sim.schedule(self._timeout(attempt), on_timeout)
+
+    def _timeout(self, attempt: int) -> float:
+        """Seconds to wait for the reply to the ``attempt``-th try."""
+        hop = self.node.latency
+        return backoff_delay(
+            attempt,
+            base=self.config.timeout_hops * hop,
+            cap=self.config.max_timeout_hops * hop,
+            factor=self.config.backoff,
+            jitter=self.config.jitter,
+            rng=self._backoff_rng,
+        )
 
     # ------------------------------------------------------------------
     # Protocol stages
@@ -311,7 +318,7 @@ class SyncSession:
                 return None
             # A fetched block continues the peer's propagation tree one
             # hop deeper, exactly like a gossip relay would have.
-            hop = self.peer._block_hops.get(block_hash, 0) + 1
+            hop = self.peer.relay._block_hops.get(block_hash, 0) + 1
             block = entry.block
             if (
                 not full
@@ -319,15 +326,7 @@ class SyncSession:
                 and self.peer.compact_relay
                 and len(block.txs) > 1
             ):
-                from repro.bitcoin.compact import CompactBlock
-
-                return (
-                    "compact",
-                    CompactBlock.from_block(
-                        block, salt=self.peer.name.encode()
-                    ),
-                    hop,
-                )
+                return ("compact", self.peer.compact.announcement(block), hop)
             return ("block", block, hop)
 
         def reply_size(reply: object) -> int:
@@ -344,7 +343,7 @@ class SyncSession:
                 return
             kind, payload, hop = reply
             if kind == "compact":
-                block = self._reconstruct_local(payload)
+                block = self.node.compact.reconstruct_local(payload)
                 if block is None:
                     # Mempool miss or false match: one clean full retry.
                     if obs.ENABLED:
@@ -355,10 +354,13 @@ class SyncSession:
                     obs.inc("sync.compact_hits_total")
             else:
                 block = payload
-            self.blocks_fetched += 1
-            if obs.ENABLED:
-                obs.inc("sync.blocks_fetched_total")
             self.node.submit_block(block, origin=self.peer, hop=hop)
+            if self.node.chain.has_block(block_hash):
+                # Fetched means the node has it now — not that a reply
+                # came, which the node may have refused.
+                self.blocks_fetched += 1
+                if obs.ENABLED:
+                    obs.inc("sync.blocks_fetched_total")
             if self.done or not self.node.alive:
                 return
             self._next_block()
@@ -374,20 +376,3 @@ class SyncSession:
             request_size=36,
             reply_size=reply_size,
         )
-
-    def _reconstruct_local(self, cb) -> "Block | None":
-        """Mempool-only reconstruction of a compact sync reply (no
-        getblocktxn round-trip; None means fall back to a full fetch)."""
-        from repro.bitcoin.compact import (
-            MalformedCompactError,
-            finalize,
-            reconstruct,
-        )
-
-        try:
-            result = reconstruct(cb, self.node.mempool)
-        except MalformedCompactError:
-            return None
-        if not result.complete:
-            return None
-        return finalize(cb, result.txs)

@@ -35,6 +35,11 @@ class ValidationError(Exception):
     """A transaction or block violates a consensus rule."""
 
 
+class MissingInputError(ValidationError):
+    """An input is spent already or was never created — the one consensus
+    failure an honest peer can relay (spent while the tx was in flight)."""
+
+
 LOCKTIME_THRESHOLD = 500_000_000  # below: block height; above: unix time
 
 
@@ -192,7 +197,7 @@ def check_tx_inputs(
     for index, txin in enumerate(tx.vin):
         entry = utxos.get(txin.prevout)
         if entry is None:
-            raise ValidationError(f"missing or spent input {txin.prevout}")
+            raise MissingInputError(f"missing or spent input {txin.prevout}")
         if entry.is_coinbase and height - entry.height < COINBASE_MATURITY:
             raise ValidationError("premature spend of coinbase output")
         value_in += entry.output.value

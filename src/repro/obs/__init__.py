@@ -212,7 +212,7 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("relay.getblock_bytes_total", "c"),
     ("relay.sync_bytes_total", "c"),
     # Duplicates of already-held transactions suppressed after seen-set
-    # eviction (the relay-storm guard in Node._submit_transaction).
+    # eviction (the relay-storm guard in Relay._submit_transaction).
     ("net.duplicates_suppressed_total", "c"),
 )
 

@@ -15,7 +15,7 @@ saturated admission queue, a drain in progress, an unexpected exception
 — maps to one of the *non-verdict* statuses (``timeout`` /
 ``overloaded`` / ``draining`` / ``error``), so a caller can always
 distinguish "the proof is bad" from "the service had a bad day".
-``run_service_chaos`` (:mod:`repro.bitcoin.faults`) checks this
+``run_service_chaos`` (:mod:`repro.service.chaos`) checks this
 invariant against a trusted replay under seeded fault injection.
 
 There is one tier.  The protocol itself is

@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.bitcoin.block import build_block
 from repro.bitcoin.chain import Blockchain, ChainParams, block_subsidy
+from repro.bitcoin.compact import CompactBlock, PrefilledTransaction
 from repro.bitcoin.faults import (
     BYZANTINE_BEHAVIORS,
     ByzantinePeer,
@@ -27,16 +28,23 @@ from repro.bitcoin.faults import (
     run_chaos,
     utxo_sets_match,
 )
+from repro.bitcoin.mempool import (
+    MempoolMissingInputError,
+    MempoolValidationError,
+)
 from repro.bitcoin.network import (
     DEFAULT_BAN_THRESHOLD,
-    POINTS_INVALID_BLOCK,
-    POINTS_STALE_TX,
     Node,
     PoissonMiner,
     Simulation,
     build_network,
 )
 from repro.bitcoin.pow import block_work, target_to_bits
+from repro.bitcoin.relay import (
+    POINTS_INVALID_BLOCK,
+    POINTS_INVALID_TX,
+    POINTS_STALE_TX,
+)
 from repro.bitcoin.script import Script
 from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.sync import SyncConfig, start_sync
@@ -91,6 +99,24 @@ def orphan_block(nonce=0):
         txs=[coinbase_for(1, nonce=nonce)],
         timestamp=1_300_000_000,
         bits=target_to_bits(2**252),
+    )
+
+
+def unbacked_announcement(chain):
+    """A compact announcement extending the tip that no mempool can
+    reconstruct: the receiver is left waiting on a getblocktxn."""
+    coinbase = coinbase_for(chain.height + 1)
+    shell = build_block(
+        prev_hash=chain.tip.block.hash,
+        txs=[coinbase],
+        timestamp=chain.median_time_past() + 1,
+        bits=chain.required_bits(chain.tip.block.hash),
+    )
+    return CompactBlock(
+        header=shell.header,
+        nonce=1,
+        short_ids=(b"\x01" * 6,),
+        prefilled=(PrefilledTransaction(0, coinbase),),
     )
 
 
@@ -235,17 +261,18 @@ class TestBoundedPools:
                 vout=[TxOut(50_000, p2pkh_script(b"\x11" * 20))],
             )
             node.submit_transaction(tx)
-        assert len(node._seen_txs) <= 5
+        assert len(node.relay._seen_txs) <= 5
 
     def test_orphan_pool_is_bounded(self):
         _, (node,) = make_nodes(1, connect=False)
         node.orphan_limit = 3
         for i in range(8):
             node.submit_block(orphan_block(nonce=i))
-        assert len(node._orphans) <= 3
+        assert len(node.relay._orphans) <= 3
         # The by-parent index shrinks with the pool.
-        indexed = sum(len(v) for v in node._orphans_by_parent.values())
-        assert indexed == len(node._orphans)
+        index = node.relay._orphans_by_parent
+        indexed = sum(len(v) for v in index.values())
+        assert indexed == len(node.relay._orphans)
 
     def test_eviction_is_observable(self, obs_on):
         _, (node,) = make_nodes(1, connect=False)
@@ -263,10 +290,28 @@ class TestBoundedPools:
         mine_to(a, 2)
         blocks = a.chain.export_active()
         b.submit_block(blocks[1])  # child first: parked as orphan
-        assert b.chain.height == 0 and len(b._orphans) == 1
+        assert b.chain.height == 0 and len(b.relay._orphans) == 1
         b.submit_block(blocks[0])  # parent arrives: both connect
         assert b.chain.height == 2
-        assert b._orphans == {}
+        assert b.relay._orphans == {}
+
+    def test_evicted_orphan_can_be_delivered_again(self):
+        """An orphan evicted from the full pool is forgotten, not left
+        "seen": left seen, no relay and no catch-up sync could ever hand
+        the node that block again, and a sync asked for it for ever."""
+        sim, (a, b) = make_nodes(2, connect=False)
+        mine_to(a, 80)
+        blocks = a.chain.export_active()
+        for block in blocks[1:]:  # 79 orphans against orphan_limit = 64
+            b.submit_block(block)
+        b.submit_block(blocks[0])
+        assert b.chain.height == 1  # blocks 2..16 were evicted
+        a.connect(b)
+        session = start_sync(b, a)
+        sim.run_until(sim.now + 50_000)
+        assert session.done and session.succeeded
+        assert b.chain.height == 80
+        assert session.blocks_fetched == 15  # the evicted ones, no more
 
 
 class TestMisbehavior:
@@ -335,6 +380,31 @@ class TestMisbehavior:
         assert victim.submit_transaction(tx, origin=peer) is False
         assert victim.misbehavior_score(peer) == POINTS_STALE_TX
 
+    def test_stale_tx_penalty_follows_the_type_not_the_message(
+        self, monkeypatch
+    ):
+        _, (victim, peer) = make_nodes(2, connect=False)
+        victim.connect(peer)
+        refusals = iter(
+            [
+                MempoolMissingInputError("the input is gone"),
+                MempoolValidationError("missing or spent input, it says"),
+            ]
+        )
+
+        def refuse(tx):
+            raise next(refusals)
+
+        monkeypatch.setattr(victim.mempool, "accept", refuse)
+        for nonce, points in ((1, POINTS_STALE_TX), (2, POINTS_INVALID_TX)):
+            before = victim.misbehavior_score(peer)
+            tx = Transaction(
+                vin=[TxIn(OutPoint(bytes([nonce]) * 32, 0))],
+                vout=[TxOut(50_000, p2pkh_script(b"\x11" * 20))],
+            )
+            assert victim.submit_transaction(tx, origin=peer) is False
+            assert victim.misbehavior_score(peer) - before == points
+
     def test_policy_refusal_not_penalized(self):
         _, (victim, peer) = make_nodes(2, connect=False)
         victim.connect(peer)
@@ -376,8 +446,28 @@ class TestCrashRestart:
         assert not b.alive
         assert b.peers == [] and a.peers == []
         assert len(b.mempool) == 0
-        assert b._orphans == {} and b._seen_txs == {}
+        assert b.relay._orphans == {} and b.relay._seen_txs == {}
         assert b.crash() is None  # idempotent
+
+    @pytest.mark.parametrize("handler", ["relay", "compact"])
+    def test_crash_resets_every_handler(self, handler, obs_on):
+        """After a crash no handler holds a parked orphan, a pending
+        reconstruction, a seen transaction or bookkeeping about one: each
+        is what a newly built handler is."""
+        sim, a, b, _ = self.setup_pair()
+        b.submit_block(orphan_block())  # parked
+        b.submit_transaction(
+            Transaction(
+                vin=[TxIn(OutPoint(b"\xaa" * 32, 0))],
+                vout=[TxOut(50_000, p2pkh_script(b"\x11" * 20))],
+            )
+        )
+        b.submit_compact_block(unbacked_announcement(b.chain), origin=a)
+        held = getattr(b, handler)
+        fresh = type(held)(b)
+        assert vars(held) != vars(fresh)
+        b.crash()
+        assert vars(held) == vars(fresh)
 
     def test_deliveries_to_dead_node_are_lost(self):
         sim, a, b, miner = self.setup_pair()
@@ -491,7 +581,7 @@ class TestSync:
         behind.connect(ahead)
         mine_to(ahead, 5, miner_id=2)
         ahead.alive = False
-        config = SyncConfig(timeout=10.0, max_retries=2)
+        config = SyncConfig(timeout_hops=5.0, max_retries=2)  # 10 s
         session = start_sync(behind, ahead, config=config)
         sim.run_until(sim.now + 3600)
         assert session.done and not session.succeeded
@@ -623,7 +713,7 @@ class TestByzantinePeer:
         sim.run_until(24 * 3600)
         assert byz.attacks_sent["orphan_spam"] > 10
         for node in nodes[:-1]:
-            assert len(node._orphans) <= 8
+            assert len(node.relay._orphans) <= 8
 
     def test_stale_fork_does_not_reorg_or_penalize(self):
         sim, nodes = make_nodes(4, seed=33)

@@ -15,6 +15,9 @@ import pytest
 from repro.bitcoin import compact as cmod
 from repro.bitcoin.chain import ChainParams
 from repro.bitcoin.compact import (
+    COMPACT_MAX_ATTEMPTS,
+    COMPACT_TXN_TIMEOUT,
+    POINTS_BAD_COMPACT,
     CompactBlock,
     MalformedCompactError,
     PrefilledTransaction,
@@ -27,9 +30,6 @@ from repro.bitcoin.compact import (
 from repro.bitcoin.faults import ByzantinePeer, LinkPolicy
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.network import (
-    COMPACT_MAX_ATTEMPTS,
-    COMPACT_TXN_TIMEOUT,
-    POINTS_BAD_COMPACT,
     Node,
     PoissonMiner,
     Simulation,
@@ -307,7 +307,7 @@ class TestRecoveryLadder:
         )
         sim.run_until(2 * ladder * 2 + 600)
         assert not b.chain.has_block(block.hash)
-        assert not b._compact_pending
+        assert not b.compact._compact_pending
         # The hash was un-remembered, so a later full relay delivers.
         b.set_link_policy(a, None)
         b.submit_block(block, origin=a)
@@ -325,9 +325,9 @@ class TestRecoveryLadder:
         block = _mine(a)
         cb = CompactBlock.from_block(block, salt=a.name.encode())
         b.submit_compact_block(cb, origin=a)
-        assert b._compact_pending
+        assert b.compact._compact_pending
         b.crash()
-        assert not b._compact_pending
+        assert not b.compact._compact_pending
 
 
 class TestByzantineGarbage:

@@ -15,12 +15,14 @@ from repro.bitcoin.network import (
     PoissonMiner,
     Simulation,
     build_network,
+)
+from repro.bitcoin.pow import block_work, target_to_bits
+from repro.bitcoin.race import (
     nakamoto_reversal_probability,
     reversal_probability_exact,
     simulate_race,
     simulate_race_full,
 )
-from repro.bitcoin.pow import block_work, target_to_bits
 
 
 def total_rate_for_interval(interval=600.0):
@@ -259,7 +261,7 @@ class TestSeenEviction:
         # held transaction's entry is evicted while the tx stays pooled.
         for i in range(1, 6):
             assert not a.submit_transaction(self._junk_tx(i))
-        assert tx.txid not in a._seen_txs
+        assert tx.txid not in a.relay._seen_txs
         assert tx.txid in a.mempool
 
         registry = obs_on.registry()
@@ -306,7 +308,7 @@ class TestSeenEviction:
         assert b.chain.get_transaction(tx.txid) is not None
         for i in range(1, 6):
             a.submit_transaction(self._junk_tx(i))
-        assert tx.txid not in a._seen_txs
+        assert tx.txid not in a.relay._seen_txs
 
         registry = obs_on.registry()
         rejected_before = registry.counter("mempool.rejected_total").value
@@ -321,17 +323,29 @@ class TestSeenEviction:
         assert a.misbehavior_score(b) == 0
 
 
-# benchmarks/bench_a1_fork_rate.py's rows, as last recorded (PR 10's relay
-# echo-to-origin fix moved every seeded RNG stream).  A deliberate protocol
+# benchmarks/bench_a1_fork_rate.py's rows, as last recorded (PR 21: an
+# orphan from a live sender always starts a catch-up sync with it, whose
+# messages draw hop delays from the seeded stream).  A deliberate protocol
 # change re-anchors these literals in the same PR; anything else that
 # moves them is drift.
 A1_ROWS = [
-    {"latency": 2.0, "found": 358, "height": 358, "orphan_rate": 0.0},
-    {"latency": 20.0, "found": 356, "height": 350,
-     "orphan_rate": 0.016853932584269662},
-    {"latency": 180.0, "found": 358, "height": 302,
-     "orphan_rate": 0.1564245810055866},
+    {"latency": 2.0, "found": 353, "height": 352,
+     "orphan_rate": 0.0028328611898017},
+    {"latency": 20.0, "found": 377, "height": 369,
+     "orphan_rate": 0.021220159151193633},
+    {"latency": 180.0, "found": 362, "height": 308,
+     "orphan_rate": 0.14917127071823205},
 ]
+
+
+def a1_bench():
+    root = Path(__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location(
+        "bench_a1_fork_rate", root / "benchmarks" / "bench_a1_fork_rate.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
 
 
 class TestSeededTrajectory:
@@ -341,12 +355,15 @@ class TestSeededTrajectory:
     bit."""
 
     def test_a1_rows_match_recorded_baseline(self):
-        root = Path(__file__).resolve().parents[2]
-        spec = importlib.util.spec_from_file_location(
-            "bench_a1_fork_rate", root / "benchmarks" / "bench_a1_fork_rate.py"
-        )
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-
+        bench = a1_bench()
         for row in A1_ROWS:
             assert bench.run_with_latency(row["latency"]) == row
+
+    def test_no_catch_up_fails_on_a_loss_free_slow_network(self, obs_on):
+        """A1's 180 s-a-hop row: every orphan starts a catch-up with its
+        sender, and because the sync timeout is counted in hops none of
+        them times out on a link that merely is slow."""
+        a1_bench().run_with_latency(180.0)
+        counter = obs_on.registry().counter
+        assert counter("sync.sessions_total").value > 0
+        assert counter("sync.failures_total").value == 0

@@ -6,7 +6,6 @@ retry on *decorrelated* schedules — while any given seed reproduces its
 schedule exactly.
 """
 
-from repro.backoff import backoff_delay
 from repro.bitcoin.network import Simulation, build_network
 from repro.bitcoin.sync import SyncConfig, SyncSession
 
@@ -16,17 +15,7 @@ def timeout_schedule(seed: int, attempts: int = 4, config: SyncConfig = None):
     sim = Simulation(seed=seed)
     a, b = build_network(sim, 2)
     session = SyncSession(a, b, "test", config)
-    return [
-        backoff_delay(
-            attempt,
-            base=config.timeout,
-            cap=config.max_timeout,
-            factor=config.backoff,
-            jitter=config.jitter,
-            rng=session._backoff_rng,
-        )
-        for attempt in range(1, attempts + 1)
-    ]
+    return [session._timeout(attempt) for attempt in range(1, attempts + 1)]
 
 
 def test_distinct_seeds_give_divergent_schedules():
@@ -42,7 +31,8 @@ def test_schedule_grows_within_jitter_band_and_caps():
     config = SyncConfig()
     for delay, nominal in zip(
         timeout_schedule(0, attempts=5, config=config),
-        [30.0, 60.0, 120.0, 240.0, 240.0],  # doubling, capped at 240
+        # 15 hops at build_network's 2 s a hop, doubling, capped at 120.
+        [30.0, 60.0, 120.0, 240.0, 240.0],
     ):
         assert nominal * (1 - config.jitter) <= delay
         assert delay <= nominal * (1 + config.jitter)
@@ -55,14 +45,7 @@ def test_pairs_within_one_simulation_decorrelate():
 
     def schedule(node, peer):
         session = SyncSession(node, peer, "test", config)
-        return [
-            backoff_delay(
-                n, base=config.timeout, cap=config.max_timeout,
-                factor=config.backoff, jitter=config.jitter,
-                rng=session._backoff_rng,
-            )
-            for n in range(1, 5)
-        ]
+        return [session._timeout(n) for n in range(1, 5)]
 
     assert schedule(a, b) != schedule(a, c) != schedule(b, c)
 

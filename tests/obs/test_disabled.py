@@ -141,18 +141,9 @@ def test_a1_rows_bit_identical_with_obs_disabled(poisoned):
     and every sink poisoned, the A1 experiment reproduces ``A1_ROWS``
     (the anchor moves only when a deliberate protocol change re-anchors
     the literals, e.g. PR 10's relay echo-to-origin fix)."""
-    import importlib.util
-    from pathlib import Path
+    from tests.bitcoin.test_network import A1_ROWS, a1_bench
 
-    from tests.bitcoin.test_network import A1_ROWS
-
-    root = Path(__file__).resolve().parents[2]
-    spec = importlib.util.spec_from_file_location(
-        "bench_a1_fork_rate", root / "benchmarks" / "bench_a1_fork_rate.py"
-    )
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
+    bench = a1_bench()
     for row in A1_ROWS:
         fresh = bench.run_with_latency(row["latency"])
         assert fresh["found"] == row["found"]

@@ -7,7 +7,7 @@ session-scoped and shared read-only: service tests construct their own
 
 import pytest
 
-from repro.bitcoin.faults import _service_world
+from repro.service.chaos import _service_world
 
 
 @pytest.fixture(scope="session")

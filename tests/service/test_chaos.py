@@ -1,6 +1,6 @@
 """Seeded service-chaos scenarios: the no-wrong-verdict invariant."""
 
-from repro.bitcoin.faults import (
+from repro.service.chaos import (
     SERVICE_PROFILES,
     ServiceChaosProfile,
     run_service_chaos,

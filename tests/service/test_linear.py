@@ -13,7 +13,7 @@ import pytest
 
 from bench.common import replay_verdict as replay
 from repro import cancel
-from repro.bitcoin.faults import _service_world
+from repro.service.chaos import _service_world
 from repro.core import verifier, wire
 from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
