@@ -29,10 +29,9 @@ from repro.bitcoin.transaction import COIN, OutPoint, Script, Transaction, TxIn,
 from repro.bitcoin.utxo import BlockUndo, UTXOSet
 from repro.bitcoin.validation import (
     MissingInputError,
-    ParallelScriptVerifier,
-    ScriptJob,
     ValidationError,
     check_tx_inputs,
+    is_final,
 )
 
 HALVING_INTERVAL = 210_000
@@ -102,15 +101,8 @@ class _ConnectedState:
 class Blockchain:
     """The full node state: block tree, active chain, UTXO set, tx index."""
 
-    def __init__(
-        self,
-        params: ChainParams | None = None,
-        script_verifier: ParallelScriptVerifier | None = None,
-    ):
+    def __init__(self, params: ChainParams | None = None):
         self.params = params or ChainParams.regtest()
-        # workers=1 verifies serially in-process; pass a verifier with more
-        # workers to fan block-connect script checks across a process pool.
-        self.script_verifier = script_verifier or ParallelScriptVerifier(workers=1)
         self.genesis = make_genesis(self.params)
         genesis_hash = self.genesis.hash
         self._index: dict[bytes, BlockIndexEntry] = {
@@ -159,10 +151,7 @@ class Blockchain:
 
     @classmethod
     def restore(
-        cls,
-        recovered,
-        params: ChainParams | None = None,
-        script_verifier: ParallelScriptVerifier | None = None,
+        cls, recovered, params: ChainParams | None = None
     ) -> "Blockchain":
         """Rebuild a chain from a :class:`repro.store.RecoveredState`.
 
@@ -178,7 +167,7 @@ class Blockchain:
         The returned chain has **no store attached** — appends during
         replay would duplicate the log.  Call :meth:`attach_store` after.
         """
-        chain = cls(params, script_verifier)
+        chain = cls(params)
         if (
             recovered.genesis is not None
             and recovered.genesis != chain.genesis.hash
@@ -213,17 +202,7 @@ class Blockchain:
             popped = self._active.pop()
             assert popped == record.block_hash, "log/active-chain divergence"
             return
-        block = record.block
-        entry = self._index.get(record.block_hash)
-        if entry is None:
-            prev = self._index[block.header.prev_hash]
-            entry = BlockIndexEntry(
-                block=block,
-                height=prev.height + 1,
-                chain_work=prev.chain_work + block_work(block.header.bits),
-                prev=block.header.prev_hash,
-            )
-            self._index[record.block_hash] = entry
+        self._index_block(record.block)
         self._active.append(record.block_hash)
 
     def _install_snapshot(self, snapshot, undo_by_hash: dict) -> None:
@@ -242,15 +221,7 @@ class Blockchain:
                     "undo record missing for committed block "
                     f"{block_hash.hex()}"
                 )
-            state = _ConnectedState(undo=undo)
-            block = self._index[block_hash].block
-            for tx in block.txs:
-                self._tx_index[tx.txid] = block_hash
-                state.txids.append(tx.txid)
-                if not tx.is_coinbase:
-                    for txin in tx.vin:
-                        self._spenders[txin.prevout] = tx.txid
-            self._connected[block_hash] = state
+            self._mark_connected(self._index[block_hash].block, undo)
 
     def _replay_forward(self, record) -> None:
         """Phase-2 replay: re-apply one logged transition to the UTXO set
@@ -262,25 +233,9 @@ class Blockchain:
             self._disconnect_tip()
             return
         block = record.block
-        entry = self._index.get(record.block_hash)
-        if entry is None:
-            prev = self._index[block.header.prev_hash]
-            entry = BlockIndexEntry(
-                block=block,
-                height=prev.height + 1,
-                chain_work=prev.chain_work + block_work(block.header.bits),
-                prev=block.header.prev_hash,
-            )
-            self._index[record.block_hash] = entry
+        entry = self._index_block(block)
         undo = self.utxos.apply_block_txs(list(block.txs), entry.height)
-        state = _ConnectedState(undo=undo)
-        for tx in block.txs:
-            self._tx_index[tx.txid] = record.block_hash
-            state.txids.append(tx.txid)
-            if not tx.is_coinbase:
-                for txin in tx.vin:
-                    self._spenders[txin.prevout] = tx.txid
-        self._connected[record.block_hash] = state
+        self._mark_connected(block, undo)
         self._active.append(record.block_hash)
 
     # ------------------------------------------------------------------
@@ -452,14 +407,7 @@ class Blockchain:
         if block.header.timestamp <= self.median_time_past(block.header.prev_hash):
             raise ValidationError("timestamp not after median time past")
 
-        entry = BlockIndexEntry(
-            block=block,
-            height=prev.height + 1,
-            chain_work=prev.chain_work + block_work(block.header.bits),
-            prev=block.header.prev_hash,
-        )
-        self._index[block_hash] = entry
-
+        entry = self._index_block(block)
         if entry.chain_work > self.tip.chain_work:
             self._reorganize_to(entry)
             if self.store is not None and self.store.should_snapshot():
@@ -551,10 +499,9 @@ class Blockchain:
         block = entry.block
         height = entry.height
         if height > 0:
-            from repro.bitcoin.validation import is_final
-
+            # Each transaction is checked as Mempool._accept checks it:
+            # finality, no outpoint already claimed, then check_tx_inputs.
             fees = 0
-            script_jobs: list[ScriptJob] = []
             # Rule 3 at block scope: check_tx_inputs reads the pre-block
             # table, so a second spender of one outpoint must be caught
             # here, before apply_block_txs mutates anything.
@@ -562,43 +509,52 @@ class Blockchain:
             for tx in block.txs[1:]:
                 if not is_final(tx, height, block.header.timestamp):
                     raise ValidationError("non-final transaction in block")
-                # Contextual checks first (inputs exist, maturity, fee); the
-                # script work is collected and run as one batch below so it
-                # can fan out across the verifier's workers.
-                result = check_tx_inputs(
-                    tx, self.utxos, height, verify_scripts=False
-                )
-                fees += result.fee
-                for index, txin in enumerate(tx.vin):
+                for txin in tx.vin:
                     if txin.prevout in spent_in_block:
                         raise MissingInputError(
                             f"missing or spent input {txin.prevout}"
                         )
                     spent_in_block.add(txin.prevout)
-                    utxo_entry = self.utxos.get(txin.prevout)
-                    assert utxo_entry is not None  # check_tx_inputs passed
-                    script_jobs.append(
-                        (tx, index, utxo_entry.output.script_pubkey)
-                    )
-            self.script_verifier.verify_all(script_jobs)
+                fees += check_tx_inputs(tx, self.utxos, height).fee
             coinbase_value = block.txs[0].total_output_value()
             if coinbase_value > block_subsidy(height) + fees:
                 raise ValidationError("coinbase pays more than subsidy plus fees")
         undo = self.utxos.apply_block_txs(list(block.txs), height)
-        state = _ConnectedState(undo=undo)
-        for tx in block.txs:
-            self._tx_index[tx.txid] = block.hash
-            state.txids.append(tx.txid)
-            if not tx.is_coinbase:
-                for txin in tx.vin:
-                    self._spenders[txin.prevout] = tx.txid
-        self._connected[block.hash] = state
+        self._mark_connected(block, undo)
         if height > 0:
             self._active.append(block.hash)
             if self.store is not None:
                 self.store.append_connect(block, height, undo)
         # height == 0 is genesis, already in _active at construction
         # (and implied by the store manifest, so it is never logged).
+
+    def _index_block(self, block: Block) -> BlockIndexEntry:
+        """The block's entry in the tree, created under its parent if new."""
+        block_hash = block.hash
+        entry = self._index.get(block_hash)
+        if entry is None:
+            prev = self._index[block.header.prev_hash]
+            entry = BlockIndexEntry(
+                block=block,
+                height=prev.height + 1,
+                chain_work=prev.chain_work + block_work(block.header.bits),
+                prev=block.header.prev_hash,
+            )
+            self._index[block_hash] = entry
+        return entry
+
+    def _mark_connected(self, block: Block, undo: BlockUndo) -> None:
+        """Index a block whose transactions the table now reflects: where
+        each confirmed, what each spent, and the undo data to take it off."""
+        block_hash = block.hash
+        state = _ConnectedState(undo=undo)
+        for tx in block.txs:
+            self._tx_index[tx.txid] = block_hash
+            state.txids.append(tx.txid)
+            if not tx.is_coinbase:
+                for txin in tx.vin:
+                    self._spenders[txin.prevout] = tx.txid
+        self._connected[block_hash] = state
 
     def _disconnect_tip(self) -> BlockIndexEntry:
         """Detach the tip block, restoring UTXOs and indexes."""

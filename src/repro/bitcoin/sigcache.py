@@ -12,9 +12,10 @@ Negative verdicts are cached too, for the same reason: the triple pins the
 exact check, so a recorded ``False`` can only be returned for a byte-equal
 re-ask.
 
-The cache is a bounded LRU (``collections.OrderedDict``); one process-wide
-default instance is shared by the mempool and block-connect paths so work
-done at acceptance is skipped at connect.  Differential tests swap it out
+The cache is a bounded LRU (``collections.OrderedDict``).  Mempool
+acceptance and block connect are the same call, ``check_tx_inputs``, and
+it consults one process-wide default instance, so work done at acceptance
+is skipped at connect.  Differential tests swap it out
 or disable it entirely via :func:`set_default_cache`.
 """
 

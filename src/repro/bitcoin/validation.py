@@ -16,16 +16,15 @@ the whole prior output); rules 1, 3, 4 are checked here against a UTXO view.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from functools import partial
 
 from repro import obs
 from repro.bitcoin import sigcache
-from repro.bitcoin.script import Script, execute_script
+from repro.bitcoin.script import ScriptError, execute_script
 from repro.bitcoin.sighash import SighashCache, signature_hash
 from repro.bitcoin.standard import _is_pubkey_shaped
-from repro.bitcoin.transaction import MAX_MONEY, Transaction
+from repro.bitcoin.transaction import MAX_MONEY, SEQUENCE_FINAL, Transaction
 from repro.bitcoin.utxo import COINBASE_MATURITY, UTXOSet
 from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.secp256k1 import Point
@@ -55,8 +54,6 @@ def is_final(tx: Transaction, height: int, block_time: int) -> bool:
     """
     if tx.locktime == 0:
         return True
-    from repro.bitcoin.transaction import SEQUENCE_FINAL
-
     if all(txin.sequence == SEQUENCE_FINAL for txin in tx.vin):
         return True
     cutoff = height if tx.locktime < LOCKTIME_THRESHOLD else block_time
@@ -208,7 +205,15 @@ def check_tx_inputs(
             )
             if enabled:
                 script_start = obs.clock()
-            authorized = execute_script(txin.script_sig, script_code, checker)
+            try:
+                authorized = execute_script(txin.script_sig, script_code, checker)
+            except ScriptError as exc:
+                # A scriptSig that is not push-only is refused before it
+                # runs; to a peer it is one more input that does not
+                # authorize its spend, not a different kind of exception.
+                raise ValidationError(
+                    f"script validation failed on input {index}: {exc}"
+                ) from exc
             if enabled:
                 script_time += obs.clock() - script_start
             if not authorized:
@@ -228,122 +233,3 @@ def check_tx_inputs(
         )
     return TxValidity(fee=value_in - value_out)
 
-
-# ----------------------------------------------------------------------
-# Parallel script verification (block connect)
-# ----------------------------------------------------------------------
-
-# One unit of script work: (spending tx, input index, scriptPubKey spent).
-ScriptJob = tuple[Transaction, int, Script]
-
-
-def _verify_job_group(
-    tx: Transaction,
-    items: list[tuple[int, Script]],
-    sig_cache=_DEFAULT_SIG_CACHE,
-) -> tuple[bool, str | None]:
-    """Verify one transaction's script jobs sharing a single SighashCache."""
-    cache = SighashCache(tx)
-    for index, script_code in items:
-        checker = make_sig_checker(
-            tx, index, script_code, sighash_cache=cache, sig_cache=sig_cache
-        )
-        try:
-            ok = execute_script(tx.vin[index].script_sig, script_code, checker)
-        except ValidationError as exc:
-            return False, str(exc)
-        if not ok:
-            return False, f"script validation failed on input {index}"
-    return True, None
-
-
-def _pool_worker(payload: tuple[bytes, list[tuple[int, bytes]]]):
-    """Process-pool entry point: verify one transaction's inputs.
-
-    Ships bytes, not objects, so the payload pickles cheaply; the worker
-    reparses and verifies with its own per-transaction SighashCache.  (With
-    the default fork start method, workers also inherit a copy of whatever
-    the parent's shared sigcache held when the pool started.)
-    """
-    tx_bytes, jobs = payload
-    tx = Transaction.parse(tx_bytes)
-    items = [(index, Script.parse(script_bytes)) for index, script_bytes in jobs]
-    return _verify_job_group(tx, items)
-
-
-class ParallelScriptVerifier:
-    """Fan block-connect script checks across a worker pool.
-
-    ``workers=1`` (the default) verifies serially in-process — no pool, and
-    full benefit from the shared signature cache.  With ``workers > 1`` a
-    persistent ``ProcessPoolExecutor`` verifies per-transaction batches;
-    results are consumed in submission order, so the *first* failure
-    reported is deterministic (earliest transaction, then earliest input)
-    regardless of worker scheduling.
-    """
-
-    def __init__(self, workers: int = 1):
-        self.workers = max(1, int(workers))
-        self._executor: concurrent.futures.ProcessPoolExecutor | None = None
-
-    @staticmethod
-    def _grouped(jobs: list[ScriptJob]) -> list[tuple[Transaction, list[tuple[int, Script]]]]:
-        groups: list[tuple[Transaction, list[tuple[int, Script]]]] = []
-        for tx, index, script_code in jobs:
-            if groups and groups[-1][0] is tx:
-                groups[-1][1].append((index, script_code))
-            else:
-                groups.append((tx, [(index, script_code)]))
-        return groups
-
-    def verify_all(self, jobs: list[ScriptJob]) -> None:
-        """Verify every job; raise :class:`ValidationError` on first failure."""
-        if not jobs:
-            return
-        groups = self._grouped(jobs)
-        if self.workers == 1:
-            for tx, items in groups:
-                ok, message = _verify_job_group(tx, items)
-                if not ok:
-                    raise ValidationError(message)
-            return
-        payloads = [
-            (
-                tx.serialize(),
-                [(index, code.serialize()) for index, code in items],
-            )
-            for tx, items in groups
-        ]
-        executor = self._ensure_executor()
-        try:
-            for ok, message in executor.map(_pool_worker, payloads):
-                if not ok:
-                    raise ValidationError(message)
-        except concurrent.futures.process.BrokenProcessPool:
-            # A worker died mid-block (OOM kill, crash, deliberate fault
-            # injection).  The executor is unusable, but the block still
-            # deserves a verdict: discard the pool and re-verify every
-            # group serially in-process.  Script checks are pure, so the
-            # re-run cannot disagree with work the dead pool completed.
-            self._executor = None
-            executor.shutdown(wait=False, cancel_futures=True)
-            if obs.ENABLED:
-                obs.inc("script.pool_broken_total")
-                obs.emit("script.pool_broken", groups=len(groups))
-            for tx, items in groups:
-                ok, message = _verify_job_group(tx, items)
-                if not ok:
-                    raise ValidationError(message)
-
-    def _ensure_executor(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; pool restarts on demand)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None

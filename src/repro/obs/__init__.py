@@ -183,8 +183,6 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("service.memo_misses_total", "c"),
     ("service.memo_poison_rejected_total", "c"),
     ("service.shed_total", "c"),
-    # Block-connect script pool crash fallback (serial re-verification).
-    ("script.pool_broken_total", "c"),
     # Batched ECDSA (repro.crypto.ecdsa.batch_verify over one
     # multi-scalar multiplication).
     ("ecmult.batch_total", "c"),

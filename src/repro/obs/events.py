@@ -99,8 +99,6 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "service.poison_rejected": ("txid",),
     # Admission control refused a request (queue full / draining).
     "service.shed": ("inflight", "reason"),
-    # The block-connect script pool broke; verification fell back serial.
-    "script.pool_broken": ("groups",),
     # --- schema v4: compact block relay (BIP 152-style) ---
     # A compact announcement arrived: total txs, mempool misses.
     "compact.received": ("node", "hash", "txs", "missing"),

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from repro import obs
 from repro.bitcoin.chain import Blockchain, ChainParams
-from repro.bitcoin.validation import ParallelScriptVerifier
 from repro.store.store import BlockStore
 
 
 def recover_chain(
-    store: BlockStore,
-    params: ChainParams | None = None,
-    script_verifier: ParallelScriptVerifier | None = None,
+    store: BlockStore, params: ChainParams | None = None
 ) -> Blockchain:
     """Rebuild a :class:`Blockchain` from ``store`` and attach it.
 
@@ -36,7 +33,7 @@ def recover_chain(
         with obs.trace_span(
             "store.recover", metric="store.recover_seconds"
         ):
-            chain = _recover_inner(store, params, script_verifier)
+            chain = _recover_inner(store, params)
         obs.inc("store.recoveries_total")
         obs.emit(
             "store.recovered",
@@ -46,14 +43,12 @@ def recover_chain(
             from_snapshot=bool(store._manifest.get("snapshot")),
         )
         return chain
-    return _recover_inner(store, params, script_verifier)
+    return _recover_inner(store, params)
 
 
 def _recover_inner(
-    store: BlockStore,
-    params: ChainParams | None,
-    script_verifier: ParallelScriptVerifier | None,
+    store: BlockStore, params: ChainParams | None
 ) -> Blockchain:
-    chain = Blockchain.restore(store.recover(), params, script_verifier)
+    chain = Blockchain.restore(store.recover(), params)
     chain.attach_store(store)
     return chain

@@ -1,9 +1,8 @@
-"""Tests for the signature cache and the cached/parallel verification paths.
+"""Tests for the signature cache and the cached verification path.
 
-The load-bearing property: caching and parallelism are *transparent* —
-accept/reject verdicts are identical with the sigcache on, off, undersized
-(evicting constantly), and with script checks fanned across worker
-processes.
+The load-bearing property: caching is *transparent* — accept/reject
+verdicts are identical with the sigcache on, off and undersized (evicting
+constantly).
 """
 
 import hashlib
@@ -14,13 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitcoin import sigcache, validation
+from repro.bitcoin.block import build_block
+from repro.bitcoin.mempool import MempoolValidationError
+from repro.bitcoin.miner import Miner
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.sigcache import SignatureCache
 from repro.bitcoin.sighash import SighashCache, signature_hash
 from repro.bitcoin.standard import multisig_script, p2pkh_script
 from repro.bitcoin.transaction import OutPoint, Script, Transaction, TxIn, TxOut
 from repro.bitcoin.validation import (
-    ParallelScriptVerifier,
     ValidationError,
     check_tx_inputs,
     make_sig_checker,
@@ -31,6 +32,7 @@ from repro.crypto import secp256k1
 from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.keys import PrivateKey
 from repro.crypto.secp256k1 import Point
+from tests.bitcoin.test_hostile_blocks import corrupt_signature, non_push
 
 
 @pytest.fixture(autouse=True)
@@ -240,16 +242,14 @@ def test_checker_refuses_a_key_with_an_unreduced_coordinate():
 
 
 # ----------------------------------------------------------------------
-# Differential: cache/parallelism on and off give identical verdicts
+# Differential: cache on and off give identical verdicts
 # ----------------------------------------------------------------------
 
 
-def _run_scenario(verifier=None, cache=None, before_generate=None):
+def _run_scenario(cache):
     """A mixed accept/reject scenario; returns every observable verdict."""
     sigcache.set_default_cache(cache)
     net = RegtestNetwork()
-    if verifier is not None:
-        net.chain.script_verifier = verifier
     alice = Wallet.from_seed(b"diff-alice")
     bob = Wallet.from_seed(b"diff-bob")
     net.fund_wallet(alice, blocks=6)
@@ -283,67 +283,114 @@ def _run_scenario(verifier=None, cache=None, before_generate=None):
         verdicts.append(("accept-bad", bad_tx.txid.hex()))
     except Exception as exc:
         verdicts.append(("reject", str(exc)))
-    if before_generate is not None:
-        before_generate(net)
     blocks = net.generate(1, alice.key_hash)
     verdicts.append(("tip", net.chain.tip.block.hash.hex(), len(blocks[0].txs)))
-    if verifier is not None:
-        verifier.close()
     return verdicts
 
 
-def test_differential_verdicts_cache_and_parallelism():
+def test_differential_verdicts_cache():
     baseline = _run_scenario(cache=None)  # caches fully disabled
     cached = _run_scenario(cache=SignatureCache())
     evicting = _run_scenario(cache=SignatureCache(max_entries=1))
-    parallel = _run_scenario(
-        verifier=ParallelScriptVerifier(workers=2), cache=SignatureCache()
+    assert baseline == cached == evicting
+
+
+# ----------------------------------------------------------------------
+# Differential: the mempool's door and the block's door are one check
+# ----------------------------------------------------------------------
+
+
+def _p2pkh_spend(net, alice, bob):
+    return alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
     )
-    assert baseline == cached == evicting == parallel
 
 
-def test_worker_death_mid_block_falls_back_serially():
-    """Killing a pool worker must not change the block verdict.
-
-    The executor breaks between mempool acceptance and block connect; the
-    verifier discards the dead pool, re-verifies every group in-process,
-    and the observable verdicts stay byte-identical to the serial run.
-    """
-    import concurrent.futures.process
-    import os
-
-    from repro import obs
-
-    baseline = _run_scenario(cache=SignatureCache())
-    verifier = ParallelScriptVerifier(workers=2)
-
-    def kill_pool(net):
-        executor = verifier._ensure_executor()
-        try:
-            executor.submit(os._exit, 1).result()
-        except concurrent.futures.process.BrokenProcessPool:
-            pass  # expected: the pill took the pool down
-
-    was_enabled = obs.ENABLED
-    saved_registry = obs.set_registry(obs.Registry())
-    obs.enable()
-    try:
-        broken = _run_scenario(
-            verifier=verifier,
-            cache=SignatureCache(),
-            before_generate=kill_pool,
+def _carrier_spend(on_curve):
+    def build(net, alice, bob):
+        lock = multisig_script(
+            1, [bob.default_key.public.encoded, _pseudo_key(on_curve)]
         )
-        fallbacks = obs.registry().counter("script.pool_broken_total").value
-    finally:
-        obs.set_registry(saved_registry)
-        obs.ENABLED = was_enabled
+        net.send(alice.create_transaction(net.chain, [TxOut(9000, lock)], fee=2000))
+        net.generate(1, alice.key_hash)
+        return bob.create_transaction(
+            net.chain, [TxOut(1000, p2pkh_script(alice.key_hash))], fee=2000
+        )
 
-    assert broken == baseline
-    assert fallbacks == 1
-    # The verifier is reusable afterwards: the pool respawns on demand.
-    assert _run_scenario(
-        verifier=ParallelScriptVerifier(workers=2), cache=SignatureCache()
-    ) == baseline
+    return build
+
+
+def _bad_signature(net, alice, bob):
+    return corrupt_signature(_p2pkh_spend(net, alice, bob))
+
+
+def _wrong_key(net, alice, bob):
+    tx = _p2pkh_spend(net, alice, bob)
+    other = bob.sign_input(tx, 0, p2pkh_script(bob.key_hash))
+    return tx.with_input_script(0, other.vin[0].script_sig)
+
+
+def _non_push_script_sig(net, alice, bob):
+    return non_push(_p2pkh_spend(net, alice, bob))
+
+
+def _premature_coinbase_spend(net, alice, bob):
+    [block] = net.generate(1, alice.key_hash)
+    coinbase = block.txs[0]
+    tx = Transaction(
+        [TxIn(coinbase.outpoint(0))],
+        [TxOut(coinbase.vout[0].value - 2000, p2pkh_script(bob.key_hash))],
+    )
+    return alice.sign_all(tx, [coinbase.vout[0].script_pubkey])
+
+
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (_p2pkh_spend, None),
+        (_carrier_spend(on_curve=True), None),
+        (_carrier_spend(on_curve=False), None),
+        (_bad_signature, "script validation failed on input 0"),
+        (_wrong_key, "script validation failed on input 0"),
+        (
+            _non_push_script_sig,
+            "script validation failed on input 0: scriptSig must be push-only",
+        ),
+        (_premature_coinbase_spend, "premature spend of coinbase output"),
+    ],
+    ids=[
+        "p2pkh", "carrier-on-curve", "carrier-off-curve", "bad-signature",
+        "wrong-key", "non-push-scriptsig", "premature-coinbase",
+    ],
+)
+def test_mempool_verdict_equals_block_verdict(build, refusal):
+    """What ``Mempool.accept`` says of a transaction (standardness off, as
+    ``send_raw``) is what a block holding only that transaction is told:
+    both doors are ``check_tx_inputs``."""
+    net, alice, bob = _funded_net()
+    tx = build(net, alice, bob)
+    try:
+        net.send_raw(tx)
+        at_mempool = None
+    except MempoolValidationError as exc:
+        at_mempool = str(exc)
+    sigcache.set_default_cache(SignatureCache())  # the second door asks cold
+    miner = Miner(net.chain, bob.key_hash)
+    template = miner.assemble()
+    block = miner.grind(
+        build_block(
+            template.header.prev_hash,
+            [template.txs[0], tx],
+            template.header.timestamp,
+            template.header.bits,
+        )
+    )
+    try:
+        assert net.chain.add_block(block)
+        at_block = None
+    except ValidationError as exc:
+        at_block = str(exc)
+    assert at_mempool == at_block == refusal
 
 
 # ----------------------------------------------------------------------

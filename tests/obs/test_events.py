@@ -220,7 +220,6 @@ class TestSchemaV3:
             ("service.verdict", {"status": "ok"}),
             ("service.poison_rejected", {"txid": "aabbccdd"}),
             ("service.shed", {"inflight": 4, "reason": "overloaded"}),
-            ("script.pool_broken", {"groups": 7}),
         ],
     )
     def test_new_kinds_round_trip(self, kind, payload):

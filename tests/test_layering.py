@@ -1,7 +1,7 @@
 """Layering, read off the source: the Bitcoin substrate never imports the
-Typecoin layers built on it, and the node's protocol modules import each
-other at module level or not at all (a function-level import is how a
-cycle hides)."""
+Typecoin layers built on it, and the node's protocol modules — and the
+consensus modules they call into — import each other at module level or
+not at all (a function-level import is how a cycle hides)."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 SUBSTRATE = ("crypto", "bitcoin", "store")
 ABOVE = ("lf", "logic", "core", "surface", "service")
-NODE_MODULES = ("network", "relay", "compact", "sync")
+NODE_MODULES = (
+    "network", "relay", "compact", "sync", "chain", "validation", "mempool",
+)
 
 
 def imports(node):
