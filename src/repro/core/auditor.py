@@ -5,7 +5,9 @@ when every transaction, in order, satisfies 𝔗;Σ ⊢ T ok and contributes its
 resolved basis to Σ_global.  The auditor replays that judgement across an
 entire Bitcoin chain given the off-chain store of Typecoin transactions —
 the "full node" of the Typecoin world, useful for archival verification
-and for bootstrapping fresh verifiers.
+and for bootstrapping fresh verifiers.  Each transaction enters the ledger
+through :func:`repro.core.verifier.admit`, the step ``verify_claim`` takes;
+what is the auditor's own is block order and the taint of what it refused.
 """
 
 from __future__ import annotations
@@ -13,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bitcoin.chain import Blockchain
-from repro.core.overlay import OverlayError, check_carrier_correspondence
 from repro.core.transaction import TypecoinTransaction, referenced_txids
-from repro.core.validate import (
-    Ledger,
-    ValidationFailure,
-    check_typecoin_transaction,
-    world_at,
-)
+from repro.core.validate import Ledger
+from repro.core.verifier import VerificationError, admit
 
 
 @dataclass
@@ -67,8 +64,7 @@ def audit_chain(
     rejected: set[bytes] = set()
 
     for height in range(chain.height + 1):
-        block = chain.block_at(height)
-        for tx in block.txs:
+        for tx in chain.block_at(height).txs:
             txid = tx.txid
             txn = store.get(txid)
             if txn is None:
@@ -83,17 +79,13 @@ def audit_chain(
                 )
                 continue
             try:
-                check_carrier_correspondence(tx, txn)
-                check_typecoin_transaction(
-                    report.ledger, txn, world_at(chain, height)
-                )
-            except (OverlayError, ValidationFailure) as exc:
+                admit(report.ledger, chain, txid, txn)
+            except VerificationError as exc:
                 if strict:
                     raise
                 rejected.add(txid)
                 report.issues.append(AuditIssue(txid, str(exc)))
                 continue
-            report.ledger.register(txid, txn)
             report.accepted.append(txid)
 
     report.unmatched = [txid for txid in store if txid not in seen]

@@ -233,8 +233,7 @@ class BatchServer:
         # child would otherwise fail to re-validate before its ancestors.
         for level in dependency_levels(bundle.transactions):
             for txid in level:
-                if txid not in self.client.ledger.transactions:
-                    self.client.learn(txid, bundle.transactions[txid])
+                self.client.learn(txid, bundle.transactions[txid])
         resource_id = self._new_id()
         self._resources[resource_id] = _Resource(
             prop=entry.prop,
@@ -468,11 +467,10 @@ class BatchServer:
         # Carriers recovered from the journal were submitted by a previous
         # process, so the fresh wallet's pending set never saw them: watch
         # the chain directly and adopt each once it confirms.
-        for carrier_txid in list(self._recovered_pending):
+        for carrier_txid, txn in list(self._recovered_pending.items()):
             if self.net.chain.confirmations(carrier_txid) >= 1:
-                txn = self._recovered_pending.pop(carrier_txid)
-                if carrier_txid not in self.client.ledger.transactions:
-                    self.client.learn(carrier_txid, txn)
+                self.client.learn(carrier_txid, txn)
+                del self._recovered_pending[carrier_txid]
                 registered.add(carrier_txid)
         pending = self._pending_rebind
         if pending and pending[0] in registered:
@@ -581,9 +579,7 @@ class BatchServer:
         elif op == "rebind":
             carrier_txid = bytes.fromhex(record["carrier"])
             txn = self._recovered_pending.pop(carrier_txid, None)
-            if txn is not None and (
-                carrier_txid not in self.client.ledger.transactions
-            ):
+            if txn is not None:
                 self.client.learn(carrier_txid, txn)
             pending = self._pending_rebind
             if pending and pending[0] == carrier_txid:

@@ -63,7 +63,8 @@ class Ledger:
     def register(self, carrier_txid: bytes, txn: TypecoinTransaction) -> None:
         """Chain formation: 𝔗, txid:T : Σ_global, [txid/this]Σ.
 
-        Call only after :func:`check_typecoin_transaction` succeeds.
+        Called by :func:`repro.core.verifier.admit` and by nothing else:
+        it is the last line of the step that ran the checks.
         """
         if carrier_txid in self.transactions:
             raise ValidationFailure("transaction already registered")

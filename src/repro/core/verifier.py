@@ -19,7 +19,8 @@ mechanism* — the network never sees a proposition.
 That loop is written once, in :func:`_verify_claim`.  :func:`verify_claim`
 is it as a library call; :class:`repro.service.VerificationService` is
 admission, a deadline and a typecheck memo around the same body, so the
-two cannot disagree about a claim.
+two cannot disagree about a claim.  What it does to one T is :func:`admit`,
+as do the auditor and a client's ``learn``: a ``Ledger`` has no other way in.
 """
 
 from __future__ import annotations
@@ -143,21 +144,12 @@ def _verify_claim(
     base_ledger: Ledger | None = None,
     memo=None,
 ) -> Ledger:
-    """The §3 loop — the only one.
+    """The §3 loop — the only one: levels, :func:`admit`, the claim checks.
 
     Raises ``VerificationError`` naming the first failing check in level
     order, and ``cancel.DeadlineExceeded`` when a deadline scoped by the
     caller passes (read between levels here, every 64th step inside the
-    checkers).
-
-    ``memo`` (``lookup(txid, digest)`` / ``record(txid, digest)``) may
-    stand in for check 2 on a transaction it has seen pass, and for
-    nothing else: the digest is re-derived from the presented transaction,
-    the hash embedding is checked on every request, a hit counts only once
-    the ledger holds everything the transaction refers to — the first
-    thing the typecheck would have asked — and outputs are registered from
-    the presented object, never from a cache.  A transaction is recorded
-    only after its own check and registration completed.
+    checkers).  ``memo`` goes to :func:`admit` with each T's references.
     """
     if base_ledger is None:
         ledger = Ledger()
@@ -180,51 +172,11 @@ def _verify_claim(
         if deadline is not None and deadline.expired():
             raise cancel.DeadlineExceeded("deadline expired between levels")
         for txid in level:
-            if txid in ledger.transactions:
-                continue
-            txn = bundle.transactions[txid]
-            found = chain.get_transaction(txid)
-            if found is None:
-                raise VerificationError(
-                    f"carrier {txid[:8].hex()}… is not in the active chain"
+            if txid not in ledger.transactions:
+                admit(
+                    ledger, chain, txid, bundle.transactions[txid],
+                    min_confirmations, memo, references[txid],
                 )
-            carrier, height = found
-            confirmations = chain.height - height + 1
-            if confirmations < min_confirmations:
-                raise VerificationError(
-                    f"carrier {txid[:8].hex()}… has {confirmations}"
-                    f" confirmations, policy requires {min_confirmations}"
-                )
-            # Check 1: the hash embedding (and full structural
-            # correspondence) — it binds the presented object to the chain.
-            try:
-                check_carrier_correspondence(carrier, txn)
-            except OverlayError as exc:
-                raise VerificationError(
-                    f"hash embedding check failed: {exc}"
-                ) from exc
-            checked = False
-            if memo is not None:
-                digest = sha256(encode_transaction(txn))
-                checked = (
-                    references[txid] <= ledger.transactions.keys()
-                    and memo.lookup(txid, digest)
-                )
-            if not checked:
-                # Checks 2 and 3: the transaction typechecks against
-                # history, with conditions discharged in the world where
-                # it confirmed.
-                try:
-                    check_typecoin_transaction(
-                        ledger, txn, world_at(chain, height)
-                    )
-                except ValidationFailure as exc:
-                    raise VerificationError(
-                        f"type check failed: {exc}"
-                    ) from exc
-            ledger.register(txid, txn)
-            if memo is not None:
-                memo.record(txid, digest)
 
     # Finally: I's type is as claimed.
     target = ledger.output(bundle.outpoint.txid, bundle.outpoint.index)
@@ -238,3 +190,64 @@ def _verify_claim(
     if require_unspent and chain.is_spent(bundle.outpoint):
         raise VerificationError("claimed txout has already been spent")
     return ledger
+
+
+def admit(
+    ledger: Ledger,
+    chain: Blockchain,
+    txid: bytes,
+    txn: TypecoinTransaction,
+    min_confirmations: int = 1,
+    memo=None,
+    refs: frozenset[bytes] | None = None,
+) -> None:
+    """Chain formation, one step (Appendix A: 𝔗, txid:T : Σ) — the only
+    way a transaction enters a ``Ledger``.
+
+    T's carrier is on the active chain under ``txid`` at the caller's
+    confirmation policy and embeds hash(T) (§3 check 1), and 𝔗;Σ ⊢ T ok
+    in the world of the block that confirmed it (checks 2 and 3); then T
+    is registered.  Raises ``VerificationError`` naming the failing check
+    and leaves ``ledger`` as it was.
+
+    ``memo`` (``lookup(txid, digest)`` / ``record(txid, digest)``) may
+    stand in for checks 2–3 on a transaction it has seen pass, and for
+    nothing else.  The digest is re-derived from the presented bytes and
+    the hash of the confirming block (same block, same prefix, same time
+    and ``spent`` oracle: a reorg that moves the carrier is a miss); the
+    embedding is checked on every call; a hit counts only once the ledger
+    holds all of ``refs`` (required with a memo: everything T refers to,
+    the first thing the typecheck would have asked); outputs are
+    registered from the presented object, never from a cache; and T is
+    recorded only after its own check and registration completed.
+    """
+    found = chain.get_transaction(txid)
+    if found is None:
+        raise VerificationError(
+            f"carrier {txid[:8].hex()}… is not in the active chain"
+        )
+    carrier, height = found
+    confirmations = chain.height - height + 1
+    if confirmations < min_confirmations:
+        raise VerificationError(
+            f"carrier {txid[:8].hex()}… has {confirmations}"
+            f" confirmations, policy requires {min_confirmations}"
+        )
+    try:
+        check_carrier_correspondence(carrier, txn)
+    except OverlayError as exc:
+        raise VerificationError(f"hash embedding check failed: {exc}") from exc
+    checked = False
+    if memo is not None:
+        digest = sha256(encode_transaction(txn) + chain.block_at(height).hash)
+        checked = (
+            refs <= ledger.transactions.keys() and memo.lookup(txid, digest)
+        )
+    if not checked:
+        try:
+            check_typecoin_transaction(ledger, txn, world_at(chain, height))
+        except ValidationFailure as exc:
+            raise VerificationError(f"type check failed: {exc}") from exc
+    ledger.register(txid, txn)
+    if memo is not None:
+        memo.record(txid, digest)

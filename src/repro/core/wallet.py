@@ -8,27 +8,30 @@ network, and assembles claim bundles for verifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.bitcoin.wallet import Wallet
 from repro.core.overlay import EmbeddingStrategy, build_carrier
-from repro.core.transaction import TypecoinInput, TypecoinTransaction
+from repro.core.transaction import (
+    TypecoinInput,
+    TypecoinTransaction,
+    referenced_txids,
+)
 from repro.core.validate import (
     Ledger,
     ValidationFailure,
     check_typecoin_transaction,
     world_at,
 )
-from repro.core.verifier import ClaimBundle
+from repro.core.verifier import ClaimBundle, VerificationError, admit
 from repro.crypto.keys import PrivateKey
 from repro.lf.syntax import PrincipalLit
 from repro.logic.checker import (
     affine_assert_payload,
     persistent_assert_payload,
 )
-from repro.logic.conditions import WorldView
 from repro.logic.proofterms import (
     Affirmation,
     Assert,
@@ -58,6 +61,8 @@ class TypecoinClient:
         self.ledger = ledger if ledger is not None else Ledger()
         self.known: dict[bytes, TypecoinTransaction] = {}
         self.pending: dict[bytes, PendingSubmission] = {}
+        # Own submissions that confirmed and were refused (§5): why.
+        self.spoiled: dict[bytes, str] = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -108,19 +113,17 @@ class TypecoinClient:
         txn: TypecoinTransaction,
         fee: int = 10_000,
         strategy: EmbeddingStrategy = EmbeddingStrategy.MULTISIG_1OF2,
-        check_first: bool = True,
     ) -> Transaction:
         """Validate, wrap in a carrier, and broadcast a transaction.
 
         Returns the carrier; the Typecoin transaction is registered into
-        this client's ledger once :meth:`sync` sees it confirmed.
+        this client's ledger once :meth:`sync` sees it confirmed — the
+        check here is in the tip's world and admits nothing.
         """
-        if check_first:
-            world = world_at(self.net.chain)
-            try:
-                check_typecoin_transaction(self.ledger, txn, world)
-            except ValidationFailure as exc:
-                raise ClientError(f"refusing to submit invalid txn: {exc}") from exc
+        try:
+            check_typecoin_transaction(self.ledger, txn, world_at(self.net.chain))
+        except ValidationFailure as exc:
+            raise ClientError(f"refusing to submit invalid txn: {exc}") from exc
         exclude = {
             OutPoint(inp.txid, inp.index)
             for pending in self.pending.values()
@@ -144,35 +147,31 @@ class TypecoinClient:
     def sync(self) -> list[bytes]:
         """Register any pending submissions that have confirmed.
 
-        Returns the carrier txids registered this call.
+        Returns the carrier txids registered this call.  One that chain
+        formation refuses — its condition held at the tip and not in the
+        block that mined it — is spoiled (§5): it leaves ``pending`` for
+        ``spoiled`` with the reason, and the ledger is untouched.
         """
         registered = []
         for carrier_txid in list(self.pending):
             if self.net.chain.confirmations(carrier_txid) < 1:
                 continue
-            submission = self.pending.pop(carrier_txid)
-            if carrier_txid not in self.ledger.transactions:
-                self.ledger.register(carrier_txid, submission.txn)
-            self.known[carrier_txid] = submission.txn
-            registered.append(carrier_txid)
+            try:
+                self.learn(carrier_txid, self.pending.pop(carrier_txid).txn)
+            except VerificationError as exc:
+                self.spoiled[carrier_txid] = str(exc)
+            else:
+                registered.append(carrier_txid)
         return registered
 
     # -- receiving ---------------------------------------------------------
 
     def learn(self, carrier_txid: bytes, txn: TypecoinTransaction) -> None:
-        """Record a transaction another party sent us (already confirmed).
-
-        The client re-validates before trusting it.
-        """
-        if carrier_txid in self.ledger.transactions:
-            return
-        found = self.net.chain.get_transaction(carrier_txid)
-        if found is None:
-            raise ClientError("carrier not confirmed")
-        _, height = found
-        check_typecoin_transaction(self.ledger, txn, world_at(self.net.chain, height))
-        self.ledger.register(carrier_txid, txn)
-        self.known[carrier_txid] = txn
+        """Record a confirmed transaction (ours, or one another party sent
+        us) once it passes chain formation; ``VerificationError`` if not."""
+        if carrier_txid not in self.ledger.transactions:
+            admit(self.ledger, self.net.chain, carrier_txid, txn)
+        self.known[carrier_txid] = self.ledger.transactions[carrier_txid]
 
     # -- claims ------------------------------------------------------------
 
@@ -182,8 +181,6 @@ class TypecoinClient:
         "Upstream" covers both spent-output ancestry and the transactions
         whose bases declared the constants in play.
         """
-        from repro.core.transaction import referenced_txids
-
         needed: dict[bytes, TypecoinTransaction] = {}
         frontier = [outpoint.txid]
         while frontier:

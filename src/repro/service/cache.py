@@ -7,15 +7,16 @@ verifier:
 * :class:`TxMemoTable` memoizes *per-transaction typecheck outcomes
   keyed by txid*.  Soundness rests on chain embedding: a carrier's txid
   commits to the Typecoin transaction's full serialization (the §3
-  correspondence check), so once a transaction typechecked under a
-  given txid, the same (txid, digest) pair can never name different
-  content.  Every lookup re-derives the digest from the *presented*
-  bytes and compares — an entry whose stored digest disagrees is
-  treated as poisoned, evicted, counted, and the transaction is
-  re-checked from scratch.  The memo stores only the boolean outcome;
-  output propositions are always recomputed from the presented
-  transaction, so a poisoned entry can at worst cause a recheck, never
-  a wrong type.
+  correspondence check), and the block that confirmed it fixes the
+  world its condition was discharged in — so the digest covers the
+  presented bytes and that block's hash, and the same (txid, digest)
+  pair can never name a different judgement.  Every lookup compares a
+  digest re-derived from both — a stored one that disagrees (poisoned,
+  or recorded under a block a reorg replaced) is evicted, counted, and
+  the transaction is re-checked from scratch.  The memo stores only
+  the boolean outcome; output propositions are always recomputed from
+  the presented transaction, so a poisoned entry can at worst cause a
+  recheck, never a wrong type.
 
 * :class:`AffirmationCache` is the sigcache pattern applied to the
   proof checker's hottest leaf: ECDSA verification of ``assert`` /
@@ -112,9 +113,9 @@ class TxMemoTable:
     def lookup(self, txid: bytes, digest: bytes) -> bool:
         """True when ``txid`` is memoized as checked *for these bytes*.
 
-        A stored digest that disagrees with the presented transaction's
-        digest is a poisoned (or impossibly stale) entry: it is evicted
-        and counted, and the caller re-checks from scratch — the explicit
+        A stored digest that disagrees with the presented one is a
+        poisoned entry, or one a reorg made stale: it is evicted and
+        counted, and the caller re-checks from scratch — the explicit
         "rejected by digest check" path the chaos scenario exercises.
         """
         stored = self._lru.get(txid)
