@@ -148,9 +148,9 @@ class Mempool:
         ):
             raise MempoolError("transaction is not final (locktime)")
 
-        # Full input validation also warms the process-wide signature cache
-        # (repro.bitcoin.sigcache): when a block containing this transaction
-        # is connected later, its ECDSA checks are cache hits.
+        # Full input validation also records the txid in the process-wide
+        # signature cache (repro.bitcoin.sigcache): when a block containing
+        # this transaction is connected later, its scripts are not run again.
         try:
             validity = check_tx_inputs(tx, self.chain.utxos, self.chain.height + 1)
         except MissingInputError as exc:
@@ -246,20 +246,16 @@ class Mempool:
     def revalidate(self) -> list[Transaction]:
         """Re-check every entry after a reorg; returns evicted transactions.
 
-        Inputs present, maturity and value only: a script verdict is a
-        function of the spending transaction and the scripts it spends, and
-        the txid that admission verified pins both.
+        Inputs present, maturity and value: a script verdict is a function
+        of the spending transaction and the scripts it spends, the txid that
+        admission verified pins both, and ``check_tx_inputs`` skips scripts
+        for a txid the signature cache still holds.
         """
         evicted = []
         for txid in list(self._entries):
             entry = self._entries[txid]
             try:
-                check_tx_inputs(
-                    entry.tx,
-                    self.chain.utxos,
-                    self.chain.height + 1,
-                    verify_scripts=False,
-                )
+                check_tx_inputs(entry.tx, self.chain.utxos, self.chain.height + 1)
             except ValidationError:
                 self.remove(txid)
                 evicted.append(entry.tx)

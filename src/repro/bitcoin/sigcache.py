@@ -12,11 +12,22 @@ Negative verdicts are cached too, for the same reason: the triple pins the
 exact check, so a recorded ``False`` can only be returned for a byte-equal
 re-ask.
 
-The cache is a bounded LRU (``collections.OrderedDict``).  Mempool
-acceptance and block connect are the same call, ``check_tx_inputs``, and
-it consults one process-wide default instance, so work done at acceptance
-is skipped at connect.  Differential tests swap it out
-or disable it entirely via :func:`set_default_cache`.
+Beside the triples the same LRU holds *txids*: "every input script of this
+transaction authorised its spend" (Bitcoin Core's script-execution cache).
+A txid commits to every scriptSig and, through each prevout's txid, to the
+scriptPubKey it spends, which is everything the interpreter reads; what it
+does not pin — inputs unspent, maturity, value — ``check_tx_inputs`` checks
+on every call, and finality stays with its callers.  Positives only: a
+failure names its input and must be re-derived.  A malleated copy has
+another txid and misses.  The key must grow (height, flags) the day
+``script.py`` gains an opcode that reads them (CLTV/CSV, the parked
+channels item).
+
+The cache is a bounded LRU (``collections.OrderedDict``) over both key
+shapes.  Mempool acceptance and block connect are the same call,
+``check_tx_inputs``, and it consults one process-wide default instance, so
+work done at acceptance is skipped at connect.  Differential tests swap it
+out or disable it entirely via :func:`set_default_cache`.
 """
 
 from __future__ import annotations
@@ -27,12 +38,13 @@ from repro import obs
 
 DEFAULT_MAX_ENTRIES = 65_536
 
-# digest, pubkey bytes, signature bytes (without the hashtype byte).
-CacheKey = tuple[bytes, bytes, bytes]
+# digest, pubkey bytes, signature bytes (without the hashtype byte) — or a
+# bare txid, whose verdict is always True.
+CacheKey = tuple[bytes, bytes, bytes] | bytes
 
 
 class SignatureCache:
-    """Bounded LRU of ECDSA verification verdicts keyed by the full triple."""
+    """Bounded LRU of ECDSA verdicts by triple and script verdicts by txid."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 1:
@@ -58,7 +70,22 @@ class SignatureCache:
 
     def put(self, digest: bytes, pubkey: bytes, sig: bytes, verdict: bool) -> None:
         """Record a verdict, evicting the least-recently-used on overflow."""
-        key = (digest, pubkey, sig)
+        self._store((digest, pubkey, sig), verdict)
+
+    def has_tx(self, txid: bytes) -> bool:
+        """Has every input script of ``txid`` authorised its spend before?"""
+        if txid not in self._entries:
+            return False
+        self._entries.move_to_end(txid)
+        if obs.ENABLED:
+            obs.inc("sigcache.tx_hits_total")
+        return True
+
+    def put_tx(self, txid: bytes) -> None:
+        """Record that every input script of ``txid`` authorised its spend."""
+        self._store(txid, True)
+
+    def _store(self, key: CacheKey, verdict: bool) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = verdict

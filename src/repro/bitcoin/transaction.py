@@ -133,6 +133,12 @@ class Transaction:
         object.__setattr__(self, "locktime", locktime)
 
     def serialize(self) -> bytes:
+        return self._encoding
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        """The canonical encoding, built once like ``txid`` — by the encoder,
+        never the bytes ``parse_from`` read (a non-minimal push re-encodes)."""
         out = bytearray(self.version.to_bytes(4, "little"))
         out += varint(len(self.vin))
         for txin in self.vin:

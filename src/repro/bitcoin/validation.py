@@ -161,17 +161,18 @@ def make_sig_checker(
     return partial(_check_signature, sighash, sig_cache)
 
 
-def check_tx_inputs(
-    tx: Transaction,
-    utxos: UTXOSet,
-    height: int,
-    verify_scripts: bool = True,
-) -> TxValidity:
+def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
     """Validate a non-coinbase transaction against a UTXO view.
 
     Enforces rule 3 (inputs exist and are unspent — being *in* the table is
     being unspent), rule 4 (scripts/signatures authorize each spend), rule 1
     (value out ≤ value in, difference is the fee), plus coinbase maturity.
+
+    Rule 4 is a function of what the txid pins (every scriptSig and, through
+    each prevout, the script it spends), so a transaction whose inputs all
+    authorised once is recorded in the default :mod:`sigcache` by txid and
+    its scripts are not run again; rules 1 and 3 and maturity depend on the
+    view and the height and are checked on every call.
     """
     if tx.is_coinbase:
         raise ValidationError("coinbase cannot be validated as a spend")
@@ -187,7 +188,9 @@ def check_tx_inputs(
             "validation.rule_seconds", structure_done - start, rule="structure"
         )
 
-    sighash_cache = SighashCache(tx) if verify_scripts else None
+    sig_cache = sigcache.default_cache()
+    verified = sig_cache is not None and sig_cache.has_tx(tx.txid)
+    sighash_cache = None if verified else SighashCache(tx)
     script_time = 0.0
     script_start = 0.0
     value_in = 0
@@ -198,10 +201,10 @@ def check_tx_inputs(
         if entry.is_coinbase and height - entry.height < COINBASE_MATURITY:
             raise ValidationError("premature spend of coinbase output")
         value_in += entry.output.value
-        if verify_scripts:
+        if not verified:
             script_code = entry.output.script_pubkey
             checker = make_sig_checker(
-                tx, index, script_code, sighash_cache=sighash_cache
+                tx, index, script_code, sighash_cache, sig_cache
             )
             if enabled:
                 script_start = obs.clock()
@@ -222,6 +225,8 @@ def check_tx_inputs(
     value_out = tx.total_output_value()
     if value_out > value_in:
         raise ValidationError("outputs exceed inputs")
+    if not verified and sig_cache is not None:
+        sig_cache.put_tx(tx.txid)  # every input authorised, nothing raised
     if enabled:
         end = obs.clock()
         obs.inc("validation.tx_total")

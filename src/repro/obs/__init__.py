@@ -154,6 +154,7 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("sighash.cache_misses_total", "c"),
     ("sigcache.hits_total", "c"),
     ("sigcache.misses_total", "c"),
+    ("sigcache.tx_hits_total", "c"),
     # Durable block store: append path, snapshots, crash recovery.
     ("store.blocks_appended_total", "c"),
     ("store.bytes_written_total", "c"),

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import pytest
 
 from repro import obs
+from repro.bitcoin import sigcache
 from repro.bitcoin.block import Block, build_block
 from repro.bitcoin.chain import Blockchain, ChainParams
+from repro.bitcoin.mempool import Mempool, MempoolError
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.network import Node, Simulation
 from repro.bitcoin.relay import POINTS_INVALID_BLOCK, POINTS_INVALID_TX
@@ -34,6 +36,10 @@ from repro.obs.monitor import MonitorRegistry, monitors, set_monitors
 from repro.store import BlockStore, recover_chain
 
 PARAMS = ChainParams.regtest()
+
+# ``World.pay`` signs deterministically, so on a shared signature cache the
+# first cell's script verdicts would be every later cell's: each starts cold.
+pytestmark = pytest.mark.usefixtures("fresh_default_cache")
 
 
 @dataclass
@@ -283,6 +289,21 @@ class Victim:
         assert self.recovered() == before[:3]
 
 
+def admit_what_a_mempool_would(world: World, blocks) -> None:
+    """Offer the blocks' spends, and the honest spend the forged ones are
+    copies of, to another node's mempool in this process: whatever it
+    admits has its script verdict cached when the bad block arrives."""
+    honest = world.pay(world.coins[2])
+    pool = Mempool(world.chain)
+    for tx in [honest, *(tx for block in blocks for tx in block.txs)]:
+        try:
+            pool.accept(tx)
+        except MempoolError:
+            continue
+        pool.remove(tx.txid)
+    assert sigcache.default_cache().has_tx(honest.txid)
+
+
 @pytest.mark.parametrize("position", POSITIONS)
 @pytest.mark.parametrize(
     "fault, message", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS]
@@ -292,6 +313,23 @@ def test_hostile_block_is_refused_and_changes_nothing(
 ):
     victim = Victim(world, tmp_path)
     blocks, bad = victim.branch(fault, position)
+    before = victim.state()
+    victim.deliver(blocks)
+    victim.assert_refused(bad, before, message)
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize(
+    "fault, message", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS]
+)
+def test_hostile_block_is_refused_the_same_against_warm_verdicts(
+    world, tmp_path, fault, message, position
+):
+    """The bad-signature cell is the one that matters: its honest twin's
+    txid is cached, and the forgery's txid is not the twin's."""
+    victim = Victim(world, tmp_path)
+    blocks, bad = victim.branch(fault, position)
+    admit_what_a_mempool_would(world, blocks)
     before = victim.state()
     victim.deliver(blocks)
     victim.assert_refused(bad, before, message)

@@ -14,14 +14,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bitcoin import sigcache, validation
 from repro.bitcoin.block import build_block
-from repro.bitcoin.mempool import MempoolValidationError
+from repro.bitcoin.mempool import (
+    MempoolError,
+    MempoolMissingInputError,
+    MempoolValidationError,
+)
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.sigcache import SignatureCache
 from repro.bitcoin.sighash import SighashCache, signature_hash
 from repro.bitcoin.standard import multisig_script, p2pkh_script
 from repro.bitcoin.transaction import OutPoint, Script, Transaction, TxIn, TxOut
+from repro.bitcoin.utxo import UTXOSet
 from repro.bitcoin.validation import (
+    MissingInputError,
     ValidationError,
     check_tx_inputs,
     make_sig_checker,
@@ -35,12 +41,23 @@ from repro.crypto.secp256k1 import Point
 from tests.bitcoin.test_hostile_blocks import corrupt_signature, non_push
 
 
-@pytest.fixture(autouse=True)
-def fresh_default_cache():
-    """Isolate each test from the process-wide shared cache."""
-    old = sigcache.set_default_cache(SignatureCache())
-    yield
-    sigcache.set_default_cache(old)
+# Isolate each test from the process-wide shared cache.
+pytestmark = pytest.mark.usefixtures("fresh_default_cache")
+
+
+@pytest.fixture
+def script_runs(monkeypatch):
+    """Every ``execute_script`` call ``check_tx_inputs`` makes, as the
+    scriptSig it ran."""
+    runs = []
+    execute = validation.execute_script
+
+    def counting(script_sig, script_pubkey, checker):
+        runs.append(script_sig)
+        return execute(script_sig, script_pubkey, checker)
+
+    monkeypatch.setattr(validation, "execute_script", counting)
+    return runs
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +171,22 @@ def _funded_net():
     return net, alice, bob
 
 
-def test_checker_consults_and_fills_cache():
+def _count_triple_lookups(cache, *, hits):
+    """Count the cache's triple lookups that hit (or that miss)."""
+    seen = {"n": 0}
+    original_get = cache.get
+
+    def counting_get(digest, pub, sig):
+        verdict = original_get(digest, pub, sig)
+        if (verdict is not None) == hits:
+            seen["n"] += 1
+        return verdict
+
+    cache.get = counting_get
+    return seen
+
+
+def test_checker_consults_and_fills_cache(script_runs):
     net, alice, bob = _funded_net()
     tx = alice.create_transaction(
         net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
@@ -162,23 +194,21 @@ def test_checker_consults_and_fills_cache():
     cache = SignatureCache()
     sigcache.set_default_cache(cache)
     check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
-    assert len(cache) == len(tx.vin)
-    # Re-validation is answered from the cache: swap ecdsa out from under it.
-    hits = {"n": 0}
-    original_get = cache.get
-
-    def counting_get(digest, pub, sig):
-        verdict = original_get(digest, pub, sig)
-        if verdict is not None:
-            hits["n"] += 1
-        return verdict
-
-    cache.get = counting_get
+    # One triple per input, and the txid once every input authorised.
+    assert len(cache) == len(tx.vin) + 1
+    assert cache.has_tx(tx.txid)
+    assert len(script_runs) == len(tx.vin)
+    # Re-validation is answered by the txid: no script, no triple asked.
+    hits = _count_triple_lookups(cache, hits=True)
     check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
-    assert hits["n"] == len(tx.vin)
+    assert (len(script_runs), hits["n"]) == (len(tx.vin), 0)
+    # With the txid evicted the scripts run again, on cached signatures.
+    del cache._entries[tx.txid]
+    check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert (len(script_runs), hits["n"]) == (2 * len(tx.vin), len(tx.vin))
 
 
-def test_mempool_acceptance_warms_block_connect():
+def test_mempool_acceptance_warms_block_connect(script_runs):
     net, alice, bob = _funded_net()
     cache = SignatureCache()
     sigcache.set_default_cache(cache)
@@ -186,20 +216,11 @@ def test_mempool_acceptance_warms_block_connect():
         net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
     )
     net.send(tx)
-    warmed = len(cache)
-    assert warmed == len(tx.vin)
-    misses = {"n": 0}
-    original_get = cache.get
-
-    def counting_get(digest, pub, sig):
-        verdict = original_get(digest, pub, sig)
-        if verdict is None:
-            misses["n"] += 1
-        return verdict
-
-    cache.get = counting_get
-    net.generate(1, alice.key_hash)  # block connect re-verifies tx's scripts
-    assert misses["n"] == 0
+    assert len(cache) == len(tx.vin) + 1 and cache.has_tx(tx.txid)
+    del script_runs[:]
+    misses = _count_triple_lookups(cache, hits=False)
+    net.generate(1, alice.key_hash)  # block connect finds tx's txid cached
+    assert misses["n"] == 0 and script_runs == []
     assert net.chain.get_transaction(tx.txid) is not None
 
 
@@ -621,3 +642,217 @@ def test_second_validation_does_no_curve_arithmetic(monkeypatch, pseudo_on_curve
     counts.update(sqrt=0, verify=0)
     validate_both()
     assert counts == {"sqrt": 0, "verify": 0}
+
+
+# ----------------------------------------------------------------------
+# Script verdicts by txid: what a hit still checks, what is never recorded
+# ----------------------------------------------------------------------
+
+
+def _view(entries) -> UTXOSet:
+    view = UTXOSet()
+    for outpoint, entry in entries.items():
+        view.add(outpoint, entry)
+    return view
+
+
+def _two_input_spend(net, alice, bob):
+    coin = net.chain.utxos.get(alice.spendables(net.chain)[0].outpoint).output
+    tx = alice.create_transaction(
+        net.chain, [TxOut(coin.value + 5000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    assert len(tx.vin) == 2
+    return tx
+
+
+def _warm(tx, utxos, height) -> SignatureCache:
+    """Validate ``tx`` once where it is valid; its verdict is then cached."""
+    check_tx_inputs(tx, utxos, height)
+    cache = sigcache.default_cache()
+    assert cache.has_tx(tx.txid)
+    return cache
+
+
+def test_warm_verdict_still_checks_that_inputs_are_unspent(script_runs):
+    net, alice, bob = _funded_net()
+    tx = _two_input_spend(net, alice, bob)
+    _warm(tx, net.chain.utxos, net.chain.height + 1)
+    # Spent: a conflicting spend of input 1's coin is mined first.
+    rival = alice.sign_all(
+        Transaction([tx.vin[1]], [TxOut(7000, p2pkh_script(bob.key_hash))]),
+        [p2pkh_script(alice.key_hash)],
+    )
+    net.send(rival)
+    net.generate(1, alice.key_hash)
+    with pytest.raises(MissingInputError, match="missing or spent input"):
+        check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    with pytest.raises(MempoolMissingInputError, match="missing or spent input"):
+        net.send(tx)
+    # Missing: a view that never held either coin.
+    with pytest.raises(MissingInputError, match="missing or spent input"):
+        check_tx_inputs(tx, UTXOSet(), net.chain.height + 1)
+    assert len(script_runs) == 2 + 1  # tx's two inputs once, the rival's one
+
+
+def test_warm_verdict_still_checks_coinbase_maturity():
+    net, alice, bob = _funded_net()
+    tx = _premature_coinbase_spend(net, alice, bob)
+    height = net.chain.height + 1
+    _warm(tx, net.chain.utxos, height + validation.COINBASE_MATURITY)
+    with pytest.raises(ValidationError, match="premature spend of coinbase output"):
+        check_tx_inputs(tx, net.chain.utxos, height)
+    with pytest.raises(MempoolValidationError, match="premature spend"):
+        net.send(tx)
+
+
+def test_warm_verdict_still_checks_the_value_rule():
+    """Legacy sighashes do not commit to the amount spent, so the one
+    transaction is within its inputs in one view and over them in another."""
+    net, alice, bob = _funded_net()
+    tx = _p2pkh_spend(net, alice, bob)
+    _warm(tx, net.chain.utxos, net.chain.height + 1)
+    entry = net.chain.utxos.get(tx.vin[0].prevout)
+    poorer = _view(
+        {tx.vin[0].prevout: replace(entry, output=replace(entry.output, value=999))}
+    )
+    with pytest.raises(ValidationError, match="outputs exceed inputs"):
+        check_tx_inputs(tx, poorer, net.chain.height + 1)
+
+
+def test_a_transaction_over_its_inputs_is_not_recorded():
+    net, alice, bob = _funded_net()
+    coin = alice.spendables(net.chain)[0]
+    tx = alice.sign_all(
+        Transaction(
+            [TxIn(coin.outpoint)],
+            [TxOut(coin.output.value + 1, p2pkh_script(bob.key_hash))],
+        ),
+        [coin.output.script_pubkey],
+    )
+    with pytest.raises(ValidationError, match="outputs exceed inputs"):
+        check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert not sigcache.default_cache().has_tx(tx.txid)
+
+
+def test_warm_verdict_still_checks_finality_at_the_mempool():
+    net, alice, bob = _funded_net()
+    coin = alice.spendables(net.chain)[0]
+    tx = alice.sign_all(
+        Transaction(
+            [TxIn(coin.outpoint, sequence=0)],
+            [TxOut(coin.output.value - 2000, p2pkh_script(bob.key_hash))],
+            locktime=net.chain.height + 50,
+        ),
+        [coin.output.script_pubkey],
+    )
+    _warm(tx, net.chain.utxos, net.chain.height + 1)
+    with pytest.raises(MempoolError, match="not final"):
+        net.send(tx)
+
+
+def test_warm_verdicts_still_meet_the_in_block_double_spend_set():
+    net, alice, bob = _funded_net()
+    coin = alice.spendables(net.chain)[0]
+    spends = [
+        alice.sign_all(
+            Transaction(
+                [TxIn(coin.outpoint)],
+                [TxOut(coin.output.value - fee, p2pkh_script(bob.key_hash))],
+            ),
+            [coin.output.script_pubkey],
+        )
+        for fee in (1000, 2000)
+    ]
+    for tx in spends:
+        _warm(tx, net.chain.utxos, net.chain.height + 1)
+    miner = Miner(net.chain, bob.key_hash)
+    template = miner.assemble()
+    block = miner.grind(
+        build_block(
+            template.header.prev_hash,
+            [template.txs[0], *spends],
+            template.header.timestamp,
+            template.header.bits,
+        )
+    )
+    tip = net.chain.tip.block.hash
+    with pytest.raises(ValidationError, match="missing or spent input"):
+        net.chain.add_block(block)
+    assert net.chain.tip.block.hash == tip
+
+
+def test_a_transaction_with_one_unauthorised_input_is_never_recorded():
+    net, alice, bob = _funded_net()
+    tx = _two_input_spend(net, alice, bob)
+    sig, key = tx.vin[1].script_sig.elements
+    forged = tx.with_input_script(
+        1, Script([sig[:10] + bytes([sig[10] ^ 0x01]) + sig[11:], key])
+    )
+    cache = sigcache.default_cache()
+    for _ in range(2):  # input 0's good triple is cached; that is not a verdict
+        with pytest.raises(ValidationError, match="failed on input 1$"):
+            check_tx_inputs(forged, net.chain.utxos, net.chain.height + 1)
+        assert not cache.has_tx(forged.txid)
+        assert sorted(cache._entries.values()) == [False, True]
+
+
+def test_a_non_push_script_sig_is_never_recorded():
+    net, alice, bob = _funded_net()
+    honest = _p2pkh_spend(net, alice, bob)
+    cache = _warm(honest, net.chain.utxos, net.chain.height + 1)
+    hostile = non_push(honest)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="scriptSig must be push-only"):
+            check_tx_inputs(hostile, net.chain.utxos, net.chain.height + 1)
+        assert not cache.has_tx(hostile.txid)
+
+
+def test_an_altered_push_is_another_txid_and_misses(script_runs):
+    """The malleability boundary: the honest twin's verdict is cached, the
+    copy's txid is not the twin's, so the copy is judged on its own."""
+    net, alice, bob = _funded_net()
+    honest = _p2pkh_spend(net, alice, bob)
+    cache = _warm(honest, net.chain.utxos, net.chain.height + 1)
+    forged = corrupt_signature(honest)
+    assert forged.txid != honest.txid and forged.vout == honest.vout
+    with pytest.raises(ValidationError, match="failed on input 0$"):
+        check_tx_inputs(forged, net.chain.utxos, net.chain.height + 1)
+    assert not cache.has_tx(forged.txid)
+    assert len(script_runs) == 2  # the twin's, then the forgery's
+
+
+def test_disabled_cache_executes_every_script(script_runs):
+    net, alice, bob = _funded_net()
+    tx = _two_input_spend(net, alice, bob)
+    sigcache.set_default_cache(None)
+    for _ in range(3):
+        check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert len(script_runs) == 3 * len(tx.vin)
+
+
+def test_a_fresh_default_cache_holds_no_verdict(script_runs):
+    """What ``bench/common.fresh_process_caches`` does between rounds: a
+    verdict kept anywhere but in the replaced object would leak across."""
+    net, alice, bob = _funded_net()
+    tx = _two_input_spend(net, alice, bob)
+    _warm(tx, net.chain.utxos, net.chain.height + 1)
+    sigcache.set_default_cache(SignatureCache())
+    assert len(sigcache.default_cache()) == 0
+    check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert len(script_runs) == 2 * len(tx.vin)
+    sigcache.default_cache().clear()
+    check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert len(script_runs) == 3 * len(tx.vin)
+
+
+def test_the_lru_bound_counts_both_key_shapes():
+    cache = SignatureCache(max_entries=2)
+    cache.put(b"d", b"p", b"s", True)
+    cache.put_tx(b"\x01" * 32)
+    assert cache.has_tx(b"\x01" * 32) and len(cache) == 2
+    cache.put_tx(b"\x02" * 32)
+    assert len(cache) == 2
+    assert cache.get(b"d", b"p", b"s") is None  # the oldest entry, a triple
+    cache.put(b"d", b"p", b"s", False)
+    assert not cache.has_tx(b"\x01" * 32)  # and now a txid
+    assert cache.has_tx(b"\x02" * 32)

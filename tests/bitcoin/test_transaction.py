@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.script import Op, Script
 from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.transaction import (
@@ -13,6 +14,7 @@ from repro.bitcoin.transaction import (
     read_varint,
     varint,
 )
+from repro.bitcoin.wallet import Wallet
 
 
 def make_tx(n_in=1, n_out=1):
@@ -104,3 +106,75 @@ class TestTransaction:
         parsed = Transaction.parse(tx.serialize())
         assert parsed.version == 2
         assert parsed.locktime == 500_000
+
+
+class TestEncodingMemo:
+    """``serialize()`` is built once beside the txid — by the encoder."""
+
+    @pytest.fixture
+    def script_encodes(self, monkeypatch):
+        """Every ``Script.serialize`` call, as the script encoded."""
+        calls = []
+        encode = Script.serialize
+
+        def counting(script):
+            calls.append(script)
+            return encode(script)
+
+        monkeypatch.setattr(Script, "serialize", counting)
+        return calls
+
+    def test_a_non_minimal_push_reencodes_and_the_txid_names_that(self):
+        """A 10-byte push behind OP_PUSHDATA1 parses; what the node keeps,
+        hashes and relays is the minimal form, so this wire form and the
+        minimal one are one transaction with one txid (ROADMAP item 3:
+        push encoding is a malleation this node cannot see).  The memo
+        must never be seeded from the bytes ``parse_from`` read."""
+        payload = bytes(range(10))
+        minimal = Transaction(
+            [TxIn(OutPoint(b"\x07" * 32, 1), Script([payload]))],
+            [TxOut(1000, p2pkh_script(b"\x01" * 20))],
+        )
+        raw = minimal.serialize()
+        short, padded = bytes([11, 10]) + payload, bytes([12, 0x4C, 10]) + payload
+        assert raw.count(short) == 1
+        wire = raw.replace(short, padded)
+        parsed = Transaction.parse(wire)
+        assert parsed == minimal
+        assert parsed.serialize() == raw != wire
+        assert parsed.txid == minimal.txid
+        assert Transaction.parse_from(wire, 0)[0].serialize() == raw
+
+    def test_serialize_encodes_once(self, script_encodes):
+        tx = make_tx(2, 2)
+        first = tx.serialize()
+        encoded = len(script_encodes)
+        assert encoded == 4
+        assert tx.serialize() is first and tx.txid and len(script_encodes) == encoded
+
+    def test_with_input_script_has_its_own_memo(self):
+        tx = make_tx(2, 1)
+        before = tx.serialize(), tx.txid
+        updated = tx.with_input_script(1, Script([b"\xff" * 3]))
+        assert updated.serialize() != before[0] and updated.txid != before[1]
+        assert Transaction.parse(updated.serialize()) == updated
+        assert (tx.serialize(), tx.txid) == before
+
+    def test_block_and_mempool_sizes_read_the_memo(self, script_encodes):
+        net = RegtestNetwork()
+        alice = Wallet.from_seed(b"memo-alice")
+        net.fund_wallet(alice)
+        tx = alice.create_transaction(
+            net.chain, [TxOut(1000, p2pkh_script(alice.key_hash))], fee=2000
+        )
+        raw = tx.serialize()
+        del script_encodes[:]
+        entry = net.mempool.accept(tx)
+        assert entry.size == len(raw)
+        [block] = net.generate(1, alice.key_hash)
+        assert tx in block.txs
+        assert block.serialized_size() > len(raw)
+        # Its scriptSigs are encoded by nothing but the transaction encoder
+        # (the UTXO table sizes output scripts; sighashes blank scriptSigs).
+        own = {id(txin.script_sig) for txin in tx.vin}
+        assert not [script for script in script_encodes if id(script) in own]

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.bitcoin import validation
 from repro.bitcoin.script import Script
 from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.transaction import COIN, MAX_MONEY, OutPoint, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import UTXOEntry, UTXOSet
 from repro.bitcoin.validation import (
+    MissingInputError,
     ValidationError,
     check_transaction,
     check_tx_inputs,
@@ -142,8 +144,25 @@ class TestInputs:
         with pytest.raises(ValidationError):
             check_tx_inputs(coinbase, UTXOSet(), height=1)
 
-    def test_skip_script_verification_flag(self):
+    def test_warm_verdict_skips_scripts_not_context(
+        self, monkeypatch, fresh_default_cache
+    ):
+        """What ``verify_scripts=False`` was for (``Mempool.revalidate``):
+        a transaction verified once is re-checked without its scripts —
+        inputs, maturity and value still — and with them again once the
+        cache no longer holds its txid."""
         utxos, outpoint = utxo_with(COIN)
-        tx = spend(outpoint, COIN // 2, sign=False)
-        result = check_tx_inputs(tx, utxos, height=1, verify_scripts=False)
-        assert result.fee == COIN - COIN // 2
+        tx = spend(outpoint, COIN // 2)
+        assert check_tx_inputs(tx, utxos, height=1).fee == COIN - COIN // 2
+        ran = []  # a stand-in interpreter that authorises nothing
+        monkeypatch.setattr(
+            validation, "execute_script", lambda *args: ran.append(args)
+        )
+        assert check_tx_inputs(tx, utxos, height=1).fee == COIN - COIN // 2
+        with pytest.raises(MissingInputError, match="missing or spent"):
+            check_tx_inputs(tx, UTXOSet(), height=1)
+        assert ran == []
+        fresh_default_cache.clear()
+        with pytest.raises(ValidationError, match="script validation"):
+            check_tx_inputs(tx, utxos, height=1)
+        assert len(ran) == 1

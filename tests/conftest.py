@@ -49,3 +49,15 @@ def controls_calls(monkeypatch):
 
     monkeypatch.setattr(Wallet, "_controls", counting)
     return calls
+
+
+@pytest.fixture
+def fresh_default_cache():
+    """A new process-wide signature cache for this test (triples and txid
+    verdicts both live in it); the previous one is restored afterwards."""
+    from repro.bitcoin import sigcache
+
+    cache = sigcache.SignatureCache()
+    old = sigcache.set_default_cache(cache)
+    yield cache
+    sigcache.set_default_cache(old)

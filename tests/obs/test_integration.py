@@ -7,6 +7,7 @@ claim verification with observability on, and every layer's series fills.
 import pytest
 
 from repro import obs
+from repro.bitcoin import sigcache
 from repro.bitcoin.chain import Blockchain, ChainParams
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.network import (
@@ -18,7 +19,9 @@ from repro.bitcoin.network import (
 )
 from repro.bitcoin.pow import block_work, target_to_bits
 from repro.bitcoin.regtest import RegtestNetwork
-from repro.bitcoin.transaction import OutPoint
+from repro.bitcoin.standard import p2pkh_script
+from repro.bitcoin.transaction import OutPoint, TxOut
+from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.bitcoin.wallet import Wallet
 from repro.core.builder import simple_transfer
 from repro.core.transaction import TypecoinOutput
@@ -137,3 +140,57 @@ class TestNetworkMetrics:
         # Remote nodes see blocks strictly later than they were mined.
         assert propagation["sum"] > 0
         assert all(node.chain.height > 0 for node in nodes)
+
+
+class TestScriptVerdictMemo:
+    """A lost txid memo shows as a count, not on a clock: one two-input
+    transaction gossiped, mined and connected across three nodes of one
+    process runs each of its scripts once."""
+
+    NODES = 3
+
+    def _lifecycle(self):
+        """Counters of the gossip → mine → connect of one two-input spend."""
+        sim = Simulation(seed=24)
+        nodes = build_network(sim, self.NODES)
+        alice = Wallet.from_seed(b"obs-verdict-alice")
+        funding = Miner(nodes[0].chain, alice.key_hash)
+        for nonce in range(COINBASE_MATURITY + 2):
+            block = funding.mine_block(extra_nonce=nonce)
+            for node in nodes[1:]:
+                node.chain.add_block(block)
+        subsidy = nodes[0].chain.tip.block.txs[0].vout[0].value
+        tx = alice.create_transaction(
+            nodes[0].chain,
+            [TxOut(subsidy + 5000, p2pkh_script(alice.key_hash))],
+            fee=2000,
+        )
+        assert len(tx.vin) == 2
+        obs.reset()
+        assert nodes[0].submit_transaction(tx)
+        sim.run_until(sim.now + 60.0)
+        assert all(tx.txid in node.mempool for node in nodes)
+        block = funding.grind(funding.assemble(nodes[0].mempool))
+        nodes[0].submit_block(block)
+        sim.run_until(sim.now + 60.0)
+        assert all(node.chain.get_transaction(tx.txid) for node in nodes)
+        return obs.snapshot()["counters"]
+
+    def test_each_script_runs_once_per_process(self, fresh_default_cache):
+        counters = self._lifecycle()
+        assert counters["mempool.accepted_total"] == self.NODES
+        assert counters["script.executions_total"] == 2
+        # Every later admission and every connect found the txid.
+        assert counters["sigcache.tx_hits_total"] == 2 * self.NODES - 1
+        assert counters["validation.tx_total"] == 2 * self.NODES
+
+    def test_without_the_cache_every_door_runs_every_script(
+        self, fresh_default_cache
+    ):
+        sigcache.set_default_cache(None)  # the fixture restores the old one
+        counters = self._lifecycle()
+        admissions = counters["mempool.accepted_total"]
+        connects = counters["chain.blocks_connected_total"]
+        assert (admissions, connects) == (self.NODES, self.NODES)
+        assert counters["script.executions_total"] == 2 * (admissions + connects)
+        assert counters["sigcache.tx_hits_total"] == 0
