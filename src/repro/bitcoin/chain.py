@@ -32,6 +32,7 @@ from repro.bitcoin.validation import (
     ValidationError,
     check_tx_inputs,
     is_final,
+    prewarm_script_verdicts,
 )
 
 HALVING_INTERVAL = 210_000
@@ -499,6 +500,7 @@ class Blockchain:
         block = entry.block
         height = entry.height
         if height > 0:
+            prewarm_script_verdicts(block.txs[1:], self.utxos)  # speed only
             # Each transaction is checked as Mempool._accept checks it:
             # finality, no outpoint already claimed, then check_tx_inputs.
             fees = 0

@@ -81,6 +81,10 @@ class SignatureCache:
             obs.inc("sigcache.tx_hits_total")
         return True
 
+    def __contains__(self, txid: bytes) -> bool:
+        """Is ``txid``'s verdict held?  Not a hit: neither counted nor moved."""
+        return txid in self._entries
+
     def put_tx(self, txid: bytes) -> None:
         """Record that every input script of ``txid`` authorised its spend."""
         self._store(txid, True)

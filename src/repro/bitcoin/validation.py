@@ -16,12 +16,13 @@ the whole prior output); rules 1, 3, 4 are checked here against a UTXO view.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 
 from repro import obs
 from repro.bitcoin import sigcache
-from repro.bitcoin.script import ScriptError, execute_script
+from repro.bitcoin.script import Script, ScriptError, execute_script
 from repro.bitcoin.sighash import SighashCache, signature_hash
 from repro.bitcoin.standard import _is_pubkey_shaped
 from repro.bitcoin.transaction import MAX_MONEY, SEQUENCE_FINAL, Transaction
@@ -238,3 +239,85 @@ def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
         )
     return TxValidity(fee=value_in - value_out)
 
+
+POOL_MIN_INPUTS = 16  # cold inputs that engage the workers (docs/performance.md)
+_pool: tuple[int, list] | None = None  # (owner's pid, [(worker, pipe end)])
+
+
+def prewarm_script_verdicts(txs: tuple[Transaction, ...], utxos: UTXOSet) -> None:
+    """Record the txid verdicts of a block's cold transactions that a worker
+    authorised and echoed; the caller's ``check_tx_inputs`` still judges all."""
+    cache = sigcache.default_cache()
+    if cache is None or sum(len(tx.vin) for tx in txs) < POOL_MIN_INPUTS:
+        return
+    jobs = [(tx, [utxos.get(txin.prevout) for txin in tx.vin]) for tx in txs]
+    jobs = [(tx, s) for tx, s in jobs if tx.txid not in cache and None not in s]
+    inputs = sum(len(tx.vin) for tx, _ in jobs)
+    if inputs < POOL_MIN_INPUTS or (os.cpu_count() or 1) < 2:
+        return
+    for (tx, _), txid in zip(jobs, _ask_pool(jobs)):
+        if txid == tx.txid:
+            cache.put_tx(txid)
+    if obs.ENABLED and _pool is not None:  # the pool answered
+        obs.inc("validation.pool_inputs_total", inputs)
+
+
+def _ask_pool(jobs) -> list[bytes | None]:
+    """Each job's answer, in order; ``[]`` and no pool on any failure."""
+    global _pool
+    try:
+        if _pool is None or _pool[0] != os.getpid():
+            import multiprocessing as mp  # on first use: most processes never pay it
+            _pool = (os.getpid(), [])
+            for _ in range(os.cpu_count()):
+                ours, theirs = mp.Pipe()  # not a queue: its lock dies with a worker
+                worker = mp.Process(target=_serve, args=(theirs,), daemon=True)
+                worker.start()
+                theirs.close()
+                _pool[1].append((worker, ours))
+        workers = _pool[1]
+        share = -(-len(jobs) // len(workers))  # ceiling division
+        for i, (_, conn) in enumerate(workers):
+            conn.send([
+                (tx.serialize(), [e.output.script_pubkey.serialize() for e in spent])
+                for tx, spent in jobs[i * share : (i + 1) * share]
+            ])
+        return [answer for _, conn in workers for answer in conn.recv()]
+    except Exception:  # a killed worker, a broken pipe, a bad reply
+        _drop_pool()
+        return []
+
+
+def _drop_pool() -> None:
+    """Stop this process's workers; a forked child only forgets its parent's."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        for worker, _ in _pool[1]:
+            worker.kill()
+            worker.join()
+    _pool = None
+
+
+def _serve(conn) -> None:
+    """A worker: answer each share of jobs until the parent hangs up."""
+    obs.disable()
+    try:
+        while True:
+            conn.send([_authorised_txid(*job) for job in conn.recv()])
+    except EOFError:
+        return
+
+
+def _authorised_txid(raw: bytes, locks: list[bytes]) -> bytes | None:
+    """``raw``'s txid if every input authorises spending ``locks``' outputs."""
+    try:
+        tx = Transaction.parse(raw)
+        sighash_cache = SighashCache(tx)
+        scripts = map(Script.parse, locks)
+        for index, (txin, code) in enumerate(zip(tx.vin, scripts, strict=True)):
+            checker = make_sig_checker(tx, index, code, sighash_cache, None)
+            if not execute_script(txin.script_sig, code, checker):
+                return None
+    except Exception:  # the parent re-derives the refusal, with its message
+        return None
+    return tx.txid

@@ -91,6 +91,7 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("script.stack_depth_hwm", "g"),
     ("validation.tx_total", "c"),
     ("validation.rule_seconds", "h"),
+    ("validation.pool_inputs_total", "c"),
     ("chain.blocks_connected_total", "c"),
     ("chain.blocks_disconnected_total", "c"),
     ("chain.connect_seconds", "h"),

@@ -5,16 +5,19 @@ finality, the in-block double-spend set, ``check_tx_inputs`` — so every
 way a peer can break §2's rules arrives at ``Relay._accept_block`` as a
 ``ValidationError``: the sender is charged, the block is marked invalid,
 and a reorganization that met it is rolled back to exactly the state it
-started from, in memory and on disk.
+started from, in memory and on disk.  The two wide positions put the
+fault first and last beside enough cold honest inputs that the block's
+scripts run in the worker pool before the in-process check.
 """
 
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import pytest
 
 from repro import obs
-from repro.bitcoin import sigcache
+from repro.bitcoin import sigcache, validation
 from repro.bitcoin.block import Block, build_block
 from repro.bitcoin.chain import Blockchain, ChainParams
 from repro.bitcoin.mempool import Mempool, MempoolError
@@ -46,7 +49,8 @@ pytestmark = pytest.mark.usefixtures("fresh_default_cache")
 class World:
     """The history every cell starts from, built once: blocks 1–6 pay
     alice (mature at the fork point), 7–105 a burn key, and 106 alice
-    again — a coinbase she owns and may not yet spend."""
+    again — a coinbase she owns and may not yet spend; block 107 fans the
+    burn key's first coinbase out to alice for the wide positions."""
 
     chain: Blockchain
     alice: Wallet
@@ -54,6 +58,10 @@ class World:
     young: OutPoint  # her immature one
     honest: Miner
     attacker: Miner
+    # Zero-fee spends of the fan-out, POOL_MIN_INPUTS cold inputs that
+    # leave every fault's fee arithmetic as it was.
+    padding: list[Transaction] = field(default_factory=list)
+    wide: str = ""  # "first" / "last": where mined blocks put the fault
 
     def pay(
         self,
@@ -73,9 +81,14 @@ class World:
         return self.alice.sign_all(tx, [locked.script_pubkey])
 
     def mined(self, prev: Block, txs) -> Block:
+        txs = list(txs)
+        if self.wide == "first":
+            txs += self.padding
+        elif self.wide == "last":
+            txs[1:1] = self.padding
         return self.attacker.grind(
             build_block(
-                prev.hash, list(txs), prev.header.timestamp + 1, prev.header.bits
+                prev.hash, txs, prev.header.timestamp + 1, prev.header.bits
             )
         )
 
@@ -89,12 +102,12 @@ class World:
 def world():
     chain = Blockchain(PARAMS)
     alice = Wallet.from_seed(b"hostile-alice")
-    burn = Wallet.from_seed(b"hostile-burn").key_hash
-    payees = [alice.key_hash] * 6 + [burn] * 99 + [alice.key_hash]
+    burn = Wallet.from_seed(b"hostile-burn")
+    payees = [alice.key_hash] * 6 + [burn.key_hash] * 99 + [alice.key_hash]
     for nonce, key_hash in enumerate(payees):
         Miner(chain, key_hash).mine_block(extra_nonce=nonce)
     coinbases = [OutPoint(block.txs[0].txid, 0) for block in chain.export_active()]
-    return World(
+    world = World(
         chain,
         alice,
         coins=coinbases[:6],
@@ -102,6 +115,21 @@ def world():
         honest=Miner(chain, Wallet.from_seed(b"hostile-honest").key_hash),
         attacker=Miner(chain, Wallet.from_seed(b"hostile-attacker").key_hash),
     )
+    burned = chain.utxos.get(coinbases[6]).output
+    lock = p2pkh_script(alice.key_hash)
+    fanout = burn.sign_all(
+        Transaction(
+            [TxIn(coinbases[6])],
+            [TxOut(burned.value // 32, lock)] * validation.POOL_MIN_INPUTS,
+        ),
+        [burned.script_pubkey],
+    )
+    assert chain.add_block(world.block(chain.tip.block, chain.height + 1, [fanout]))
+    world.padding = [
+        world.pay(fanout.outpoint(i), surplus=0)
+        for i in range(validation.POOL_MIN_INPUTS)
+    ]
+    return world
 
 
 def corrupt_signature(tx: Transaction) -> Transaction:
@@ -194,7 +222,9 @@ FAULTS = [
     (bad_merkle_root, "merkle root mismatch"),
     (coinbase_not_first, "first transaction must be coinbase"),
 ]
-POSITIONS = ["extension", "branch-first", "branch-last"]
+POSITIONS = ["extension", "branch-first", "branch-last", "wide-first", "wide-last"]
+# The faults refused before block connect, so before the pool is asked.
+BEFORE_CONNECT = (bad_merkle_root, coinbase_not_first)
 
 
 class Victim:
@@ -251,6 +281,9 @@ class Victim:
         if position == "extension":
             bad = fault(w, self.own, self.height + 1)
             return [bad], bad
+        if position.startswith("wide-"):
+            bad = fault(replace(w, wide=position[5:]), self.own, self.height + 1)
+            return [bad], bad
         if position == "branch-first":
             bad = fault(w, self.fork, self.height)
             return [bad, w.block(bad, self.height + 1)], bad
@@ -304,18 +337,40 @@ def admit_what_a_mempool_would(world: World, blocks) -> None:
     assert sigcache.default_cache().has_tx(honest.txid)
 
 
+@pytest.fixture
+def pool_asks(monkeypatch):
+    """Two processors, and per block the pool was asked about: the inputs
+    sent, and whether every transaction sent was answered."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    asks = []
+    ask = validation._ask_pool
+
+    def recording(jobs):
+        answers = ask(jobs)
+        asks.append((sum(len(tx.vin) for tx, _ in jobs), len(answers) == len(jobs)))
+        return answers
+
+    monkeypatch.setattr(validation, "_ask_pool", recording)
+    return asks
+
+
 @pytest.mark.parametrize("position", POSITIONS)
 @pytest.mark.parametrize(
     "fault, message", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS]
 )
 def test_hostile_block_is_refused_and_changes_nothing(
-    world, tmp_path, fault, message, position
+    world, tmp_path, fault, message, position, pool_asks
 ):
     victim = Victim(world, tmp_path)
     blocks, bad = victim.branch(fault, position)
     before = victim.state()
     victim.deliver(blocks)
     victim.assert_refused(bad, before, message)
+    if position.startswith("wide-") and fault not in BEFORE_CONNECT:
+        [(inputs, answered)] = pool_asks
+        assert inputs >= validation.POOL_MIN_INPUTS and answered
+    else:
+        assert pool_asks == []
 
 
 @pytest.mark.parametrize("position", POSITIONS)
