@@ -68,6 +68,9 @@ from repro.logic.propositions import (
     props_equal,
     tensor_all,
 )
+from repro.store import framing
+
+JOURNAL_MAGIC = b"RPRBJRN1"
 
 
 class BatchError(Exception):
@@ -150,14 +153,14 @@ class _Resource:
 class BatchServer:
     """The §3.2 credential server.
 
-    With ``journal_path`` set, every accepted operation appends one JSONL
-    record to a durable journal, and constructing a server over an
-    existing journal *replays* it: deposits and virtual transactions are
-    re-verified from scratch (the journal is trusted for *what* happened,
-    never for *whether it was valid*), while withdrawals re-apply their
-    recorded effects without resubmitting anything to the network — the
-    carrier is already on (or bound for) the chain, so a restart can
-    never discharge the same resource twice.
+    With ``journal_path`` set, every accepted operation appends one JSON
+    record in a :mod:`repro.store.framing` frame to a durable journal, and
+    constructing a server over an existing journal *replays* it: deposits
+    and virtual transactions are re-verified from scratch (the journal is
+    trusted for *what* happened, never for *whether it was valid*), while
+    withdrawals re-apply their recorded effects without resubmitting
+    anything to the network — the carrier is already on (or bound for)
+    the chain, so a restart can never discharge the same resource twice.
     """
 
     def __init__(
@@ -182,7 +185,7 @@ class BatchServer:
         self._recovered_pending: dict[bytes, TypecoinTransaction] = {}
         self._journal_path = journal_path
         self._replaying = False
-        if journal_path is not None and os.path.exists(journal_path):
+        if journal_path is not None:
             self._replay_journal()
 
     def _new_id(self) -> int:
@@ -502,8 +505,9 @@ class BatchServer:
     def _journal(self, record: dict) -> None:
         if self._journal_path is None or self._replaying:
             return
-        with open(self._journal_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        payload = json.dumps(record, sort_keys=True).encode()
+        with open(self._journal_path, "ab") as handle:
+            handle.write(framing.encode_record(payload))
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -517,22 +521,20 @@ class BatchServer:
         submitted, so replay re-applies the recorded effects (mark
         withdrawn, stage the rebind) without submitting anything, which is
         what makes a crash-restart unable to discharge a resource twice.
+
+        A torn tail is cut off before the next append, which would
+        otherwise be lost with it at the following restart.
         """
+        scan = framing.scan_records(self._journal_path, JOURNAL_MAGIC)
         self._replaying = True
         try:
-            with open(self._journal_path, encoding="utf-8") as handle:
-                lines = handle.readlines()
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail: the process died mid-append
-                self._apply_journal(record)
+            for _offset, payload in scan.records:
+                self._apply_journal(json.loads(payload))
         finally:
             self._replaying = False
+        framing.open_for_append(
+            self._journal_path, JOURNAL_MAGIC, scan.valid_length
+        ).close()
 
     def _apply_journal(self, record: dict) -> None:
         op = record["op"]

@@ -103,7 +103,10 @@ class TypecoinTransaction:
     proof: ProofTerm
 
     def __init__(self, basis, grant, inputs, outputs, proof):
-        object.__setattr__(self, "basis", basis)
+        # A private copy: the encoding and hash below are computed once, so
+        # a caller that keeps declaring into its own Basis must not reach
+        # what they pin.
+        object.__setattr__(self, "basis", Basis().extended(basis))
         object.__setattr__(self, "grant", grant)
         object.__setattr__(self, "inputs", tuple(inputs))
         object.__setattr__(self, "outputs", tuple(outputs))
@@ -131,6 +134,12 @@ class TypecoinTransaction:
         """What affine asserts sign: Σ, C, ι⃗, ω⃗ — everything except the
         proof term M, which "need not be signed, and indeed cannot be,
         since it contains the signatures" (§4 fn. 7)."""
+        return self._payload
+
+    @cached_property
+    def _payload(self) -> bytes:
+        """The signing payload, built once like ``hash``: every field is
+        immutable (the basis is this transaction's own copy)."""
         parts = [b"typecoin-txn:", _uint(len(self.basis))]
         for ref, decl in self.basis:
             from repro.lf.basis import KindDecl, PropDecl, TypeDecl
@@ -162,7 +171,11 @@ class TypecoinTransaction:
 
     def serialize(self) -> bytes:
         """The full transaction, proof term included."""
-        return self.signing_payload() + encode_proof(self.proof)
+        return self._encoding
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        return self._payload + encode_proof(self.proof)
 
     @cached_property
     def hash(self) -> bytes:

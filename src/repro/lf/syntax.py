@@ -295,6 +295,10 @@ def alpha_equal(a: Node, b: Node) -> bool:
 
 
 def _alpha(a: Node, b: Node, env_a: dict, env_b: dict) -> bool:
+    # One node against itself is α-equal when both sides bind every name
+    # alike; under different binders a shared subterm may not be.
+    if a is b and env_a == env_b:
+        return True
     if isinstance(a, Var) and isinstance(b, Var):
         return env_a.get(a.name, a.name) == env_b.get(b.name, b.name)
     if type(a) is not type(b):

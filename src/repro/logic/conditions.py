@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
-from repro.lf.normalize import normalize
+from repro.lf.normalize import NORMAL_FORM, normalize, remember_normal_form
 from repro.lf.syntax import (
     ConstRef,
     NatLit,
@@ -153,18 +153,33 @@ def substitute_this_cond(cond: Condition, txid: bytes) -> Condition:
 
 
 def normalize_cond(cond: Condition) -> Condition:
+    """Normalize the LF time indices; kept on the node like ``normalize``."""
     if isinstance(cond, (CTrue, Spent)):
         return cond
+    known = cond.__dict__.get(NORMAL_FORM)
+    if known is not None:
+        return cond if known is True else known
     if isinstance(cond, CAnd):
-        return CAnd(normalize_cond(cond.left), normalize_cond(cond.right))
+        left, right = normalize_cond(cond.left), normalize_cond(cond.right)
+        if left is cond.left and right is cond.right:
+            return remember_normal_form(cond, cond)
+        return remember_normal_form(cond, CAnd(left, right))
     if isinstance(cond, CNot):
-        return CNot(normalize_cond(cond.body))
+        body = normalize_cond(cond.body)
+        return remember_normal_form(
+            cond, cond if body is cond.body else CNot(body)
+        )
     if isinstance(cond, Before):
-        return Before(normalize(cond.time))
+        time = normalize(cond.time)
+        return remember_normal_form(
+            cond, cond if time is cond.time else Before(time)
+        )
     raise TypeError(f"not a condition: {cond!r}")
 
 
 def _alpha_cond(a: Condition, b: Condition, env_a: dict, env_b: dict) -> bool:
+    if a is b and env_a == env_b:
+        return True
     if type(a) is not type(b):
         return False
     if isinstance(a, CTrue):

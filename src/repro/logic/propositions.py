@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Union
 
-from repro.lf.normalize import normalize, normalize_family
+from repro.lf.normalize import (
+    NORMAL_FORM,
+    normalize,
+    normalize_family,
+    remember_normal_form,
+)
 from repro.lf.syntax import (
     ConstRef,
     Node,
@@ -332,31 +337,62 @@ def substitute_this_prop(prop: Proposition, txid: bytes) -> Proposition:
 
 
 def normalize_prop(prop: Proposition) -> Proposition:
-    """Normalize all embedded LF terms (β and arithmetic δ)."""
-    from repro.logic.conditions import normalize_cond
+    """Normalize all embedded LF terms (β and arithmetic δ).
 
+    Computed once per node and kept on it (see :mod:`repro.lf.normalize`);
+    a proposition already in normal form is returned as itself.
+    """
+    known = prop.__dict__.get(NORMAL_FORM)
+    if known is not None:
+        return prop if known is True else known
     if isinstance(prop, Atom):
-        return Atom(normalize_family(prop.family))
-    if isinstance(prop, _BINARY):
+        family = normalize_family(prop.family)
+        normal = prop if family is prop.family else Atom(family)
+    elif isinstance(prop, _BINARY):
         left, right = _parts(prop)
-        return _rebuild(prop, normalize_prop(left), normalize_prop(right))
-    if isinstance(prop, _NULLARY):
+        new_left, new_right = normalize_prop(left), normalize_prop(right)
+        if new_left is left and new_right is right:
+            normal = prop
+        else:
+            normal = _rebuild(prop, new_left, new_right)
+    elif isinstance(prop, _NULLARY):
         return prop
-    if isinstance(prop, Bang):
-        return Bang(normalize_prop(prop.body))
-    if isinstance(prop, _QUANT):
-        return type(prop)(
-            prop.var, normalize_family(prop.domain), normalize_prop(prop.body)
-        )
-    if isinstance(prop, Says):
-        return Says(normalize(prop.principal), normalize_prop(prop.body))
-    if isinstance(prop, Receipt):
-        return Receipt(
-            normalize_prop(prop.prop), prop.amount, normalize(prop.recipient)
-        )
-    if isinstance(prop, IfProp):
-        return IfProp(normalize_cond(prop.condition), normalize_prop(prop.body))
-    raise TypeError(f"not a proposition: {prop!r}")
+    elif isinstance(prop, Bang):
+        body = normalize_prop(prop.body)
+        normal = prop if body is prop.body else Bang(body)
+    elif isinstance(prop, _QUANT):
+        domain = normalize_family(prop.domain)
+        body = normalize_prop(prop.body)
+        if domain is prop.domain and body is prop.body:
+            normal = prop
+        else:
+            normal = type(prop)(prop.var, domain, body)
+    elif isinstance(prop, Says):
+        principal = normalize(prop.principal)
+        body = normalize_prop(prop.body)
+        if principal is prop.principal and body is prop.body:
+            normal = prop
+        else:
+            normal = Says(principal, body)
+    elif isinstance(prop, Receipt):
+        inner = normalize_prop(prop.prop)
+        recipient = normalize(prop.recipient)
+        if inner is prop.prop and recipient is prop.recipient:
+            normal = prop
+        else:
+            normal = Receipt(inner, prop.amount, recipient)
+    elif isinstance(prop, IfProp):
+        from repro.logic.conditions import normalize_cond
+
+        condition = normalize_cond(prop.condition)
+        body = normalize_prop(prop.body)
+        if condition is prop.condition and body is prop.body:
+            normal = prop
+        else:
+            normal = IfProp(condition, body)
+    else:
+        raise TypeError(f"not a proposition: {prop!r}")
+    return remember_normal_form(prop, normal)
 
 
 def alpha_equal_prop(a: Proposition, b: Proposition) -> bool:
@@ -365,8 +401,10 @@ def alpha_equal_prop(a: Proposition, b: Proposition) -> bool:
 
 
 def _alpha_prop(a: Proposition, b: Proposition, env_a: dict, env_b: dict) -> bool:
-    from repro.logic.conditions import _alpha_cond
-
+    # One node against itself is α-equal when both sides bind every name
+    # alike; under different binders a shared subterm may not be.
+    if a is b and env_a == env_b:
+        return True
     if type(a) is not type(b):
         return False
     if isinstance(a, Atom):
@@ -397,6 +435,8 @@ def _alpha_prop(a: Proposition, b: Proposition, env_a: dict, env_b: dict) -> boo
             and _alpha_node(a.recipient, b.recipient, env_a, env_b)
         )
     if isinstance(a, IfProp):
+        from repro.logic.conditions import _alpha_cond
+
         return _alpha_cond(a.condition, b.condition, env_a, env_b) and _alpha_prop(
             a.body, b.body, env_a, env_b
         )

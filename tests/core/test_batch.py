@@ -4,6 +4,7 @@ import pytest
 
 from repro.bitcoin.transaction import OutPoint
 from repro.core.batch import (
+    JOURNAL_MAGIC,
     BatchError,
     BatchServer,
     VirtualOutput,
@@ -28,6 +29,7 @@ from repro.logic.proofterms import (
 )
 from repro.lf.syntax import NatLit
 from repro.logic.propositions import Lolli, One, Tensor, props_equal
+from repro.store.framing import scan_records
 
 from tests.core.conftest import publish_newcoin
 
@@ -314,9 +316,10 @@ class TestJournal:
     ):
         from repro import cancel
 
-        server, _ = self._journaled_world(net, bank, tmp_path / "j.jsonl")
+        journal = tmp_path / "journal.log"
+        server, _ = self._journaled_world(net, bank, journal)
         target = sorted(server.holdings_of(bank.principal))[0]
-        journal_len = (tmp_path / "j.jsonl").read_text().count("\n")
+        journaled = journal.read_bytes()
         with pytest.raises(cancel.DeadlineExceeded):
             server.withdraw(
                 target, bank.pubkey, deadline=cancel.Deadline.after(-1.0)
@@ -324,7 +327,7 @@ class TestJournal:
         # Nothing mutated, nothing journaled: the resource is still held
         # and a later (undeadlined) withdrawal succeeds.
         assert server.query(target) is not None
-        assert (tmp_path / "j.jsonl").read_text().count("\n") == journal_len
+        assert journal.read_bytes() == journaled
         assert server.withdraw(target, bank.pubkey) is not None
 
     def test_restart_replays_without_double_discharge(
@@ -332,7 +335,7 @@ class TestJournal:
     ):
         from repro.core.validate import Ledger
 
-        journal = tmp_path / "j.jsonl"
+        journal = tmp_path / "journal.log"
         server, vocab = self._journaled_world(net, bank, journal)
         target = sorted(server.holdings_of(bank.principal))[0]
         server.withdraw(target, bank.pubkey)
@@ -370,12 +373,90 @@ class TestJournal:
     def test_torn_journal_tail_is_tolerated(self, net, bank, tmp_path):
         from repro.core.validate import Ledger
 
-        journal = tmp_path / "j.jsonl"
+        journal = tmp_path / "journal.log"
         server, _ = self._journaled_world(net, bank, journal)
         expected = sorted(server.holdings_of(bank.principal))
-        with open(journal, "a") as fh:
-            fh.write('{"op": "tran')  # crash mid-append
+        with open(journal, "ab") as fh:
+            fh.write(b'{"op": "tran')  # crash mid-append
         restarted = BatchServer(
             net, b"batch-server", Ledger(), journal_path=str(journal)
         )
         assert sorted(restarted.holdings_of(bank.principal)) == expected
+
+    @staticmethod
+    def _split_three(server, bank, vocab):
+        """Split resource 3 (coin 4) into coins 1 and 3; returns the vtx id."""
+        vtx = VirtualTransaction(
+            inputs=[3],
+            outputs=[
+                VirtualOutput(vocab.coin_prop(1), 300, bank.principal),
+                VirtualOutput(vocab.coin_prop(3), 300, bank.principal),
+            ],
+            proof=LolliIntro(
+                "x", vocab.coin_prop(4), split_proof(vocab, 1, 3, PVar("x"))
+            ),
+        )
+        return server.transact(vtx, {bank.principal: authorize(bank.key, vtx)})
+
+    def test_a_record_appended_after_a_torn_tail_survives_the_next_restart(
+        self, net, bank, tmp_path
+    ):
+        """Crash mid-append, restart, split resource 3, restart again.  The
+        split was accepted and made durable, so the second restart must
+        hold its outputs and not resource 3.  Appended onto the torn
+        fragment, the split's record was dropped with it at the next
+        replay: holdings read [3, 4], and resource 3, consumed by the
+        split, could be spent a second time."""
+        from repro.core.validate import Ledger
+
+        journal = tmp_path / "journal.log"
+        server, vocab = self._journaled_world(net, bank, journal)
+        assert sorted(server.holdings_of(bank.principal)) == [3, 4]
+        with open(journal, "ab") as fh:
+            fh.write(b'{"op": "tran')  # crash mid-append
+        restarted = BatchServer(
+            net, b"batch-server", Ledger(), journal_path=str(journal)
+        )
+        assert self._split_three(restarted, bank, vocab) == 5
+        assert sorted(restarted.holdings_of(bank.principal)) == [4, 6, 7]
+
+        again = BatchServer(
+            net, b"batch-server", Ledger(), journal_path=str(journal)
+        )
+        assert sorted(again.holdings_of(bank.principal)) == [4, 6, 7]
+        assert again.query(3) is None
+        assert again._next_id == restarted._next_id
+
+    @pytest.mark.parametrize("mode", ["truncate", "corrupt"])
+    def test_a_torn_last_record_costs_that_record_and_nothing_after_it(
+        self, net, bank, tmp_path, mode
+    ):
+        """The two ways a death mid-append leaves the last record: cut
+        short, or a flipped byte that fails its CRC.  Either way the split
+        it held never became durable; asked again after the restart, it is
+        kept through the next one."""
+        from repro.core.validate import Ledger
+
+        journal = tmp_path / "journal.log"
+        server, vocab = self._journaled_world(net, bank, journal)
+        self._split_three(server, bank, vocab)
+        last_start = scan_records(journal, JOURNAL_MAGIC).records[-1][0]
+        data = bytearray(journal.read_bytes())
+        if mode == "truncate":
+            del data[(last_start + len(data)) // 2 :]
+        else:
+            data[-1] ^= 0xFF
+        journal.write_bytes(bytes(data))
+
+        restarted = BatchServer(
+            net, b"batch-server", Ledger(), journal_path=str(journal)
+        )
+        assert sorted(restarted.holdings_of(bank.principal)) == [3, 4]
+        # The restart cut the file back to its two intact records.
+        scan = scan_records(journal, JOURNAL_MAGIC)
+        assert len(scan.records) == 2 and scan.truncated_bytes == 0
+        assert self._split_three(restarted, bank, vocab) == 5
+        again = BatchServer(
+            net, b"batch-server", Ledger(), journal_path=str(journal)
+        )
+        assert sorted(again.holdings_of(bank.principal)) == [4, 6, 7]

@@ -19,7 +19,7 @@ import pytest
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.core.auditor import audit_chain
-from repro.core.batch import BatchServer
+from repro.core.batch import JOURNAL_MAGIC, BatchServer
 from repro.core.builder import simple_transfer
 from repro.core.overlay import build_carrier
 from repro.core.transaction import (
@@ -33,6 +33,7 @@ from repro.core.wallet import PendingSubmission, TypecoinClient
 from repro.core.wire import encode_bundle, encode_transaction
 from repro.logic.propositions import One
 from repro.service import VerificationService
+from repro.store.framing import encode_record, write_file_header
 
 from tests.service.test_replay import option
 
@@ -283,8 +284,11 @@ def journal_replay(world, case, tmp_path):
         },
         {"op": "rebind", "carrier": case.txid.hex()},
     ]
-    journal = tmp_path / "journal.jsonl"
-    journal.write_text("".join(json.dumps(record) + "\n" for record in records))
+    journal = tmp_path / "journal.log"
+    with open(journal, "wb") as fh:
+        write_file_header(fh, JOURNAL_MAGIC)
+        for record in records:
+            fh.write(encode_record(json.dumps(record).encode()))
     try:
         BatchServer(world.net, SERVER_SEED, given, journal_path=str(journal))
     except VerificationError as exc:

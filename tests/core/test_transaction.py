@@ -13,6 +13,8 @@ from repro.core.transaction import (
     referenced_txids,
     trivial_output,
 )
+from repro.core.wire import decode_transaction
+from repro.crypto.hashing import sha256d
 from repro.lf.basis import Basis, KindDecl
 from repro.lf.syntax import KIND_PROP, ConstRef, THIS, TConst
 from repro.logic.propositions import Atom, One, Receipt, props_equal
@@ -88,6 +90,42 @@ class TestHashing:
         a = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
         b = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
         assert a.hash == b.hash
+
+
+class TestEncodingMemo:
+    """The payload, the encoding and the hash are computed once per
+    transaction, so nothing reachable from outside may change under them."""
+
+    def test_a_transaction_owns_its_basis(self):
+        basis = Basis()
+        basis.declare_local("p", KindDecl(KIND_PROP))
+        txn = basis_publication(basis, PUBKEY)
+        pinned = (txn.hash, txn.signing_payload(), txn.serialize())
+        # The caller goes on declaring into the Basis it handed over.
+        basis.declare_local("q", KindDecl(KIND_PROP))
+        assert len(txn.basis) == 1 and txn.basis is not basis
+        assert (txn.hash, txn.signing_payload(), txn.serialize()) == pinned
+        fresh = dataclasses.replace(txn)
+        assert fresh.signing_payload() == pinned[1]
+        assert fresh.serialize() == pinned[2]
+        assert sha256d(fresh.serialize()) == txn.hash
+        assert decode_transaction(txn.serialize()).hash == txn.hash
+
+    def test_each_is_built_once_and_the_encoding_extends_the_payload(self):
+        txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
+        assert txn.serialize() is txn.serialize()
+        assert txn.signing_payload() is txn.signing_payload()
+        assert txn.serialize().startswith(txn.signing_payload())
+        assert txn.hash == sha256d(txn.serialize())
+
+    def test_the_memo_is_not_part_of_the_value(self):
+        a = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
+        b = dataclasses.replace(a)
+        a.serialize(), a.hash
+        assert a == b and repr(a) == repr(b)
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "basis", "grant", "inputs", "outputs", "proof"
+        ]
 
 
 class TestResolution:

@@ -12,7 +12,37 @@ from repro.core.validate import (
     world_at,
 )
 from repro.core.verifier import VerificationError
-from repro.logic.propositions import normalize_prop, props_equal
+from repro.lf.normalize import _try_delta
+from repro.lf.syntax import (
+    App,
+    Const,
+    Lam,
+    NatLit,
+    PrincipalLit,
+    TApp,
+    TConst,
+    TPi,
+    Var,
+    substitute,
+)
+from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
+from repro.logic.propositions import (
+    Atom,
+    Bang,
+    Exists,
+    Forall,
+    IfProp,
+    Lolli,
+    One,
+    Plus,
+    Receipt,
+    Says,
+    Tensor,
+    With,
+    Zero,
+    normalize_prop,
+    props_equal,
+)
 
 
 def full_scan_spendables(wallet, chain):
@@ -98,3 +128,93 @@ def replay_claim(chain, bundle, min_confirmations=1, require_unspent=True):
     if require_unspent and chain.is_spent(bundle.outpoint):
         raise VerificationError("claimed txout has already been spent")
     return ledger
+
+
+# ----------------------------------------------------------------------
+# Normal forms as they were before they were kept on the node: every call
+# rebuilds every node, whether or not anything under it reduced.
+# ----------------------------------------------------------------------
+
+
+def plain_normalize(term, _depth=0):
+    """``repro.lf.normalize.normalize`` with no memo."""
+    if _depth > 10_000:
+        raise RecursionError("normalization diverged")
+    if isinstance(term, (Var, Const, PrincipalLit, NatLit)):
+        return term
+    if isinstance(term, Lam):
+        return Lam(
+            term.var, plain_normalize_family(term.domain), plain_normalize(term.body)
+        )
+    if isinstance(term, App):
+        func = plain_normalize(term.func, _depth + 1)
+        arg = plain_normalize(term.arg, _depth + 1)
+        if isinstance(func, Lam):
+            return plain_normalize(substitute(func.body, func.var, arg), _depth + 1)
+        reduced = App(func, arg)
+        delta = _try_delta(reduced)
+        return reduced if delta is None else delta
+    raise TypeError(f"not an LF term: {term!r}")
+
+
+def plain_normalize_family(family):
+    """``repro.lf.normalize.normalize_family`` with no memo."""
+    if isinstance(family, TConst):
+        return family
+    if isinstance(family, TApp):
+        return TApp(plain_normalize_family(family.family), plain_normalize(family.arg))
+    if isinstance(family, TPi):
+        return TPi(
+            family.var,
+            plain_normalize_family(family.domain),
+            plain_normalize_family(family.body),
+        )
+    raise TypeError(f"not an LF family: {family!r}")
+
+
+def plain_normalize_cond(cond):
+    """``repro.logic.conditions.normalize_cond`` with no memo."""
+    if isinstance(cond, (CTrue, Spent)):
+        return cond
+    if isinstance(cond, CAnd):
+        return CAnd(plain_normalize_cond(cond.left), plain_normalize_cond(cond.right))
+    if isinstance(cond, CNot):
+        return CNot(plain_normalize_cond(cond.body))
+    if isinstance(cond, Before):
+        return Before(plain_normalize(cond.time))
+    raise TypeError(f"not a condition: {cond!r}")
+
+
+def plain_normalize_prop(prop):
+    """``repro.logic.propositions.normalize_prop`` with no memo."""
+    if isinstance(prop, Atom):
+        return Atom(plain_normalize_family(prop.family))
+    if isinstance(prop, Lolli):
+        return Lolli(
+            plain_normalize_prop(prop.antecedent), plain_normalize_prop(prop.consequent)
+        )
+    if isinstance(prop, (Tensor, With, Plus)):
+        return type(prop)(
+            plain_normalize_prop(prop.left), plain_normalize_prop(prop.right)
+        )
+    if isinstance(prop, (Zero, One)):
+        return prop
+    if isinstance(prop, Bang):
+        return Bang(plain_normalize_prop(prop.body))
+    if isinstance(prop, (Forall, Exists)):
+        return type(prop)(
+            prop.var,
+            plain_normalize_family(prop.domain),
+            plain_normalize_prop(prop.body),
+        )
+    if isinstance(prop, Says):
+        return Says(plain_normalize(prop.principal), plain_normalize_prop(prop.body))
+    if isinstance(prop, Receipt):
+        return Receipt(
+            plain_normalize_prop(prop.prop), prop.amount, plain_normalize(prop.recipient)
+        )
+    if isinstance(prop, IfProp):
+        return IfProp(
+            plain_normalize_cond(prop.condition), plain_normalize_prop(prop.body)
+        )
+    raise TypeError(f"not a proposition: {prop!r}")
