@@ -29,7 +29,8 @@ from repro.logic.proofterms import (
     SayReturn,
     TensorIntro,
 )
-from repro.logic.propositions import Atom, IfProp, One, Says, props_equal
+from repro.logic.propositions import Atom, IfProp, One, Says
+from repro.lf.walk import convertible
 
 ALICE = PrincipalLit(b"\xaa" * 20)
 
@@ -48,7 +49,7 @@ def check_figure2_rules():
     # ifreturn: Σ;Ψ;Γ;Δ ⊢ ifreturn_φ(M) : if(φ, A)
     inner = ctx.with_affine("x", prop)
     proved, _ = infer(inner, IfReturn(phi, PVar("x")))
-    assert props_equal(proved, IfProp(phi, prop))
+    assert convertible(proved, IfProp(phi, prop))
     checked += 1
     # ifbind
     inner = ctx.with_affine("i", IfProp(phi, prop))
@@ -56,18 +57,18 @@ def check_figure2_rules():
         inner,
         IfBind("x", PVar("i"), IfReturn(phi, TensorIntro(PVar("x"), OneIntro()))),
     )
-    assert props_equal(proved, IfProp(phi, __import__("repro.logic.propositions", fromlist=["Tensor"]).Tensor(prop, One())))
+    assert convertible(proved, IfProp(phi, __import__("repro.logic.propositions", fromlist=["Tensor"]).Tensor(prop, One())))
     checked += 1
     # ifweaken (φ ⊃ φ′ premise via the sequent prover)
     inner = ctx.with_affine("i", IfProp(phi, prop))
     proved, _ = infer(inner, IfWeaken(stronger, PVar("i")))
-    assert props_equal(proved, IfProp(stronger, prop))
+    assert convertible(proved, IfProp(stronger, prop))
     checked += 1
     # if/say
     proved = check_proof(
         ctx, IfSay(SayReturn(ALICE, IfReturn(phi, OneIntro())))
     )
-    assert props_equal(proved, IfProp(phi, Says(ALICE, One())))
+    assert convertible(proved, IfProp(phi, Says(ALICE, One())))
     checked += 1
     # No discharge form exists (§5: "we have no explicit discharge
     # operation at all").

@@ -53,10 +53,10 @@ def bench_f3_figure3_validation(benchmark):
     carrier = alice.submit(txn)
     net.confirm(1)
     alice.sync()
-    from repro.logic.propositions import props_equal
+    from repro.lf.walk import convertible
 
     entry = alice.ledger.output(carrier.txid, 0)
-    assert props_equal(entry.prop, vocab.coin_prop(n_newcoins))
+    assert convertible(entry.prop, vocab.coin_prop(n_newcoins))
 
     print("\nF3: the Figure 3 purchase validates in"
           f" ~{benchmark.stats['mean'] * 1000:.1f} ms and mints"

@@ -55,6 +55,7 @@ from repro.crypto.hashing import hash160, sha256
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.secp256k1 import Point
 from repro.lf.basis import Basis
+from repro.lf.walk import convertible, nodes_of_type, normalize
 from repro.logic import proofterms as pt
 from repro.logic.checker import CheckerContext, ProofError, infer
 from repro.logic.decoding import Cursor, decode_proof, decode_prop
@@ -64,8 +65,6 @@ from repro.logic.propositions import (
     Lolli,
     One,
     Proposition,
-    normalize_prop,
-    props_equal,
     tensor_all,
 )
 from repro.store import framing
@@ -118,23 +117,6 @@ class VirtualTransaction:
         for out in self.outputs:
             parts.append(encode_prop(out.prop) + _uint(out.amount) + _blob(out.owner))
         return b"".join(parts)
-
-
-def _proof_uses_affine_assert(term) -> bool:
-    import dataclasses
-
-    if isinstance(term, pt.Assert):
-        return True
-    if not dataclasses.is_dataclass(term):
-        return False
-    for field_info in dataclasses.fields(term):
-        value = getattr(term, field_info.name)
-        if isinstance(value, tuple):
-            if any(_proof_uses_affine_assert(v) for v in value):
-                return True
-        elif _proof_uses_affine_assert(value):
-            return True
-    return False
 
 
 @dataclass
@@ -291,7 +273,7 @@ class BatchServer:
         already = self._seen_payloads.get(digest)
         if already is not None:
             return already
-        if _proof_uses_affine_assert(vtx.proof):
+        if nodes_of_type(vtx.proof, pt.Assert):
             raise WriteThroughRequired(
                 "affine assert signs a real transaction; write through"
             )
@@ -319,18 +301,18 @@ class BatchServer:
             proved, _ = infer(ctx, vtx.proof)
         except ProofError as exc:
             raise BatchError(f"virtual proof does not check: {exc}") from exc
-        proved = normalize_prop(proved)
+        proved = normalize(proved)
         if not isinstance(proved, Lolli):
             raise BatchError("virtual proof must be an implication")
-        if not props_equal(proved.antecedent, tensor_all(input_props)):
+        if not convertible(proved.antecedent, tensor_all(input_props)):
             raise BatchError("virtual proof consumes the wrong resources")
-        consequent = normalize_prop(proved.consequent)
+        consequent = normalize(proved.consequent)
         if isinstance(consequent, IfProp):
             raise WriteThroughRequired(
                 "conditional discharge must be written through (§5)"
             )
         expected = tensor_all([out.prop for out in vtx.outputs])
-        if not props_equal(consequent, expected):
+        if not convertible(consequent, expected):
             raise BatchError("virtual proof produces the wrong resources")
 
         vtx_id = self._new_id()

@@ -36,9 +36,10 @@ from repro.crypto.hashing import sha256
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.secp256k1 import Point
 from repro.lf.basis import Basis
+from repro.lf.walk import convertible
 from repro.logic.encoding import _blob, _uint, encode_proof, encode_prop
 from repro.logic.proofterms import ProofTerm
-from repro.logic.propositions import Proposition, props_equal
+from repro.logic.propositions import Proposition
 
 
 class EscrowError(Exception):
@@ -118,7 +119,7 @@ class OpenTransaction:
         self, solution: TypecoinInput, filler_pubkey: bytes
     ) -> TypecoinTransaction:
         """Instantiate the template: plug the input hole and recipients."""
-        if not props_equal(solution.prop, self.hole_prop):
+        if not convertible(solution.prop, self.hole_prop):
             raise EscrowError(
                 "filled input's type does not match the template hole"
             )

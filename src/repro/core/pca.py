@@ -199,9 +199,9 @@ class FileServer:
         if nonce in self._used_nonces:
             raise FileServerError("nonce already used")
         expected = self.expected_prop(nonce)
-        from repro.logic.propositions import props_equal
+        from repro.lf.walk import convertible
 
-        if not props_equal(bundle.prop, expected):
+        if not convertible(bundle.prop, expected):
             raise FileServerError("claimed proposition does not match ticket")
         try:
             verify_claim(

@@ -9,9 +9,10 @@ tensor.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Sequence
 
-from repro.lf.syntax import fresh_name
+from repro.lf.syntax import SHAPES, fresh_name
 from repro.logic.propositions import (
     One,
     Proposition,
@@ -87,39 +88,17 @@ def _substitute_pvar(term: ProofTerm, name: str, value: ProofTerm) -> ProofTerm:
     Proof binders in this module use globally fresh names, so capture is
     not a concern here.
     """
-    import dataclasses
-
     if isinstance(term, PVar):
         return value if term.name == name else term
-    if not dataclasses.is_dataclass(term):
-        return term
     changes = {}
-    for field in dataclasses.fields(term):
-        current = getattr(term, field.name)
-        if isinstance(current, (PVar,)) or _is_proof(current):
-            replaced = _substitute_pvar(current, name, value)
-            if replaced is not current:
-                changes[field.name] = replaced
+    for field in SHAPES[term.__class__].children:
+        current = getattr(term, field)
+        replaced = _substitute_pvar(current, name, value)
+        if replaced is not current:
+            changes[field] = replaced
     if not changes:
         return term
     return dataclasses.replace(term, **changes)
-
-
-def _is_proof(value) -> bool:
-    from repro.logic import proofterms as pt
-
-    return isinstance(
-        value,
-        (
-            pt.PVar, pt.PConst, pt.LolliIntro, pt.LolliElim, pt.TensorIntro,
-            pt.TensorElim, pt.WithIntro, pt.WithFst, pt.WithSnd, pt.PlusInl,
-            pt.PlusInr, pt.PlusCase, pt.OneIntro, pt.OneElim, pt.ZeroElim,
-            pt.BangIntro, pt.BangElim, pt.ForallIntro, pt.ForallElim,
-            pt.ExistsIntro, pt.ExistsElim, pt.SayReturn, pt.SayBind,
-            pt.Assert, pt.AssertPersistent, pt.IfReturn, pt.IfBind,
-            pt.IfWeaken, pt.IfSay,
-        ),
-    )
 
 
 def obligation_lambda(

@@ -17,23 +17,22 @@ its Bitcoin *carrier* — the transaction its hash is embedded into — so
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.bitcoin.transaction import OutPoint
 from repro.crypto.hashing import sha256d
 from repro.lf.basis import Basis
+from repro.lf.syntax import ConstRef, PrincipalLit, declare_shape
+from repro.lf.walk import nodes_of_type, substitute_this
 from repro.logic.encoding import _blob, _uint, encode_proof, encode_prop
 from repro.logic.propositions import (
     One,
     Proposition,
     Receipt,
-    substitute_this_prop,
     tensor_all,
 )
 from repro.logic.proofterms import ProofTerm
-from repro.lf.syntax import ConstRef, PrincipalLit
 
 
 class TxnError(Exception):
@@ -192,7 +191,14 @@ class TypecoinTransaction:
         """
         if not 0 <= index < len(self.outputs):
             raise TxnError(f"no output {index}")
-        return substitute_this_prop(self.outputs[index].prop, carrier_txid)
+        return substitute_this(self.outputs[index].prop, carrier_txid)
+
+
+# What ``nodes_of_type`` descends through: basis, grant, input and output
+# propositions and the proof term.
+declare_shape(TypecoinInput, data=("txid", "index", "amount"))
+declare_shape(TypecoinOutput, data=("amount", "recipient_pubkey"))
+declare_shape(TypecoinTransaction)
 
 
 @dataclass
@@ -209,55 +215,6 @@ class ClaimBundle:
 def trivial_output(recipient_pubkey: bytes, amount: int) -> TypecoinOutput:
     """A type-1 output: plain bitcoins escaping the Typecoin level (§3.1)."""
     return TypecoinOutput(One(), amount, recipient_pubkey)
-
-
-# Child field names per node class, filled in as classes are met.  The
-# syntax tree is built from a fixed handful of frozen dataclasses, so
-# asking ``dataclasses`` about every *node* (as the walk once did) spent
-# half its time rediscovering this table; leaves (str, int, bytes, enum
-# members) map to ``()``.
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
-def _child_fields(cls: type) -> tuple[str, ...]:
-    names = (
-        tuple(f.name for f in dataclasses.fields(cls))
-        if dataclasses.is_dataclass(cls)
-        else ()
-    )
-    _CHILD_FIELDS[cls] = names
-    return names
-
-
-def nodes_of_type(txn: TypecoinTransaction, node_type: type) -> list:
-    """Every ``node_type`` node anywhere in the transaction's syntax.
-
-    The one structural traversal: basis bodies, grant, input and output
-    propositions and the proof term, descending through dataclass fields
-    and tuples/lists.  A matching node is collected, not entered.
-    Iterative, so a deep proof term cannot exhaust the interpreter stack.
-    """
-    found = []
-    stack = [decl for _ref, decl in txn.basis]
-    stack.append(txn.grant)
-    stack.extend(inp.prop for inp in txn.inputs)
-    stack.extend(out.prop for out in txn.outputs)
-    stack.append(txn.proof)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, node_type):
-            found.append(node)
-            continue
-        cls = node.__class__
-        names = _CHILD_FIELDS.get(cls)
-        if names is None:
-            if isinstance(node, (tuple, list)):
-                stack.extend(node)
-                continue
-            names = _child_fields(cls)
-        for name in names:
-            stack.append(getattr(node, name))
-    return found
 
 
 def referenced_txids(txn: TypecoinTransaction) -> frozenset[bytes]:

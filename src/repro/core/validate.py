@@ -16,6 +16,7 @@ from repro import obs
 from repro.lf.basis import Basis, KindDecl, PropDecl, TypeDecl, builtin_basis
 from repro.lf.typecheck import LFTypeError, check_kind, check_family_is_type
 from repro.lf.typecheck import LFContext
+from repro.lf.walk import convertible, normalize
 from repro.logic.checker import (
     CheckerContext,
     ProofError,
@@ -24,14 +25,7 @@ from repro.logic.checker import (
 )
 from repro.logic.conditions import CTrue, WorldView, evaluate
 from repro.logic.freshness import FreshnessError, check_basis_fresh, check_prop_fresh
-from repro.logic.propositions import (
-    IfProp,
-    Lolli,
-    Proposition,
-    normalize_prop,
-    props_equal,
-    substitute_this_prop,
-)
+from repro.logic.propositions import IfProp, Lolli, Proposition
 from repro.core.transaction import TypecoinTransaction
 
 
@@ -142,10 +136,10 @@ def check_typecoin_transaction(
                 f"input {inp.txid[:8].hex()}….{inp.index} is not a known"
                 " Typecoin output"
             )
-        if not props_equal(inp.prop, known.prop):
+        if not convertible(inp.prop, known.prop):
             raise ValidationFailure(
-                f"input type {normalize_prop(inp.prop)} does not match spent"
-                f" output's type {normalize_prop(known.prop)}"
+                f"input type {normalize(inp.prop)} does not match spent"
+                f" output's type {normalize(known.prop)}"
             )
         if inp.amount != known.amount:
             raise ValidationFailure(
@@ -177,17 +171,17 @@ def check_typecoin_transaction(
             obs.emit("proof.checked", outcome="proof_error")
         raise ValidationFailure(f"proof does not check: {exc}") from exc
 
-    proved = normalize_prop(proved)
+    proved = normalize(proved)
     if not isinstance(proved, Lolli):
         raise ValidationFailure(f"proof proves {proved}, not an implication")
     expected_antecedent = txn.obligation_antecedent()
-    if not props_equal(proved.antecedent, expected_antecedent):
+    if not convertible(proved.antecedent, expected_antecedent):
         raise ValidationFailure(
-            f"proof consumes {normalize_prop(proved.antecedent)}, transaction"
-            f" provides {normalize_prop(expected_antecedent)}"
+            f"proof consumes {normalize(proved.antecedent)}, transaction"
+            f" provides {normalize(expected_antecedent)}"
         )
 
-    consequent = normalize_prop(proved.consequent)
+    consequent = normalize(proved.consequent)
     expected_outputs = txn.outputs_tensor()
     if isinstance(consequent, IfProp):
         condition = consequent.condition
@@ -195,10 +189,10 @@ def check_typecoin_transaction(
     else:
         condition = CTrue()
         produced = consequent
-    if not props_equal(produced, expected_outputs):
+    if not convertible(produced, expected_outputs):
         raise ValidationFailure(
-            f"proof produces {normalize_prop(produced)}, outputs require"
-            f" {normalize_prop(expected_outputs)}"
+            f"proof produces {normalize(produced)}, outputs require"
+            f" {normalize(expected_outputs)}"
         )
 
     # --- implicit top-level discharge: "the condition φ holds" ------------

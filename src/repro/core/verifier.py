@@ -43,7 +43,7 @@ from repro.core.validate import (
 )
 from repro.core.wire import encode_transaction
 from repro.crypto.hashing import sha256
-from repro.logic.propositions import normalize_prop, props_equal
+from repro.lf.walk import convertible, normalize
 
 
 class VerificationError(Exception):
@@ -182,10 +182,10 @@ def _verify_claim(
     target = ledger.output(bundle.outpoint.txid, bundle.outpoint.index)
     if target is None:
         raise VerificationError("claimed txout is not produced by the bundle")
-    if not props_equal(target.prop, bundle.prop):
+    if not convertible(target.prop, bundle.prop):
         raise VerificationError(
-            f"claimed type {normalize_prop(bundle.prop)} but output has type"
-            f" {normalize_prop(target.prop)}"
+            f"claimed type {normalize(bundle.prop)} but output has type"
+            f" {normalize(target.prop)}"
         )
     if require_unspent and chain.is_spent(bundle.outpoint):
         raise VerificationError("claimed txout has already been spent")

@@ -16,8 +16,9 @@ from repro.core.transaction import (
     TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
+    TxnError,
 )
-from repro.lf.basis import Basis, KindDecl, PropDecl, TypeDecl
+from repro.lf.basis import Basis, BasisError, KindDecl, PropDecl, TypeDecl
 from repro.logic.decoding import (
     Cursor,
     DecodingError,
@@ -44,7 +45,10 @@ def decode_transaction(data: bytes) -> TypecoinTransaction:
     The result is α-equivalent to (and hashes identically to) the original.
     """
     cursor = Cursor(data)
-    txn = _read_transaction(cursor)
+    try:
+        txn = _read_transaction(cursor)
+    except (TxnError, BasisError) as exc:  # a well-formed but refused field
+        raise DecodingError(str(exc)) from None
     if not cursor.exhausted:
         raise DecodingError("trailing bytes after transaction")
     return txn

@@ -30,12 +30,16 @@ from repro.lf.syntax import (
     Term,
     TypeFamily,
     Var,
+)
+from repro.lf.walk import (
     alpha_equal,
+    convertible,
     free_vars,
+    nodes_of_type,
+    normalize,
     substitute,
     substitute_this,
 )
-from repro.lf.normalize import normalize, normalize_family
 from repro.lf.basis import (
     Basis,
     BasisError,
@@ -71,11 +75,12 @@ __all__ = [
     "TypeFamily",
     "Var",
     "alpha_equal",
+    "convertible",
     "free_vars",
+    "nodes_of_type",
+    "normalize",
     "substitute",
     "substitute_this",
-    "normalize",
-    "normalize_family",
     "Basis",
     "BasisError",
     "Declaration",

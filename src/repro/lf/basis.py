@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Union
 
 from repro import obs
-from repro.lf.normalize import register_arith
 from repro.lf.syntax import (
     BUILTIN,
     THIS,
@@ -31,8 +30,9 @@ from repro.lf.syntax import (
     TPi,
     TypeFamily,
     Var,
-    substitute_this,
+    declare_shape,
 )
+from repro.lf.walk import register_arith, substitute_this
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.logic.propositions import Proposition
@@ -64,6 +64,10 @@ class PropDecl:
 
 
 Declaration = Union[KindDecl, TypeDecl, PropDecl]
+
+declare_shape(KindDecl)
+declare_shape(TypeDecl)
+declare_shape(PropDecl)
 
 
 @dataclass
@@ -121,18 +125,11 @@ class Basis:
         """
         resolved = Basis()
         for ref, decl in self._decls.items():
-            new_ref = ref.resolved(txid)
-            if isinstance(decl, KindDecl):
-                new_decl: Declaration = KindDecl(substitute_this(decl.kind, txid))
-            elif isinstance(decl, TypeDecl):
-                new_decl = TypeDecl(substitute_this(decl.family, txid))
-            else:
-                # Imported lazily: lf must not depend on logic at load time.
-                from repro.logic.propositions import substitute_this_prop
-
-                new_decl = PropDecl(substitute_this_prop(decl.prop, txid))
-            resolved.declare(new_ref, new_decl)
+            resolved.declare(ref.resolved(txid), substitute_this(decl, txid))
         return resolved
+
+
+declare_shape(Basis)
 
 
 # ----------------------------------------------------------------------

@@ -9,17 +9,57 @@
 Constants carry a *reference* to the transaction whose basis declared them:
 ``this`` inside the declaring transaction, its txid afterwards, or the
 distinguished ``builtin`` namespace for the primitives (``nat``,
-``principal``, arithmetic).  Variables are named; substitution is
-capture-avoiding via on-the-fly renaming, and equality is α-equivalence
-(callers β-normalize first when definitional equality is wanted).
+``principal``, arithmetic).  Variables are named.
+
+Every node class of the syntax — the LF classes here, conditions
+(:mod:`repro.logic.conditions`), propositions
+(:mod:`repro.logic.propositions`) and proof terms
+(:mod:`repro.logic.proofterms`) — declares its shape once, with
+:func:`declare_shape` beside its definition, into the one table
+:data:`SHAPES`: its child fields in declaration order, its data fields, and
+the field naming the LF variable it binds, which scopes over ``body`` and
+not over its other children (``KPi``, ``TPi``, ``Lam``, ``Forall``,
+``Exists``, and the proof terms ``ForallIntro`` and ``ExistsElim``).
+:mod:`repro.lf.walk` holds one walker per operation — ``free_vars``,
+``substitute``, ``substitute_this``, ``alpha_equal``, ``normalize``,
+``convertible`` and ``nodes_of_type`` — and each reads this table and
+nothing else about a class.  The wire codec (:mod:`repro.logic.encoding`,
+:mod:`repro.logic.decoding`) keeps its own explicit layout per tag.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import NamedTuple, Union
+
+
+class Shape(NamedTuple):
+    """What the walkers know of one node class."""
+
+    fields: tuple[str, ...]  # every field, in declaration order
+    children: tuple[str, ...]  # the fields holding syntax, in order
+    data: tuple[str, ...]  # compared with ``==`` and carried over as they are
+    binder: str | None  # names the LF variable bound in ``body``
+
+
+SHAPES: dict[type, Shape] = {}
+
+
+def declare_shape(
+    cls: type, data: tuple[str, ...] = (), binder: str | None = None
+) -> None:
+    """Enter ``cls`` in :data:`SHAPES`: every field not in ``data`` and
+    not the binder holds a child."""
+    fields = tuple(f.name for f in dataclasses.fields(cls))
+    if not set(data) <= set(fields) or (binder is not None and binder not in fields):
+        raise TypeError(f"{cls.__name__} has no such field")
+    children = tuple(name for name in fields if name not in data and name != binder)
+    if binder is not None and "body" not in children:
+        raise TypeError(f"{cls.__name__} binds {binder} but has no body")
+    SHAPES[cls] = Shape(fields, children, data, binder)
 
 
 class _Space(enum.Enum):
@@ -138,6 +178,8 @@ class TPi:
     body: "TypeFamily"
 
     def __str__(self) -> str:
+        from repro.lf.walk import free_vars
+
         if self.var not in free_vars(self.body):
             return f"({self.domain} → {self.body})"
         return f"(Π{self.var}:{self.domain}.{self.body})"
@@ -219,7 +261,17 @@ class NatLit:
 
 Term = Union[Var, Const, Lam, App, PrincipalLit, NatLit]
 
-Node = Union[KindT, TypeFamily, Term]
+declare_shape(Kind, data=("sort",))
+declare_shape(KPi, binder="var")
+declare_shape(TConst, data=("ref",))
+declare_shape(TApp)
+declare_shape(TPi, binder="var")
+declare_shape(Var, data=("name",))
+declare_shape(Const, data=("ref",))
+declare_shape(Lam, binder="var")
+declare_shape(App)
+declare_shape(PrincipalLit, data=("key_hash",))
+declare_shape(NatLit, data=("value",))
 
 
 def _atom_str(term: Term) -> str:
@@ -229,28 +281,6 @@ def _atom_str(term: Term) -> str:
     return text
 
 
-# ----------------------------------------------------------------------
-# Free variables, substitution, α-equivalence
-# ----------------------------------------------------------------------
-
-
-def free_vars(node: Node) -> frozenset[str]:
-    """The free term variables of a kind, family, or term."""
-    if isinstance(node, (Kind, TConst, Const, PrincipalLit, NatLit)):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, (KPi, TPi)):
-        return free_vars(node.domain) | (free_vars(node.body) - {node.var})
-    if isinstance(node, Lam):
-        return free_vars(node.domain) | (free_vars(node.body) - {node.var})
-    if isinstance(node, TApp):
-        return free_vars(node.family) | free_vars(node.arg)
-    if isinstance(node, App):
-        return free_vars(node.func) | free_vars(node.arg)
-    raise TypeError(f"not an LF node: {node!r}")
-
-
 _fresh_counter = itertools.count()
 
 
@@ -258,123 +288,6 @@ def fresh_name(base: str) -> str:
     """A globally fresh variable name derived from ``base``."""
     root = base.split("$", 1)[0]
     return f"{root}${next(_fresh_counter)}"
-
-
-def substitute(node: Node, var: str, replacement: Term) -> Node:
-    """Capture-avoiding substitution ``[replacement/var]node``."""
-    if isinstance(node, (Kind, TConst, Const, PrincipalLit, NatLit)):
-        return node
-    if isinstance(node, Var):
-        return replacement if node.name == var else node
-    if isinstance(node, TApp):
-        return TApp(
-            substitute(node.family, var, replacement),
-            substitute(node.arg, var, replacement),
-        )
-    if isinstance(node, App):
-        return App(
-            substitute(node.func, var, replacement),
-            substitute(node.arg, var, replacement),
-        )
-    if isinstance(node, (KPi, TPi, Lam)):
-        domain = substitute(node.domain, var, replacement)
-        if node.var == var:
-            return type(node)(node.var, domain, node.body)
-        if node.var in free_vars(replacement):
-            renamed = fresh_name(node.var)
-            body = substitute(node.body, node.var, Var(renamed))
-            body = substitute(body, var, replacement)
-            return type(node)(renamed, domain, body)
-        return type(node)(node.var, domain, substitute(node.body, var, replacement))
-    raise TypeError(f"not an LF node: {node!r}")
-
-
-def alpha_equal(a: Node, b: Node) -> bool:
-    """Structural equality up to bound-variable renaming."""
-    return _alpha(a, b, {}, {})
-
-
-def _alpha(a: Node, b: Node, env_a: dict, env_b: dict) -> bool:
-    # One node against itself is α-equal when both sides bind every name
-    # alike; under different binders a shared subterm may not be.
-    if a is b and env_a == env_b:
-        return True
-    if isinstance(a, Var) and isinstance(b, Var):
-        return env_a.get(a.name, a.name) == env_b.get(b.name, b.name)
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Kind):
-        return a.sort is b.sort
-    if isinstance(a, (TConst, Const)):
-        return a.ref == b.ref
-    if isinstance(a, PrincipalLit):
-        return a.key_hash == b.key_hash
-    if isinstance(a, NatLit):
-        return a.value == b.value
-    if isinstance(a, TApp):
-        return _alpha(a.family, b.family, env_a, env_b) and _alpha(
-            a.arg, b.arg, env_a, env_b
-        )
-    if isinstance(a, App):
-        return _alpha(a.func, b.func, env_a, env_b) and _alpha(
-            a.arg, b.arg, env_a, env_b
-        )
-    if isinstance(a, (KPi, TPi, Lam)):
-        if not _alpha(a.domain, b.domain, env_a, env_b):
-            return False
-        marker = object()
-        env_a2 = {**env_a, a.var: marker}
-        env_b2 = {**env_b, b.var: marker}
-        return _alpha(a.body, b.body, env_a2, env_b2)
-    raise TypeError(f"not an LF node: {a!r}")
-
-
-def substitute_this(node: Node, txid: bytes) -> Node:
-    """Resolve every ``this``-reference to the given transaction id.
-
-    Applied when a transaction enters the blockchain: "all its declarations
-    are added to the global basis, with this replaced by the transaction's
-    identifier" (paper §4).
-    """
-    if isinstance(node, (Kind, Var, PrincipalLit, NatLit)):
-        return node
-    if isinstance(node, TConst):
-        return TConst(node.ref.resolved(txid))
-    if isinstance(node, Const):
-        return Const(node.ref.resolved(txid))
-    if isinstance(node, TApp):
-        return TApp(substitute_this(node.family, txid), substitute_this(node.arg, txid))
-    if isinstance(node, App):
-        return App(substitute_this(node.func, txid), substitute_this(node.arg, txid))
-    if isinstance(node, (KPi, TPi, Lam)):
-        return type(node)(
-            node.var,
-            substitute_this(node.domain, txid),
-            substitute_this(node.body, txid),
-        )
-    raise TypeError(f"not an LF node: {node!r}")
-
-
-def iter_constants(node: Node) -> Iterator[ConstRef]:
-    """Yield every constant reference in a node (for freshness checks)."""
-    if isinstance(node, (Kind, Var, PrincipalLit, NatLit)):
-        return
-    if isinstance(node, (TConst, Const)):
-        yield node.ref
-        return
-    if isinstance(node, TApp):
-        yield from iter_constants(node.family)
-        yield from iter_constants(node.arg)
-        return
-    if isinstance(node, App):
-        yield from iter_constants(node.func)
-        yield from iter_constants(node.arg)
-        return
-    if isinstance(node, (KPi, TPi, Lam)):
-        yield from iter_constants(node.domain)
-        yield from iter_constants(node.body)
-        return
-    raise TypeError(f"not an LF node: {node!r}")
 
 
 def arrow(domain: TypeFamily, body: TypeFamily) -> TPi:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro import cancel, obs
 from repro.lf.basis import Basis, BasisError, KindDecl, NAT_T, PRINCIPAL_T, TypeDecl
-from repro.lf.normalize import families_equal, normalize_family
 from repro.lf.syntax import (
     App,
     Const,
@@ -35,8 +34,8 @@ from repro.lf.syntax import (
     Term,
     TypeFamily,
     Var,
-    substitute,
 )
+from repro.lf.walk import convertible, normalize, substitute
 
 
 class LFTypeError(Exception):
@@ -142,7 +141,7 @@ def infer_type(basis: Basis, ctx: LFContext, term: Term) -> TypeFamily:
         body_type = infer_type(basis, ctx.extend(term.var, term.domain), term.body)
         return TPi(term.var, term.domain, body_type)
     if isinstance(term, App):
-        func_type = normalize_family(infer_type(basis, ctx, term.func))
+        func_type = normalize(infer_type(basis, ctx, term.func))
         if not isinstance(func_type, TPi):
             raise LFTypeError(
                 f"application head {term.func} has non-function type {func_type}"
@@ -157,8 +156,8 @@ def check_type(
 ) -> None:
     """Judgement Σ;Ψ ⊢ m : τ (checking against an expected type)."""
     actual = infer_type(basis, ctx, term)
-    if not families_equal(actual, expected):
+    if not convertible(actual, expected):
         raise LFTypeError(
-            f"term {term} has type {normalize_family(actual)}, expected"
-            f" {normalize_family(expected)}"
+            f"term {term} has type {normalize(actual)}, expected"
+            f" {normalize(expected)}"
         )

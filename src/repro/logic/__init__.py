@@ -24,12 +24,6 @@ from repro.logic.propositions import (
     Tensor,
     With,
     Zero,
-    alpha_equal_prop,
-    free_vars_prop,
-    normalize_prop,
-    props_equal,
-    substitute_prop,
-    substitute_this_prop,
     tensor_all,
 )
 from repro.logic.conditions import (
@@ -43,7 +37,6 @@ from repro.logic.conditions import (
     conjoin,
     entails,
     evaluate,
-    substitute_this_cond,
 )
 from repro.logic.freshness import FreshnessError, check_basis_fresh, check_prop_fresh, is_fresh
 from repro.logic.proofterms import (
@@ -92,12 +85,10 @@ from repro.logic.checker import (
 __all__ = [
     # propositions
     "Atom", "Bang", "Exists", "Forall", "IfProp", "Lolli", "One", "Plus",
-    "Proposition", "Receipt", "Says", "Tensor", "With", "Zero",
-    "alpha_equal_prop", "free_vars_prop", "normalize_prop", "props_equal",
-    "substitute_prop", "substitute_this_prop", "tensor_all",
+    "Proposition", "Receipt", "Says", "Tensor", "With", "Zero", "tensor_all",
     # conditions
     "Before", "CAnd", "CNot", "CTrue", "Condition", "Spent", "WorldView",
-    "conjoin", "entails", "evaluate", "substitute_this_cond",
+    "conjoin", "entails", "evaluate",
     # freshness
     "FreshnessError", "check_basis_fresh", "check_prop_fresh", "is_fresh",
     # proof terms

@@ -22,7 +22,6 @@ from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.hashing import hash160, sha256
 from repro.crypto.secp256k1 import Point
 from repro.lf.basis import Basis, BasisError, NAT_T, PRINCIPAL_T, PropDecl
-from repro.lf.normalize import normalize, terms_equal
 from repro.lf.syntax import (
     Kind,
     KindSort,
@@ -31,6 +30,7 @@ from repro.lf.syntax import (
     TypeFamily,
     Var as LFVar,
 )
+from repro.lf.walk import convertible, free_vars, normalize, substitute
 from repro.lf.typecheck import (
     LFContext,
     LFTypeError,
@@ -45,7 +45,6 @@ from repro.logic.conditions import (
     Condition,
     CTrue,
     Spent,
-    conditions_equal,
     implies,
 )
 from repro.logic.encoding import EncodingError, encode_prop
@@ -64,10 +63,6 @@ from repro.logic.propositions import (
     Tensor,
     With,
     Zero,
-    free_vars_prop,
-    normalize_prop,
-    props_equal,
-    substitute_prop,
 )
 from repro.logic.proofterms import (
     Affirmation,
@@ -115,12 +110,12 @@ PERSISTENT_ASSERT_TAG = b"typecoin:assert!:"
 def affine_assert_payload(txn_payload: bytes, prop: Proposition) -> bytes:
     """The message an affine ``assert`` signature covers: "essentially the
     entire transaction in which it appears" plus the proposition."""
-    return AFFINE_ASSERT_TAG + txn_payload + encode_prop(normalize_prop(prop))
+    return AFFINE_ASSERT_TAG + txn_payload + encode_prop(normalize(prop))
 
 
 def persistent_assert_payload(prop: Proposition) -> bytes:
     """The message an ``assert!`` signature covers: "only the proposition A"."""
-    return PERSISTENT_ASSERT_TAG + encode_prop(normalize_prop(prop))
+    return PERSISTENT_ASSERT_TAG + encode_prop(normalize(prop))
 
 
 # Installed by the verification service (repro.service.cache): a bounded
@@ -326,14 +321,14 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, LolliElim):
         func_prop, func_used = infer(ctx, term.func)
-        func_prop = normalize_prop(func_prop)
+        func_prop = normalize(func_prop)
         if not isinstance(func_prop, Lolli):
             raise ProofError(f"applied non-implication {func_prop}")
         arg_prop, arg_used = infer(ctx, term.arg)
-        if not props_equal(func_prop.antecedent, arg_prop):
+        if not convertible(func_prop.antecedent, arg_prop):
             raise ProofError(
-                f"argument proves {normalize_prop(arg_prop)}, function expects"
-                f" {normalize_prop(func_prop.antecedent)}"
+                f"argument proves {normalize(arg_prop)}, function expects"
+                f" {normalize(func_prop.antecedent)}"
             )
         return func_prop.consequent, _disjoint(func_used, arg_used)
 
@@ -344,7 +339,7 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, TensorElim):
         scrut_prop, scrut_used = infer(ctx, term.scrutinee)
-        scrut_prop = normalize_prop(scrut_prop)
+        scrut_prop = normalize(scrut_prop)
         if not isinstance(scrut_prop, Tensor):
             raise ProofError(f"let ⊗ scrutinee proves {scrut_prop}, not a tensor")
         inner = ctx.with_affine(term.left_var, scrut_prop.left).with_affine(
@@ -363,7 +358,7 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, (WithFst, WithSnd)):
         pair_prop, used = infer(ctx, term.body)
-        pair_prop = normalize_prop(pair_prop)
+        pair_prop = normalize(pair_prop)
         if not isinstance(pair_prop, With):
             raise ProofError(f"projection from non-& proposition {pair_prop}")
         chosen = pair_prop.left if isinstance(term, WithFst) else pair_prop.right
@@ -381,7 +376,7 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, PlusCase):
         scrut_prop, scrut_used = infer(ctx, term.scrutinee)
-        scrut_prop = normalize_prop(scrut_prop)
+        scrut_prop = normalize(scrut_prop)
         if not isinstance(scrut_prop, Plus):
             raise ProofError(f"case scrutinee proves {scrut_prop}, not a ⊕")
         left_prop, left_used = infer(
@@ -390,10 +385,10 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
         right_prop, right_used = infer(
             ctx.with_affine(term.right_var, scrut_prop.right), term.right_body
         )
-        if not props_equal(left_prop, right_prop):
+        if not convertible(left_prop, right_prop):
             raise ProofError(
                 f"case branches prove different propositions:"
-                f" {normalize_prop(left_prop)} vs {normalize_prop(right_prop)}"
+                f" {normalize(left_prop)} vs {normalize(right_prop)}"
             )
         branches_used = (left_used - {term.left_var}) | (
             right_used - {term.right_var}
@@ -405,7 +400,7 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, OneElim):
         scrut_prop, scrut_used = infer(ctx, term.scrutinee)
-        if not isinstance(normalize_prop(scrut_prop), One):
+        if not isinstance(normalize(scrut_prop), One):
             raise ProofError(f"let ⟨⟩ scrutinee proves {scrut_prop}, not 1")
         body_prop, body_used = infer(ctx, term.body)
         return body_prop, _disjoint(scrut_used, body_used)
@@ -413,7 +408,7 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
     if isinstance(term, ZeroElim):
         check_prop_formation(ctx.basis, ctx.lf_ctx, term.annotation)
         scrut_prop, used = infer(ctx, term.scrutinee)
-        if not isinstance(normalize_prop(scrut_prop), Zero):
+        if not isinstance(normalize(scrut_prop), Zero):
             raise ProofError(f"abort scrutinee proves {scrut_prop}, not 0")
         return term.annotation, used
 
@@ -428,7 +423,7 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, BangElim):
         scrut_prop, scrut_used = infer(ctx, term.scrutinee)
-        scrut_prop = normalize_prop(scrut_prop)
+        scrut_prop = normalize(scrut_prop)
         if not isinstance(scrut_prop, Bang):
             raise ProofError(f"let ! scrutinee proves {scrut_prop}, not a !")
         body_prop, body_used = infer(
@@ -444,17 +439,17 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, ForallElim):
         body_prop, used = infer(ctx, term.body)
-        body_prop = normalize_prop(body_prop)
+        body_prop = normalize(body_prop)
         if not isinstance(body_prop, Forall):
             raise ProofError(f"instantiating non-∀ proposition {body_prop}")
         try:
             check_type(ctx.basis, ctx.lf_ctx, term.arg, body_prop.domain)
         except LFTypeError as exc:
             raise ProofError(f"bad ∀ instantiation: {exc}") from exc
-        return substitute_prop(body_prop.body, body_prop.var, term.arg), used
+        return substitute(body_prop.body, body_prop.var, term.arg), used
 
     if isinstance(term, ExistsIntro):
-        annotation = normalize_prop(term.annotation)
+        annotation = normalize(term.annotation)
         if not isinstance(annotation, Exists):
             raise ProofError("pack annotation must be an ∃ proposition")
         check_prop_formation(ctx.basis, ctx.lf_ctx, annotation)
@@ -462,29 +457,29 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
             check_type(ctx.basis, ctx.lf_ctx, term.witness, annotation.domain)
         except LFTypeError as exc:
             raise ProofError(f"bad ∃ witness: {exc}") from exc
-        expected = substitute_prop(annotation.body, annotation.var, term.witness)
+        expected = substitute(annotation.body, annotation.var, term.witness)
         body_prop, used = infer(ctx, term.body)
-        if not props_equal(body_prop, expected):
+        if not convertible(body_prop, expected):
             raise ProofError(
-                f"pack body proves {normalize_prop(body_prop)}, annotation"
-                f" requires {normalize_prop(expected)}"
+                f"pack body proves {normalize(body_prop)}, annotation"
+                f" requires {normalize(expected)}"
             )
         return annotation, used
 
     if isinstance(term, ExistsElim):
         scrut_prop, scrut_used = infer(ctx, term.scrutinee)
-        scrut_prop = normalize_prop(scrut_prop)
+        scrut_prop = normalize(scrut_prop)
         if not isinstance(scrut_prop, Exists):
             raise ProofError(f"unpack scrutinee proves {scrut_prop}, not an ∃")
         _check_eigenvariable(ctx, term.type_var)
-        opened = substitute_prop(
+        opened = substitute(
             scrut_prop.body, scrut_prop.var, LFVar(term.type_var)
         )
         inner = ctx.with_lf(term.type_var, scrut_prop.domain).with_affine(
             term.proof_var, opened
         )
         body_prop, body_used = infer(inner, term.body)
-        if term.type_var in free_vars_prop(body_prop):
+        if term.type_var in free_vars(body_prop):
             raise ProofError(
                 f"existential witness {term.type_var} escapes its scope"
             )
@@ -497,14 +492,14 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, SayBind):
         scrut_prop, scrut_used = infer(ctx, term.scrutinee)
-        scrut_prop = normalize_prop(scrut_prop)
+        scrut_prop = normalize(scrut_prop)
         if not isinstance(scrut_prop, Says):
             raise ProofError(f"saybind scrutinee proves {scrut_prop}, not ⟨m⟩A")
         body_prop, body_used = infer(
             ctx.with_affine(term.var, scrut_prop.body), term.body
         )
-        body_prop_n = normalize_prop(body_prop)
-        if not isinstance(body_prop_n, Says) or not terms_equal(
+        body_prop_n = normalize(body_prop)
+        if not isinstance(body_prop_n, Says) or not convertible(
             body_prop_n.principal, scrut_prop.principal
         ):
             raise ProofError(
@@ -540,14 +535,14 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, IfBind):
         scrut_prop, scrut_used = infer(ctx, term.scrutinee)
-        scrut_prop = normalize_prop(scrut_prop)
+        scrut_prop = normalize(scrut_prop)
         if not isinstance(scrut_prop, IfProp):
             raise ProofError(f"ifbind scrutinee proves {scrut_prop}, not if(φ,A)")
         body_prop, body_used = infer(
             ctx.with_affine(term.var, scrut_prop.body), term.body
         )
-        body_prop_n = normalize_prop(body_prop)
-        if not isinstance(body_prop_n, IfProp) or not conditions_equal(
+        body_prop_n = normalize(body_prop)
+        if not isinstance(body_prop_n, IfProp) or not convertible(
             body_prop_n.condition, scrut_prop.condition
         ):
             raise ProofError("ifbind body must prove if(φ,B) for the same φ")
@@ -556,7 +551,7 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
     if isinstance(term, IfWeaken):
         check_condition_formation(ctx.basis, ctx.lf_ctx, term.condition)
         body_prop, used = infer(ctx, term.body)
-        body_prop = normalize_prop(body_prop)
+        body_prop = normalize(body_prop)
         if not isinstance(body_prop, IfProp):
             raise ProofError(f"ifweaken body proves {body_prop}, not if(φ,A)")
         if not implies(term.condition, body_prop.condition):
@@ -568,12 +563,12 @@ def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
 
     if isinstance(term, IfSay):
         body_prop, used = infer(ctx, term.body)
-        body_prop = normalize_prop(body_prop)
+        body_prop = normalize(body_prop)
         if not isinstance(body_prop, Says) or not isinstance(
-            normalize_prop(body_prop.body), IfProp
+            normalize(body_prop.body), IfProp
         ):
             raise ProofError(f"if/say body proves {body_prop}, not ⟨m⟩if(φ,A)")
-        inner = normalize_prop(body_prop.body)
+        inner = normalize(body_prop.body)
         assert isinstance(inner, IfProp)
         return IfProp(inner.condition, Says(body_prop.principal, inner.body)), used
 
@@ -593,7 +588,7 @@ def _check_eigenvariable(ctx: CheckerContext, var: str) -> None:
         raise ProofError(f"eigenvariable {var} shadows an LF variable")
     for hypotheses in (ctx.persistent, ctx.affine):
         for name, prop in hypotheses.items():
-            if var in free_vars_prop(prop):
+            if var in free_vars(prop):
                 raise ProofError(
                     f"eigenvariable {var} occurs free in hypothesis {name}"
                 )

@@ -18,19 +18,10 @@ blockchain."  Two relations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
-from repro.lf.normalize import NORMAL_FORM, normalize, remember_normal_form
-from repro.lf.syntax import (
-    ConstRef,
-    NatLit,
-    Term,
-    _alpha,
-    free_vars as lf_free_vars,
-    iter_constants as lf_iter_constants,
-    substitute as lf_substitute,
-    substitute_this as lf_substitute_this,
-)
+from repro.lf.syntax import NatLit, Term, declare_shape
+from repro.lf.walk import alpha_equal, normalize
 
 
 @dataclass(frozen=True)
@@ -92,6 +83,12 @@ class Spent:
 
 Condition = Union[CTrue, CAnd, CNot, Before, Spent]
 
+declare_shape(CTrue)
+declare_shape(CAnd)
+declare_shape(CNot)
+declare_shape(Before)
+declare_shape(Spent, data=("txid", "index"))
+
 
 def conjoin(conditions: list[Condition]) -> Condition:
     """The conjunction of a list of conditions (true if empty), flattened
@@ -103,118 +100,6 @@ def conjoin(conditions: list[Condition]) -> Condition:
     for cond in reversed(useful[:-1]):
         result = CAnd(cond, result)
     return result
-
-
-# ----------------------------------------------------------------------
-# Structure-generic helpers
-# ----------------------------------------------------------------------
-
-
-def free_vars_cond(cond: Condition) -> frozenset[str]:
-    if isinstance(cond, (CTrue, Spent)):
-        return frozenset()
-    if isinstance(cond, CAnd):
-        return free_vars_cond(cond.left) | free_vars_cond(cond.right)
-    if isinstance(cond, CNot):
-        return free_vars_cond(cond.body)
-    if isinstance(cond, Before):
-        return lf_free_vars(cond.time)
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def substitute_cond(cond: Condition, var: str, replacement: Term) -> Condition:
-    if isinstance(cond, (CTrue, Spent)):
-        return cond
-    if isinstance(cond, CAnd):
-        return CAnd(
-            substitute_cond(cond.left, var, replacement),
-            substitute_cond(cond.right, var, replacement),
-        )
-    if isinstance(cond, CNot):
-        return CNot(substitute_cond(cond.body, var, replacement))
-    if isinstance(cond, Before):
-        return Before(lf_substitute(cond.time, var, replacement))
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def substitute_this_cond(cond: Condition, txid: bytes) -> Condition:
-    if isinstance(cond, (CTrue, Spent)):
-        return cond
-    if isinstance(cond, CAnd):
-        return CAnd(
-            substitute_this_cond(cond.left, txid),
-            substitute_this_cond(cond.right, txid),
-        )
-    if isinstance(cond, CNot):
-        return CNot(substitute_this_cond(cond.body, txid))
-    if isinstance(cond, Before):
-        return Before(lf_substitute_this(cond.time, txid))
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def normalize_cond(cond: Condition) -> Condition:
-    """Normalize the LF time indices; kept on the node like ``normalize``."""
-    if isinstance(cond, (CTrue, Spent)):
-        return cond
-    known = cond.__dict__.get(NORMAL_FORM)
-    if known is not None:
-        return cond if known is True else known
-    if isinstance(cond, CAnd):
-        left, right = normalize_cond(cond.left), normalize_cond(cond.right)
-        if left is cond.left and right is cond.right:
-            return remember_normal_form(cond, cond)
-        return remember_normal_form(cond, CAnd(left, right))
-    if isinstance(cond, CNot):
-        body = normalize_cond(cond.body)
-        return remember_normal_form(
-            cond, cond if body is cond.body else CNot(body)
-        )
-    if isinstance(cond, Before):
-        time = normalize(cond.time)
-        return remember_normal_form(
-            cond, cond if time is cond.time else Before(time)
-        )
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def _alpha_cond(a: Condition, b: Condition, env_a: dict, env_b: dict) -> bool:
-    if a is b and env_a == env_b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, CTrue):
-        return True
-    if isinstance(a, CAnd):
-        return _alpha_cond(a.left, b.left, env_a, env_b) and _alpha_cond(
-            a.right, b.right, env_a, env_b
-        )
-    if isinstance(a, CNot):
-        return _alpha_cond(a.body, b.body, env_a, env_b)
-    if isinstance(a, Before):
-        return _alpha(a.time, b.time, env_a, env_b)
-    if isinstance(a, Spent):
-        return a.txid == b.txid and a.index == b.index
-    raise TypeError(f"not a condition: {a!r}")
-
-
-def conditions_equal(a: Condition, b: Condition) -> bool:
-    return _alpha_cond(normalize_cond(a), normalize_cond(b), {}, {})
-
-
-def iter_constants_cond(cond: Condition) -> Iterator[ConstRef]:
-    if isinstance(cond, (CTrue, Spent)):
-        return
-    if isinstance(cond, CAnd):
-        yield from iter_constants_cond(cond.left)
-        yield from iter_constants_cond(cond.right)
-        return
-    if isinstance(cond, CNot):
-        yield from iter_constants_cond(cond.body)
-        return
-    if isinstance(cond, Before):
-        yield from lf_iter_constants(cond.time)
-        return
-    raise TypeError(f"not a condition: {cond!r}")
 
 
 # ----------------------------------------------------------------------
@@ -230,8 +115,8 @@ def entails(antecedents: list[Condition], consequents: list[Condition]) -> bool:
     ``before(t) ⊃ before(t′)`` closes when t ≤ t′ (comparable only for
     literal times; symbolic times close by equality via the identity rule).
     """
-    left = [normalize_cond(c) for c in antecedents]
-    right = [normalize_cond(c) for c in consequents]
+    left = [normalize(c) for c in antecedents]
+    right = [normalize(c) for c in consequents]
     return _prove(left, right)
 
 
@@ -259,7 +144,7 @@ def _prove(left: list[Condition], right: list[Condition]) -> bool:
     # Atomic sequent: identity or the before axiom.
     for l_atom in left:
         for r_atom in right:
-            if _alpha_cond(l_atom, r_atom, {}, {}):
+            if alpha_equal(l_atom, r_atom):
                 return True
             if isinstance(l_atom, Before) and isinstance(r_atom, Before):
                 if (
@@ -303,7 +188,7 @@ class ConditionUndecidable(Exception):
 def evaluate(cond: Condition, world: WorldView) -> bool:
     """Decide φ in a world.  Raises :class:`ConditionUndecidable` when a
     ``before`` index is not a closed literal."""
-    cond = normalize_cond(cond)
+    cond = normalize(cond)
     if isinstance(cond, CTrue):
         return True
     if isinstance(cond, CAnd):

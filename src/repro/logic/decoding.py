@@ -7,7 +7,10 @@ transactions can actually travel between principals (§3: the prover
 
 Bound variables are regenerated from de Bruijn depth (``u0, u1, …`` for LF
 binders, ``p0, p1, …`` for proof binders), so ``decode(encode(x))`` is
-α-equivalent to ``x`` and ``encode(decode(b)) == b``.
+α-equivalent to ``x`` and ``encode(decode(b)) == b``.  Bytes are hostile:
+each decoder either raises :class:`DecodingError` or returns a value whose
+encoding is exactly the bytes it read, so input the encoder cannot have
+written (a non-minimal LEB128, an unknown kind sort) is refused.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ class Cursor:
             byte = self.byte()
             result |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                if byte == 0 and shift:
+                    raise DecodingError("non-minimal LEB128 value")
                 return result
             shift += 7
             if shift > 63:
@@ -144,7 +149,10 @@ def _proof_name(depth: int) -> str:
 
 def decode_ref(cursor: Cursor) -> ConstRef:
     space_blob = cursor.blob()
-    name = cursor.blob().decode()
+    try:
+        name = cursor.blob().decode()
+    except UnicodeDecodeError:
+        raise DecodingError("constant name is not UTF-8") from None
     if space_blob == b"\x00":
         return ConstRef(THIS, name)
     if space_blob == b"\x01":
@@ -173,7 +181,10 @@ def decode_term(cursor: Cursor, depth: int = 0) -> Term:
         arg = decode_term(cursor, depth)
         return App(func, arg)
     if tag == 0x14:
-        return PrincipalLit(cursor.blob())
+        key_hash = cursor.blob()
+        if len(key_hash) != 20:
+            raise DecodingError("principal literals are 20-byte key hashes")
+        return PrincipalLit(key_hash)
     if tag == 0x15:
         return NatLit(cursor.uint())
     raise DecodingError(f"unknown term tag 0x{tag:02x}")
@@ -200,6 +211,8 @@ def decode_kind(cursor: Cursor, depth: int = 0) -> KindT:
     tag = cursor.byte()
     if tag == 0x30:
         sort = cursor.byte()
+        if sort > 1:
+            raise DecodingError(f"unknown kind sort {sort}")
         return Kind(KindSort.TYPE if sort == 0 else KindSort.PROP)
     if tag == 0x31:
         domain = decode_family(cursor, depth)
@@ -223,8 +236,9 @@ def decode_cond(cursor: Cursor, depth: int = 0) -> Condition:
         return Before(decode_term(cursor, depth))
     if tag == 0x44:
         txid = cursor.blob()
-        index = cursor.uint()
-        return Spent(txid, index)
+        if len(txid) != 32:
+            raise DecodingError("spent conditions name 32-byte txids")
+        return Spent(txid, cursor.uint())
     raise DecodingError(f"unknown condition tag 0x{tag:02x}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from repro.lf.syntax import ConstRef, Term, TypeFamily
+from repro.lf.syntax import ConstRef, Term, TypeFamily, declare_shape
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.logic.conditions import Condition
@@ -381,6 +381,39 @@ ProofTerm = Union[
     SayReturn, SayBind, Assert, AssertPersistent, IfReturn, IfBind, IfWeaken,
     IfSay,
 ]
+
+# The walkers of repro.lf.walk speak LF variables: ``ForallIntro`` and
+# ``ExistsElim`` bind one over their body.  Proof-variable binders are
+# data to them, compared by name.
+declare_shape(PVar, data=("name",))
+declare_shape(PConst, data=("ref",))
+declare_shape(LolliIntro, data=("var",))
+declare_shape(LolliElim)
+declare_shape(TensorIntro)
+declare_shape(TensorElim, data=("left_var", "right_var"))
+declare_shape(WithIntro)
+declare_shape(WithFst)
+declare_shape(WithSnd)
+declare_shape(PlusInl)
+declare_shape(PlusInr)
+declare_shape(PlusCase, data=("left_var", "right_var"))
+declare_shape(OneIntro)
+declare_shape(OneElim)
+declare_shape(ZeroElim)
+declare_shape(BangIntro)
+declare_shape(BangElim, data=("var",))
+declare_shape(ForallIntro, binder="var")
+declare_shape(ForallElim)
+declare_shape(ExistsIntro)
+declare_shape(ExistsElim, data=("proof_var",), binder="type_var")
+declare_shape(SayReturn)
+declare_shape(SayBind, data=("var",))
+declare_shape(Assert, data=("affirmation",))
+declare_shape(AssertPersistent, data=("affirmation",))
+declare_shape(IfReturn)
+declare_shape(IfBind, data=("var",))
+declare_shape(IfWeaken)
+declare_shape(IfSay)
 
 
 def let_(var: str, annotation: "Proposition", value: ProofTerm, body: ProofTerm) -> ProofTerm:

@@ -27,8 +27,8 @@ from repro.lf.syntax import (
     Term,
     TypeFamily,
     Var,
-    free_vars,
 )
+from repro.lf.walk import free_vars
 from repro.logic.conditions import Before, CAnd, CNot, Condition, CTrue, Spent
 from repro.logic.propositions import (
     Atom,

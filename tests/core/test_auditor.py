@@ -9,7 +9,8 @@ from repro.core.auditor import audit_chain
 from repro.core.builder import simple_transfer
 from repro.core.transaction import TypecoinOutput
 from repro.core.validate import ValidationFailure
-from repro.logic.propositions import One, props_equal
+from repro.logic.propositions import One
+from repro.lf.walk import convertible
 
 from tests.core.conftest import publish_newcoin
 from tests.core.test_batch import issue_to
@@ -41,7 +42,7 @@ def test_clean_history_audits_ok(net, bank, alice):
     assert len(report.accepted) == 3
     # The rebuilt ledger knows the final owner and type.
     entry = report.ledger.output(tip_txid, 0)
-    assert props_equal(entry.prop, vocab.coin_prop(10))
+    assert convertible(entry.prop, vocab.coin_prop(10))
     assert entry.principal == alice.principal
 
 

@@ -28,7 +28,8 @@ from repro.logic.proofterms import (
     TensorIntro,
 )
 from repro.lf.syntax import NatLit
-from repro.logic.propositions import Lolli, One, Tensor, props_equal
+from repro.logic.propositions import Lolli, One, Tensor
+from repro.lf.walk import convertible
 from repro.store.framing import scan_records
 
 from tests.core.conftest import publish_newcoin
@@ -70,7 +71,7 @@ class TestDeposit:
         rid = server.deposit(bundle, owner=bank.principal)
         holding = server.query(rid)
         assert holding is not None
-        assert props_equal(holding.prop, vocab.coin_prop(10))
+        assert convertible(holding.prop, vocab.coin_prop(10))
         assert holding.owner == bank.principal
 
     def test_deposit_to_wrong_key_rejected(self, net, bank, alice, server):
@@ -211,7 +212,7 @@ class TestWithdraw:
         net.confirm(1)
         server.sync()
         entry = server.client.ledger.output(carrier.txid, 0)
-        assert props_equal(entry.prop, vocab.coin_prop(10))
+        assert convertible(entry.prop, vocab.coin_prop(10))
         assert entry.principal == bank.principal
         assert server.query(rid) is None
 
@@ -249,15 +250,15 @@ class TestWithdraw:
         # Output 0: Alice's coin 4.  Output 1: the bank's coin 6, back
         # under the server's key.
         entry0 = server.client.ledger.output(carrier.txid, 0)
-        assert props_equal(entry0.prop, vocab.coin_prop(4))
+        assert convertible(entry0.prop, vocab.coin_prop(4))
         assert entry0.principal == alice.principal
         entry1 = server.client.ledger.output(carrier.txid, 1)
-        assert props_equal(entry1.prop, vocab.coin_prop(6))
+        assert convertible(entry1.prop, vocab.coin_prop(6))
         assert entry1.principal == server.principal
         # The bank's remaining coin is still held (rebound to the new txout).
         bank_holdings = server.holdings_of(bank.principal)
         assert len(bank_holdings) == 1
-        assert props_equal(
+        assert convertible(
             next(iter(bank_holdings.values())).prop, vocab.coin_prop(6)
         )
 
@@ -350,7 +351,7 @@ class TestJournal:
         restarted.sync()  # adopts the carrier, rebinds the survivor
         holdings = restarted.holdings_of(bank.principal)
         assert len(holdings) == 1
-        assert props_equal(
+        assert convertible(
             next(iter(holdings.values())).prop, vocab.coin_prop(6)
         )
         with pytest.raises(BatchError):

@@ -48,8 +48,8 @@ from repro.logic.propositions import (
     Receipt,
     Says,
     With,
-    props_equal,
 )
+from repro.lf.walk import convertible
 
 
 @pytest.fixture
@@ -169,12 +169,12 @@ class TestReceiptOffer:
         net.confirm(1)
         alice.sync()
         # Alice has access; ACM has its coupon back, intact.
-        assert props_equal(
+        assert convertible(
             ledger.output(carrier.txid, 0).prop,
             Says(acm.principal_term,
                  may_read(refs, alice.principal_term, "TOPLAS")),
         )
-        assert props_equal(ledger.output(carrier.txid, 1).prop, coupon_prop)
+        assert convertible(ledger.output(carrier.txid, 1).prop, coupon_prop)
         assert ledger.output(carrier.txid, 1).principal == acm.principal
 
     def test_redeeming_without_paying_fails(self, net, ledger, acm, alice):
@@ -278,7 +278,7 @@ class TestExternalChoice:
         spend_carrier = alice.submit(spend)
         net.confirm(1)
         alice.sync()
-        assert props_equal(ledger.output(spend_carrier.txid, 0).prop, chosen)
+        assert convertible(ledger.output(spend_carrier.txid, 0).prop, chosen)
 
     def test_holder_cannot_take_both(self, net, ledger, acm, alice):
         """& is not ⊗: projecting both sides double-uses the resource."""
@@ -386,4 +386,4 @@ class TestTransferableCredential:
         claim_carrier = bob.submit(claim)
         net.confirm(1)
         bob.sync()
-        assert props_equal(ledger.output(claim_carrier.txid, 0).prop, mine)
+        assert convertible(ledger.output(claim_carrier.txid, 0).prop, mine)

@@ -37,7 +37,8 @@ from repro.logic.proofterms import (
     TensorIntro,
     let_,
 )
-from repro.logic.propositions import IfProp, One, Says, Tensor, props_equal
+from repro.logic.propositions import IfProp, One, Says, Tensor
+from repro.lf.walk import convertible
 
 from tests.core.conftest import publish_newcoin
 
@@ -48,7 +49,7 @@ class TestBasisPublication:
         assert vocab.coin.space == txid
         entry = bank.ledger.output(txid, 0)
         assert entry is not None
-        assert props_equal(entry.prop, One())
+        assert convertible(entry.prop, One())
 
     def test_grants_are_fresh(self, net, bank):
         basis, vocab = newcoin_basis(bank.principal_term, bank.principal_term)
@@ -87,7 +88,7 @@ class TestIssueSplitMerge:
         vocab, _, _ = publish_newcoin(net, bank)
         txid = self.issue_coins(net, bank, vocab, 100)
         entry = bank.ledger.output(txid, 0)
-        assert props_equal(entry.prop, vocab.coin_prop(100))
+        assert convertible(entry.prop, vocab.coin_prop(100))
 
     def test_forged_print_rejected(self, net, bank, alice):
         """Only the bank's affirmation can trigger issue."""
@@ -124,10 +125,10 @@ class TestIssueSplitMerge:
         carrier = bank.submit(txn)
         net.confirm(1)
         bank.sync()
-        assert props_equal(
+        assert convertible(
             bank.ledger.output(carrier.txid, 0).prop, vocab.coin_prop(30)
         )
-        assert props_equal(
+        assert convertible(
             bank.ledger.output(carrier.txid, 1).prop, vocab.coin_prop(70)
         )
 
@@ -147,7 +148,7 @@ class TestIssueSplitMerge:
         carrier = bank.submit(txn)
         net.confirm(1)
         bank.sync()
-        assert props_equal(
+        assert convertible(
             bank.ledger.output(carrier.txid, 0).prop, vocab.coin_prop(42)
         )
 
@@ -187,7 +188,7 @@ class TestIssueSplitMerge:
         carrier = bank.submit(txn)
         net.confirm(1)
         bank.sync()
-        assert props_equal(
+        assert convertible(
             bank.ledger.output(carrier.txid, 0).prop, vocab.coin_prop(1000)
         )
 
@@ -281,7 +282,7 @@ class TestFigure3:
         net.confirm(1)
         alice.sync()
         entry = alice.ledger.output(carrier.txid, 0)
-        assert props_equal(entry.prop, vocab.coin_prop(n_newcoins))
+        assert convertible(entry.prop, vocab.coin_prop(n_newcoins))
         # The payment really went to the bank at the Bitcoin level.
         assert carrier.vout[1].value == n_btc
 
@@ -362,5 +363,5 @@ class TestFigure3:
             CAnd(CNot(revocation), Before(NatLit(term_end))),
             vocab.coin_prop(n_newcoins),
         )
-        assert props_equal(proved, expected)
+        assert convertible(proved, expected)
         assert used == {"bnkr", "rcpt"}

@@ -55,7 +55,7 @@ from repro.logic.proofterms import (
     TensorElim,
     TensorIntro,
 )
-from repro.logic.propositions import Atom, Exists, Forall, Lolli, One, Tensor, props_equal
+from repro.logic.propositions import Atom, Exists, Forall, Lolli, One, Tensor
 
 TARGET = 42
 KNOWN = 25  # the puzzle: find n with n + 25 = 42

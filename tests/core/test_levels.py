@@ -17,9 +17,9 @@ from repro.core.transaction import (
     TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
-    nodes_of_type,
     referenced_txids,
 )
+from repro.lf.walk import nodes_of_type
 from repro.core.verifier import VerificationError, dependency_levels
 from repro.lf.basis import Basis
 from repro.lf.syntax import ConstRef, TConst

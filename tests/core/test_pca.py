@@ -16,7 +16,7 @@ from repro.core.verifier import ClaimBundle
 from repro.lf.basis import Basis
 from repro.lf.syntax import Const, NatLit
 from repro.logic.proofterms import ForallElim, LolliElim, PConst
-from repro.logic.propositions import One, Says, props_equal, substitute_this_prop
+from repro.logic.propositions import One, Says
 
 
 @pytest.fixture

@@ -23,9 +23,9 @@ from repro.logic.propositions import (
     One,
     Receipt,
     Tensor,
-    props_equal,
     tensor_all,
 )
+from repro.lf.walk import convertible
 from repro.lf.syntax import PrincipalLit
 
 ALICE = PrincipalLit(b"\xaa" * 20)
@@ -45,7 +45,7 @@ def coin(n):
 class TestTensorIntroAll:
     def test_empty_is_unit(self, basis):
         prop = check_proof(CheckerContext(basis=basis), tensor_intro_all([]))
-        assert props_equal(prop, One())
+        assert convertible(prop, One())
 
     def test_matches_tensor_all_shape(self, basis):
         """tensor_intro_all(ps) proves exactly tensor_all(props)."""
@@ -57,7 +57,7 @@ class TestTensorIntroAll:
                 inner = inner.with_affine(f"v{i}", prop)
             term = tensor_intro_all([PVar(f"v{i}") for i in range(count)])
             proved, used = infer(inner, term)
-            assert props_equal(proved, tensor_all(props))
+            assert convertible(proved, tensor_all(props))
             assert used == {f"v{i}" for i in range(count)}
 
 
@@ -71,7 +71,7 @@ class TestDecomposeTensor:
             lambda vars_: tensor_intro_all(list(reversed(vars_))),
         )
         proved, used = infer(ctx, term)
-        assert props_equal(proved, tensor_all(list(reversed(props))))
+        assert convertible(proved, tensor_all(list(reversed(props))))
         assert used == {"t"}
 
     def test_depths(self, basis):
@@ -83,7 +83,7 @@ class TestDecomposeTensor:
         ctx = CheckerContext(basis=basis).with_affine("t", One())
         term = decompose_tensor(PVar("t"), 0, lambda vars_: OneIntro())
         proved, used = infer(ctx, term)
-        assert props_equal(proved, One())
+        assert convertible(proved, One())
         assert used == frozenset()  # affine weakening: t unused
 
     def test_components_are_single_use(self, basis):
@@ -113,7 +113,7 @@ class TestObligationLambda:
             Tensor(grant, Tensor(tensor_all(inputs), tensor_all(receipts))),
             tensor_all([grant, *inputs]),
         )
-        assert props_equal(proved, expected)
+        assert convertible(proved, expected)
 
     def test_receipts_usable_in_body(self, basis):
         receipt = Receipt(coin(1), 5, ALICE)
@@ -122,7 +122,7 @@ class TestObligationLambda:
             lambda c, ins, rs: rs[0],
         )
         proved = check_proof(CheckerContext(basis=basis), term)
-        assert props_equal(
+        assert convertible(
             proved,
             Lolli(Tensor(One(), Tensor(One(), receipt)), receipt),
         )
@@ -135,4 +135,4 @@ class TestObligationLambda:
         )
         proved = check_proof(CheckerContext(basis=basis), term)
         assert isinstance(proved, Lolli)
-        assert props_equal(proved.consequent, One())
+        assert convertible(proved.consequent, One())

@@ -17,7 +17,8 @@ from repro.core.wire import decode_transaction
 from repro.crypto.hashing import sha256d
 from repro.lf.basis import Basis, KindDecl
 from repro.lf.syntax import KIND_PROP, ConstRef, THIS, TConst
-from repro.logic.propositions import Atom, One, Receipt, props_equal
+from repro.logic.propositions import Atom, One, Receipt
+from repro.lf.walk import convertible
 from repro.logic.proofterms import OneIntro
 
 PUBKEY = b"\x02" + b"\x33" * 32
@@ -58,7 +59,7 @@ class TestStructure:
 
     def test_trivial_output(self):
         out = trivial_output(PUBKEY, 1234)
-        assert props_equal(out.prop, One())
+        assert convertible(out.prop, One())
 
 
 class TestHashing:
@@ -137,7 +138,7 @@ class TestResolution:
         )
         txid = b"\x0f" * 32
         resolved = txn.output_prop_resolved(0, txid)
-        assert props_equal(resolved, Atom(TConst(ConstRef(txid, "flag"))))
+        assert convertible(resolved, Atom(TConst(ConstRef(txid, "flag"))))
 
     def test_bad_output_index(self):
         txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])

@@ -26,7 +26,8 @@ from repro.lf.syntax import (
 )
 from repro.logic.conditions import Before, CNot, CTrue, Spent, WorldView
 from repro.logic.proofterms import IfReturn, OneIntro, PVar, TensorIntro
-from repro.logic.propositions import Atom, IfProp, Lolli, One, Says, props_equal
+from repro.logic.propositions import Atom, IfProp, Lolli, One, Says
+from repro.lf.walk import convertible
 from repro.lf.syntax import PrincipalLit
 
 ALICE = PrincipalLit(b"\xaa" * 20)
@@ -225,7 +226,7 @@ class TestLedger:
         txid = b"\x0a" * 32
         ledger.register(txid, txn)
         entry = ledger.output(txid, 0)
-        assert props_equal(entry.prop, coin_prop(ref.resolved(txid), 5))
+        assert convertible(entry.prop, coin_prop(ref.resolved(txid), 5))
         assert ConstRef(txid, "coin") in ledger.global_basis
 
     def test_register_marks_spent(self, world):

@@ -12,7 +12,8 @@ from repro.core.verifier import ClaimBundle, VerificationError, verify_claim
 from repro.lf.basis import Basis, KindDecl
 from repro.lf.syntax import KIND_PROP, KPi, NatLit, TApp, TConst
 from repro.lf.basis import NAT_T
-from repro.logic.propositions import Atom, One, Tensor, props_equal
+from repro.logic.propositions import Atom, One, Tensor
+from repro.lf.walk import convertible
 
 from tests.core.conftest import publish_newcoin
 from tests.core.test_batch import issue_to
@@ -24,7 +25,7 @@ class TestVerifyClaim:
         outpoint, _ = issue_to(net, bank, vocab, 10, alice.pubkey)
         bundle = bank.claim_bundle(outpoint, vocab.coin_prop(10))
         ledger = verify_claim(net.chain, bundle)
-        assert props_equal(
+        assert convertible(
             ledger.output(outpoint.txid, outpoint.index).prop,
             vocab.coin_prop(10),
         )

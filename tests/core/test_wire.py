@@ -15,7 +15,8 @@ from repro.core.wire import (
 from repro.logic.decoding import MAX_NESTING, DecodingError
 from repro.logic.encoding import encode_proof
 from repro.logic.proofterms import BangIntro, OneIntro
-from repro.logic.propositions import Bang, One, props_equal
+from repro.logic.propositions import Bang, One
+from repro.lf.walk import convertible
 
 from tests.core.conftest import publish_newcoin
 from tests.core.test_batch import issue_to
@@ -37,7 +38,7 @@ class TestTransactionRoundtrip:
         txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
         decoded = decode_transaction(encode_transaction(txn))
         assert decoded.hash == txn.hash
-        assert props_equal(decoded.outputs[0].prop, txn.outputs[0].prop)
+        assert convertible(decoded.outputs[0].prop, txn.outputs[0].prop)
 
     def test_transaction_with_basis_and_inputs(self, net, bank):
         vocab, basis_txid, basis_txn = publish_newcoin(net, bank)
@@ -86,7 +87,7 @@ class TestBundleRoundtrip:
         received = decode_bundle(wire_bytes)
 
         assert received.outpoint == bundle.outpoint
-        assert props_equal(received.prop, bundle.prop)
+        assert convertible(received.prop, bundle.prop)
         assert set(received.transactions) == set(bundle.transactions)
         verify_claim(net.chain, received)
 

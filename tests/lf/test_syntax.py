@@ -18,14 +18,9 @@ from repro.lf.syntax import (
     TConst,
     TPi,
     Var,
-    alpha_equal,
-    apply_term,
     arrow,
-    free_vars,
-    iter_constants,
-    substitute,
-    substitute_this,
 )
+from repro.lf.walk import alpha_equal, free_vars, substitute, substitute_this
 
 
 class TestFreeVars:
@@ -122,14 +117,6 @@ class TestThisResolution:
 
 
 class TestMisc:
-    def test_iter_constants(self):
-        term = apply_term(
-            Const(ConstRef(THIS, "a")), Const(ConstRef(BUILTIN, "b")), NatLit(1)
-        )
-        refs = set(iter_constants(term))
-        assert ConstRef(THIS, "a") in refs
-        assert ConstRef(BUILTIN, "b") in refs
-
     def test_negative_nat_rejected(self):
         with pytest.raises(ValueError):
             NatLit(-1)

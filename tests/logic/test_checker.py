@@ -36,8 +36,8 @@ from repro.logic.propositions import (
     Tensor,
     With,
     Zero,
-    props_equal,
 )
+from repro.lf.walk import convertible
 from repro.logic.proofterms import (
     Affirmation,
     Assert,
@@ -84,14 +84,14 @@ def ctx(basis):
 
 
 def proves(ctx, term, prop):
-    return props_equal(check_proof(ctx, term), prop)
+    return convertible(check_proof(ctx, term), prop)
 
 
 class TestStructuralRules:
     def test_affine_var(self, ctx):
         inner = ctx.with_affine("x", coin(1))
         prop, used = infer(inner, PVar("x"))
-        assert props_equal(prop, coin(1))
+        assert convertible(prop, coin(1))
         assert used == {"x"}
 
     def test_persistent_var_not_consumed(self, ctx):
@@ -102,7 +102,7 @@ class TestStructuralRules:
     def test_persistent_reuse_allowed(self, ctx):
         inner = ctx.with_persistent("x", coin(1))
         prop, _ = infer(inner, TensorIntro(PVar("x"), PVar("x")))
-        assert props_equal(prop, Tensor(coin(1), coin(1)))
+        assert convertible(prop, Tensor(coin(1), coin(1)))
 
     def test_affine_reuse_rejected(self, ctx):
         inner = ctx.with_affine("x", coin(1))
@@ -130,7 +130,7 @@ class TestMultiplicatives:
         identity = LolliIntro("x", coin(5), PVar("x"))
         applied = ctx.with_affine("c", coin(5))
         prop, used = infer(applied, LolliElim(identity, PVar("c")))
-        assert props_equal(prop, coin(5))
+        assert convertible(prop, coin(5))
         assert used == {"c"}
 
     def test_application_type_mismatch(self, ctx):
@@ -146,7 +146,7 @@ class TestMultiplicatives:
     def test_tensor_intro_requires_disjoint(self, ctx):
         inner = ctx.with_affine("x", coin(1)).with_affine("y", coin(2))
         prop, used = infer(inner, TensorIntro(PVar("x"), PVar("y")))
-        assert props_equal(prop, Tensor(coin(1), coin(2)))
+        assert convertible(prop, Tensor(coin(1), coin(2)))
         assert used == {"x", "y"}
 
     def test_tensor_elim(self, ctx):
@@ -178,9 +178,9 @@ class TestAdditives:
     def test_projections(self, ctx):
         pair = ctx.with_affine("p", With(coin(1), coin(2)))
         prop, _ = infer(pair, WithFst(PVar("p")))
-        assert props_equal(prop, coin(1))
+        assert convertible(prop, coin(1))
         prop, _ = infer(pair, WithSnd(PVar("p")))
-        assert props_equal(prop, coin(2))
+        assert convertible(prop, coin(2))
 
     def test_projection_from_non_with(self, ctx):
         with pytest.raises(ProofError, match="non-&"):
@@ -189,9 +189,9 @@ class TestAdditives:
     def test_plus_injections(self, ctx):
         left = PlusInl(coin(2), OneIntro())
         prop = check_proof(ctx, left)
-        assert props_equal(prop, Plus(One(), coin(2)))
+        assert convertible(prop, Plus(One(), coin(2)))
         right = PlusInr(coin(2), OneIntro())
-        assert props_equal(check_proof(ctx, right), Plus(coin(2), One()))
+        assert convertible(check_proof(ctx, right), Plus(coin(2), One()))
 
     def test_case_branches_share(self, ctx):
         # With s : coin1 ⊕ coin1 and k : coin 9, both branches may use k.
@@ -204,7 +204,7 @@ class TestAdditives:
             "r", TensorIntro(PVar("r"), PVar("k")),
         )
         prop, used = infer(inner, term)
-        assert props_equal(prop, Tensor(coin(1), coin(9)))
+        assert convertible(prop, Tensor(coin(1), coin(9)))
         assert used == {"s", "k"}
 
     def test_case_branch_mismatch(self, ctx):
@@ -256,7 +256,7 @@ class TestExponential:
     def test_promotion_allows_persistent_use(self, ctx):
         inner = ctx.with_persistent("x", coin(1))
         prop, _ = infer(inner, BangIntro(PVar("x")))
-        assert props_equal(prop, Bang(coin(1)))
+        assert convertible(prop, Bang(coin(1)))
 
     def test_dereliction_via_bang_elim(self, ctx):
         # !coin1 ⊸ coin1 ⊗ coin1: unboxing gives unlimited copies.
@@ -314,7 +314,7 @@ class TestQuantifiers:
         inner = ctx.with_affine("e", ann)
         term = ExistsElim("n", "c", PVar("e"), OneIntro())
         prop, used = infer(inner, term)
-        assert props_equal(prop, One())
+        assert convertible(prop, One())
         assert used == {"e"}
 
     def test_exists_witness_escape_rejected(self, ctx):
@@ -335,7 +335,7 @@ class TestAffirmation:
         inner = ctx.with_affine("s", Says(ALICE, coin(1)))
         term = SayBind("x", PVar("s"), SayReturn(ALICE, PVar("x")))
         prop, _ = infer(inner, term)
-        assert props_equal(prop, Says(ALICE, coin(1)))
+        assert convertible(prop, Says(ALICE, coin(1)))
 
     def test_saybind_wrong_principal_rejected(self, ctx):
         bob = PrincipalLit(b"\xbb" * 20)
@@ -380,7 +380,7 @@ class TestAffirmation:
             ALICE, prop, Affirmation(ALICE_KEY.public.encoded, sig.encode())
         )
         ctx_a = CheckerContext(basis=basis, txn_payload=b"txn-A")
-        assert props_equal(check_proof(ctx_a, term), Says(ALICE, prop))
+        assert convertible(check_proof(ctx_a, term), Says(ALICE, prop))
         # Replay into transaction B: rejected.
         ctx_b = CheckerContext(basis=basis, txn_payload=b"txn-B")
         with pytest.raises(ProofError, match="invalid affirmation"):
@@ -406,7 +406,7 @@ class TestConditionalMonad:
         inner = ctx.with_affine("i", IfProp(cond, coin(1)))
         term = IfBind("x", PVar("i"), IfReturn(cond, TensorIntro(PVar("x"), OneIntro())))
         prop, _ = infer(inner, term)
-        assert props_equal(prop, IfProp(cond, Tensor(coin(1), One())))
+        assert convertible(prop, IfProp(cond, Tensor(coin(1), One())))
 
     def test_ifbind_condition_mismatch(self, ctx):
         inner = ctx.with_affine("i", IfProp(Before(NatLit(100)), coin(1)))
@@ -449,7 +449,7 @@ class TestBasisProofConstants:
     def test_pconst_lookup(self, ctx, basis):
         ref = basis.declare_local("rule", PropDecl(Lolli(coin(1), coin(2))))
         prop, used = infer(CheckerContext(basis=basis), PConst(ref))
-        assert props_equal(prop, Lolli(coin(1), coin(2)))
+        assert convertible(prop, Lolli(coin(1), coin(2)))
         assert used == frozenset()
 
     def test_pconst_is_persistent(self, basis):
@@ -471,7 +471,7 @@ class TestLetDerivedForm:
         inner = ctx.with_affine("c", coin(1))
         term = let_("x", coin(1), PVar("c"), TensorIntro(PVar("x"), OneIntro()))
         prop, used = infer(inner, term)
-        assert props_equal(prop, Tensor(coin(1), One()))
+        assert convertible(prop, Tensor(coin(1), One()))
         assert used == {"c"}
 
 

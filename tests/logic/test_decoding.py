@@ -15,9 +15,9 @@ from repro.lf.syntax import (
     PrincipalLit,
     THIS,
     Var,
-    alpha_equal,
     apply_term,
 )
+from repro.lf.walk import alpha_equal
 from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
 from repro.logic.decoding import (
     MAX_NESTING,
@@ -83,7 +83,6 @@ from repro.logic.propositions import (
     Tensor,
     With,
     Zero,
-    alpha_equal_prop,
 )
 
 from tests.logic.conftest import coin
@@ -99,7 +98,7 @@ def roundtrip_term(term):
 
 def roundtrip_prop(prop):
     decoded = decode_prop(Cursor(encode_prop(prop)))
-    assert alpha_equal_prop(decoded, prop)
+    assert alpha_equal(decoded, prop)
     assert encode_prop(decoded) == encode_prop(prop)
 
 
@@ -243,7 +242,7 @@ class TestProofs:
     def test_decoded_proof_still_checks(self, basis):
         """A decoded proof term passes the checker with the same result."""
         from repro.logic.checker import CheckerContext, check_proof
-        from repro.logic.propositions import props_equal
+        from repro.lf.walk import convertible
 
         proof = LolliIntro(
             "p", Tensor(coin(1), coin(2)),
@@ -251,7 +250,7 @@ class TestProofs:
         )
         decoded = roundtrip_proof(proof)
         ctx = CheckerContext(basis=basis)
-        assert props_equal(check_proof(ctx, proof), check_proof(ctx, decoded))
+        assert convertible(check_proof(ctx, proof), check_proof(ctx, decoded))
 
     def test_ifbind_roundtrip(self):
         proof = LolliIntro(

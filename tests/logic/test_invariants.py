@@ -24,10 +24,13 @@ from repro.logic.propositions import (
     Lolli,
     One,
     Tensor,
-    alpha_equal_prop,
-    normalize_prop,
-    props_equal,
-    substitute_this_prop,
+)
+from repro.lf.walk import (
+    alpha_equal,
+    convertible,
+    nodes_of_type,
+    normalize,
+    substitute_this,
 )
 
 from tests.logic.conftest import coin
@@ -38,13 +41,13 @@ class TestNormalization:
     @given(props_strategy)
     @settings(max_examples=100, deadline=None)
     def test_normalize_idempotent(self, prop):
-        once = normalize_prop(prop)
-        assert alpha_equal_prop(normalize_prop(once), once)
+        once = normalize(prop)
+        assert alpha_equal(normalize(once), once)
 
     @given(props_strategy)
     @settings(max_examples=100, deadline=None)
     def test_props_equal_reflexive(self, prop):
-        assert props_equal(prop, prop)
+        assert convertible(prop, prop)
 
 
 class TestThisResolution:
@@ -52,25 +55,23 @@ class TestThisResolution:
     @settings(max_examples=100, deadline=None)
     def test_resolution_idempotent(self, prop):
         txid = b"\x11" * 32
-        once = substitute_this_prop(prop, txid)
-        assert alpha_equal_prop(substitute_this_prop(once, txid), once)
+        once = substitute_this(prop, txid)
+        assert alpha_equal(substitute_this(once, txid), once)
 
     @given(props_strategy)
     @settings(max_examples=100, deadline=None)
     def test_resolution_removes_this(self, prop):
-        from repro.logic.propositions import iter_constants_prop
-
         txid = b"\x11" * 32
-        resolved = substitute_this_prop(prop, txid)
-        assert not any(ref.is_local for ref in iter_constants_prop(resolved))
+        resolved = substitute_this(prop, txid)
+        assert not any(ref.is_local for ref in nodes_of_type(resolved, ConstRef))
 
     @given(props_strategy)
     @settings(max_examples=60, deadline=None)
     def test_resolution_commutes_with_normalization(self, prop):
         txid = b"\x11" * 32
-        a = normalize_prop(substitute_this_prop(prop, txid))
-        b = substitute_this_prop(normalize_prop(prop), txid)
-        assert alpha_equal_prop(a, b)
+        a = normalize(substitute_this(prop, txid))
+        b = substitute_this(normalize(prop), txid)
+        assert alpha_equal(a, b)
 
 
 class TestWeakening:
@@ -82,7 +83,7 @@ class TestWeakening:
         prop1, used1 = infer(ctx, term)
         widened = ctx.with_affine("junk", coin(99)).with_affine("more", One())
         prop2, used2 = infer(widened, term)
-        assert props_equal(prop1, prop2)
+        assert convertible(prop1, prop2)
         assert used1 == used2
 
 
@@ -102,14 +103,14 @@ class TestAffinity:
 
         ctx = CheckerContext(basis=basis).with_affine("c", coin(1))
         prop, used = infer(ctx, LolliElim(PConst(ref), PVar("c")))
-        assert props_equal(prop, One())
+        assert convertible(prop, One())
         assert used == {"c"}
 
     def test_implicit_weakening_destroys_too(self, basis):
         """Even without a rule, simply not using a resource discards it."""
         ctx = CheckerContext(basis=basis).with_affine("c", coin(1))
         prop, used = infer(ctx, OneIntro())
-        assert props_equal(prop, One())
+        assert convertible(prop, One())
         assert used == frozenset()
 
     def test_contraction_still_forbidden(self, basis):
@@ -138,7 +139,7 @@ class TestConditionPlacement:
         prop, _ = infer(
             ctx, IfBind("x", PVar("i"), IfReturn(phi, PVar("x")))
         )
-        assert isinstance(normalize_prop(prop), IfProp)
+        assert isinstance(normalize(prop), IfProp)
         # Using the body variable directly escapes the monad → rejected.
         with pytest.raises(ProofError, match="if"):
             infer(ctx, IfBind("x", PVar("i"), PVar("x")))
@@ -160,4 +161,4 @@ class TestConditionPlacement:
             .with_affine("r", Receipt(One(), 5, alice))
         )
         prop, _ = infer(ctx, LolliElim(PVar("offer"), PVar("r")))
-        assert isinstance(normalize_prop(prop), IfProp)
+        assert isinstance(normalize(prop), IfProp)

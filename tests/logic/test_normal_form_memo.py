@@ -1,7 +1,7 @@
 """Normal forms are kept on the node: the same answer as rebuilding them.
 
-``normalize_prop``, ``normalize_cond``, ``normalize_family`` and
-``normalize`` store their result on the frozen node they were given.  The
+``repro.lf.walk.normalize`` stores its result on the frozen node it was
+given, whatever the node's syntactic class.  The
 reference is ``tests.oracles.plain_normalize_prop``, the normaliser as it
 was before, which rebuilds every node on every call.  Over hypothesis-built
 propositions full of β- and δ-redexes and over every proposition of the
@@ -19,15 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bench.workloads.claims import build_working_set
-from repro.core.transaction import (
-    TypecoinOutput,
-    TypecoinTransaction,
-    nodes_of_type,
-)
+from repro.core.transaction import TypecoinOutput, TypecoinTransaction
 from repro.core.verifier import verify_claim
 from repro.core.wire import decode_bundle, encode_bundle
 from repro.lf.basis import ADD, NAT_T, PRINCIPAL_T, Basis
-from repro.lf.normalize import NORMAL_FORM, normalize, normalize_family
 from repro.lf.syntax import (
     App,
     Const,
@@ -40,16 +35,14 @@ from repro.lf.syntax import (
     TConst,
     TPi,
     Var,
-    alpha_equal,
 )
+from repro.lf.walk import NORMAL_FORM, alpha_equal, nodes_of_type, normalize
 from repro.logic.conditions import (
     Before,
     CAnd,
     CNot,
     CTrue,
     Spent,
-    conditions_equal,
-    normalize_cond,
 )
 from repro.logic.encoding import encode_prop
 from repro.logic.proofterms import OneIntro
@@ -67,8 +60,6 @@ from repro.logic.propositions import (
     Tensor,
     With,
     Zero,
-    alpha_equal_prop,
-    normalize_prop,
 )
 
 from tests.oracles import (
@@ -176,20 +167,20 @@ def _agrees_with_the_oracle(node):
     """Check one node's memoised normal form against the oracle's, and
     that the memo returns one object and keeps normal forms fixed."""
     if isinstance(node, PROPOSITION):
-        memoised, plain, equal = normalize_prop, plain_normalize_prop, alpha_equal_prop
+        plain = plain_normalize_prop
     elif isinstance(node, CONDITION):
-        memoised, plain, equal = normalize_cond, plain_normalize_cond, conditions_equal
+        plain = plain_normalize_cond
     elif isinstance(node, FAMILY):
-        memoised, plain, equal = normalize_family, plain_normalize_family, alpha_equal
+        plain = plain_normalize_family
     elif isinstance(node, TERM):
-        memoised, plain, equal = normalize, plain_normalize, alpha_equal
+        plain = plain_normalize
     else:
         return False
     expected = plain(node)
-    normal = memoised(node)
-    assert equal(normal, expected), node
-    assert memoised(node) is normal
-    assert memoised(normal) is normal
+    normal = normalize(node)
+    assert alpha_equal(normal, expected), node
+    assert normalize(node) is normal
+    assert normalize(normal) is normal
     return True
 
 
@@ -217,7 +208,7 @@ def test_the_memo_agrees_with_the_oracle_bottom_up(prop):
 
 def test_a_redex_free_node_is_its_own_normal_form():
     prop = Forall("q", NAT_T, Tensor(Atom(TApp(COIN, Var("q"))), One()))
-    assert normalize_prop(prop) is prop
+    assert normalize(prop) is prop
     assert prop.__dict__[NORMAL_FORM] is True
     assert prop.body.__dict__[NORMAL_FORM] is True
 
@@ -225,10 +216,10 @@ def test_a_redex_free_node_is_its_own_normal_form():
 def test_a_rebuild_keeps_every_unchanged_child():
     untouched = Bang(Atom(TApp(COIN, NatLit(1))))
     prop = Tensor(untouched, Atom(TApp(COIN, _add(NatLit(2), NatLit(3)))))
-    normal = normalize_prop(prop)
+    normal = normalize(prop)
     assert normal is not prop and normal.left is untouched
     assert normal.right.family.arg == NatLit(5)
-    assert normalize_prop(prop) is normal and normalize_prop(normal) is normal
+    assert normalize(prop) is normal and normalize(normal) is normal
 
 
 def test_one_shared_node_under_different_binders_is_not_alpha_equal():
@@ -243,10 +234,10 @@ def test_one_shared_node_under_different_binders_is_not_alpha_equal():
     shared = Atom(TApp(COIN, Var("x")))
     outer = Forall("x", NAT_T, Forall("y", NAT_T, shared))
     inner = Forall("y", NAT_T, Forall("x", NAT_T, shared))
-    assert not alpha_equal_prop(outer, inner)
-    assert alpha_equal_prop(outer, Forall("x", NAT_T, Forall("y", NAT_T, shared)))
+    assert not alpha_equal(outer, inner)
+    assert alpha_equal(outer, Forall("x", NAT_T, Forall("y", NAT_T, shared)))
     time = Before(Var("x"))
-    assert not alpha_equal_prop(
+    assert not alpha_equal(
         Forall("x", NAT_T, Forall("y", NAT_T, IfProp(time, One()))),
         Forall("y", NAT_T, Forall("x", NAT_T, IfProp(time, One()))),
     )
@@ -266,7 +257,7 @@ def test_the_memo_is_invisible_to_everything_that_reads_a_value(prop):
     walked = {kind: nodes_of_type(txn, kind) for kind in (ConstRef, Var, NatLit)}
     encoded = encode_prop(prop)
 
-    normalize_prop(prop)
+    normalize(prop)
     assert NORMAL_FORM in prop.__dict__ or isinstance(prop, (Zero, One))
     assert prop == twin and hash(prop) == hash(twin) and repr(prop) == repr(twin)
     assert str(prop) == str(twin)
@@ -311,6 +302,6 @@ def test_every_working_set_proposition_agrees_with_the_oracle(working_set):
     for root in _corpus([claim.bundle for claim in claims]):
         _check_everywhere(root)
     for claim in claims:
-        assert alpha_equal_prop(
-            normalize_prop(claim.wrong.prop), plain_normalize_prop(claim.wrong.prop)
+        assert alpha_equal(
+            normalize(claim.wrong.prop), plain_normalize_prop(claim.wrong.prop)
         )

@@ -12,7 +12,7 @@ from repro.core.validate import (
     world_at,
 )
 from repro.core.verifier import VerificationError
-from repro.lf.normalize import _try_delta
+from repro.lf.walk import _try_delta, convertible, normalize, substitute
 from repro.lf.syntax import (
     App,
     Const,
@@ -23,7 +23,6 @@ from repro.lf.syntax import (
     TConst,
     TPi,
     Var,
-    substitute,
 )
 from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
 from repro.logic.propositions import (
@@ -40,8 +39,6 @@ from repro.logic.propositions import (
     Tensor,
     With,
     Zero,
-    normalize_prop,
-    props_equal,
 )
 
 
@@ -120,10 +117,10 @@ def replay_claim(chain, bundle, min_confirmations=1, require_unspent=True):
     target = ledger.output(bundle.outpoint.txid, bundle.outpoint.index)
     if target is None:
         raise VerificationError("claimed txout is not produced by the bundle")
-    if not props_equal(target.prop, bundle.prop):
+    if not convertible(target.prop, bundle.prop):
         raise VerificationError(
-            f"claimed type {normalize_prop(bundle.prop)} but output has type"
-            f" {normalize_prop(target.prop)}"
+            f"claimed type {normalize(bundle.prop)} but output has type"
+            f" {normalize(target.prop)}"
         )
     if require_unspent and chain.is_spent(bundle.outpoint):
         raise VerificationError("claimed txout has already been spent")
@@ -137,7 +134,7 @@ def replay_claim(chain, bundle, min_confirmations=1, require_unspent=True):
 
 
 def plain_normalize(term, _depth=0):
-    """``repro.lf.normalize.normalize`` with no memo."""
+    """``repro.lf.walk.normalize`` on an LF term, with no memo."""
     if _depth > 10_000:
         raise RecursionError("normalization diverged")
     if isinstance(term, (Var, Const, PrincipalLit, NatLit)):
@@ -158,7 +155,7 @@ def plain_normalize(term, _depth=0):
 
 
 def plain_normalize_family(family):
-    """``repro.lf.normalize.normalize_family`` with no memo."""
+    """``repro.lf.walk.normalize`` on a type family, with no memo."""
     if isinstance(family, TConst):
         return family
     if isinstance(family, TApp):
@@ -173,7 +170,7 @@ def plain_normalize_family(family):
 
 
 def plain_normalize_cond(cond):
-    """``repro.logic.conditions.normalize_cond`` with no memo."""
+    """``repro.lf.walk.normalize`` on a condition, with no memo."""
     if isinstance(cond, (CTrue, Spent)):
         return cond
     if isinstance(cond, CAnd):
@@ -186,7 +183,7 @@ def plain_normalize_cond(cond):
 
 
 def plain_normalize_prop(prop):
-    """``repro.logic.propositions.normalize_prop`` with no memo."""
+    """``repro.lf.walk.normalize`` on a proposition, with no memo."""
     if isinstance(prop, Atom):
         return Atom(plain_normalize_family(prop.family))
     if isinstance(prop, Lolli):

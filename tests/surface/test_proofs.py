@@ -22,8 +22,8 @@ from repro.logic.propositions import (
     Tensor,
     With,
     Zero,
-    props_equal,
 )
+from repro.lf.walk import convertible
 from repro.surface.parser import ParseError, Resolver
 from repro.surface.proofs import parse_proof, pretty_proof
 
@@ -58,7 +58,7 @@ def roundtrip(proof, resolver):
 class TestParsing:
     def test_identity(self, resolver, basis):
         proof = parse_proof("fn x : coin 1. x", resolver)
-        assert props_equal(
+        assert convertible(
             check_proof(CheckerContext(basis=basis), proof),
             Lolli(coin(1), coin(1)),
         )
@@ -72,14 +72,14 @@ class TestParsing:
             "fn p : coin 1 * coin 2. let a * b = p in b * a", resolver
         )
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(
+        assert convertible(
             proved, Lolli(Tensor(coin(1), coin(2)), Tensor(coin(2), coin(1)))
         )
 
     def test_with_intro_and_projections(self, resolver, basis):
         proof = parse_proof("fn x : coin 1. fst (x, x)", resolver)
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(proved, Lolli(coin(1), coin(1)))
+        assert convertible(proved, Lolli(coin(1), coin(1)))
 
     def test_case(self, resolver, basis):
         proof = parse_proof(
@@ -87,17 +87,17 @@ class TestParsing:
             resolver,
         )
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(proved, Lolli(Plus(coin(1), coin(1)), coin(1)))
+        assert convertible(proved, Lolli(Plus(coin(1), coin(1)), coin(1)))
 
     def test_injections(self, resolver, basis):
         proof = parse_proof("inl[coin 2] <>", resolver)
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(proved, Plus(One(), coin(2)))
+        assert convertible(proved, Plus(One(), coin(2)))
 
     def test_abort(self, resolver, basis):
         proof = parse_proof("fn z : 0. abort[coin 7] z", resolver)
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(proved, Lolli(Zero(), coin(7)))
+        assert convertible(proved, Lolli(Zero(), coin(7)))
 
     def test_type_abstraction_and_application(self, resolver, basis):
         proof = parse_proof("tfn n : nat. fn x : coin n. x", resolver)
@@ -105,18 +105,18 @@ class TestParsing:
         assert isinstance(proved, Forall)
         applied = parse_proof("(tfn n : nat. fn x : coin n. x) [5]", resolver)
         proved = check_proof(CheckerContext(basis=basis), applied)
-        assert props_equal(proved, Lolli(coin(5), coin(5)))
+        assert convertible(proved, Lolli(coin(5), coin(5)))
 
     def test_pack_unpack(self, resolver, basis):
         proof = parse_proof("pack[exists n:nat. 1](3, <>)", resolver)
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(proved, Exists("n", NAT_T, One()))
+        assert convertible(proved, Exists("n", NAT_T, One()))
         consume = parse_proof(
             "fn e : exists n:nat. coin n. let (n, c) = unpack e in <>",
             resolver,
         )
         proved = check_proof(CheckerContext(basis=basis), consume)
-        assert props_equal(proved, Lolli(Exists("n", NAT_T, coin(Var("n"))), One()))
+        assert convertible(proved, Lolli(Exists("n", NAT_T, coin(Var("n"))), One()))
 
     def test_say_monad(self, resolver, basis):
         alice = "#" + "aa" * 20
@@ -163,12 +163,12 @@ class TestParsing:
         )
         proof = parse_proof(text, resolver)
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(proved, Says(principal, coin(1)))
+        assert convertible(proved, Says(principal, coin(1)))
 
     def test_proof_constants(self, resolver, basis):
         proof = parse_proof("fn x : coin 1. step x", resolver)
         proved = check_proof(CheckerContext(basis=basis), proof)
-        assert props_equal(proved, Lolli(coin(1), coin(2)))
+        assert convertible(proved, Lolli(coin(1), coin(2)))
 
     def test_unknown_identifier(self, resolver):
         with pytest.raises(ParseError, match="unknown proof identifier"):
