@@ -55,11 +55,11 @@ from repro.crypto.hashing import hash160, sha256
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.secp256k1 import Point
 from repro.lf.basis import Basis
+from repro.lf.syntax import declare_shape
 from repro.lf.walk import convertible, nodes_of_type, normalize
 from repro.logic import proofterms as pt
 from repro.logic.checker import CheckerContext, ProofError, infer
-from repro.logic.decoding import Cursor, decode_proof, decode_prop
-from repro.logic.encoding import _blob, _uint, encode_proof, encode_prop
+from repro.logic.codec import Cursor, DecodingError, decode, encode, write_uint
 from repro.logic.propositions import (
     IfProp,
     Lolli,
@@ -81,6 +81,15 @@ class WriteThroughRequired(BatchError):
     transaction-bound form) and must go to the blockchain instead."""
 
 
+# What an intact journal record that cannot be replayed raises: JSON that
+# does not parse or is not a record (``ValueError``, ``KeyError``,
+# ``TypeError``, ``AttributeError``), hex or wire bytes that do not decode,
+# or an operation re-verification refuses.
+_UNREPLAYABLE = (
+    ValueError, KeyError, TypeError, AttributeError, DecodingError, BatchError,
+)
+
+
 @dataclass(frozen=True)
 class VirtualOutput:
     """A resource a virtual transaction creates, and who owns it."""
@@ -88,6 +97,10 @@ class VirtualOutput:
     prop: Proposition
     amount: int
     owner: bytes  # 20-byte principal
+
+
+# An untagged wire layout: what an authorization signs of each output.
+declare_shape(VirtualOutput, data=("amount", "owner"))
 
 
 @dataclass(frozen=True)
@@ -109,13 +122,10 @@ class VirtualTransaction:
 
     def payload(self) -> bytes:
         """What input owners sign to authorize this transaction."""
-        parts = [b"typecoin-batch:"]
-        parts.append(_uint(len(self.inputs)))
-        for resource_id in self.inputs:
-            parts.append(_uint(resource_id))
-        parts.append(_uint(len(self.outputs)))
-        for out in self.outputs:
-            parts.append(encode_prop(out.prop) + _uint(out.amount) + _blob(out.owner))
+        parts = [b"typecoin-batch:", write_uint(len(self.inputs))]
+        parts += map(write_uint, self.inputs)
+        parts.append(write_uint(len(self.outputs)))
+        parts += map(encode, self.outputs)
         return b"".join(parts)
 
 
@@ -333,10 +343,10 @@ class BatchServer:
                 "op": "transact",
                 "inputs": list(vtx.inputs),
                 "outputs": [
-                    [encode_prop(out.prop).hex(), out.amount, out.owner.hex()]
+                    [encode(out.prop).hex(), out.amount, out.owner.hex()]
                     for out in vtx.outputs
                 ],
-                "proof": encode_proof(vtx.proof).hex(),
+                "proof": encode(vtx.proof).hex(),
                 "auth": {
                     owner.hex(): [pub.hex(), sig.hex()]
                     for owner, (pub, sig) in authorizations.items()
@@ -505,13 +515,24 @@ class BatchServer:
         what makes a crash-restart unable to discharge a resource twice.
 
         A torn tail is cut off before the next append, which would
-        otherwise be lost with it at the following restart.
+        otherwise be lost with it at the following restart.  An intact
+        record that cannot be replayed — not JSON, not a record this server
+        writes, or refused on re-verification — stops the replay with a
+        :class:`BatchError` naming its offset.  Skipping it is not safe: a
+        skipped ``transact`` forgets a consumption, and the resource it
+        consumed could be spent again.
         """
         scan = framing.scan_records(self._journal_path, JOURNAL_MAGIC)
         self._replaying = True
         try:
-            for _offset, payload in scan.records:
-                self._apply_journal(json.loads(payload))
+            for offset, payload in scan.records:
+                try:
+                    self._apply_journal(json.loads(payload))
+                except _UNREPLAYABLE as exc:
+                    raise BatchError(
+                        f"journal record at offset {offset} cannot be replayed:"
+                        f" {type(exc).__name__}: {exc}"
+                    ) from exc
         finally:
             self._replaying = False
         framing.open_for_append(
@@ -528,7 +549,7 @@ class BatchServer:
         elif op == "transact":
             outputs = [
                 VirtualOutput(
-                    decode_prop(Cursor(bytes.fromhex(prop_hex))),
+                    decode(Cursor(bytes.fromhex(prop_hex)), Proposition),
                     amount,
                     bytes.fromhex(owner_hex),
                 )
@@ -537,7 +558,7 @@ class BatchServer:
             vtx = VirtualTransaction(
                 record["inputs"],
                 outputs,
-                decode_proof(Cursor(bytes.fromhex(record["proof"]))),
+                decode(Cursor(bytes.fromhex(record["proof"])), pt.ProofTerm),
             )
             auths = {
                 bytes.fromhex(owner_hex): (
@@ -568,7 +589,7 @@ class BatchServer:
             pending = self._pending_rebind
             if pending and pending[0] == carrier_txid:
                 self._apply_rebind(carrier_txid, pending[1])
-        else:  # pragma: no cover - future-proofing
+        else:
             raise BatchError(f"unknown journal record {op!r}")
 
     # -- internals -----------------------------------------------------------

@@ -37,7 +37,7 @@ from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.secp256k1 import Point
 from repro.lf.basis import Basis
 from repro.lf.walk import convertible
-from repro.logic.encoding import _blob, _uint, encode_proof, encode_prop
+from repro.logic.codec import encode, write_blob, write_uint
 from repro.logic.proofterms import ProofTerm
 from repro.logic.propositions import Proposition
 
@@ -98,21 +98,16 @@ class OpenTransaction:
 
     def template_payload(self) -> bytes:
         """What the issuer signs: the template with holes marked."""
-        parts = [b"typecoin-open:"]
-        parts.append(_uint(len(self.fixed_inputs)))
-        for inp in self.fixed_inputs:
-            parts.append(
-                _blob(inp.txid) + _uint(inp.index) + encode_prop(inp.prop)
-                + _uint(inp.amount)
-            )
-        parts.append(_uint(self.hole_position))
-        parts.append(encode_prop(self.hole_prop) + _uint(self.hole_amount))
-        parts.append(_uint(len(self.outputs)))
+        parts = [b"typecoin-open:", write_uint(len(self.fixed_inputs))]
+        parts += map(encode, self.fixed_inputs)
+        parts.append(write_uint(self.hole_position))
+        parts.append(encode(self.hole_prop) + write_uint(self.hole_amount))
+        parts.append(write_uint(len(self.outputs)))
         for out in self.outputs:
-            parts.append(encode_prop(out.prop) + _uint(out.amount))
-            parts.append(_blob(out.recipient_pubkey or b""))
-        parts.append(encode_proof(self.proof))
-        parts.append(encode_prop(self.grant))
+            parts.append(encode(out.prop) + write_uint(out.amount))
+            parts.append(write_blob(out.recipient_pubkey or b""))
+        parts.append(encode(self.proof))
+        parts.append(encode(self.grant))
         return b"".join(parts)
 
     def fill(

@@ -22,17 +22,20 @@ from functools import cached_property
 
 from repro.bitcoin.transaction import OutPoint
 from repro.crypto.hashing import sha256d
-from repro.lf.basis import Basis
+from repro.lf.basis import Basis, Declaration
 from repro.lf.syntax import ConstRef, PrincipalLit, declare_shape
 from repro.lf.walk import nodes_of_type, substitute_this
-from repro.logic.encoding import _blob, _uint, encode_proof, encode_prop
+from repro.logic.codec import Cursor, decode, encode, write_ref, write_uint
 from repro.logic.propositions import (
     One,
     Proposition,
     Receipt,
+    Tensor,
     tensor_all,
 )
 from repro.logic.proofterms import ProofTerm
+
+_MAGIC = b"typecoin-txn:"
 
 
 class TxnError(Exception):
@@ -119,8 +122,6 @@ class TypecoinTransaction:
         """C ⊗ A ⊗ R: the grant, the inputs tensor, the receipts tensor."""
         a = tensor_all([inp.prop for inp in self.inputs])
         r = tensor_all([out.receipt() for out in self.outputs])
-        from repro.logic.propositions import Tensor
-
         return Tensor(self.grant, Tensor(a, r))
 
     def outputs_tensor(self) -> Proposition:
@@ -128,6 +129,11 @@ class TypecoinTransaction:
         return tensor_all([out.prop for out in self.outputs])
 
     # -- hashing and signing payloads ------------------------------------
+    #
+    # The envelope, written here once each way: the magic, then Σ as
+    # (ref, declaration) pairs, C, ι⃗ and ω⃗, each list behind its count,
+    # and M last.  Every part is one node of the wire format
+    # (repro.logic.codec); inputs and outputs have untagged layouts.
 
     def signing_payload(self) -> bytes:
         """What affine asserts sign: Σ, C, ι⃗, ω⃗ — everything except the
@@ -139,34 +145,28 @@ class TypecoinTransaction:
     def _payload(self) -> bytes:
         """The signing payload, built once like ``hash``: every field is
         immutable (the basis is this transaction's own copy)."""
-        parts = [b"typecoin-txn:", _uint(len(self.basis))]
+        parts = [_MAGIC, write_uint(len(self.basis))]
         for ref, decl in self.basis:
-            from repro.lf.basis import KindDecl, PropDecl, TypeDecl
-            from repro.logic.encoding import _ref, encode_family, encode_kind
-
-            parts.append(_ref(ref))
-            if isinstance(decl, KindDecl):
-                parts.append(b"\x01" + encode_kind(decl.kind))
-            elif isinstance(decl, TypeDecl):
-                parts.append(b"\x02" + encode_family(decl.family))
-            elif isinstance(decl, PropDecl):
-                parts.append(b"\x03" + encode_prop(decl.prop))
-            else:  # pragma: no cover - Declaration is a closed union
-                raise TxnError(f"unknown declaration {decl!r}")
-        parts.append(encode_prop(self.grant))
-        parts.append(_uint(len(self.inputs)))
-        for inp in self.inputs:
-            parts.append(
-                _blob(inp.txid) + _uint(inp.index) + encode_prop(inp.prop)
-                + _uint(inp.amount)
-            )
-        parts.append(_uint(len(self.outputs)))
-        for out in self.outputs:
-            parts.append(
-                encode_prop(out.prop) + _uint(out.amount)
-                + _blob(out.recipient_pubkey)
-            )
+            parts += (write_ref(ref), encode(decl))
+        parts += (encode(self.grant), write_uint(len(self.inputs)))
+        parts += map(encode, self.inputs)
+        parts.append(write_uint(len(self.outputs)))
+        parts += map(encode, self.outputs)
         return b"".join(parts)
+
+    @classmethod
+    def read(cls, cursor: Cursor) -> "TypecoinTransaction":
+        """The transaction whose :meth:`serialize` bytes start at the
+        cursor; raises the wire's ``DecodingError``, or ``TxnError`` /
+        ``BasisError`` for a field the constructors refuse."""
+        cursor.expect(_MAGIC, "transaction")
+        basis = Basis()
+        for _ in range(cursor.uint()):
+            basis.declare(cursor.ref(), decode(cursor, Declaration))
+        grant = decode(cursor, Proposition)
+        inputs = [decode(cursor, TypecoinInput) for _ in range(cursor.uint())]
+        outputs = [decode(cursor, TypecoinOutput) for _ in range(cursor.uint())]
+        return cls(basis, grant, inputs, outputs, decode(cursor, ProofTerm))
 
     def serialize(self) -> bytes:
         """The full transaction, proof term included."""
@@ -174,7 +174,7 @@ class TypecoinTransaction:
 
     @cached_property
     def _encoding(self) -> bytes:
-        return self._payload + encode_proof(self.proof)
+        return self._payload + encode(self.proof)
 
     @cached_property
     def hash(self) -> bytes:
@@ -195,7 +195,8 @@ class TypecoinTransaction:
 
 
 # What ``nodes_of_type`` descends through: basis, grant, input and output
-# propositions and the proof term.
+# propositions and the proof term.  An input's and an output's rows are
+# also their wire layouts, untagged.
 declare_shape(TypecoinInput, data=("txid", "index", "amount"))
 declare_shape(TypecoinOutput, data=("amount", "recipient_pubkey"))
 declare_shape(TypecoinTransaction)

@@ -65,9 +65,9 @@ class PropDecl:
 
 Declaration = Union[KindDecl, TypeDecl, PropDecl]
 
-declare_shape(KindDecl)
-declare_shape(TypeDecl)
-declare_shape(PropDecl)
+declare_shape(KindDecl, tag=0x01)
+declare_shape(TypeDecl, tag=0x02)
+declare_shape(PropDecl, tag=0x03)
 
 
 @dataclass

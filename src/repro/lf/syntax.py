@@ -23,8 +23,9 @@ not over its other children (``KPi``, ``TPi``, ``Lam``, ``Forall``,
 :mod:`repro.lf.walk` holds one walker per operation — ``free_vars``,
 ``substitute``, ``substitute_this``, ``alpha_equal``, ``normalize``,
 ``convertible`` and ``nodes_of_type`` — and each reads this table and
-nothing else about a class.  The wire codec (:mod:`repro.logic.encoding`,
-:mod:`repro.logic.decoding`) keeps its own explicit layout per tag.
+nothing else about a class.  A row also carries what the wire codec
+(:mod:`repro.logic.codec`) needs beyond the fields themselves: the class's
+tag byte, and each proof-variable binder with the child it scopes over.
 """
 
 from __future__ import annotations
@@ -37,29 +38,37 @@ from typing import NamedTuple, Union
 
 
 class Shape(NamedTuple):
-    """What the walkers know of one node class."""
+    """What the walkers and the wire codec know of one node class."""
 
     fields: tuple[str, ...]  # every field, in declaration order
     children: tuple[str, ...]  # the fields holding syntax, in order
     data: tuple[str, ...]  # compared with ``==`` and carried over as they are
     binder: str | None  # names the LF variable bound in ``body``
+    tag: int | None  # the byte that opens the class's encoding
+    proof_binders: tuple[tuple[str, str], ...]  # (binder, the child it scopes over)
 
 
 SHAPES: dict[type, Shape] = {}
 
 
 def declare_shape(
-    cls: type, data: tuple[str, ...] = (), binder: str | None = None
+    cls: type, data: tuple[str, ...] = (), binder: str | None = None,
+    tag: int | None = None, proof_binders: dict[str, str] | None = None,
 ) -> None:
-    """Enter ``cls`` in :data:`SHAPES`: every field not in ``data`` and
-    not the binder holds a child."""
+    """Enter ``cls`` in :data:`SHAPES`: every field not in ``data``, not
+    the binder and not a proof binder holds a child.  A proof binder names
+    a proof variable; to the walkers, which speak LF variables, it is data."""
+    scopes = tuple((proof_binders or {}).items())
+    data = tuple(data) + tuple(name for name, _ in scopes)
     fields = tuple(f.name for f in dataclasses.fields(cls))
     if not set(data) <= set(fields) or (binder is not None and binder not in fields):
         raise TypeError(f"{cls.__name__} has no such field")
     children = tuple(name for name in fields if name not in data and name != binder)
     if binder is not None and "body" not in children:
         raise TypeError(f"{cls.__name__} binds {binder} but has no body")
-    SHAPES[cls] = Shape(fields, children, data, binder)
+    if any(child not in children for _, child in scopes):
+        raise TypeError(f"{cls.__name__} binds a proof variable in no child")
+    SHAPES[cls] = Shape(fields, children, data, binder, tag, scopes)
 
 
 class _Space(enum.Enum):
@@ -261,17 +270,17 @@ class NatLit:
 
 Term = Union[Var, Const, Lam, App, PrincipalLit, NatLit]
 
-declare_shape(Kind, data=("sort",))
-declare_shape(KPi, binder="var")
-declare_shape(TConst, data=("ref",))
-declare_shape(TApp)
-declare_shape(TPi, binder="var")
-declare_shape(Var, data=("name",))
-declare_shape(Const, data=("ref",))
-declare_shape(Lam, binder="var")
-declare_shape(App)
-declare_shape(PrincipalLit, data=("key_hash",))
-declare_shape(NatLit, data=("value",))
+declare_shape(Kind, data=("sort",), tag=0x30)
+declare_shape(KPi, binder="var", tag=0x31)
+declare_shape(TConst, data=("ref",), tag=0x20)
+declare_shape(TApp, tag=0x21)
+declare_shape(TPi, binder="var", tag=0x22)
+declare_shape(Var, data=("name",), tag=0x10)
+declare_shape(Const, data=("ref",), tag=0x11)
+declare_shape(Lam, binder="var", tag=0x12)
+declare_shape(App, tag=0x13)
+declare_shape(PrincipalLit, data=("key_hash",), tag=0x14)
+declare_shape(NatLit, data=("value",), tag=0x15)
 
 
 def _atom_str(term: Term) -> str:

@@ -47,7 +47,7 @@ from repro.logic.conditions import (
     Spent,
     implies,
 )
-from repro.logic.encoding import EncodingError, encode_prop
+from repro.logic.codec import EncodingError, encode
 from repro.logic.propositions import (
     Atom,
     Bang,
@@ -110,12 +110,12 @@ PERSISTENT_ASSERT_TAG = b"typecoin:assert!:"
 def affine_assert_payload(txn_payload: bytes, prop: Proposition) -> bytes:
     """The message an affine ``assert`` signature covers: "essentially the
     entire transaction in which it appears" plus the proposition."""
-    return AFFINE_ASSERT_TAG + txn_payload + encode_prop(normalize(prop))
+    return AFFINE_ASSERT_TAG + txn_payload + encode(normalize(prop))
 
 
 def persistent_assert_payload(prop: Proposition) -> bytes:
     """The message an ``assert!`` signature covers: "only the proposition A"."""
-    return PERSISTENT_ASSERT_TAG + encode_prop(normalize(prop))
+    return PERSISTENT_ASSERT_TAG + encode(normalize(prop))
 
 
 # Installed by the verification service (repro.service.cache): a bounded

@@ -83,11 +83,11 @@ class Spent:
 
 Condition = Union[CTrue, CAnd, CNot, Before, Spent]
 
-declare_shape(CTrue)
-declare_shape(CAnd)
-declare_shape(CNot)
-declare_shape(Before)
-declare_shape(Spent, data=("txid", "index"))
+declare_shape(CTrue, tag=0x40)
+declare_shape(CAnd, tag=0x41)
+declare_shape(CNot, tag=0x42)
+declare_shape(Before, tag=0x43)
+declare_shape(Spent, data=("txid", "index"), tag=0x44)
 
 
 def conjoin(conditions: list[Condition]) -> Condition:

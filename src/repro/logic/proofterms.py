@@ -384,36 +384,45 @@ ProofTerm = Union[
 
 # The walkers of repro.lf.walk speak LF variables: ``ForallIntro`` and
 # ``ExistsElim`` bind one over their body.  Proof-variable binders are
-# data to them, compared by name.
-declare_shape(PVar, data=("name",))
-declare_shape(PConst, data=("ref",))
-declare_shape(LolliIntro, data=("var",))
-declare_shape(LolliElim)
-declare_shape(TensorIntro)
-declare_shape(TensorElim, data=("left_var", "right_var"))
-declare_shape(WithIntro)
-declare_shape(WithFst)
-declare_shape(WithSnd)
-declare_shape(PlusInl)
-declare_shape(PlusInr)
-declare_shape(PlusCase, data=("left_var", "right_var"))
-declare_shape(OneIntro)
-declare_shape(OneElim)
-declare_shape(ZeroElim)
-declare_shape(BangIntro)
-declare_shape(BangElim, data=("var",))
-declare_shape(ForallIntro, binder="var")
-declare_shape(ForallElim)
-declare_shape(ExistsIntro)
-declare_shape(ExistsElim, data=("proof_var",), binder="type_var")
-declare_shape(SayReturn)
-declare_shape(SayBind, data=("var",))
-declare_shape(Assert, data=("affirmation",))
-declare_shape(AssertPersistent, data=("affirmation",))
-declare_shape(IfReturn)
-declare_shape(IfBind, data=("var",))
-declare_shape(IfWeaken)
-declare_shape(IfSay)
+# data to them, compared by name; the wire codec reads which child each
+# one scopes over.
+declare_shape(PVar, data=("name",), tag=0x60)
+declare_shape(PConst, data=("ref",), tag=0x61)
+declare_shape(LolliIntro, proof_binders={"var": "body"}, tag=0x62)
+declare_shape(LolliElim, tag=0x63)
+declare_shape(TensorIntro, tag=0x64)
+declare_shape(
+    TensorElim, proof_binders={"left_var": "body", "right_var": "body"}, tag=0x65
+)
+declare_shape(WithIntro, tag=0x66)
+declare_shape(WithFst, tag=0x67)
+declare_shape(WithSnd, tag=0x68)
+declare_shape(PlusInl, tag=0x69)
+declare_shape(PlusInr, tag=0x6A)
+declare_shape(
+    PlusCase,
+    proof_binders={"left_var": "left_body", "right_var": "right_body"},
+    tag=0x6B,
+)
+declare_shape(OneIntro, tag=0x6C)
+declare_shape(OneElim, tag=0x6D)
+declare_shape(ZeroElim, tag=0x6E)
+declare_shape(BangIntro, tag=0x6F)
+declare_shape(BangElim, proof_binders={"var": "body"}, tag=0x70)
+declare_shape(ForallIntro, binder="var", tag=0x71)
+declare_shape(ForallElim, tag=0x72)
+declare_shape(ExistsIntro, tag=0x73)
+declare_shape(
+    ExistsElim, binder="type_var", proof_binders={"proof_var": "body"}, tag=0x74
+)
+declare_shape(SayReturn, tag=0x75)
+declare_shape(SayBind, proof_binders={"var": "body"}, tag=0x76)
+declare_shape(Assert, data=("affirmation",), tag=0x77)
+declare_shape(AssertPersistent, data=("affirmation",), tag=0x78)
+declare_shape(IfReturn, tag=0x79)
+declare_shape(IfBind, proof_binders={"var": "body"}, tag=0x7A)
+declare_shape(IfWeaken, tag=0x7B)
+declare_shape(IfSay, tag=0x7C)
 
 
 def let_(var: str, annotation: "Proposition", value: ProofTerm, body: ProofTerm) -> ProofTerm:

@@ -173,19 +173,19 @@ Proposition = Union[
     Receipt, IfProp,
 ]
 
-declare_shape(Atom)
-declare_shape(Lolli)
-declare_shape(Tensor)
-declare_shape(With)
-declare_shape(Plus)
-declare_shape(Zero)
-declare_shape(One)
-declare_shape(Bang)
-declare_shape(Forall, binder="var")
-declare_shape(Exists, binder="var")
-declare_shape(Says)
-declare_shape(Receipt, data=("amount",))
-declare_shape(IfProp)
+declare_shape(Atom, tag=0x50)
+declare_shape(Lolli, tag=0x51)
+declare_shape(Tensor, tag=0x52)
+declare_shape(With, tag=0x53)
+declare_shape(Plus, tag=0x54)
+declare_shape(Zero, tag=0x55)
+declare_shape(One, tag=0x56)
+declare_shape(Bang, tag=0x57)
+declare_shape(Forall, binder="var", tag=0x58)
+declare_shape(Exists, binder="var", tag=0x59)
+declare_shape(Says, tag=0x5A)
+declare_shape(Receipt, data=("amount",), tag=0x5B)
+declare_shape(IfProp, tag=0x5C)
 
 
 def tensor_all(props: list[Proposition]) -> Proposition:

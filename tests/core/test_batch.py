@@ -428,6 +428,44 @@ class TestJournal:
         assert again.query(3) is None
         assert again._next_id == restarted._next_id
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not json",
+            b'{"no_op": 1}',
+            b"[1, 2]",
+            b'{"op": "withdraw", "resource": 999, "live": [], "carrier": "00",'
+            b' "txn": "", "bindings": []}',
+            b'{"op": "transact", "inputs": [3], "outputs": [["zz", 600, "00"]],'
+            b' "proof": "6c", "auth": {}}',
+            b'{"op": "mint"}',
+        ],
+        ids=[
+            "not-json", "no-op", "not-an-object", "unknown-resource",
+            "non-hex-proposition", "unknown-op",
+        ],
+    )
+    def test_an_intact_record_that_cannot_be_replayed_is_refused_by_offset(
+        self, net, bank, tmp_path, payload
+    ):
+        """A record whose CRC holds but whose payload the server cannot
+        replay raised a raw ``JSONDecodeError`` / ``KeyError`` /
+        ``TypeError`` / ``ValueError`` out of the constructor.  It is a
+        ``BatchError`` naming where the record starts, and the journal is
+        left as it was: skipping the record could forget a consumption."""
+        from repro.core.validate import Ledger
+        from repro.store.framing import encode_record
+
+        journal = tmp_path / "journal.log"
+        self._journaled_world(net, bank, journal)
+        offset = journal.stat().st_size
+        with open(journal, "ab") as fh:
+            fh.write(encode_record(payload))
+        written = journal.read_bytes()
+        with pytest.raises(BatchError, match=f"record at offset {offset} "):
+            BatchServer(net, b"batch-server", Ledger(), journal_path=str(journal))
+        assert journal.read_bytes() == written
+
     @pytest.mark.parametrize("mode", ["truncate", "corrupt"])
     def test_a_torn_last_record_costs_that_record_and_nothing_after_it(
         self, net, bank, tmp_path, mode

@@ -1,5 +1,7 @@
 """Tests for the transaction/bundle wire format (§3 transport)."""
 
+import sys
+
 import pytest
 
 from repro.bitcoin.transaction import OutPoint
@@ -12,8 +14,13 @@ from repro.core.wire import (
     encode_bundle,
     encode_transaction,
 )
-from repro.logic.decoding import MAX_NESTING, DecodingError
-from repro.logic.encoding import encode_proof
+from repro.logic.codec import (
+    MAX_NESTING,
+    DecodingError,
+    encode,
+    write_blob,
+    write_uint,
+)
 from repro.logic.proofterms import BangIntro, OneIntro
 from repro.logic.propositions import Bang, One
 from repro.lf.walk import convertible
@@ -28,7 +35,7 @@ def over_nested_transaction(levels=3000):
     """Well-framed transaction bytes whose proof is ``levels`` × ``fst``
     deep: only the proof, the last field, is hostile."""
     txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
-    data, proof = encode_transaction(txn), encode_proof(txn.proof)
+    data, proof = encode_transaction(txn), encode(txn.proof)
     assert data.endswith(proof)
     return data[: -len(proof)] + b"\x67" * levels + proof
 
@@ -74,6 +81,22 @@ class TestTransactionRoundtrip:
         with pytest.raises(DecodingError, match="nesting too deep"):
             decode_transaction(over_nested_transaction())
 
+    def test_a_proof_at_the_bound_costs_one_frame_a_level(self):
+        """The decoder and the encoder recurse once per level, so a proof
+        nested to the bound reads and writes back with 100 frames to spare
+        over the levels themselves.  The per-syntax decoders took three
+        frames a level: ≈ 770 of them at the bound."""
+        txn = simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)])
+        data, proof = encode_transaction(txn), encode(txn.proof)
+        deep = data[: -len(proof)] + b"\x67" * (MAX_NESTING - 1) + b"\x6c"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(MAX_NESTING + 100)
+        try:
+            decoded = decode_transaction(deep)
+            assert encode_transaction(decoded) == deep
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestBundleRoundtrip:
     def test_bundle_survives_the_wire_and_verifies(self, net, bank, alice):
@@ -111,14 +134,12 @@ class TestBundleRoundtrip:
         """A bundle with exactly these (txid key, transaction or its bytes)
         entries, in this order — ``encode_bundle`` can emit neither a
         repeat nor a short key, a hostile prover can."""
-        from repro.logic.encoding import _blob, _uint, encode_prop
-
-        parts = [b"typecoin-bundle:", _blob(b"\x11" * 32), _uint(0)]
-        parts.append(_blob(encode_prop(One())))
-        parts.append(_uint(len(entries)))
+        parts = [b"typecoin-bundle:", write_blob(b"\x11" * 32), write_uint(0)]
+        parts.append(write_blob(encode(One())))
+        parts.append(write_uint(len(entries)))
         for txid, txn in entries:
             data = txn if isinstance(txn, bytes) else encode_transaction(txn)
-            parts.append(_blob(txid) + _blob(data))
+            parts.append(write_blob(txid) + write_blob(data))
         return b"".join(parts)
 
     def test_handmade_bundle_decodes(self):

@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 from repro.lf.basis import ADD, NAT_T
 from repro.lf.syntax import App, Const, ConstRef, Lam, TApp, TPi, Var
 from repro.lf.walk import alpha_equal, free_vars, substitute
+from repro.logic.codec import Cursor, decode, encode
 from repro.logic.conditions import Before
-from repro.logic.decoding import Cursor, decode_prop
-from repro.logic.encoding import encode_prop
-from repro.logic.propositions import Atom, Exists, Forall, IfProp, One
+from repro.logic.propositions import Atom, Exists, Forall, IfProp, One, Proposition
 
 from tests.logic.test_normal_form_memo import COIN, NAMES, nat_terms, propositions
 
@@ -86,12 +85,12 @@ def test_alpha_equal_is_equality_of_de_bruijn_encodings(p, other, how):
     if how == "self":
         q = p
     elif how == "decoded":  # every binder renamed u0, u1, …
-        q = decode_prop(Cursor(encode_prop(p)))
+        q = decode(Cursor(encode(p)), Proposition)
     elif how == "swapped":
         q = swapped(p)
     else:
         q = closed(other)
-    assert alpha_equal(p, q) == (encode_prop(p) == encode_prop(q))
+    assert alpha_equal(p, q) == (encode(p) == encode(q))
     if how != "other":
         assert alpha_equal(p, q)
 
@@ -100,10 +99,10 @@ def test_one_shared_subterm_under_swapped_binders():
     shared = coin(Var("x"))
     outer = Forall("x", NAT_T, Forall("y", NAT_T, shared))
     inner = Forall("y", NAT_T, Forall("x", NAT_T, shared))
-    assert encode_prop(outer) != encode_prop(inner)
+    assert encode(outer) != encode(inner)
     assert not alpha_equal(outer, inner)
     twin = Forall("x", NAT_T, Forall("y", NAT_T, shared))
-    assert encode_prop(outer) == encode_prop(twin) and alpha_equal(outer, twin)
+    assert encode(outer) == encode(twin) and alpha_equal(outer, twin)
 
 
 @given(propositions, st.sampled_from(NAMES), nat_terms)

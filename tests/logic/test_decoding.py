@@ -9,35 +9,20 @@ from repro.lf.syntax import (
     Const,
     ConstRef,
     KIND_PROP,
+    KindT,
     KPi,
     Lam,
     NatLit,
     PrincipalLit,
     THIS,
+    Term,
+    TypeFamily,
     Var,
     apply_term,
 )
 from repro.lf.walk import alpha_equal
-from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
-from repro.logic.decoding import (
-    MAX_NESTING,
-    Cursor,
-    DecodingError,
-    decode_cond,
-    decode_family,
-    decode_kind,
-    decode_proof,
-    decode_prop,
-    decode_term,
-)
-from repro.logic.encoding import (
-    encode_cond,
-    encode_family,
-    encode_kind,
-    encode_proof,
-    encode_prop,
-    encode_term,
-)
+from repro.logic.codec import MAX_NESTING, Cursor, DecodingError, decode, encode
+from repro.logic.conditions import Before, CAnd, CNot, Condition, CTrue, Spent
 from repro.logic.proofterms import (
     Affirmation,
     AssertPersistent,
@@ -59,6 +44,7 @@ from repro.logic.proofterms import (
     PlusCase,
     PlusInl,
     PlusInr,
+    ProofTerm,
     PVar,
     SayBind,
     SayReturn,
@@ -78,6 +64,7 @@ from repro.logic.propositions import (
     Lolli,
     One,
     Plus,
+    Proposition,
     Receipt,
     Says,
     Tensor,
@@ -91,20 +78,20 @@ ALICE = PrincipalLit(b"\xaa" * 20)
 
 
 def roundtrip_term(term):
-    decoded = decode_term(Cursor(encode_term(term)))
+    decoded = decode(Cursor(encode(term)), Term)
     assert alpha_equal(decoded, term)
-    assert encode_term(decoded) == encode_term(term)
+    assert encode(decoded) == encode(term)
 
 
 def roundtrip_prop(prop):
-    decoded = decode_prop(Cursor(encode_prop(prop)))
+    decoded = decode(Cursor(encode(prop)), Proposition)
     assert alpha_equal(decoded, prop)
-    assert encode_prop(decoded) == encode_prop(prop)
+    assert encode(decoded) == encode(prop)
 
 
 def roundtrip_proof(proof):
-    decoded = decode_proof(Cursor(encode_proof(proof)))
-    assert encode_proof(decoded) == encode_proof(proof)
+    decoded = decode(Cursor(encode(proof)), ProofTerm)
+    assert encode(decoded) == encode(proof)
     return decoded
 
 
@@ -128,22 +115,22 @@ class TestTerms:
     def test_free_variable_index_rejected(self):
         # tag 0x10 with index 0 at depth 0.
         with pytest.raises(DecodingError, match="index"):
-            decode_term(Cursor(b"\x10\x00"))
+            decode(Cursor(b"\x10\x00"), Term)
 
     def test_truncation_rejected(self):
-        data = encode_term(Lam("x", NAT_T, Var("x")))
+        data = encode(Lam("x", NAT_T, Var("x")))
         with pytest.raises(DecodingError):
-            decode_term(Cursor(data[:-1]))
+            decode(Cursor(data[:-1]), Term)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(DecodingError, match="tag"):
-            decode_term(Cursor(b"\xff"))
+            decode(Cursor(b"\xff"), Term)
 
 
 class TestKindsAndConditions:
     def test_kinds(self):
         for kind in (KIND_PROP, KPi("n", NAT_T, KIND_PROP)):
-            decoded = decode_kind(Cursor(encode_kind(kind)))
+            decoded = decode(Cursor(encode(kind)), KindT)
             assert alpha_equal(decoded, kind)
 
     def test_conditions(self):
@@ -153,8 +140,8 @@ class TestKindsAndConditions:
             Spent(b"\x01" * 32, 3),
             CAnd(CNot(CTrue()), Before(NatLit(1))),
         ):
-            decoded = decode_cond(Cursor(encode_cond(cond)))
-            assert encode_cond(decoded) == encode_cond(cond)
+            decoded = decode(Cursor(encode(cond)), Condition)
+            assert encode(decoded) == encode(cond)
 
 
 class TestPropositions:
@@ -260,16 +247,16 @@ class TestProofs:
         roundtrip_proof(proof)
 
 
-_NAT = encode_family(NAT_T)
+_NAT = encode(NAT_T)
 
-# (decoder, encoder, the bytes of one more level, the leaf that closes them)
+# (category, the bytes of one more level, the leaf that closes them)
 _CHAINS = {
-    "cond-not": (decode_cond, encode_cond, b"\x42", b"\x40"),
-    "prop-bang": (decode_prop, encode_prop, b"\x57", b"\x56"),
-    "proof-withfst": (decode_proof, encode_proof, b"\x67", b"\x6c"),
-    "term-lambda": (decode_term, encode_term, b"\x12" + _NAT, b"\x15\x00"),
-    "family-pi": (decode_family, encode_family, b"\x22" + _NAT, _NAT),
-    "kind-pi": (decode_kind, encode_kind, b"\x31" + _NAT, b"\x30\x00"),
+    "cond-not": (Condition, b"\x42", b"\x40"),
+    "prop-bang": (Proposition, b"\x57", b"\x56"),
+    "proof-withfst": (ProofTerm, b"\x67", b"\x6c"),
+    "term-lambda": (Term, b"\x12" + _NAT, b"\x15\x00"),
+    "family-pi": (TypeFamily, b"\x22" + _NAT, _NAT),
+    "kind-pi": (KindT, b"\x31" + _NAT, b"\x30\x00"),
 }
 
 
@@ -280,13 +267,13 @@ class TestNestingBound:
 
     @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 5000])
     def test_past_the_bound_is_a_decoding_error(self, chain, levels):
-        decode, _, level, leaf = _CHAINS[chain]
+        category, level, leaf = _CHAINS[chain]
         with pytest.raises(DecodingError, match="nesting too deep"):
-            decode(Cursor(level * (levels - 1) + leaf))
+            decode(Cursor(level * (levels - 1) + leaf), category)
 
     def test_term_at_the_bound_round_trips(self, chain):
-        decode, encode, level, leaf = _CHAINS[chain]
+        category, level, leaf = _CHAINS[chain]
         data = level * (MAX_NESTING - 1) + leaf
         cursor = Cursor(data)
-        assert encode(decode(cursor)) == data
+        assert encode(decode(cursor, category)) == data
         assert cursor.exhausted and cursor.nesting == 0

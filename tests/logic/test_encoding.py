@@ -14,13 +14,8 @@ from repro.lf.syntax import (
     THIS,
     Var,
 )
+from repro.logic.codec import EncodingError, encode, write_uint
 from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
-from repro.logic.encoding import (
-    EncodingError,
-    encode_cond,
-    encode_prop,
-    encode_term,
-)
 from repro.logic.propositions import (
     Bang,
     Exists,
@@ -43,13 +38,13 @@ ALICE = PrincipalLit(b"\xaa" * 20)
 def test_alpha_invariance_of_terms():
     a = Lam("x", NAT_T, Var("x"))
     b = Lam("y", NAT_T, Var("y"))
-    assert encode_term(a) == encode_term(b)
+    assert encode(a) == encode(b)
 
 
 def test_alpha_invariance_of_props():
     a = Forall("n", NAT_T, coin(Var("n")))
     b = Forall("m", NAT_T, coin(Var("m")))
-    assert encode_prop(a) == encode_prop(b)
+    assert encode(a) == encode(b)
 
 
 def test_distinct_props_distinct_encodings():
@@ -69,32 +64,38 @@ def test_distinct_props_distinct_encodings():
         Forall("n", NAT_T, One()),
         Exists("n", NAT_T, One()),
     ]
-    encodings = [encode_prop(p) for p in props]
+    encodings = [encode(p) for p in props]
     assert len(set(encodings)) == len(encodings)
 
 
 def test_free_variables_rejected():
     with pytest.raises(EncodingError, match="free variable"):
-        encode_term(Var("loose"))
+        encode(Var("loose"))
     with pytest.raises(EncodingError):
-        encode_prop(coin(Var("n")))
+        encode(coin(Var("n")))
+
+
+def test_a_negative_integer_has_no_encoding():
+    """LEB128 of a negative number never terminates: refused up front."""
+    with pytest.raises(ValueError, match="unsigned"):
+        write_uint(-1)
 
 
 def test_bound_variables_fine():
-    encode_prop(Forall("n", NAT_T, coin(Var("n"))))
+    encode(Forall("n", NAT_T, coin(Var("n"))))
 
 
 def test_nested_binder_indices():
     # λx.λy.x vs λx.λy.y must differ.
     a = Lam("x", NAT_T, Lam("y", NAT_T, Var("x")))
     b = Lam("x", NAT_T, Lam("y", NAT_T, Var("y")))
-    assert encode_term(a) != encode_term(b)
+    assert encode(a) != encode(b)
 
 
 def test_namespace_separation():
     this_const = Const(ConstRef(THIS, "c"))
     txid_const = Const(ConstRef(b"\x00" * 32, "c"))
-    assert encode_term(this_const) != encode_term(txid_const)
+    assert encode(this_const) != encode(txid_const)
 
 
 def test_condition_encodings_distinct():
@@ -107,14 +108,14 @@ def test_condition_encodings_distinct():
         CNot(CTrue()),
         CAnd(CTrue(), CTrue()),
     ]
-    encodings = [encode_cond(c) for c in conds]
+    encodings = [encode(c) for c in conds]
     assert len(set(encodings)) == len(encodings)
 
 
 def test_length_prefixing_prevents_ambiguity():
     # receipt(1/1 ↠ K) vs receipt(1/17 ↠ K) with trailing structure.
-    a = encode_prop(Tensor(Receipt(One(), 1, ALICE), One()))
-    b = encode_prop(Tensor(Receipt(One(), 17, ALICE), One()))
+    a = encode(Tensor(Receipt(One(), 1, ALICE), One()))
+    b = encode(Tensor(Receipt(One(), 17, ALICE), One()))
     assert a != b
 
 
@@ -122,4 +123,4 @@ def test_application_encoding_is_order_sensitive():
     f = Const(ConstRef(THIS, "f"))
     a = App(App(f, NatLit(1)), NatLit(2))
     b = App(App(f, NatLit(2)), NatLit(1))
-    assert encode_term(a) != encode_term(b)
+    assert encode(a) != encode(b)

@@ -1,46 +1,43 @@
 """Typed rejection and canonical bytes at the logic and transaction decoders.
 
-Wire bytes come from whoever sends a claim bundle.  Each decoder must
+Wire bytes come from whoever sends a claim bundle.  The decoder must
 either raise ``DecodingError`` or return a value whose encoding is exactly
 the bytes it read: no raw ``ValueError`` / ``UnicodeDecodeError`` out of a
 constructor, and nothing accepted that the encoder could not have written.
 The named cases below each escaped or slipped through before; the property
 mutates the encodings of the benchmark's working set (every kind, family,
 proposition and proof term a real history carries) and checks both halves.
+A bundle that survives mutation and decodes goes on to the verification
+service, which must answer it with a verdict.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bench.workloads.claims import build_working_set
 from repro.core.builder import simple_transfer
 from repro.core.transaction import TypecoinOutput
+from repro.core.verifier import verify_claim
 from repro.core.wire import (
     _BUNDLE_MAGIC,
     decode_bundle,
     decode_transaction,
+    encode_bundle,
     encode_transaction,
 )
 from repro.lf.basis import KindDecl, PropDecl, TypeDecl
-from repro.logic.decoding import (
+from repro.lf.syntax import KindT, Term, TypeFamily
+from repro.logic.codec import (
     Cursor,
     DecodingError,
-    decode_cond,
-    decode_family,
-    decode_kind,
-    decode_proof,
-    decode_prop,
-    decode_term,
+    decode,
+    encode,
+    write_blob,
+    write_uint,
 )
-from repro.logic.encoding import (
-    _blob,
-    _uint,
-    encode_family,
-    encode_kind,
-    encode_proof,
-    encode_prop,
-)
-from repro.logic.propositions import One
+from repro.logic.conditions import Condition
+from repro.logic.proofterms import ProofTerm
+from repro.logic.propositions import One, Proposition
+from repro.service import VerificationService
 
 PUBKEY = b"\x02" + b"\x33" * 32
 
@@ -48,35 +45,35 @@ PUBKEY = b"\x02" + b"\x33" * 32
 def test_a_principal_literal_of_the_wrong_length_is_a_decoding_error():
     """Raised the literal's own ``ValueError``."""
     with pytest.raises(DecodingError, match="20-byte"):
-        decode_term(Cursor(b"\x14\x03abc"))
+        decode(Cursor(b"\x14\x03abc"), Term)
 
 
 def test_a_spent_txid_of_the_wrong_length_is_a_decoding_error():
     """Raised the condition's own ``ValueError``."""
     with pytest.raises(DecodingError, match="32-byte"):
-        decode_cond(Cursor(b"\x44\x01\xaa\x00"))
+        decode(Cursor(b"\x44\x01\xaa\x00"), Condition)
 
 
 def test_a_constant_name_that_is_not_utf8_is_a_decoding_error():
     """Raised ``UnicodeDecodeError``."""
     with pytest.raises(DecodingError, match="UTF-8"):
-        decode_term(Cursor(b"\x11\x01\x01\x01\xff"))
+        decode(Cursor(b"\x11\x01\x01\x01\xff"), Term)
 
 
 def test_an_unknown_kind_sort_is_a_decoding_error():
     """Any sort byte but 0 decoded as ``prop``, which re-encodes as 1."""
-    assert encode_kind(decode_kind(Cursor(b"\x30\x01"))) == b"\x30\x01"
+    assert encode(decode(Cursor(b"\x30\x01"), KindT)) == b"\x30\x01"
     with pytest.raises(DecodingError, match="kind sort"):
-        decode_kind(Cursor(b"\x30\x02"))
+        decode(Cursor(b"\x30\x02"), KindT)
 
 
 def test_a_non_minimal_leb128_is_a_decoding_error():
     """``80 00`` decoded as ``NatLit(0)``, which re-encodes as ``00``."""
     with pytest.raises(DecodingError, match="non-minimal"):
-        decode_term(Cursor(b"\x15\x80\x00"))
+        decode(Cursor(b"\x15\x80\x00"), Term)
     with pytest.raises(DecodingError, match="non-minimal"):
-        decode_term(Cursor(b"\x15\xff\x80\x00"))
-    assert decode_term(Cursor(b"\x15\x80\x01")).value == 128
+        decode(Cursor(b"\x15\xff\x80\x00"), Term)
+    assert decode(Cursor(b"\x15\x80\x01"), Term).value == 128
 
 
 @pytest.mark.parametrize(
@@ -90,7 +87,8 @@ def test_a_non_minimal_leb128_is_a_decoding_error():
 )
 def test_no_raw_exception_escapes_decode_bundle(claimed):
     data = (
-        _BUNDLE_MAGIC + _blob(b"\x11" * 32) + _uint(0) + _blob(claimed) + _uint(0)
+        _BUNDLE_MAGIC + write_blob(b"\x11" * 32) + write_uint(0)
+        + write_blob(claimed) + write_uint(0)
     )
     with pytest.raises(DecodingError):
         decode_bundle(data)
@@ -115,31 +113,37 @@ def _whole_transaction(cursor):
     return txn
 
 
+# what a sample is: how to read it from a cursor, and how to write it back
+_CODECS = {
+    "transaction": (_whole_transaction, encode_transaction),
+    "kind": (lambda cursor: decode(cursor, KindT), encode),
+    "family": (lambda cursor: decode(cursor, TypeFamily), encode),
+    "prop": (lambda cursor: decode(cursor, Proposition), encode),
+    "proof": (lambda cursor: decode(cursor, ProofTerm), encode),
+}
+
+
 @pytest.fixture(scope="module")
-def encodings():
-    """(decoder, encoder, bytes) for every transaction of the working set,
-    and every declaration, grant, input and output proposition and proof
-    term in it."""
-    codecs = {
-        KindDecl: (decode_kind, encode_kind, "kind"),
-        TypeDecl: (decode_family, encode_family, "family"),
-        PropDecl: (decode_prop, encode_prop, "prop"),
-    }
+def encodings(working_set):
+    """(what, bytes) for every transaction of the working set, and every
+    declaration, grant, input and output proposition and proof term in
+    it."""
+    declared = {KindDecl: "kind", TypeDecl: "family", PropDecl: "prop"}
     transactions = {}
-    for claim in build_working_set(7, 1).claims:
+    for claim in working_set.claims:
         transactions.update(claim.bundle.transactions)
     samples = set()
     for txn in transactions.values():
-        samples.add((_whole_transaction, encode_transaction, txn.serialize()))
+        samples.add(("transaction", txn.serialize()))
         for _ref, decl in txn.basis:
-            decode, encode, field = codecs[type(decl)]
-            samples.add((decode, encode, encode(getattr(decl, field))))
+            what = declared[type(decl)]  # also the field that holds it
+            samples.add((what, encode(getattr(decl, what))))
         props = [txn.grant]
         props += [inp.prop for inp in txn.inputs]
         props += [out.prop for out in txn.outputs]
-        samples.update((decode_prop, encode_prop, encode_prop(p)) for p in props)
-        samples.add((decode_proof, encode_proof, encode_proof(txn.proof)))
-    return sorted(samples, key=lambda sample: (sample[0].__name__, sample[2]))
+        samples.update(("prop", encode(p)) for p in props)
+        samples.add(("proof", encode(txn.proof)))
+    return sorted(samples)
 
 
 _MUTATION = st.tuples(
@@ -149,10 +153,7 @@ _MUTATION = st.tuples(
 )
 
 
-@given(data=st.data())
-@settings(max_examples=400, deadline=None)
-def test_mutated_bytes_decode_canonically_or_not_at_all(encodings, data):
-    decode, encode, original = data.draw(st.sampled_from(encodings))
+def _mutated(data, original):
     mutated = bytearray(original)
     for kind, where, byte in data.draw(st.lists(_MUTATION, min_size=1, max_size=4)):
         at = where % (len(mutated) + 1)
@@ -166,11 +167,44 @@ def test_mutated_bytes_decode_canonically_or_not_at_all(encodings, data):
             del mutated[at]
         elif kind == "truncate":
             del mutated[at:]
-    cursor = Cursor(bytes(mutated))
+    return bytes(mutated)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_mutated_bytes_decode_canonically_or_not_at_all(encodings, data):
+    what, original = data.draw(st.sampled_from(encodings))
+    read, write = _CODECS[what]
+    mutated = _mutated(data, original)
+    cursor = Cursor(mutated)
     try:
-        decoded = decode(cursor)
+        decoded = read(cursor)
     except DecodingError:
         return
     # What the caller does with trailing bytes is its own business; the
     # bytes this decoder read must be the decoded value's encoding.
-    assert encode(decoded) == bytes(mutated[: cursor.pos])
+    assert write(decoded) == mutated[: cursor.pos]
+
+
+@pytest.fixture(scope="module")
+def service(working_set):
+    service = VerificationService(working_set.chain)
+    yield service
+    service.close()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_bundle_that_decodes_gets_a_verdict(working_set, service, data):
+    """Past the decoder, hostile bytes are the verifier's to refuse: the
+    service answers ``ok`` or ``invalid`` — never ``error`` or
+    ``timeout`` — and ``ok`` only where the library accepts too."""
+    claim = data.draw(st.sampled_from(working_set.claims))
+    try:
+        bundle = decode_bundle(_mutated(data, encode_bundle(claim.bundle)))
+    except DecodingError:
+        return
+    verdict = service.verify(bundle)
+    assert verdict.status in ("ok", "invalid"), verdict
+    if verdict.status == "ok":
+        verify_claim(working_set.chain, bundle)

@@ -37,6 +37,7 @@ from repro.lf.syntax import (
     Var,
 )
 from repro.lf.walk import NORMAL_FORM, alpha_equal, nodes_of_type, normalize
+from repro.logic.codec import encode
 from repro.logic.conditions import (
     Before,
     CAnd,
@@ -44,7 +45,6 @@ from repro.logic.conditions import (
     CTrue,
     Spent,
 )
-from repro.logic.encoding import encode_prop
 from repro.logic.proofterms import OneIntro
 from repro.logic.propositions import (
     Atom,
@@ -255,7 +255,7 @@ def test_the_memo_is_invisible_to_everything_that_reads_a_value(prop):
         Basis(), twin, [], [TypecoinOutput(twin, 600, PUBKEY)], OneIntro()
     )
     walked = {kind: nodes_of_type(txn, kind) for kind in (ConstRef, Var, NatLit)}
-    encoded = encode_prop(prop)
+    encoded = encode(prop)
 
     normalize(prop)
     assert NORMAL_FORM in prop.__dict__ or isinstance(prop, (Zero, One))
@@ -265,7 +265,7 @@ def test_the_memo_is_invisible_to_everything_that_reads_a_value(prop):
         f.name for f in dataclasses.fields(twin)
     ]
     assert {kind: nodes_of_type(txn, kind) for kind in walked} == walked
-    assert encode_prop(prop) == encoded == encode_prop(twin)
+    assert encode(prop) == encoded == encode(twin)
     assert txn.serialize() == twin_txn.serialize()
 
 

@@ -7,8 +7,8 @@ from repro.lf.basis import KindDecl, NAT_T, PropDecl, builtin_basis
 from repro.lf.syntax import ConstRef, KIND_PROP, KPi, NatLit, PrincipalLit, TApp, TConst, THIS, Var
 from repro.logic import proofterms as pt
 from repro.logic.checker import CheckerContext, check_proof, persistent_assert_payload
+from repro.logic.codec import encode
 from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
-from repro.logic.encoding import encode_proof
 from repro.logic.propositions import (
     Atom,
     Bang,
@@ -51,7 +51,7 @@ def coin(n):
 def roundtrip(proof, resolver):
     text = pretty_proof(proof)
     reparsed = parse_proof(text, resolver)
-    assert encode_proof(reparsed) == encode_proof(proof), text
+    assert encode(reparsed) == encode(proof), text
     return text
 
 
