@@ -26,6 +26,14 @@ not over its other children (``KPi``, ``TPi``, ``Lam``, ``Forall``,
 nothing else about a class.  A row also carries what the wire codec
 (:mod:`repro.logic.codec`) needs beyond the fields themselves: the class's
 tag byte, and each proof-variable binder with the child it scopes over.
+
+No class here defines its own ``__str__``.  :func:`declare_shape` gives
+every syntax node (a tag of 0x10 and up; a declaration's is below) the one
+surface printer, :func:`repro.surface.pretty.pretty`, as its ``str`` — the
+one call from :mod:`repro.lf` and :mod:`repro.logic` up into
+:mod:`repro.surface`, made at call time — and ``str`` of a ``ConstRef`` is
+that printer's too.  So every message that shows a node shows text the
+parser reads back.
 """
 
 from __future__ import annotations
@@ -69,6 +77,15 @@ def declare_shape(
     if any(child not in children for _, child in scopes):
         raise TypeError(f"{cls.__name__} binds a proof variable in no child")
     SHAPES[cls] = Shape(fields, children, data, binder, tag, scopes)
+    if tag is not None and tag >= 0x10:  # a syntax node, not a declaration
+        cls.__str__ = _surface_text
+
+
+def _surface_text(node) -> str:
+    """``str`` of a syntax node or a constant: the surface printer's text."""
+    from repro.surface.pretty import pretty
+
+    return pretty(node)
 
 
 class _Space(enum.Enum):
@@ -94,13 +111,6 @@ class ConstRef:
     space: Namespace
     name: str
 
-    def __str__(self) -> str:
-        if self.space is THIS:
-            return f"this.{self.name}"
-        if self.space is BUILTIN:
-            return self.name
-        return f"{self.space[:4].hex()}….{self.name}"
-
     @property
     def is_local(self) -> bool:
         return self.space is THIS
@@ -110,6 +120,9 @@ class ConstRef:
         if self.space is THIS:
             return ConstRef(txid, self.name)
         return self
+
+
+ConstRef.__str__ = _surface_text
 
 
 # ----------------------------------------------------------------------
@@ -130,9 +143,6 @@ class Kind:
 
     sort: KindSort
 
-    def __str__(self) -> str:
-        return self.sort.value
-
 
 @dataclass(frozen=True)
 class KPi:
@@ -141,9 +151,6 @@ class KPi:
     var: str
     domain: "TypeFamily"
     body: "KindT"
-
-    def __str__(self) -> str:
-        return f"Π{self.var}:{self.domain}.{self.body}"
 
 
 KindT = Union[Kind, KPi]
@@ -163,9 +170,6 @@ class TConst:
 
     ref: ConstRef
 
-    def __str__(self) -> str:
-        return str(self.ref)
-
 
 @dataclass(frozen=True)
 class TApp:
@@ -173,9 +177,6 @@ class TApp:
 
     family: "TypeFamily"
     arg: "Term"
-
-    def __str__(self) -> str:
-        return f"{self.family} {_atom_str(self.arg)}"
 
 
 @dataclass(frozen=True)
@@ -185,13 +186,6 @@ class TPi:
     var: str
     domain: "TypeFamily"
     body: "TypeFamily"
-
-    def __str__(self) -> str:
-        from repro.lf.walk import free_vars
-
-        if self.var not in free_vars(self.body):
-            return f"({self.domain} → {self.body})"
-        return f"(Π{self.var}:{self.domain}.{self.body})"
 
 
 TypeFamily = Union[TConst, TApp, TPi]
@@ -203,18 +197,12 @@ class Var:
 
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Const:
     """A term constant ``c``."""
 
     ref: ConstRef
-
-    def __str__(self) -> str:
-        return str(self.ref)
 
 
 @dataclass(frozen=True)
@@ -225,9 +213,6 @@ class Lam:
     domain: TypeFamily
     body: "Term"
 
-    def __str__(self) -> str:
-        return f"(λ{self.var}:{self.domain}.{self.body})"
-
 
 @dataclass(frozen=True)
 class App:
@@ -235,9 +220,6 @@ class App:
 
     func: "Term"
     arg: "Term"
-
-    def __str__(self) -> str:
-        return f"{_atom_str(self.func)} {_atom_str(self.arg)}"
 
 
 @dataclass(frozen=True)
@@ -250,9 +232,6 @@ class PrincipalLit:
         if len(self.key_hash) != 20:
             raise ValueError("principal literals are 20-byte key hashes")
 
-    def __str__(self) -> str:
-        return f"#{self.key_hash[:4].hex()}"
-
 
 @dataclass(frozen=True)
 class NatLit:
@@ -263,9 +242,6 @@ class NatLit:
     def __post_init__(self) -> None:
         if self.value < 0:
             raise ValueError("nat literals are non-negative")
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 Term = Union[Var, Const, Lam, App, PrincipalLit, NatLit]
@@ -281,13 +257,6 @@ declare_shape(Lam, binder="var", tag=0x12)
 declare_shape(App, tag=0x13)
 declare_shape(PrincipalLit, data=("key_hash",), tag=0x14)
 declare_shape(NatLit, data=("value",), tag=0x15)
-
-
-def _atom_str(term: Term) -> str:
-    text = str(term)
-    if isinstance(term, App) and not text.startswith("("):
-        return f"({text})"
-    return text
 
 
 _fresh_counter = itertools.count()

@@ -28,9 +28,6 @@ from repro.lf.walk import alpha_equal, normalize
 class CTrue:
     """The trivially true condition."""
 
-    def __str__(self) -> str:
-        return "true"
-
 
 @dataclass(frozen=True)
 class CAnd:
@@ -39,18 +36,12 @@ class CAnd:
     left: "Condition"
     right: "Condition"
 
-    def __str__(self) -> str:
-        return f"({self.left} ∧ {self.right})"
-
 
 @dataclass(frozen=True)
 class CNot:
     """Negation ¬φ (used with spent for revocation, §5)."""
 
     body: "Condition"
-
-    def __str__(self) -> str:
-        return f"¬{self.body}"
 
 
 @dataclass(frozen=True)
@@ -59,9 +50,6 @@ class Before:
     than t.  The time index is an LF term of type nat."""
 
     time: Term
-
-    def __str__(self) -> str:
-        return f"before({self.time})"
 
 
 @dataclass(frozen=True)
@@ -76,9 +64,6 @@ class Spent:
             raise ValueError("spent conditions name 32-byte txids")
         if self.index < 0:
             raise ValueError("output index must be non-negative")
-
-    def __str__(self) -> str:
-        return f"spent({self.txid[:4].hex()}….{self.index})"
 
 
 Condition = Union[CTrue, CAnd, CNot, Before, Spent]

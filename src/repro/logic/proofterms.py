@@ -40,18 +40,12 @@ class PVar:
 
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class PConst:
     """A proof constant declared in a basis (persistent)."""
 
     ref: ConstRef
-
-    def __str__(self) -> str:
-        return str(self.ref)
 
 
 @dataclass(frozen=True)
@@ -62,9 +56,6 @@ class LolliIntro:
     annotation: "Proposition"
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"(λ{self.var}:{self.annotation}.{self.body})"
-
 
 @dataclass(frozen=True)
 class LolliElim:
@@ -73,9 +64,6 @@ class LolliElim:
     func: "ProofTerm"
     arg: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"({self.func} {self.arg})"
-
 
 @dataclass(frozen=True)
 class TensorIntro:
@@ -83,9 +71,6 @@ class TensorIntro:
 
     left: "ProofTerm"
     right: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"({self.left} ⊗ {self.right})"
 
 
 @dataclass(frozen=True)
@@ -97,12 +82,6 @@ class TensorElim:
     scrutinee: "ProofTerm"
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return (
-            f"(let {self.left_var}⊗{self.right_var} = {self.scrutinee}"
-            f" in {self.body})"
-        )
-
 
 @dataclass(frozen=True)
 class WithIntro:
@@ -111,9 +90,6 @@ class WithIntro:
     left: "ProofTerm"
     right: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"({self.left}, {self.right})"
-
 
 @dataclass(frozen=True)
 class WithFst:
@@ -121,18 +97,12 @@ class WithFst:
 
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"fst {self.body}"
-
 
 @dataclass(frozen=True)
 class WithSnd:
     """snd M : B from M : A & B."""
 
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"snd {self.body}"
 
 
 @dataclass(frozen=True)
@@ -142,9 +112,6 @@ class PlusInl:
     other: "Proposition"
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"inl {self.body}"
-
 
 @dataclass(frozen=True)
 class PlusInr:
@@ -152,9 +119,6 @@ class PlusInr:
 
     other: "Proposition"
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"inr {self.body}"
 
 
 @dataclass(frozen=True)
@@ -167,19 +131,10 @@ class PlusCase:
     right_var: str
     right_body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return (
-            f"(case {self.scrutinee} of inl {self.left_var} ⇒ {self.left_body}"
-            f" | inr {self.right_var} ⇒ {self.right_body})"
-        )
-
 
 @dataclass(frozen=True)
 class OneIntro:
     """⟨⟩ : 1."""
-
-    def __str__(self) -> str:
-        return "⟨⟩"
 
 
 @dataclass(frozen=True)
@@ -189,9 +144,6 @@ class OneElim:
     scrutinee: "ProofTerm"
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"(let ⟨⟩ = {self.scrutinee} in {self.body})"
-
 
 @dataclass(frozen=True)
 class ZeroElim:
@@ -200,18 +152,12 @@ class ZeroElim:
     scrutinee: "ProofTerm"
     annotation: "Proposition"
 
-    def __str__(self) -> str:
-        return f"abort {self.scrutinee}"
-
 
 @dataclass(frozen=True)
 class BangIntro:
     """!M : !A — promotion; M may use no affine resources."""
 
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"!{self.body}"
 
 
 @dataclass(frozen=True)
@@ -222,9 +168,6 @@ class BangElim:
     scrutinee: "ProofTerm"
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"(let !{self.var} = {self.scrutinee} in {self.body})"
-
 
 @dataclass(frozen=True)
 class ForallIntro:
@@ -234,9 +177,6 @@ class ForallIntro:
     domain: TypeFamily
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"(Λ{self.var}:{self.domain}.{self.body})"
-
 
 @dataclass(frozen=True)
 class ForallElim:
@@ -244,9 +184,6 @@ class ForallElim:
 
     body: "ProofTerm"
     arg: Term
-
-    def __str__(self) -> str:
-        return f"({self.body} [{self.arg}])"
 
 
 @dataclass(frozen=True)
@@ -256,9 +193,6 @@ class ExistsIntro:
     annotation: "Proposition"  # the Exists proposition being introduced
     witness: Term
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"pack({self.witness}, {self.body})"
 
 
 @dataclass(frozen=True)
@@ -270,12 +204,6 @@ class ExistsElim:
     scrutinee: "ProofTerm"
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return (
-            f"(let ({self.type_var}, {self.proof_var}) ="
-            f" unpack {self.scrutinee} in {self.body})"
-        )
-
 
 @dataclass(frozen=True)
 class SayReturn:
@@ -283,9 +211,6 @@ class SayReturn:
 
     principal: Term
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"sayreturn_{self.principal}({self.body})"
 
 
 @dataclass(frozen=True)
@@ -295,9 +220,6 @@ class SayBind:
     var: str
     scrutinee: "ProofTerm"
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"(saybind {self.var} ← {self.scrutinee} in {self.body})"
 
 
 @dataclass(frozen=True)
@@ -309,9 +231,6 @@ class Assert:
     prop: "Proposition"
     affirmation: Affirmation
 
-    def __str__(self) -> str:
-        return f"assert({self.principal}, {self.prop}, …)"
-
 
 @dataclass(frozen=True)
 class AssertPersistent:
@@ -322,9 +241,6 @@ class AssertPersistent:
     prop: "Proposition"
     affirmation: Affirmation
 
-    def __str__(self) -> str:
-        return f"assert!({self.principal}, {self.prop}, …)"
-
 
 @dataclass(frozen=True)
 class IfReturn:
@@ -332,9 +248,6 @@ class IfReturn:
 
     condition: "Condition"
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"ifreturn_{self.condition}({self.body})"
 
 
 @dataclass(frozen=True)
@@ -345,9 +258,6 @@ class IfBind:
     scrutinee: "ProofTerm"
     body: "ProofTerm"
 
-    def __str__(self) -> str:
-        return f"(ifbind {self.var} ← {self.scrutinee} in {self.body})"
-
 
 @dataclass(frozen=True)
 class IfWeaken:
@@ -355,9 +265,6 @@ class IfWeaken:
 
     condition: "Condition"
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"ifweaken_{self.condition}({self.body})"
 
 
 @dataclass(frozen=True)
@@ -369,9 +276,6 @@ class IfSay:
     """
 
     body: "ProofTerm"
-
-    def __str__(self) -> str:
-        return f"if/say({self.body})"
 
 
 ProofTerm = Union[

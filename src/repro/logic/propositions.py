@@ -28,9 +28,6 @@ class Atom:
 
     family: TypeFamily
 
-    def __str__(self) -> str:
-        return str(self.family)
-
 
 @dataclass(frozen=True)
 class Lolli:
@@ -38,9 +35,6 @@ class Lolli:
 
     antecedent: "Proposition"
     consequent: "Proposition"
-
-    def __str__(self) -> str:
-        return f"({self.antecedent} ⊸ {self.consequent})"
 
 
 @dataclass(frozen=True)
@@ -50,9 +44,6 @@ class Tensor:
     left: "Proposition"
     right: "Proposition"
 
-    def __str__(self) -> str:
-        return f"({self.left} ⊗ {self.right})"
-
 
 @dataclass(frozen=True)
 class With:
@@ -60,9 +51,6 @@ class With:
 
     left: "Proposition"
     right: "Proposition"
-
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
 
 
 @dataclass(frozen=True)
@@ -72,24 +60,15 @@ class Plus:
     left: "Proposition"
     right: "Proposition"
 
-    def __str__(self) -> str:
-        return f"({self.left} ⊕ {self.right})"
-
 
 @dataclass(frozen=True)
 class Zero:
     """The impossible resource 0."""
 
-    def __str__(self) -> str:
-        return "0"
-
 
 @dataclass(frozen=True)
 class One:
     """The trivial resource 1 (the type of non-Typecoin txouts, §3)."""
-
-    def __str__(self) -> str:
-        return "1"
 
 
 @dataclass(frozen=True)
@@ -97,9 +76,6 @@ class Bang:
     """The exponential !A: as many copies of A as desired."""
 
     body: "Proposition"
-
-    def __str__(self) -> str:
-        return f"!{self.body}"
 
 
 @dataclass(frozen=True)
@@ -110,9 +86,6 @@ class Forall:
     domain: TypeFamily
     body: "Proposition"
 
-    def __str__(self) -> str:
-        return f"(∀{self.var}:{self.domain}.{self.body})"
-
 
 @dataclass(frozen=True)
 class Exists:
@@ -122,9 +95,6 @@ class Exists:
     domain: TypeFamily
     body: "Proposition"
 
-    def __str__(self) -> str:
-        return f"(∃{self.var}:{self.domain}.{self.body})"
-
 
 @dataclass(frozen=True)
 class Says:
@@ -132,9 +102,6 @@ class Says:
 
     principal: Term
     body: "Proposition"
-
-    def __str__(self) -> str:
-        return f"⟨{self.principal}⟩{self.body}"
 
 
 @dataclass(frozen=True)
@@ -153,9 +120,6 @@ class Receipt:
         if self.amount < 0:
             raise ValueError("receipt amounts are non-negative satoshis")
 
-    def __str__(self) -> str:
-        return f"receipt({self.prop}/{self.amount} ↠ {self.recipient})"
-
 
 @dataclass(frozen=True)
 class IfProp:
@@ -163,9 +127,6 @@ class IfProp:
 
     condition: "Condition"
     body: "Proposition"
-
-    def __str__(self) -> str:
-        return f"if({self.condition}, {self.body})"
 
 
 Proposition = Union[

@@ -2,8 +2,8 @@
 
 The paper presents the logic mathematically (Figure 1); any usable client
 needs a concrete syntax for writing bases, propositions, and conditions.
-This package provides a lexer, a recursive-descent parser, and a pretty
-printer that round-trip::
+This package provides a lexer, a recursive-descent parser, and the one
+printer — ``str`` of every syntax node — that round-trip::
 
     coin : pi n:nat. prop
     merge : forall N:nat. forall M:nat. forall P:nat.
@@ -39,13 +39,15 @@ from repro.surface.parser import (
     parse_term,
 )
 from repro.surface.pretty import (
+    pretty,
     pretty_cond,
     pretty_family,
     pretty_kind,
+    pretty_proof,
     pretty_prop,
     pretty_term,
 )
-from repro.surface.proofs import ProofParser, parse_proof, pretty_proof
+from repro.surface.proofs import ProofParser, parse_proof
 
 __all__ = [
     "LexError",
@@ -63,6 +65,7 @@ __all__ = [
     "parse_term",
     "ProofParser",
     "parse_proof",
+    "pretty",
     "pretty_proof",
     "pretty_cond",
     "pretty_family",

@@ -2,8 +2,10 @@
 
 Hand-rolled maximal-munch lexer with source positions for error messages.
 Comments run from ``#`` to end of line — except that ``#`` immediately
-followed by 40 hex digits is a principal literal (key hashes are rendered
-``#a1b2…``), so principal literals lex before comments.
+followed by 40 hex digits is a principal literal, so principal literals lex
+before comments.  A name that is not an identifier is written between
+double quotes, with ``\\"`` and ``\\\\`` escaped (``this."option-good"``),
+and lexes as one identifier token.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class TokenKind(enum.Enum):
 
 KEYWORDS = frozenset({
     "forall", "exists", "if", "receipt", "before", "spent", "true",
-    "pi", "type", "prop", "this", "family", "term", "rule",
+    "pi", "type", "prop", "this", "builtin", "family", "term", "rule",
     # proof-term keywords
     "fn", "tfn", "let", "in", "unpack", "case", "of", "inl", "inr",
     "fst", "snd", "abort", "pack", "sayreturn", "saybind", "assert",
@@ -98,6 +100,13 @@ def _is_ident_start(ch: str) -> bool:
 
 def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch in "_'"
+
+
+def is_identifier(text: str) -> bool:
+    """Whether ``text`` lexes as exactly one unquoted identifier."""
+    return bool(text) and _is_ident_start(text[0]) and all(
+        map(_is_ident_char, text[1:])
+    )
 
 
 def tokenize(source: str) -> list[Token]:
@@ -188,6 +197,17 @@ def tokenize(source: str) -> list[Token]:
                 j += 1
             tokens.append(Token(TokenKind.IDENT, source[i:j], ln, col))
             i = j
+            continue
+        if ch == '"':
+            j, name = i + 1, []
+            while j < len(source) and source[j] != '"':
+                j += source[j] == "\\"  # the escaped character is taken as is
+                name.append(source[j : j + 1])
+                j += 1
+            if j >= len(source):
+                raise LexError(f"unterminated quoted name at line {ln}, column {col}")
+            tokens.append(Token(TokenKind.IDENT, "".join(name), ln, col))
+            i = j + 1
             continue
         if ch in _SIMPLE:
             tokens.append(Token(_SIMPLE[ch], ch, ln, col))

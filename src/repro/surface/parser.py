@@ -6,8 +6,9 @@ quantifiers, ``if``, ``receipt``), then atoms.  Quantifier bodies extend as
 far right as possible, as in the paper.
 
 Names resolve through a :class:`Resolver`: bare identifiers look up local
-(``this.x``) or imported constants; ``this.x`` and ``0x<txid>.x`` are always
-available in qualified form; ``time`` aliases ``nat`` (paper fn. 10).
+(``this.x``) or imported constants; ``this.x``, ``0x<txid>.x`` and
+``builtin.x`` are always available in qualified form; ``time`` aliases
+``nat`` (paper fn. 10).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.lf.basis import (
 )
 from repro.lf.syntax import (
     App,
+    BUILTIN,
     Const,
     ConstRef,
     KIND_PROP,
@@ -76,14 +78,15 @@ class ParseError(Exception):
     """Raised on syntax or resolution errors, with position context."""
 
 
-_BUILTIN_FAMILIES = {
+# The builtins read by a bare name, by position.
+BUILTIN_FAMILIES = {
     "nat": NAT,
     "time": NAT,  # "The type time is actually just nat" (paper fn. 10)
     "principal": PRINCIPAL,
     "plus": PLUS,
 }
 
-_BUILTIN_TERMS = {
+BUILTIN_TERMS = {
     "add": ADD,
     "plus_refl": PLUS_REFL,
 }
@@ -98,10 +101,10 @@ class Resolver:
     props: dict[str, ConstRef] = field(default_factory=dict)
 
     def family(self, name: str) -> ConstRef | None:
-        return self.families.get(name) or _BUILTIN_FAMILIES.get(name)
+        return self.families.get(name) or BUILTIN_FAMILIES.get(name)
 
     def term(self, name: str) -> ConstRef | None:
-        return self.terms.get(name) or _BUILTIN_TERMS.get(name)
+        return self.terms.get(name) or BUILTIN_TERMS.get(name)
 
 
 class Parser:
@@ -156,20 +159,21 @@ class Parser:
     # -- qualified names ------------------------------------------------
 
     def _qualified(self) -> ConstRef | None:
-        """``this.x`` or ``0x<txid>.x`` — None if not at a qualifier."""
-        if self._check(TokenKind.IDENT, "this"):
-            self._advance()
-            self._expect(TokenKind.DOT)
-            name = self._expect(TokenKind.IDENT)
-            return ConstRef(THIS, name.text)
-        if self._check(TokenKind.HEXBLOB):
+        """``this.x``, ``builtin.x`` or ``0x<txid>.x`` — None if not at a
+        qualifier."""
+        if self._accept(TokenKind.IDENT, "this"):
+            space = THIS
+        elif self._accept(TokenKind.IDENT, "builtin"):
+            space = BUILTIN
+        elif self._check(TokenKind.HEXBLOB):
             blob = self._advance()
             if len(blob.text) != 64:
                 raise self._fail("transaction ids are 32 bytes (64 hex digits)")
-            self._expect(TokenKind.DOT)
-            name = self._expect(TokenKind.IDENT)
-            return ConstRef(bytes.fromhex(blob.text), name.text)
-        return None
+            space = bytes.fromhex(blob.text)
+        else:
+            return None
+        self._expect(TokenKind.DOT)
+        return ConstRef(space, self._expect(TokenKind.IDENT).text)
 
     # -- kinds ------------------------------------------------------------
 
@@ -262,9 +266,9 @@ class Parser:
                 name in self.bound
                 or self.resolver.term(name) is not None
             )
-        if self._check(TokenKind.IDENT, "this"):
-            return True
-        return False
+        return self._check(TokenKind.IDENT, "this") or self._check(
+            TokenKind.IDENT, "builtin"
+        )
 
     def _term_atom(self) -> Term:
         number = self._accept(TokenKind.NUMBER)

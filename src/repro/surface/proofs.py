@@ -1,4 +1,5 @@
-"""Surface syntax for proof terms.
+"""Surface syntax for proof terms: the parser (the printer is
+:mod:`repro.surface.pretty`, as for every other category).
 
 Completes the concrete language: bases, propositions, and conditions parse
 already; this module adds the proof terms of Figure 1, in an ML-flavored
@@ -50,8 +51,7 @@ from __future__ import annotations
 
 from repro.logic import proofterms as pt
 from repro.surface.lexer import TokenKind
-from repro.surface.parser import ParseError, Parser, Resolver
-from repro.surface.pretty import pretty_cond, pretty_family, pretty_prop, pretty_term
+from repro.surface.parser import Parser, Resolver
 
 
 class ProofParser(Parser):
@@ -180,15 +180,15 @@ class ProofParser(Parser):
                 return term
 
     def _at_proof_atom(self) -> bool:
-        if self._check(TokenKind.DIAMOND) or self._check(TokenKind.BANG):
-            return True
-        if self._check(TokenKind.LPAREN):
+        if self.current.kind in (
+            TokenKind.DIAMOND, TokenKind.BANG, TokenKind.LPAREN, TokenKind.HEXBLOB
+        ):
             return True
         if self._check(TokenKind.IDENT):
             text = self.current.text
             if text in ("fst", "snd", "inl", "inr", "abort", "pack",
                         "sayreturn", "ifreturn", "ifweaken", "ifsay",
-                        "assert", "assertp"):
+                        "assert", "assertp", "this", "builtin"):
                 return True
             if self.current.is_keyword:
                 return False
@@ -196,8 +196,6 @@ class ProofParser(Parser):
                 text in self.proof_bound
                 or text in self.resolver.props
             )
-        if self._check(TokenKind.IDENT, "this") or self._check(TokenKind.HEXBLOB):
-            return True
         return False
 
     def _parse_proof_atom(self) -> pt.ProofTerm:
@@ -299,183 +297,3 @@ def parse_proof(source: str, resolver: Resolver | None = None) -> pt.ProofTerm:
     parser._expect_eof()
     return proof
 
-
-# ----------------------------------------------------------------------
-# Pretty printing
-# ----------------------------------------------------------------------
-
-
-class _Names:
-    """Collision-free printable names for binders (fresh suffixes like
-    ``obl$3`` print as ``obl``, renamed on clashes)."""
-
-    def __init__(self):
-        self.scope: dict[str, str] = {}
-        self.used: set[str] = set()
-
-    def bind(self, original: str) -> str:
-        base = original.split("$", 1)[0] or "x"
-        candidate = base
-        counter = 1
-        while candidate in self.used:
-            counter += 1
-            candidate = f"{base}_{counter}"
-        self.used.add(candidate)
-        self.scope[original] = candidate
-        return candidate
-
-    def lookup(self, original: str) -> str:
-        return self.scope.get(original, original.split("$", 1)[0] or original)
-
-
-def pretty_proof(term: pt.ProofTerm, _names: _Names | None = None) -> str:
-    """Render a proof term in the surface notation (parseable)."""
-    names = _names if _names is not None else _Names()
-    return _pp(term, names, atomic=False)
-
-
-def _pp(term: pt.ProofTerm, names: _Names, atomic: bool) -> str:
-    def paren(text: str) -> str:
-        return f"({text})" if atomic else text
-
-    if isinstance(term, pt.PVar):
-        return names.lookup(term.name)
-    if isinstance(term, pt.PConst):
-        from repro.surface.pretty import pretty_ref
-
-        return pretty_ref(term.ref)
-    if isinstance(term, pt.LolliIntro):
-        var = names.bind(term.var)
-        return paren(
-            f"fn {var} : {pretty_prop(term.annotation)}."
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, pt.ForallIntro):
-        # LF binders print by their cleaned name (occurrences inside
-        # propositions/terms are printed by pretty_prop, outside this
-        # renamer's reach).
-        var = term.var.split("$", 1)[0]
-        return paren(
-            f"tfn {var} : {pretty_family(term.domain)}."
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, pt.LolliElim):
-        func = _pp(term.func, names, atomic=not isinstance(
-            term.func, (pt.LolliElim, pt.ForallElim)
-        ))
-        return paren(f"{func} {_pp(term.arg, names, True)}")
-    if isinstance(term, pt.ForallElim):
-        body = _pp(term.body, names, atomic=not isinstance(
-            term.body, (pt.LolliElim, pt.ForallElim)
-        ))
-        return paren(f"{body} [{pretty_term(term.arg)}]")
-    if isinstance(term, pt.TensorIntro):
-        return paren(
-            f"{_pp(term.left, names, True)} * {_pp(term.right, names, True)}"
-        )
-    if isinstance(term, pt.TensorElim):
-        scrutinee = _pp(term.scrutinee, names, False)
-        left = names.bind(term.left_var)
-        right = names.bind(term.right_var)
-        return paren(
-            f"let {left} * {right} = {scrutinee} in"
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, pt.WithIntro):
-        return (
-            f"({_pp(term.left, names, False)},"
-            f" {_pp(term.right, names, False)})"
-        )
-    if isinstance(term, pt.WithFst):
-        return paren(f"fst {_pp(term.body, names, True)}")
-    if isinstance(term, pt.WithSnd):
-        return paren(f"snd {_pp(term.body, names, True)}")
-    if isinstance(term, pt.PlusInl):
-        return paren(
-            f"inl[{pretty_prop(term.other)}] {_pp(term.body, names, True)}"
-        )
-    if isinstance(term, pt.PlusInr):
-        return paren(
-            f"inr[{pretty_prop(term.other)}] {_pp(term.body, names, True)}"
-        )
-    if isinstance(term, pt.PlusCase):
-        scrutinee = _pp(term.scrutinee, names, False)
-        left_var = names.bind(term.left_var)
-        left = _pp(term.left_body, names, False)
-        right_var = names.bind(term.right_var)
-        right = _pp(term.right_body, names, False)
-        return paren(
-            f"case {scrutinee} of inl {left_var} => {left}"
-            f" | inr {right_var} => {right}"
-        )
-    if isinstance(term, pt.OneIntro):
-        return "<>"
-    if isinstance(term, pt.OneElim):
-        return paren(
-            f"let <> = {_pp(term.scrutinee, names, False)} in"
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, pt.ZeroElim):
-        return paren(
-            f"abort[{pretty_prop(term.annotation)}]"
-            f" {_pp(term.scrutinee, names, True)}"
-        )
-    if isinstance(term, pt.BangIntro):
-        return paren(f"!{_pp(term.body, names, True)}")
-    if isinstance(term, pt.BangElim):
-        var = names.bind(term.var)
-        return paren(
-            f"let !{var} = {_pp(term.scrutinee, names, False)} in"
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, pt.ExistsIntro):
-        return paren(
-            f"pack[{pretty_prop(term.annotation)}]"
-            f"({pretty_term(term.witness)}, {_pp(term.body, names, False)})"
-        )
-    if isinstance(term, pt.ExistsElim):
-        scrutinee = _pp(term.scrutinee, names, False)
-        proof_var = names.bind(term.proof_var)
-        type_var = term.type_var.split("$", 1)[0]
-        return paren(
-            f"let ({type_var}, {proof_var}) = unpack {scrutinee} in"
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, pt.SayReturn):
-        return (
-            f"sayreturn[{pretty_term(term.principal)}]"
-            f"({_pp(term.body, names, False)})"
-        )
-    if isinstance(term, pt.SayBind):
-        var = names.bind(term.var)
-        return paren(
-            f"saybind {var} <- {_pp(term.scrutinee, names, False)} in"
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, (pt.Assert, pt.AssertPersistent)):
-        keyword = "assert" if isinstance(term, pt.Assert) else "assertp"
-        aff = term.affirmation
-        return (
-            f"{keyword}[{pretty_term(term.principal)}]"
-            f"({pretty_prop(term.prop)};"
-            f" 0x{aff.pubkey.hex()}; 0x{aff.signature.hex()})"
-        )
-    if isinstance(term, pt.IfReturn):
-        return (
-            f"ifreturn[{pretty_cond(term.condition)}]"
-            f"({_pp(term.body, names, False)})"
-        )
-    if isinstance(term, pt.IfBind):
-        var = names.bind(term.var)
-        return paren(
-            f"ifbind {var} <- {_pp(term.scrutinee, names, False)} in"
-            f" {_pp(term.body, names, False)}"
-        )
-    if isinstance(term, pt.IfWeaken):
-        return (
-            f"ifweaken[{pretty_cond(term.condition)}]"
-            f"({_pp(term.body, names, False)})"
-        )
-    if isinstance(term, pt.IfSay):
-        return f"ifsay({_pp(term.body, names, False)})"
-    raise TypeError(f"not a proof term: {term!r}")

@@ -25,7 +25,8 @@ from repro.logic.propositions import (
 )
 from repro.lf.walk import convertible
 from repro.surface.parser import ParseError, Resolver
-from repro.surface.proofs import parse_proof, pretty_proof
+from repro.surface.pretty import pretty_proof
+from repro.surface.proofs import parse_proof
 
 COIN = ConstRef(THIS, "coin")
 RULE = ConstRef(THIS, "step")
