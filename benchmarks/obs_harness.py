@@ -5,15 +5,14 @@ module provides a minimal stand-in (``pedantic``, call syntax,
 ``extra_info``, pytest-benchmark-shaped ``stats``) plus the conftest
 fixtures a few benchmarks take (``net``/``ledger``/``bank``/``alice``),
 and a driver that honours ``REPRO_OBS=1``: with observability on, each
-benchmark prints the :mod:`repro.obs.report` per-stage breakdown next to
-its headline output::
+benchmark prints the :mod:`repro.obs.report` breakdown of its counters
+next to its headline output::
 
     PYTHONPATH=src REPRO_OBS=1 python benchmarks/bench_e6_verifier_scaling.py
 
-Set ``REPRO_OBS_TRACE=<path>`` / ``REPRO_OBS_EVENTS=<path>`` to also dump
-a Perfetto-loadable Chrome trace and a JSONL event log of the last
-benchmark run.  ``benchmarks/runner.py`` drives the same machinery over
-every experiment and gates on the obs counters.
+Set ``REPRO_OBS_EVENTS=<path>`` to also dump a JSONL event log of the
+last benchmark run.  ``benchmarks/runner.py`` drives the same machinery
+over every experiment and gates on the obs counters.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import os
 import time
 
 from repro import obs
-from repro.obs.export import write_chrome_trace
 from repro.obs.report import render_report
 
 
@@ -183,7 +181,6 @@ def run_standalone(*benches) -> None:
     """Run benchmark functions outside pytest, with optional observability."""
     if os.environ.get("REPRO_OBS", "") not in ("", "0"):
         obs.enable()
-    trace_path = os.environ.get("REPRO_OBS_TRACE")
     events_path = os.environ.get("REPRO_OBS_EVENTS")
     for bench in benches:
         if obs.ENABLED:
@@ -194,9 +191,6 @@ def run_standalone(*benches) -> None:
         if obs.ENABLED:
             print()
             print(render_report(obs.snapshot(), title=bench.__name__))
-            if trace_path:
-                count = write_chrome_trace(trace_path)
-                print(f"chrome trace ({count} events) -> {trace_path}")
             if events_path:
                 count = obs.events().write_jsonl(events_path)
                 print(f"event log ({count} events) -> {events_path}")

@@ -476,27 +476,6 @@ class Blockchain:
 
     def _connect(self, entry: BlockIndexEntry) -> None:
         """Attach a block to the active tip, updating UTXOs and indexes."""
-        if obs.ENABLED:
-            with obs.trace_span(
-                "chain.connect_block",
-                metric="chain.connect_seconds",
-                height=entry.height,
-                txs=len(entry.block.txs),
-            ):
-                self._connect_inner(entry)
-            obs.inc("chain.blocks_connected_total")
-            obs.gauge_set("utxo.set_size", len(self.utxos))
-            obs.emit(
-                "block.connected",
-                hash=entry.block.hash,
-                height=entry.height,
-                txs=len(entry.block.txs),
-            )
-            monitors().check_supply(self)
-        else:
-            self._connect_inner(entry)
-
-    def _connect_inner(self, entry: BlockIndexEntry) -> None:
         block = entry.block
         height = entry.height
         if height > 0:
@@ -529,6 +508,16 @@ class Blockchain:
                 self.store.append_connect(block, height, undo)
         # height == 0 is genesis, already in _active at construction
         # (and implied by the store manifest, so it is never logged).
+        if obs.ENABLED:
+            obs.inc("chain.blocks_connected_total")
+            obs.gauge_set("utxo.set_size", len(self.utxos))
+            obs.emit(
+                "block.connected",
+                hash=block.hash,
+                height=height,
+                txs=len(block.txs),
+            )
+            monitors().check_supply(self)
 
     def _index_block(self, block: Block) -> BlockIndexEntry:
         """The block's entry in the tree, created under its parent if new."""

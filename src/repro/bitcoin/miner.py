@@ -48,26 +48,6 @@ class Miner:
         extra_nonce: int = 0,
     ) -> Block:
         """Build an unmined block template on the current tip."""
-        if obs.ENABLED:
-            with obs.trace_span(
-                "miner.build_template", metric="miner.template_seconds"
-            ) as span:
-                block = self._assemble_inner(mempool, timestamp, extra_nonce)
-                span.set_attr("height", self.chain.tip.height + 1)
-                span.set_attr("txs", len(block.txs))
-                # Correlate the template span with the block's causal
-                # trace (relay.hop events carry the same hash prefix).
-                span.set_attr("hash", block.hash.hex())
-            obs.inc("miner.template_txs_total", len(block.txs))
-            return block
-        return self._assemble_inner(mempool, timestamp, extra_nonce)
-
-    def _assemble_inner(
-        self,
-        mempool: Mempool | None,
-        timestamp: int | None,
-        extra_nonce: int,
-    ) -> Block:
         tip = self.chain.tip
         height = tip.height + 1
         txs: list[Transaction] = []
@@ -84,12 +64,15 @@ class Miner:
         if timestamp is None:
             timestamp = self.chain.median_time_past() + 1
         bits = self.chain.required_bits(tip.block.hash)
-        return build_block(
+        block = build_block(
             prev_hash=tip.block.hash,
             txs=[coinbase] + txs,
             timestamp=timestamp,
             bits=bits,
         )
+        if obs.ENABLED:
+            obs.inc("miner.template_txs_total", len(block.txs))
+        return block
 
     def grind(self, block: Block) -> Block:
         """Brute-force the nonce until the header meets its target.

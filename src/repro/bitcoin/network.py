@@ -373,9 +373,6 @@ class Node:
         if obs.ENABLED:
             obs.inc("fault.crashes_total")
             obs.emit("fault.crash", node=self.name)
-            from repro.obs import flight
-
-            flight.trigger("node.crash", sim_time=self.sim.now)
 
     def restart(self, persist_chain: bool = True, resync: bool = True) -> None:
         """Come back up, optionally reloading the persisted chain, then
@@ -513,7 +510,7 @@ class PoissonMiner:
             # times track the simulation clock (the retarget rule reads them).
             wall = self.node.chain.genesis.header.timestamp + int(self.node.sim.now)
             timestamp = max(wall, self.node.chain.median_time_past() + 1)
-            # Attribute the template-build span to the mining node.
+            # Attribute the template's events (a retarget) to the mining node.
             with obs.node_scope(self.node.name if obs.ENABLED else None):
                 block = self._miner.assemble(
                     self.node.mempool,

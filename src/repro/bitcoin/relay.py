@@ -140,9 +140,6 @@ class Relay:
             if obs.ENABLED:
                 obs.inc("chain.blocks_rejected_total")
                 obs.emit("block.rejected", hash=block.hash, reason=str(exc))
-                from repro.obs import flight
-
-                flight.trigger("block.rejected", sim_time=node.sim.now)
             node.penalize(
                 origin, POINTS_INVALID_BLOCK, f"invalid block: {exc}"
             )

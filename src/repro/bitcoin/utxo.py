@@ -165,18 +165,6 @@ class UTXOSet:
 
     def apply_block_txs(self, txs: list[Transaction], height: int) -> BlockUndo:
         """Apply every transaction of a block, returning the undo record."""
-        if obs.ENABLED:
-            # One span per block, not per transaction: apply is the hot path.
-            with obs.trace_span(
-                "utxo.apply_block", metric="utxo.apply_seconds",
-                height=height, txs=len(txs),
-            ):
-                return self._apply_block_txs_inner(txs, height)
-        return self._apply_block_txs_inner(txs, height)
-
-    def _apply_block_txs_inner(
-        self, txs: list[Transaction], height: int
-    ) -> BlockUndo:
         undo = BlockUndo()
         for tx in txs:
             self.apply_transaction(tx, height, undo)
@@ -184,16 +172,6 @@ class UTXOSet:
 
     def undo_block(self, undo: BlockUndo) -> None:
         """Disconnect a block: delete created outputs, restore spent ones."""
-        if obs.ENABLED:
-            with obs.trace_span(
-                "utxo.undo_block", metric="utxo.undo_seconds",
-                spent=len(undo.spent), created=len(undo.created),
-            ):
-                self._undo_block_inner(undo)
-            return
-        self._undo_block_inner(undo)
-
-    def _undo_block_inner(self, undo: BlockUndo) -> None:
         for outpoint in reversed(undo.created):
             # A created output absent from the table means the undo data
             # does not describe this state (corrupt record, wrong block):

@@ -177,23 +177,11 @@ def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
     """
     if tx.is_coinbase:
         raise ValidationError("coinbase cannot be validated as a spend")
-    # Snapshot the obs flag once: every clock read below is guarded by this
-    # same snapshot, so the deltas stay consistent even if obs.ENABLED flips
-    # mid-validation (a checker callback may enable it, for instance).
-    enabled = obs.ENABLED
-    start = obs.clock() if enabled else 0.0
     check_transaction(tx)
-    structure_done = obs.clock() if enabled else 0.0
-    if enabled:
-        obs.observe(
-            "validation.rule_seconds", structure_done - start, rule="structure"
-        )
 
     sig_cache = sigcache.default_cache()
     verified = sig_cache is not None and sig_cache.has_tx(tx.txid)
     sighash_cache = None if verified else SighashCache(tx)
-    script_time = 0.0
-    script_start = 0.0
     value_in = 0
     for index, txin in enumerate(tx.vin):
         entry = utxos.get(txin.prevout)
@@ -207,8 +195,6 @@ def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
             checker = make_sig_checker(
                 tx, index, script_code, sighash_cache, sig_cache
             )
-            if enabled:
-                script_start = obs.clock()
             try:
                 authorized = execute_script(txin.script_sig, script_code, checker)
             except ScriptError as exc:
@@ -218,8 +204,6 @@ def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
                 raise ValidationError(
                     f"script validation failed on input {index}: {exc}"
                 ) from exc
-            if enabled:
-                script_time += obs.clock() - script_start
             if not authorized:
                 raise ValidationError(f"script validation failed on input {index}")
 
@@ -228,15 +212,8 @@ def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
         raise ValidationError("outputs exceed inputs")
     if not verified and sig_cache is not None:
         sig_cache.put_tx(tx.txid)  # every input authorised, nothing raised
-    if enabled:
-        end = obs.clock()
+    if obs.ENABLED:
         obs.inc("validation.tx_total")
-        obs.observe("validation.rule_seconds", script_time, rule="scripts")
-        obs.observe(
-            "validation.rule_seconds",
-            end - structure_done - script_time,
-            rule="inputs",
-        )
     return TxValidity(fee=value_in - value_out)
 
 

@@ -62,7 +62,6 @@ class Ledger:
         """
         if carrier_txid in self.transactions:
             raise ValidationFailure("transaction already registered")
-        start = obs.clock() if obs.ENABLED else 0.0
         self.transactions[carrier_txid] = txn
         self.global_basis = self.global_basis.extended(
             txn.basis.resolved(carrier_txid)
@@ -77,8 +76,6 @@ class Ledger:
             entry = self.outputs.get((inp.txid, inp.index))
             if entry is not None:
                 entry.spent_by = carrier_txid
-        if obs.ENABLED:
-            obs.observe("ledger.apply_seconds", obs.clock() - start)
 
     def spent_oracle(self, txid: bytes, index: int) -> bool:
         entry = self.outputs.get((txid, index))
@@ -98,8 +95,6 @@ def check_typecoin_transaction(
     has type (C ⊗ A ⊗ R) ⊸ if(φ, B); and φ holds in ``world``.  A proof of
     a bare (C ⊗ A ⊗ R) ⊸ B is accepted as φ = true.
     """
-    check_start = obs.clock() if obs.ENABLED else 0.0
-
     # --- Σ_global ⊢ Σ ok and Σ fresh -----------------------------------
     working = _check_local_basis(ledger.global_basis, txn.basis)
     try:
@@ -160,16 +155,13 @@ def check_typecoin_transaction(
         txn_payload=txn.signing_payload(),
     )
     try:
-        if obs.ENABLED:
-            with obs.trace_span("proof.check", metric="proof.check_seconds"):
-                proved, _used = infer(ctx, txn.proof)
-            obs.emit("proof.checked", outcome="ok")
-        else:
-            proved, _used = infer(ctx, txn.proof)
+        proved, _used = infer(ctx, txn.proof)
     except ProofError as exc:
         if obs.ENABLED:
             obs.emit("proof.checked", outcome="proof_error")
         raise ValidationFailure(f"proof does not check: {exc}") from exc
+    if obs.ENABLED:
+        obs.emit("proof.checked", outcome="ok")
 
     proved = normalize(proved)
     if not isinstance(proved, Lolli):
@@ -200,8 +192,6 @@ def check_typecoin_transaction(
         raise ValidationFailure(
             f"top-level condition {condition} does not hold in this world"
         )
-    if obs.ENABLED:
-        obs.observe("ledger.check_seconds", obs.clock() - check_start)
     return produced
 
 

@@ -119,20 +119,12 @@ def verify_claim(
     verification with already-trusted history (e.g. a batch server's own
     records) — the bundle only needs transactions *beyond* it.
     """
-    if not obs.ENABLED:
-        return _verify_claim(
-            chain, bundle, min_confirmations, require_unspent, base_ledger
-        )
-    with obs.trace_span(
-        "verify.claim",
-        metric="verify.claim_seconds",
-        carriers=len(bundle.transactions),
-    ):
-        ledger = _verify_claim(
-            chain, bundle, min_confirmations, require_unspent, base_ledger
-        )
-    obs.inc("verify.claims_total")
-    obs.inc("verify.carriers_total", len(bundle.transactions))
+    ledger = _verify_claim(
+        chain, bundle, min_confirmations, require_unspent, base_ledger
+    )
+    if obs.ENABLED:
+        obs.inc("verify.claims_total")
+        obs.inc("verify.carriers_total", len(bundle.transactions))
     return ledger
 
 

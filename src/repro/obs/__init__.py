@@ -1,12 +1,17 @@
-"""``repro.obs`` — metrics, structured tracing and events.
+"""``repro.obs`` — what happened: counters, gauges, events and monitors.
 
 The observability substrate for the whole validation pipeline: a
-dependency-free metrics registry (:mod:`repro.obs.metrics`), a span tracer
-(:mod:`repro.obs.trace`), and a pretty-printed report
+dependency-free metrics registry (:mod:`repro.obs.metrics`), a structured
+event log (:mod:`repro.obs.events`), runtime invariant monitors
+(:mod:`repro.obs.monitor`) and a pretty-printed report
 (:mod:`repro.obs.report`).  Instrumented call sites across
 ``repro.bitcoin``, ``repro.lf``, ``repro.logic``, and ``repro.core``
-record into a process-wide default registry/tracer through the helpers
-here.
+record into a process-wide default registry and event log through the
+helpers here.
+
+How long something took is not recorded here: ``bench/`` times every
+layer from outside the program (``docs/profiling.md``).  The obs clock
+only stamps each event's ``ts``.
 
 Zero cost when disabled
 -----------------------
@@ -23,29 +28,26 @@ poisoned registry stub).  Turn it on with :func:`enable`, with
 ``RegtestNetwork(observe=True)``, or by setting ``REPRO_OBS=1`` in the
 environment before the first import.
 
-One log, one tracer
--------------------
+One log
+-------
 
-Every signal is written once, to the process-wide registry, tracer and
-event log.  A simulated node attributes what it records by *name*:
-inside ``with obs.node_scope(node.name):`` every event and span is
-stamped ``node=<name>`` (a caller's own ``node=`` wins), so one node's
-view is a filter on that field, not a second sink.  The span and event
-rings are bounded; what does not fit is counted (``spans_dropped``,
-``events_dropped``), never silently lost.
+Every signal is written once, to the process-wide registry and event
+log.  A simulated node attributes its events by *name*: inside
+``with obs.node_scope(node.name):`` every event is stamped
+``node=<name>`` (a caller's own ``node=`` wins), so one node's view is a
+filter on that field, not a second sink.  The event ring is bounded;
+what does not fit is counted (``events_dropped``), never silently lost.
 
 Exports
 -------
 
 Two views of the collected data:
 
-* :func:`snapshot` — JSON-able dict of every series (plus spans and
-  events), which :func:`repro.obs.export.write_chrome_trace` turns into
-  a Perfetto-loadable trace with one ``pid`` track per node;
-* :func:`repro.obs.report.render_report` — human-readable per-stage
-  breakdown the benchmarks print next to their headline numbers.
+* :func:`snapshot` — JSON-able dict of every series plus the events;
+* :func:`repro.obs.report.render_report` — human-readable breakdown the
+  benchmarks print next to their headline numbers.
 
-See ``docs/observability.md`` for the metric and span name catalogue.
+See ``docs/observability.md`` for the metric and event catalogue.
 """
 
 from __future__ import annotations
@@ -64,17 +66,16 @@ from repro.obs.metrics import (
     Registry,
     series_name,
 )
-from repro.obs.trace import Span, Tracer, _ActiveSpan
 
 __all__ = [
     "ENABLED", "enable", "disable", "reset",
-    "registry", "set_registry", "tracer", "set_tracer",
+    "registry", "set_registry",
     "events", "set_event_log", "emit",
     "clock", "set_clock", "reset_clock",
-    "inc", "observe", "gauge_set", "gauge_max", "trace_span",
-    "snapshot", "spans",
+    "inc", "observe", "gauge_set", "gauge_max",
+    "snapshot",
     "node_scope", "current_node",
-    "Registry", "Tracer", "Span", "Counter", "Gauge", "Histogram",
+    "Registry", "Counter", "Gauge", "Histogram",
     "Event", "EventLog", "EVENT_KINDS", "EVENT_SCHEMA_VERSION",
     "COUNT_BUCKETS", "DEFAULT_BUCKETS", "CATALOGUE", "series_name",
 ]
@@ -82,7 +83,7 @@ __all__ = [
 # The metric catalogue: every series the instrumented pipeline can emit,
 # pre-registered on enable() so reports and dashboards always see the full
 # schema (a counter that never fired reads 0, not "missing").  Kinds:
-# "c" counter, "g" gauge, "h" timing histogram, "hc" count histogram.
+# "c" counter, "g" gauge, "h" sim-time histogram, "hc" count histogram.
 CATALOGUE: tuple[tuple[str, str], ...] = (
     ("script.executions_total", "c"),
     ("script.failures_total", "c"),
@@ -90,11 +91,9 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("script.pushes_total", "c"),
     ("script.stack_depth_hwm", "g"),
     ("validation.tx_total", "c"),
-    ("validation.rule_seconds", "h"),
     ("validation.pool_inputs_total", "c"),
     ("chain.blocks_connected_total", "c"),
     ("chain.blocks_disconnected_total", "c"),
-    ("chain.connect_seconds", "h"),
     ("chain.reorg_total", "c"),
     ("chain.reorg_depth", "hc"),
     ("utxo.set_size", "g"),
@@ -110,19 +109,12 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("lf.typecheck_total", "c"),
     ("lf.basis_lookups_total", "c"),
     ("proof.nodes_total", "c"),
-    ("proof.check_seconds", "h"),
-    ("ledger.apply_seconds", "h"),
-    ("ledger.check_seconds", "h"),
     ("verify.claims_total", "c"),
     ("verify.carriers_total", "c"),
-    ("verify.claim_seconds", "h"),
     ("script.budget_exhausted_total", "c"),
     ("miner.hash_attempts_total", "c"),
     ("miner.template_txs_total", "c"),
-    ("miner.template_seconds", "h"),
     ("pow.retargets_total", "c"),
-    ("utxo.apply_seconds", "h"),
-    ("utxo.undo_seconds", "h"),
     ("utxo.gc_swept_total", "c"),
     # Chaos layer: fault injection, partitions, crash/restart.
     ("fault.msgs_dropped_total", "c"),
@@ -166,21 +158,18 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("store.truncated_records_total", "c"),
     ("store.truncated_bytes_total", "c"),
     ("store.crc_failures_total", "c"),
-    ("store.recover_seconds", "h"),
     # Consensus/wallet boundary fixes riding with the store.
     ("mempool.reinjected_total", "c"),
     ("fault.torn_writes_total", "c"),
-    # Swarm telemetry: causal relay hops, invariant monitors, flight
-    # recorder dumps, supply-inflation fault injection.
+    # Swarm telemetry: causal relay hops, invariant monitors,
+    # supply-inflation fault injection.
     ("relay.hops_total", "c"),
     ("relay.redundant_total", "c"),
     ("monitor.violations_total", "c"),
-    ("flight.dumps_total", "c"),
     ("fault.inflations_total", "c"),
     # Fault-tolerant verification service: admission and memo.
     ("service.requests_total", "c"),
     ("service.verdicts_total", "c"),
-    ("service.verify_seconds", "h"),
     ("service.memo_hits_total", "c"),
     ("service.memo_misses_total", "c"),
     ("service.memo_poison_rejected_total", "c"),
@@ -234,7 +223,6 @@ def _event_clock() -> float:
 
 
 _registry = Registry()
-_tracer = Tracer()
 _events = EventLog(clock=_event_clock)
 _clock: Callable[[], float] = time.perf_counter
 
@@ -261,10 +249,9 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Clear every series, span, and event (catalogue re-registered if
+    """Clear every series and event (catalogue re-registered if
     enabled)."""
     _registry.clear()
-    _tracer.clear()
     _events.clear()
     if ENABLED:
         _declare_catalogue(_registry)
@@ -282,16 +269,6 @@ def set_registry(reg: Registry) -> Registry:
     return previous
 
 
-def tracer() -> Tracer:
-    return _tracer
-
-
-def set_tracer(trc: Tracer) -> Tracer:
-    global _tracer
-    previous, _tracer = _tracer, trc
-    return previous
-
-
 def events() -> EventLog:
     return _events
 
@@ -305,7 +282,7 @@ def set_event_log(log: EventLog) -> EventLog:
 
 
 # ----------------------------------------------------------------------
-# Clock (swappable so tests get deterministic timings)
+# Clock: stamps event ``ts`` (swappable so tests get deterministic stamps)
 # ----------------------------------------------------------------------
 
 
@@ -352,10 +329,10 @@ class _NodeScope:
 
 
 def node_scope(name: str | None) -> _NodeScope:
-    """Attribute events and spans recorded inside the ``with`` to the node
-    called ``name``: they are stamped ``node=<name>`` on the one event log
-    and the one tracer.  Scopes nest (innermost wins); a None name is a
-    no-op, so a call site can pass ``name if obs.ENABLED else None``."""
+    """Attribute events recorded inside the ``with`` to the node called
+    ``name``: they are stamped ``node=<name>`` on the one event log.
+    Scopes nest (innermost wins); a None name is a no-op, so a call site
+    can pass ``name if obs.ENABLED else None``."""
     return _NodeScope(name)
 
 
@@ -406,38 +383,14 @@ def emit(kind: str, **fields: object) -> None:
     _events.emit(kind, **fields)
 
 
-def trace_span(name: str, metric: str | None = None, **attrs: object):
-    """Open a traced region::
-
-        if obs.ENABLED:
-            with obs.trace_span("chain.connect_block", height=h):
-                ...
-
-    ``metric=`` additionally feeds the duration into that histogram.
-    Callers keep the ``ENABLED`` guard at the call site (the kwargs dict
-    alone would be an allocation on the disabled path).  Under a node
-    scope the span carries a ``node`` attribute (its ``pid`` track in the
-    Chrome trace) unless the caller already set one.
-    """
-    if _node_stack and "node" not in attrs:
-        attrs["node"] = _node_stack[-1]
-    return _ActiveSpan(_tracer, _registry, _clock, name, metric, attrs)
-
-
 # ----------------------------------------------------------------------
 # Export
 # ----------------------------------------------------------------------
 
 
 def snapshot() -> dict:
-    """A deterministic JSON-able view: all series, spans, and events."""
+    """A deterministic JSON-able view: all series and events."""
     snap = _registry.snapshot()
-    snap["spans"] = _tracer.snapshot()
-    snap["spans_dropped"] = _tracer.dropped
     snap["events"] = _events.snapshot()
     snap["events_dropped"] = _events.dropped
     return snap
-
-
-def spans() -> list[Span]:
-    return list(_tracer.spans)

@@ -1,7 +1,7 @@
 """Structured event log: schema-versioned JSONL pipeline events.
 
-Metrics answer "how many / how long"; the event log answers "what
-happened, in order".  Each event is one JSON object with a fixed
+Metrics answer "how many"; the event log answers "what happened, in
+order".  Each event is one JSON object with a fixed
 envelope — schema version, monotonically increasing sequence number,
 clock timestamp, kind — plus kind-specific payload fields under
 ``data``.  The kind catalogue (:data:`EVENT_KINDS`) names every event
@@ -230,24 +230,6 @@ class EventLog:
         if len(self.events) == self.capacity:
             self.dropped += 1  # deque(maxlen) evicts the oldest on append
         self.events.append(event)
-        if self.sink is not None:
-            self.sink.write(event.to_json() + "\n")
-        return event
-
-    def append(self, event: Event) -> Event:
-        """Mirror an already-validated event into this ring.
-
-        The scoped-emit fast path: the global log builds and validates
-        the :class:`Event` once, and the node's private ring shares the
-        same object (same seq, ts, payload) instead of re-validating and
-        re-allocating.  Keeps ``_next_seq`` ahead of the mirrored seq so
-        direct emits into this ring stay monotone.
-        """
-        if len(self.events) == self.capacity:
-            self.dropped += 1
-        self.events.append(event)
-        if event.seq >= self._next_seq:
-            self._next_seq = event.seq + 1
         if self.sink is not None:
             self.sink.write(event.to_json() + "\n")
         return event

@@ -16,11 +16,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-# Default buckets suit sub-millisecond-to-seconds timings, the range the
-# validation pipeline actually spans on regtest workloads.
+# Default buckets are simulated seconds, for block propagation: a hop
+# takes 2 s on average, a 50-node swarm's p99 is about 20 s, and the top
+# finite edge is twice the 600 s block interval, so nothing a swarm
+# relays within a block interval lands in the overflow bucket.
 DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+    0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0,
+    45.0, 60.0, 90.0, 120.0, 180.0, 300.0, 600.0, 1200.0,
 )
 
 # Buckets for small-integer distributions (reorg depth, bundle size).
@@ -38,9 +40,12 @@ def quantile_from_cumulative(
     ``pairs`` is the :meth:`Histogram.cumulative` shape — ascending finite
     edges followed by a final ``("+Inf", total)`` overflow entry — either
     live or round-tripped through JSON.  Linear interpolation within the
-    bucket, Prometheus ``histogram_quantile`` style: an empty histogram
-    yields 0.0, and a quantile landing in the overflow bucket is clamped
-    to the highest finite edge (see ``repro.obs.export`` for caveats).
+    bucket, Prometheus ``histogram_quantile`` style: observations are
+    taken as spread evenly within their bucket, so the estimate is exact
+    at bucket edges and never off by more than one bucket width.  An empty
+    histogram yields 0.0, and a quantile landing in the overflow bucket is
+    clamped to the highest finite edge — widen the buckets if a quantile
+    reads exactly that edge.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")

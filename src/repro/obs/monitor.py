@@ -3,8 +3,8 @@
 Tests assert invariants after the fact; monitors assert them *while the
 simulation runs*, at block connect/disconnect and chaos-scenario
 boundaries, so a violation is caught within one block of the bug that
-caused it — with the flight recorder (:mod:`repro.obs.flight`) still
-holding the events that led up to it.
+caused it — with the event log still holding the events that led up to
+it.
 
 The catalogue (each named like the metric label it reports under):
 
@@ -29,8 +29,8 @@ The catalogue (each named like the metric label it reports under):
 Checks run sampled (every ``sample_interval``-th call per monitor) so
 the instrumented hot path stays cheap; ``force=True`` bypasses the
 sampler at scenario boundaries.  In normal mode a violation counts —
-``monitor.violations_total`` plus a ``monitor.violation`` event plus a
-flight-recorder trigger — and the run continues; in strict mode it
+``monitor.violations_total`` plus a ``monitor.violation`` event — and
+the run continues; in strict mode it
 raises :class:`InvariantViolation` so tests fail at the exact block.
 
 Like the rest of :mod:`repro.obs`, call sites guard on ``obs.ENABLED``:
@@ -128,12 +128,10 @@ class MonitorRegistry:
     def violate(self, name: str, detail: str) -> None:
         """Record one violation; raises in strict mode."""
         from repro import obs
-        from repro.obs import flight
 
         self.violations.append((name, detail))
         obs.inc("monitor.violations_total")
         obs.emit("monitor.violation", monitor=name, detail=detail)
-        flight.trigger(f"monitor.{name}")
         if self.strict:
             raise InvariantViolation(f"{name}: {detail}")
 

@@ -97,18 +97,16 @@ class TxMemoTable:
 
     def __init__(self, capacity: int = 4096):
         self._lru = LRU(capacity)
+        # Counted here by outcome, not by the LRU: a found entry whose
+        # digest disagrees is neither a hit nor a miss.  Requests look up
+        # from several threads, so the counts move under a lock.
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
         self.poison_rejected = 0
 
     def __len__(self) -> int:
         return len(self._lru)
-
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
 
     def lookup(self, txid: bytes, digest: bytes) -> bool:
         """True when ``txid`` is memoized as checked *for these bytes*.
@@ -120,16 +118,21 @@ class TxMemoTable:
         """
         stored = self._lru.get(txid)
         if stored is None:
+            with self._lock:
+                self.misses += 1
             if obs.ENABLED:
                 obs.inc("service.memo_misses_total")
             return False
         if stored != digest:
-            self.poison_rejected += 1
+            with self._lock:
+                self.poison_rejected += 1
             self._lru.evict(txid)
             if obs.ENABLED:
                 obs.inc("service.memo_poison_rejected_total")
                 obs.emit("service.poison_rejected", txid=txid.hex()[:16])
             return False
+        with self._lock:
+            self.hits += 1
         if obs.ENABLED:
             obs.inc("service.memo_hits_total")
         return True

@@ -110,16 +110,10 @@ class VerificationService:
         except ServiceUnavailable as exc:
             return Verdict(str(exc.args[0]), detail=exc.args[1])
         try:
-            if not obs.ENABLED:
-                return self._verify(bundle, deadline)
-            with obs.trace_span(
-                "service.verify",
-                metric="service.verify_seconds",
-                carriers=len(bundle.transactions),
-            ):
-                verdict = self._verify(bundle, deadline)
-            obs.inc("service.verdicts_total", status=verdict.status)
-            obs.emit("service.verdict", status=verdict.status)
+            verdict = self._verify(bundle, deadline)
+            if obs.ENABLED:
+                obs.inc("service.verdicts_total", status=verdict.status)
+                obs.emit("service.verdict", status=verdict.status)
             return verdict
         finally:
             self._release()

@@ -29,11 +29,9 @@ def recover_chain(
     chain with the store attached — first boot and recovery are the same
     code path.
     """
+    chain = Blockchain.restore(store.recover(), params)
+    chain.attach_store(store)
     if obs.ENABLED:
-        with obs.trace_span(
-            "store.recover", metric="store.recover_seconds"
-        ):
-            chain = _recover_inner(store, params)
         obs.inc("store.recoveries_total")
         obs.emit(
             "store.recovered",
@@ -42,13 +40,4 @@ def recover_chain(
             blocks=len(chain._active) - 1,
             from_snapshot=bool(store._manifest.get("snapshot")),
         )
-        return chain
-    return _recover_inner(store, params)
-
-
-def _recover_inner(
-    store: BlockStore, params: ChainParams | None
-) -> Blockchain:
-    chain = Blockchain.restore(store.recover(), params)
-    chain.attach_store(store)
     return chain

@@ -125,12 +125,10 @@ def obs_on():
     """Observability enabled against private state, restored afterwards."""
     was_enabled = obs.ENABLED
     saved_registry = obs.set_registry(obs.Registry())
-    saved_tracer = obs.set_tracer(obs.Tracer())
     saved_events = obs.set_event_log(obs.EventLog())
     obs.enable()
     yield
     obs.set_registry(saved_registry)
-    obs.set_tracer(saved_tracer)
     obs.set_event_log(saved_events)
     obs.ENABLED = was_enabled
 

@@ -417,16 +417,14 @@ def obs_strict():
     was_enabled = obs.ENABLED
     saved = (
         obs.set_registry(obs.Registry()),
-        obs.set_tracer(obs.Tracer()),
         obs.set_event_log(obs.EventLog()),
         set_monitors(MonitorRegistry(enabled=True, strict=True)),
     )
     obs.enable()
     yield
     obs.set_registry(saved[0])
-    obs.set_tracer(saved[1])
-    obs.set_event_log(saved[2])
-    set_monitors(saved[3])
+    obs.set_event_log(saved[1])
+    set_monitors(saved[2])
     obs.ENABLED = was_enabled
 
 

@@ -42,11 +42,6 @@ class PoisonedRegistry(obs.Registry):
     inc = observe = gauge_set = gauge_max = _poisoned
 
 
-class PoisonedTracer(obs.Tracer):
-    def record(self, span):
-        raise AssertionError("tracer touched while observability is disabled")
-
-
 class PoisonedEventLog(obs.EventLog):
     def emit(self, kind, **fields):
         raise AssertionError(
@@ -58,7 +53,6 @@ class PoisonedEventLog(obs.EventLog):
 def poisoned():
     obs.disable()
     obs.set_registry(PoisonedRegistry())
-    obs.set_tracer(PoisonedTracer())
     obs.set_event_log(PoisonedEventLog())
 
 
@@ -117,7 +111,7 @@ def test_disabled_default_registry_stays_empty():
     assert snap["counters"] == {}
     assert snap["gauges"] == {}
     assert snap["histograms"] == {}
-    assert snap["spans"] == []
+    assert snap["events"] == []
 
 
 def test_enable_disable_roundtrip():

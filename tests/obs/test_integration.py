@@ -31,7 +31,8 @@ from repro.core.validate import Ledger
 from repro.core.verifier import verify_claim
 from repro.core.wallet import TypecoinClient
 from repro.logic.propositions import One
-from repro.obs.report import render_report, render_trace
+from repro.obs.metrics import DEFAULT_BUCKETS
+from repro.obs.report import render_report
 from tests.bitcoin.test_block_pool import wide_history
 
 pytestmark = pytest.mark.obs
@@ -72,34 +73,18 @@ class TestFullPipeline:
         assert counters["proof.nodes_total"] > 0
         assert counters["verify.claims_total"] == 1
         assert counters["chain.reorg_total"] == 0
-        hists = snap["histograms"]
-        assert hists["validation.rule_seconds"]["count"] > 0
-        assert hists['validation.rule_seconds{rule="scripts"}']["count"] > 0
-        assert hists["proof.check_seconds"]["count"] >= 1
-        assert hists["ledger.apply_seconds"]["count"] >= 1
-        assert hists["chain.connect_seconds"]["count"] > 0
+        assert counters["validation.tx_total"] > 0
+        proofs = [e for e in snap["events"] if e["kind"] == "proof.checked"]
+        assert proofs and {e["data"]["outcome"] for e in proofs} == {"ok"}
         assert snap["gauges"]["utxo.set_size"] > 0
         assert snap["gauges"]["script.stack_depth_hwm"] >= 2
-
-    def test_spans_nest_proof_check_under_verify_claim(self):
-        run_typecoin_flow()
-        spans = {span.name: span for span in obs.spans()}
-        assert "chain.connect_block" in spans
-        verify_span = spans["verify.claim"]
-        proof_spans = [s for s in obs.spans() if s.name == "proof.check"]
-        assert proof_spans
-        # At least one proof check ran inside the claim verification.
-        nested = [s for s in proof_spans if s.parent == verify_span.span_id]
-        assert nested
-        assert all(s.depth == verify_span.depth + 1 for s in nested)
 
     def test_report_renders(self):
         run_typecoin_flow()
         report = render_report()
         assert "script.ops_total" in report
-        assert "validation.rule_seconds" in report
-        trace = render_trace()
-        assert "verify.claim" in trace
+        assert "net.block_propagation_seconds" in report
+        assert "events recorded" in report
 
 
 class TestReorgMetrics:
@@ -125,15 +110,21 @@ class TestReorgMetrics:
         assert obs.registry().counter("chain.blocks_disconnected_total").value >= 1
 
 
+def run_swarm(node_count):
+    """A seeded two-hour run; returns the simulation and its nodes."""
+    sim = Simulation(seed=7)
+    nodes = build_network(sim, node_count)
+    rate = block_work(target_to_bits(2**252)) / 600.0
+    miner = PoissonMiner(nodes[0], rate, miner_id=1)
+    miner.start()
+    reason = sim.run_until(7200)
+    assert reason in (STOP_DRAINED, STOP_TIME_LIMIT)
+    return sim, nodes
+
+
 class TestNetworkMetrics:
     def test_propagation_latency_and_events(self):
-        sim = Simulation(seed=7)
-        nodes = build_network(sim, 4)
-        rate = block_work(target_to_bits(2**252)) / 600.0
-        miner = PoissonMiner(nodes[0], rate, miner_id=1)
-        miner.start()
-        reason = sim.run_until(7200)
-        assert reason in (STOP_DRAINED, STOP_TIME_LIMIT)
+        sim, nodes = run_swarm(4)
         snap = obs.snapshot()
         assert snap["counters"]["net.events_total"] > 0
         assert snap["counters"]["net.events_total"] == sim.events_processed
@@ -143,6 +134,19 @@ class TestNetworkMetrics:
         # Remote nodes see blocks strictly later than they were mined.
         assert propagation["sum"] > 0
         assert all(node.chain.height > 0 for node in nodes)
+
+    def test_fifty_node_propagation_quantiles_are_not_clamped(self):
+        """Propagation is sim-time, so its buckets reach past the block
+        interval: at 50 nodes nearly half the arrivals take over 10 s, and
+        p95 / p99 must be measured, not pinned to the top finite edge."""
+        run_swarm(50)
+        propagation = obs.snapshot()["histograms"][
+            "net.block_propagation_seconds"
+        ]
+        (*finite, (_inf, total)) = propagation["buckets"]
+        assert propagation["count"] == total > 0
+        assert finite[-1][1] == total  # nothing in the overflow bucket
+        assert propagation["p95"] <= propagation["p99"] < DEFAULT_BUCKETS[-1]
 
 
 class TestScriptVerdictMemo:
