@@ -1,9 +1,11 @@
 """E10 — verification-service latency: memoization and chaos overhead.
 
 The §3 protocol re-verifies the whole upstream set on every claim (E6
-pins that curve).  The service memoizes per-transaction verdicts by
-txid, so a warm claim costs only the non-memoizable tail (chain
-presence, carrier correspondence, claimed-prop equality, spentness).
+pins that curve).  The service holds what it admitted per carrier txid
+under the transaction's hash and its confirming block's, so a warm claim
+costs only the tail that depends on the tip and the claim (chain
+presence and depth, claimed-prop equality, spentness) and the ledger it
+builds from the held parts.
 This bench measures the cold→warm collapse per depth, warm throughput,
 and proves the service answers correctly — zero wrong verdicts — under
 the inferno chaos profile (memo poisoning, wrong-type requests, an
@@ -69,10 +71,10 @@ def bench_e10_service(benchmark):
     # Shape 1: warm requests skip the proof/LF re-checks — the memoized
     # path must beat cold clearly at the shallowest chain, where the
     # one-off cold cost dominates.  (Warm cost still grows with depth:
-    # chain presence, carrier correspondence, and the digest re-hash are
-    # per-upstream-tx and deliberately never memoized, so the deep-chain
-    # ratio converges to a constant rather than diverging — the memo's
-    # win is the large constant, not the asymptote.)
+    # chain presence, the memo lookup and the ledger are per upstream
+    # transaction on every request, so the deep-chain ratio converges to a
+    # constant rather than diverging — the memo's win is the large
+    # constant, not the asymptote.)
     assert timings[2]["warm_s"] < timings[2]["cold_s"] / 2
     # Shape 2: the memo never *loses* — warm beats cold at every depth,
     # with slack for single-round timing noise on millisecond samples.

@@ -11,7 +11,7 @@ the workload a newcoin-denominated application would generate.
 
 from repro.core.currency import merge_proof, newcoin_basis, split_proof
 from repro.core.proofs import obligation_lambda
-from repro.core.validate import Ledger, check_typecoin_transaction
+from repro.core.validate import Ledger, check_typecoin_transaction, resolve
 from repro.core.transaction import TypecoinInput, TypecoinOutput, TypecoinTransaction
 from repro.core.builder import basis_publication
 from repro.lf.basis import Basis
@@ -31,7 +31,7 @@ def make_ledger():
     ledger = Ledger()
     check_typecoin_transaction(ledger, publication, WORLD)
     txid = b"\x01" * 32
-    ledger.register(txid, publication)
+    ledger.register(txid, publication, resolve(txid, publication))
     return ledger, vocab.resolved(txid), txid
 
 

@@ -30,7 +30,12 @@ from repro.core.escrow import (
 from repro.core.overlay import build_carrier
 from repro.core.proofs import obligation_lambda
 from repro.core.transaction import TypecoinInput, TypecoinOutput, TypecoinTransaction
-from repro.core.validate import Ledger, check_typecoin_transaction, world_at
+from repro.core.validate import (
+    Ledger,
+    check_typecoin_transaction,
+    resolve,
+    world_at,
+)
 from repro.core.wallet import TypecoinClient
 from repro.crypto.keys import PrivateKey
 from repro.lf.basis import Basis, KindDecl, NAT_T, PLUS, PLUS_REFL, PropDecl
@@ -106,7 +111,9 @@ def main() -> None:
     net.send(pub_carrier)
     net.confirm(1)
     check_typecoin_transaction(ledger, publication, world_at(net.chain))
-    ledger.register(pub_carrier.txid, publication)
+    ledger.register(
+        pub_carrier.txid, publication, resolve(pub_carrier.txid, publication)
+    )
     bob.known[pub_carrier.txid] = publication
     basis_txid = pub_carrier.txid
     print(f"1. puzzle published; prize escrowed 2-of-3 ({pub_carrier.txid_hex[:16]}…)")
@@ -195,7 +202,7 @@ def main() -> None:
     net.send(carrier)
     net.confirm(1)
     check_typecoin_transaction(ledger, instance, world_at(net.chain))
-    ledger.register(carrier.txid, instance)
+    ledger.register(carrier.txid, instance, resolve(carrier.txid, instance))
     prize_holder = ledger.output(carrier.txid, 1).principal
     assert prize_holder == bob.principal
     print(f"4. prize claimed by Bob (principal #{prize_holder.hex()[:16]}…) —"

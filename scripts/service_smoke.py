@@ -10,7 +10,9 @@ verdict stream is a pure function of the seed.
 The service's second invariant is gated beside the first: a request
 costs at most one edge walk per transaction it presents (§3's "for each
 T ∈ 𝔗"), whatever the faults around it — counted here, per request, by
-wrapping the one place ``dependency_levels`` gets its edges.
+wrapping the one place ``dependency_levels`` gets its edges — and a
+repeat request for the same bytes, decoded afresh, on a warm service
+walks nothing at all.
 
 Exit status 0 means the service gate passed.
 
@@ -23,11 +25,17 @@ import sys
 import threading
 from contextlib import contextmanager
 
-from repro.service.chaos import SERVICE_PROFILES, run_service_chaos
+from repro.service.chaos import (
+    SERVICE_PROFILES,
+    _service_world,
+    run_service_chaos,
+)
 from repro.core import verifier
+from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
 
 SMOKE_PROFILES = ("service-calm", "service-inferno")
+REPEAT_DEPTH = 6
 
 
 @contextmanager
@@ -73,7 +81,8 @@ def main(seed: int = 7) -> int:
             result = run_service_chaos(SERVICE_PROFILES[name], seed=seed)
         results[name] = result
         status = "ok" if result.ok else "FAIL"
-        # Shed and draining requests never reach the levelling: 0 walks.
+        # Shed and draining requests never reach the levelling, and a
+        # warm service walks only what it does not hold: 0 walks.
         walked = [walks for _size, walks in requests if walks]
         print(
             f"  {name:>16}: answered={result.answered}"
@@ -83,7 +92,7 @@ def main(seed: int = 7) -> int:
             f" shed={result.shed}"
             f" edge_walks/request={min(walked, default=0)}"
             f"..{max(walked, default=0)}"
-            f" ({len(walked)} of {len(requests)} requests levelled)"
+            f" ({len(walked)} of {len(requests)} requests walked)"
             f" [{status}]"
         )
         superlinear = [(size, walks) for size, walks in requests if walks > size]
@@ -112,6 +121,28 @@ def main(seed: int = 7) -> int:
                 f"error: profile {name!r} answered nothing", file=sys.stderr
             )
             return 1
+
+    # A warm service shown the same bytes again walks nothing: what it
+    # admitted is held under each transaction's hash.
+    net, valid, _ = _service_world(REPEAT_DEPTH)
+    wire_bytes = encode_bundle(valid)
+    service = VerificationService(net.chain)
+    try:
+        with edge_walk_meter() as requests:
+            for _ in range(3):
+                service.verify(decode_bundle(wire_bytes))
+    finally:
+        service.close()
+    walked = [walks for _size, walks in requests]
+    print(f"  repeat requests for the same bytes: edge walks {walked}")
+    if walked != [REPEAT_DEPTH, 0, 0]:
+        print(
+            f"error: a warm service walked {walked} for three requests of"
+            f" the same {REPEAT_DEPTH} transactions (want"
+            f" [{REPEAT_DEPTH}, 0, 0])",
+            file=sys.stderr,
+        )
+        return 1
 
     # The inferno must actually have exercised the failure machinery:
     # poisoned memo entries rejected, and overload shed rather than

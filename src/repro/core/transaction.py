@@ -158,7 +158,12 @@ class TypecoinTransaction:
     def read(cls, cursor: Cursor) -> "TypecoinTransaction":
         """The transaction whose :meth:`serialize` bytes start at the
         cursor; raises the wire's ``DecodingError``, or ``TxnError`` /
-        ``BasisError`` for a field the constructors refuse."""
+        ``BasisError`` for a field the constructors refuse.
+
+        The decoder returns only values whose encoding is the bytes it
+        read, so those bytes are pinned as the transaction's payload and
+        encoding: its ``hash`` costs one sha256d and no re-encode."""
+        start = cursor.pos
         cursor.expect(_MAGIC, "transaction")
         basis = Basis()
         for _ in range(cursor.uint()):
@@ -166,7 +171,11 @@ class TypecoinTransaction:
         grant = decode(cursor, Proposition)
         inputs = [decode(cursor, TypecoinInput) for _ in range(cursor.uint())]
         outputs = [decode(cursor, TypecoinOutput) for _ in range(cursor.uint())]
-        return cls(basis, grant, inputs, outputs, decode(cursor, ProofTerm))
+        signed = cursor.pos
+        txn = cls(basis, grant, inputs, outputs, decode(cursor, ProofTerm))
+        txn.__dict__["_payload"] = bytes(cursor.data[start:signed])
+        txn.__dict__["_encoding"] = bytes(cursor.data[start : cursor.pos])
+        return txn
 
     def serialize(self) -> bytes:
         """The full transaction, proof term included."""

@@ -11,6 +11,7 @@ discharge of §5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro import obs
 from repro.lf.basis import Basis, KindDecl, PropDecl, TypeDecl, builtin_basis
@@ -43,6 +44,31 @@ class LedgerOutput:
     spent_by: bytes | None = None
 
 
+class Resolved(NamedTuple):
+    """What T adds to 𝔗 under its carrier txid, ``this`` resolved to it:
+    [txid/this]Σ, and each output's (proposition, amount, principal).
+
+    Nothing here is edited after :func:`resolve` builds it — the ledger
+    extends a copy of its basis with ``basis`` and builds its own
+    ``LedgerOutput`` per entry — so one can be held across requests.
+    """
+
+    basis: Basis
+    outputs: tuple[tuple[Proposition, int, bytes], ...]
+
+
+def resolve(carrier_txid: bytes, txn: TypecoinTransaction) -> Resolved:
+    """Appendix A's [txidᵢ/this] over T's basis and outputs."""
+    return Resolved(
+        txn.basis.resolved(carrier_txid),
+        tuple([
+            (txn.output_prop_resolved(index, carrier_txid), out.amount,
+             out.principal)
+            for index, out in enumerate(txn.outputs)
+        ]),
+    )
+
+
 @dataclass
 class Ledger:
     """𝔗 plus its accumulated global basis Σ_global."""
@@ -54,23 +80,30 @@ class Ledger:
     def output(self, txid: bytes, index: int) -> LedgerOutput | None:
         return self.outputs.get((txid, index))
 
-    def register(self, carrier_txid: bytes, txn: TypecoinTransaction) -> None:
+    def register(
+        self,
+        carrier_txid: bytes,
+        txn: TypecoinTransaction,
+        resolved: Resolved | None = None,
+    ) -> None:
         """Chain formation: 𝔗, txid:T : Σ_global, [txid/this]Σ.
 
-        Called by :func:`repro.core.verifier.admit` and by nothing else:
-        it is the last line of the step that ran the checks.
+        Under ``src/`` only :func:`repro.core.verifier.admit` calls it —
+        the last line of the step that ran the checks — and it hands in
+        ``resolve(carrier_txid, txn)``, computed once or held from an
+        earlier admission of the same T.  Every other caller passes it
+        too, except the repository benchmark's working-set builder, for
+        which alone it is still computed here when omitted.
         """
         if carrier_txid in self.transactions:
             raise ValidationFailure("transaction already registered")
+        if resolved is None:
+            resolved = resolve(carrier_txid, txn)
         self.transactions[carrier_txid] = txn
-        self.global_basis = self.global_basis.extended(
-            txn.basis.resolved(carrier_txid)
-        )
-        for index, out in enumerate(txn.outputs):
+        self.global_basis = self.global_basis.extended(resolved.basis)
+        for index, (prop, amount, principal) in enumerate(resolved.outputs):
             self.outputs[(carrier_txid, index)] = LedgerOutput(
-                prop=txn.output_prop_resolved(index, carrier_txid),
-                amount=out.amount,
-                principal=out.principal,
+                prop, amount, principal
             )
         for inp in txn.inputs:
             entry = self.outputs.get((inp.txid, inp.index))

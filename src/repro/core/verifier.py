@@ -18,14 +18,16 @@ mechanism* — the network never sees a proposition.
 
 That loop is written once, in :func:`_verify_claim`.  :func:`verify_claim`
 is it as a library call; :class:`repro.service.VerificationService` is
-admission, a deadline and a typecheck memo around the same body, so the
-two cannot disagree about a claim.  What it does to one T is :func:`admit`,
-as do the auditor and a client's ``learn``: a ``Ledger`` has no other way in.
+admission, a deadline and a memo of admitted transactions around the same
+body, so the two cannot disagree about a claim.  What it does to one T is
+:func:`admit`, as do the auditor and a client's ``learn``: a ``Ledger``
+has no other way in.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 from repro import cancel, obs
 from repro.bitcoin.chain import Blockchain
@@ -37,12 +39,12 @@ from repro.core.transaction import (
 )
 from repro.core.validate import (
     Ledger,
+    Resolved,
     ValidationFailure,
     check_typecoin_transaction,
+    resolve,
     world_at,
 )
-from repro.core.wire import encode_transaction
-from repro.crypto.hashing import sha256
 from repro.lf.walk import convertible, normalize
 
 
@@ -50,15 +52,30 @@ class VerificationError(Exception):
     """A claim failed verification, with the failing check named."""
 
 
+class Admission(NamedTuple):
+    """What :func:`admit` accepted under one carrier txid, as a memo holds
+    it: T's hash, the hash of the block that confirmed its carrier, the
+    carrier txids T refers to, and what T added to the ledger."""
+
+    hash: bytes
+    block_hash: bytes
+    refs: frozenset[bytes]
+    resolved: Resolved
+
+
 def _references(
-    transactions: dict[bytes, TypecoinTransaction]
+    transactions: dict[bytes, TypecoinTransaction], memo=None
 ) -> dict[bytes, frozenset[bytes]]:
     """The carrier txids each bundle transaction refers to, itself
-    excluded — the one structural walk a transaction gets per request."""
-    return {
-        txid: referenced_txids(txn) - {txid}
-        for txid, txn in transactions.items()
-    }
+    excluded — the one structural walk a transaction gets per request,
+    and none for one ``memo`` holds under its hash (``memo.refs``)."""
+    references = {}
+    for txid, txn in transactions.items():
+        refs = None if memo is None else memo.refs(txid, txn.hash)
+        if refs is None:
+            refs = referenced_txids(txn) - {txid}
+        references[txid] = refs
+    return references
 
 
 def _levels(references: dict[bytes, frozenset[bytes]]) -> list[list[bytes]]:
@@ -141,7 +158,8 @@ def _verify_claim(
     Raises ``VerificationError`` naming the first failing check in level
     order, and ``cancel.DeadlineExceeded`` when a deadline scoped by the
     caller passes (read between levels here, every 64th step inside the
-    checkers).  ``memo`` goes to :func:`admit` with each T's references.
+    checkers).  ``memo`` supplies the references of the transactions it
+    holds, and goes to :func:`admit` with each T's references.
     """
     if base_ledger is None:
         ledger = Ledger()
@@ -159,7 +177,7 @@ def _verify_claim(
         )
 
     deadline = cancel.current_deadline()
-    references = _references(bundle.transactions)
+    references = _references(bundle.transactions, memo)
     for level in _levels(references):
         if deadline is not None and deadline.expired():
             raise cancel.DeadlineExceeded("deadline expired between levels")
@@ -202,16 +220,18 @@ def admit(
     is registered.  Raises ``VerificationError`` naming the failing check
     and leaves ``ledger`` as it was.
 
-    ``memo`` (``lookup(txid, digest)`` / ``record(txid, digest)``) may
-    stand in for checks 2–3 on a transaction it has seen pass, and for
-    nothing else.  The digest is re-derived from the presented bytes and
-    the hash of the confirming block (same block, same prefix, same time
-    and ``spent`` oracle: a reorg that moves the carrier is a miss); the
-    embedding is checked on every call; a hit counts only once the ledger
-    holds all of ``refs`` (required with a memo: everything T refers to,
-    the first thing the typecheck would have asked); outputs are
-    registered from the presented object, never from a cache; and T is
-    recorded only after its own check and registration completed.
+    ``memo`` (``lookup(txid, hash, block_hash)`` / ``record(txid,
+    admission)``) holds what earlier calls admitted, and stands in for
+    the correspondence, checks 2–3 and [txid/this] when it holds T under
+    T's hash and the hash of the block that now confirms the carrier.
+    Those are a function of the carrier, which the txid fixes, of T,
+    which its hash fixes, and of the block's world and prefix, which its
+    hash fixes — so a reorg that moves the carrier is a miss.  Presence
+    and confirmations are checked on every call; a hit counts only once
+    the ledger holds all of ``refs`` (required with a memo: everything T
+    refers to, so Σ_global is what it was when T was checked); the
+    presented object is what gets registered; and T is recorded only
+    after its own check and registration completed.
     """
     found = chain.get_transaction(txid)
     if found is None:
@@ -225,21 +245,25 @@ def admit(
             f"carrier {txid[:8].hex()}… has {confirmations}"
             f" confirmations, policy requires {min_confirmations}"
         )
-    try:
-        check_carrier_correspondence(carrier, txn)
-    except OverlayError as exc:
-        raise VerificationError(f"hash embedding check failed: {exc}") from exc
-    checked = False
+    held = None
     if memo is not None:
-        digest = sha256(encode_transaction(txn) + chain.block_at(height).hash)
-        checked = (
-            refs <= ledger.transactions.keys() and memo.lookup(txid, digest)
-        )
-    if not checked:
+        block_hash = chain.block_at(height).hash
+        if refs <= ledger.transactions.keys():
+            held = memo.lookup(txid, txn.hash, block_hash)
+    if held is None:
+        try:
+            check_carrier_correspondence(carrier, txn)
+        except OverlayError as exc:
+            raise VerificationError(
+                f"hash embedding check failed: {exc}"
+            ) from exc
         try:
             check_typecoin_transaction(ledger, txn, world_at(chain, height))
         except ValidationFailure as exc:
             raise VerificationError(f"type check failed: {exc}") from exc
-    ledger.register(txid, txn)
-    if memo is not None:
-        memo.record(txid, digest)
+        resolved = resolve(txid, txn)
+    else:
+        resolved = held.resolved
+    ledger.register(txid, txn, resolved)
+    if memo is not None and held is None:
+        memo.record(txid, Admission(txn.hash, block_hash, refs, resolved))

@@ -94,18 +94,6 @@ class MonitorRegistry:
         self.violations: list[tuple[str, str]] = []
         self._calls: dict[str, int] = {}
 
-    def configure(
-        self,
-        enabled: bool = True,
-        strict: bool = False,
-        sample_interval: int | None = None,
-    ) -> "MonitorRegistry":
-        self.enabled = enabled
-        self.strict = strict
-        if sample_interval is not None:
-            self.sample_interval = max(1, sample_interval)
-        return self
-
     def reset(self) -> None:
         self.checks_run = 0
         self.violations.clear()

@@ -4,19 +4,17 @@ Both are sound by construction, which is the whole point — a caching
 verifier that can be talked into a wrong verdict is worse than no
 verifier:
 
-* :class:`TxMemoTable` memoizes *per-transaction typecheck outcomes
-  keyed by txid*.  Soundness rests on chain embedding: a carrier's txid
-  commits to the Typecoin transaction's full serialization (the §3
-  correspondence check), and the block that confirmed it fixes the
-  world its condition was discharged in — so the digest covers the
-  presented bytes and that block's hash, and the same (txid, digest)
-  pair can never name a different judgement.  Every lookup compares a
-  digest re-derived from both — a stored one that disagrees (poisoned,
-  or recorded under a block a reorg replaced) is evicted, counted, and
-  the transaction is re-checked from scratch.  The memo stores only
-  the boolean outcome; output propositions are always recomputed from
-  the presented transaction, so a poisoned entry can at worst cause a
-  recheck, never a wrong type.
+* :class:`TxMemoTable` holds, per carrier txid, what ``admit``
+  accepted after a full check: T's hash, the confirming block's hash,
+  T's references and its ``this``-resolved basis and outputs.  It is
+  keyed by content the prover shows, never by object identity: a
+  carrier's txid fixes the carrier, T's hash fixes T (the §3
+  correspondence check tied the two), and the block's hash fixes the
+  world and prefix T was checked in — so a presented T with the held
+  hash, confirmed in the held block, is owed the same judgement and the
+  same resolution.  An entry under other hashes (poisoned, or recorded
+  under a block a reorg replaced) is evicted, counted, and the
+  transaction is checked from scratch.
 
 * :class:`AffirmationCache` is the sigcache pattern applied to the
   proof checker's hottest leaf: ECDSA verification of ``assert`` /
@@ -35,6 +33,9 @@ import threading
 from collections import OrderedDict
 
 from repro import obs
+from repro.core.validate import Resolved
+from repro.core.verifier import Admission
+from repro.lf.basis import Basis
 from repro.logic import checker as _checker
 
 __all__ = [
@@ -62,10 +63,10 @@ class LRU:
         return len(self._entries)
 
     def get(self, key):
+        """The value under ``key``, or None (so None is never stored)."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
+            value = self._entries.get(key)
+            if value is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -87,18 +88,15 @@ class LRU:
         with self._lock:
             self._entries.pop(key, None)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
 
 class TxMemoTable:
-    """txid → typecheck-outcome memo with digest-checked lookups."""
+    """carrier txid → the :class:`~repro.core.verifier.Admission` that
+    ``admit`` recorded, believed only under the same hashes."""
 
     def __init__(self, capacity: int = 4096):
         self._lru = LRU(capacity)
         # Counted here by outcome, not by the LRU: a found entry whose
-        # digest disagrees is neither a hit nor a miss.  Requests look up
+        # hashes disagree is neither a hit nor a miss.  Requests look up
         # from several threads, so the counts move under a lock.
         self._lock = threading.Lock()
         self.hits = 0
@@ -108,47 +106,45 @@ class TxMemoTable:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def lookup(self, txid: bytes, digest: bytes) -> bool:
-        """True when ``txid`` is memoized as checked *for these bytes*.
-
-        A stored digest that disagrees with the presented one is a
-        poisoned entry, or one a reorg made stale: it is evicted and
-        counted, and the caller re-checks from scratch — the explicit
-        "rejected by digest check" path the chaos scenario exercises.
-        """
-        stored = self._lru.get(txid)
-        if stored is None:
-            with self._lock:
-                self.misses += 1
-            if obs.ENABLED:
-                obs.inc("service.memo_misses_total")
-            return False
-        if stored != digest:
-            with self._lock:
-                self.poison_rejected += 1
-            self._lru.evict(txid)
-            if obs.ENABLED:
-                obs.inc("service.memo_poison_rejected_total")
-                obs.emit("service.poison_rejected", txid=txid.hex()[:16])
-            return False
+    def _count(self, outcome: str) -> None:
         with self._lock:
-            self.hits += 1
+            setattr(self, outcome, getattr(self, outcome) + 1)
         if obs.ENABLED:
-            obs.inc("service.memo_hits_total")
-        return True
+            obs.inc(f"service.memo_{outcome}_total")
 
-    def record(self, txid: bytes, digest: bytes) -> None:
-        """Memoize a successful typecheck of ``txid`` at ``digest``."""
-        self._lru.put(txid, digest)
+    def refs(self, txid: bytes, txn_hash: bytes) -> frozenset[bytes] | None:
+        """The references of the transaction held under ``txid``, if it
+        has this hash (uncounted: they are a function of T alone)."""
+        held = self._lru.get(txid)
+        return held.refs if held is not None and held.hash == txn_hash else None
 
-    def poison(self, txid: bytes, fake_digest: bytes) -> None:
-        """Deliberately corrupt the entry for ``txid`` (fault injection).
+    def lookup(self, txid: bytes, txn_hash: bytes, block_hash: bytes):
+        """The admission held for ``txid`` if it was of a transaction with
+        ``txn_hash`` confirmed in block ``block_hash``, else None.  An
+        entry under other hashes (poisoned, or made stale by a reorg) is
+        evicted and counted — the path the chaos scenario exercises."""
+        held = self._lru.get(txid)
+        if held is None:
+            self._count("misses")
+        elif held.hash != txn_hash or held.block_hash != block_hash:
+            self._lru.evict(txid)
+            self._count("poison_rejected")
+            if obs.ENABLED:
+                obs.emit("service.poison_rejected", txid=txid.hex()[:16])
+            held = None
+        else:
+            self._count("hits")
+        return held
 
-        This is the chaos layer's cache-poisoning injector: it plants an
-        entry whose digest cannot match any honestly-presented bytes, so
-        the next lookup must take the rejection path.
-        """
-        self._lru.put(txid, fake_digest)
+    def record(self, txid: bytes, admission: Admission) -> None:
+        self._lru.put(txid, admission)
+
+    def poison(self, txid: bytes, fake_hash: bytes) -> None:
+        """Plant a wrong entry for ``txid`` (fault injection): under a hash
+        no presented transaction has, resolving to no outputs at all."""
+        self._lru.put(txid, Admission(
+            fake_hash, fake_hash, frozenset(), Resolved(Basis(), ())
+        ))
 
 
 class AffirmationCache(LRU):

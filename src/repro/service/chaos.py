@@ -37,7 +37,7 @@ class ServiceChaosProfile:
     depth: int = 6  # upstream-set depth of the claim chain
     requests: int = 30  # sequential requests driven through the client
     max_inflight: int = 3
-    poison_every: int = 0  # corrupt a memo entry (digest check must catch)
+    poison_every: int = 0  # plant a wrong memo entry (hash check must catch)
     invalid_every: int = 0  # requests whose correct verdict is ``invalid``
     overload_burst: int = 0  # concurrent burst fired once, mid-run
     request_timeout: float | None = None  # per-attempt client deadline
@@ -53,7 +53,7 @@ class ServiceChaosResult:
     statuses: dict = field(default_factory=dict)  # status -> count
     wrong_verdicts: int = 0  # verdicts disagreeing with the oracle
     answered: int = 0  # requests that got a real verdict (ok/invalid)
-    poison_rejected: int = 0  # poisoned memo entries caught by digest check
+    poison_rejected: int = 0  # wrong memo entries caught by hash check
     shed: int = 0  # admissions refused with ``overloaded``
     retries: int = 0  # client-side retry attempts
 

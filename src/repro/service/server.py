@@ -20,8 +20,9 @@ invariant against a trusted replay under seeded fault injection.
 
 There is one tier.  The protocol itself is
 :func:`repro.core.verifier._verify_claim`, the body ``verify_claim``
-runs; this module adds admission, the request's deadline, the typecheck
-memo and the wall that turns any exception into a status.  Checks run
+runs; this module adds admission, the request's deadline, the memo of
+admitted transactions and the wall that turns any exception into a
+status.  Checks run
 inline: an upstream set is a chain, so a dependency level is one
 transaction wide, and a check costs less than shipping it to another
 process (sized in ``docs/service.md``).

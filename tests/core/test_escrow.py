@@ -23,7 +23,7 @@ from repro.core.escrow import (
 from repro.core.overlay import build_carrier
 from repro.core.proofs import obligation_lambda
 from repro.core.transaction import TypecoinInput, TypecoinOutput, TypecoinTransaction
-from repro.core.validate import Ledger
+from repro.core.validate import Ledger, resolve
 from repro.core.wallet import TypecoinClient
 from repro.crypto.keys import PrivateKey
 from repro.lf.basis import (
@@ -188,7 +188,9 @@ class TestPuzzleContest:
         from repro.core.validate import check_typecoin_transaction, world_at
 
         check_typecoin_transaction(ledger, publication, world_at(net.chain))
-        ledger.register(basis_txid, publication)
+        ledger.register(
+            basis_txid, publication, resolve(basis_txid, publication)
+        )
         alice.known[basis_txid] = publication
         bob.known[basis_txid] = publication
 
@@ -292,7 +294,7 @@ class TestPuzzleContest:
         net.send(carrier)
         net.confirm(1)
         check_typecoin_transaction(ledger, instance, world_at(net.chain))
-        ledger.register(carrier.txid, instance)
+        ledger.register(carrier.txid, instance, resolve(carrier.txid, instance))
         return carrier, refusals
 
     def test_bob_claims_prize(self, net, ledger, alice, bob, agents):
@@ -336,7 +338,9 @@ class TestPuzzleContest:
         from repro.core.validate import check_typecoin_transaction, world_at
 
         check_typecoin_transaction(ledger, publication, world_at(net.chain))
-        ledger.register(pub_carrier.txid, publication)
+        ledger.register(
+            pub_carrier.txid, publication, resolve(pub_carrier.txid, publication)
+        )
         bob.known[pub_carrier.txid] = publication
         basis_txid = pub_carrier.txid
 

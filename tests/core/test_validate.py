@@ -11,6 +11,7 @@ from repro.core.validate import (
     Ledger,
     ValidationFailure,
     check_typecoin_transaction,
+    resolve,
     world_at,
 )
 from repro.lf.basis import Basis, KindDecl, PropDecl, TypeDecl, NAT_T
@@ -103,7 +104,7 @@ class TestInputChecks:
         ledger = Ledger()
         check_typecoin_transaction(ledger, txn, world)
         txid = b"\x01" * 32
-        ledger.register(txid, txn)
+        ledger.register(txid, txn, resolve(txid, txn))
         return ledger, txid, ref.resolved(txid)
 
     def test_spend_known_output(self, world):
@@ -224,7 +225,7 @@ class TestLedger:
         ledger = Ledger()
         check_typecoin_transaction(ledger, txn, world)
         txid = b"\x0a" * 32
-        ledger.register(txid, txn)
+        ledger.register(txid, txn, resolve(txid, txn))
         entry = ledger.output(txid, 0)
         assert convertible(entry.prop, coin_prop(ref.resolved(txid), 5))
         assert ConstRef(txid, "coin") in ledger.global_basis
@@ -235,23 +236,24 @@ class TestLedger:
         ledger = Ledger()
         check_typecoin_transaction(ledger, txn, world)
         txid = b"\x0a" * 32
-        ledger.register(txid, txn)
+        ledger.register(txid, txn, resolve(txid, txn))
         resolved = ref.resolved(txid)
         spend = simple_transfer(
             [TypecoinInput(txid, 0, coin_prop(resolved, 5), 600)],
             [TypecoinOutput(coin_prop(resolved, 5), 600, PUBKEY)],
         )
         check_typecoin_transaction(ledger, spend, world)
-        ledger.register(b"\x0b" * 32, spend)
+        ledger.register(b"\x0b" * 32, spend, resolve(b"\x0b" * 32, spend))
         assert ledger.spent_oracle(txid, 0)
         assert not ledger.spent_oracle(b"\x0b" * 32, 0)
 
     def test_double_registration_rejected(self, world):
         txn = basis_publication(Basis(), PUBKEY)
+        txid = b"\x0c" * 32
         ledger = Ledger()
-        ledger.register(b"\x0c" * 32, txn)
+        ledger.register(txid, txn, resolve(txid, txn))
         with pytest.raises(ValidationFailure, match="already registered"):
-            ledger.register(b"\x0c" * 32, txn)
+            ledger.register(txid, txn, resolve(txid, txn))
 
 
 class TestWorldAt:

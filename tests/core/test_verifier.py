@@ -7,7 +7,7 @@ import pytest
 from repro.bitcoin.transaction import OutPoint
 from repro.core.builder import basis_publication, simple_transfer
 from repro.core.transaction import TypecoinInput, TypecoinOutput
-from repro.core.validate import Ledger
+from repro.core.validate import Ledger, resolve
 from repro.core.verifier import ClaimBundle, VerificationError, verify_claim
 from repro.lf.basis import Basis, KindDecl
 from repro.lf.syntax import KIND_PROP, KPi, NatLit, TApp, TConst
@@ -161,7 +161,7 @@ class TestVerifyClaim:
         alice.sync()
 
         base = Ledger()
-        base.register(first_txid, first)
+        base.register(first_txid, first, resolve(first_txid, first))
 
         def fields():
             return (

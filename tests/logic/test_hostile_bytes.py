@@ -39,6 +39,8 @@ from repro.logic.proofterms import ProofTerm
 from repro.logic.propositions import One, Proposition
 from repro.service import VerificationService
 
+from tests.oracles import rebuilt
+
 PUBKEY = b"\x02" + b"\x33" * 32
 
 
@@ -113,9 +115,19 @@ def _whole_transaction(cursor):
     return txn
 
 
+def _pinned_and_computed(txn):
+    fresh = rebuilt(txn)
+    return (
+        (txn.serialize(), txn.signing_payload(), txn.hash),
+        (fresh.serialize(), fresh.signing_payload(), fresh.hash),
+    )
+
+
 # what a sample is: how to read it from a cursor, and how to write it back
 _CODECS = {
-    "transaction": (_whole_transaction, encode_transaction),
+    "transaction": (
+        _whole_transaction, lambda txn: encode_transaction(rebuilt(txn))
+    ),
     "kind": (lambda cursor: decode(cursor, KindT), encode),
     "family": (lambda cursor: decode(cursor, TypeFamily), encode),
     "prop": (lambda cursor: decode(cursor, Proposition), encode),
@@ -184,6 +196,38 @@ def test_mutated_bytes_decode_canonically_or_not_at_all(encodings, data):
     # What the caller does with trailing bytes is its own business; the
     # bytes this decoder read must be the decoded value's encoding.
     assert write(decoded) == mutated[: cursor.pos]
+
+
+def test_a_decoded_transaction_pins_the_encoding_of_its_fields(encodings):
+    """``read`` keeps the bytes it consumed as the encoding and payload
+    (``hash`` is then one sha256d); over the working set they are what
+    the decoded fields encode to."""
+    transactions = [raw for what, raw in encodings if what == "transaction"]
+    assert transactions
+    for raw in transactions:
+        txn = decode_transaction(raw)
+        assert txn.__dict__["_encoding"] == raw
+        pinned, computed = _pinned_and_computed(txn)
+        assert pinned == computed
+        assert pinned[0] == raw
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_pinned_encoding_is_the_encoding_of_the_decoded_fields(
+    encodings, data
+):
+    """Hostile bytes that decode pin an encoding, a payload and so a hash
+    their fields would give too — the verifier's memo keys on that hash."""
+    original = data.draw(st.sampled_from(
+        [raw for what, raw in encodings if what == "transaction"]
+    ))
+    try:
+        txn = decode_transaction(_mutated(data, original))
+    except DecodingError:
+        return
+    pinned, computed = _pinned_and_computed(txn)
+    assert pinned == computed
 
 
 @pytest.fixture(scope="module")

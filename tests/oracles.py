@@ -4,11 +4,12 @@ the program against.  Nothing under ``src/`` imports this module."""
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.bitcoin.wallet import Spendable
 from repro.core.overlay import OverlayError, check_carrier_correspondence
-from repro.core.transaction import referenced_txids
+from repro.core.transaction import TypecoinTransaction, referenced_txids
 from repro.core.validate import (
     Ledger,
     ValidationFailure,
     check_typecoin_transaction,
+    resolve,
     world_at,
 )
 from repro.core.verifier import VerificationError
@@ -40,6 +41,16 @@ from repro.logic.propositions import (
     With,
     Zero,
 )
+
+
+def rebuilt(txn):
+    """``txn`` built afresh from its fields, so that its encoding, payload
+    and hash are written by the encoder — a decoded transaction keeps the
+    bytes it was read from, and comparing those with themselves checks
+    nothing."""
+    return TypecoinTransaction(
+        txn.basis, txn.grant, txn.inputs, txn.outputs, txn.proof
+    )
 
 
 def full_scan_spendables(wallet, chain):
@@ -112,7 +123,7 @@ def replay_claim(chain, bundle, min_confirmations=1, require_unspent=True):
             check_typecoin_transaction(ledger, txn, world_at(chain, height))
         except ValidationFailure as exc:
             raise VerificationError(f"type check failed: {exc}") from exc
-        ledger.register(txid, txn)
+        ledger.register(txid, txn, resolve(txid, txn))
 
     target = ledger.output(bundle.outpoint.txid, bundle.outpoint.index)
     if target is None:

@@ -1,7 +1,9 @@
-"""The memo and affirmation caches: LRU mechanics and poison rejection."""
+"""The memo and affirmation caches: LRU mechanics, held admissions and
+poison rejection."""
 
 import pytest
 
+from repro.core.verifier import Admission
 from repro.crypto.hashing import sha256
 from repro.logic import checker as _checker
 from repro.service.cache import (
@@ -48,32 +50,49 @@ class TestLRU:
 
 class TestTxMemoTable:
     TXID = b"\x11" * 32
+    HASH = sha256(b"transaction")
+    BLOCK = sha256(b"block")
+    HELD = Admission(HASH, BLOCK, frozenset({b"\x22" * 32}), resolved=None)
 
     def test_miss_then_hit(self):
         memo = TxMemoTable()
-        digest = sha256(b"payload")
-        assert not memo.lookup(self.TXID, digest)
-        memo.record(self.TXID, digest)
-        assert memo.lookup(self.TXID, digest)
-        assert memo.hits == 1
-        assert memo.misses == 1
+        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is None
+        assert memo.refs(self.TXID, self.HASH) is None
+        memo.record(self.TXID, self.HELD)
+        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is self.HELD
+        # References are read by T's hash alone, and are not counted.
+        assert memo.refs(self.TXID, self.HASH) == self.HELD.refs
+        assert memo.refs(self.TXID, sha256(b"other")) is None
+        assert (memo.hits, memo.misses, memo.poison_rejected) == (1, 1, 0)
+
+    @pytest.mark.parametrize("stale", ["hash", "block"])
+    def test_an_entry_under_other_hashes_is_evicted_not_believed(self, stale):
+        """Another transaction under the txid, or its carrier re-confirmed
+        in another block by a reorg."""
+        memo = TxMemoTable()
+        memo.record(self.TXID, self.HELD)
+        asked = {"hash": self.HASH, "block": self.BLOCK, stale: sha256(b"x")}
+        assert memo.lookup(self.TXID, asked["hash"], asked["block"]) is None
+        assert (memo.hits, memo.misses, memo.poison_rejected) == (0, 0, 1)
+        assert len(memo) == 0
 
     def test_poisoned_entry_rejected_and_evicted(self):
         memo = TxMemoTable()
-        digest = sha256(b"payload")
-        memo.record(self.TXID, digest)
+        memo.record(self.TXID, self.HELD)
         memo.poison(self.TXID, b"\x00" * 32)
-        # The digest check catches the corruption: no hit, entry gone.
-        assert not memo.lookup(self.TXID, digest)
+        # The hash check catches the corruption: no hit, no refs, entry gone.
+        assert memo.refs(self.TXID, self.HASH) is None
+        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is None
         assert (memo.hits, memo.misses, memo.poison_rejected) == (0, 0, 1)
         # The table is empty again, so an honest re-record works.
-        memo.record(self.TXID, digest)
-        assert memo.lookup(self.TXID, digest)
+        assert len(memo) == 0
+        memo.record(self.TXID, self.HELD)
+        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is self.HELD
 
     def test_capacity_bounds_entries(self):
         memo = TxMemoTable(capacity=2)
         for i in range(5):
-            memo.record(bytes([i]) * 32, sha256(bytes([i])))
+            memo.record(bytes([i]) * 32, self.HELD)
         assert len(memo) == 2
 
 

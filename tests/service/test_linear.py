@@ -1,12 +1,15 @@
-"""A request costs one edge walk per upstream transaction, every time.
+"""A request pays only for what its service has not been shown.
 
 §3 has the verifier check "for each T ∈ 𝔗": linear in the upstream set.
-The service's levelling used to re-walk every pending transaction at
-every level (n(n+1)/2 walks for a chain of n); it now walks each one
-once per request and keeps nothing between requests.  The same goes for
-the rest of what a request does to a transaction — one encoding for the
-memo's digest, at most one typecheck, of the object it was handed — and
-for what a request that ran out of time leaves behind.
+A service's first request for a bundle walks each transaction once for
+its edges (the levelling used to re-walk every pending transaction at
+every level, n(n+1)/2 walks for a chain of n) and typechecks each once.
+What ``admit`` accepted is then held per carrier txid under T's hash, so
+the same bytes presented again — decoded afresh, as a prover's bytes
+arrive, so no state on an object can carry over — cost no walk, no
+correspondence and no typecheck.  A new service, and ``verify_claim``,
+hold nothing.  A request that ran out of time holds exactly what it
+finished.
 """
 
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from bench.common import replay_verdict as replay
 from repro import cancel
 from repro.service.chaos import _service_world
-from repro.core import verifier, wire
+from repro.core import verifier
 from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
 
@@ -24,46 +27,6 @@ DEPTH = 32
 @pytest.fixture(scope="module")
 def deep_world():
     return _service_world(DEPTH)
-
-
-def test_depth_32_costs_32_edge_walks_on_every_request(deep_world, edge_walks):
-    net, valid, invalid = deep_world
-    for bundle in (valid, invalid):
-        wire_bytes = encode_bundle(bundle)
-        expected = replay(net.chain, decode_bundle(wire_bytes))
-        service = VerificationService(net.chain)
-        try:
-            for _ in range(2):
-                # Fresh objects each time, as a prover's bytes arrive: no
-                # state on a transaction object could carry over.
-                received = decode_bundle(wire_bytes)
-                assert len(received.transactions) == DEPTH
-                del edge_walks[:]
-                verdict = service.verify(received)
-                assert verdict.status == expected, verdict.detail
-                # The parent made 528 = 32·33/2 here.
-                assert len(edge_walks) == DEPTH
-                assert {id(txn) for txn in edge_walks} == {
-                    id(txn) for txn in received.transactions.values()
-                }
-        finally:
-            service.close()
-
-
-def test_the_same_objects_are_walked_again_on_the_next_request(
-    deep_world, edge_walks
-):
-    """Nothing is memoised on the bundle either: re-presenting the very
-    same objects (what the benchmark does) costs the same walks."""
-    net, valid, _ = deep_world
-    service = VerificationService(net.chain)
-    try:
-        for _ in range(3):
-            del edge_walks[:]
-            assert service.verify(valid).status == "ok"
-            assert len(edge_walks) == DEPTH
-    finally:
-        service.close()
 
 
 @pytest.fixture
@@ -86,40 +49,93 @@ def calls(monkeypatch):
     return counting
 
 
-def test_depth_32_encodes_each_transaction_once_and_checks_what_it_was_handed(
-    deep_world, calls
-):
-    net, valid, _ = deep_world
-    wire_bytes = encode_bundle(valid)
-    encoded = calls(verifier, "encode_transaction")
-    decoded = calls(wire, "decode_transaction")
+@pytest.fixture
+def work(edge_walks, calls):
+    """``work()`` is ``(walks, correspondences, typechecks)`` since the
+    last call, and the transactions walked and typechecked."""
+    corresponded = calls(verifier, "check_carrier_correspondence")
     checked = calls(verifier, "check_typecoin_transaction")
 
-    def counts():
-        return len(encoded), len(decoded), len(checked)
+    def take():
+        counts = (len(edge_walks), len(corresponded), len(checked))
+        seen = (
+            {id(txn) for txn in edge_walks},
+            {id(txn) for _ledger, txn, _world in checked},
+        )
+        del edge_walks[:], corresponded[:], checked[:]
+        return counts, seen
 
+    return take
+
+
+def test_a_first_request_walks_and_typechecks_each_transaction_once(
+    deep_world, work
+):
+    net, valid, invalid = deep_world
+    for bundle in (valid, invalid):
+        wire_bytes = encode_bundle(bundle)
+        expected = replay(net.chain, decode_bundle(wire_bytes))
+        received = decode_bundle(wire_bytes)
+        assert len(received.transactions) == DEPTH
+        work()
+        service = VerificationService(net.chain)
+        try:
+            verdict = service.verify(received)
+        finally:
+            service.close()
+        assert verdict.status == expected, verdict.detail
+        # The parent of the levelling made 528 = 32·33/2 walks here.
+        (counts, (walked, checked)) = work()
+        assert counts == (DEPTH, DEPTH, DEPTH)
+        presented = {id(txn) for txn in received.transactions.values()}
+        assert walked == checked == presented
+
+
+def test_the_same_bytes_decoded_afresh_cost_a_warm_service_nothing(
+    deep_world, work
+):
+    net, valid, invalid = deep_world
     service = VerificationService(net.chain)
     try:
-        received = decode_bundle(wire_bytes)
-        del decoded[:]
-        assert service.verify(received).status == "ok"
-        # The parent decoded each transaction again (32) to check a copy.
-        assert counts() == (DEPTH, 0, DEPTH)
-        presented = {id(txn) for txn in received.transactions.values()}
-        assert {id(txn) for _ledger, txn, _world in checked} == presented
-
-        # The same bytes again: a digest each, no typecheck.
-        received = decode_bundle(wire_bytes)
-        del encoded[:], decoded[:], checked[:]
-        assert service.verify(received).status == "ok"
-        assert counts() == (DEPTH, 0, 0)
+        assert service.verify(decode_bundle(encode_bundle(valid))).status == "ok"
+        work()
+        for bundle, want in ((valid, "ok"), (invalid, "invalid"), (valid, "ok")):
+            received = decode_bundle(encode_bundle(bundle))
+            assert service.verify(received).status == want
+            assert work()[0] == (0, 0, 0)
+        # The same objects again, as the benchmark presents them: nothing.
+        assert service.verify(valid).status == "ok"
+        assert work()[0] == (0, 0, 0)
+        assert service.memo.hits == 4 * DEPTH
     finally:
         service.close()
 
-    # Without a memo there is nothing to derive a digest for.
-    del encoded[:], checked[:]
-    verifier.verify_claim(net.chain, valid)
-    assert counts() == (0, 0, DEPTH)
+
+def test_a_new_service_walks_and_typechecks_everything_again(deep_world, work):
+    net, valid, _ = deep_world
+    wire_bytes = encode_bundle(valid)
+    for _ in range(2):
+        service = VerificationService(net.chain)
+        try:
+            assert service.verify(decode_bundle(wire_bytes)).status == "ok"
+        finally:
+            service.close()
+        assert work()[0] == (DEPTH, DEPTH, DEPTH)
+
+
+def test_verify_claim_walks_and_typechecks_everything_every_time(
+    deep_world, work
+):
+    net, valid, _ = deep_world
+    service = VerificationService(net.chain)
+    try:
+        assert service.verify(valid).status == "ok"  # a warm service beside it
+    finally:
+        service.close()
+    work()
+    for bundle in (valid, valid, decode_bundle(encode_bundle(valid))):
+        verifier.verify_claim(net.chain, bundle)
+        assert work()[0] == (DEPTH, DEPTH, DEPTH)
 
 
 @pytest.mark.parametrize("done", [0, 1, 17, DEPTH - 1])

@@ -1,10 +1,12 @@
 """The verification service: verdicts, memo, admission, lifecycle."""
 
+import sys
 import threading
 
 import pytest
 
 from repro import cancel
+from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
 from repro.logic import checker as _checker
 
@@ -55,17 +57,22 @@ class TestMemo:
     def test_second_request_is_fully_memoized(self, service, valid_bundle):
         assert service.verify(valid_bundle).status == "ok"
         assert service.memo.hits == 0
-        assert service.verify(valid_bundle).status == "ok"
+        # Held by content, not by object: the same bytes decoded afresh hit.
+        received = decode_bundle(encode_bundle(valid_bundle))
+        assert service.verify(received).status == "ok"
         assert service.memo.hits == len(valid_bundle.transactions)
+        assert len(service.memo) == len(valid_bundle.transactions)
 
     def test_poisoned_entry_rejected_and_verdict_still_right(
         self, service, valid_bundle
     ):
         assert service.verify(valid_bundle).status == "ok"
-        victim = next(iter(valid_bundle.transactions))
-        service.memo.poison(victim, b"\x00" * 32)
+        # The planted entry resolves to no outputs: believed, it would
+        # lose the claimed txout and turn ``ok`` into ``invalid``.
+        service.memo.poison(valid_bundle.outpoint.txid, b"\x00" * 32)
         assert service.verify(valid_bundle).status == "ok"
         assert service.memo.poison_rejected == 1
+        assert service.memo.hits == len(valid_bundle.transactions) - 1
 
     def test_memo_never_answers_for_an_invalid_claim(
         self, service, valid_bundle, invalid_bundle
@@ -75,6 +82,48 @@ class TestMemo:
         # ...the wrong-type claim over the same transactions must still
         # fail: the claim-equality tail is never memoized.
         assert service.verify(invalid_bundle).status == "invalid"
+        assert service.memo.hits == len(invalid_bundle.transactions)
+
+    def test_concurrent_requests_share_held_entries(
+        self, net, valid_bundle, invalid_bundle
+    ):
+        """Eight threads on a switch interval of a microsecond, each asking
+        about freshly decoded bundles through one service: every verdict
+        is right, and every lookup is counted exactly once."""
+        threads_n, rounds = 8, 10
+        wire = {
+            "ok": encode_bundle(valid_bundle),
+            "invalid": encode_bundle(invalid_bundle),
+        }
+        svc = VerificationService(net.chain, max_inflight=threads_n)
+        wrong = []
+
+        def ask(first):
+            for k in range(rounds):
+                want = ("ok", "invalid")[(first + k) % 2]
+                verdict = svc.verify(decode_bundle(wire[want]))
+                if verdict.status != want:
+                    wrong.append(verdict)
+
+        threads = [
+            threading.Thread(target=ask, args=(i,)) for i in range(threads_n)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        size = len(valid_bundle.transactions)
+        assert svc.memo.hits + svc.memo.misses == threads_n * rounds * size
+        assert svc.memo.poison_rejected == 0
+        assert len(svc.memo) == size
 
 
 class TestAdmission:
