@@ -20,15 +20,20 @@ kernel is kept at what CPython's bignums cost:
   at most 32 additions, no doublings; the λ-image of an entry costs one
   ``β·x``;
 * **one Strauss/Shamir ladder** — :func:`_ladder` walks any number of
-  width-w NAF digit streams down ONE shared doubling chain (at most 128
-  doublings for GLV halves) with the doubling and the mixed addition
-  inlined, and stays in Jacobian coordinates until a single final inversion.
-  :func:`scalar_mult` on an arbitrary point, :func:`dual_scalar_mult`
-  (ECDSA verification) and :func:`multi_scalar_mult` differ only in the
-  streams they hand it.
+  width-w NAF digit streams down ONE shared doubling chain with the
+  doubling and the mixed addition inlined, and stays in Jacobian
+  coordinates until a single final inversion.  :func:`scalar_mult` on an
+  arbitrary point, :func:`dual_scalar_mult` (ECDSA verification) and
+  :func:`multi_scalar_mult` differ only in the streams they hand it;
+* **quarter tables for held keys** — a key's table is a list of one or
+  four quarters, the odd multiples of 2^(32j)·Q (and their λ-images) for
+  j = 0..3.  A GLV half's w-NAF is cut into one stream per quarter, so the
+  chain is at most 128 doublings for a key seen once and at most 32 for a
+  key seen again (the generator's four quarters are comb rows 0, 4, 8,
+  12); the additions are the same digits either way.
 
-The naive double-and-add ladder is kept as :func:`scalar_mult_naive`; the
-property tests and benchmarks pin the fast paths against it.
+The naive double-and-add ladder the fast paths replaced lives on in the
+test suite as the differential oracle.
 
 Points are immutable; the identity (point at infinity) is represented by the
 singleton :data:`INFINITY` whose ``x``/``y`` are ``None``.
@@ -38,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 from repro import obs
 
@@ -54,6 +58,10 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _WNAF_WIDTH = 5
 _GEN_WNAF_WIDTH = 8
 _POINT_TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1P … 15P
+# A held key's table covers each 32-bit quarter of a GLV half (the last
+# quarter also takes the w-NAF's possible digit at position 128).
+_QUARTER_BITS = 32
+_QUARTERS = 4
 # Generator comb: a GLV half is below 2¹²⁸ (see _glv_split), so 16 byte-wide
 # windows cover it.
 _COMB_WINDOWS = 16
@@ -338,6 +346,9 @@ def _glv_split(k: int) -> tuple[int, int]:
 
 
 _Table = list[tuple[int, int]]
+# One pair of tables per quarter: the odd multiples of 2^(32j)·P and of
+# λ·2^(32j)·P.  One quarter (j = 0) or all four.
+_Quarters = list[tuple[_Table, _Table]]
 
 
 def _with_lambda(table: _Table) -> tuple[_Table, _Table]:
@@ -346,9 +357,8 @@ def _with_lambda(table: _Table) -> tuple[_Table, _Table]:
     return table, [(_BETA * x % FIELD_PRIME, y) for x, y in table]
 
 
-def _odd_multiples(p: Point) -> list[tuple[int, int, int]]:
+def _odd_multiples(jac: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     """Jacobian ``[1P, 3P, 5P, …, 15P]``, the digits of a width-5 NAF."""
-    jac = _to_jacobian(p)
     twice = _jacobian_double(jac)
     muls = [jac]
     for _ in range(_POINT_TABLE_SIZE - 1):
@@ -356,41 +366,72 @@ def _odd_multiples(p: Point) -> list[tuple[int, int, int]]:
     return muls
 
 
-# Per-point w-NAF tables are cached: building one costs eight group
-# operations and an inversion, and real workloads verify many signatures
-# against few distinct public keys (a wallet's inputs, a miner's coinbase
-# chain).
-_POINT_TABLE_CACHE: dict[tuple[int, int], tuple[_Table, _Table]] = {}
+def _quarter_tables(affine: list[tuple[int, int]]) -> _Quarters:
+    """Cut consecutive runs of odd multiples into per-quarter table pairs."""
+    return [
+        _with_lambda(affine[i : i + _POINT_TABLE_SIZE])
+        for i in range(0, len(affine), _POINT_TABLE_SIZE)
+    ]
+
+
+def _upper_quarters(p: Point) -> _Quarters:
+    """Quarters 1–3 of ``p``: the odd multiples of 2³²·P, 2⁶⁴·P and 2⁹⁶·P,
+    normalised together with one inversion."""
+    base = _to_jacobian(p)
+    jacs: list[tuple[int, int, int]] = []
+    for _ in range(_QUARTERS - 1):
+        for _ in range(_QUARTER_BITS):
+            base = _jacobian_double(base)
+        jacs += _odd_multiples(base)
+    return _quarter_tables(_batch_to_affine(jacs))
+
+
+# Per-point w-NAF tables are cached, least recently used evicted first:
+# real workloads verify many signatures against few distinct public keys
+# (a wallet's inputs, a miner's coinbase chain).  A key's first sight
+# builds quarter 0 alone (eight group operations and an inversion), so a
+# key used once pays no more than that; its second sight adds quarters
+# 1–3 (96 doublings, 24 group operations, one inversion), which the
+# 96 doublings every later verification skips repay.
+_POINT_TABLE_CACHE: dict[tuple[int, int], _Quarters] = {}
 _POINT_TABLE_CACHE_MAX = 256
 
 
-def _point_wnaf_tables(p: Point) -> tuple[_Table, _Table]:
-    """The (cached) odd-multiples tables of an arbitrary point and of λ·P."""
+def _point_wnaf_tables(p: Point) -> _Quarters:
+    """The (cached) quarter tables of an arbitrary point: one on its first
+    sight, all four from its second on."""
     key = (p.x, p.y)  # type: ignore[assignment]
-    tables = _POINT_TABLE_CACHE.get(key)
-    if tables is not None:
-        return tables
-    tables = _with_lambda(_batch_to_affine(_odd_multiples(p)))
-    if len(_POINT_TABLE_CACHE) >= _POINT_TABLE_CACHE_MAX:
-        # Drop the oldest insertion (dicts preserve insertion order).
-        _POINT_TABLE_CACHE.pop(next(iter(_POINT_TABLE_CACHE)))
-    _POINT_TABLE_CACHE[key] = tables
+    # Popped and re-inserted on every sight: dicts keep insertion order, so
+    # the first key is always the least recently used.
+    quarters = _POINT_TABLE_CACHE.pop(key, None)
+    if quarters is not None and len(quarters) == _QUARTERS:
+        _POINT_TABLE_CACHE[key] = quarters
+        return quarters
+    if quarters is None:
+        if len(_POINT_TABLE_CACHE) >= _POINT_TABLE_CACHE_MAX:
+            _POINT_TABLE_CACHE.pop(next(iter(_POINT_TABLE_CACHE)))
+        jacs = _odd_multiples(_to_jacobian(p))
+        quarters = _quarter_tables(_batch_to_affine(jacs))
+    else:
+        quarters = quarters + _upper_quarters(p)
+    _POINT_TABLE_CACHE[key] = quarters
     if obs.ENABLED:
         obs.inc("ecmult.point_table_builds_total")
-    return tables
+    return quarters
 
 
 # --- The generator's table, built lazily once per process. ---
 
-_GEN_TABLES: tuple[list[_Table], tuple[_Table, _Table]] | None = None
+_GEN_TABLES: tuple[list[_Table], _Quarters] | None = None
 
 
-def _gen_tables() -> tuple[list[_Table], tuple[_Table, _Table]]:
-    """``(comb, odd)`` for the generator.
+def _gen_tables() -> tuple[list[_Table], _Quarters]:
+    """``(comb, quarters)`` for the generator.
 
     ``comb[i][d-1] = d·256^i·G`` for d in 1..255 and i in 0..15: one row per
-    byte of a GLV half.  ``odd`` is the ladder's pair of odd-multiples
-    tables ``(G, λG)``; the first is read out of ``comb[0]``.
+    byte of a GLV half.  ``quarters`` are the ladder's four quarter tables:
+    quarter j's odd multiples of 2^(32j)·G are read out of row 4j, beside
+    their λ-images.
     """
     global _GEN_TABLES
     if _GEN_TABLES is None:
@@ -404,8 +445,10 @@ def _gen_tables() -> tuple[list[_Table], tuple[_Table, _Table]]:
             base = entry  # 256·base, the next row's unit
         affine = _batch_to_affine(flat)
         comb = [affine[i : i + 255] for i in range(0, len(affine), 255)]
-        odd = _with_lambda(comb[0][: 1 << (_GEN_WNAF_WIDTH - 1) : 2])
-        _GEN_TABLES = comb, odd
+        odd = slice(0, 1 << (_GEN_WNAF_WIDTH - 1), 2)  # d = 1, 3, …, 127
+        rows = range(0, _COMB_WINDOWS, _QUARTER_BITS // 8)  # 0, 4, 8, 12
+        quarters = [_with_lambda(comb[i][odd]) for i in rows]
+        _GEN_TABLES = comb, quarters
         if obs.ENABLED:
             obs.inc("ecmult.table_builds_total")
     return _GEN_TABLES
@@ -429,15 +472,25 @@ def _gen_mult_jacobian(k: int) -> tuple[int, int, int]:
 
 
 def _glv_streams(
-    k: int, tables: tuple[_Table, _Table], width: int
+    k: int, quarters: _Quarters, width: int
 ) -> list[tuple[list[int], _Table]]:
     """The ladder streams of ``k·P``: the w-NAF of each non-zero GLV half
-    of ``k`` over the odd multiples of P and of λ·P."""
-    return [
-        (_wnaf_signed(half, width), table)
-        for half, table in zip(_glv_split(k), tables)
-        if half
-    ]
+    of ``k``, cut into one stream per quarter table (digits 32j … 32j + 31
+    over the odd multiples of 2^(32j)·P or of λ·2^(32j)·P; the last quarter
+    takes every digit above)."""
+    streams = []
+    last = len(quarters) - 1
+    for lam, half in enumerate(_glv_split(k)):
+        if not half:
+            continue
+        digits = _wnaf_signed(half, width)
+        for j, tables in enumerate(quarters):
+            start = j * _QUARTER_BITS
+            end = None if j == last else start + _QUARTER_BITS
+            part = digits[start:end]
+            if part:
+                streams.append((part, tables[lam]))
+    return streams
 
 
 def _ladder(streams: list[tuple[list[int], _Table]]) -> tuple[int, int, int]:
@@ -490,26 +543,6 @@ def _ladder(streams: list[tuple[list[int], _Table]]) -> tuple[int, int, int]:
             y = (r * (v - x) - y * h3) % p
             z = h * z % p
     return x, y, z
-
-
-def scalar_mult_naive(k: int, p: Point = GENERATOR) -> Point:
-    """Reference double-and-add ladder (the pre-fast-path implementation).
-
-    Kept as the differential baseline: the property tests assert the w-NAF
-    and Strauss/Shamir paths agree with it, and the B1 benchmark measures
-    the speedup against it.
-    """
-    k %= CURVE_ORDER
-    if k == 0 or p.is_infinity:
-        return INFINITY
-    result = (0, 0, 0)
-    addend = _to_jacobian(p)
-    while k:
-        if k & 1:
-            result = _jacobian_add(result, addend)
-        addend = _jacobian_double(addend)
-        k >>= 1
-    return _from_jacobian(result)
 
 
 def scalar_mult(k: int, p: Point = GENERATOR) -> Point:
@@ -569,11 +602,13 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
     """``u1·G + u2·Q`` by GLV-split Strauss/Shamir interleaving.
 
     Both scalars are split through the λ endomorphism into half-width
-    halves, so four ~128-bit w-NAF streams share ONE ~128-step doubling
-    ladder: the generator halves read the process-wide G / λG tables, the
-    ``Q`` halves the cached odd multiples of Q and λQ.  Everything stays
-    in Jacobian coordinates until the single final inversion — this is the
-    primitive ECDSA verification is built on.
+    halves, and every half's w-NAF rides ONE shared doubling ladder: the
+    generator halves read the process-wide G / λG quarters, the ``Q``
+    halves the cached quarters of Q and λQ.  The generator is cut into as
+    many quarters as ``Q`` has, so a key seen once walks a ~128-step
+    ladder with four streams and a held key a ~32-step one with sixteen.
+    Everything stays in Jacobian coordinates until the single final
+    inversion — this is the primitive ECDSA verification is built on.
     """
     u1 %= CURVE_ORDER
     u2 %= CURVE_ORDER
@@ -583,11 +618,13 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
         return INFINITY
     if obs.ENABLED:
         obs.inc("ecmult.dual_total")
+    quarters = _point_wnaf_tables(q) if u2 else []
     streams: list[tuple[list[int], _Table]] = []
     if u1:
-        streams += _glv_streams(u1, _gen_tables()[1], _GEN_WNAF_WIDTH)
+        gen = _gen_tables()[1][: len(quarters) or _QUARTERS]
+        streams += _glv_streams(u1, gen, _GEN_WNAF_WIDTH)
     if u2:
-        streams += _glv_streams(u2, _point_wnaf_tables(q), _WNAF_WIDTH)
+        streams += _glv_streams(u2, quarters, _WNAF_WIDTH)
     return _from_jacobian(_ladder(streams))
 
 
@@ -597,11 +634,14 @@ def multi_scalar_mult(terms) -> Point:
     The n-scalar generalization of :func:`dual_scalar_mult`: every scalar
     is GLV-split into two ~128-bit halves, each half becomes a w-NAF
     stream over its point's odd-multiples table, and all streams share a
-    single ~128-step doubling ladder.  Generator terms are folded into one
-    scalar first (they share the process-wide G / λG tables); tables for
-    points not already in the per-point cache are built in Jacobian form
-    and normalized together with ONE batched field inversion, so the
-    marginal cost of an extra term is additions, not inversions.
+    single doubling ladder.  Generator terms are folded into one scalar
+    first (they share the process-wide G / λG tables); tables for points
+    not already in the per-point cache are built in Jacobian form (quarter
+    0 only) and normalized together with ONE batched field inversion, so
+    the marginal cost of an extra term is additions, not inversions.  Every
+    term is cut into as many quarters as the term with fewest has: the
+    ladder is as long as its longest stream, so cutting the others finer
+    would only add streams.
 
     ``terms`` is an iterable of ``(scalar, Point)``; scalars are reduced
     mod n.  Returns :data:`INFINITY` for an empty or all-zero batch.
@@ -626,20 +666,23 @@ def multi_scalar_mult(terms) -> Point:
         obs.inc(
             "ecmult.batch_terms_total", len(others) + (1 if gen_k else 0)
         )
-    streams: list[tuple[list[int], _Table]] = []
-    if gen_k:
-        streams += _glv_streams(gen_k, _gen_tables()[1], _GEN_WNAF_WIDTH)
     # Cached tables are reused as-is; tables for new points are built
     # in Jacobian coordinates and normalized together — the whole batch
     # pays one field inversion, not one per point.
     pending: list[tuple[int, int, int]] = []
     for _, point in others:
         if (point.x, point.y) not in _POINT_TABLE_CACHE:
-            pending.extend(_odd_multiples(point))
-    fresh = iter(_batch_to_affine(pending))
-    for k, point in others:
-        tables = _POINT_TABLE_CACHE.get((point.x, point.y))
-        if tables is None:
-            tables = _with_lambda(list(islice(fresh, _POINT_TABLE_SIZE)))
-        streams += _glv_streams(k, tables, _WNAF_WIDTH)
+            pending.extend(_odd_multiples(_to_jacobian(point)))
+    fresh = iter(_quarter_tables(_batch_to_affine(pending)))
+    tabled = [
+        (k, _POINT_TABLE_CACHE.get((point.x, point.y)) or [next(fresh)])
+        for k, point in others
+    ]
+    cut = min((len(quarters) for _, quarters in tabled), default=_QUARTERS)
+    streams: list[tuple[list[int], _Table]] = []
+    if gen_k:
+        gen = _gen_tables()[1][:cut]
+        streams += _glv_streams(gen_k, gen, _GEN_WNAF_WIDTH)
+    for k, quarters in tabled:
+        streams += _glv_streams(k, quarters[:cut], _WNAF_WIDTH)
     return _from_jacobian(_ladder(streams))

@@ -28,8 +28,8 @@ from repro.crypto.secp256k1 import (
     multi_scalar_mult,
     point_add,
     scalar_mult,
-    scalar_mult_naive,
 )
+from tests.oracles import scalar_mult_naive
 
 
 @pytest.fixture(autouse=True)

@@ -1,11 +1,13 @@
 """Property tests for the fast EC multiplication paths.
 
 The fast paths (the generator's byte comb, per-point w-NAF, GLV split, the
-one Strauss/Shamir ladder behind single, dual and multi multiplication)
-must agree with the naive double-and-add ladder on every scalar, including
-the awkward ones: 0, 1, n−1, values at or beyond the curve order, scalars
-on the comb's window boundaries and additions that meet the accumulator.
-The budget tests at the end count group operations instead of timing them.
+one Strauss/Shamir ladder behind single, dual and multi multiplication,
+and a held key's four quarter tables) must agree with the naive
+double-and-add ladder on every scalar, including the awkward ones: 0, 1,
+n−1, values at or beyond the curve order, scalars on the comb's window
+boundaries, digits on the quarters' cuts and additions that meet the
+accumulator — for a key seen for the first time and for a held one.  The
+budget tests at the end count group operations instead of timing them.
 """
 
 import os
@@ -30,8 +32,8 @@ from repro.crypto.secp256k1 import (
     multi_scalar_mult,
     point_add,
     scalar_mult,
-    scalar_mult_naive,
 )
+from tests.oracles import scalar_mult_naive
 
 _EDGE_SCALARS = [
     0,
@@ -202,17 +204,22 @@ def test_window_scalars_cover_every_shape_of_half():
 
 
 def test_comb_rows_are_the_multiples_they_claim():
-    comb, (odd, lam_odd) = ec._gen_tables()
+    comb, quarters = ec._gen_tables()
     assert len(comb) == ec._COMB_WINDOWS and {len(row) for row in comb} == {255}
     for i in (0, 1, 7, 15):
         for d in (1, 2, 128, 255):
             want = scalar_mult_naive(d << (8 * i))
             assert comb[i][d - 1] == (want.x, want.y)
-    for j in (0, 1, 63):
-        want = scalar_mult_naive(2 * j + 1)
-        assert odd[j] == (want.x, want.y)
-        want = scalar_mult_naive((2 * j + 1) * ec._LAMBDA)
-        assert lam_odd[j] == (want.x, want.y)
+    # Quarter q holds the odd multiples of 2^(32q)·G (comb row 4q) and of
+    # λ·2^(32q)·G.
+    assert len(quarters) == 4
+    for q, (odd, lam_odd) in enumerate(quarters):
+        assert len(odd) == len(lam_odd) == 64
+        for j in (0, 1, 63):
+            want = scalar_mult_naive((2 * j + 1) << (32 * q))
+            assert odd[j] == (want.x, want.y)
+            want = scalar_mult_naive(((2 * j + 1) << (32 * q)) * ec._LAMBDA)
+            assert lam_odd[j] == (want.x, want.y)
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +256,12 @@ def test_ladder_multi_matches_naive(terms):
         want = point_add(want, scalar_mult_naive(k, point))
     ec._POINT_TABLE_CACHE.clear()  # the uncached, jointly normalised tables
     assert multi_scalar_mult(terms) == want
-    for _, point in terms[:2]:  # …and beside cached ones
+    for _, point in terms[:2]:  # …beside cached ones
         scalar_mult(3, point)
+    assert multi_scalar_mult(terms) == want
+    for _, point in terms:  # …and all held
+        if point != GENERATOR:
+            _hold(point)
     assert multi_scalar_mult(terms) == want
 
 
@@ -294,11 +305,214 @@ def test_ladder_edges_where_addend_meets_accumulator(
 
 def test_ladder_passes_through_infinity_mid_way():
     """Driven directly: +G and −G on the top digit, then more digits."""
-    table = ec._gen_tables()[1][0]
+    table = ec._gen_tables()[1][0][0]
     streams = [([3, 0, 0, 0, 0, 0, 1], table), ([0, 0, 0, 0, 0, 0, -1], table)]
     assert ec._from_jacobian(ec._ladder(streams)) == scalar_mult_naive(3)
     assert ec._ladder([]) == (0, 0, 0)
     assert ec._ladder([([0, 0, 0], table)])[2] == 0
+
+
+# ----------------------------------------------------------------------
+# Held keys: four quarter tables from a key's second sight on
+# ----------------------------------------------------------------------
+
+
+def _forget(point: Point) -> Point:
+    """Drop ``point``'s tables: its next use is its first sight."""
+    ec._POINT_TABLE_CACHE.pop((point.x, point.y), None)
+    return point
+
+
+def _hold(point: Point) -> Point:
+    """Show ``point`` twice, so that its tables are all four quarters."""
+    _forget(point)
+    ec._point_wnaf_tables(point)
+    ec._point_wnaf_tables(point)
+    assert len(ec._POINT_TABLE_CACHE[(point.x, point.y)]) == ec._QUARTERS
+    return point
+
+
+_SIGHT = {"first-sight": _forget, "held": _hold}
+
+
+def _naive_verify(public: Point, digest: bytes, sig: ecdsa.Signature) -> bool:
+    """The ECDSA equation x(u1·G + u2·Q) ≡ r (mod n) on the naive ladder."""
+    r, s = sig.r, sig.s
+    if not (1 <= r < _N and 1 <= s < _N) or public.is_infinity:
+        return False
+    z = int.from_bytes(digest, "big") % _N
+    w = pow(s, -1, _N)
+    point = point_add(
+        scalar_mult_naive(z * w), scalar_mult_naive(r * w, public)
+    )
+    return not point.is_infinity and point.x % _N == r
+
+
+@pytest.mark.parametrize("sight", list(_SIGHT))
+@given(_scalars, _scalars, _points)
+@settings(max_examples=20, deadline=None)
+def test_quarters_dual_and_single_match_naive(sight, u1, u2, q):
+    want = point_add(scalar_mult_naive(u1), scalar_mult_naive(u2, q))
+    assert dual_scalar_mult(u1, u2, _SIGHT[sight](q)) == want
+    assert scalar_mult(u2, _SIGHT[sight](q)) == scalar_mult_naive(u2, q)
+
+
+@pytest.mark.parametrize("sight", list(_SIGHT))
+@given(
+    st.integers(min_value=1, max_value=_N - 1),
+    st.binary(min_size=32, max_size=32),
+    st.sampled_from(["intact", "r", "s", "key"]),
+)
+@settings(max_examples=15, deadline=None)
+def test_quarters_verify_matches_naive(sight, secret, digest, tamper):
+    sig = ecdsa.sign(secret, digest)
+    public = scalar_mult_naive(secret)
+    if tamper == "r":
+        sig = ecdsa.Signature(sig.r % (_N - 1) + 1, sig.s)
+    elif tamper == "s":
+        sig = ecdsa.Signature(sig.r, sig.s % (_N - 1) + 1)
+    elif tamper == "key":
+        public = scalar_mult_naive(secret % (_N - 1) + 1)
+    want = _naive_verify(public, digest, sig)
+    assert want == (tamper == "intact")
+    ecdsa.clear_parity_hints()
+    assert ecdsa.verify(_SIGHT[sight](public), digest, sig) is want
+
+
+# Scalars whose GLV halves put a non-zero w-NAF digit on either side of
+# each cut between quarters (31/32, 63/64, 95/96) and on position 128, the
+# one the last quarter takes beyond its 32: 17·2¹²³ recodes at width 5 to
+# −15·2¹²³ + 2¹²⁸, 129·2¹²⁰ at width 8 to −127·2¹²⁰ + 2¹²⁸.
+_CUT_POSITIONS = (31, 32, 63, 64, 95, 96, 128)
+_CUT_SCALARS = sorted(
+    {sign * (1 << p) % _N for p in _CUT_POSITIONS[:-1] for sign in (1, -1)}
+    | {(1 << p) * ec._LAMBDA % _N for p in _CUT_POSITIONS[:-1]}
+    | {sign * (17 << 123) % _N for sign in (1, -1)}
+    | {sign * (129 << 120) % _N for sign in (1, -1)}
+    | {sum(1 << p for p in _CUT_POSITIONS[:-1:2]) % _N}  # 31, 63, 95 at once
+    | {(1 << 32) + (1 << 64) + (1 << 96) + (17 << 123)}
+)
+
+
+def test_cut_scalars_put_digits_on_every_cut():
+    for width in (ec._WNAF_WIDTH, ec._GEN_WNAF_WIDTH):
+        reached = set()
+        for k in _CUT_SCALARS:
+            for half in ec._glv_split(k):
+                digits = _wnaf(abs(half), width)
+                reached |= {p for p in _CUT_POSITIONS if p < len(digits) and digits[p]}
+        assert reached == set(_CUT_POSITIONS), width
+
+
+@pytest.mark.parametrize("sight", list(_SIGHT))
+@pytest.mark.parametrize("k", _CUT_SCALARS)
+def test_digits_on_the_cuts(k, sight):
+    q = BASE_POINTS[1]
+    want = scalar_mult_naive(k, q)
+    assert scalar_mult(k, _SIGHT[sight](q)) == want
+    assert dual_scalar_mult(k, k, _SIGHT[sight](q)) == point_add(
+        scalar_mult_naive(k), want
+    )
+    assert dual_scalar_mult(k, 0, q) == scalar_mult_naive(k)
+
+
+_SPECIAL = [0, 1, _N - 1, ec._LAMBDA, 1 << 32, (1 << 64) - 1, (1 << 128) - 1]
+
+
+@pytest.mark.parametrize("sight", list(_SIGHT))
+def test_special_scalar_pairs(sight):
+    q = BASE_POINTS[2]
+    naive_q = {u: scalar_mult_naive(u, q) for u in _SPECIAL}
+    for u1 in _SPECIAL:
+        for u2 in _SPECIAL:
+            want = point_add(scalar_mult_naive(u1), naive_q[u2])
+            assert dual_scalar_mult(u1, u2, _SIGHT[sight](q)) == want, (u1, u2)
+
+
+@pytest.mark.parametrize("sight", list(_SIGHT))
+@pytest.mark.parametrize(
+    "u1,u2,q,want",
+    [
+        # Q = G, −G and λG, one digit in one quarter of each scalar: the
+        # Q stream's addend equals or negates the G stream's, which is the
+        # whole accumulator, whether the key is seen once or held.
+        (1, 1, GENERATOR, scalar_mult_naive(2)),
+        (1 << 32, 1 << 32, GENERATOR, scalar_mult_naive(1 << 33)),
+        (5 << 96, 5 << 96, GENERATOR, scalar_mult_naive(10 << 96)),
+        (1 << 64, 1 << 64, _neg(GENERATOR), INFINITY),
+        (ec._LAMBDA, 1, _LAMBDA_G, scalar_mult_naive(2 * ec._LAMBDA)),
+        (ec._LAMBDA << 32, 1 << 32, _neg(_LAMBDA_G), INFINITY),
+    ],
+)
+def test_quarters_where_addend_meets_accumulator(
+    u1, u2, q, want, sight, monkeypatch
+):
+    rare = []
+    madd = ec._jacobian_madd
+    monkeypatch.setattr(
+        ec, "_jacobian_madd", lambda acc, pt: rare.append(pt) or madd(acc, pt)
+    )
+    assert dual_scalar_mult(u1, u2, _SIGHT[sight](q)) == want
+    assert rare, "the ladder's equal-x branch was not reached"
+
+
+def test_an_evicted_key_comes_back_at_first_sight(monkeypatch):
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", {})
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE_MAX", 4)
+    key = _hold(BASE_POINTS[0])
+    for i in range(4):
+        ec._point_wnaf_tables(scalar_mult(1000 + i))
+    assert (key.x, key.y) not in ec._POINT_TABLE_CACHE
+    assert len(ec._point_wnaf_tables(key)) == 1
+    assert scalar_mult(77, key) == scalar_mult_naive(77, key)
+    assert len(ec._POINT_TABLE_CACHE[(key.x, key.y)]) == ec._QUARTERS
+
+
+def test_a_hot_key_outlives_256_single_use_keys(monkeypatch):
+    """Least recently used goes first: with first-in-first-out the hot
+    key, inserted before all of them, would be the one dropped."""
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", {})
+    saved = obs.set_registry(obs.Registry())
+    monkeypatch.setattr(obs, "ENABLED", True)
+    try:
+        hot = _hold(BASE_POINTS[0])
+        held = ec._POINT_TABLE_CACHE[(hot.x, hot.y)]
+        for i in range(ec._POINT_TABLE_CACHE_MAX):
+            ec._point_wnaf_tables(scalar_mult(5000 + i))
+            assert ec._point_wnaf_tables(hot) is held
+        builds = obs.registry().counter("ecmult.point_table_builds_total").value
+    finally:
+        obs.set_registry(saved)
+    assert len(ec._POINT_TABLE_CACHE) == ec._POINT_TABLE_CACHE_MAX
+    assert builds == 2 + ec._POINT_TABLE_CACHE_MAX
+
+
+def test_a_promotion_is_one_table_build(monkeypatch):
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", {})
+    saved = obs.set_registry(obs.Registry())
+    monkeypatch.setattr(obs, "ENABLED", True)
+    key = BASE_POINTS[1]
+    counts = []
+    try:
+        for _ in range(4):
+            ec._point_wnaf_tables(key)
+            counts.append(
+                (
+                    obs.registry().counter("ecmult.point_table_builds_total").value,
+                    len(ec._POINT_TABLE_CACHE[(key.x, key.y)]),
+                )
+            )
+    finally:
+        obs.set_registry(saved)
+    assert counts == [(1, 1), (2, 4), (2, 4), (2, 4)]
+    # The promoted entry keeps its first quarter and adds 2^(32j)·P's.
+    quarters = ec._POINT_TABLE_CACHE[(key.x, key.y)]
+    for j, (odd, lam_odd) in enumerate(quarters):
+        for m in (0, 7):
+            want = scalar_mult_naive((2 * m + 1) << (32 * j), key)
+            assert odd[m] == (want.x, want.y)
+            want = scalar_mult_naive(((2 * m + 1) << (32 * j)) * ec._LAMBDA, key)
+            assert lam_odd[m] == (want.x, want.y)
 
 
 # ----------------------------------------------------------------------
@@ -365,13 +579,14 @@ def test_generator_table_is_built_once_and_stays_small(monkeypatch):
             assert ecdsa.verify(public, digest, ecdsa.sign(99, digest))
         multi_scalar_mult([(5, GENERATOR), (7, public)])
         builds = obs.registry().counter("ecmult.table_builds_total").value
-        comb, (odd, lam_odd) = ec._gen_tables()
+        comb, quarters = ec._gen_tables()
     finally:
         obs.set_registry(saved)
     assert builds == 1
+    # The quarters' own entries are the comb's; their λ-images are new.
     distinct = {id(pt) for row in comb for pt in row}
-    distinct |= {id(pt) for pt in odd} | {id(pt) for pt in lam_odd}
-    assert len(distinct) == 255 * 16 + 64 <= 4400
+    distinct |= {id(pt) for pair in quarters for table in pair for pt in table}
+    assert len(distinct) == 255 * 16 + 4 * 64 <= 4400
 
 
 def _budget_scalars() -> list[int]:
@@ -400,21 +615,47 @@ def test_generator_multiplication_addition_budget(monkeypatch):
     assert total == 31_870  # 31.87 a multiplication
 
 
-def test_verification_ladder_budget():
-    """From the recodings alone: the ladder doubles once per digit
-    position below the top one and adds once per non-zero digit."""
+def _ladder_budget(monkeypatch, held: bool) -> tuple[int, int, int]:
+    """Worst doublings, worst and total additions of the ladders that
+    ``dual_scalar_mult`` hands its streams to, over the seeded pairs —
+    from the recodings alone: the ladder doubles once per digit position
+    below the top one and adds once per non-zero digit."""
+    ladders = []
+    monkeypatch.setattr(
+        ec, "_ladder", lambda streams: ladders.append(streams) or (0, 0, 0)
+    )
     scalars = _budget_scalars()
     public = scalar_mult_naive(0xC0FFEE)
     worst_doublings = worst_additions = total_additions = 0
+    _hold(public) if held else _forget(public)
     for u1, u2 in zip(scalars, reversed(scalars)):
-        streams = ec._glv_streams(u1, ec._gen_tables()[1], ec._GEN_WNAF_WIDTH)
-        streams += ec._glv_streams(
-            u2, ec._point_wnaf_tables(public), ec._WNAF_WIDTH
-        )
+        if not held:
+            _forget(public)
+        dual_scalar_mult(u1, u2, public)
+        streams = ladders.pop()
         additions = sum(1 for digits, _ in streams for d in digits if d)
         worst_doublings = max(worst_doublings, max(len(d) for d, _ in streams) - 1)
         worst_additions = max(worst_additions, additions)
         total_additions += additions
+    return worst_doublings, worst_additions, total_additions
+
+
+def test_verification_ladder_budget(monkeypatch):
+    """A key's first sight: one quarter each side, today's long ladder."""
+    worst_doublings, worst_additions, total_additions = _ladder_budget(
+        monkeypatch, held=False
+    )
     assert worst_doublings == 128 <= 130
     assert worst_additions == 77
     assert total_additions == 72_437  # 72.4 a verification
+
+
+def test_verification_ladder_budget_for_a_held_key(monkeypatch):
+    """A held key: four quarters each side, a quarter of the doublings and
+    the very same additions."""
+    worst_doublings, worst_additions, total_additions = _ladder_budget(
+        monkeypatch, held=True
+    )
+    assert worst_doublings == 32
+    assert worst_additions == 77
+    assert total_additions == 72_437

@@ -78,16 +78,16 @@ class TestRunBench:
 
 
 class TestRunnerDiscovery:
-    def test_discovers_all_twenty_experiments(self):
+    def test_discovers_all_nineteen_experiments(self):
         names = runner.discover_experiments()
-        assert len(names) == 20
+        assert len(names) == 19
         assert all(name.startswith("bench_") for name in names)
         assert "bench_b3_block_pipeline" in names
         assert "bench_e6_verifier_scaling" in names
         assert "bench_e10_service" in names
         assert "bench_a2_chaos_convergence" in names
         assert "bench_a3_propagation" in names
-        assert "bench_b1_verify_throughput" in names
+        assert "bench_a4_compact_relay" in names
         assert "bench_b2_recovery" in names
 
     def test_only_filter(self):

@@ -13,6 +13,7 @@ from repro.core.validate import (
     world_at,
 )
 from repro.core.verifier import VerificationError
+from repro.crypto import secp256k1 as ec
 from repro.lf.walk import _try_delta, convertible, normalize, substitute
 from repro.lf.syntax import (
     App,
@@ -41,6 +42,22 @@ from repro.logic.propositions import (
     With,
     Zero,
 )
+
+
+def scalar_mult_naive(k, p=ec.GENERATOR):
+    """``k·P`` by plain double-and-add, one bit at a time — the ladder the
+    comb, the w-NAF quarters, GLV and Strauss/Shamir replaced."""
+    k %= ec.CURVE_ORDER
+    if k == 0 or p.is_infinity:
+        return ec.INFINITY
+    result = (0, 0, 0)
+    addend = ec._to_jacobian(p)
+    while k:
+        if k & 1:
+            result = ec._jacobian_add(result, addend)
+        addend = ec._jacobian_double(addend)
+        k >>= 1
+    return ec._from_jacobian(result)
 
 
 def rebuilt(txn):
