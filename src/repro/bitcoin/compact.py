@@ -408,7 +408,7 @@ class CompactRelay:
             # No honest sender builds an announcement like this.  Forget
             # the hash so a real block with this header (if one exists)
             # is not shadowed by the garbage announcement.
-            relay._seen_blocks.pop(cb.hash, None)
+            relay._seen_blocks.pop(cb.hash)
             node.penalize(
                 origin, POINTS_BAD_COMPACT, f"malformed compact block: {exc}"
             )
@@ -438,7 +438,7 @@ class CompactRelay:
         if origin is None or not origin.alive:
             # Nobody to round-trip with; forget the announcement so a
             # later full relay or sync can deliver the block.
-            relay._seen_blocks.pop(cb.hash, None)
+            relay._seen_blocks.pop(cb.hash)
             return
         self._compact_pending[cb.hash] = _PendingCompact(
             compact=cb, origin=origin, hop=hop,
@@ -652,6 +652,6 @@ class CompactRelay:
             return
         node = self.node
         if not node.chain.has_block(block_hash):
-            node.relay._seen_blocks.pop(block_hash, None)
+            node.relay._seen_blocks.pop(block_hash)
         if resync and pending.origin.alive and pending.origin in node.peers:
             start_sync(node, pending.origin, reason="compact")

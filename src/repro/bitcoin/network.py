@@ -152,8 +152,6 @@ class Node:
     chain: Blockchain = field(init=False)
     mempool: Mempool = field(init=False)
     peers: list["Node"] = field(default_factory=list)
-    seen_limit: int = 10_000  # per-kind cap on the seen-hash sets
-    orphan_limit: int = 64  # cap on parked parent-less blocks
     ban_threshold: int = DEFAULT_BAN_THRESHOLD
     # BIP 152-style compact block relay (repro.bitcoin.compact).  Off by
     # default: the getblocktxn/blocktxn round-trips draw extra hop delays

@@ -9,7 +9,6 @@ reconstruction rejoins at :meth:`Relay._accept_block`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -22,6 +21,7 @@ from repro.bitcoin.mempool import (
 from repro.bitcoin.sync import start_sync
 from repro.bitcoin.transaction import Transaction
 from repro.bitcoin.validation import ValidationError
+from repro.lru import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.bitcoin.network import Node
@@ -36,6 +36,10 @@ POINTS_INVALID_BLOCK = 50
 POINTS_INVALID_TX = 10
 POINTS_STALE_TX = 2
 
+# Per-kind cap on the seen-hash sets, and on parked parent-less blocks.
+SEEN_LIMIT = 10_000
+ORPHAN_LIMIT = 64
+
 
 class Relay:
     """One node's half of block and transaction gossip."""
@@ -49,29 +53,23 @@ class Relay:
         # Relay-hop distance of each known block from its origin (obs
         # bookkeeping; written only under obs.ENABLED).
         self._block_hops: dict[bytes, int] = {}
-        # Orphans: block hash -> (block, arrival hop), insertion-ordered
-        # for eviction, plus a parent-hash index for adoption on parent
-        # arrival (which resumes the propagation tree at that hop).
-        self._orphans: OrderedDict[bytes, tuple[Block, int]] = OrderedDict()
+        # Orphans: block hash -> (block, arrival hop), plus a parent-hash
+        # index for adoption on parent arrival (which resumes the
+        # propagation tree at that hop).
+        self._orphans = LRU(ORPHAN_LIMIT)
         self._orphans_by_parent: dict[bytes, list[bytes]] = {}
-        # Seen sets are insertion-ordered and bounded (LRU-ish FIFO): a
-        # hash evicted and re-received is deduplicated against the chain /
-        # mempool instead, so boundedness never breaks correctness.
-        self._seen_blocks: OrderedDict[bytes, None] = OrderedDict()
-        self._seen_blocks[self.node.chain.genesis.hash] = None
-        self._seen_txs: OrderedDict[bytes, None] = OrderedDict()
+        # Seen sets are bounded: a hash evicted and re-received is
+        # deduplicated against the chain / mempool instead, so boundedness
+        # never breaks correctness.  Only absent hashes are put and
+        # membership is asked with ``in``, so the oldest goes first.
+        self._seen_blocks = LRU(SEEN_LIMIT)
+        self._seen_blocks.put(self.node.chain.genesis.hash, True)
+        self._seen_txs = LRU(SEEN_LIMIT)
 
-    def _remember(self, seen: OrderedDict, key: bytes, kind: str) -> None:
-        seen[key] = None
-        evicted = 0
-        while len(seen) > self.node.seen_limit:
-            seen.popitem(last=False)
-            evicted += 1
-        if evicted and obs.ENABLED:
-            obs.inc("net.seen_evicted_total", evicted)
-            obs.emit(
-                "seen.evicted", node=self.node.name, pool=kind, count=evicted
-            )
+    def _remember(self, seen: LRU, key: bytes, kind: str) -> None:
+        if seen.put(key, True) is not None and obs.ENABLED:
+            obs.inc("net.seen_evicted_total")
+            obs.emit("seen.evicted", node=self.node.name, pool=kind, count=1)
 
     def _record_hop(
         self, obj_hash: bytes, origin: "Node | None", hop: int, redundant: bool
@@ -155,10 +153,11 @@ class Relay:
         self._relay_block(block, hop, origin)
         # Adopt any orphans waiting on this block.
         for child_hash in self._orphans_by_parent.pop(block.hash, []):
-            if child_hash not in self._orphans:
+            parked = self._orphans.pop(child_hash)
+            if parked is None:
                 continue  # evicted while parked
-            child, child_hop = self._orphans.pop(child_hash)
-            self._seen_blocks.pop(child_hash, None)
+            child, child_hop = parked
+            self._seen_blocks.pop(child_hash)
             if obs.ENABLED:
                 obs.emit(
                     "orphan.resolved", hash=child_hash, parent=block.hash
@@ -172,7 +171,7 @@ class Relay:
         catch-up sync with whoever sent it (we are evidently behind)."""
         if block.hash in self._orphans:
             return
-        self._orphans[block.hash] = (block, hop)
+        evicted = self._orphans.put(block.hash, (block, hop))
         self._orphans_by_parent.setdefault(
             block.header.prev_hash, []
         ).append(block.hash)
@@ -183,11 +182,11 @@ class Relay:
                 hash=block.hash,
                 parent=block.header.prev_hash,
             )
-        while len(self._orphans) > self.node.orphan_limit:
-            old_hash, (old, _) = self._orphans.popitem(last=False)
+        if evicted is not None:
+            old_hash, (old, _) = evicted
             # Evicted is forgotten, as adopted is: a hash left "seen" could
             # never be delivered again, by gossip or by a catch-up sync.
-            self._seen_blocks.pop(old_hash, None)
+            self._seen_blocks.pop(old_hash)
             siblings = self._orphans_by_parent.get(old.header.prev_hash)
             if siblings is not None:
                 if old_hash in siblings:

@@ -23,8 +23,8 @@ another txid and misses.  The key must grow (height, flags) the day
 ``script.py`` gains an opcode that reads them (CLTV/CSV, the parked
 channels item).
 
-The cache is a bounded LRU (``collections.OrderedDict``) over both key
-shapes.  Mempool acceptance and block connect are the same call,
+The cache is a bounded :class:`~repro.lru.LRU` over both key shapes.
+Mempool acceptance and block connect are the same call,
 ``check_tx_inputs``, and it consults one process-wide default instance, so
 work done at acceptance is skipped at connect.  Differential tests swap it
 out or disable it entirely via :func:`set_default_cache`.
@@ -32,72 +32,54 @@ out or disable it entirely via :func:`set_default_cache`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro import obs
+from repro.lru import LRU
 
 DEFAULT_MAX_ENTRIES = 65_536
 
-# digest, pubkey bytes, signature bytes (without the hashtype byte) — or a
-# bare txid, whose verdict is always True.
-CacheKey = tuple[bytes, bytes, bytes] | bytes
-
-
 class SignatureCache:
-    """Bounded LRU of ECDSA verdicts by triple and script verdicts by txid."""
+    """Bounded LRU of ECDSA verdicts by triple — digest, pubkey bytes,
+    signature bytes without the hashtype byte — and script verdicts by
+    txid (always True)."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        if max_entries < 1:
-            raise ValueError("signature cache needs at least one entry")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[CacheKey, bool] = OrderedDict()
+        self._lru = LRU(max_entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def get(self, digest: bytes, pubkey: bytes, sig: bytes) -> bool | None:
         """The cached verdict for the triple, or ``None`` on a miss."""
-        key = (digest, pubkey, sig)
-        verdict = self._entries.get(key)
-        if verdict is None:
-            if obs.ENABLED:
-                obs.inc("sigcache.misses_total")
-            return None
-        self._entries.move_to_end(key)
+        verdict = self._lru.get((digest, pubkey, sig))
         if obs.ENABLED:
-            obs.inc("sigcache.hits_total")
+            obs.inc(
+                "sigcache.misses_total" if verdict is None
+                else "sigcache.hits_total"
+            )
         return verdict
 
     def put(self, digest: bytes, pubkey: bytes, sig: bytes, verdict: bool) -> None:
         """Record a verdict, evicting the least-recently-used on overflow."""
-        self._store((digest, pubkey, sig), verdict)
+        self._lru.put((digest, pubkey, sig), verdict)
 
     def has_tx(self, txid: bytes) -> bool:
         """Has every input script of ``txid`` authorised its spend before?"""
-        if txid not in self._entries:
+        if self._lru.get(txid) is None:
             return False
-        self._entries.move_to_end(txid)
         if obs.ENABLED:
             obs.inc("sigcache.tx_hits_total")
         return True
 
     def __contains__(self, txid: bytes) -> bool:
         """Is ``txid``'s verdict held?  Not a hit: neither counted nor moved."""
-        return txid in self._entries
+        return txid in self._lru
 
     def put_tx(self, txid: bytes) -> None:
         """Record that every input script of ``txid`` authorised its spend."""
-        self._store(txid, True)
-
-    def _store(self, key: CacheKey, verdict: bool) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = verdict
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self._lru.put(txid, True)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._lru.clear()
 
 
 _default_cache: SignatureCache | None = SignatureCache()

@@ -32,6 +32,7 @@ import hmac
 from dataclasses import dataclass
 
 from repro import obs
+from repro.lru import LRU
 from repro.crypto.secp256k1 import (
     CURVE_ORDER,
     FIELD_PRIME,
@@ -91,16 +92,8 @@ def _digest_to_int(digest: bytes) -> int:
 # The table is purely an accelerator — a missing entry routes the triple
 # to the serial path, and a wrong entry (key collision) only costs a
 # bisection round that ends in the serial path — so verdicts never depend
-# on it.  Bounded FIFO like the signature cache.
-_PARITY_HINTS: dict[tuple[bytes, int, int], bool] = {}
-_PARITY_HINTS_MAX = 65_536
-
-
-def _remember_parity(digest: bytes, r: int, s: int, odd: bool) -> None:
-    key = (digest, r, s)
-    if key not in _PARITY_HINTS and len(_PARITY_HINTS) >= _PARITY_HINTS_MAX:
-        _PARITY_HINTS.pop(next(iter(_PARITY_HINTS)))
-    _PARITY_HINTS[key] = odd
+# on it.  Bounded like the signature cache.
+_PARITY_HINTS = LRU(65_536)
 
 
 def clear_parity_hints() -> None:
@@ -134,7 +127,7 @@ def sign(secret: int, digest: bytes) -> Signature:
         if s > CURVE_ORDER // 2:
             s = CURVE_ORDER - s
             odd = not odd
-        _remember_parity(original_digest, r, s, odd)
+        _PARITY_HINTS.put((original_digest, r, s), odd)
         return Signature(r, s)
 
 
@@ -163,7 +156,7 @@ def verify(public: Point, digest: bytes, signature: Signature) -> bool:
     # The computed point IS the effective R: remember its parity so a
     # future batch containing this triple can aggregate it.
     assert point.y is not None
-    _remember_parity(digest, r, s, bool(point.y & 1))
+    _PARITY_HINTS.put((digest, r, s), bool(point.y & 1))
     return True
 
 

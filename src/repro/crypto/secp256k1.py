@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro import obs
+from repro.lru import LRU
 
 FIELD_PRIME = 2**256 - 2**32 - 977
 CURVE_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -393,28 +394,22 @@ def _upper_quarters(p: Point) -> _Quarters:
 # key used once pays no more than that; its second sight adds quarters
 # 1–3 (96 doublings, 24 group operations, one inversion), which the
 # 96 doublings every later verification skips repay.
-_POINT_TABLE_CACHE: dict[tuple[int, int], _Quarters] = {}
-_POINT_TABLE_CACHE_MAX = 256
+_POINT_TABLE_CACHE = LRU(256)
 
 
 def _point_wnaf_tables(p: Point) -> _Quarters:
     """The (cached) quarter tables of an arbitrary point: one on its first
     sight, all four from its second on."""
-    key = (p.x, p.y)  # type: ignore[assignment]
-    # Popped and re-inserted on every sight: dicts keep insertion order, so
-    # the first key is always the least recently used.
-    quarters = _POINT_TABLE_CACHE.pop(key, None)
+    key = (p.x, p.y)
+    quarters = _POINT_TABLE_CACHE.get(key)
     if quarters is not None and len(quarters) == _QUARTERS:
-        _POINT_TABLE_CACHE[key] = quarters
         return quarters
     if quarters is None:
-        if len(_POINT_TABLE_CACHE) >= _POINT_TABLE_CACHE_MAX:
-            _POINT_TABLE_CACHE.pop(next(iter(_POINT_TABLE_CACHE)))
         jacs = _odd_multiples(_to_jacobian(p))
         quarters = _quarter_tables(_batch_to_affine(jacs))
     else:
         quarters = quarters + _upper_quarters(p)
-    _POINT_TABLE_CACHE[key] = quarters
+    _POINT_TABLE_CACHE.put(key, quarters)
     if obs.ENABLED:
         obs.inc("ecmult.point_table_builds_total")
     return quarters
@@ -669,14 +664,16 @@ def multi_scalar_mult(terms) -> Point:
     # Cached tables are reused as-is; tables for new points are built
     # in Jacobian coordinates and normalized together — the whole batch
     # pays one field inversion, not one per point.
+    # Each entry is read once: another thread may evict between two reads.
+    held = [_POINT_TABLE_CACHE.get((point.x, point.y)) for _, point in others]
     pending: list[tuple[int, int, int]] = []
-    for _, point in others:
-        if (point.x, point.y) not in _POINT_TABLE_CACHE:
+    for (_, point), quarters in zip(others, held):
+        if quarters is None:
             pending.extend(_odd_multiples(_to_jacobian(point)))
     fresh = iter(_quarter_tables(_batch_to_affine(pending)))
     tabled = [
-        (k, _POINT_TABLE_CACHE.get((point.x, point.y)) or [next(fresh)])
-        for k, point in others
+        (k, quarters or [next(fresh)])
+        for (k, _), quarters in zip(others, held)
     ]
     cut = min((len(quarters) for _, quarters in tabled), default=_QUARTERS)
     streams: list[tuple[list[int], _Table]] = []

@@ -16,16 +16,11 @@ infrastructure trouble surfaces as
 ``ok`` or ``invalid``.  See ``docs/service.md``.
 """
 
-from repro.service.cache import (
-    AffirmationCache,
-    TxMemoTable,
-    install_affirmation_cache,
-)
+from repro.service.cache import TxMemoTable, install_affirmation_cache
 from repro.service.client import RETRYABLE_STATUSES, ServiceClient
 from repro.service.server import Verdict, VerificationService
 
 __all__ = [
-    "AffirmationCache",
     "RETRYABLE_STATUSES",
     "ServiceClient",
     "TxMemoTable",

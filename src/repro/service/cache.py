@@ -16,77 +16,29 @@ verifier:
   under a block a reorg replaced) is evicted, counted, and the
   transaction is checked from scratch.
 
-* :class:`AffirmationCache` is the sigcache pattern applied to the
-  proof checker's hottest leaf: ECDSA verification of ``assert`` /
+* The affirmation cache is the sigcache pattern applied to the proof
+  checker's hottest leaf: ECDSA verification of ``assert`` /
   ``assert!`` affirmations.  The result is a pure function of
-  (principal, pubkey, payload digest, signature), so a bounded LRU over
-  that 4-tuple is malleability-safe for the same reason
-  :mod:`repro.bitcoin.sigcache` is — the signature bytes are part of
-  the key.  Install it with :func:`install_affirmation_cache`; the
-  service installs one at construction and restores the previous one
-  at close.
+  (principal, pubkey, payload digest, signature), so a bounded
+  :class:`~repro.lru.LRU` over that 4-tuple is malleability-safe for
+  the same reason :mod:`repro.bitcoin.sigcache` is — the signature
+  bytes are part of the key.  Install it with
+  :func:`install_affirmation_cache`; the service installs one at
+  construction and restores the previous one at close.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro import obs
 from repro.core.validate import Resolved
 from repro.core.verifier import Admission
 from repro.lf.basis import Basis
 from repro.logic import checker as _checker
+from repro.lru import LRU
 
-__all__ = [
-    "AffirmationCache",
-    "LRU",
-    "TxMemoTable",
-    "install_affirmation_cache",
-]
-
-
-class LRU:
-    """A minimal thread-safe bounded LRU map (move-to-front on hit)."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        """The value under ``key``, or None (so None is never stored)."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = value
-                return
-            self._entries[key] = value
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def evict(self, key) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
+__all__ = ["TxMemoTable", "install_affirmation_cache"]
 
 
 class TxMemoTable:
@@ -127,7 +79,7 @@ class TxMemoTable:
         if held is None:
             self._count("misses")
         elif held.hash != txn_hash or held.block_hash != block_hash:
-            self._lru.evict(txid)
+            self._lru.pop(txid)
             self._count("poison_rejected")
             if obs.ENABLED:
                 obs.emit("service.poison_rejected", txid=txid.hex()[:16])
@@ -147,20 +99,7 @@ class TxMemoTable:
         ))
 
 
-class AffirmationCache(LRU):
-    """Bounded LRU over affirmation-signature verification results.
-
-    Keys are ``(principal_key_hash, pubkey, payload_digest, signature)``
-    tuples built by :func:`repro.logic.checker.verify_affirmation`; values
-    are booleans.  Subclasses :class:`LRU` only to give the installed
-    object a distinguishable type in introspection and tests.
-    """
-
-    def __init__(self, capacity: int = 1 << 14):
-        super().__init__(capacity)
-
-
-def install_affirmation_cache(cache: AffirmationCache | None):
+def install_affirmation_cache(cache: LRU | None):
     """Install (or, with ``None``, remove) the checker-level cache.
 
     Returns the previously installed cache so callers can restore it —

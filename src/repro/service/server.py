@@ -35,11 +35,8 @@ from dataclasses import dataclass
 
 from repro import cancel, obs
 from repro.core.verifier import ClaimBundle, VerificationError, _verify_claim
-from repro.service.cache import (
-    AffirmationCache,
-    TxMemoTable,
-    install_affirmation_cache,
-)
+from repro.lru import LRU
+from repro.service.cache import TxMemoTable, install_affirmation_cache
 
 __all__ = ["ServiceUnavailable", "Verdict", "VerificationService"]
 
@@ -77,20 +74,19 @@ class VerificationService:
         min_confirmations: int = 1,
         require_unspent: bool = True,
         max_inflight: int = 4,
-        memo_capacity: int = 4096,
     ):
         self.chain = chain
         self.min_confirmations = min_confirmations
         self.require_unspent = require_unspent
         self.max_inflight = max_inflight
-        self.memo = TxMemoTable(memo_capacity)
+        self.memo = TxMemoTable()
         self._lock = threading.Lock()
         self._drain_cv = threading.Condition(self._lock)
         self._inflight = 0
         self._draining = False
         self._closed = False
         # The affirmation sigcache, shared by every request.
-        self._affirmations = AffirmationCache()
+        self._affirmations = LRU(1 << 14)
         self._prior_affirmation_cache = install_affirmation_cache(
             self._affirmations
         )

@@ -39,6 +39,7 @@ from repro.bitcoin.network import (
     Simulation,
     build_network,
 )
+from repro.bitcoin import relay
 from repro.bitcoin.pow import block_work, target_to_bits
 from repro.bitcoin.relay import (
     POINTS_INVALID_BLOCK,
@@ -51,6 +52,7 @@ from repro.bitcoin.sync import SyncConfig, start_sync
 from repro.bitcoin.transaction import COIN, OutPoint, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.bitcoin.wallet import Wallet
+from repro.lru import LRU
 
 PARAMS = ChainParams(max_target=2**252, retarget_window=2**31, require_pow=False)
 TOTAL_RATE = block_work(target_to_bits(2**252)) / 600.0
@@ -250,9 +252,9 @@ class TestConnectDisconnect:
 
 
 class TestBoundedPools:
-    def test_seen_tx_set_is_bounded(self):
+    def test_seen_tx_set_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(relay, "SEEN_LIMIT", 5)
         _, (node,) = make_nodes(1, connect=False)
-        node.seen_limit = 5
         for i in range(12):
             tx = Transaction(
                 vin=[TxIn(OutPoint(bytes([i + 1]) * 32, 0))],
@@ -261,9 +263,9 @@ class TestBoundedPools:
             node.submit_transaction(tx)
         assert len(node.relay._seen_txs) <= 5
 
-    def test_orphan_pool_is_bounded(self):
+    def test_orphan_pool_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(relay, "ORPHAN_LIMIT", 3)
         _, (node,) = make_nodes(1, connect=False)
-        node.orphan_limit = 3
         for i in range(8):
             node.submit_block(orphan_block(nonce=i))
         assert len(node.relay._orphans) <= 3
@@ -272,9 +274,9 @@ class TestBoundedPools:
         indexed = sum(len(v) for v in index.values())
         assert indexed == len(node.relay._orphans)
 
-    def test_eviction_is_observable(self, obs_on):
+    def test_eviction_is_observable(self, obs_on, monkeypatch):
+        monkeypatch.setattr(relay, "ORPHAN_LIMIT", 2)
         _, (node,) = make_nodes(1, connect=False)
-        node.orphan_limit = 2
         for i in range(5):
             node.submit_block(orphan_block(nonce=i))
         reg = obs.registry()
@@ -291,7 +293,7 @@ class TestBoundedPools:
         assert b.chain.height == 0 and len(b.relay._orphans) == 1
         b.submit_block(blocks[0])  # parent arrives: both connect
         assert b.chain.height == 2
-        assert b.relay._orphans == {}
+        assert len(b.relay._orphans) == 0
 
     def test_evicted_orphan_can_be_delivered_again(self):
         """An orphan evicted from the full pool is forgotten, not left
@@ -300,7 +302,7 @@ class TestBoundedPools:
         sim, (a, b) = make_nodes(2, connect=False)
         mine_to(a, 80)
         blocks = a.chain.export_active()
-        for block in blocks[1:]:  # 79 orphans against orphan_limit = 64
+        for block in blocks[1:]:  # 79 orphans against ORPHAN_LIMIT = 64
             b.submit_block(block)
         b.submit_block(blocks[0])
         assert b.chain.height == 1  # blocks 2..16 were evicted
@@ -428,6 +430,16 @@ class TestMisbehavior:
         assert "peer.misbehavior" in event_kinds()
 
 
+def _state(handler) -> dict:
+    """A handler's attributes, each bounded map read as its capacity and
+    its entries in eviction order (an ``LRU`` compares by identity)."""
+    return {
+        name: (value.capacity, list(value._entries.items()))
+        if isinstance(value, LRU) else value
+        for name, value in vars(handler).items()
+    }
+
+
 class TestCrashRestart:
     def setup_pair(self, seed=6, height=8):
         sim, (a, b) = make_nodes(2, seed=seed, connect=False)
@@ -444,7 +456,7 @@ class TestCrashRestart:
         assert not b.alive
         assert b.peers == [] and a.peers == []
         assert len(b.mempool) == 0
-        assert b.relay._orphans == {} and b.relay._seen_txs == {}
+        assert len(b.relay._orphans) == 0 and len(b.relay._seen_txs) == 0
         assert b.crash() is None  # idempotent
 
     @pytest.mark.parametrize("handler", ["relay", "compact"])
@@ -463,9 +475,9 @@ class TestCrashRestart:
         b.submit_compact_block(unbacked_announcement(b.chain), origin=a)
         held = getattr(b, handler)
         fresh = type(held)(b)
-        assert vars(held) != vars(fresh)
+        assert _state(held) != _state(fresh)
         b.crash()
-        assert vars(held) == vars(fresh)
+        assert _state(held) == _state(fresh)
 
     def test_deliveries_to_dead_node_are_lost(self):
         sim, a, b, miner = self.setup_pair()
@@ -700,10 +712,9 @@ class TestByzantinePeer:
         # attack loop idles — exactly two invalid blocks sufficed.
         assert byz.attacks_sent["invalid_block"] >= 2
 
-    def test_orphan_spam_is_bounded(self):
+    def test_orphan_spam_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(relay, "ORPHAN_LIMIT", 8)
         sim, nodes = make_nodes(4, seed=32)
-        for node in nodes:
-            node.orphan_limit = 8
         byz = ByzantinePeer(
             nodes[-1], behaviors=("orphan_spam",), interval=600.0
         )

@@ -203,7 +203,7 @@ def test_checker_consults_and_fills_cache(script_runs):
     check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
     assert (len(script_runs), hits["n"]) == (len(tx.vin), 0)
     # With the txid evicted the scripts run again, on cached signatures.
-    del cache._entries[tx.txid]
+    assert cache._lru.pop(tx.txid)
     check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
     assert (len(script_runs), hits["n"]) == (2 * len(tx.vin), len(tx.vin))
 
@@ -567,7 +567,7 @@ def test_checker_matches_decode_first_oracle(
         oracle, sig_with_type, pubkey_bytes
     )
     if state != "disabled":
-        assert ours_cache._entries == oracle_cache._entries
+        assert ours_cache._lru._entries == oracle_cache._lru._entries
 
 
 def test_oracle_differential_reaches_every_branch():
@@ -793,7 +793,7 @@ def test_a_transaction_with_one_unauthorised_input_is_never_recorded():
         with pytest.raises(ValidationError, match="failed on input 1$"):
             check_tx_inputs(forged, net.chain.utxos, net.chain.height + 1)
         assert not cache.has_tx(forged.txid)
-        assert sorted(cache._entries.values()) == [False, True]
+        assert sorted(cache._lru._entries.values()) == [False, True]
 
 
 def test_a_non_push_script_sig_is_never_recorded():

@@ -29,6 +29,7 @@ from repro.crypto.secp256k1 import (
     point_add,
     scalar_mult,
 )
+from repro.lru import LRU
 from tests.oracles import scalar_mult_naive
 
 
@@ -124,7 +125,7 @@ def test_bisection_pinpoints_single_culprit():
     culprit = 13
     public, digest, sig = triples[culprit]
     bad = Signature(sig.r, (sig.s + 1) % CURVE_ORDER)
-    ecdsa._PARITY_HINTS[(digest, bad.r, bad.s)] = True  # plausible-but-wrong
+    ecdsa._PARITY_HINTS.put((digest, bad.r, bad.s), True)  # plausible-but-wrong
     triples[culprit] = (public, digest, bad)
     verdicts = batch_verify(triples)
     assert verdicts == [i != culprit for i in range(24)]
@@ -141,7 +142,7 @@ def test_wrong_hint_on_valid_signature_still_verifies():
         sig = sign(secret, digest)
         key = (digest, sig.r, sig.s)
         if i == 3:
-            ecdsa._PARITY_HINTS[key] = not ecdsa._PARITY_HINTS[key]
+            ecdsa._PARITY_HINTS.put(key, not ecdsa._PARITY_HINTS.get(key))
         triples.append((scalar_mult(secret), digest, sig))
     assert batch_verify(triples) == [True] * 8
 
@@ -157,10 +158,9 @@ def test_unhinted_triples_warm_the_table():
 
 
 def test_hint_table_is_bounded(monkeypatch):
-    monkeypatch.setattr(ecdsa, "_PARITY_HINTS_MAX", 4)
-    clear_parity_hints()
+    monkeypatch.setattr(ecdsa, "_PARITY_HINTS", LRU(4))
     for i in range(10):
-        ecdsa._remember_parity(bytes([i]) * 32, i + 1, i + 1, bool(i & 1))
+        sign(i + 1, bytes([i]) * 32)  # each signature records its hint
     assert len(ecdsa._PARITY_HINTS) == 4
 
 
@@ -172,10 +172,11 @@ def test_sign_records_parity_consistent_with_verify():
         secret = rng.randrange(1, CURVE_ORDER)
         digest = rng.randbytes(32)
         sig = sign(secret, digest)
-        hint = ecdsa._PARITY_HINTS[(digest, sig.r, sig.s)]
+        hint = ecdsa._PARITY_HINTS.get((digest, sig.r, sig.s))
+        assert hint is not None
         clear_parity_hints()
         assert verify(scalar_mult(secret), digest, sig)
-        assert ecdsa._PARITY_HINTS[(digest, sig.r, sig.s)] == hint
+        assert ecdsa._PARITY_HINTS.get((digest, sig.r, sig.s)) == hint
         r_point = lift_x(sig.r, odd=hint)
         assert r_point is not None and r_point.x == sig.r
 

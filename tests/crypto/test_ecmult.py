@@ -10,10 +10,12 @@ accumulator — for a key seen for the first time and for a held one.  The
 budget tests at the end count group operations instead of timing them.
 """
 
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from repro.crypto.secp256k1 import (
     point_add,
     scalar_mult,
 )
+from repro.lru import LRU
 from tests.oracles import scalar_mult_naive
 
 _EDGE_SCALARS = [
@@ -138,22 +141,16 @@ def test_dual_scalar_mult_cancellation_to_infinity():
     assert dual_scalar_mult(9, 9, neg_g).is_infinity
 
 
-def test_point_table_cache_bounded():
-    ec._POINT_TABLE_CACHE.clear()
+def test_point_table_cache_bounded(monkeypatch):
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", LRU(8))
     rng = random.Random(77)
     points = [scalar_mult_naive(rng.getrandbits(200) | 1) for _ in range(12)]
-    saved_max = ec._POINT_TABLE_CACHE_MAX
-    ec._POINT_TABLE_CACHE_MAX = 8
-    try:
-        for p in points:
-            assert scalar_mult(3, p) == scalar_mult_naive(3, p)
-        assert len(ec._POINT_TABLE_CACHE) <= 8
-        # Cached and uncached paths agree.
-        for p in points:
-            assert scalar_mult(99, p) == scalar_mult_naive(99, p)
-    finally:
-        ec._POINT_TABLE_CACHE_MAX = saved_max
-        ec._POINT_TABLE_CACHE.clear()
+    for p in points:
+        assert scalar_mult(3, p) == scalar_mult_naive(3, p)
+    assert len(ec._POINT_TABLE_CACHE) <= 8
+    # Cached and uncached paths agree.
+    for p in points:
+        assert scalar_mult(99, p) == scalar_mult_naive(99, p)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +316,7 @@ def test_ladder_passes_through_infinity_mid_way():
 
 def _forget(point: Point) -> Point:
     """Drop ``point``'s tables: its next use is its first sight."""
-    ec._POINT_TABLE_CACHE.pop((point.x, point.y), None)
+    ec._POINT_TABLE_CACHE.pop((point.x, point.y))
     return point
 
 
@@ -328,7 +325,7 @@ def _hold(point: Point) -> Point:
     _forget(point)
     ec._point_wnaf_tables(point)
     ec._point_wnaf_tables(point)
-    assert len(ec._POINT_TABLE_CACHE[(point.x, point.y)]) == ec._QUARTERS
+    assert len(ec._POINT_TABLE_CACHE.get((point.x, point.y))) == ec._QUARTERS
     return point
 
 
@@ -457,38 +454,38 @@ def test_quarters_where_addend_meets_accumulator(
 
 
 def test_an_evicted_key_comes_back_at_first_sight(monkeypatch):
-    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", {})
-    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE_MAX", 4)
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", LRU(4))
     key = _hold(BASE_POINTS[0])
     for i in range(4):
         ec._point_wnaf_tables(scalar_mult(1000 + i))
     assert (key.x, key.y) not in ec._POINT_TABLE_CACHE
     assert len(ec._point_wnaf_tables(key)) == 1
     assert scalar_mult(77, key) == scalar_mult_naive(77, key)
-    assert len(ec._POINT_TABLE_CACHE[(key.x, key.y)]) == ec._QUARTERS
+    assert len(ec._POINT_TABLE_CACHE.get((key.x, key.y))) == ec._QUARTERS
 
 
 def test_a_hot_key_outlives_256_single_use_keys(monkeypatch):
     """Least recently used goes first: with first-in-first-out the hot
     key, inserted before all of them, would be the one dropped."""
-    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", {})
+    capacity = ec._POINT_TABLE_CACHE.capacity
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", LRU(capacity))
     saved = obs.set_registry(obs.Registry())
     monkeypatch.setattr(obs, "ENABLED", True)
     try:
         hot = _hold(BASE_POINTS[0])
-        held = ec._POINT_TABLE_CACHE[(hot.x, hot.y)]
-        for i in range(ec._POINT_TABLE_CACHE_MAX):
+        held = ec._POINT_TABLE_CACHE.get((hot.x, hot.y))
+        for i in range(capacity):
             ec._point_wnaf_tables(scalar_mult(5000 + i))
             assert ec._point_wnaf_tables(hot) is held
         builds = obs.registry().counter("ecmult.point_table_builds_total").value
     finally:
         obs.set_registry(saved)
-    assert len(ec._POINT_TABLE_CACHE) == ec._POINT_TABLE_CACHE_MAX
-    assert builds == 2 + ec._POINT_TABLE_CACHE_MAX
+    assert len(ec._POINT_TABLE_CACHE) == capacity == 256
+    assert builds == 2 + capacity
 
 
 def test_a_promotion_is_one_table_build(monkeypatch):
-    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", {})
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", LRU(256))
     saved = obs.set_registry(obs.Registry())
     monkeypatch.setattr(obs, "ENABLED", True)
     key = BASE_POINTS[1]
@@ -499,20 +496,131 @@ def test_a_promotion_is_one_table_build(monkeypatch):
             counts.append(
                 (
                     obs.registry().counter("ecmult.point_table_builds_total").value,
-                    len(ec._POINT_TABLE_CACHE[(key.x, key.y)]),
+                    len(ec._POINT_TABLE_CACHE.get((key.x, key.y))),
                 )
             )
     finally:
         obs.set_registry(saved)
     assert counts == [(1, 1), (2, 4), (2, 4), (2, 4)]
     # The promoted entry keeps its first quarter and adds 2^(32j)·P's.
-    quarters = ec._POINT_TABLE_CACHE[(key.x, key.y)]
+    quarters = ec._POINT_TABLE_CACHE.get((key.x, key.y))
     for j, (odd, lam_odd) in enumerate(quarters):
         for m in (0, 7):
             want = scalar_mult_naive((2 * m + 1) << (32 * j), key)
             assert odd[m] == (want.x, want.y)
             want = scalar_mult_naive(((2 * m + 1) << (32 * j)) * ec._LAMBDA, key)
             assert lam_odd[m] == (want.x, want.y)
+
+
+# ----------------------------------------------------------------------
+# Concurrency: the service's requests verify from several threads at once
+# ----------------------------------------------------------------------
+
+
+def _race(work, items, threads: int = 8) -> list[Exception]:
+    """Run ``work`` on every item from ``threads`` threads at once, each
+    starting at another offset; what they raised."""
+    raised: list[Exception] = []
+
+    def run(offset: int) -> None:
+        try:
+            for item in items[offset:] + items[:offset]:
+                work(item)
+        except Exception as exc:
+            raised.append(exc)
+
+    pool = [
+        threading.Thread(target=run, args=(i * len(items) // threads,))
+        for i in range(threads)
+    ]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in pool)
+    return raised
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so that a race shows."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(saved)
+
+
+@pytest.mark.parametrize(
+    "capacity, keys, switching",
+    [(2, 16, True), (256, 300, False)],
+    ids=["capacity-2", "capacity-256"],
+)
+def test_point_tables_under_concurrent_sights(
+    capacity, keys, switching, monkeypatch, request
+):
+    """Eight threads showing more keys than the cache holds: nothing
+    raises, the bound holds, and no point is multiplied with another
+    point's table."""
+    if switching:
+        request.getfixturevalue("fast_switching")
+    points = [scalar_mult(7000 + i) for i in range(keys)]
+    want = {(p.x, p.y): scalar_mult_naive(3, p) for p in points[:16]}
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", LRU(capacity))
+
+    def sight(p: Point) -> None:
+        ec._point_wnaf_tables(p)
+        if (p.x, p.y) in want:
+            assert multi_scalar_mult([(3, p)]) == want[(p.x, p.y)]
+
+    assert _race(sight, points) == []
+    assert len(ec._POINT_TABLE_CACHE) <= capacity
+
+
+def test_parity_hints_under_concurrent_verifies(monkeypatch, fast_switching):
+    rng = random.Random(0x5EED)
+    signed = []
+    for _ in range(32):
+        secret = rng.randrange(1, CURVE_ORDER)
+        digest = rng.randbytes(32)
+        signed.append(
+            (scalar_mult(secret), digest, ecdsa.sign(secret, digest))
+        )
+    monkeypatch.setattr(ecdsa, "_PARITY_HINTS", LRU(2))
+
+    def check(triple) -> None:
+        assert ecdsa.verify(*triple)
+
+    assert _race(check, signed) == []
+    assert len(ecdsa._PARITY_HINTS) <= 2
+
+
+def _verify_and_exit(public: Point, digest: bytes, sig) -> None:
+    sys.exit(0 if ecdsa.verify(public, digest, sig) else 1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked child inherits the parent's locks",
+)
+def test_a_child_forked_while_a_map_is_locked_can_verify():
+    """A worker forked while another thread holds a map's lock inherits
+    the lock held; the child gets fresh locks, so its verify finishes."""
+    secret, digest = 0xF0F0, b"\x2a" * 32
+    public = _hold(scalar_mult(secret))
+    sig = ecdsa.sign(secret, digest)
+    with ec._POINT_TABLE_CACHE._lock, ecdsa._PARITY_HINTS._lock:
+        child = multiprocessing.Process(
+            target=_verify_and_exit, args=(public, digest, sig)
+        )
+        child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child deadlocked on an inherited lock")
+    assert child.exitcode == 0
 
 
 # ----------------------------------------------------------------------

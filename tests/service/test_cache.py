@@ -1,51 +1,13 @@
-"""The memo and affirmation caches: LRU mechanics, held admissions and
-poison rejection."""
+"""The memo and affirmation caches: held admissions, poison rejection and
+the affirmation cache's install hook (LRU mechanics: ``tests/test_lru.py``)."""
 
 import pytest
 
 from repro.core.verifier import Admission
 from repro.crypto.hashing import sha256
 from repro.logic import checker as _checker
-from repro.service.cache import (
-    LRU,
-    AffirmationCache,
-    TxMemoTable,
-    install_affirmation_cache,
-)
-
-
-class TestLRU:
-    def test_get_put_roundtrip(self):
-        lru = LRU(4)
-        lru.put("a", 1)
-        assert lru.get("a") == 1
-        assert lru.get("missing") is None
-        assert lru.hits == 1
-        assert lru.misses == 1
-
-    def test_capacity_evicts_least_recent(self):
-        lru = LRU(2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        lru.get("a")  # refresh "a": "b" is now least recent
-        lru.put("c", 3)
-        assert lru.get("b") is None
-        assert lru.get("a") == 1
-        assert lru.get("c") == 3
-        assert lru.evictions == 1
-
-    def test_put_existing_key_updates_without_evicting(self):
-        lru = LRU(2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        lru.put("a", 10)
-        assert len(lru) == 2
-        assert lru.get("a") == 10
-        assert lru.evictions == 0
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LRU(0)
+from repro.lru import LRU
+from repro.service.cache import TxMemoTable, install_affirmation_cache
 
 
 class TestTxMemoTable:
@@ -99,8 +61,8 @@ class TestTxMemoTable:
 class TestAffirmationCacheInstall:
     def test_install_returns_previous_and_restores(self):
         original = _checker.AFFIRMATION_CACHE
-        first = AffirmationCache()
-        second = AffirmationCache()
+        first = LRU(4)
+        second = LRU(4)
         try:
             assert install_affirmation_cache(first) is original
             assert install_affirmation_cache(second) is first
