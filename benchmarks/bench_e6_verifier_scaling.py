@@ -8,6 +8,7 @@ transaction's history; this bench measures that curve.
 
 import time
 
+from repro import obs
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint
 from repro.core.builder import simple_transfer
@@ -18,6 +19,9 @@ from repro.core.wallet import TypecoinClient
 from repro.logic.propositions import One
 
 DEPTHS = (1, 2, 4, 8, 16, 32)
+# The verifier's work per claim: transactions admitted, LF typechecks and
+# proof-term nodes checked.
+COUNTED = ("verify.carriers_total", "lf.typecheck_total", "proof.nodes_total")
 
 
 def build_chain(depth):
@@ -43,17 +47,38 @@ def build_chain(depth):
     return net, client, outpoint
 
 
+def verify_counted(chain, bundle):
+    """One ``verify_claim``, with obs on for it; returns COUNTED's deltas."""
+    was_enabled = obs.ENABLED
+    obs.enable()
+    registry = obs.registry()
+    before = [registry.counter(name).value for name in COUNTED]
+    try:
+        verify_claim(chain, bundle)
+    finally:
+        if not was_enabled:
+            obs.disable()
+    return {
+        name: registry.counter(name).value - count
+        for name, count in zip(COUNTED, before)
+    }
+
+
 def bench_e6_verifier_scaling(benchmark):
     scenarios = {depth: build_chain(depth) for depth in DEPTHS}
+    work = {}
 
     def verify_all():
         timings = {}
         for depth, (net, client, outpoint) in scenarios.items():
             bundle = client.claim_bundle(outpoint, One())
             samples = []
-            for _ in range(3):
+            for sample in range(3):
                 start = time.perf_counter()
-                verify_claim(net.chain, bundle)
+                if sample == 0 and depth not in work:
+                    work[depth] = verify_counted(net.chain, bundle)
+                else:
+                    verify_claim(net.chain, bundle)
                 samples.append(time.perf_counter() - start)
             timings[depth] = min(samples)
         return timings
@@ -61,23 +86,30 @@ def bench_e6_verifier_scaling(benchmark):
     timings = benchmark.pedantic(verify_all, rounds=3, iterations=1)
 
     print("\nE6: §3 claim-verification cost vs upstream depth")
-    print(f"{'depth':>6} {'bundle size':>12} {'verify time':>12}")
+    print(f"{'depth':>6} {'bundle size':>12} {'typechecks':>11}"
+          f" {'proof nodes':>12} {'verify time':>12}")
     for depth, (net, client, outpoint) in scenarios.items():
         bundle = client.claim_bundle(outpoint, One())
         print(f"{depth:>6} {len(bundle.transactions):>12}"
+              f" {work[depth]['lf.typecheck_total']:>11}"
+              f" {work[depth]['proof.nodes_total']:>12}"
               f" {timings[depth] * 1000:>10.1f}ms")
 
     # Shape 1: the bundle really contains the whole upstream set.
     for depth, (net, client, outpoint) in scenarios.items():
         assert len(client.claim_bundle(outpoint, One()).transactions) == depth
     # Shape 2: cost is linear in depth — one edge walk, one correspondence
-    # check and one typecheck per upstream transaction.  32 deep reads
-    # 25–31× 1 deep (a fixed per-claim part keeps it under 32×, the
-    # growing ledger pushes it back up); each depth is the best of three
-    # samples, because single 0.3 ms samples read 15–32× and left the
-    # band one run in fifteen.  Quadratic levelling read ~100×.
-    ratio = timings[32] / timings[1]
-    assert 16 < ratio < 64
+    # check and one typecheck per upstream transaction.  Read on work, not
+    # on a wall clock: each counted series is exactly affine in depth,
+    # c(d) = c(1) + (d − 1)·(c(2) − c(1)).  Quadratic levelling, or any
+    # work added for some depths and not others, breaks the line.
+    for name in COUNTED:
+        step = work[2][name] - work[1][name]
+        assert step > 0, name
+        for depth in DEPTHS:
+            assert work[depth][name] == work[1][name] + (depth - 1) * step, (
+                name, depth, work[depth][name]
+            )
     benchmark.extra_info["timings_ms"] = {
         depth: timings[depth] * 1000 for depth in DEPTHS
     }

@@ -94,13 +94,18 @@ class Ledger:
         earlier admission of the same T.  Every other caller passes it
         too, except the repository benchmark's working-set builder, for
         which alone it is still computed here when omitted.
+
+        Σ_global is replaced by an extended copy when T declares and kept
+        when it does not, never edited in place: a claim verified under
+        ``base_ledger`` shares the caller's.
         """
         if carrier_txid in self.transactions:
             raise ValidationFailure("transaction already registered")
         if resolved is None:
             resolved = resolve(carrier_txid, txn)
         self.transactions[carrier_txid] = txn
-        self.global_basis = self.global_basis.extended(resolved.basis)
+        if resolved.basis:
+            self.global_basis = self.global_basis.extended(resolved.basis)
         for index, (prop, amount, principal) in enumerate(resolved.outputs):
             self.outputs[(carrier_txid, index)] = LedgerOutput(
                 prop, amount, principal
@@ -229,14 +234,19 @@ def check_typecoin_transaction(
 
 
 def _check_local_basis(global_basis: Basis, local: Basis) -> Basis:
-    """Σ_global ⊢ Σ ok: each declaration well-formed given what precedes it."""
+    """Σ_global ⊢ Σ ok: each declaration well-formed given what precedes it.
+
+    Returns the basis T's other checks read: Σ_global itself when T
+    declares nothing, else one copy of it with each declaration added once
+    it has checked.  Σ_global is never edited.
+    """
+    if not local:
+        return global_basis
     if not local.all_local():
         raise ValidationFailure("local basis declares non-this constants")
-    working = global_basis
+    scope = global_basis.extended(Basis())
     lf_ctx = LFContext()
-    staged = Basis()
     for ref, decl in local:
-        scope = working.extended(staged)
         try:
             if isinstance(decl, KindDecl):
                 check_kind(scope, lf_ctx, decl.kind)
@@ -250,8 +260,8 @@ def _check_local_basis(global_basis: Basis, local: Basis) -> Basis:
             raise ValidationFailure(
                 f"ill-formed declaration {ref}: {exc}"
             ) from exc
-        staged.declare(ref, decl)
-    return working.extended(staged)
+        scope.declare(ref, decl)
+    return scope
 
 
 def world_at(chain, height: int | None = None) -> WorldView:

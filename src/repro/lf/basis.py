@@ -21,6 +21,8 @@ from repro import obs
 from repro.lf.syntax import (
     BUILTIN,
     THIS,
+    App,
+    Const,
     ConstRef,
     KIND_TYPE,
     KindT,
@@ -157,35 +159,28 @@ def builtin_basis() -> Basis:
       relation the §6 newcoin example depends on.
     * ``plus_refl : Πn:nat.Πm:nat. plus n m (add n m)`` — its sole
       introduction form; with δ-reduction, ``plus_refl 2 3 : plus 2 3 5``.
+
+    Each call returns a new ``Basis``, so a caller may declare into it;
+    the declarations themselves are built once per process and shared.
     """
-    basis = Basis()
-    basis.declare(NAT, KindDecl(KIND_TYPE))
-    basis.declare(PRINCIPAL, KindDecl(KIND_TYPE))
-    basis.declare(
-        ADD,
-        TypeDecl(TPi("_a", NAT_T, TPi("_b", NAT_T, NAT_T))),
-    )
-    basis.declare(
-        PLUS,
-        KindDecl(
-            KPi("_n", NAT_T, KPi("_m", NAT_T, KPi("_p", NAT_T, KIND_TYPE)))
-        ),
-    )
-    from repro.lf.syntax import App, Const
+    return Basis(dict(_BUILTINS._decls))
 
-    plus_family = TApp(
-        TApp(
-            TApp(TConst(PLUS), Var("n")),
-            Var("m"),
-        ),
+
+_BUILTINS = Basis()
+_BUILTINS.declare(NAT, KindDecl(KIND_TYPE))
+_BUILTINS.declare(PRINCIPAL, KindDecl(KIND_TYPE))
+_BUILTINS.declare(ADD, TypeDecl(TPi("_a", NAT_T, TPi("_b", NAT_T, NAT_T))))
+_BUILTINS.declare(
+    PLUS,
+    KindDecl(KPi("_n", NAT_T, KPi("_m", NAT_T, KPi("_p", NAT_T, KIND_TYPE)))),
+)
+_BUILTINS.declare(
+    PLUS_REFL,
+    TypeDecl(TPi("n", NAT_T, TPi("m", NAT_T, TApp(
+        TApp(TApp(TConst(PLUS), Var("n")), Var("m")),
         App(App(Const(ADD), Var("n")), Var("m")),
-    )
-    basis.declare(
-        PLUS_REFL,
-        TypeDecl(TPi("n", NAT_T, TPi("m", NAT_T, plus_family))),
-    )
-    return basis
-
+    )))),
+)
 
 # Register the arithmetic δ-rule with the normalizer.
 register_arith(ADD, lambda a, b: a + b)

@@ -255,6 +255,59 @@ class TestLedger:
         with pytest.raises(ValidationFailure, match="already registered"):
             ledger.register(txid, txn, resolve(txid, txn))
 
+    def test_register_replaces_global_basis_only_when_t_declares(self):
+        """Σ_global is swapped for an extended copy when T declares and
+        kept when it does not — never edited in place, since a claim under
+        ``base_ledger`` shares the caller's."""
+        ledger = Ledger()
+        sigma = ledger.global_basis
+        before = list(sigma)
+        plain = basis_publication(Basis(), PUBKEY)
+        ledger.register(b"\x0d" * 32, plain, resolve(b"\x0d" * 32, plain))
+        assert ledger.global_basis is sigma
+        basis, _ = coin_basis()
+        txn = basis_publication(basis, PUBKEY)
+        ledger.register(b"\x0e" * 32, txn, resolve(b"\x0e" * 32, txn))
+        assert ledger.global_basis is not sigma
+        assert ConstRef(b"\x0e" * 32, "coin") in ledger.global_basis
+        assert list(sigma) == before
+
+
+class TestCheckLeavesGlobalBasis:
+    """𝔗;Σ ⊢ T ok reads Σ_global and never writes to it: T's declarations
+    join Σ_global only when the ledger registers T."""
+
+    @pytest.fixture
+    def ledger(self, world):
+        return TestInputChecks().register_coin(world)[0]
+
+    def test_t_declaring_nothing(self, ledger, world):
+        before = list(ledger.global_basis)
+        check_typecoin_transaction(
+            ledger, simple_transfer([], [TypecoinOutput(One(), 600, PUBKEY)]),
+            world,
+        )
+        assert list(ledger.global_basis) == before
+
+    def test_t_declaring_constants(self, ledger, world):
+        before = list(ledger.global_basis)
+        basis = Basis()
+        kind = basis.declare_local("token", KindDecl(KIND_PROP))
+        basis.declare_local("mint", PropDecl(Lolli(One(), Atom(TConst(kind)))))
+        check_typecoin_transaction(ledger, basis_publication(basis, PUBKEY), world)
+        assert list(ledger.global_basis) == before
+
+    def test_t_refused_at_its_second_declaration(self, ledger, world):
+        before = list(ledger.global_basis)
+        basis = Basis()
+        basis.declare_local("token", KindDecl(KIND_PROP))
+        basis.declare_local("bad", TypeDecl(TConst(ConstRef(THIS, "ghost"))))
+        with pytest.raises(ValidationFailure, match="declaration this.bad"):
+            check_typecoin_transaction(
+                ledger, basis_publication(basis, PUBKEY), world
+            )
+        assert list(ledger.global_basis) == before
+
 
 class TestWorldAt:
     def test_world_reads_block_timestamp(self, net, alice):

@@ -144,10 +144,10 @@ class TestVerifyClaim:
         with pytest.raises(VerificationError, match="cycle"):
             verify_claim(Blockchain(ChainParams.regtest()), bundle)
 
-    def test_base_ledger_is_left_as_it_was(self, net, alice):
+    def test_base_ledger_is_left_as_it_was(self, net, bank, alice):
         """A claim — accepted or refused — reads the trusted history it is
         seeded with and never writes to it (§3.2: a batch server passes
-        its own records)."""
+        its own records), whether or not its transactions declare."""
         out = TypecoinOutput(One(), 600, alice.pubkey)
         first = simple_transfer([], [out])
         first_txid = alice.submit(first).txid
@@ -159,13 +159,15 @@ class TestVerifyClaim:
         outpoint = OutPoint(alice.submit(second).txid, 0)
         net.confirm(1)
         alice.sync()
+        vocab, _, _ = publish_newcoin(net, bank)
+        coins, _ = issue_to(net, bank, vocab, 10, alice.pubkey)
 
         base = Ledger()
         base.register(first_txid, first, resolve(first_txid, first))
 
         def fields():
             return (
-                base.global_basis,
+                list(base.global_basis),
                 dict(base.transactions),
                 {
                     key: dataclasses.replace(entry)
@@ -174,12 +176,17 @@ class TestVerifyClaim:
             )
 
         before = fields()
-        verify_claim(
-            net.chain, alice.claim_bundle(outpoint, One()), base_ledger=base
-        )
-        assert fields() == before
-        wrong = alice.claim_bundle(outpoint, Tensor(One(), One()))
-        with pytest.raises(VerificationError, match="claimed type"):
-            verify_claim(net.chain, wrong, base_ledger=base)
-        assert fields() == before
+        for bundle in (
+            alice.claim_bundle(outpoint, One()),
+            bank.claim_bundle(coins, vocab.coin_prop(10)),
+        ):
+            verify_claim(net.chain, bundle, base_ledger=base)
+            assert fields() == before
+        for wrong in (
+            alice.claim_bundle(outpoint, Tensor(One(), One())),
+            bank.claim_bundle(coins, vocab.coin_prop(999)),
+        ):
+            with pytest.raises(VerificationError, match="claimed type"):
+                verify_claim(net.chain, wrong, base_ledger=base)
+            assert fields() == before
         assert not base.spent_oracle(first_txid, 0)
