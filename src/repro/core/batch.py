@@ -24,7 +24,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro import cancel
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.core.proofs import (
     decompose_tensor,
@@ -36,11 +35,12 @@ from repro.core.transaction import (
     TypecoinOutput,
     TypecoinTransaction,
 )
-from repro.core.validate import Ledger
+from repro.core.validate import Ledger, ValidationFailure, check_obligation
 from repro.core.verifier import (
     ClaimBundle,
     VerificationError,
     dependency_levels,
+    peel_levels,
     verify_claim,
 )
 from repro.core.wallet import TypecoinClient
@@ -50,23 +50,16 @@ from repro.core.wire import (
     encode_bundle,
     encode_transaction,
 )
-from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash160, sha256
-from repro.crypto.keys import PrivateKey, PublicKey
-from repro.crypto.secp256k1 import Point
+from repro.crypto.keys import PrivateKey
 from repro.lf.basis import Basis
-from repro.lf.syntax import declare_shape
-from repro.lf.walk import convertible, nodes_of_type, normalize
+from repro.lf.syntax import PrincipalLit, declare_shape
+from repro.lf.walk import nodes_of_type
 from repro.logic import proofterms as pt
-from repro.logic.checker import CheckerContext, ProofError, infer
+from repro.logic.checker import verify_affirmation
 from repro.logic.codec import Cursor, DecodingError, decode, encode, write_uint
-from repro.logic.propositions import (
-    IfProp,
-    Lolli,
-    One,
-    Proposition,
-    tensor_all,
-)
+from repro.logic.conditions import CTrue
+from repro.logic.propositions import One, Proposition, tensor_all
 from repro.store import framing
 
 JOURNAL_MAGIC = b"RPRBJRN1"
@@ -82,11 +75,13 @@ class WriteThroughRequired(BatchError):
 
 
 # What an intact journal record that cannot be replayed raises: JSON that
-# does not parse or is not a record (``ValueError``, ``KeyError``,
-# ``TypeError``, ``AttributeError``), hex or wire bytes that do not decode,
-# or an operation re-verification refuses.
+# does not parse, nests too deep, or is not a record (``ValueError``,
+# ``RecursionError``, ``KeyError``, ``TypeError``, ``AttributeError``), hex
+# or wire bytes that do not decode, or an operation re-verification
+# refuses.
 _UNREPLAYABLE = (
-    ValueError, KeyError, TypeError, AttributeError, DecodingError, BatchError,
+    ValueError, RecursionError, KeyError, TypeError, AttributeError,
+    DecodingError, BatchError,
 )
 
 
@@ -97,6 +92,17 @@ class VirtualOutput:
     prop: Proposition
     amount: int
     owner: bytes  # 20-byte principal
+
+    def __post_init__(self) -> None:
+        if self.amount < 0:
+            raise BatchError("output amount must be non-negative")
+        _check_owner(self.owner)
+
+
+def _check_owner(owner: bytes) -> None:
+    """An owner no key hashes to would strand the resource it holds."""
+    if len(owner) != 20:
+        raise BatchError("owners are 20-byte principals")
 
 
 # An untagged wire layout: what an authorization signs of each output.
@@ -206,6 +212,7 @@ class BatchServer:
         party"), requires the txout to be locked to its own key, and
         credits ``owner``.
         """
+        _check_owner(owner)
         try:
             # Replay relaxes ONLY the is-currently-unspent check: the
             # journal witnessed the outpoint unspent at deposit time, and
@@ -266,12 +273,13 @@ class BatchServer:
     def transact(
         self,
         vtx: VirtualTransaction,
-        authorizations: dict[bytes, tuple[bytes, bytes]],
+        authorizations: dict[bytes, pt.Affirmation],
     ) -> int:
         """Record a batch-mode transaction.
 
-        ``authorizations`` maps each input owner's principal to a
-        (pubkey, signature) pair over :meth:`VirtualTransaction.payload`.
+        ``authorizations`` maps each input owner's principal to its
+        :func:`authorize` affirmation.  The proof is judged by the formation
+        rule's own :func:`~repro.core.validate.check_obligation`, A ⊸ B.
         """
         if not vtx.inputs:
             raise BatchError("virtual transactions need at least one input")
@@ -279,7 +287,8 @@ class BatchServer:
         # an identical payload IS the same transaction — re-notifying
         # (client retry, at-least-once delivery) returns the original id
         # instead of failing on already-consumed inputs.
-        digest = sha256(vtx.payload())
+        payload = vtx.payload()
+        digest = sha256(payload)
         already = self._seen_payloads.get(digest)
         if already is not None:
             return already
@@ -295,7 +304,16 @@ class BatchServer:
                 raise BatchError(f"unknown resource {resource_id}")
             if resource.consumed_by is not None or resource.withdrawn:
                 raise BatchError(f"resource {resource_id} is no longer held")
-            self._check_authorization(resource.owner, vtx, authorizations)
+            owner = resource.owner
+            # The server authorizes its own spends implicitly.
+            if owner != self.principal:
+                affirmation = authorizations.get(owner)
+                if affirmation is None or not verify_affirmation(
+                    PrincipalLit(owner), payload, affirmation
+                ):
+                    raise BatchError(
+                        f"no valid authorization from {owner.hex()[:8]}…"
+                    )
             input_props.append(resource.prop)
             total_in += resource.amount
         total_out = sum(out.amount for out in vtx.outputs)
@@ -305,25 +323,19 @@ class BatchServer:
                 f" ({total_in} in, {total_out} out)"
             )
 
-        # Type check: proof must prove A ⊸ B unconditionally.
-        ctx = CheckerContext(basis=self.client.ledger.global_basis)
         try:
-            proved, _ = infer(ctx, vtx.proof)
-        except ProofError as exc:
-            raise BatchError(f"virtual proof does not check: {exc}") from exc
-        proved = normalize(proved)
-        if not isinstance(proved, Lolli):
-            raise BatchError("virtual proof must be an implication")
-        if not convertible(proved.antecedent, tensor_all(input_props)):
-            raise BatchError("virtual proof consumes the wrong resources")
-        consequent = normalize(proved.consequent)
-        if isinstance(consequent, IfProp):
+            condition, _ = check_obligation(
+                self.client.ledger.global_basis,
+                vtx.proof,
+                tensor_all(input_props),
+                tensor_all([out.prop for out in vtx.outputs]),
+            )
+        except ValidationFailure as exc:
+            raise BatchError(f"virtual transaction refused: {exc}") from exc
+        if not isinstance(condition, CTrue):
             raise WriteThroughRequired(
                 "conditional discharge must be written through (§5)"
             )
-        expected = tensor_all([out.prop for out in vtx.outputs])
-        if not convertible(consequent, expected):
-            raise BatchError("virtual proof produces the wrong resources")
 
         vtx_id = self._new_id()
         self._vtxs[vtx_id] = vtx
@@ -348,45 +360,17 @@ class BatchServer:
                 ],
                 "proof": encode(vtx.proof).hex(),
                 "auth": {
-                    owner.hex(): [pub.hex(), sig.hex()]
-                    for owner, (pub, sig) in authorizations.items()
+                    owner.hex(): [aff.pubkey.hex(), aff.signature.hex()]
+                    for owner, aff in authorizations.items()
                 },
             }
         )
         return vtx_id
 
-    def _check_authorization(
-        self,
-        owner: bytes,
-        vtx: VirtualTransaction,
-        authorizations: dict[bytes, tuple[bytes, bytes]],
-    ) -> None:
-        if owner == self.principal:
-            return  # the server authorizes its own spends implicitly
-        auth = authorizations.get(owner)
-        if auth is None:
-            raise BatchError(f"missing authorization from {owner.hex()[:8]}…")
-        pubkey_bytes, signature_bytes = auth
-        if hash160(pubkey_bytes) != owner:
-            raise BatchError("authorization key does not match owner")
-        try:
-            point = Point.decode(pubkey_bytes)
-            signature = Signature.decode(signature_bytes)
-        except ValueError as exc:
-            raise BatchError(f"malformed authorization: {exc}") from exc
-        from repro.crypto.ecdsa import verify
-
-        if not verify(point, sha256(vtx.payload()), signature):
-            raise BatchError("authorization signature invalid")
-
     # -- withdrawal --------------------------------------------------------
 
     def withdraw(
-        self,
-        resource_id: int,
-        recipient_pubkey: bytes,
-        fee: int = 10_000,
-        deadline: cancel.Deadline | None = None,
+        self, resource_id: int, recipient_pubkey: bytes, fee: int = 10_000
     ) -> Transaction:
         """Materialize a held resource on-chain (§3.2).
 
@@ -395,25 +379,19 @@ class BatchServer:
         resource to ``recipient_pubkey``, the other live resources back to
         the server's key, and submits it.  Returns the carrier.
 
-        ``deadline`` bounds the operation: an expired deadline — on
-        entry, or after proof composition but *before* submission — is
-        refused with :class:`~repro.cancel.DeadlineExceeded` and leaves
-        the server's records untouched, so the caller can simply retry.
-        State mutates only after the carrier is handed to the network.
+        State mutates only after the carrier is handed to the network: a
+        submission the client refuses leaves the server's records as they
+        were, so the caller can simply retry.
         """
-        if deadline is not None and deadline.expired():
-            raise cancel.DeadlineExceeded("withdrawal deadline already expired")
         target = self._resources.get(resource_id)
         if target is None or target.consumed_by is not None or target.withdrawn:
             raise BatchError("resource is not available for withdrawal")
         if hash160(recipient_pubkey) != target.owner:
             raise BatchError("withdrawal key does not match the owner")
 
-        if target.onchain is not None and not self._vtx_children(resource_id):
-            # Directly held on-chain: a plain one-in-one-out transfer.
-            vtx_order: list[int] = []
-        else:
-            vtx_order = self._affected_vtxs(resource_id)
+        # Held on-chain, a resource has no virtual history: a plain
+        # one-in-one-out transfer.
+        vtx_order = [] if target.onchain else self._affected_vtxs(resource_id)
 
         roots, live = self._roots_and_live(vtx_order, resource_id)
 
@@ -429,10 +407,6 @@ class BatchServer:
             )
         proof = self._compose_proof(roots, vtx_order, [resource_id] + live, outputs)
         txn = TypecoinTransaction(Basis(), One(), inputs, outputs, proof)
-        if deadline is not None and deadline.expired():
-            # Refuse *before* submission: nothing has mutated yet, so the
-            # caller can retry with a fresh deadline and identical effect.
-            raise cancel.DeadlineExceeded("withdrawal deadline expired")
         carrier = self.client.submit(txn, fee=fee)
         target.withdrawn = True
         for rid in live:
@@ -561,9 +535,8 @@ class BatchServer:
                 decode(Cursor(bytes.fromhex(record["proof"])), pt.ProofTerm),
             )
             auths = {
-                bytes.fromhex(owner_hex): (
-                    bytes.fromhex(pub_hex),
-                    bytes.fromhex(sig_hex),
+                bytes.fromhex(owner_hex): pt.Affirmation(
+                    bytes.fromhex(pub_hex), bytes.fromhex(sig_hex)
                 )
                 for owner_hex, (pub_hex, sig_hex) in record["auth"].items()
             }
@@ -594,13 +567,6 @@ class BatchServer:
 
     # -- internals -----------------------------------------------------------
 
-    def _vtx_children(self, resource_id: int) -> list[int]:
-        return [
-            vtx_id
-            for vtx_id, vtx in self._vtxs.items()
-            if resource_id in vtx.inputs
-        ]
-
     def _affected_vtxs(self, resource_id: int) -> list[int]:
         """All virtual transactions entangled with the target's history:
         backward closure, then forward closure over shared roots."""
@@ -627,28 +593,17 @@ class BatchServer:
                                 frontier_resources.update(self._vtxs[child].inputs)
             if len(affected) == before:
                 break
-        return self._topo_vtxs(affected)
-
-    def _topo_vtxs(self, vtx_ids: set[int]) -> list[int]:
-        order: list[int] = []
-        placed: set[int] = set()
-        pending = set(vtx_ids)
-        while pending:
-            progressed = False
-            for vtx_id in sorted(pending):
-                deps = set()
-                for rid in self._vtxs[vtx_id].inputs:
-                    resource = self._resources[rid]
-                    if resource.virtual and resource.virtual[0] in vtx_ids:
-                        deps.add(resource.virtual[0])
-                if deps <= placed:
-                    order.append(vtx_id)
-                    placed.add(vtx_id)
-                    pending.discard(vtx_id)
-                    progressed = True
-            if not progressed:  # pragma: no cover - acyclic by construction
-                raise BatchError("virtual history contains a cycle")
-        return order
+        # Parents first, by the verifier's own peel: each vtx depends on
+        # the producers of its inputs.
+        producers = {
+            vtx_id: frozenset(
+                self._resources[rid].virtual[0]
+                for rid in self._vtxs[vtx_id].inputs
+                if self._resources[rid].virtual is not None
+            )
+            for vtx_id in sorted(affected)
+        }
+        return [vtx_id for level in peel_levels(producers) for vtx_id in level]
 
     def _roots_and_live(
         self, vtx_order: list[int], target_id: int
@@ -727,7 +682,8 @@ class BatchServer:
         )
 
 
-def authorize(key: PrivateKey, vtx: VirtualTransaction) -> tuple[bytes, bytes]:
-    """An owner's authorization pair for :meth:`BatchServer.transact`."""
-    signature = key.sign(vtx.payload())
-    return key.public.encoded, signature.encode()
+def authorize(key: PrivateKey, vtx: VirtualTransaction) -> pt.Affirmation:
+    """An owner's authorization for :meth:`BatchServer.transact`: an
+    affirmation of the virtual transaction's payload, whose
+    ``typecoin-batch:`` prefix no ``assert`` payload shares."""
+    return pt.Affirmation(key.public.encoded, key.sign(vtx.payload()).encode())

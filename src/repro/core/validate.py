@@ -24,8 +24,9 @@ from repro.logic.checker import (
     check_prop_formation,
     infer,
 )
-from repro.logic.conditions import CTrue, WorldView, evaluate
+from repro.logic.conditions import Condition, CTrue, WorldView, evaluate
 from repro.logic.freshness import FreshnessError, check_basis_fresh, check_prop_fresh
+from repro.logic.proofterms import ProofTerm
 from repro.logic.propositions import IfProp, Lolli, Proposition
 from repro.core.transaction import TypecoinTransaction
 
@@ -188,12 +189,33 @@ def check_typecoin_transaction(
             raise ValidationFailure(f"ill-formed output type: {exc}") from exc
 
     # --- the proof -------------------------------------------------------
-    ctx = CheckerContext(
-        basis=working,
-        txn_payload=txn.signing_payload(),
+    condition, produced = check_obligation(
+        working, txn.proof, txn.obligation_antecedent(), txn.outputs_tensor(),
+        txn.signing_payload(),
     )
+
+    # --- implicit top-level discharge: "the condition φ holds" ------------
+    if not evaluate(condition, world):
+        raise ValidationFailure(
+            f"top-level condition {condition} does not hold in this world"
+        )
+    return produced
+
+
+def check_obligation(
+    basis: Basis,
+    proof: ProofTerm,
+    antecedent: Proposition,
+    outputs: Proposition,
+    payload: bytes | None = None,
+) -> tuple[Condition, Proposition]:
+    """``proof`` has type antecedent ⊸ if(φ, B), B convertible to
+    ``outputs``; returns (φ, B), φ = true for a bare antecedent ⊸ B.
+    ``payload`` is what an affine ``assert`` signs: T's, or ``None`` for a
+    batch server's virtual A ⊸ B (:mod:`repro.core.batch`)."""
+    ctx = CheckerContext(basis=basis, txn_payload=payload)
     try:
-        proved, _used = infer(ctx, txn.proof)
+        proved, _used = infer(ctx, proof)
     except ProofError as exc:
         if obs.ENABLED:
             obs.emit("proof.checked", outcome="proof_error")
@@ -204,33 +226,25 @@ def check_typecoin_transaction(
     proved = normalize(proved)
     if not isinstance(proved, Lolli):
         raise ValidationFailure(f"proof proves {proved}, not an implication")
-    expected_antecedent = txn.obligation_antecedent()
-    if not convertible(proved.antecedent, expected_antecedent):
+    if not convertible(proved.antecedent, antecedent):
         raise ValidationFailure(
             f"proof consumes {normalize(proved.antecedent)}, transaction"
-            f" provides {normalize(expected_antecedent)}"
+            f" provides {normalize(antecedent)}"
         )
 
     consequent = normalize(proved.consequent)
-    expected_outputs = txn.outputs_tensor()
     if isinstance(consequent, IfProp):
         condition = consequent.condition
         produced = consequent.body
     else:
         condition = CTrue()
         produced = consequent
-    if not convertible(produced, expected_outputs):
+    if not convertible(produced, outputs):
         raise ValidationFailure(
             f"proof produces {normalize(produced)}, outputs require"
-            f" {normalize(expected_outputs)}"
+            f" {normalize(outputs)}"
         )
-
-    # --- implicit top-level discharge: "the condition φ holds" ------------
-    if not evaluate(condition, world):
-        raise ValidationFailure(
-            f"top-level condition {condition} does not hold in this world"
-        )
-    return produced
+    return condition, produced
 
 
 def _check_local_basis(global_basis: Basis, local: Basis) -> Basis:

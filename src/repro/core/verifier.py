@@ -78,8 +78,11 @@ def _references(
     return references
 
 
-def _levels(references: dict[bytes, frozenset[bytes]]) -> list[list[bytes]]:
-    """Peel ranks Kahn-style from the in-bundle edges of ``references``."""
+def peel_levels(references: dict) -> list[list]:
+    """Peel ranks Kahn-style from the in-set edges of ``references``, a map
+    from each node to the nodes it depends on; dependencies outside the map
+    are not edges.  The levels concatenated are a parents-first order.  A
+    batch server orders its virtual transactions with it too."""
     dependents: dict[bytes, list[bytes]] = {txid: [] for txid in references}
     waiting: dict[bytes, int] = {}
     for txid, refs in references.items():
@@ -119,7 +122,7 @@ def dependency_levels(
     are a parents-first order, and the first failure is the same on every
     run.
     """
-    return _levels(_references(transactions))
+    return peel_levels(_references(transactions))
 
 
 def verify_claim(
@@ -178,7 +181,7 @@ def _verify_claim(
 
     deadline = cancel.current_deadline()
     references = _references(bundle.transactions, memo)
-    for level in _levels(references):
+    for level in peel_levels(references):
         if deadline is not None and deadline.expired():
             raise cancel.DeadlineExceeded("deadline expired between levels")
         for txid in level:
