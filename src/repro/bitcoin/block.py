@@ -146,6 +146,12 @@ class Block:
 
     def validate_structure(self) -> None:
         """Context-free block checks: merkle commitment, coinbase placement."""
+        self._well_formed  # raises ValidationError until it holds
+
+    @cached_property
+    def _well_formed(self) -> bool:
+        """``validate_structure`` passed: kept only once it holds, like
+        ``Transaction._well_formed`` — a failure raises on every call."""
         from repro.bitcoin.validation import ValidationError, check_transaction
 
         if not self.txs:
@@ -161,6 +167,7 @@ class Block:
             check_transaction(tx)
         if self.serialized_size() > MAX_BLOCK_SIZE:
             raise ValidationError("block exceeds size limit")
+        return True
 
 
 def build_block(

@@ -88,6 +88,9 @@ class BlockIndexEntry:
     height: int
     chain_work: int
     prev: bytes | None
+    # Median of this block's and its ten predecessors' timestamps, set
+    # once at indexing: an entry's ancestors never change.
+    median_time_past: int
     invalid: bool = False
 
 
@@ -112,6 +115,7 @@ class Blockchain:
                 height=0,
                 chain_work=block_work(self.genesis.header.bits),
                 prev=None,
+                median_time_past=self.genesis.header.timestamp,
             )
         }
         self._active: list[bytes] = [genesis_hash]
@@ -303,13 +307,7 @@ class Blockchain:
     def median_time_past(self, block_hash: bytes | None = None) -> int:
         """Median of the last 11 block timestamps (the consensus clock)."""
         entry = self._index[block_hash] if block_hash else self.tip
-        times: list[int] = []
-        current: BlockIndexEntry | None = entry
-        while current is not None and len(times) < MEDIAN_TIME_SPAN:
-            times.append(current.block.header.timestamp)
-            current = self._index.get(current.prev) if current.prev else None
-        times.sort()
-        return times[len(times) // 2]
+        return entry.median_time_past
 
     def required_bits(self, prev_hash: bytes) -> int:
         """The compact target the block after ``prev_hash`` must meet."""
@@ -525,11 +523,18 @@ class Blockchain:
         entry = self._index.get(block_hash)
         if entry is None:
             prev = self._index[block.header.prev_hash]
+            times = [block.header.timestamp]
+            ancestor: BlockIndexEntry | None = prev
+            while ancestor is not None and len(times) < MEDIAN_TIME_SPAN:
+                times.append(ancestor.block.header.timestamp)
+                ancestor = self._index.get(ancestor.prev)
+            times.sort()
             entry = BlockIndexEntry(
                 block=block,
                 height=prev.height + 1,
                 chain_work=prev.chain_work + block_work(block.header.bits),
                 prev=block.header.prev_hash,
+                median_time_past=times[len(times) // 2],
             )
             self._index[block_hash] = entry
         return entry

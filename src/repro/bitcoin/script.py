@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro import obs
 from repro.crypto.hashing import hash160, ripemd160, sha256, sha256d
+
+if TYPE_CHECKING:
+    from repro.bitcoin.standard import Classified
 
 MAX_SCRIPT_SIZE = 10_000
 MAX_STACK_SIZE = 1_000
@@ -143,6 +147,12 @@ class Script:
 
     def serialize(self) -> bytes:
         """Canonical byte serialization (minimal pushes)."""
+        return self._encoding
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        """Built once, by the encoder — never the bytes ``parse`` read (a
+        non-minimal push re-encodes); an over-long script raises each time."""
         out = bytearray()
         for el in self.elements:
             if isinstance(el, Op):
@@ -161,6 +171,13 @@ class Script:
         if len(out) > MAX_SCRIPT_SIZE:
             raise ScriptError("script exceeds 10k-byte limit")
         return bytes(out)
+
+    @cached_property
+    def _classified(self) -> Classified:
+        """``standard.classify``'s answer, built once per script."""
+        from repro.bitcoin.standard import _classify  # it imports this module
+
+        return _classify(self)
 
     @staticmethod
     def parse(data) -> "Script":

@@ -94,7 +94,14 @@ def _is_pubkey_shaped(data: bytes) -> bool:
 
 
 def classify(script: Script) -> Classified:
-    """Decide which standard schema (if any) an output script matches."""
+    """Decide which standard schema (if any) an output script matches.
+
+    A pure function of an immutable script, so it is answered once per
+    script and kept on it (``Script._classified``)."""
+    return script._classified
+
+
+def _classify(script: Script) -> Classified:
     els = script.elements
     if (
         len(els) == 2

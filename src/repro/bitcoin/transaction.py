@@ -232,9 +232,18 @@ class Transaction:
         """Display byte order (reversed), as block explorers show it."""
         return self.txid[::-1].hex()
 
-    @property
+    @cached_property
     def is_coinbase(self) -> bool:
         return len(self.vin) == 1 and self.vin[0].prevout.is_null
+
+    @cached_property
+    def _well_formed(self) -> bool:
+        """``validation.check_transaction`` passed: kept, like the txid, only
+        once it holds — a failure raises on every call."""
+        from repro.bitcoin.validation import _check_structure  # it imports us
+
+        _check_structure(self)
+        return True
 
     def total_output_value(self) -> int:
         return sum(out.value for out in self.vout)

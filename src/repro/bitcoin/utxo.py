@@ -33,33 +33,20 @@ class UTXOEntry:
     def serialized_size(self) -> int:
         """Approximate in-table footprint: outpoint + entry, in bytes.
 
-        Memoized (via ``__dict__``, bypassing the frozen guard) because the
-        set maintains its total size incrementally: every add/remove asks
-        for this, and serializing the script each time would move the cost
-        the incremental total saved right back into the hot path.
+        The set keeps its total size incrementally and asks this on every
+        add and remove; the script's encoding is built once, on the script.
         """
-        size = self.__dict__.get("_size")
-        if size is None:
-            size = 36 + 8 + 4 + 1 + len(self.output.script_pubkey.serialize())
-            self.__dict__["_size"] = size
-        return size
+        return 36 + 8 + 4 + 1 + len(self.output.script_pubkey.serialize())
 
     def tags(self) -> tuple[bytes, ...]:
         """The bytes the script names, each once: a P2PKH key hash, a P2PK
         key, every multisig key; nothing for any other script.  These are
-        the keys of the table's owner index.  Memoized like the size: the
-        index asks on the way in and again on the way out.
+        the keys of the table's owner index (the script keeps its class).
         """
-        tags = self.__dict__.get("_tags")
-        if tags is None:
-            classified = classify(self.output.script_pubkey)
-            tags = (
-                tuple(dict.fromkeys(classified.data))
-                if classified.type in _KEYED
-                else ()
-            )
-            self.__dict__["_tags"] = tags
-        return tags
+        classified = classify(self.output.script_pubkey)
+        if classified.type in _KEYED:
+            return tuple(dict.fromkeys(classified.data))
+        return ()
 
 
 @dataclass

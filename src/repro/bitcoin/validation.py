@@ -69,7 +69,12 @@ class TxValidity:
 
 
 def check_transaction(tx: Transaction) -> None:
-    """Context-free structural checks (no UTXO view needed)."""
+    """Context-free structural checks (no UTXO view needed), run once per
+    transaction object that passes them."""
+    tx._well_formed  # raises ValidationError until it holds
+
+
+def _check_structure(tx: Transaction) -> None:
     if not tx.vin:
         raise ValidationError("transaction has no inputs")
     if not tx.vout:

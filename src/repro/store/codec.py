@@ -16,7 +16,7 @@ outputs it mirrors.
 from __future__ import annotations
 
 from repro.bitcoin.block import Block
-from repro.bitcoin.script import Script
+from repro.bitcoin.script import Script, ScriptError
 from repro.bitcoin.transaction import (
     OutPoint,
     TxOut,
@@ -33,12 +33,28 @@ OUTPOINT_SIZE = 36
 
 
 class CodecError(ValueError):
-    """A persisted payload does not decode to a well-formed structure."""
+    """A persisted payload does not decode to a well-formed structure.
+
+    The undo and snapshot decoders accept only what the encoders write,
+    so whatever decodes re-encodes to the bytes read; a block record's
+    body is the wire format, which reads non-minimal pushes and varints
+    (``Transaction.parse``) and so round-trips to the same block.
+    """
 
 
 # ----------------------------------------------------------------------
 # Primitives
 # ----------------------------------------------------------------------
+
+
+def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
+    try:
+        value, end = read_varint(data, offset)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from None
+    if end - offset != len(varint(value)):
+        raise CodecError(f"non-minimal varint at offset {offset}")
+    return value, end
 
 
 def _decode_outpoint(data: bytes, offset: int) -> tuple[OutPoint, int]:
@@ -54,10 +70,16 @@ def _decode_txout(data: bytes, offset: int) -> tuple[TxOut, int]:
         raise CodecError("truncated txout value")
     value = int.from_bytes(data[offset : offset + 8], "little", signed=True)
     offset += 8
-    script_len, offset = read_varint(data, offset)
+    script_len, offset = _read_varint(data, offset)
     if offset + script_len > len(data):
         raise CodecError("truncated txout script")
-    script = Script.parse(data[offset : offset + script_len])
+    raw = data[offset : offset + script_len]
+    try:
+        script = Script.parse(raw)
+    except ScriptError as exc:
+        raise CodecError(f"unparseable txout script: {exc}") from exc
+    if script.serialize() != raw:  # the encoding a size is read from anyway
+        raise CodecError("non-minimal push in txout script")
     return TxOut(value, script), offset + script_len
 
 
@@ -73,7 +95,9 @@ def decode_utxo_entry(data: bytes, offset: int) -> tuple[UTXOEntry, int]:
     if offset + 5 > len(data):
         raise CodecError("truncated UTXO entry header")
     height = int.from_bytes(data[offset : offset + 4], "little")
-    is_coinbase = data[offset + 4] != 0
+    if data[offset + 4] > 1:
+        raise CodecError(f"coinbase flag {data[offset + 4]} is not 0 or 1")
+    is_coinbase = data[offset + 4] == 1
     output, offset = _decode_txout(data, offset + 5)
     return UTXOEntry(output, height, is_coinbase), offset
 
@@ -104,7 +128,7 @@ def decode_block_record(payload: bytes) -> tuple[int, int, Block | None, bytes]:
     if kind == RECORD_CONNECT:
         try:
             block = Block.parse(payload[5:])
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, ScriptError) as exc:
             raise CodecError(f"unparseable block in log: {exc}") from exc
         return kind, height, block, block.hash
     if kind == RECORD_DISCONNECT:
@@ -139,12 +163,12 @@ def decode_undo_record(payload: bytes) -> tuple[bytes, int, BlockUndo]:
     block_hash = payload[0:32]
     height = int.from_bytes(payload[32:36], "little")
     undo = BlockUndo()
-    n_spent, offset = read_varint(payload, 36)
+    n_spent, offset = _read_varint(payload, 36)
     for _ in range(n_spent):
         outpoint, offset = _decode_outpoint(payload, offset)
         entry, offset = decode_utxo_entry(payload, offset)
         undo.spent.append(SpentInfo(outpoint, entry))
-    n_created, offset = read_varint(payload, offset)
+    n_created, offset = _read_varint(payload, offset)
     for _ in range(n_created):
         outpoint, offset = _decode_outpoint(payload, offset)
         undo.created.append(outpoint)

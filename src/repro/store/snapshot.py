@@ -78,11 +78,15 @@ def decode_snapshot(data: bytes) -> SnapshotData:
         raise SnapshotError("unrecognized snapshot header")
     entries: dict[OutPoint, UTXOEntry] = {}
     offset = _HEADER.size
+    previous = None
     try:
         for _ in range(count):
             outpoint, offset = _decode_outpoint(body, offset)
+            if previous is not None and outpoint <= previous:
+                raise CodecError("outpoints out of order")  # or repeated
             entry, offset = decode_utxo_entry(body, offset)
             entries[outpoint] = entry
+            previous = outpoint
     except CodecError as exc:
         raise SnapshotError(f"corrupt snapshot entry: {exc}") from exc
     if offset != len(body):

@@ -1,6 +1,7 @@
 """Tests for the blockchain: acceptance, reorgs, UTXO/undo, queries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bitcoin.block import Block, build_block
 from repro.bitcoin.chain import Blockchain, ChainParams, block_subsidy
@@ -11,6 +12,7 @@ from repro.bitcoin.transaction import COIN, OutPoint, TxOut
 from repro.bitcoin.validation import ValidationError
 from repro.bitcoin.wallet import Wallet
 from repro.bitcoin.regtest import RegtestNetwork
+from tests.oracles import median_time_past_walk
 
 
 @pytest.fixture
@@ -134,6 +136,60 @@ class TestQueries:
             mine(chain, miner_key, 1, extra_nonce_base=i * 10)
             mtps.append(chain.median_time_past())
         assert mtps == sorted(mtps)
+
+
+class TestMedianTimePast:
+    """Each index entry keeps its median time past; it must be what a plain
+    walk over its eleven last ancestors reads, on every branch."""
+
+    def grow(self, chain, key_hash, steps, base):
+        miner = Miner(chain, key_hash)
+        return [
+            miner.mine_block(
+                timestamp=chain.median_time_past() + 1 + step, extra_nonce=base + i
+            )
+            for i, step in enumerate(steps)
+        ]
+
+    def branch(self, chain, height, key_hash, steps, base):
+        """Blocks extending ``chain``'s block at ``height``, built on a
+        second chain that replays the prefix."""
+        rival = Blockchain(ChainParams.regtest())
+        for h in range(1, height + 1):
+            rival.add_block(chain.block_at(h))
+        return self.grow(rival, key_hash, steps, base)
+
+    def assert_every_entry_agrees(self, chain):
+        for block_hash, entry in chain._index.items():
+            expected = median_time_past_walk(chain, block_hash)
+            assert entry.median_time_past == expected
+            assert chain.median_time_past(block_hash) == expected
+        assert chain.median_time_past() == median_time_past_walk(
+            chain, chain.tip.block.hash
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 3_000), min_size=14, max_size=14),
+        side=st.lists(st.integers(0, 3_000), min_size=3, max_size=3),
+        rival=st.lists(st.integers(0, 3_000), min_size=8, max_size=8),
+    )
+    def test_stored_median_equals_the_walk(self, steps, side, rival):
+        chain = Blockchain(ChainParams.regtest())
+        key = Wallet.from_seed(b"mtp-miner").key_hash
+        main = self.grow(chain, key, steps, 0)
+        self.assert_every_entry_agrees(chain)
+        # A side branch from height 9 stays shorter than the active chain.
+        for block in self.branch(chain, 9, key, side, 100):
+            assert not chain.add_block(block)
+        self.assert_every_entry_agrees(chain)
+        # A heavier branch from height 7 reorganizes the chain onto it.
+        blocks = self.branch(chain, 7, key, rival, 200)
+        for block in blocks:
+            chain.add_block(block)
+        assert chain.tip.block.hash == blocks[-1].hash
+        assert not chain.in_active_chain(main[-1].hash)
+        self.assert_every_entry_agrees(chain)
 
 
 class TestReorg:

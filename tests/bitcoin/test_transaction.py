@@ -145,6 +145,19 @@ class TestEncodingMemo:
         assert parsed.txid == minimal.txid
         assert Transaction.parse_from(wire, 0)[0].serialize() == raw
 
+    def test_a_parsed_script_keeps_the_encoders_bytes(self):
+        """``Script.parse`` of a non-minimal push keeps nothing of the bytes
+        it read: the script's kept encoding is the minimal one."""
+        payload = bytes(range(10))
+        for padded in (
+            bytes([0x4C, 10]) + payload,
+            bytes([0x4D, 10, 0]) + payload,
+        ):
+            parsed = Script.parse(padded)
+            assert parsed == Script([payload])
+            assert parsed.serialize() == bytes([10]) + payload
+            assert parsed.serialize() is parsed.serialize()
+
     def test_serialize_encodes_once(self, script_encodes):
         tx = make_tx(2, 2)
         first = tx.serialize()

@@ -243,3 +243,15 @@ def plain_normalize_prop(prop):
             plain_normalize_cond(prop.condition), plain_normalize_prop(prop.body)
         )
     raise TypeError(f"not a proposition: {prop!r}")
+
+
+def median_time_past_walk(chain, block_hash):
+    """The median of a block's timestamp and its ten predecessors', read by
+    walking parent links — the walk each index entry now does once."""
+    times = []
+    entry = chain.entry(block_hash)
+    while entry is not None and len(times) < 11:
+        times.append(entry.block.header.timestamp)
+        entry = chain.entry(entry.prev) if entry.prev else None
+    times.sort()
+    return times[len(times) // 2]
