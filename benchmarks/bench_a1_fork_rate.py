@@ -41,11 +41,8 @@ def run_with_latency(latency, seed=17, hours=60):
     }
 
 
-def bench_a1_fork_rate_vs_latency(benchmark):
-    def run_all():
-        return [run_with_latency(latency) for latency in LATENCIES]
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def bench_a1_fork_rate_vs_latency():
+    rows = [run_with_latency(latency) for latency in LATENCIES]
 
     print("\nA1: orphaned-block rate vs one-hop propagation latency"
           " (600 s blocks, 6 miners)")
@@ -60,10 +57,4 @@ def bench_a1_fork_rate_vs_latency(benchmark):
     assert rows[0]["orphan_rate"] <= rows[2]["orphan_rate"]
     assert rows[0]["orphan_rate"] < 0.05
     assert rows[2]["orphan_rate"] > 0.05
-    benchmark.extra_info["rows"] = rows
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_a1_fork_rate_vs_latency)

@@ -42,11 +42,8 @@ def run_profile(name, seed=SEED):
     }
 
 
-def bench_a2_chaos_convergence(benchmark):
-    def run_all():
-        return [run_profile(name) for name in PROFILE_ORDER]
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def bench_a2_chaos_convergence():
+    rows = [run_profile(name) for name in PROFILE_ORDER]
 
     print("\nA2: convergence under chaos profiles"
           f" (seed {SEED}, 600 s blocks, 6 nodes)")
@@ -72,10 +69,4 @@ def bench_a2_chaos_convergence(benchmark):
     # The byzantine profiles end with the adversary banned by a neighbor.
     assert all(r["banned_by"] > 0 for r in rows if r["profile"] in
                ("byzantine", "inferno"))
-    benchmark.extra_info["rows"] = rows
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_a2_chaos_convergence)

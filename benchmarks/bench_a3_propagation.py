@@ -95,17 +95,8 @@ def run_swarm(node_count, seed=SEED):
     }
 
 
-def bench_a3_propagation(benchmark):
-    if not obs.ENABLED:
-        # The measurement *is* the telemetry; without it there is no data.
-        print("A3: skipped (observability disabled; run with REPRO_OBS=1)")
-        benchmark.extra_info["rows"] = []
-        return
-
-    def run_all():
-        return [run_swarm(count) for count in NODE_COUNTS]
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def bench_a3_propagation():
+    rows = [run_swarm(count) for count in NODE_COUNTS]
 
     print(f"\nA3: block first-seen latency vs node count"
           f" (seed {SEED}, 600 s blocks, 2 s mean hop)")
@@ -129,10 +120,4 @@ def bench_a3_propagation(benchmark):
         # at 2 s mean per hop; even p99 should stay far below a block
         # interval (otherwise fork rates would explode).
         assert row["p99_seconds"] < BLOCK_INTERVAL
-    benchmark.extra_info["rows"] = rows
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_a3_propagation)

@@ -157,22 +157,16 @@ def run_scenario(node_count, tx_count, compact, seed=SEED):
     }
 
 
-def bench_a4_compact_relay(benchmark):
-    def run_all():
-        global _FUNDING_CACHE
-        try:
-            rows = []
-            for node_count, tx_count in MATRIX:
-                for compact in (False, True):
-                    rows.append(run_scenario(node_count, tx_count, compact))
-            return rows
-        finally:
-            # The funding cache holds ~10^5 objects; keeping it alive
-            # would tax every later experiment's GC passes in a full
-            # runner sweep.
-            _FUNDING_CACHE = None
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def bench_a4_compact_relay():
+    global _FUNDING_CACHE
+    try:
+        rows = [
+            run_scenario(node_count, tx_count, compact)
+            for node_count, tx_count in MATRIX
+            for compact in (False, True)
+        ]
+    finally:
+        _FUNDING_CACHE = None  # ~10^5 objects: do not keep them alive
 
     print(f"\nA4: relay bytes per settled block, flood vs compact"
           f" (seed {SEED}, warm mempools)")
@@ -198,10 +192,4 @@ def bench_a4_compact_relay(benchmark):
         ratio = flood["relay_bytes"] / max(1, compact["relay_bytes"])
         if flood["txs"] >= 1000:
             assert ratio >= MIN_RATIO_1K, ratio
-    benchmark.extra_info["rows"] = rows
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_a4_compact_relay)

@@ -4,10 +4,12 @@ Paper §3.3: a node "maintain[s] a table of all unspent txouts" — and a
 *restarting* node must rebuild that table from its own disk, not by
 re-trusting peers.  This benchmark measures what that costs: recover a
 chain of N committed blocks from the append-only log, with and without a
-UTXO snapshot to bound the replay suffix.  The interesting shape is that
-full-replay cost grows with chain length while snapshot recovery stays
-bounded by the post-snapshot tail — the property that makes long-running
-nodes restartable at all.
+UTXO snapshot to bound the replay suffix.  The claim is stated as work,
+``store.recovered_blocks_total`` per recovery: full replay replays all N
+blocks, snapshot recovery fewer than the snapshot interval whatever N is
+— the property that makes long-running nodes restartable at all.  The
+recovery time is printed, and gates nothing (docs/persistence.md, "What
+a snapshot recovery costs").
 """
 
 import shutil
@@ -18,6 +20,8 @@ from repro.bitcoin.chain import Blockchain, ChainParams
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.wallet import Wallet
 from repro.store import BlockStore, recover_chain
+
+from obs_harness import counted
 
 MINER_KEY = Wallet.from_seed(b"bench-recovery").key_hash
 CHAIN_LENGTHS = (64, 256)
@@ -44,56 +48,43 @@ def run_recovery(blocks, snapshot_interval):
     root = tempfile.mkdtemp(prefix="bench-recovery-")
     try:
         tip, utxo_size = build_store(root, blocks, snapshot_interval)
-        # Best of three restarts: one 13 ms sample with file I/O in it
-        # swings by more than the 1.5x the shape assert below allows.
-        samples = []
-        for _ in range(3):
-            store = BlockStore(root, snapshot_interval=snapshot_interval).open()
-            start = time.perf_counter()
-            chain = recover_chain(store, ChainParams.regtest())
-            samples.append(time.perf_counter() - start)
-            assert chain.tip.block.hash == tip, "recovered to the wrong tip"
-            assert chain.utxos.serialized_size() == utxo_size
-            store.close()
-        elapsed = min(samples)
+        store = BlockStore(root, snapshot_interval=snapshot_interval).open()
+        start = time.perf_counter()
+        chain, work = counted(
+            ("store.recovered_blocks_total",),
+            recover_chain, store, ChainParams.regtest(),
+        )
+        elapsed = time.perf_counter() - start
+        store.close()
+        assert chain.tip.block.hash == tip, "recovered to the wrong tip"
+        assert chain.utxos.serialized_size() == utxo_size
+        replayed = work["store.recovered_blocks_total"]
+        if snapshot_interval:
+            # Only the tail past the last snapshot is replayed, however
+            # long the chain.
+            assert replayed < snapshot_interval, (blocks, replayed)
+        else:
+            assert replayed == blocks, (blocks, replayed)
         return {
             "blocks": blocks,
             "snapshot": snapshot_interval > 0,
+            "replayed": replayed,
             "recover_seconds": elapsed,
-            "blocks_per_second": blocks / elapsed if elapsed else float("inf"),
         }
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
-def bench_b2_recovery(benchmark):
-    def run_all():
-        rows = []
-        for blocks in CHAIN_LENGTHS:
-            rows.append(run_recovery(blocks, snapshot_interval=0))
-            rows.append(run_recovery(blocks, SNAPSHOT_INTERVAL))
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def bench_b2_recovery():
+    rows = [
+        run_recovery(blocks, interval)
+        for blocks in CHAIN_LENGTHS
+        for interval in (0, SNAPSHOT_INTERVAL)
+    ]
 
     print("\nB2: startup recovery from the durable block store")
-    print(f"{'blocks':>7} {'snapshot':>9} {'recovery':>10} {'blocks/s':>10}")
+    print(f"{'blocks':>7} {'snapshot':>9} {'replayed':>9} {'recovery':>10}")
     for row in rows:
         print(f"{row['blocks']:>7} {str(row['snapshot']):>9}"
-              f" {row['recover_seconds']:>9.3f}s"
-              f" {row['blocks_per_second']:>10.0f}")
+              f" {row['replayed']:>9} {row['recover_seconds']:>9.3f}s")
 
-    # Every variant must land on the committed tip (asserted inside), and
-    # snapshot recovery must not be slower than full replay at the longest
-    # chain by more than noise allows — it replays a bounded suffix.
-    longest = [r for r in rows if r["blocks"] == max(CHAIN_LENGTHS)]
-    full = next(r for r in longest if not r["snapshot"])
-    snap = next(r for r in longest if r["snapshot"])
-    assert snap["recover_seconds"] <= full["recover_seconds"] * 1.5
-    benchmark.extra_info["rows"] = rows
-
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_b2_recovery)

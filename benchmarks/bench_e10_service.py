@@ -6,10 +6,12 @@ under the transaction's hash and its confirming block's, so a warm claim
 costs only the tail that depends on the tip and the claim (chain
 presence and depth, claimed-prop equality, spentness) and the ledger it
 builds from the held parts.
-This bench measures the cold→warm collapse per depth, warm throughput,
-and proves the service answers correctly — zero wrong verdicts — under
-the inferno chaos profile (memo poisoning, wrong-type requests, an
-overload burst).
+This bench states the cold→warm collapse per depth as work: the cold
+request typechecks, and a warm one checks nothing and answers each
+upstream transaction from the memo.  It also proves the service answers
+correctly (zero wrong verdicts) under the inferno chaos profile (memo
+poisoning, wrong-type requests, an overload burst).  Latencies are
+printed and gate nothing.
 """
 
 import time
@@ -17,35 +19,47 @@ import time
 from repro.service.chaos import SERVICE_PROFILES, _service_world, run_service_chaos
 from repro.service import ServiceClient, VerificationService
 
+from obs_harness import counted
+
 DEPTHS = (2, 4, 8)
 WARM_REQUESTS = 20
+# A request's work: LF typechecks, proof-term nodes checked, and memo
+# misses and hits, one per upstream transaction.
+WORK = (
+    "lf.typecheck_total", "proof.nodes_total",
+    "service.memo_misses_total", "service.memo_hits_total",
+)
 
 
-def bench_e10_service(benchmark):
+def bench_e10_service():
     worlds = {depth: _service_world(depth) for depth in DEPTHS}
-
-    def measure():
-        out = {}
-        for depth, (net, valid, _invalid) in worlds.items():
-            service = VerificationService(net.chain)
-            client = ServiceClient(service, sleep=lambda _d: None)
-            start = time.perf_counter()
-            verdict = client.verify(valid)
-            cold = time.perf_counter() - start
+    cold_work, timings = {}, {}
+    for depth, (net, valid, _invalid) in worlds.items():
+        service = VerificationService(net.chain)
+        client = ServiceClient(service, sleep=lambda _d: None)
+        start = time.perf_counter()
+        verdict, cold = counted(WORK, client.verify, valid)
+        cold_s = time.perf_counter() - start
+        assert verdict.status == "ok", verdict
+        # Shape 1: the cold request typechecks the upstream set.
+        assert cold["lf.typecheck_total"] > 0 and cold["proof.nodes_total"] > 0
+        start = time.perf_counter()
+        for _ in range(WARM_REQUESTS):
+            verdict, warm = counted(WORK, client.verify, valid)
             assert verdict.status == "ok", verdict
-            start = time.perf_counter()
-            for _ in range(WARM_REQUESTS):
-                assert client.verify(valid).status == "ok"
-            warm_total = time.perf_counter() - start
-            service.close()
-            out[depth] = {
-                "cold_s": cold,
-                "warm_s": warm_total / WARM_REQUESTS,
-                "warm_rps": WARM_REQUESTS / warm_total,
-            }
-        return out
-
-    timings = benchmark.pedantic(measure, rounds=3, iterations=1)
+            # Shape 2: a warm request re-checks nothing and misses nothing;
+            # it answers every upstream transaction from the memo.  (It
+            # still reads chain presence and spentness per upstream
+            # transaction: the memo's win is the typecheck, not the walk.)
+            assert warm == {
+                "lf.typecheck_total": 0, "proof.nodes_total": 0,
+                "service.memo_misses_total": 0,
+                "service.memo_hits_total": len(valid.transactions),
+            }, (depth, warm)
+        warm_s = (time.perf_counter() - start) / WARM_REQUESTS
+        service.close()
+        cold_work[depth] = cold
+        timings[depth] = (cold_s, warm_s)
 
     # The inferno profile: poisoning, wrong claims, overload — the
     # service must keep answering and never answer wrongly.
@@ -55,50 +69,24 @@ def bench_e10_service(benchmark):
     assert chaos.ok, chaos
     assert chaos.wrong_verdicts == 0
 
-    print("\nE10: service verify latency vs upstream depth")
-    print(f"{'depth':>6} {'cold':>10} {'warm':>10} {'warm rps':>10}")
-    for depth, t in timings.items():
+    print("\nE10: service verify work and latency vs upstream depth")
+    print(f"{'depth':>6} {'cold typechecks':>16} {'cold proof nodes':>17}"
+          f" {'cold':>10} {'warm':>10}")
+    for depth in DEPTHS:
+        cold_s, warm_s = timings[depth]
         print(
-            f"{depth:>6} {t['cold_s'] * 1000:>8.1f}ms"
-            f" {t['warm_s'] * 1000:>8.1f}ms {t['warm_rps']:>10.0f}"
+            f"{depth:>6} {cold_work[depth]['lf.typecheck_total']:>16}"
+            f" {cold_work[depth]['proof.nodes_total']:>17}"
+            f" {cold_s * 1000:>8.1f}ms {warm_s * 1000:>8.1f}ms"
         )
+    print(f"(each of {WARM_REQUESTS} warm requests: 0 typechecks, 0 proof"
+          " nodes, one memo hit per upstream transaction)")
     print(
         f"inferno chaos: {chaos.answered} answered, 0 wrong,"
         f" {chaos.poison_rejected} poison rejected, {chaos.shed} shed,"
         f" {chaos_seconds:.2f}s"
     )
 
-    # Shape 1: warm requests skip the proof/LF re-checks — the memoized
-    # path must beat cold clearly at the shallowest chain, where the
-    # one-off cold cost dominates.  (Warm cost still grows with depth:
-    # chain presence, the memo lookup and the ledger are per upstream
-    # transaction on every request, so the deep-chain ratio converges to a
-    # constant rather than diverging — the memo's win is the large
-    # constant, not the asymptote.)
-    assert timings[2]["warm_s"] < timings[2]["cold_s"] / 2
-    # Shape 2: the memo never *loses* — warm beats cold at every depth,
-    # with slack for single-round timing noise on millisecond samples.
-    for depth in DEPTHS:
-        assert timings[depth]["warm_s"] < timings[depth]["cold_s"] * 0.8
     # Shape 3: chaos answered every non-shed request with a real verdict.
     assert chaos.answered > 0
 
-    benchmark.extra_info["per_depth"] = {
-        depth: {k: v for k, v in t.items()} for depth, t in timings.items()
-    }
-    benchmark.extra_info["chaos"] = {
-        "profile": "service-inferno",
-        "answered": chaos.answered,
-        "wrong_verdicts": chaos.wrong_verdicts,
-        "statuses": dict(chaos.statuses),
-        "poison_rejected": chaos.poison_rejected,
-        "shed": chaos.shed,
-        "retries": chaos.retries,
-        "seconds": chaos_seconds,
-    }
-
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_e10_service)

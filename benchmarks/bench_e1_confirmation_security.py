@@ -38,8 +38,8 @@ def reversal_table(trials=1500, seed=7):
     return rows
 
 
-def bench_e1_reversal_probability_models(benchmark):
-    rows = benchmark.pedantic(reversal_table, rounds=1, iterations=1)
+def bench_e1_reversal_probability_models():
+    rows = reversal_table()
 
     print("\nE1: P(reversal) by attacker share q and confirmations z")
     print(f"{'q':>5} {'z':>3} {'nakamoto':>10} {'exact':>10} {'monte carlo':>12}")
@@ -65,31 +65,17 @@ def bench_e1_reversal_probability_models(benchmark):
     for z in DEPTHS[1:]:
         assert by_key[(0.30, z)]["exact"] > by_key[(0.10, z)]["exact"]
 
-    benchmark.extra_info["table"] = rows
 
-
-def bench_e1_full_consensus_spot_check(benchmark):
+def bench_e1_full_consensus_spot_check():
     """A handful of races on real Blockchain objects (reorgs included)."""
-
-    def run():
-        outcomes = [
-            simulate_race_full(0.30, 2, sim_seed=seed, horizon_blocks=120)
-            for seed in range(12)
-        ]
-        return sum(o.attacker_won for o in outcomes) / len(outcomes)
-
-    win_rate = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = [
+        simulate_race_full(0.30, 2, sim_seed=seed, horizon_blocks=120)
+        for seed in range(12)
+    ]
+    win_rate = sum(o.attacker_won for o in outcomes) / len(outcomes)
     exact = reversal_probability_exact(0.30, 2)
     print(f"\nE1 spot check: full-simulator win rate {win_rate:.2f} vs exact"
           f" {exact:.2f} (q=0.30, z=2)")
     # Wide tolerance: 12 trials of a ~0.43 Bernoulli.
     assert abs(win_rate - exact) < 0.35
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(
-        bench_e1_reversal_probability_models,
-        bench_e1_full_consensus_spot_check,
-    )

@@ -11,19 +11,52 @@ withdrawal).  We report total fees paid and mean per-operation latency
 under the canonical 600 s block interval.
 """
 
+from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint
 from repro.core.batch import BatchServer, VirtualOutput, VirtualTransaction, authorize
-from repro.core.builder import simple_transfer
+from repro.core.builder import basis_publication, build_with_payload, simple_transfer
+from repro.core.currency import issue_proof, newcoin_basis
+from repro.core.proofs import obligation_lambda, tensor_intro_all
 from repro.core.transaction import TypecoinOutput
+from repro.core.validate import Ledger
 from repro.core.wallet import TypecoinClient
+from repro.lf.basis import Basis
 from repro.logic.proofterms import LolliIntro, PVar
-
-from conftest import issue_coins, publish_newcoin
+from repro.logic.propositions import One
 
 N_OPERATIONS = 25
 FEE = 10_000  # satoshis per carrier — ~0.0005 BTC scaled to our regtest
 BLOCK_INTERVAL = 600.0  # seconds; the realistic confirmation latency unit
 CONFIRMATIONS = 6  # §1 item 6: "usually taken as five" subsequent blocks
+
+
+def publish_newcoin(net, bank):
+    basis, vocab = newcoin_basis(bank.principal_term, bank.principal_term)
+    txn = basis_publication(basis, bank.pubkey)
+    carrier = bank.submit(txn)
+    net.confirm(1)
+    bank.sync()
+    return vocab.resolved(carrier.txid), carrier.txid
+
+
+def issue_coins(net, bank, vocab, amount, recipient_pubkey, sats=600):
+    out = TypecoinOutput(vocab.coin_prop(amount), sats, recipient_pubkey)
+    txn = build_with_payload(
+        Basis(), One(), [], [out],
+        lambda payload: obligation_lambda(
+            One(), [], [out.receipt()],
+            lambda _c, _i, _r: tensor_intro_all([
+                issue_proof(
+                    vocab, amount,
+                    bank.affirm_affine(vocab.print_prop(amount), payload),
+                )
+            ]),
+        ),
+    )
+    carrier = bank.submit(txn)
+    net.confirm(1)
+    bank.sync()
+    return carrier, txn
 
 
 def run_direct(net, bank, vocab):
@@ -74,13 +107,15 @@ def run_batched(net, bank, vocab, ledger):
     return total_fees, blocks_waited
 
 
-def bench_e3_direct_vs_batched(benchmark, net, bank, ledger):
+def bench_e3_direct_vs_batched():
+    net = RegtestNetwork()
+    ledger = Ledger()
+    bank = TypecoinClient(net, b"bench-bank", ledger)
+    net.fund_wallet(bank.wallet, blocks=4)
     vocab, _ = publish_newcoin(net, bank)
 
     direct_fees, direct_blocks = run_direct(net, bank, vocab)
-    batched_fees, batched_blocks = benchmark.pedantic(
-        run_batched, args=(net, bank, vocab, ledger), rounds=1, iterations=1
-    )
+    batched_fees, batched_blocks = run_batched(net, bank, vocab, ledger)
 
     direct_latency = direct_blocks * BLOCK_INTERVAL / (N_OPERATIONS + 1)
     batched_latency = batched_blocks * BLOCK_INTERVAL / (N_OPERATIONS + 1)
@@ -96,15 +131,4 @@ def bench_e3_direct_vs_batched(benchmark, net, bank, ledger):
     # hour-scale confirmation wait across all N operations.
     assert batched_fees * 5 < direct_fees
     assert batched_latency * 5 < direct_latency
-    benchmark.extra_info.update({
-        "direct_fees": direct_fees,
-        "batched_fees": batched_fees,
-        "direct_latency_s": direct_latency,
-        "batched_latency_s": batched_latency,
-    })
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_e3_direct_vs_batched)

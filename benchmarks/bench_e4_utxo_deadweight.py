@@ -62,18 +62,15 @@ def run_strategy(strategy):
     }
 
 
-def bench_e4_utxo_deadweight(benchmark):
-    def run_all():
-        return [
-            run_strategy(strategy)
-            for strategy in (
-                EmbeddingStrategy.MULTISIG_1OF2,
-                EmbeddingStrategy.BOGUS_OUTPUT,
-                EmbeddingStrategy.OP_RETURN,
-            )
-        ]
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def bench_e4_utxo_deadweight():
+    rows = [
+        run_strategy(strategy)
+        for strategy in (
+            EmbeddingStrategy.MULTISIG_1OF2,
+            EmbeddingStrategy.BOGUS_OUTPUT,
+            EmbeddingStrategy.OP_RETURN,
+        )
+    ]
 
     print(f"\nE4: UTXO-table state after {N_TRANSACTIONS} Typecoin txs +"
           " full cleanup")
@@ -90,10 +87,4 @@ def bench_e4_utxo_deadweight(benchmark):
     assert by_name["bogus-output"]["deadweight_entries"] == N_TRANSACTIONS
     # Shape 3: OP_RETURN (the modern channel) also leaves none.
     assert by_name["op-return"]["deadweight_entries"] == 0
-    benchmark.extra_info["rows"] = rows
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_e4_utxo_deadweight)

@@ -8,7 +8,6 @@ transaction's history; this bench measures that curve.
 
 import time
 
-from repro import obs
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint
 from repro.core.builder import simple_transfer
@@ -17,6 +16,8 @@ from repro.core.validate import Ledger
 from repro.core.verifier import verify_claim
 from repro.core.wallet import TypecoinClient
 from repro.logic.propositions import One
+
+from obs_harness import counted
 
 DEPTHS = (1, 2, 4, 8, 16, 32)
 # The verifier's work per claim: transactions admitted, LF typechecks and
@@ -47,43 +48,20 @@ def build_chain(depth):
     return net, client, outpoint
 
 
-def verify_counted(chain, bundle):
-    """One ``verify_claim``, with obs on for it; returns COUNTED's deltas."""
-    was_enabled = obs.ENABLED
-    obs.enable()
-    registry = obs.registry()
-    before = [registry.counter(name).value for name in COUNTED]
-    try:
-        verify_claim(chain, bundle)
-    finally:
-        if not was_enabled:
-            obs.disable()
-    return {
-        name: registry.counter(name).value - count
-        for name, count in zip(COUNTED, before)
-    }
-
-
-def bench_e6_verifier_scaling(benchmark):
+def bench_e6_verifier_scaling():
     scenarios = {depth: build_chain(depth) for depth in DEPTHS}
-    work = {}
-
-    def verify_all():
-        timings = {}
-        for depth, (net, client, outpoint) in scenarios.items():
-            bundle = client.claim_bundle(outpoint, One())
-            samples = []
-            for sample in range(3):
-                start = time.perf_counter()
-                if sample == 0 and depth not in work:
-                    work[depth] = verify_counted(net.chain, bundle)
-                else:
-                    verify_claim(net.chain, bundle)
-                samples.append(time.perf_counter() - start)
-            timings[depth] = min(samples)
-        return timings
-
-    timings = benchmark.pedantic(verify_all, rounds=3, iterations=1)
+    work, timings = {}, {}
+    for depth, (net, client, outpoint) in scenarios.items():
+        bundle = client.claim_bundle(outpoint, One())
+        samples = []
+        for sample in range(3):
+            start = time.perf_counter()
+            if sample == 0:
+                _, work[depth] = counted(COUNTED, verify_claim, net.chain, bundle)
+            else:
+                verify_claim(net.chain, bundle)
+            samples.append(time.perf_counter() - start)
+        timings[depth] = min(samples)
 
     print("\nE6: §3 claim-verification cost vs upstream depth")
     print(f"{'depth':>6} {'bundle size':>12} {'typechecks':>11}"
@@ -110,12 +88,4 @@ def bench_e6_verifier_scaling(benchmark):
             assert work[depth][name] == work[1][name] + (depth - 1) * step, (
                 name, depth, work[depth][name]
             )
-    benchmark.extra_info["timings_ms"] = {
-        depth: timings[depth] * 1000 for depth in DEPTHS
-    }
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(bench_e6_verifier_scaling)

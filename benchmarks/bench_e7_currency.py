@@ -4,10 +4,12 @@
 more practical encoding uses an indexed type coin(n), with rules
 coin(m+n) ⊸ coin(m) ⊗ coin(n) and vice versa."
 
-We measure proof-checking throughput for indexed-coin transactions and how
-checking cost scales with a chain of alternating split/merge operations —
-the workload a newcoin-denominated application would generate.
+We validate an indexed-coin split transaction, and count how much proof
+checking a chain of alternating split/merge operations costs — the
+workload a newcoin-denominated application would generate.
 """
+
+import time
 
 from repro.core.currency import merge_proof, newcoin_basis, split_proof
 from repro.core.proofs import obligation_lambda
@@ -20,9 +22,12 @@ from repro.logic.conditions import WorldView
 from repro.logic.checker import CheckerContext, infer
 from repro.logic.proofterms import LolliIntro, PVar
 
+from obs_harness import counted
+
 BANK = PrincipalLit(b"\xbb" * 20)
 PUBKEY = b"\x02" + b"\x77" * 32
 WORLD = WorldView.at_time(1_000_000_000)
+CHAIN_ROUNDS = (1, 4, 16, 64)
 
 
 def make_ledger():
@@ -79,48 +84,39 @@ def chained_proof(vocab, rounds):
     return LolliIntro("c", vocab.coin_prop(total), body(PVar("c"), 0))
 
 
-def bench_e7_transaction_check_throughput(benchmark):
+def bench_e7_transaction_check_throughput():
     """Full transaction validation (formation judgement) per §6 split."""
     ledger, vocab, txid = make_ledger()
     txn = split_txn(vocab, txid, 700, 324)
 
-    result = benchmark(
-        lambda: check_typecoin_transaction(ledger, txn, WORLD)
-    )
+    start = time.perf_counter()
+    check_typecoin_transaction(ledger, txn, WORLD)
+    elapsed = time.perf_counter() - start
     print("\nE7a: one indexed-coin split transaction fully validates in"
-          f" ~{benchmark.stats['mean'] * 1000:.1f} ms")
+          f" ~{elapsed * 1000:.1f} ms")
 
 
-def bench_e7_split_merge_chain_scaling(benchmark):
+def bench_e7_split_merge_chain_scaling():
     """Proof-checking cost for alternating split/merge chains."""
     ledger, vocab, txid = make_ledger()
     ctx = CheckerContext(basis=ledger.global_basis)
 
-    import time
+    nodes, timings = {}, {}
+    for rounds in CHAIN_ROUNDS:
+        proof = chained_proof(vocab, rounds)
+        start = time.perf_counter()
+        _, work = counted(("proof.nodes_total",), infer, ctx, proof)
+        timings[rounds] = time.perf_counter() - start
+        nodes[rounds] = work["proof.nodes_total"]
 
-    def measure():
-        timings = {}
-        for rounds in (1, 4, 16, 64):
-            proof = chained_proof(vocab, rounds)
-            start = time.perf_counter()
-            infer(ctx, proof)
-            timings[rounds] = time.perf_counter() - start
-        return timings
-
-    timings = benchmark.pedantic(measure, rounds=3, iterations=1)
     print("\nE7b: proof-checking cost vs split/merge chain length")
-    print(f"{'rounds':>8} {'check time':>12}")
-    for rounds, elapsed in timings.items():
-        print(f"{rounds:>8} {elapsed * 1000:>10.2f}ms")
-    # Roughly linear scaling in proof size.
-    assert timings[64] / timings[4] < 64
-    assert timings[64] > timings[1]
+    print(f"{'rounds':>8} {'proof nodes':>12} {'check time':>12}")
+    for rounds in CHAIN_ROUNDS:
+        print(f"{rounds:>8} {nodes[rounds]:>12} {timings[rounds] * 1000:>10.2f}ms")
+    # Linear in proof size: every split/merge round checks the same number
+    # of proof nodes, n(r) = n(1) + (r − 1)·step.
+    step = (nodes[4] - nodes[1]) // 3
+    assert step > 0
+    for rounds in CHAIN_ROUNDS:
+        assert nodes[rounds] == nodes[1] + (rounds - 1) * step, (rounds, nodes)
 
-
-if __name__ == "__main__":
-    from obs_harness import run_standalone
-
-    run_standalone(
-        bench_e7_transaction_check_throughput,
-        bench_e7_split_merge_chain_scaling,
-    )

@@ -1,16 +1,20 @@
 """Run the paper experiments and gate them on exact work counts.
 
-Each ``benchmarks/bench_*.py`` experiment runs once (every benchmark
-clamped to one round) with observability on, in a process of its own, so
-the process-wide caches (the ``k·G`` comb, the ``Point.decode`` memo, the
-per-key tables, the default sigcache) start cold and ``--only X`` reads
-for X exactly what the full run reads.  The run fails when an in-bench
-assert fails, or when any obs counter of any experiment differs from
-``benchmarks/counters.json`` (``{experiment: {series: count}}``, non-zero
-entries only; an absent series is expected to read 0).  Counts are a
-property of the code, so the comparison has no tolerance; wall times are
-printed by the experiments' own tables and gate nothing — speed is
-``bench/run.py``'s job (docs/benchmarking.md).
+This is the only way an experiment runs.  Each ``benchmarks/bench_*.py``
+module runs in a process of its own, with observability on, calling each
+of its ``bench_*`` functions (no parameters) once.  So the process-wide
+caches (the ``k·G`` comb, the ``Point.decode`` memo, the per-key tables,
+the default sigcache) start cold, and ``--only X`` reads for X exactly
+what the full run reads.  The run fails when an in-bench assert fails —
+each asserts on counts, never on a clock — or when any obs counter of any
+experiment differs from ``benchmarks/counters.json`` (``{experiment:
+{series: count}}``, non-zero entries only; an absent series is expected
+to read 0).  Counts are a property of the code, so the comparison has no
+tolerance; wall times are printed by the experiments' own tables and gate
+nothing — speed is ``bench/run.py``'s job (docs/benchmarking.md).  An
+experiment that fails, or whose counters differ, is followed by its
+per-stage obs report; ``REPRO_OBS_EVENTS=<path>`` dumps the JSONL event
+log of the experiment run last.
 
 Usage::
 
@@ -40,8 +44,7 @@ for path in (os.path.join(REPO_ROOT, "src"), BENCH_DIR):
         sys.path.insert(0, path)
 
 from repro import obs  # noqa: E402
-
-from obs_harness import StubBenchmark, run_bench  # noqa: E402
+from repro.obs.report import render_report  # noqa: E402
 
 COUNTERS_FILE = "counters.json"
 
@@ -76,14 +79,16 @@ def bench_functions(module) -> list:
 def run_experiment(module_name: str) -> dict:
     """Run one experiment module in this process.
 
-    Returns ``{"ok", "errors", "counters"}``: a bench that raises (an
-    in-bench assert included) or a module that does not import makes
-    ``ok`` false and lands its traceback in ``errors``; the remaining
+    Returns ``{"ok", "errors", "counters", "report"}``: a bench that
+    raises (an in-bench assert included) or a module that does not import
+    makes ``ok`` false and lands its traceback in ``errors``; the remaining
     benches of the module still run.  ``counters`` holds the non-zero obs
-    counters of the whole experiment.
+    counters of the whole experiment, ``report`` their rendered breakdown.
+    With ``REPRO_OBS_EVENTS`` set, the experiment's event log is written
+    to that path.
     """
     obs.enable()
-    result: dict = {"ok": True, "errors": [], "counters": {}}
+    result: dict = {"ok": True, "errors": [], "counters": {}, "report": ""}
     try:
         module = importlib.import_module(module_name)
     except Exception:
@@ -93,17 +98,20 @@ def run_experiment(module_name: str) -> dict:
     obs.reset()
     for bench in bench_functions(module):
         try:
-            run_bench(bench, StubBenchmark(max_rounds=1))
+            bench()
         except Exception:
             result["ok"] = False
             result["errors"].append(
                 f"{bench.__name__}: {traceback.format_exc(limit=3)}"
             )
-    result["counters"] = {
-        series: count
-        for series, count in obs.snapshot()["counters"].items()
-        if count
+    snapshot = obs.snapshot()
+    snapshot["counters"] = result["counters"] = {
+        series: count for series, count in snapshot["counters"].items() if count
     }
+    result["report"] = render_report(snapshot, title=experiment_key(module_name))
+    events_path = os.environ.get("REPRO_OBS_EVENTS")
+    if events_path:
+        obs.events().write_jsonl(events_path)
     return result
 
 
@@ -123,7 +131,7 @@ def run_isolated(module_name: str) -> dict:
     except EOFError:  # the child died before it could answer
         result = None
     process.join()
-    return result or {"ok": False, "counters": {}, "errors": [
+    return result or {"ok": False, "counters": {}, "report": "", "errors": [
         f"process exited {process.exitcode} without a result"
     ]}
 
@@ -170,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     names = discover_experiments(args.only)
+    recorded = {} if args.record else load_counters()
     got, failed = {}, []
     for index, module_name in enumerate(names, 1):
         key = experiment_key(module_name)
@@ -181,6 +190,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             failed.append(key)
             print("\n".join(result["errors"]), file=sys.stderr)
+        differs = key in recorded and diff_counters(
+            {key: recorded[key]}, {key: result["counters"]}
+        )
+        if (differs or not result["ok"]) and result["report"]:
+            print(result["report"], file=sys.stderr)
         status = "ok" if result["ok"] else "FAILED"
         print(f"    {status} in {time.perf_counter() - started:.1f}s", flush=True)
     if failed:
@@ -197,7 +211,6 @@ def main(argv: list[str] | None = None) -> int:
             handle.write("\n")
         print(f"\nrecorded {len(got)} experiments in {counters_path()}")
         return 0
-    recorded = load_counters()
     if args.only:
         recorded = {key: recorded[key] for key in got if key in recorded}
     for key in failed:  # already reported; its counts stopped part-way

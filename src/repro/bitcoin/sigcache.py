@@ -26,8 +26,7 @@ channels item).
 The cache is a bounded :class:`~repro.lru.LRU` over both key shapes.
 Mempool acceptance and block connect are the same call,
 ``check_tx_inputs``, and it consults one process-wide default instance, so
-work done at acceptance is skipped at connect.  Differential tests swap it
-out or disable it entirely via :func:`set_default_cache`.
+work done at acceptance is skipped at connect.  It has no off state.
 """
 
 from __future__ import annotations
@@ -82,17 +81,18 @@ class SignatureCache:
         self._lru.clear()
 
 
-_default_cache: SignatureCache | None = SignatureCache()
+_default_cache = SignatureCache()
 
 
-def default_cache() -> SignatureCache | None:
-    """The process-wide shared cache, or ``None`` when caching is disabled."""
+def default_cache() -> SignatureCache:
+    """The process-wide shared cache."""
     return _default_cache
 
 
-def set_default_cache(cache: SignatureCache | None) -> SignatureCache | None:
-    """Replace the shared cache (``None`` disables); returns the old one."""
+def set_default_cache(cache: SignatureCache) -> SignatureCache:
+    """Replace the shared cache (never with ``None``); returns the old one."""
+    if not isinstance(cache, SignatureCache):
+        raise TypeError(f"not a SignatureCache: {cache!r}")
     global _default_cache
-    old = _default_cache
-    _default_cache = cache
+    old, _default_cache = _default_cache, cache
     return old

@@ -154,9 +154,8 @@ def make_sig_checker(
     *spending* transaction, and verifies with ECDSA.
 
     ``sighash_cache`` (built per transaction) reuses serialization midstates
-    across this transaction's inputs; ``sig_cache`` skips ECDSA entirely for
-    `(digest, pubkey, sig)` triples already verified — by default the shared
-    :func:`repro.bitcoin.sigcache.default_cache`, pass ``None`` to disable.
+    across this transaction's inputs; ``sig_cache`` skips ECDSA for triples
+    already verified — by default the shared one, ``None`` in a pool worker.
     """
     if sighash_cache is not None:
         sighash = partial(sighash_cache.digest, input_index, script_code)
@@ -185,7 +184,7 @@ def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
     check_transaction(tx)
 
     sig_cache = sigcache.default_cache()
-    verified = sig_cache is not None and sig_cache.has_tx(tx.txid)
+    verified = sig_cache.has_tx(tx.txid)
     sighash_cache = None if verified else SighashCache(tx)
     value_in = 0
     for index, txin in enumerate(tx.vin):
@@ -215,7 +214,7 @@ def check_tx_inputs(tx: Transaction, utxos: UTXOSet, height: int) -> TxValidity:
     value_out = tx.total_output_value()
     if value_out > value_in:
         raise ValidationError("outputs exceed inputs")
-    if not verified and sig_cache is not None:
+    if not verified:
         sig_cache.put_tx(tx.txid)  # every input authorised, nothing raised
     if obs.ENABLED:
         obs.inc("validation.tx_total")
@@ -230,7 +229,7 @@ def prewarm_script_verdicts(txs: tuple[Transaction, ...], utxos: UTXOSet) -> Non
     """Record the txid verdicts of a block's cold transactions that a worker
     authorised and echoed; the caller's ``check_tx_inputs`` still judges all."""
     cache = sigcache.default_cache()
-    if cache is None or sum(len(tx.vin) for tx in txs) < POOL_MIN_INPUTS:
+    if sum(len(tx.vin) for tx in txs) < POOL_MIN_INPUTS:
         return
     jobs = [(tx, [utxos.get(txin.prevout) for txin in tx.vin]) for tx in txs]
     jobs = [(tx, s) for tx, s in jobs if tx.txid not in cache and None not in s]

@@ -160,13 +160,6 @@ def test_one_processor_never_starts_a_pool(history, own_pool, one_processor):
     assert validation._pool is None
 
 
-def test_a_disabled_cache_never_starts_a_pool(history, own_pool):
-    sigcache.set_default_cache(None)  # the autouse fixture restores it
-    prefix, wide = history
-    sync([*prefix, *wide])
-    assert validation._pool is None
-
-
 # ----------------------------------------------------------------------
 # What the pool may not do: vouch for a forgery or a txid it did not run
 # ----------------------------------------------------------------------

@@ -8,9 +8,9 @@ bytes by default, and decode identically from bytes and memoryview.
 
 import pytest
 
-from repro.bitcoin.block import HEADER_SIZE, Block, BlockHeader
-from repro.bitcoin.script import Script
-from repro.bitcoin.standard import p2pkh_script
+from repro.bitcoin.block import HEADER_SIZE, Block, BlockHeader, build_block
+from repro.bitcoin.script import Op, Script
+from repro.bitcoin.standard import multisig_script, op_return_script, p2pkh_script
 from repro.bitcoin.transaction import (
     OutPoint,
     Transaction,
@@ -19,6 +19,7 @@ from repro.bitcoin.transaction import (
     read_varint,
     varint,
 )
+from tests.oracles import naive_parse_block
 
 
 def sample_tx():
@@ -146,3 +147,41 @@ def test_block_truncated_mid_transaction():
     wire = mined_block().serialize()
     with pytest.raises(ValueError, match="truncated"):
         Block.parse(wire[: HEADER_SIZE + 10])
+
+
+def test_block_parse_matches_the_slicing_decoder():
+    """``Block.parse`` against an independent decoder, on pushes of every
+    encoding (direct, PUSHDATA1, PUSHDATA2), bare opcodes, multisig and
+    OP_RETURN outputs, and many inputs and outputs."""
+    keys = [bytes([2]) + bytes([k]) * 32 for k in range(3)]
+    spks = [
+        p2pkh_script(b"\x07" * 20),
+        multisig_script(1, keys[:2]),
+        multisig_script(2, keys),
+        op_return_script(b"\x5a" * 40),
+        Script([Op.OP_DUP, Op.OP_DROP, b"\x01" * 300]),
+    ]
+    txs = [
+        Transaction(
+            vin=[
+                TxIn(
+                    OutPoint(bytes([i]) * 32, j),
+                    Script([b"\x30" * (1 + (i * 37 + j) % 520), b"\x02" * 33]),
+                    sequence=0xFFFFFFFF - j,
+                )
+                for j in range(1 + i % 3)
+            ],
+            vout=[TxOut(1000 + i + k, spks[(i + k) % len(spks)])
+                  for k in range(1 + i % 4)],
+            version=1 + i % 2,
+            locktime=i * 11,
+        )
+        for i in range(60)
+    ]
+    wire = build_block(
+        prev_hash=b"\x00" * 32, txs=txs, timestamp=1, bits=0x207FFFFF
+    ).serialize()
+    fast, naive = Block.parse(wire), naive_parse_block(wire)
+    assert fast.header == naive.header
+    assert fast.txs == naive.txs
+    assert [tx.txid for tx in fast.txs] == [tx.txid for tx in naive.txs]

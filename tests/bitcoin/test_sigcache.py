@@ -105,8 +105,9 @@ def test_default_cache_swap():
     old = sigcache.set_default_cache(mine)
     try:
         assert sigcache.default_cache() is mine
-        assert sigcache.set_default_cache(None) is mine
-        assert sigcache.default_cache() is None
+        with pytest.raises(TypeError):  # the cache has no off state
+            sigcache.set_default_cache(None)
+        assert sigcache.default_cache() is mine
     finally:
         sigcache.set_default_cache(old)
 
@@ -263,8 +264,19 @@ def test_checker_refuses_a_key_with_an_unreduced_coordinate():
 
 
 # ----------------------------------------------------------------------
-# Differential: cache on and off give identical verdicts
+# Differential: a cache that remembers nothing, one that remembers, and
+# one that evicts at once give identical verdicts
 # ----------------------------------------------------------------------
+
+
+class _Forgetful(SignatureCache):
+    """Asked on every check, remembers no verdict: every script runs."""
+
+    def put(self, digest, pubkey, sig, verdict):
+        pass
+
+    def put_tx(self, txid):
+        pass
 
 
 def _run_scenario(cache):
@@ -310,7 +322,7 @@ def _run_scenario(cache):
 
 
 def test_differential_verdicts_cache():
-    baseline = _run_scenario(cache=None)  # caches fully disabled
+    baseline = _run_scenario(cache=_Forgetful())
     cached = _run_scenario(cache=SignatureCache())
     evicting = _run_scenario(cache=SignatureCache(max_entries=1))
     assert baseline == cached == evicting
@@ -819,15 +831,6 @@ def test_an_altered_push_is_another_txid_and_misses(script_runs):
         check_tx_inputs(forged, net.chain.utxos, net.chain.height + 1)
     assert not cache.has_tx(forged.txid)
     assert len(script_runs) == 2  # the twin's, then the forgery's
-
-
-def test_disabled_cache_executes_every_script(script_runs):
-    net, alice, bob = _funded_net()
-    tx = _two_input_spend(net, alice, bob)
-    sigcache.set_default_cache(None)
-    for _ in range(3):
-        check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
-    assert len(script_runs) == 3 * len(tx.vin)
 
 
 def test_a_fresh_default_cache_holds_no_verdict(script_runs):

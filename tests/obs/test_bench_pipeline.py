@@ -1,7 +1,9 @@
-"""The paper-experiment runner: stub stats, discovery, the counter gate."""
+"""The paper-experiment runner: discovery, the counter gate, and what a
+failing run leaves behind to explain itself."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,76 +15,14 @@ BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
 sys.path.insert(0, os.path.abspath(BENCH_DIR))
 
 import runner  # noqa: E402
-from obs_harness import StubBenchmark, StubStats, run_bench  # noqa: E402
-
-
-class TestStubStats:
-    def test_pytest_benchmark_shape(self):
-        stub = StubBenchmark()
-        for value in (1, 2, 3):
-            stub(lambda v=value: v)
-        stats = stub.stats
-        assert stats.rounds == 3
-        assert stats.min <= stats.mean <= stats.max
-        assert stats["mean"] == stats.mean  # item access, like pytest-benchmark
-        assert stats["rounds"] == 3
-        for field in ("min", "max", "mean", "median", "stddev", "rounds",
-                      "total", "ops"):
-            assert field in stats.as_dict()
-
-    def test_median_and_stddev(self):
-        stats = StubStats([1.0, 2.0, 9.0])
-        assert stats.median == 2.0
-        assert stats.total == 12.0
-        assert stats.stddev > 0
-        assert StubStats([5.0]).stddev == 0.0
-        assert StubStats([]).mean == 0.0
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(KeyError):
-            StubStats([1.0])["iqr_outliers"]
-
-    def test_pedantic_records_rounds(self):
-        stub = StubBenchmark()
-        stub.pedantic(lambda: None, rounds=4)
-        assert stub.stats.rounds == 4
-
-    def test_max_rounds_clamps_pedantic(self):
-        stub = StubBenchmark(max_rounds=1)
-        stub.pedantic(lambda: None, rounds=50)
-        assert stub.stats.rounds == 1
-
-
-class TestRunBench:
-    def test_injects_conftest_fixtures(self):
-        seen = {}
-
-        def bench_probe(benchmark, net, ledger):
-            seen["net"] = net
-            seen["ledger"] = ledger
-            benchmark(lambda: None)
-
-        run_bench(bench_probe, StubBenchmark())
-        from repro.bitcoin.regtest import RegtestNetwork
-        from repro.core.validate import Ledger
-
-        assert isinstance(seen["net"], RegtestNetwork)
-        assert isinstance(seen["ledger"], Ledger)
-
-    def test_unknown_fixture_rejected(self):
-        def bench_bad(benchmark, warp_drive):
-            pass
-
-        with pytest.raises(ValueError, match="warp_drive"):
-            run_bench(bench_bad, StubBenchmark())
+from repro.obs.events import validate_event  # noqa: E402
 
 
 class TestRunnerDiscovery:
-    def test_discovers_all_nineteen_experiments(self):
+    def test_discovers_all_eighteen_experiments(self):
         names = runner.discover_experiments()
-        assert len(names) == 19
+        assert len(names) == 18
         assert all(name.startswith("bench_") for name in names)
-        assert "bench_b3_block_pipeline" in names
         assert "bench_e6_verifier_scaling" in names
         assert "bench_e10_service" in names
         assert "bench_a2_chaos_convergence" in names
@@ -145,13 +85,21 @@ class TestCounterGate:
 
 COUNTING_BENCH = (
     "from repro import obs\n"
-    "def bench_zz_count(benchmark):\n"
-    "    benchmark.pedantic(lambda: obs.inc('script.ops_total', 3), rounds=5)\n"
+    "def bench_zz_count():\n"
+    "    obs.inc('script.ops_total', 3)\n"
 )
 BROKEN_BENCH = (
-    "def bench_zz_boom(benchmark):\n"
+    "def bench_zz_boom():\n"
     "    raise RuntimeError('intentional')\n"
 )
+
+
+def emitting_bench(outcome: str) -> str:
+    return (
+        "from repro import obs\n"
+        "def bench_zz_emit():\n"
+        f"    obs.emit('proof.checked', outcome={outcome!r})\n"
+    )
 
 
 @pytest.fixture
@@ -168,7 +116,6 @@ class TestRunnerMain:
         (bench_dir / "bench_zz_counting.py").write_text(COUNTING_BENCH)
         assert runner.main(["--record"]) == 0
         counters = bench_dir / runner.COUNTERS_FILE
-        # One round, whatever the bench asked for: 3, not 15.
         assert json.loads(counters.read_text()) == {
             "zz_counting": {"script.ops_total": 3}
         }
@@ -192,6 +139,41 @@ class TestRunnerMain:
         assert "[2/2] zz_b_counting" in captured.out
         assert "intentional" in captured.err
         assert "FAILED experiments: zz_a_broken" in captured.err
+
+    def test_a_failing_or_differing_experiment_prints_its_report(
+        self, bench_dir, capfd
+    ):
+        (bench_dir / "bench_zz_counting.py").write_text(COUNTING_BENCH)
+        assert runner.main(["--record"]) == 0
+        capfd.readouterr()
+        assert runner.main([]) == 0
+        assert "per-stage breakdown" not in capfd.readouterr().err
+
+        counters = bench_dir / runner.COUNTERS_FILE
+        counters.write_text(json.dumps({"zz_counting": {"script.ops_total": 4}}))
+        assert runner.main([]) == 1
+        err = capfd.readouterr().err
+        assert "--- zz_counting: per-stage breakdown ---" in err
+        assert re.search(r"script\.ops_total +3\n", err)
+
+        (bench_dir / "bench_zz_broken.py").write_text(BROKEN_BENCH)
+        assert runner.main(["--only", "zz_broken"]) == 1
+        assert "--- zz_broken: per-stage breakdown ---" in capfd.readouterr().err
+
+    def test_the_event_log_of_the_last_experiment_is_written(
+        self, bench_dir, tmp_path_factory, monkeypatch
+    ):
+        (bench_dir / "bench_zz_a_first.py").write_text(emitting_bench("first"))
+        (bench_dir / "bench_zz_b_last.py").write_text(emitting_bench("last"))
+        path = tmp_path_factory.mktemp("events") / "events.jsonl"
+        monkeypatch.setenv("REPRO_OBS_EVENTS", str(path))
+        assert runner.main(["--record"]) == 0
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        for event in events:
+            validate_event(event)
+        assert [(e["kind"], e["data"]) for e in events] == [
+            ("proof.checked", {"outcome": "last"})
+        ]
 
     def test_figure3_experiment_runs_on_its_own(self):
         """``--only f3`` in a fresh interpreter: the experiment must find
@@ -223,13 +205,14 @@ class TestRunExperiment:
         assert result["ok"] is False
         assert "no such dep" in result["errors"][0]
 
-    def test_counts_one_round_and_ignores_extra_info(self, tmp_path, monkeypatch):
-        # extra_info may hold bytes keys and tuples; nothing serialises it.
-        (tmp_path / "bench_zz_info.py").write_text(
-            COUNTING_BENCH
-            + "    benchmark.extra_info[b'\\x01'] = (b'\\x02', 3)\n"
+    def test_calls_each_bench_once_and_keeps_its_counters(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "bench_zz_twice.py").write_text(
+            COUNTING_BENCH + COUNTING_BENCH.replace("zz_count", "zz_count_again")
         )
         monkeypatch.syspath_prepend(str(tmp_path))
-        assert runner.run_experiment("bench_zz_info") == {
-            "ok": True, "errors": [], "counters": {"script.ops_total": 3},
-        }
+        result = runner.run_experiment("bench_zz_twice")
+        assert (result["ok"], result["errors"]) == (True, [])
+        assert result["counters"] == {"script.ops_total": 6}
+        assert "script.ops_total" in result["report"]

@@ -9,7 +9,6 @@ import os
 import pytest
 
 from repro import obs
-from repro.bitcoin import sigcache
 from repro.bitcoin.chain import Blockchain, ChainParams
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.network import (
@@ -190,17 +189,6 @@ class TestScriptVerdictMemo:
         # Every later admission and every connect found the txid.
         assert counters["sigcache.tx_hits_total"] == 2 * self.NODES - 1
         assert counters["validation.tx_total"] == 2 * self.NODES
-
-    def test_without_the_cache_every_door_runs_every_script(
-        self, fresh_default_cache
-    ):
-        sigcache.set_default_cache(None)  # the fixture restores the old one
-        counters = self._lifecycle()
-        admissions = counters["mempool.accepted_total"]
-        connects = counters["chain.blocks_connected_total"]
-        assert (admissions, connects) == (self.NODES, self.NODES)
-        assert counters["script.executions_total"] == 2 * (admissions + connects)
-        assert counters["sigcache.tx_hits_total"] == 0
 
 
 class TestColdBlockPool:

@@ -1,6 +1,15 @@
 """Reference implementations the suite (and the smoke scripts) compare
 the program against.  Nothing under ``src/`` imports this module."""
 
+from repro.bitcoin.block import HEADER_SIZE, Block, BlockHeader
+from repro.bitcoin.script import Op, Script
+from repro.bitcoin.transaction import (
+    OutPoint,
+    Transaction,
+    TxIn,
+    TxOut,
+    read_varint,
+)
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.bitcoin.wallet import Spendable
 from repro.core.overlay import OverlayError, check_carrier_correspondence
@@ -58,6 +67,75 @@ def scalar_mult_naive(k, p=ec.GENERATOR):
         addend = ec._jacobian_double(addend)
         k >>= 1
     return ec._from_jacobian(result)
+
+
+def naive_parse_script(data: bytes) -> Script:
+    """``Script.parse`` as it was before the codecs read in place: slice
+    out each push, decode each opcode through ``Op``."""
+    elements = []
+    i = 0
+    while i < len(data):
+        byte = data[i]
+        i += 1
+        if 0x01 <= byte <= 0x4B:
+            elements.append(bytes(data[i : i + byte]))
+            i += byte
+        elif byte == Op.OP_PUSHDATA1:
+            n = data[i]
+            i += 1
+            elements.append(bytes(data[i : i + n]))
+            i += n
+        elif byte == Op.OP_PUSHDATA2:
+            n = int.from_bytes(data[i : i + 2], "little")
+            i += 2
+            elements.append(bytes(data[i : i + n]))
+            i += n
+        else:
+            elements.append(Op(byte))
+    return Script(elements)
+
+
+def naive_parse_tx(data: bytes, start: int) -> tuple[Transaction, int]:
+    """``Transaction.parse_from`` as per-field slices and
+    ``int.from_bytes``; returns the transaction and the offset after it."""
+    offset = start
+    version = int.from_bytes(data[offset : offset + 4], "little")
+    offset += 4
+    n_in, offset = read_varint(data, offset)
+    vin = []
+    for _ in range(n_in):
+        txid = bytes(data[offset : offset + 32])
+        index = int.from_bytes(data[offset + 32 : offset + 36], "little")
+        offset += 36
+        script_len, offset = read_varint(data, offset)
+        script = naive_parse_script(bytes(data[offset : offset + script_len]))
+        offset += script_len
+        sequence = int.from_bytes(data[offset : offset + 4], "little")
+        offset += 4
+        vin.append(TxIn(OutPoint(txid, index), script, sequence))
+    n_out, offset = read_varint(data, offset)
+    vout = []
+    for _ in range(n_out):
+        value = int.from_bytes(data[offset : offset + 8], "little", signed=True)
+        offset += 8
+        script_len, offset = read_varint(data, offset)
+        script = naive_parse_script(bytes(data[offset : offset + script_len]))
+        vout.append(TxOut(value, script))
+        offset += script_len
+    locktime = int.from_bytes(data[offset : offset + 4], "little")
+    return Transaction(vin, vout, version=version, locktime=locktime), offset + 4
+
+
+def naive_parse_block(data: bytes) -> Block:
+    """``Block.parse`` by slicing: the reference decoder it is checked
+    against."""
+    header = BlockHeader.parse(data)
+    count, offset = read_varint(data, HEADER_SIZE)
+    txs = []
+    for _ in range(count):
+        tx, offset = naive_parse_tx(data, offset)
+        txs.append(tx)
+    return Block(header, txs)
 
 
 def rebuilt(txn):
