@@ -3,8 +3,8 @@
 Driven by ``scripts/check.sh --service``.  Runs each service chaos
 profile once, asserts the load-bearing invariant — the verification
 service never returns a wrong verdict; infrastructure trouble surfaces
-as ``timeout``/``overloaded``/``draining``/``error``, never as a false
-``ok`` or ``invalid`` — then re-runs the inferno profile to prove the
+as ``overloaded``/``draining``/``error``, never as a false ``ok`` or
+``invalid``, and no status outside those five is returned — then re-runs the inferno profile to prove the
 verdict stream is a pure function of the seed.
 
 The service's second invariant is gated beside the first: a request
@@ -33,6 +33,7 @@ from repro.service.chaos import (
 from repro.core import verifier
 from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
+from repro.service.server import INFRA_STATUSES, VERDICT_STATUSES
 
 SMOKE_PROFILES = ("service-calm", "service-inferno")
 REPEAT_DEPTH = 6
@@ -55,10 +56,10 @@ def edge_walk_meter():
         current.walks = getattr(current, "walks", 0) + 1
         return walk(txn)
 
-    def metered_verify(self, bundle, **kwargs):
+    def metered_verify(self, bundle):
         current.walks = 0
         try:
-            return verify(self, bundle, **kwargs)
+            return verify(self, bundle)
         finally:
             requests.append((len(bundle.transactions), current.walks))
 
@@ -107,6 +108,13 @@ def main(seed: int = 7) -> int:
         if not walked:
             print(
                 f"error: profile {name!r}: the edge-walk meter saw no walk",
+                file=sys.stderr,
+            )
+            return 1
+        unknown = sorted(set(result.statuses) - {*VERDICT_STATUSES, *INFRA_STATUSES})
+        if unknown:
+            print(
+                f"error: profile {name!r} returned unknown statuses {unknown}",
                 file=sys.stderr,
             )
             return 1

@@ -18,8 +18,8 @@ mechanism* — the network never sees a proposition.
 
 That loop is written once, in :func:`_verify_claim`.  :func:`verify_claim`
 is it as a library call; :class:`repro.service.VerificationService` is
-admission, a deadline and a memo of admitted transactions around the same
-body, so the two cannot disagree about a claim.  What it does to one T is
+admission and a memo of admitted transactions around the same body, so
+the two cannot disagree about a claim.  What it does to one T is
 :func:`admit`, as do the auditor and a client's ``learn``: a ``Ledger``
 has no other way in.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import NamedTuple
 
-from repro import cancel, obs
+from repro import obs
 from repro.bitcoin.chain import Blockchain
 from repro.core.overlay import OverlayError, check_carrier_correspondence
 from repro.core.transaction import (
@@ -159,9 +159,7 @@ def _verify_claim(
     """The §3 loop — the only one: levels, :func:`admit`, the claim checks.
 
     Raises ``VerificationError`` naming the first failing check in level
-    order, and ``cancel.DeadlineExceeded`` when a deadline scoped by the
-    caller passes (read between levels here, every 64th step inside the
-    checkers).  ``memo`` supplies the references of the transactions it
+    order.  ``memo`` supplies the references of the transactions it
     holds, and goes to :func:`admit` with each T's references.
     """
     if base_ledger is None:
@@ -179,11 +177,8 @@ def _verify_claim(
             },
         )
 
-    deadline = cancel.current_deadline()
     references = _references(bundle.transactions, memo)
     for level in peel_levels(references):
-        if deadline is not None and deadline.expired():
-            raise cancel.DeadlineExceeded("deadline expired between levels")
         for txid in level:
             if txid not in ledger.transactions:
                 admit(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import cancel, obs
+from repro import obs
 from repro.lf.basis import Basis, BasisError, KindDecl, NAT_T, PRINCIPAL_T, TypeDecl
 from repro.lf.syntax import (
     App,
@@ -77,12 +77,6 @@ def check_kind(basis: Basis, ctx: LFContext, kind: KindT) -> None:
 
 def infer_kind(basis: Basis, ctx: LFContext, family: TypeFamily) -> KindT:
     """Judgement Σ;Ψ ⊢ τ : k (kind synthesis)."""
-    if cancel.ACTIVE:
-        # Cooperative cancellation: a service-installed deadline can
-        # interrupt kind synthesis between recursion steps.  Raises
-        # DeadlineExceeded, which is NOT an LFTypeError — expiry is an
-        # infrastructure outcome, never a typing verdict.
-        cancel.checkpoint()
     if isinstance(family, TConst):
         try:
             decl = basis.lookup(family.ref)
@@ -118,8 +112,6 @@ def check_family_is_type(basis: Basis, ctx: LFContext, family: TypeFamily) -> No
 
 def infer_type(basis: Basis, ctx: LFContext, term: Term) -> TypeFamily:
     """Judgement Σ;Ψ ⊢ m : τ (type synthesis)."""
-    if cancel.ACTIVE:
-        cancel.checkpoint()
     if obs.ENABLED:
         obs.inc("lf.typecheck_total")
     if isinstance(term, Var):

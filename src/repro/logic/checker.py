@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro import cancel, obs
+from repro import obs
 from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.hashing import hash160, sha256
 from repro.crypto.secp256k1 import Point
@@ -290,12 +290,6 @@ def _disjoint(*sets: Used) -> Used:
 
 def infer(ctx: CheckerContext, term: ProofTerm) -> tuple[Proposition, Used]:
     """The judgement T;Σ;Ψ;Γ;Δ ⊢ M : A, synthesizing A and the consumed set."""
-    if cancel.ACTIVE:
-        # Cooperative cancellation between proof nodes: an expired
-        # service deadline raises DeadlineExceeded here, which is NOT a
-        # ProofError — it unwinds through the validation stack as an
-        # infrastructure timeout, never as a proof verdict.
-        cancel.checkpoint()
     if obs.ENABLED:
         obs.inc("proof.nodes_total")
     if isinstance(term, PVar):

@@ -7,13 +7,12 @@ per carrier txid under the transaction's hash and its confirming block's
 (sound because chain-embedded transactions are immutable), so a
 re-presented transaction is neither walked nor re-checked, and
 proof-check signature verifications shared through a bounded LRU.
-Every failure mode is first-class — deadlines propagate into the
-recursive checkers (:mod:`repro.cancel`), the client retries with capped
+Every failure mode is first-class — the client retries with capped
 jittered backoff (:mod:`repro.backoff`), a bounded admission queue sheds
-overload, and shutdown drains.  The load-bearing invariant: the service never returns a wrong verdict;
-infrastructure trouble surfaces as
-``timeout``/``overloaded``/``draining``/``error``, never as a false
-``ok`` or ``invalid``.  See ``docs/service.md``.
+overload, and shutdown drains; a request has no wall-clock bound.  The
+load-bearing invariant: the service never returns a wrong verdict;
+infrastructure trouble surfaces as ``overloaded``/``draining``/``error``,
+never as a false ``ok`` or ``invalid``.  See ``docs/service.md``.
 """
 
 from repro.service.cache import TxMemoTable, install_affirmation_cache

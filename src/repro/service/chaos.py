@@ -40,7 +40,6 @@ class ServiceChaosProfile:
     poison_every: int = 0  # plant a wrong memo entry (hash check must catch)
     invalid_every: int = 0  # requests whose correct verdict is ``invalid``
     overload_burst: int = 0  # concurrent burst fired once, mid-run
-    request_timeout: float | None = None  # per-attempt client deadline
     max_attempts: int = 4  # client retry budget
 
 
@@ -120,14 +119,14 @@ def run_service_chaos(
     Every request's expected verdict comes from a trusted oracle — a
     plain :func:`repro.core.verifier.verify_claim` replay run before any
     fault fires — and the result counts every service verdict that
-    disagrees.  Infrastructure statuses (``timeout`` /
-    ``overloaded`` / ``error`` / ``draining``) are legitimate non-answers
-    and never count as wrong: the service may fail to answer under
-    chaos, but it may never answer incorrectly.
+    disagrees.  Infrastructure statuses (``overloaded`` / ``error`` /
+    ``draining``) are legitimate non-answers and never count as wrong:
+    the service may fail to answer under chaos, but it may never answer
+    incorrectly.
     """
     net, valid_bundle, invalid_bundle = _service_world(profile.depth)
 
-    # The trusted replay: no memo, no admission, no deadline.
+    # The trusted replay: no memo, no admission.
     def oracle(bundle) -> str:
         try:
             verify_claim(net.chain, bundle)
@@ -145,7 +144,6 @@ def run_service_chaos(
     client = ServiceClient(
         service,
         max_attempts=profile.max_attempts,
-        request_timeout=profile.request_timeout,
         seed=seed,
         sleep=lambda _delay: None,  # schedule computed, not slept
     )
@@ -178,9 +176,9 @@ def run_service_chaos(
             arrived = threading.Barrier(profile.overload_burst)
             admitted = service._verify
 
-            def held(bundle, deadline):
+            def held(bundle):
                 arrived.wait(timeout=30.0)
-                return admitted(bundle, deadline)
+                return admitted(bundle)
 
             def fire(slot: int) -> None:
                 verdict = verdicts[slot] = service.verify(valid_bundle)

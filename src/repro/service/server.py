@@ -10,19 +10,18 @@ invariant everything here defends:
 
 ``ok`` means the full §3 protocol ran to completion; ``invalid`` means a
 deterministic check (correspondence, typecheck, claim equality, spend
-status) failed.  Every infrastructure problem — deadline expiry, a
-saturated admission queue, a drain in progress, an unexpected exception
-— maps to one of the *non-verdict* statuses (``timeout`` /
-``overloaded`` / ``draining`` / ``error``), so a caller can always
-distinguish "the proof is bad" from "the service had a bad day".
+status) failed.  Every infrastructure problem — a saturated admission
+queue, a drain in progress, an unexpected exception — maps to one of the
+*non-verdict* statuses (``overloaded`` / ``draining`` / ``error``), so a
+caller can always distinguish "the proof is bad" from "the service had a
+bad day".  A request has no wall-clock bound: it is answered or refused.
 ``run_service_chaos`` (:mod:`repro.service.chaos`) checks this
 invariant against a trusted replay under seeded fault injection.
 
 There is one tier.  The protocol itself is
 :func:`repro.core.verifier._verify_claim`, the body ``verify_claim``
-runs; this module adds admission, the request's deadline, the memo of
-admitted transactions and the wall that turns any exception into a
-status.  Checks run
+runs; this module adds admission, the memo of admitted transactions and
+the wall that turns any exception into a status.  Checks run
 inline: an upstream set is a chain, so a dependency level is one
 transaction wide, and a check costs less than shipping it to another
 process (sized in ``docs/service.md``).
@@ -33,7 +32,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro import cancel, obs
+from repro import obs
 from repro.core.verifier import ClaimBundle, VerificationError, _verify_claim
 from repro.lru import LRU
 from repro.service.cache import TxMemoTable, install_affirmation_cache
@@ -44,7 +43,7 @@ __all__ = ["ServiceUnavailable", "Verdict", "VerificationService"]
 # verdicts (statements about the claim); the rest are infrastructure
 # outcomes and say nothing about the proof.
 VERDICT_STATUSES = ("ok", "invalid")
-INFRA_STATUSES = ("timeout", "overloaded", "draining", "error")
+INFRA_STATUSES = ("overloaded", "draining", "error")
 
 
 class ServiceUnavailable(Exception):
@@ -55,7 +54,7 @@ class ServiceUnavailable(Exception):
 class Verdict:
     """The service's answer to one verification request."""
 
-    status: str  # ok | invalid | timeout | overloaded | draining | error
+    status: str  # ok | invalid | overloaded | draining | error
     detail: str = ""
 
     @property
@@ -65,7 +64,7 @@ class Verdict:
 
 
 class VerificationService:
-    """A memoizing, bounded, deadline-aware claim verifier."""
+    """A memoizing, bounded claim verifier."""
 
     def __init__(
         self,
@@ -95,9 +94,7 @@ class VerificationService:
 
     # -- public API ----------------------------------------------------
 
-    def verify(
-        self, bundle: ClaimBundle, *, deadline: cancel.Deadline | None = None
-    ) -> Verdict:
+    def verify(self, bundle: ClaimBundle) -> Verdict:
         """Run the §3 protocol for ``bundle``; always returns a Verdict.
 
         No exception escapes: every failure mode is mapped to a status.
@@ -107,7 +104,7 @@ class VerificationService:
         except ServiceUnavailable as exc:
             return Verdict(str(exc.args[0]), detail=exc.args[1])
         try:
-            verdict = self._verify(bundle, deadline)
+            verdict = self._verify(bundle)
             if obs.ENABLED:
                 obs.inc("service.verdicts_total", status=verdict.status)
                 obs.emit("service.verdict", status=verdict.status)
@@ -190,22 +187,17 @@ class VerificationService:
 
     # -- the protocol --------------------------------------------------
 
-    def _verify(
-        self, bundle: ClaimBundle, deadline: cancel.Deadline | None
-    ) -> Verdict:
+    def _verify(self, bundle: ClaimBundle) -> Verdict:
         try:
-            with cancel.deadline_scope(deadline):
-                _verify_claim(
-                    self.chain,
-                    bundle,
-                    self.min_confirmations,
-                    self.require_unspent,
-                    memo=self.memo,
-                )
+            _verify_claim(
+                self.chain,
+                bundle,
+                self.min_confirmations,
+                self.require_unspent,
+                memo=self.memo,
+            )
         except VerificationError as exc:
             return Verdict("invalid", str(exc))
-        except cancel.DeadlineExceeded as exc:
-            return Verdict("timeout", str(exc))
         except Exception as exc:  # noqa: BLE001 - the no-wrong-verdict wall
             return Verdict("error", repr(exc))
         return Verdict("ok")

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +62,9 @@ MANIFEST_VERSION = 1
 BLOCK_LOG_NAME = "blocks.log"
 UNDO_LOG_NAME = "undo.log"
 MANIFEST_NAME = "MANIFEST.json"
+
+GENESIS_HEX = re.compile(r"[0-9a-f]{64}")
+SNAPSHOT_NAME = re.compile(r"utxo-[0-9]+\.snap")
 
 
 class StoreError(Exception):
@@ -221,16 +225,43 @@ class BlockStore:
     # ------------------------------------------------------------------
 
     def _read_manifest(self) -> dict:
+        """The manifest, ``{}`` if there is none.
+
+        One that is not a version-1 object whose genesis (if any) is a
+        block hash is a ``StoreError``.  A malformed snapshot entry is
+        dropped, so recovery replays from genesis and the next
+        :meth:`write_snapshot` unlinks no file the store did not name.
+        """
         try:
             manifest = json.loads(self.manifest_path.read_text())
         except FileNotFoundError:
             return {}
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, RecursionError) as exc:
             raise StoreError(f"unreadable manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise StoreError("manifest is not a JSON object")
         if manifest.get("version") != MANIFEST_VERSION:
             raise StoreError(
                 f"unsupported manifest version {manifest.get('version')!r}"
             )
+        genesis = manifest.get("genesis")
+        if genesis is not None and not (
+            isinstance(genesis, str) and GENESIS_HEX.fullmatch(genesis)
+        ):
+            raise StoreError(f"manifest genesis {genesis!r} is not a block hash")
+        snap = manifest.get("snapshot")
+        if snap is not None and not (
+            isinstance(snap, dict)
+            and isinstance(snap.get("file"), str)
+            and SNAPSHOT_NAME.fullmatch(snap["file"])
+            and all(
+                type(snap.get(key)) is int and snap[key] >= 0
+                for key in ("height", "blocks_offset", "undo_offset")
+            )
+        ):
+            manifest["snapshot"] = None
+            if obs.ENABLED:
+                obs.inc("store.snapshot_fallbacks_total")
         return manifest
 
     def _write_manifest(self) -> None:
@@ -352,8 +383,8 @@ class BlockStore:
         if not manifest_snap:
             return True
         return (
-            int(manifest_snap.get("blocks_offset", 0)) <= self._block_log.tell()
-            and int(manifest_snap.get("undo_offset", 0)) <= self._undo_log.tell()
+            manifest_snap["blocks_offset"] <= self._block_log.tell()
+            and manifest_snap["undo_offset"] <= self._undo_log.tell()
         )
 
     # ------------------------------------------------------------------
@@ -415,8 +446,8 @@ class BlockStore:
         damaged *before* the snapshot was cut) degrades to a full replay
         rather than failing recovery.
         """
-        blocks_offset = int(manifest_snap.get("blocks_offset", 0))
-        undo_offset = int(manifest_snap.get("undo_offset", 0))
+        blocks_offset = manifest_snap["blocks_offset"]
+        undo_offset = manifest_snap["undo_offset"]
         if (
             blocks_offset > self._scan_blocks.valid_length
             or undo_offset > self._scan_undo.valid_length
@@ -431,7 +462,7 @@ class BlockStore:
                 obs.inc("store.snapshot_fallbacks_total")
             return None, 0
         if (
-            snapshot.height != int(manifest_snap.get("height", -1))
+            snapshot.height != manifest_snap["height"]
             or snapshot.tip.hex() != manifest_snap.get("tip")
         ):
             if obs.ENABLED:

@@ -1,4 +1,4 @@
-"""Hostile bytes for the store's three decoders.
+"""Hostile bytes for the store's decoders.
 
 Whatever a block-log record, an undo record or a snapshot holds, its
 decoder either refuses it with its own typed error — ``CodecError`` for
@@ -7,6 +7,11 @@ would write back.  So ``BlockStore.recover`` answers ``StoreError`` for a
 corrupt log and falls back to a full replay for a corrupt snapshot; the
 ``ScriptError`` or ``ValueError`` of a layer below never escapes it.
 
+``MANIFEST.json`` is read the same way: a manifest that is not a version-1
+object with a block-hash genesis is a ``StoreError``, and a malformed
+snapshot entry is dropped to a full replay — so the snapshot file a later
+``write_snapshot`` unlinks is always one the store named, inside its root.
+
 Undo records and snapshots are the store's own format and decode only
 from exactly the bytes the encoders write.  A block record's body is the
 wire format, which reads non-minimal pushes and varints and re-encodes
@@ -14,7 +19,11 @@ them minimally, so it round-trips to the same block in no more bytes.
 """
 
 import functools
+import json
+import shutil
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +33,7 @@ from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.transaction import COIN, TxOut
 from repro.bitcoin.utxo import UTXOSet
 from repro.bitcoin.wallet import Wallet
+from repro import obs
 from repro.store import BlockStore, SnapshotError, StoreError, recover_chain
 from repro.store import codec, framing
 from repro.store.snapshot import decode_snapshot, encode_snapshot
@@ -222,3 +232,166 @@ def test_mutated_bytes_are_refused_or_round_trip(name, data):
     for at, byte in edits:
         raw[at] = byte
     CHECKS[name](bytes(raw))
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory) -> tuple[Path, dict]:
+    """A small store with a snapshot: its directory (copied from, never
+    written) and its manifest."""
+    root = tmp_path_factory.mktemp("small-store")
+    store = BlockStore(root, snapshot_interval=2).open()
+    net = RegtestNetwork()
+    net.chain.attach_store(store)
+    net.generate(3, b"\x07" * 20)
+    store.close()
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    assert manifest["snapshot"]["file"] == "utxo-00000002.snap"
+    return root, manifest
+
+
+def store_with_manifest(small_store, parent: Path, text: str) -> Path:
+    """A copy of the small store under ``parent / "store"`` whose
+    ``MANIFEST.json`` is ``text``, with a victim file beside the root."""
+    root = parent / "store"
+    shutil.copytree(small_store[0], root)
+    (root / "MANIFEST.json").write_text(text)
+    (parent / "victim.txt").write_text("not the store's")
+    return root
+
+
+def outside(parent: Path) -> dict:
+    return {
+        path.name: path.read_bytes()
+        for path in parent.iterdir()
+        if path.name != "store"
+    }
+
+
+def open_recover_snapshot(root: Path) -> None:
+    """Open and recover the store at ``root``, and cut one more snapshot:
+    a ``StoreError`` or success, nothing else."""
+    try:
+        store = BlockStore(root).open()
+        try:
+            state = store.recover()
+            store.write_snapshot(UTXOSet(), 9, b"\x00" * 32)
+        finally:
+            store.close()
+    except StoreError:
+        return
+    assert state.records
+
+
+def manifest_text(small_store, edit) -> str:
+    """``edit`` as a manifest: raw text, or changes to the small store's
+    manifest (``snapshot_<field>`` edits its snapshot entry; ``None``
+    deletes the field)."""
+    if isinstance(edit, str):
+        return edit
+    manifest = json.loads(json.dumps(small_store[1]))
+    for key, value in edit.items():
+        target = manifest
+        if key.startswith("snapshot_"):
+            target, key = manifest["snapshot"], key.removeprefix("snapshot_")
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return json.dumps(manifest)
+
+
+class TestManifestProbes:
+    """Each escaped ``open`` / ``recover`` as a raw exception, or reached
+    outside the store root, before the manifest was checked on read."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param("[]", id="a-list"),
+            pytest.param("1", id="a-number"),
+            pytest.param("[" * 200_000, id="nested-too-deep"),
+            pytest.param({"genesis": "zz"}, id="genesis-not-hex"),
+        ],
+    )
+    def test_an_unusable_manifest_is_a_store_error(
+        self, small_store, tmp_path, edit
+    ):
+        text = manifest_text(small_store, edit)
+        root = store_with_manifest(small_store, tmp_path, text)
+        with pytest.raises(StoreError):
+            BlockStore(root).open().recover()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param({"snapshot": 5}, id="entry-not-an-object"),
+            pytest.param({"snapshot_blocks_offset": "q"}, id="offset-not-int"),
+            pytest.param({"snapshot_file": None}, id="entry-without-file"),
+        ],
+    )
+    def test_a_malformed_snapshot_entry_falls_back_to_a_full_replay(
+        self, small_store, tmp_path, edit
+    ):
+        text = manifest_text(small_store, edit)
+        root = store_with_manifest(small_store, tmp_path, text)
+        was_enabled = obs.ENABLED
+        saved_registry = obs.set_registry(obs.Registry())
+        obs.enable()
+        try:
+            store = BlockStore(root).open()
+            state = store.recover()
+            fallbacks = obs.registry().counter(
+                "store.snapshot_fallbacks_total"
+            ).value
+        finally:
+            obs.set_registry(saved_registry)
+            obs.ENABLED = was_enabled
+        assert state.snapshot is None and state.snapshot_offset == 0
+        assert fallbacks == 1
+        chain = recover_chain(store)
+        assert chain.height == 3
+        store.close()
+
+    def test_a_snapshot_name_outside_the_root_is_never_unlinked(
+        self, small_store, tmp_path
+    ):
+        text = manifest_text(small_store, {"snapshot_file": "../victim.txt"})
+        root = store_with_manifest(small_store, tmp_path, text)
+        store = BlockStore(root).open()
+        chain = recover_chain(store)
+        assert store.recover().snapshot is None
+        store.write_snapshot(chain.utxos, chain.height, chain.tip.block.hash)
+        store.close()
+        assert (tmp_path / "victim.txt").read_text() == "not the store's"
+
+
+def test_every_truncated_manifest_is_refused_or_recovered(small_store, tmp_path):
+    text = json.dumps(small_store[1])
+    for cut in range(len(text) + 1):
+        parent = tmp_path / str(cut)
+        parent.mkdir()
+        root = store_with_manifest(small_store, parent, text[:cut])
+        before = outside(parent)
+        open_recover_snapshot(root)
+        assert outside(parent) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_manifest_is_refused_or_recovered(small_store, data):
+    text = list(json.dumps(small_store[1]))
+    edits = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, len(text) - 1),
+            st.sampled_from('{}[]",:-0123456789abcdefnul./\\ '),
+        ),
+        min_size=1, max_size=4,
+    ))
+    for at, char in edits:
+        text[at] = char
+    with tempfile.TemporaryDirectory() as scratch:
+        parent = Path(scratch)
+        root = store_with_manifest(small_store, parent, "".join(text))
+        before = outside(parent)
+        open_recover_snapshot(root)
+        assert outside(parent) == before

@@ -241,8 +241,8 @@ def service(working_set):
 @settings(max_examples=300, deadline=None)
 def test_a_mutated_bundle_that_decodes_gets_a_verdict(working_set, service, data):
     """Past the decoder, hostile bytes are the verifier's to refuse: the
-    service answers ``ok`` or ``invalid`` — never ``error`` or
-    ``timeout`` — and ``ok`` only where the library accepts too."""
+    service answers ``ok`` or ``invalid`` — never ``error`` — and ``ok``
+    only where the library accepts too."""
     claim = data.draw(st.sampled_from(working_set.claims))
     try:
         bundle = decode_bundle(_mutated(data, encode_bundle(claim.bundle)))

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.service.client import RETRYABLE_STATUSES, ServiceClient
+from repro.service.client import (
+    BASE_DELAY,
+    JITTER,
+    MAX_DELAY,
+    RETRYABLE_STATUSES,
+    ServiceClient,
+)
 from repro.service.server import Verdict
 
 
@@ -13,7 +19,7 @@ class ScriptedService:
         self.statuses = list(statuses)
         self.calls = 0
 
-    def verify(self, bundle, *, deadline=None):
+    def verify(self, bundle):
         index = min(self.calls, len(self.statuses) - 1)
         self.calls += 1
         return Verdict(self.statuses[index])
@@ -60,19 +66,6 @@ class TestPolicy:
         assert service.calls == 3
         assert client.retries == 2
 
-    def test_request_timeout_installs_a_deadline(self):
-        seen = {}
-
-        class DeadlineSpy:
-            def verify(self, bundle, *, deadline=None):
-                seen["deadline"] = deadline
-                return Verdict("ok")
-
-        client = make_client(DeadlineSpy(), request_timeout=0.5)
-        client.verify(object())
-        assert seen["deadline"] is not None
-        assert 0 < seen["deadline"].remaining() <= 0.5
-
     def test_max_attempts_must_be_positive(self):
         with pytest.raises(ValueError):
             make_client(ScriptedService("ok"), max_attempts=0)
@@ -81,7 +74,7 @@ class TestPolicy:
 class TestBackoff:
     def recorded_delays(self, seed, attempts=5):
         delays = []
-        service = ScriptedService("timeout")
+        service = ScriptedService("overloaded")
         client = ServiceClient(
             service,
             max_attempts=attempts,
@@ -92,18 +85,15 @@ class TestBackoff:
         return delays
 
     def test_delays_grow_and_cap(self):
-        service = ScriptedService("timeout")
+        service = ScriptedService("overloaded")
         delays = []
-        client = ServiceClient(
-            service,
-            max_attempts=10,
-            base_delay=0.05,
-            max_delay=0.4,
-            jitter=0.0,
-            sleep=delays.append,
-        )
+        client = ServiceClient(service, max_attempts=10, sleep=delays.append)
         client.verify(object())
-        assert delays == [0.05, 0.1, 0.2, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4]
+        nominal = [min(MAX_DELAY, BASE_DELAY * 2 ** (k - 1)) for k in range(1, 10)]
+        assert nominal == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0, 2.0]
+        assert len(delays) == len(nominal)
+        for delay, want in zip(delays, nominal):
+            assert want * (1 - JITTER) <= delay <= want * (1 + JITTER)
 
     def test_distinct_seeds_give_divergent_jitter(self):
         a = self.recorded_delays(seed=0)

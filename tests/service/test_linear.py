@@ -8,14 +8,13 @@ What ``admit`` accepted is then held per carrier txid under T's hash, so
 the same bytes presented again — decoded afresh, as a prover's bytes
 arrive, so no state on an object can carry over — cost no walk, no
 correspondence and no typecheck.  A new service, and ``verify_claim``,
-hold nothing.  A request that ran out of time holds exactly what it
+hold nothing.  A request that failed part-way holds exactly what it
 finished.
 """
 
 import pytest
 
 from bench.common import replay_verdict as replay
-from repro import cancel
 from repro.service.chaos import _service_world
 from repro.core import verifier
 from repro.core.wire import decode_bundle, encode_bundle
@@ -139,24 +138,31 @@ def test_verify_claim_walks_and_typechecks_everything_every_time(
 
 
 @pytest.mark.parametrize("done", [0, 1, 17, DEPTH - 1])
-def test_a_timed_out_request_leaves_exactly_what_it_finished(
-    deep_world, calls, done
+def test_a_failed_request_leaves_exactly_what_it_finished(
+    deep_world, calls, monkeypatch, done
 ):
     """A transaction enters the memo only after its own check and
-    registration completed, so a deadline that passes after ``done``
+    registration completed, so a request that fails after ``done``
     transactions leaves ``done`` entries, and the next request checks
     the rest."""
     net, valid, _ = deep_world
     want = replay(net.chain, valid)
     checked = calls(verifier, "check_typecoin_transaction")
-    # A clock that strikes when the ``done``-th typecheck has returned.
-    deadline = cancel.Deadline(1.0, lambda: 2.0 if len(checked) >= done else 0.0)
+    recording = verifier.check_typecoin_transaction
+
+    def failing(*args):
+        if len(checked) >= done:
+            raise RuntimeError(f"injected failure after {done} checks")
+        return recording(*args)
+
+    monkeypatch.setattr(verifier, "check_typecoin_transaction", failing)
     service = VerificationService(net.chain)
     try:
-        verdict = service.verify(valid, deadline=deadline)
-        assert verdict.status == "timeout"
+        verdict = service.verify(valid)
+        assert verdict.status == "error"
         assert len(checked) == len(service.memo) == done
         del checked[:]
+        monkeypatch.setattr(verifier, "check_typecoin_transaction", recording)
         assert service.verify(valid).status == want
         assert len(checked) == DEPTH - done
         assert len(service.memo) == DEPTH

@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro import cancel
 from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
 from repro.logic import checker as _checker
@@ -29,15 +28,6 @@ class TestVerdicts:
         assert verdict.status == "invalid"
         assert "claimed type" in verdict.detail
         assert verdict.is_verdict
-
-    def test_expired_deadline_is_timeout_not_a_verdict(
-        self, service, valid_bundle
-    ):
-        verdict = service.verify(
-            valid_bundle, deadline=cancel.Deadline.after(-1.0)
-        )
-        assert verdict.status == "timeout"
-        assert not verdict.is_verdict
 
     def test_verify_never_raises(self, net, valid_bundle, monkeypatch):
         svc = VerificationService(net.chain)
@@ -142,9 +132,9 @@ class TestAdmission:
         release = threading.Event()
         original = svc._verify
 
-        def gated(bundle, deadline):
+        def gated(bundle):
             release.wait(timeout=10)
-            return original(bundle, deadline)
+            return original(bundle)
 
         svc._verify = gated
         try:
@@ -193,10 +183,10 @@ class TestAdmission:
         release = threading.Event()
         original = svc._verify
 
-        def gated(bundle, deadline):
+        def gated(bundle):
             entered.set()
             release.wait(timeout=10)
-            return original(bundle, deadline)
+            return original(bundle)
 
         svc._verify = gated
         done = {}

@@ -7,8 +7,8 @@ on-chain one is, and with its code, not a copy of it:
   ``check_typecoin_transaction`` and ``BatchServer.transact``; under
   ``src/repro/core`` nothing else calls the checker's ``infer``;
 * an owner's authorization is an ``Affirmation`` checked by the checker's
-  ``verify_affirmation``, so ``core/batch.py`` imports no ECDSA, curve or
-  deadline module of its own;
+  ``verify_affirmation``, so ``core/batch.py`` imports no ECDSA or curve
+  module of its own;
 * a batch server orders its virtual history with the verifier's
   ``peel_levels``, and its own topological sort is spelt nowhere;
 * the batch payload's prefix is not an ``assert`` payload's, so a
@@ -48,9 +48,7 @@ def test_authorizations_are_affirmations_checked_once():
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not imported & {
-        "repro.crypto.ecdsa", "repro.crypto.secp256k1", "repro.cancel",
-    }
+    assert not imported & {"repro.crypto.ecdsa", "repro.crypto.secp256k1"}
 
 
 def test_virtual_history_is_ordered_by_the_verifiers_peel():
