@@ -581,9 +581,13 @@ def _run(
             sigs = [machine.pop() for _ in range(m)]
             # Historical off-by-one: an extra element is consumed.
             machine.pop()
-            # Signatures must match pubkeys in order.
+            # Signatures must match pubkeys in order (the last pushed first).
+            # One signature is taken if any key takes it, and the checker
+            # raises for it at every decodable key or at none, so a 1-of-n
+            # lock tries its keys in push order: a carrier's owner key
+            # before its metadata pseudo-key (§3.3).
             ok = True
-            key_iter = iter(pubkeys)
+            key_iter = iter(pubkeys[::-1] if m == 1 else pubkeys)
             for sig in sigs:
                 matched = False
                 for pubkey in key_iter:

@@ -99,8 +99,8 @@ def _check_structure(tx: Transaction) -> None:
             raise ValidationError("null prevout in non-coinbase transaction")
 
 
-# Sentinel: "use the process-wide default signature cache".  Callers pass
-# an explicit ``None`` to bypass caching (differential tests do).
+# Sentinel: "use the process-wide default signature cache".  A pool worker
+# (``_authorised_txid``) passes ``None``: it hands back txids, not triples.
 _DEFAULT_SIG_CACHE = object()
 
 

@@ -19,18 +19,22 @@ kernel is kept at what CPython's bignums cost:
   (signing) is one mixed addition per non-zero byte of the two GLV halves —
   at most 32 additions, no doublings; the λ-image of an entry costs one
   ``β·x``;
-* **one Strauss/Shamir ladder** — :func:`_ladder` walks any number of
-  width-w NAF digit streams down ONE shared doubling chain with the
-  doubling and the mixed addition inlined, and stays in Jacobian
+* **one sparse Strauss/Shamir ladder** — :func:`_sparse_wnaf` recodes
+  each GLV half into its non-zero width-w NAF digits only, as
+  ``(position, digit)`` pairs, and :func:`_glv_streams` drops each digit's
+  signed affine table entry into the bucket of its position; :func:`_ladder`
+  then doubles once per position and adds only that position's bucket,
+  with the doubling and the mixed addition inlined, and stays in Jacobian
   coordinates until a single final inversion.  :func:`scalar_mult` on an
   arbitrary point, :func:`dual_scalar_mult` (ECDSA verification) and
-  :func:`multi_scalar_mult` differ only in the streams they hand it;
+  :func:`multi_scalar_mult` differ only in the buckets they fill;
 * **quarter tables for held keys** — a key's table is a list of one or
   four quarters, the odd multiples of 2^(32j)·Q (and their λ-images) for
-  j = 0..3.  A GLV half's w-NAF is cut into one stream per quarter, so the
-  chain is at most 128 doublings for a key seen once and at most 32 for a
-  key seen again (the generator's four quarters are comb rows 0, 4, 8,
-  12); the additions are the same digits either way.
+  j = 0..3.  A digit at position i of a GLV half goes to quarter
+  j = i // 32 and bucket i − 32j, so the chain is at most 128 doublings
+  for a key seen once and at most 32 for a key seen again (the
+  generator's four quarters are comb rows 0, 4, 8, 12); the additions are
+  the same digits either way.
 
 The naive double-and-add ladder the fast paths replaced lives on in the
 test suite as the differential oracle.
@@ -282,34 +286,31 @@ def _batch_to_affine(jacs: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-def _wnaf(k: int, width: int) -> list[int]:
-    """Width-w non-adjacent form, least-significant digit first.
+def _sparse_wnaf(k: int, width: int) -> list[tuple[int, int]]:
+    """The non-zero digits of ``k``'s width-w NAF, as ``(position, digit)``
+    pairs, least significant first.
 
-    Digits are zero or odd with ``|d| < 2^(w-1)``; at most one in any
-    ``width`` consecutive positions is nonzero, so a 256-bit scalar costs
-    ~256/(width+1) table additions.
+    Digits are odd with ``|d| < 2^(w-1)`` and at least ``width`` positions
+    apart, so a 128-bit half costs ~128/(width+1) table additions.  A run
+    of zero digits is one shift.  A negative ``k`` gets the digits of
+    ``-k`` negated: an odd residue's signed remainder is symmetric.
     """
-    naf: list[int] = []
+    pairs: list[tuple[int, int]] = []
     window = 1 << width
     half = window >> 1
+    position = 0
     while k:
-        if k & 1:
-            d = k & (window - 1)
-            if d >= half:
-                d -= window
-            k -= d
-            naf.append(d)
-        else:
-            naf.append(0)
-        k >>= 1
-    return naf
-
-
-def _wnaf_signed(k: int, width: int) -> list[int]:
-    """w-NAF of a possibly negative scalar (digits negated for -k)."""
-    if k < 0:
-        return [-d for d in _wnaf(-k, width)]
-    return _wnaf(k, width)
+        if not k & 1:
+            zeros = (k & -k).bit_length() - 1
+            k >>= zeros
+            position += zeros
+        d = k & (window - 1)
+        if d >= half:
+            d -= window
+        pairs.append((position, d))
+        k = (k - d) >> width
+        position += width
+    return pairs
 
 
 # --- GLV endomorphism: secp256k1 has an efficiently computable
@@ -350,6 +351,9 @@ _Table = list[tuple[int, int]]
 # One pair of tables per quarter: the odd multiples of 2^(32j)·P and of
 # λ·2^(32j)·P.  One quarter (j = 0) or all four.
 _Quarters = list[tuple[_Table, _Table]]
+# The ladder's input: bucket i holds the signed affine addends of digit
+# position i, each quarter's positions counted from its own cut.
+_Buckets = list[list[tuple[int, int]]]
 
 
 def _with_lambda(table: _Table) -> tuple[_Table, _Table]:
@@ -467,45 +471,45 @@ def _gen_mult_jacobian(k: int) -> tuple[int, int, int]:
 
 
 def _glv_streams(
-    k: int, quarters: _Quarters, width: int
-) -> list[tuple[list[int], _Table]]:
-    """The ladder streams of ``k·P``: the w-NAF of each non-zero GLV half
-    of ``k``, cut into one stream per quarter table (digits 32j … 32j + 31
-    over the odd multiples of 2^(32j)·P or of λ·2^(32j)·P; the last quarter
-    takes every digit above)."""
-    streams = []
+    buckets: _Buckets, k: int, quarters: _Quarters, width: int
+) -> None:
+    """Drop the addends of ``k·P`` into the ladder's ``buckets``.
+
+    A non-zero w-NAF digit ``d`` of a GLV half at position i belongs to
+    quarter j = i // 32 (the last quarter takes every digit above) and goes
+    into bucket i − 32j as the affine odd multiple ``|d|·2^(32j)·P`` — or
+    its λ-image, for the second half — negated for ``d < 0``.  The list
+    grows to the highest bucket filled.
+    """
+    p = FIELD_PRIME
     last = len(quarters) - 1
     for lam, half in enumerate(_glv_split(k)):
-        if not half:
-            continue
-        digits = _wnaf_signed(half, width)
-        for j, tables in enumerate(quarters):
-            start = j * _QUARTER_BITS
-            end = None if j == last else start + _QUARTER_BITS
-            part = digits[start:end]
-            if part:
-                streams.append((part, tables[lam]))
-    return streams
+        for i, d in _sparse_wnaf(half, width):
+            j = i // _QUARTER_BITS
+            if j > last:
+                j = last
+            i -= j * _QUARTER_BITS
+            while i >= len(buckets):
+                buckets.append([])
+            if d > 0:
+                buckets[i].append(quarters[j][lam][d >> 1])
+            else:
+                x, y = quarters[j][lam][-d >> 1]
+                buckets[i].append((x, p - y))
 
 
-def _ladder(streams: list[tuple[list[int], _Table]]) -> tuple[int, int, int]:
-    """``Σ (Σᵢ dᵢ·2^i)·P`` over ``(digits, table)`` streams, in Jacobian form.
+def _ladder(buckets: _Buckets) -> tuple[int, int, int]:
+    """``Σᵢ 2^i·(Σ bucket i)`` over affine addends, in Jacobian form.
 
-    The one Strauss/Shamir loop: every stream's digits (least significant
-    first, odd or zero) ride the same doubling chain, and a non-zero digit
-    ``d`` adds ``table[|d| >> 1]`` — an affine odd multiple of the stream's
-    point — negated for ``d < 0``.  Doubling and mixed addition are written
-    out because this loop is where a verification's time goes; the
+    The one Strauss/Shamir loop: one doubling per bucket below the top one
+    and one mixed addition per addend.  Doubling and mixed addition are
+    written out because this loop is where a verification's time goes; the
     additions a signature never meets in practice (accumulator equal or
     opposite to the addend) go to :func:`_jacobian_madd`.
     """
     p = FIELD_PRIME
-    top = max((len(digits) for digits, _ in streams), default=0)
-    padded = [
-        (digits + [0] * (top - len(digits)), table) for digits, table in streams
-    ]
     x = y = z = 0
-    for i in range(top - 1, -1, -1):
+    for bucket in reversed(buckets):
         if z:
             z = 2 * y * z % p
             yy = y * y % p
@@ -513,15 +517,7 @@ def _ladder(streams: list[tuple[list[int], _Table]]) -> tuple[int, int, int]:
             m = 3 * x * x % p  # a = 0 for secp256k1
             x = (m * m - 2 * s) % p
             y = (m * (s - x) - 8 * yy * yy) % p
-        for digits, table in padded:
-            d = digits[i]
-            if not d:
-                continue
-            if d > 0:
-                x2, y2 = table[d >> 1]
-            else:
-                x2, y2 = table[-d >> 1]
-                y2 = p - y2
+        for x2, y2 in bucket:
             if not z:
                 x, y, z = x2, y2, 1
                 continue
@@ -549,8 +545,9 @@ def scalar_mult(k: int, p: Point = GENERATOR) -> Point:
         obs.inc("ecmult.mults_total")
     if p.x == _GX and p.y == _GY:
         return _from_jacobian(_gen_mult_jacobian(k))
-    streams = _glv_streams(k, _point_wnaf_tables(p), _WNAF_WIDTH)
-    return _from_jacobian(_ladder(streams))
+    buckets: _Buckets = []
+    _glv_streams(buckets, k, _point_wnaf_tables(p), _WNAF_WIDTH)
+    return _from_jacobian(_ladder(buckets))
 
 
 def lift_x(x: int, odd: bool) -> Point | None:
@@ -580,9 +577,8 @@ def _decompress(data: bytes) -> Point | str:
     on every input it checks (a principal *is* a key), and each meeting
     would otherwise repeat a 256-bit modular square root.  A failure is
     returned rather than raised so that it is memoised too: a Typecoin
-    metadata pseudo-key is off-curve half the time and is the first key
-    every carrier CHECKMULTISIG offers.  Points are immutable, so sharing
-    one is safe.
+    metadata pseudo-key is off-curve half the time.  Points are immutable,
+    so sharing one is safe.
     """
     x = int.from_bytes(data[1:], "big")
     if x >= FIELD_PRIME:
@@ -597,11 +593,11 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
     """``u1·G + u2·Q`` by GLV-split Strauss/Shamir interleaving.
 
     Both scalars are split through the λ endomorphism into half-width
-    halves, and every half's w-NAF rides ONE shared doubling ladder: the
-    generator halves read the process-wide G / λG quarters, the ``Q``
+    halves, and every half's w-NAF digits fill ONE set of ladder buckets:
+    the generator halves read the process-wide G / λG quarters, the ``Q``
     halves the cached quarters of Q and λQ.  The generator is cut into as
     many quarters as ``Q`` has, so a key seen once walks a ~128-step
-    ladder with four streams and a held key a ~32-step one with sixteen.
+    ladder and a held key a ~32-step one.
     Everything stays in Jacobian coordinates until the single final
     inversion — this is the primitive ECDSA verification is built on.
     """
@@ -614,29 +610,29 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
     if obs.ENABLED:
         obs.inc("ecmult.dual_total")
     quarters = _point_wnaf_tables(q) if u2 else []
-    streams: list[tuple[list[int], _Table]] = []
+    buckets: _Buckets = []
     if u1:
         gen = _gen_tables()[1][: len(quarters) or _QUARTERS]
-        streams += _glv_streams(u1, gen, _GEN_WNAF_WIDTH)
+        _glv_streams(buckets, u1, gen, _GEN_WNAF_WIDTH)
     if u2:
-        streams += _glv_streams(u2, quarters, _WNAF_WIDTH)
-    return _from_jacobian(_ladder(streams))
+        _glv_streams(buckets, u2, quarters, _WNAF_WIDTH)
+    return _from_jacobian(_ladder(buckets))
 
 
 def multi_scalar_mult(terms) -> Point:
     """``Σ kᵢ·Pᵢ`` over any number of terms in ONE Strauss/Shamir pass.
 
     The n-scalar generalization of :func:`dual_scalar_mult`: every scalar
-    is GLV-split into two ~128-bit halves, each half becomes a w-NAF
-    stream over its point's odd-multiples table, and all streams share a
+    is GLV-split into two ~128-bit halves, each half's w-NAF digits become
+    addends from its point's odd-multiples table, and all of them share a
     single doubling ladder.  Generator terms are folded into one scalar
     first (they share the process-wide G / λG tables); tables for points
     not already in the per-point cache are built in Jacobian form (quarter
     0 only) and normalized together with ONE batched field inversion, so
     the marginal cost of an extra term is additions, not inversions.  Every
     term is cut into as many quarters as the term with fewest has: the
-    ladder is as long as its longest stream, so cutting the others finer
-    would only add streams.
+    ladder is as long as its highest bucket, so cutting the others finer
+    would save no doubling.
 
     ``terms`` is an iterable of ``(scalar, Point)``; scalars are reduced
     mod n.  Returns :data:`INFINITY` for an empty or all-zero batch.
@@ -676,10 +672,10 @@ def multi_scalar_mult(terms) -> Point:
         for (k, _), quarters in zip(others, held)
     ]
     cut = min((len(quarters) for _, quarters in tabled), default=_QUARTERS)
-    streams: list[tuple[list[int], _Table]] = []
+    buckets: _Buckets = []
     if gen_k:
         gen = _gen_tables()[1][:cut]
-        streams += _glv_streams(gen_k, gen, _GEN_WNAF_WIDTH)
+        _glv_streams(buckets, gen_k, gen, _GEN_WNAF_WIDTH)
     for k, quarters in tabled:
-        streams += _glv_streams(k, quarters[:cut], _WNAF_WIDTH)
-    return _from_jacobian(_ladder(streams))
+        _glv_streams(buckets, k, quarters[:cut], _WNAF_WIDTH)
+    return _from_jacobian(_ladder(buckets))

@@ -656,6 +656,43 @@ def test_second_validation_does_no_curve_arithmetic(monkeypatch, pseudo_on_curve
     assert counts == {"sqrt": 0, "verify": 0}
 
 
+@pytest.mark.parametrize("pseudo_on_curve", [True, False])
+def test_a_carrier_spend_asks_its_owner_key_first(monkeypatch, pseudo_on_curve):
+    """A 1-of-2 carrier spend costs one ECDSA verification and one sighash
+    digest, and leaves no key table for the metadata pseudo-key: the owner
+    key takes the signature before the pseudo-key is asked."""
+    net, alice, bob = _funded_net()
+    pseudo = _pseudo_key(pseudo_on_curve)
+    carrier_lock = multisig_script(1, [bob.default_key.public.encoded, pseudo])
+    net.send(alice.create_transaction(net.chain, [TxOut(9000, carrier_lock)], fee=2000))
+    net.generate(1, alice.key_hash)
+    carrier_spend = bob.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(alice.key_hash))], fee=2000
+    )
+    assert len(carrier_spend.vin) == 1
+
+    counts = {"verify": 0, "digest": 0}
+    real_verify, real_digest = validation.ecdsa_verify, SighashCache.digest
+
+    def counting_verify(pubkey, digest, signature):
+        counts["verify"] += 1
+        return real_verify(pubkey, digest, signature)
+
+    def counting_digest(self, input_index, script_code, hash_type):
+        counts["digest"] += 1
+        return real_digest(self, input_index, script_code, hash_type)
+
+    monkeypatch.setattr(validation, "ecdsa_verify", counting_verify)
+    monkeypatch.setattr(SighashCache, "digest", counting_digest)
+    if pseudo_on_curve:
+        point = Point.decode(pseudo)
+        secp256k1._POINT_TABLE_CACHE.pop((point.x, point.y))
+    check_tx_inputs(carrier_spend, net.chain.utxos, net.chain.height + 1)
+    assert counts == {"verify": 1, "digest": 1}
+    if pseudo_on_curve:
+        assert (point.x, point.y) not in secp256k1._POINT_TABLE_CACHE
+
+
 # ----------------------------------------------------------------------
 # Script verdicts by txid: what a hit still checks, what is never recorded
 # ----------------------------------------------------------------------

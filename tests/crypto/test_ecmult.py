@@ -29,7 +29,7 @@ from repro.crypto.secp256k1 import (
     INFINITY,
     Point,
     _glv_split,
-    _wnaf,
+    _sparse_wnaf,
     dual_scalar_mult,
     multi_scalar_mult,
     point_add,
@@ -78,18 +78,26 @@ def test_arbitrary_point_mult_matches_naive(k, base):
     assert scalar_mult(k, base) == scalar_mult_naive(k, base)
 
 
+def _checked_wnaf(k: int, width: int) -> list[int]:
+    """The positions of ``k``'s non-zero w-NAF digits, once the pairs are
+    shown to sum to ``k``, odd, below 2^(w−1) and ``width`` apart."""
+    pairs = _sparse_wnaf(k, width)
+    assert sum(d << i for i, d in pairs) == k
+    for _, d in pairs:
+        assert d % 2 == 1 and abs(d) < (1 << (width - 1))
+    positions = [i for i, _ in pairs]
+    for a, b in zip(positions, positions[1:]):
+        assert b - a >= width  # non-adjacency
+    return positions
+
+
 @pytest.mark.parametrize("k", SCALARS)
 def test_wnaf_recoding_reconstructs_scalar(k):
     for width in (4, 5, 8):
-        digits = _wnaf(k, width)
-        value = 0
-        for i, d in enumerate(digits):
-            assert d == 0 or (d % 2 == 1 and abs(d) < (1 << (width - 1)))
-            value += d << i
-        assert value == k
-        # Non-adjacency: no two consecutive nonzero digits.
-        for a, b in zip(digits, digits[1:]):
-            assert a == 0 or b == 0
+        for signed in (k, -k):
+            _checked_wnaf(signed, width)
+        negated = [(i, -d) for i, d in _sparse_wnaf(-k, width)]
+        assert _sparse_wnaf(k, width) == negated
 
 
 @pytest.mark.parametrize("k", [k % CURVE_ORDER for k in SCALARS])
@@ -301,12 +309,13 @@ def test_ladder_edges_where_addend_meets_accumulator(
 
 
 def test_ladder_passes_through_infinity_mid_way():
-    """Driven directly: +G and −G on the top digit, then more digits."""
-    table = ec._gen_tables()[1][0][0]
-    streams = [([3, 0, 0, 0, 0, 0, 1], table), ([0, 0, 0, 0, 0, 0, -1], table)]
-    assert ec._from_jacobian(ec._ladder(streams)) == scalar_mult_naive(3)
+    """Driven directly: +G and −G in the top bucket, then more addends."""
+    g, three_g = (ec._GX, ec._GY), ec._gen_tables()[1][0][0][1]
+    minus_g = (ec._GX, FIELD_PRIME - ec._GY)
+    buckets = [[three_g], [], [], [], [], [], [g, minus_g]]
+    assert ec._from_jacobian(ec._ladder(buckets)) == scalar_mult_naive(3)
     assert ec._ladder([]) == (0, 0, 0)
-    assert ec._ladder([([0, 0, 0], table)])[2] == 0
+    assert ec._ladder([[], [], []])[2] == 0
 
 
 # ----------------------------------------------------------------------
@@ -396,8 +405,8 @@ def test_cut_scalars_put_digits_on_every_cut():
         reached = set()
         for k in _CUT_SCALARS:
             for half in ec._glv_split(k):
-                digits = _wnaf(abs(half), width)
-                reached |= {p for p in _CUT_POSITIONS if p < len(digits) and digits[p]}
+                positions = _checked_wnaf(half, width)
+                reached |= set(positions) & set(_CUT_POSITIONS)
         assert reached == set(_CUT_POSITIONS), width
 
 
@@ -725,12 +734,12 @@ def test_generator_multiplication_addition_budget(monkeypatch):
 
 def _ladder_budget(monkeypatch, held: bool) -> tuple[int, int, int]:
     """Worst doublings, worst and total additions of the ladders that
-    ``dual_scalar_mult`` hands its streams to, over the seeded pairs —
-    from the recodings alone: the ladder doubles once per digit position
-    below the top one and adds once per non-zero digit."""
+    ``dual_scalar_mult`` hands its buckets to, over the seeded pairs —
+    from the buckets alone: the ladder doubles once per bucket below the
+    top one and adds once per addend."""
     ladders = []
     monkeypatch.setattr(
-        ec, "_ladder", lambda streams: ladders.append(streams) or (0, 0, 0)
+        ec, "_ladder", lambda buckets: ladders.append(buckets) or (0, 0, 0)
     )
     scalars = _budget_scalars()
     public = scalar_mult_naive(0xC0FFEE)
@@ -740,9 +749,9 @@ def _ladder_budget(monkeypatch, held: bool) -> tuple[int, int, int]:
         if not held:
             _forget(public)
         dual_scalar_mult(u1, u2, public)
-        streams = ladders.pop()
-        additions = sum(1 for digits, _ in streams for d in digits if d)
-        worst_doublings = max(worst_doublings, max(len(d) for d, _ in streams) - 1)
+        buckets = ladders.pop()
+        additions = sum(len(bucket) for bucket in buckets)
+        worst_doublings = max(worst_doublings, len(buckets) - 1)
         worst_additions = max(worst_additions, additions)
         total_additions += additions
     return worst_doublings, worst_additions, total_additions

@@ -69,6 +69,18 @@ def scalar_mult_naive(k, p=ec.GENERATOR):
     return ec._from_jacobian(result)
 
 
+def consensus_checkmultisig(sigs, pubkeys, checker):
+    """OP_CHECKMULTISIG's verdict in consensus order, whatever ``m`` is:
+    ``sigs`` and ``pubkeys`` as pushed, each walked from the last pushed
+    down, and a key that did not take a signature is never asked again —
+    the loop a 1-of-n lock no longer runs in this order."""
+    keys = iter(pubkeys[::-1])
+    for sig in sigs[::-1]:
+        if not any(sig and checker(sig, key) for key in keys):
+            return False
+    return True
+
+
 def naive_parse_script(data: bytes) -> Script:
     """``Script.parse`` as it was before the codecs read in place: slice
     out each push, decode each opcode through ``Op``."""

@@ -1,0 +1,83 @@
+"""Scalar multiplication has one recoder and one ladder, read off the source.
+
+``repro.crypto.secp256k1`` recodes a GLV half once, into its non-zero
+``(position, digit)`` pairs (``_sparse_wnaf``), drops them into per-position
+buckets (``_glv_streams``) and walks them down one ``_ladder``.  The dense
+digit lists it replaced — ``_wnaf``, ``_wnaf_signed`` and ``(digits,
+table)`` streams padded with zeros to a common length — are spelt nowhere
+under ``src/repro/crypto``, and each multiplication that is not the
+generator comb reaches the ladder through that recoder.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+from repro.crypto import secp256k1 as ec
+
+ROOT = Path(__file__).resolve().parents[1]
+CRYPTO = ROOT / "src" / "repro" / "crypto"
+RETIRED = (
+    r"\b_wnaf\b", r"\b_wnaf_signed\b",  # the dense recoders
+    r"\.append\(0\)", r"\[0\] \*",  # a zero digit, a zero padding
+    r"list\[tuple\[list\[int\]",  # a (digits, table) stream
+)
+MULTIPLIERS = ("scalar_mult", "dual_scalar_mult", "multi_scalar_mult")
+
+
+def test_no_dense_recoding_is_spelt():
+    pattern = re.compile("|".join(RETIRED))
+    spelt = [
+        f"{path.relative_to(ROOT)}: {match.group(0)}"
+        for path in sorted(CRYPTO.rglob("*.py"))
+        for match in pattern.finditer(path.read_text())
+    ]
+    assert spelt == []
+
+
+def _callers() -> dict[str, set[str]]:
+    """For each module-level function of secp256k1, the names it calls."""
+    tree = ast.parse((CRYPTO / "secp256k1.py").read_text())
+    return {
+        node.name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_the_multipliers_share_one_recoder_and_one_ladder():
+    calls = _callers()
+    assert {f for f, names in calls.items() if "_ladder" in names} == set(
+        MULTIPLIERS
+    )
+    assert {f for f, names in calls.items() if "_glv_streams" in names} == set(
+        MULTIPLIERS
+    )
+    assert {f for f, names in calls.items() if "_sparse_wnaf" in names} == {
+        "_glv_streams"
+    }
+
+
+def test_each_multiplier_reaches_the_ladder_through_the_recoder(monkeypatch):
+    seen = []
+    recode, ladder = ec._sparse_wnaf, ec._ladder
+    monkeypatch.setattr(
+        ec, "_sparse_wnaf", lambda k, w: seen.append("recode") or recode(k, w)
+    )
+    monkeypatch.setattr(
+        ec, "_ladder", lambda buckets: seen.append("ladder") or ladder(buckets)
+    )
+    point = ec.scalar_mult(0xC0FFEE)
+    for multiply in (
+        lambda: ec.scalar_mult(12345, point),
+        lambda: ec.dual_scalar_mult(777, 12345, point),
+        lambda: ec.multi_scalar_mult([(777, ec.GENERATOR), (12345, point)]),
+    ):
+        seen.clear()
+        multiply()
+        assert seen[-1] == "ladder" and seen.count("ladder") == 1
+        assert "recode" in seen
