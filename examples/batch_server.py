@@ -93,6 +93,11 @@ def main() -> None:
 
     # The server refuses conditional discharges (must write through, §5).
     b_rid = next(iter(server.holdings_of(student_b.principal)))
+    # Anyone may ask about a resource: the server answers from its own
+    # records (§3.2), with no chain lookup.
+    assert server.query(b_rid) == VirtualOutput(
+        vocab.coin_prop(8), 800, student_b.principal
+    )
     risky = VirtualTransaction(
         inputs=[b_rid],
         outputs=[VirtualOutput(vocab.coin_prop(8), 800, student_b.principal)],
@@ -111,6 +116,7 @@ def main() -> None:
 
     # --- withdrawal: one on-chain transaction for the whole history --------
     carrier = server.withdraw(b_rid, student_b.pubkey)
+    assert server.query(b_rid) is None  # withdrawn: no longer held here
     net.confirm(1)
     server.sync()
     print(f"student B graduated: withdrawal carrier"

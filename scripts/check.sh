@@ -3,9 +3,11 @@
 # default) and on (REPRO_OBS=1), proving instrumentation never changes
 # behavior. Each flag adds one seeded smoke:
 #   --bench     the paper experiments gated on their asserts and exact work
-#               counts (benchmarks/runner.py), then the repository
-#               benchmark's smoke sizes and its own tests
-#               (bench/run.py --smoke, bench/tests)
+#               counts (benchmarks/runner.py), then the reachability gate
+#               (scripts/reach.py: every src/repro function runs under an
+#               entry point or is listed in scripts/reach_allow.txt; about
+#               three minutes), then the repository benchmark's smoke sizes
+#               and its own tests (bench/run.py --smoke, bench/tests)
 #   --monitors  the chaos profiles under strict runtime invariant monitors
 #               (scripts/monitor_smoke.py)
 #   --service   verification-service chaos (scripts/service_smoke.py)
@@ -57,6 +59,8 @@ fi
 if [ "$run_bench" = 1 ]; then
   echo "== bench: paper experiments, asserts and exact work counts =="
   env -u REPRO_OBS python benchmarks/runner.py
+  echo "== bench: every src/repro function has a reader that is not a test =="
+  env -u REPRO_OBS python scripts/reach.py
   echo "== bench: repository benchmark, smoke sizes, and its tests =="
   env -u REPRO_OBS python3 bench/run.py --smoke
   env -u REPRO_OBS python -m pytest bench/tests -q

@@ -6,7 +6,7 @@ service's client (:mod:`repro.service.client`).  Two failure patterns
 motivate it, both surveyed at length for layer-2 Bitcoin protocols:
 
 * **unbounded exponential growth** — a plain ``base * factor**n`` retry
-  schedule quickly grows past any useful timeout, so the sequence is
+  schedule quickly grows past any useful timeout, so the delay is
   clamped at ``cap``;
 * **retry synchronization** — peers that observed the same failure at
   the same moment retry in lockstep, re-creating the overload that
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-__all__ = ["backoff_delay", "backoff_sequence", "derive_rng"]
+__all__ = ["backoff_delay", "derive_rng"]
 
 
 def backoff_delay(
@@ -49,24 +49,6 @@ def backoff_delay(
     if jitter > 0.0 and rng is not None:
         delay *= rng.uniform(1.0 - jitter, 1.0 + jitter)
     return delay
-
-
-def backoff_sequence(
-    attempts: int,
-    *,
-    base: float,
-    cap: float,
-    factor: float = 2.0,
-    jitter: float = 0.0,
-    rng: random.Random | None = None,
-) -> list[float]:
-    """The first ``attempts`` delays of one backoff schedule."""
-    return [
-        backoff_delay(
-            n, base=base, cap=cap, factor=factor, jitter=jitter, rng=rng
-        )
-        for n in range(1, attempts + 1)
-    ]
 
 
 def derive_rng(*parts: object) -> random.Random:

@@ -13,7 +13,6 @@ from repro.bitcoin.script import Script, ScriptError, Op, execute_script
 from repro.bitcoin.standard import (
     ScriptType,
     classify,
-    is_standard,
     p2pkh_script,
     multisig_script,
     op_return_script,
@@ -36,7 +35,6 @@ __all__ = [
     "execute_script",
     "ScriptType",
     "classify",
-    "is_standard",
     "p2pkh_script",
     "multisig_script",
     "op_return_script",

@@ -73,10 +73,6 @@ class BlockHeader:
     def hash(self) -> bytes:
         return sha256d(self.serialize())
 
-    @property
-    def hash_hex(self) -> str:
-        return self.hash[::-1].hex()
-
     def meets_target(self) -> bool:
         return check_proof_of_work(self.hash, self.bits)
 
@@ -98,10 +94,6 @@ class Block:
     @property
     def hash(self) -> bytes:
         return self.header.hash
-
-    @property
-    def hash_hex(self) -> str:
-        return self.header.hash_hex
 
     def serialize(self) -> bytes:
         """Full wire encoding: header, tx count varint, transactions."""

@@ -670,6 +670,21 @@ class KillMidWriteResult:
         )
 
 
+def _monitor_boundary(nodes: list[Node]) -> None:
+    """Force every per-node invariant check on the live nodes (scenario
+    boundaries bypass the monitors' sampling)."""
+    if not obs.ENABLED:
+        return
+    from repro.obs.monitor import monitors
+
+    registry = monitors()
+    if not registry.enabled:
+        return
+    for node in nodes:
+        if node.alive:
+            registry.check_node(node, force=True)
+
+
 def run_kill_mid_write(
     store_dir: str,
     seed: int = 0,
@@ -686,7 +701,9 @@ def run_kill_mid_write(
     the victim must recover to the last *committed* block — verified
     byte-for-byte against an independent full-validation replay of the
     same prefix — and then rejoin the network fetching only the torn-off
-    suffix from its peer.  Deterministic per (seed, mode).
+    suffix from its peer.  The monitors check the victim, its store
+    included, after recovery and after convergence.  Deterministic per
+    (seed, mode).
     """
     sim = Simulation(seed=seed)
     params = ChainParams(
@@ -715,6 +732,7 @@ def run_kill_mid_write(
     inject_torn_write(store_dir, sim.rng, mode=mode, node=victim.name)
     victim.restart(persist_chain=True, resync=True)
 
+    _monitor_boundary([victim])
     recovered_height = victim.chain.height
     recovered_tip = victim.chain.tip.block.hash
     # Independent oracle: full-validation replay of the committed prefix.
@@ -733,6 +751,7 @@ def run_kill_mid_write(
     sim.run_while(
         lambda: not converged([victim, peer]), limit=sim.now + 48 * 3600.0
     )
+    _monitor_boundary([victim])
     return KillMidWriteResult(
         seed=seed,
         mode=mode,
@@ -813,27 +832,13 @@ def run_chaos(profile: ChaosProfile, seed: int = 0) -> ChaosResult:
             lambda: victim.restart(persist_chain=profile.crash_persist),
         )
 
-    def monitor_boundary() -> None:
-        """Force every per-node invariant check on the live honest nodes
-        (scenario boundaries bypass the monitors' sampling)."""
-        if not obs.ENABLED:
-            return
-        from repro.obs.monitor import monitors
-
-        registry = monitors()
-        if not registry.enabled:
-            return
-        for node in honest:
-            if node.alive:
-                registry.check_node(node, force=True)
-
     sim.run_until(profile.duration)
-    monitor_boundary()
+    _monitor_boundary(honest)
     stop_reason = sim.run_while(
         lambda: not converged(honest),
         limit=profile.duration + profile.convergence_budget,
     )
-    monitor_boundary()
+    _monitor_boundary(honest)
     monitor_checks = monitor_violations = 0
     if obs.ENABLED:
         from repro.obs.monitor import monitors

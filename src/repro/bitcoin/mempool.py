@@ -18,7 +18,6 @@ from repro.bitcoin.standard import (
     DUST_THRESHOLD,
     ScriptType,
     classify,
-    is_standard,
 )
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.bitcoin.validation import (
@@ -83,10 +82,6 @@ class Mempool:
 
     def __contains__(self, txid: bytes) -> bool:
         return txid in self._entries
-
-    def get(self, txid: bytes) -> Transaction | None:
-        entry = self._entries.get(txid)
-        return entry.tx if entry else None
 
     def spent_outpoints(self) -> list[OutPoint]:
         """Every outpoint some pooled transaction spends.

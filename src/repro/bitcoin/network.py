@@ -336,9 +336,6 @@ class Node:
                 )
             self.disconnect(origin)
 
-    def misbehavior_score(self, peer: "Node") -> int:
-        return self._misbehavior.get(peer.name, 0)
-
     def is_banned(self, peer: "Node") -> bool:
         return peer.name in self._banned
 

@@ -18,10 +18,9 @@ need, without holding a million key pairs in memory:
   ``burst_spread`` seconds.
 * **Deterministic streams** — every stream is derived via
   :func:`repro.backoff.derive_rng` from the population seed plus the
-  identity of the thing being drawn (the event window, the wallet), so
-  the same configuration always reproduces the same trace byte for byte
-  (:meth:`SyntheticPopulation.trace_digest` pins exactly that), and
-  per-wallet streams are decorrelated from the global event stream.
+  event window, so the same configuration always reproduces the same
+  trace byte for byte (:meth:`SyntheticPopulation.trace_digest` pins
+  exactly that).
 
 The population is pure schedule: it yields ``(time, wallet)`` events and
 never touches a simulation's RNG.  Mapping events to signed transactions
@@ -104,20 +103,6 @@ class SyntheticPopulation:
     def pick_wallet(self, rng: Random) -> int:
         """One power-law-weighted sender index, via binary search."""
         return bisect_right(self._cum, rng.random() * self._total)
-
-    def wallet_rng(self, wallet: int) -> Random:
-        """The wallet's private stream (decorrelated from every other
-        wallet's and from the event stream)."""
-        return derive_rng("population-wallet", self.config.seed, wallet)
-
-    def activity_share(self, top_k: int) -> float:
-        """Fraction of all submission activity owed to the ``top_k`` most
-        active wallets (wallet 0 is the heaviest) — the skew the tests
-        assert instead of eyeballing a histogram."""
-        if top_k <= 0:
-            return 0.0
-        top_k = min(top_k, self.config.wallets)
-        return self._cum[top_k - 1] / self._total
 
     # -- the event schedule --------------------------------------------
 

@@ -91,7 +91,3 @@ def next_target(
         )
     return new_target
 
-
-def difficulty(target: int, max_target: int = MAX_TARGET) -> float:
-    """Human-facing difficulty: how much harder than the easiest target."""
-    return max_target / target

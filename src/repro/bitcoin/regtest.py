@@ -7,7 +7,6 @@ and example runs on top of this.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.bitcoin.block import Block
 from repro.bitcoin.chain import Blockchain, ChainParams
 from repro.bitcoin.mempool import Mempool, MempoolError
@@ -18,20 +17,9 @@ from repro.bitcoin.wallet import Wallet
 
 
 class RegtestNetwork:
-    """One node, one chain, instant mining.
+    """One node, one chain, instant mining."""
 
-    ``observe=True`` switches on :mod:`repro.obs` process-wide so every
-    validation step this network performs is counted and timed.
-    """
-
-    def __init__(
-        self,
-        min_fee_rate: int = 1,
-        block_time_step: int = 1,
-        observe: bool = False,
-    ):
-        if observe:
-            obs.enable()
+    def __init__(self, min_fee_rate: int = 1, block_time_step: int = 1):
         self.chain = Blockchain(ChainParams.regtest())
         self.mempool = Mempool(self.chain, min_fee_rate=min_fee_rate)
         self.block_time_step = block_time_step
@@ -78,21 +66,7 @@ class RegtestNetwork:
         self.mempool.accept(tx)
         return tx.txid
 
-    def send_raw(self, tx: Transaction) -> bytes:
-        """Miner-assisted submission: bypass relay policy (paper §3.3:
-        non-standard scripts are 'legal when they appear in blocks')."""
-        saved = self.mempool.require_standard
-        self.mempool.require_standard = False
-        try:
-            self.mempool.accept(tx)
-        finally:
-            self.mempool.require_standard = saved
-        return tx.txid
-
     def confirm(self, blocks: int = 1) -> list[Block]:
         """Mine blocks (to a throwaway key) so pending transactions confirm."""
         burn = Wallet.from_seed(b"regtest-burn")
         return self.generate(blocks, burn.key_hash)
-
-    def confirmations(self, txid: bytes) -> int:
-        return self.chain.confirmations(txid)

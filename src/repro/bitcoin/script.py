@@ -292,10 +292,6 @@ def cast_to_bool(data: bytes) -> bool:
 SigChecker = Callable[[bytes, bytes], bool]
 
 
-def _no_signatures(_sig: bytes, _pubkey: bytes) -> bool:
-    return False
-
-
 @dataclass
 class ExecutionBudget:
     """Resource accounting for one script execution.
@@ -612,7 +608,7 @@ def _run(
 def execute_script(
     script_sig: Script,
     script_pubkey: Script,
-    checker: SigChecker = _no_signatures,
+    checker: SigChecker,
 ) -> bool:
     """Run scriptSig then scriptPubKey on a shared stack; True iff authorized.
 

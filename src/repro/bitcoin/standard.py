@@ -145,8 +145,3 @@ def _classify(script: Script) -> Classified:
     ):
         return Classified(ScriptType.OP_RETURN, (els[1],))
     return Classified(ScriptType.NONSTANDARD)
-
-
-def is_standard(script: Script) -> bool:
-    """Relay policy: would a default node forward an output paying this?"""
-    return classify(script).type is not ScriptType.NONSTANDARD

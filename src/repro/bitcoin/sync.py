@@ -30,7 +30,6 @@ All progress is observable: ``sync.started`` / ``sync.headers`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -39,31 +38,25 @@ from repro.backoff import backoff_delay, derive_rng
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.bitcoin.network import Node
 
-__all__ = ["SyncConfig", "SyncSession", "start_sync"]
+__all__ = ["SyncSession", "start_sync"]
 
 
-@dataclass(frozen=True)
-class SyncConfig:
-    """Retry/timeout knobs for one catch-up session.
-
-    The two times are counted in the requesting node's mean hop latency,
-    not seconds (30 s and 240 s at the default 2 s hop): a timeout that
-    suits a 2 s link presumes every request lost on a 180 s one.
-    """
-
-    timeout_hops: float = 15.0  # hops before a request is presumed lost
-    backoff: float = 2.0  # timeout multiplier per retry
-    max_timeout_hops: float = 120.0  # cap on the backed-off timeout
-    jitter: float = 0.2  # ± fraction of timeout, seeded per (node, peer)
-    max_retries: int = 4  # attempts per request before the session fails
-    max_headers: int = 2000  # hashes per getheaders response
+# Retry and timeout constants of one catch-up session.  The two times are
+# counted in the requesting node's mean hop latency, not seconds (30 s and
+# 240 s at the default 2 s hop): a timeout that suits a 2 s link presumes
+# every request lost on a 180 s one.
+TIMEOUT_HOPS = 15.0  # hops before a request is presumed lost
+BACKOFF = 2.0  # timeout multiplier per retry
+MAX_TIMEOUT_HOPS = 120.0  # cap on the backed-off timeout
+JITTER = 0.2  # ± fraction of timeout, seeded per (node, peer)
+MAX_RETRIES = 4  # attempts per request before the session fails
+MAX_HEADERS = 2000  # hashes per getheaders response
 
 
 def start_sync(
     node: "Node",
     peer: "Node",
     reason: str = "reconnect",
-    config: SyncConfig | None = None,
 ) -> "SyncSession | None":
     """Begin a catch-up sync of ``node`` from ``peer``.
 
@@ -75,7 +68,7 @@ def start_sync(
         return None
     if peer.name in node._syncs:
         return None
-    session = SyncSession(node, peer, reason, config or SyncConfig())
+    session = SyncSession(node, peer, reason)
     node._syncs[peer.name] = session
     session.start()
     return session
@@ -84,13 +77,10 @@ def start_sync(
 class SyncSession:
     """One headers-first catch-up exchange between a node and a peer."""
 
-    def __init__(
-        self, node: "Node", peer: "Node", reason: str, config: SyncConfig
-    ):
+    def __init__(self, node: "Node", peer: "Node", reason: str):
         self.node = node
         self.peer = peer
         self.reason = reason
-        self.config = config
         # Jitter decorrelates (node, peer) pairs that time out together —
         # without it, every reconnecting peer re-requests in lockstep and
         # re-creates the loss burst that failed them.  The stream derives
@@ -222,7 +212,7 @@ class SyncSession:
                     what=what,
                     attempt=attempt,
                 )
-            if attempt >= self.config.max_retries:
+            if attempt >= MAX_RETRIES:
                 self._finish(ok=False, reason=f"{what}: retries exhausted")
                 return
             if obs.ENABLED:
@@ -236,10 +226,10 @@ class SyncSession:
         hop = self.node.latency
         return backoff_delay(
             attempt,
-            base=self.config.timeout_hops * hop,
-            cap=self.config.max_timeout_hops * hop,
-            factor=self.config.backoff,
-            jitter=self.config.jitter,
+            base=TIMEOUT_HOPS * hop,
+            cap=MAX_TIMEOUT_HOPS * hop,
+            factor=BACKOFF,
+            jitter=JITTER,
             rng=self._backoff_rng,
         )
 
@@ -251,9 +241,7 @@ class SyncSession:
         locator = self.node.chain.locator()
 
         def make_reply() -> object:
-            return self.peer.chain.hashes_after(
-                locator, self.config.max_headers
-            )
+            return self.peer.chain.hashes_after(locator, MAX_HEADERS)
 
         def reply_size(hashes: object) -> int:
             return 9 + 32 * len(hashes)  # varint count + hashes

@@ -66,18 +66,6 @@ class Wallet:
     def key_hash(self) -> bytes:
         return self.default_key.public.key_hash
 
-    @property
-    def address(self) -> str:
-        return self.default_key.public.address
-
-    def add_key(self, key: PrivateKey) -> None:
-        self._keys.append(key)
-
-    def new_key(self, seed: bytes) -> PrivateKey:
-        key = PrivateKey.from_seed(seed)
-        self._keys.append(key)
-        return key
-
     def _key_for_hash(self, key_hash: bytes) -> PrivateKey | None:
         for key in self._keys:
             if key.public.key_hash == key_hash:
@@ -135,9 +123,6 @@ class Wallet:
         # Deterministic order: oldest first, then by outpoint.
         result.sort(key=lambda s: (s.height, s.outpoint))
         return result
-
-    def balance(self, chain: Blockchain) -> int:
-        return sum(s.output.value for s in self.spendables(chain))
 
     # ------------------------------------------------------------------
     # Signing

@@ -229,11 +229,6 @@ def whimsical_press_grant(vocab: NewcoinVocabulary) -> Proposition:
     return Bang(vocab.coin_prop(1))
 
 
-def fixed_supply_grant(vocab: NewcoinVocabulary, supply: int) -> Proposition:
-    """A fixed money supply: one big coin and no way to print more."""
-    return vocab.coin_prop(supply)
-
-
 # ----------------------------------------------------------------------
 # Proof builders
 # ----------------------------------------------------------------------

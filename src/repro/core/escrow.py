@@ -32,9 +32,7 @@ from repro.core.validate import (
 )
 from repro.core.verifier import ClaimBundle, VerificationError, verify_claim
 from repro.crypto.ecdsa import Signature
-from repro.crypto.hashing import sha256
 from repro.crypto.keys import PrivateKey, PublicKey
-from repro.crypto.secp256k1 import Point
 from repro.lf.basis import Basis
 from repro.lf.walk import convertible
 from repro.logic.codec import encode, write_blob, write_uint
@@ -153,13 +151,11 @@ def template_signature_valid(
     pubkey: bytes, template: OpenTransaction, signature: bytes
 ) -> bool:
     try:
-        point = Point.decode(pubkey)
+        key = PublicKey.from_bytes(pubkey)
         sig = Signature.decode(signature)
     except ValueError:
         return False
-    from repro.crypto.ecdsa import verify
-
-    return verify(point, sha256(template.template_payload()), sig)
+    return key.verify(template.template_payload(), sig)
 
 
 # ----------------------------------------------------------------------

@@ -60,11 +60,6 @@ class AuthVocabulary:
     def file_term(self, name: str) -> Const:
         return Const(self.files[name])
 
-    def may_read_prop(self, who: Term, filename: str) -> Atom:
-        return Atom(
-            apply_family(TConst(self.may_read), who, self.file_term(filename))
-        )
-
     def may_write_prop(self, who: Term, filename: str) -> Atom:
         return Atom(
             apply_family(TConst(self.may_write), who, self.file_term(filename))

@@ -116,10 +116,6 @@ class Ledger:
             if entry is not None:
                 entry.spent_by = carrier_txid
 
-    def spent_oracle(self, txid: bytes, index: int) -> bool:
-        entry = self.outputs.get((txid, index))
-        return entry is not None and entry.spent_by is not None
-
 
 def check_typecoin_transaction(
     ledger: Ledger,

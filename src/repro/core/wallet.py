@@ -76,7 +76,7 @@ class TypecoinClient:
 
     @property
     def principal(self) -> bytes:
-        return self.key.public.key_hash
+        return self.key.public.principal
 
     @property
     def principal_term(self) -> PrincipalLit:

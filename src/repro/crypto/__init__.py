@@ -2,15 +2,14 @@
 
 This package provides everything Bitcoin-shaped systems need and nothing
 more: SHA-256 (single and double), RIPEMD-160 (pure Python, with an OpenSSL
-fast path), HASH160, base58check, secp256k1 ECDSA with RFC-6979 deterministic
+fast path), HASH160, secp256k1 ECDSA with RFC-6979 deterministic
 nonces, and Bitcoin-style Merkle trees.
 
 All functions are deterministic; nothing here reads the clock or the OS
-entropy pool unless explicitly asked to generate a fresh key.
+entropy pool.
 """
 
 from repro.crypto.hashing import sha256, sha256d, ripemd160, hash160
-from repro.crypto.base58 import b58check_encode, b58check_decode, Base58Error
 from repro.crypto.secp256k1 import (
     CURVE_ORDER,
     FIELD_PRIME,
@@ -19,17 +18,14 @@ from repro.crypto.secp256k1 import (
     scalar_mult,
 )
 from repro.crypto.ecdsa import Signature, sign, verify, deterministic_nonce
-from repro.crypto.keys import PrivateKey, PublicKey, new_private_key
-from repro.crypto.merkle import merkle_root, merkle_branch, verify_branch
+from repro.crypto.keys import PrivateKey, PublicKey
+from repro.crypto.merkle import merkle_root
 
 __all__ = [
     "sha256",
     "sha256d",
     "ripemd160",
     "hash160",
-    "b58check_encode",
-    "b58check_decode",
-    "Base58Error",
     "CURVE_ORDER",
     "FIELD_PRIME",
     "GENERATOR",
@@ -41,8 +37,5 @@ __all__ = [
     "deterministic_nonce",
     "PrivateKey",
     "PublicKey",
-    "new_private_key",
     "merkle_root",
-    "merkle_branch",
-    "verify_branch",
 ]

@@ -1,4 +1,4 @@
-"""Key pairs and addresses.
+"""Key pairs.
 
 A Typecoin *principal* is identified with the HASH160 of a public key
 (paper §4: "principal literals K, which we take to be cryptographic hashes of
@@ -8,17 +8,12 @@ crypto layer and the logic layer.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.crypto.base58 import b58check_decode, b58check_encode
 from repro.crypto.ecdsa import Signature, sign, verify
 from repro.crypto.hashing import hash160, sha256
 from repro.crypto.secp256k1 import CURVE_ORDER, Point, scalar_mult
-
-ADDRESS_VERSION = 0x6F  # testnet-style prefix; this is a simulated network
-
 
 @dataclass(frozen=True)
 class PublicKey:
@@ -41,21 +36,9 @@ class PublicKey:
         """The Typecoin principal literal this key denotes (= key hash)."""
         return self.key_hash
 
-    @property
-    def address(self) -> str:
-        """Base58check P2PKH address."""
-        return b58check_encode(self.key_hash, version=ADDRESS_VERSION)
-
     @staticmethod
     def from_bytes(data: bytes) -> "PublicKey":
         return PublicKey(Point.decode(data))
-
-    @staticmethod
-    def hash_from_address(address: str) -> bytes:
-        version, payload = b58check_decode(address)
-        if version != ADDRESS_VERSION or len(payload) != 20:
-            raise ValueError("not a P2PKH address for this network")
-        return payload
 
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Verify a signature over the SHA-256 digest of ``message``."""
@@ -89,8 +72,3 @@ class PrivateKey:
         """Derive a key deterministically from a seed (for reproducible tests)."""
         scalar = int.from_bytes(sha256(seed), "big") % (CURVE_ORDER - 1) + 1
         return PrivateKey(scalar)
-
-
-def new_private_key() -> PrivateKey:
-    """Generate a fresh random private key from OS entropy."""
-    return PrivateKey(secrets.randbelow(CURVE_ORDER - 1) + 1)

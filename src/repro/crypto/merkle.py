@@ -1,8 +1,7 @@
 """Bitcoin-style Merkle trees.
 
-Block headers commit to their transactions through a Merkle root; light
-verification of membership uses a branch of sibling hashes.  Bitcoin's quirk
-of duplicating the last node at odd levels is reproduced faithfully.
+Block headers commit to their transactions through a Merkle root.  Bitcoin's
+quirk of duplicating the last node at odd levels is reproduced faithfully.
 """
 
 from __future__ import annotations
@@ -25,30 +24,3 @@ def merkle_root(leaves: list[bytes]) -> bytes:
         level = [sha256d(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
     return level[0]
 
-
-def merkle_branch(leaves: list[bytes], index: int) -> list[bytes]:
-    """The sibling hashes proving ``leaves[index]`` is under the root."""
-    if not 0 <= index < len(leaves):
-        raise IndexError("leaf index out of range")
-    branch: list[bytes] = []
-    level = list(leaves)
-    while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        sibling = index ^ 1
-        branch.append(level[sibling])
-        level = [sha256d(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-        index //= 2
-    return branch
-
-
-def verify_branch(leaf: bytes, branch: list[bytes], index: int, root: bytes) -> bool:
-    """Check a Merkle branch produced by :func:`merkle_branch`."""
-    acc = leaf
-    for sibling in branch:
-        if index & 1:
-            acc = sha256d(sibling + acc)
-        else:
-            acc = sha256d(acc + sibling)
-        index //= 2
-    return acc == root

@@ -46,7 +46,6 @@ singleton :data:`INFINITY` whose ``x``/``y`` are ``None``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro import obs
 from repro.lru import LRU
@@ -138,32 +137,6 @@ def _point_unchecked(x: int, y: int) -> Point:
 
 INFINITY = Point(None, None)
 GENERATOR = Point(_GX, _GY)
-
-
-def _inv(a: int) -> int:
-    """The inverse of ``a`` in GF(p), by extended Euclid."""
-    if a % FIELD_PRIME == 0:
-        raise ValueError("zero has no inverse in the field")
-    return pow(a, -1, FIELD_PRIME)
-
-
-def point_add(p: Point, q: Point) -> Point:
-    """Affine point addition (complete: handles identity and doubling)."""
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    assert p.x is not None and p.y is not None
-    assert q.x is not None and q.y is not None
-    if p.x == q.x:
-        if (p.y + q.y) % FIELD_PRIME == 0:
-            return INFINITY
-        slope = (3 * p.x * p.x) * _inv(2 * p.y) % FIELD_PRIME
-    else:
-        slope = (q.y - p.y) * _inv(q.x - p.x) % FIELD_PRIME
-    x3 = (slope * slope - p.x - q.x) % FIELD_PRIME
-    y3 = (slope * (p.x - x3) - p.y) % FIELD_PRIME
-    return _point_unchecked(x3, y3)
 
 
 # --- Jacobian coordinates: (X, Y, Z) with x = X/Z², y = Y/Z³.  Avoids one
@@ -569,24 +542,31 @@ def lift_x(x: int, odd: bool) -> Point | None:
     return _point_unchecked(x, y)
 
 
-@lru_cache(maxsize=1024)
+_DECOMPRESSED = LRU(1024)
+
+
 def _decompress(data: bytes) -> Point | str:
     """The point a compressed SEC1 encoding names, or why there is none.
 
-    The memo behind :meth:`Point.decode`.  A node meets the same few keys
-    on every input it checks (a principal *is* a key), and each meeting
-    would otherwise repeat a 256-bit modular square root.  A failure is
-    returned rather than raised so that it is memoised too: a Typecoin
-    metadata pseudo-key is off-curve half the time.  Points are immutable,
-    so sharing one is safe.
+    The memo behind :meth:`Point.decode`, held in ``_DECOMPRESSED``.  A
+    node meets the same few keys on every input it checks (a principal
+    *is* a key), and each meeting would otherwise repeat a 256-bit modular
+    square root.  A failure is returned rather than raised so that it is
+    memoised too: a Typecoin metadata pseudo-key is off-curve half the
+    time.  Points are immutable, so sharing one is safe.
     """
+    found = _DECOMPRESSED.get(data)
+    if found is not None:
+        return found
     x = int.from_bytes(data[1:], "big")
     if x >= FIELD_PRIME:
-        return "x coordinate out of range"
-    point = lift_x(x, odd=data[0] == 3)
-    if point is None:
-        return "x coordinate has no square root (not on curve)"
-    return point
+        found = "x coordinate out of range"
+    else:
+        found = lift_x(x, odd=data[0] == 3)
+        if found is None:
+            found = "x coordinate has no square root (not on curve)"
+    _DECOMPRESSED.put(data, found)
+    return found
 
 
 def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:

@@ -34,7 +34,6 @@ from repro.logic.conditions import (
     Condition,
     Spent,
     WorldView,
-    conjoin,
     entails,
     evaluate,
 )
@@ -88,7 +87,7 @@ __all__ = [
     "Proposition", "Receipt", "Says", "Tensor", "With", "Zero", "tensor_all",
     # conditions
     "Before", "CAnd", "CNot", "CTrue", "Condition", "Spent", "WorldView",
-    "conjoin", "entails", "evaluate",
+    "entails", "evaluate",
     # freshness
     "FreshnessError", "check_basis_fresh", "check_prop_fresh", "is_fresh",
     # proof terms

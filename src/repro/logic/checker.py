@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro import obs
-from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
+from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash160, sha256
-from repro.crypto.secp256k1 import Point
+from repro.crypto.keys import PublicKey
 from repro.lf.basis import Basis, BasisError, NAT_T, PRINCIPAL_T, PropDecl
 from repro.lf.syntax import (
     Kind,
@@ -155,11 +155,11 @@ def _verify_affirmation(
     if hash160(affirmation.pubkey) != principal.key_hash:
         return False
     try:
-        point = Point.decode(affirmation.pubkey)
+        key = PublicKey.from_bytes(affirmation.pubkey)
         signature = Signature.decode(affirmation.signature)
     except ValueError:
         return False
-    return ecdsa_verify(point, sha256(payload), signature)
+    return key.verify(payload, signature)
 
 
 @dataclass(frozen=True)

@@ -75,18 +75,6 @@ declare_shape(Before, tag=0x43)
 declare_shape(Spent, data=("txid", "index"), tag=0x44)
 
 
-def conjoin(conditions: list[Condition]) -> Condition:
-    """The conjunction of a list of conditions (true if empty), flattened
-    of redundant trues."""
-    useful = [c for c in conditions if not isinstance(c, CTrue)]
-    if not useful:
-        return CTrue()
-    result = useful[-1]
-    for cond in reversed(useful[:-1]):
-        result = CAnd(cond, result)
-    return result
-
-
 # ----------------------------------------------------------------------
 # Entailment Φ ⊃ Φ′ — Appendix A's classical sequent calculus
 # ----------------------------------------------------------------------

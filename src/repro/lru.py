@@ -1,10 +1,11 @@
 """One bounded map: least recently used evicted first.
 
 Every bounded keyed map in ``src/`` is an :class:`LRU` — the signature
-cache (:mod:`repro.bitcoin.sigcache`), the per-key ecmult tables and the
-R-parity hints (:mod:`repro.crypto`), the relay's seen sets and orphan
-pool (:mod:`repro.bitcoin.relay`), and the verification service's memo
-and affirmation cache (:mod:`repro.service.cache`).  It lives here, with
+cache (:mod:`repro.bitcoin.sigcache`), the per-key ecmult tables, the
+``Point.decode`` memo and the R-parity hints (:mod:`repro.crypto`), the
+relay's seen sets and orphan pool (:mod:`repro.bitcoin.relay`), and the
+verification service's memo and affirmation cache
+(:mod:`repro.service.cache`).  It lives here, with
 no dependency, so the substrate can import it without reaching up into
 the layers built on it.
 

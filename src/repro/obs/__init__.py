@@ -24,9 +24,8 @@ on the module-level :data:`ENABLED` flag::
 
 so a disabled run performs one attribute load and a falsy branch — no dict
 or list allocation, no registry traffic (tests enforce this with a
-poisoned registry stub).  Turn it on with :func:`enable`, with
-``RegtestNetwork(observe=True)``, or by setting ``REPRO_OBS=1`` in the
-environment before the first import.
+poisoned registry stub).  Turn it on with :func:`enable`, or by setting
+``REPRO_OBS=1`` in the environment before the first import.
 
 One log
 -------

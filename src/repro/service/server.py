@@ -135,20 +135,6 @@ class VerificationService:
             self._closed = True
         install_affirmation_cache(self._prior_affirmation_cache)
 
-    def health(self) -> dict:
-        """Liveness/readiness snapshot, read in-process."""
-        with self._lock:
-            draining = self._draining
-            inflight = self._inflight
-        return {
-            "ready": not draining,
-            "draining": draining,
-            "inflight": inflight,
-            "memo_entries": len(self.memo),
-            "requests": self.requests,
-            "shed": self.shed,
-        }
-
     # -- admission -----------------------------------------------------
 
     def _admit(self) -> None:

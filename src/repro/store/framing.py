@@ -63,10 +63,6 @@ def write_file_header(fh, magic: bytes) -> int:
     return len(header)
 
 
-def file_header_size() -> int:
-    return _FILE_HEADER.size
-
-
 def encode_record(payload: bytes) -> bytes:
     """Frame one payload as ``length crc payload``."""
     if len(payload) > MAX_RECORD_SIZE:

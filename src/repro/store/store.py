@@ -18,10 +18,12 @@ disk.  One directory holds:
 Write path
 ----------
 
-Appends are flushed to the OS on every record, so a *process* crash
-loses at most the record being written (the torn tail recovery
-truncates).  ``fsync_appends=True`` additionally fsyncs each append for
-power-loss durability; snapshots and the manifest are always fsynced.
+The durability contract is a *process* crash.  Appends are flushed to
+the OS on every record, not fsynced, so a crash loses at most the record
+being written (the torn tail recovery truncates).  A snapshot fsyncs both
+logs first; the snapshot file and the manifest go temp file → fsync →
+``os.replace``; the directory is not fsynced, so a power loss is outside
+the contract.
 
 Recovery
 --------
@@ -104,15 +106,9 @@ class BlockStore:
     can still be called by hand).
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        snapshot_interval: int = 0,
-        fsync_appends: bool = False,
-    ):
+    def __init__(self, root: str | os.PathLike, snapshot_interval: int = 0):
         self.root = Path(root)
         self.snapshot_interval = snapshot_interval
-        self.fsync_appends = fsync_appends
         self._block_log = None
         self._undo_log = None
         self._manifest: dict = {}
@@ -210,12 +206,6 @@ class BlockStore:
         self._scan_undo = None
         self._connects_since_snapshot = 0
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no block records survived the scan (fresh store)."""
-        self._require_open()
-        return not self._scan_blocks.records
-
     def _require_open(self) -> None:
         if not self._opened:
             raise StoreError("store is not open")
@@ -296,8 +286,6 @@ class BlockStore:
         record = framing.encode_record(payload)
         fh.write(record)
         fh.flush()
-        if self.fsync_appends:
-            os.fsync(fh.fileno())
         return len(record)
 
     def append_connect(self, block: Block, height: int, undo: BlockUndo) -> None:
@@ -434,6 +422,11 @@ class BlockStore:
             state.snapshot, state.snapshot_offset = self._load_snapshot(
                 manifest_snap
             )
+            if state.snapshot is None:
+                # Forget it: a snapshot past the surviving log tails would
+                # otherwise read as usable once the logs grow past it again.
+                self._manifest["snapshot"] = None
+                self._write_manifest()
         return state
 
     def _load_snapshot(
@@ -442,9 +435,8 @@ class BlockStore:
         """Validate the manifest's snapshot against the surviving logs.
 
         An unusable snapshot (checksum failure, or log offsets past what
-        survived truncation — impossible unless the logs themselves were
-        damaged *before* the snapshot was cut) degrades to a full replay
-        rather than failing recovery.
+        survived truncation — a record the snapshot covers was torn)
+        degrades to a full replay rather than failing recovery.
         """
         blocks_offset = manifest_snap["blocks_offset"]
         undo_offset = manifest_snap["undo_offset"]

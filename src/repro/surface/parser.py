@@ -45,7 +45,7 @@ from repro.lf.syntax import (
     Term,
     TypeFamily,
     Var,
-    fresh_name,
+    arrow,
 )
 from repro.logic.conditions import (
     Before,
@@ -208,7 +208,7 @@ class Parser:
         head = self._family_app()
         if self._accept(TokenKind.ARROW):
             body = self.parse_family()
-            return TPi(fresh_name("_"), head, body)
+            return arrow(head, body)
         return head
 
     def _family_app(self) -> TypeFamily:

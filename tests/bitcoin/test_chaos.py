@@ -48,7 +48,7 @@ from repro.bitcoin.relay import (
 )
 from repro.bitcoin.script import Script
 from repro.bitcoin.standard import p2pkh_script
-from repro.bitcoin.sync import SyncConfig, start_sync
+from repro.bitcoin.sync import start_sync
 from repro.bitcoin.transaction import COIN, OutPoint, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.bitcoin.wallet import Wallet
@@ -319,10 +319,10 @@ class TestMisbehavior:
         _, (victim, evil) = make_nodes(2, connect=False)
         victim.connect(evil)
         victim.submit_block(invalid_block_on(victim.chain, nonce=0), origin=evil)
-        assert victim.misbehavior_score(evil) == POINTS_INVALID_BLOCK
+        assert victim._misbehavior.get(evil.name, 0) == POINTS_INVALID_BLOCK
         assert not victim.is_banned(evil)
         victim.submit_block(invalid_block_on(victim.chain, nonce=1), origin=evil)
-        assert victim.misbehavior_score(evil) == 2 * POINTS_INVALID_BLOCK
+        assert victim._misbehavior.get(evil.name, 0) == 2 * POINTS_INVALID_BLOCK
         assert victim.is_banned(evil)
         assert evil not in victim.peers
 
@@ -356,7 +356,7 @@ class TestMisbehavior:
         before = (chain.tip.block.hash, chain.utxos.snapshot())
         victim.submit_block(bad, origin=evil)
         sim.run_until(sim.now + 60)
-        assert victim.misbehavior_score(evil) == POINTS_INVALID_BLOCK
+        assert victim._misbehavior.get(evil.name, 0) == POINTS_INVALID_BLOCK
         assert (chain.tip.block.hash, chain.utxos.snapshot()) == before
         assert not bystander.chain.has_block(bad.hash)
         # The event loop is intact: the next honest block goes round.
@@ -378,7 +378,7 @@ class TestMisbehavior:
             vout=[TxOut(50_000, p2pkh_script(b"\x11" * 20))],
         )
         assert victim.submit_transaction(tx, origin=peer) is False
-        assert victim.misbehavior_score(peer) == POINTS_STALE_TX
+        assert victim._misbehavior.get(peer.name, 0) == POINTS_STALE_TX
 
     def test_stale_tx_penalty_follows_the_type_not_the_message(
         self, monkeypatch
@@ -397,13 +397,13 @@ class TestMisbehavior:
 
         monkeypatch.setattr(victim.mempool, "accept", refuse)
         for nonce, points in ((1, POINTS_STALE_TX), (2, POINTS_INVALID_TX)):
-            before = victim.misbehavior_score(peer)
+            before = victim._misbehavior.get(peer.name, 0)
             tx = Transaction(
                 vin=[TxIn(OutPoint(bytes([nonce]) * 32, 0))],
                 vout=[TxOut(50_000, p2pkh_script(b"\x11" * 20))],
             )
             assert victim.submit_transaction(tx, origin=peer) is False
-            assert victim.misbehavior_score(peer) - before == points
+            assert victim._misbehavior.get(peer.name, 0) - before == points
 
     def test_policy_refusal_not_penalized(self):
         _, (victim, peer) = make_nodes(2, connect=False)
@@ -413,7 +413,7 @@ class TestMisbehavior:
             vout=[TxOut(50_000, Script([b"arbitrary junk"]))],
         )
         assert victim.submit_transaction(nonstandard, origin=peer) is False
-        assert victim.misbehavior_score(peer) == 0
+        assert victim._misbehavior.get(peer.name, 0) == 0
 
     def test_rejected_block_emits_event(self, obs_on):
         _, (victim, evil) = make_nodes(2, connect=False)
@@ -591,9 +591,8 @@ class TestSync:
         behind.connect(ahead)
         mine_to(ahead, 5, miner_id=2)
         ahead.alive = False
-        config = SyncConfig(timeout_hops=5.0, max_retries=2)  # 10 s
-        session = start_sync(behind, ahead, config=config)
-        sim.run_until(sim.now + 3600)
+        session = start_sync(behind, ahead)
+        sim.run_until(sim.now + 3600)  # 4 tries: ≈ 450 s of timeouts
         assert session.done and not session.succeeded
         kinds = event_kinds()
         assert "sync.timeout" in kinds and "sync.failed" in kinds
@@ -736,7 +735,7 @@ class TestByzantinePeer:
         sim.run_until(sim.now + 6 * 3600)
         assert byz.attacks_sent["stale_fork"] > 0
         for node in nodes[:-1]:
-            assert node.misbehavior_score(byz.node) == 0
+            assert node._misbehavior.get(byz.node.name, 0) == 0
             assert not node.is_banned(byz.node)
 
 

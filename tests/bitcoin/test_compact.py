@@ -286,8 +286,8 @@ class TestRelayMiss:
         assert b.bytes_sent["getblock"] > 0
         assert a.bytes_sent["block"] == block.serialized_size()
         # Collisions are never misbehavior (BIP 152).
-        assert b.misbehavior_score(a) == 0
-        assert a.misbehavior_score(b) == 0
+        assert b._misbehavior.get(a.name, 0) == 0
+        assert a._misbehavior.get(b.name, 0) == 0
 
 
 class TestRecoveryLadder:
@@ -313,8 +313,8 @@ class TestRecoveryLadder:
         b.submit_block(block, origin=a)
         assert b.chain.tip.block.hash == block.hash
         # Loss is not misbehavior in either direction.
-        assert b.misbehavior_score(a) == 0
-        assert a.misbehavior_score(b) == 0
+        assert b._misbehavior.get(a.name, 0) == 0
+        assert a._misbehavior.get(b.name, 0) == 0
 
     def test_crash_clears_pending_reconstructions(self, funded):
         wallets, blocks = funded
@@ -347,7 +347,7 @@ class TestByzantineGarbage:
         for victim in victims:
             # Each unbacked announcement scored POINTS_BAD_COMPACT via
             # the withheld-data path, crossing the ban threshold.
-            assert victim.misbehavior_score(nodes[3]) >= victim.ban_threshold
+            assert victim._misbehavior.get(nodes[3].name, 0) >= victim.ban_threshold
             assert victim.is_banned(nodes[3])
             assert nodes[3] not in victim.peers
         assert byz.banned_by(nodes[:3]) == [v.name for v in victims]

@@ -314,7 +314,7 @@ class Victim:
         [error] = self.raised
         assert isinstance(error, ValidationError)
         assert re.search(message, str(error))
-        assert self.node.misbehavior_score(self.peer) == POINTS_INVALID_BLOCK
+        assert self.node._misbehavior.get(self.peer.name, 0) == POINTS_INVALID_BLOCK
         entry = self.node.chain.entry(bad.hash)
         assert entry is None or entry.invalid
         assert not self.node.chain.in_active_chain(bad.hash)
@@ -443,7 +443,7 @@ def test_non_push_transaction_costs_its_sender_and_stays_in_the_loop(
     )
     victim.sim.run_until(victim.sim.now + 600.0)
     assert accepted == [False]
-    assert victim.node.misbehavior_score(victim.peer) == POINTS_INVALID_TX
+    assert victim.node._misbehavior.get(victim.peer.name, 0) == POINTS_INVALID_TX
     assert victim.state() == before
 
 

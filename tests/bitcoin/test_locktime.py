@@ -83,7 +83,7 @@ class TestEnforcement:
         net.confirm(6)  # advance past the height lock
         net.send(tx)
         net.confirm(1)
-        assert net.confirmations(tx.txid) == 1
+        assert net.chain.confirmations(tx.txid) == 1
 
     def test_block_with_nonfinal_tx_rejected(self, funded):
         """Even a miner cannot include a non-final transaction."""
@@ -118,4 +118,4 @@ class TestEnforcement:
         net.confirm(4)
         net.send(refund)
         net.confirm(1)
-        assert net.confirmations(refund.txid) == 1
+        assert net.chain.confirmations(refund.txid) == 1

@@ -10,6 +10,16 @@ from repro.bitcoin.transaction import COIN, Transaction, TxIn, TxOut
 from repro.bitcoin.wallet import Wallet
 
 
+def send_raw(net, tx):
+    """Miner-assisted submission: relay policy off (paper §3.3: non-standard
+    scripts are "legal when they appear in blocks")."""
+    saved, net.mempool.require_standard = net.mempool.require_standard, False
+    try:
+        net.mempool.accept(tx)
+    finally:
+        net.mempool.require_standard = saved
+
+
 @pytest.fixture
 def funded():
     net = RegtestNetwork()
@@ -28,7 +38,7 @@ def test_accept_and_mine(funded):
     assert tx.txid in net.mempool
     net.confirm()
     assert tx.txid not in net.mempool
-    assert net.confirmations(tx.txid) == 1
+    assert net.chain.confirmations(tx.txid) == 1
 
 
 def test_duplicate_rejected(funded):
@@ -79,9 +89,9 @@ def test_nonstandard_output_refused_by_relay(funded):
     with pytest.raises(MempoolError, match="non-standard"):
         net.send(tx)
     # But a miner can still include it.
-    net.send_raw(tx)
+    send_raw(net, tx)
     net.confirm()
-    assert net.confirmations(tx.txid) == 1
+    assert net.chain.confirmations(tx.txid) == 1
 
 
 def test_dust_refused(funded):
@@ -194,7 +204,7 @@ class TestReorgReinjection:
         assert net.chain.get_transaction(tx.txid) is None  # unconfirmed again
         assert tx.txid in net.mempool  # ...but not lost
         net.confirm(1)
-        assert net.confirmations(tx.txid) == 1
+        assert net.chain.confirmations(tx.txid) == 1
 
     def test_tx_confirmed_on_winning_branch_not_reinjected(self, funded):
         net, alice, bob = funded

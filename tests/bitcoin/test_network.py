@@ -290,7 +290,7 @@ class TestSeenEviction:
             == rejected_before
         )
         assert a.bytes_sent == bytes_before
-        assert a.misbehavior_score(b) == 0
+        assert a._misbehavior.get(b.name, 0) == 0
 
     def test_confirmed_duplicate_suppressed_after_eviction(self, obs_on):
         from repro.bitcoin.miner import Miner
@@ -330,7 +330,7 @@ class TestSeenEviction:
             registry.counter("mempool.rejected_total").value
             == rejected_before
         )
-        assert a.misbehavior_score(b) == 0
+        assert a._misbehavior.get(b.name, 0) == 0
 
 
 # benchmarks/bench_a1_fork_rate.py's rows, as last recorded (PR 21: an

@@ -7,6 +7,8 @@ transaction streams.  The shape properties (power-law skew, bursty
 arrivals) are asserted statistically on seeded draws.
 """
 
+from random import Random
+
 import pytest
 
 from repro.bitcoin.chain import Blockchain
@@ -46,11 +48,6 @@ class TestDeterminism:
             7200.0, 7200.0
         )
 
-    def test_wallet_streams_reproducible_and_distinct(self):
-        pop = SyntheticPopulation(PopulationConfig(wallets=100, seed=1))
-        assert pop.wallet_rng(7).random() == pop.wallet_rng(7).random()
-        assert pop.wallet_rng(7).random() != pop.wallet_rng(8).random()
-
 
 class TestShape:
     def test_events_are_time_ordered_and_in_window(self):
@@ -64,10 +61,7 @@ class TestShape:
 
     def test_power_law_concentrates_activity(self):
         pop = SyntheticPopulation(PopulationConfig(wallets=100_000, seed=3))
-        # Analytically: the top 1% of wallets own most of the weight...
-        assert pop.activity_share(1_000) > 0.5
-        assert pop.activity_share(100_000) == pytest.approx(1.0)
-        # ...and empirically, seeded draws follow the weights.
+        # Seeded draws follow the weights: the top 1% of wallets send most.
         trace = pop.trace(0.0, 24 * 3600.0)
         assert len(trace) > 300
         heavy = sum(1 for _, w in trace if w < 1_000)
@@ -75,7 +69,7 @@ class TestShape:
 
     def test_million_wallet_population_is_cheap(self):
         pop = SyntheticPopulation(PopulationConfig(wallets=1_000_000, seed=4))
-        rng = pop.wallet_rng(0)
+        rng = Random(0)
         picks = [pop.pick_wallet(rng) for _ in range(1_000)]
         assert all(0 <= p < 1_000_000 for p in picks)
         assert len(set(picks)) > 100  # the tail does get sampled
@@ -84,7 +78,10 @@ class TestShape:
         pop = SyntheticPopulation(
             PopulationConfig(wallets=10_000, seed=5, alpha=0.0)
         )
-        assert pop.activity_share(100) == pytest.approx(0.01)
+        rng = Random(5)
+        picks = [pop.pick_wallet(rng) for _ in range(20_000)]
+        top = sum(1 for p in picks if p < 100) / len(picks)
+        assert top == pytest.approx(0.01, abs=0.005)
 
 
 class TestFunding:

@@ -8,7 +8,6 @@ from repro.bitcoin.pow import (
     bits_to_target,
     block_work,
     check_proof_of_work,
-    difficulty,
     next_target,
     target_to_bits,
 )
@@ -89,8 +88,3 @@ class TestRetarget:
     def test_never_easier_than_max_target(self):
         result = next_target(MAX_TARGET, 0, 10**12)
         assert result == MAX_TARGET
-
-
-def test_difficulty_of_max_target_is_one():
-    assert difficulty(MAX_TARGET) == 1.0
-    assert difficulty(MAX_TARGET // 4) == pytest.approx(4.0)

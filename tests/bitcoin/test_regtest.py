@@ -8,6 +8,11 @@ from repro.bitcoin.transaction import COIN, TxOut
 from repro.bitcoin.wallet import Wallet
 
 
+def balance(wallet, chain):
+    """What ``wallet`` can spend on ``chain``, summed."""
+    return sum(s.output.value for s in wallet.spendables(chain))
+
+
 def test_generate_advances_height():
     net = RegtestNetwork()
     key = Wallet.from_seed(b"rt").key_hash
@@ -21,7 +26,7 @@ def test_fund_wallet_produces_mature_balance():
     net = RegtestNetwork()
     wallet = Wallet.from_seed(b"rt-funded")
     net.fund_wallet(wallet, blocks=3)
-    assert wallet.balance(net.chain) == 3 * 50 * COIN
+    assert balance(wallet, net.chain) == 3 * 50 * COIN
 
 
 def test_miner_collects_fees():
@@ -48,9 +53,9 @@ def test_confirmations_accumulate():
         net.chain, [TxOut(COIN, p2pkh_script(b"\x02" * 20))], fee=1000
     )
     txid = net.send(tx)
-    assert net.confirmations(txid) == 0
+    assert net.chain.confirmations(txid) == 0
     net.confirm(6)
-    assert net.confirmations(txid) == 6
+    assert net.chain.confirmations(txid) == 6
 
 
 def test_mining_templates_are_unique():

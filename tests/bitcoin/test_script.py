@@ -15,8 +15,13 @@ from repro.bitcoin.script import (
 )
 
 
+def no_signatures(_sig, _pubkey):
+    """A checker that finds every signature invalid."""
+    return False
+
+
 def run(elements, script_sig=()):
-    return execute_script(Script(script_sig), Script(elements))
+    return execute_script(Script(script_sig), Script(elements), no_signatures)
 
 
 class TestSerialization:
@@ -197,10 +202,12 @@ class TestExecution:
 
     def test_scriptsig_must_be_push_only(self):
         with pytest.raises(ScriptError):
-            execute_script(Script([Op.OP_DUP]), Script([Op.OP_1]))
+            execute_script(Script([Op.OP_DUP]), Script([Op.OP_1]), no_signatures)
 
     def test_scriptsig_pushes_feed_pubkey_script(self):
-        assert execute_script(Script([b"\x2a"]), Script([b"\x2a", Op.OP_EQUAL]))
+        assert execute_script(
+            Script([b"\x2a"]), Script([b"\x2a", Op.OP_EQUAL]), no_signatures
+        )
 
     def test_pop_from_empty_stack_fails(self):
         assert not run([Op.OP_DUP])
@@ -257,7 +264,6 @@ from repro.bitcoin.script import (
     ExecutionBudget,
     ScriptResourceError,
     _Machine,
-    _no_signatures,
     _run,
 )
 
@@ -267,18 +273,18 @@ class TestExecutionBudget:
 
     def test_per_script_op_limit(self):
         ok_script = Script([Op.OP_NOP] * MAX_OPS_PER_SCRIPT)
-        _run(ok_script, _Machine(), _no_signatures)  # exactly at the limit
+        _run(ok_script, _Machine(), no_signatures)  # exactly at the limit
 
         over = Script([Op.OP_NOP] * (MAX_OPS_PER_SCRIPT + 1))
         with pytest.raises(ScriptResourceError, match="op count limit"):
-            _run(over, _Machine(), _no_signatures)
+            _run(over, _Machine(), no_signatures)
 
     def test_op_limit_is_per_script_not_cumulative(self):
         # 150 ops per script is fine twice over: the 201-op ceiling resets
         # between the two scripts even though the machine is shared.
         machine = _Machine()
-        _run(Script([Op.OP_NOP] * 150), machine, _no_signatures)
-        _run(Script([Op.OP_NOP] * 150), machine, _no_signatures)
+        _run(Script([Op.OP_NOP] * 150), machine, no_signatures)
+        _run(Script([Op.OP_NOP] * 150), machine, no_signatures)
         assert machine.budget.ops == 300
 
     def test_stack_size_limit(self):
@@ -287,13 +293,13 @@ class TestExecutionBudget:
         )
         script = Script([Op.OP_1] + [Op.OP_DUP] * MAX_STACK_SIZE)
         with pytest.raises(ScriptResourceError, match="stack size limit"):
-            _run(script, machine, _no_signatures)
+            _run(script, machine, no_signatures)
         assert len(machine.stack) + len(machine.alt) == MAX_STACK_SIZE + 1
 
     def test_push_budget(self):
         machine = _Machine(budget=ExecutionBudget(max_pushes=5))
         with pytest.raises(ScriptResourceError, match="push budget"):
-            _run(Script([Op.OP_1] * 6), machine, _no_signatures)
+            _run(Script([Op.OP_1] * 6), machine, no_signatures)
         assert machine.budget.pushes == 6
 
     def test_execute_script_fails_closed_on_exhaustion(self):
@@ -301,15 +307,15 @@ class TestExecutionBudget:
         # script failure: the spend is invalid, no exception escapes.
         sig = Script([Op.OP_1])
         pubkey = Script([Op.OP_NOP] * 300)
-        assert execute_script(sig, pubkey) is False
+        assert execute_script(sig, pubkey, no_signatures) is False
 
     def test_resource_error_is_script_error(self):
         assert issubclass(ScriptResourceError, ScriptError)
 
     def test_budget_totals_accumulate_across_scripts(self):
         machine = _Machine()
-        _run(Script([Op.OP_1, Op.OP_NOP]), machine, _no_signatures)
-        _run(Script([Op.OP_2, Op.OP_NOP, Op.OP_NOP]), machine, _no_signatures)
+        _run(Script([Op.OP_1, Op.OP_NOP]), machine, no_signatures)
+        _run(Script([Op.OP_2, Op.OP_NOP, Op.OP_NOP]), machine, no_signatures)
         assert machine.budget.ops == 3
         assert machine.budget.pushes == 2
         assert machine.budget.script_ops == 2

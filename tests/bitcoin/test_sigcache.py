@@ -41,6 +41,16 @@ from repro.crypto.secp256k1 import Point
 from tests.bitcoin.test_hostile_blocks import corrupt_signature, non_push
 
 
+def send_raw(net, tx):
+    """Miner-assisted submission: relay policy off (paper §3.3: non-standard
+    scripts are "legal when they appear in blocks")."""
+    saved, net.mempool.require_standard = net.mempool.require_standard, False
+    try:
+        net.mempool.accept(tx)
+    finally:
+        net.mempool.require_standard = saved
+
+
 # Isolate each test from the process-wide shared cache.
 pytestmark = pytest.mark.usefixtures("fresh_default_cache")
 
@@ -398,12 +408,12 @@ def _premature_coinbase_spend(net, alice, bob):
 )
 def test_mempool_verdict_equals_block_verdict(build, refusal):
     """What ``Mempool.accept`` says of a transaction (standardness off, as
-    ``send_raw``) is what a block holding only that transaction is told:
+    ``send_raw`` above) is what a block holding only that transaction is told:
     both doors are ``check_tx_inputs``."""
     net, alice, bob = _funded_net()
     tx = build(net, alice, bob)
     try:
-        net.send_raw(tx)
+        send_raw(net, tx)
         at_mempool = None
     except MempoolValidationError as exc:
         at_mempool = str(exc)
@@ -643,7 +653,7 @@ def test_second_validation_does_no_curve_arithmetic(monkeypatch, pseudo_on_curve
     monkeypatch.setattr(secp256k1, "lift_x", counting_lift_x)
     monkeypatch.setattr(validation, "ecdsa_verify", counting_verify)
     sigcache.set_default_cache(SignatureCache())
-    secp256k1._decompress.cache_clear()
+    secp256k1._DECOMPRESSED.clear()
 
     def validate_both():
         for tx in (p2pkh_spend, carrier_spend):

@@ -7,7 +7,6 @@ from repro.bitcoin.standard import (
     Classified,
     ScriptType,
     classify,
-    is_standard,
     multisig_script,
     op_return_script,
     p2pk_script,
@@ -65,7 +64,7 @@ def test_1of2_with_metadata_key_is_standard():
     """The paper's embedding (§3.3): one real key, one 33-byte 'key' of data."""
     metadata = b"\x02" + b"\xde\xad" * 16
     script = multisig_script(1, [KEY.encoded, metadata])
-    assert is_standard(script)
+    assert classify(script).type is not ScriptType.NONSTANDARD
     assert classify(script).type is ScriptType.MULTISIG
 
 
@@ -82,7 +81,7 @@ def test_op_return_size_cap():
 
 def test_nonstandard_scripts():
     assert classify(Script([Op.OP_1])).type is ScriptType.NONSTANDARD
-    assert not is_standard(Script([Op.OP_ADD]))
+    assert classify(Script([Op.OP_ADD])).type is ScriptType.NONSTANDARD
     # Wrong-length "key hash".
     bad = Script([Op.OP_DUP, Op.OP_HASH160, b"\x00" * 19, Op.OP_EQUALVERIFY,
                   Op.OP_CHECKSIG])

@@ -1,8 +1,10 @@
 """Tests for the durable block store: framing, codecs, snapshots,
 crash-safe recovery, and the node/chaos integration."""
 
+import json
 import os
 from dataclasses import replace
+from random import Random
 
 import pytest
 
@@ -24,6 +26,8 @@ from repro.bitcoin.utxo import (
 )
 from repro.bitcoin.validation import ValidationError
 from repro.bitcoin.wallet import Wallet
+from repro import obs
+from repro.obs.monitor import MonitorRegistry, set_monitors
 from repro.core.overlay import output_script
 from repro.store import (
     BlockStore,
@@ -401,6 +405,26 @@ class TestBlockStore:
         assert 0 < recovered.height < 6
         assert recovered.tip.block.hash == chain.block_at(recovered.height).hash
 
+    def test_a_torn_record_under_the_snapshot_forgets_it(self, tmp_path):
+        """A snapshot cut after the record a crash then tears names offsets
+        past the surviving log: recovery replays in full and drops the
+        snapshot from the manifest, so the ``store_offsets`` invariant
+        holds and a log that grows back past those offsets cannot revive
+        it."""
+        chain, store = stored_chain(tmp_path, blocks=6, snapshot_interval=6)
+        store.close()
+        inject_torn_write(str(tmp_path), Random(1), mode="truncate")
+        store = BlockStore(tmp_path).open()
+        state = store.recover()
+        assert state.snapshot is None
+        assert store.snapshot_offsets_consistent()
+        store.close()
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        assert manifest["snapshot"] is None
+        recovered = self.reopen(tmp_path)
+        assert recovered.height == 5
+        assert recovered.tip.block.hash == chain.block_at(5).hash
+
     def test_reorg_is_persisted(self, tmp_path):
         chain, store = stored_chain(tmp_path, blocks=2)
         rival = Blockchain(ChainParams.regtest())
@@ -522,6 +546,31 @@ class TestKillMidWrite:
         assert result.converged
         assert result.refetched_blocks <= 1
         assert result.ok
+
+    def test_strict_monitors_check_the_store_at_both_boundaries(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        consistent = BlockStore.snapshot_offsets_consistent
+        monkeypatch.setattr(
+            BlockStore,
+            "snapshot_offsets_consistent",
+            lambda store: calls.append(store) or consistent(store),
+        )
+        was_enabled = obs.ENABLED
+        saved_registry = obs.set_registry(obs.Registry())
+        saved_events = obs.set_event_log(obs.EventLog())
+        saved_monitors = set_monitors(MonitorRegistry(enabled=True, strict=True))
+        obs.enable()
+        try:
+            result = run_kill_mid_write(str(tmp_path), seed=3)
+        finally:
+            set_monitors(saved_monitors)
+            obs.set_registry(saved_registry)
+            obs.set_event_log(saved_events)
+            obs.ENABLED = was_enabled
+        assert result.ok
+        assert len(calls) == 2  # after recovery and after convergence
 
     def test_deterministic(self, tmp_path):
         a = run_kill_mid_write(

@@ -7,14 +7,13 @@ schedule exactly.
 """
 
 from repro.bitcoin.network import Simulation, build_network
-from repro.bitcoin.sync import SyncConfig, SyncSession
+from repro.bitcoin.sync import JITTER, SyncSession
 
 
-def timeout_schedule(seed: int, attempts: int = 4, config: SyncConfig = None):
-    config = config or SyncConfig()
+def timeout_schedule(seed: int, attempts: int = 4):
     sim = Simulation(seed=seed)
     a, b = build_network(sim, 2)
-    session = SyncSession(a, b, "test", config)
+    session = SyncSession(a, b, "test")
     return [session._timeout(attempt) for attempt in range(1, attempts + 1)]
 
 
@@ -28,23 +27,21 @@ def test_same_seed_reproduces_schedule_exactly():
 
 
 def test_schedule_grows_within_jitter_band_and_caps():
-    config = SyncConfig()
     for delay, nominal in zip(
-        timeout_schedule(0, attempts=5, config=config),
+        timeout_schedule(0, attempts=5),
         # 15 hops at build_network's 2 s a hop, doubling, capped at 120.
         [30.0, 60.0, 120.0, 240.0, 240.0],
     ):
-        assert nominal * (1 - config.jitter) <= delay
-        assert delay <= nominal * (1 + config.jitter)
+        assert nominal * (1 - JITTER) <= delay
+        assert delay <= nominal * (1 + JITTER)
 
 
 def test_pairs_within_one_simulation_decorrelate():
     sim = Simulation(seed=0)
     a, b, c = build_network(sim, 3)
-    config = SyncConfig()
 
     def schedule(node, peer):
-        session = SyncSession(node, peer, "test", config)
+        session = SyncSession(node, peer, "test")
         return [session._timeout(n) for n in range(1, 5)]
 
     assert schedule(a, b) != schedule(a, c) != schedule(b, c)
@@ -54,7 +51,7 @@ def test_jitter_does_not_draw_from_the_shared_sim_stream():
     """Creating a sync session must not perturb seeded scenarios."""
     sim = Simulation(seed=7)
     a, b = build_network(sim, 2)
-    session = SyncSession(a, b, "test", SyncConfig())
+    session = SyncSession(a, b, "test")
     session._backoff_rng.random()  # draw jitter
     # The shared stream must be wherever it would have been anyway; build
     # an identical world without the session and compare the next draw.

@@ -187,7 +187,7 @@ class History:
 
     def add_key(self):
         if len(self.wallet.keys) == 1:
-            self.wallet.add_key(LATER)
+            self.wallet = Wallet([OURS, LATER])
 
     # -- the properties -------------------------------------------------
 

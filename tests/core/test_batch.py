@@ -1,5 +1,7 @@
 """Tests for the §3.2 batch-mode credential server."""
 
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -481,12 +483,12 @@ class TestJournal:
         the transact after it unreplayable) — never a raw exception — and
         a refused journal is left as it was."""
         from repro.core.validate import Ledger
-        from repro.store.framing import encode_record, file_header_size
+        from repro.store.framing import encode_record, write_file_header
 
         journal = tmp_path / "journal.log"
         self._journaled_world(net, bank, journal)
         payloads = [p for _, p in scan_records(journal, JOURNAL_MAGIC).records]
-        header = journal.read_bytes()[: file_header_size()]
+        header = journal.read_bytes()[: write_file_header(io.BytesIO(), JOURNAL_MAGIC)]
 
         @settings(max_examples=400, deadline=None, database=None)
         @given(

@@ -8,7 +8,6 @@ from repro.core.currency import (
     banker_offer_prop,
     confirm_banker_proof,
     figure3_proof,
-    fixed_supply_grant,
     issue_proof,
     merge_proof,
     newcoin_basis,
@@ -55,7 +54,7 @@ class TestBasisPublication:
         basis, vocab = newcoin_basis(bank.principal_term, bank.principal_term)
         assert prop_fresh(printing_press_grant(vocab))
         assert prop_fresh(whimsical_press_grant(vocab))
-        assert prop_fresh(fixed_supply_grant(vocab, 10**9))
+        assert prop_fresh(vocab.coin_prop(10**9))  # a fixed supply
 
     def test_printing_press_grant_banked(self, net, bank):
         vocab, txid, _ = publish_newcoin(net, bank, grant=printing_press_grant)
@@ -179,7 +178,7 @@ class TestIssueSplitMerge:
         """With a fixed-supply grant there is no way to mint extra coins
         without a bank print affirmation."""
         vocab, txid, _ = publish_newcoin(
-            net, bank, grant=lambda v: fixed_supply_grant(v, 1000)
+            net, bank, grant=lambda v: v.coin_prop(1000)
         )
         # Transfer the whole supply out of the grant output.
         inp = bank.input_for(OutPoint(txid, 0))

@@ -244,8 +244,8 @@ class TestLedger:
         )
         check_typecoin_transaction(ledger, spend, world)
         ledger.register(b"\x0b" * 32, spend, resolve(b"\x0b" * 32, spend))
-        assert ledger.spent_oracle(txid, 0)
-        assert not ledger.spent_oracle(b"\x0b" * 32, 0)
+        assert ledger.outputs[(txid, 0)].spent_by == b"\x0b" * 32
+        assert ledger.outputs[(b"\x0b" * 32, 0)].spent_by is None
 
     def test_double_registration_rejected(self, world):
         txn = basis_publication(Basis(), PUBKEY)

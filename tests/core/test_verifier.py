@@ -189,4 +189,5 @@ class TestVerifyClaim:
             with pytest.raises(VerificationError, match="claimed type"):
                 verify_claim(net.chain, wrong, base_ledger=base)
             assert fields() == before
-        assert not base.spent_oracle(first_txid, 0)
+        held = base.outputs.get((first_txid, 0))
+        assert held is None or held.spent_by is None

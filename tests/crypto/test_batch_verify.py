@@ -26,11 +26,10 @@ from repro.crypto.secp256k1 import (
     Point,
     lift_x,
     multi_scalar_mult,
-    point_add,
     scalar_mult,
 )
 from repro.lru import LRU
-from tests.oracles import scalar_mult_naive
+from tests.oracles import point_add, scalar_mult_naive
 
 
 @pytest.fixture(autouse=True)

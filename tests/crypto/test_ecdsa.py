@@ -5,19 +5,20 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import secp256k1
 from repro.crypto.ecdsa import Signature, deterministic_nonce, sign, verify
-from repro.crypto.keys import PrivateKey, PublicKey, new_private_key
+from repro.crypto.keys import PrivateKey
 from repro.crypto.secp256k1 import (
     CURVE_ORDER,
     FIELD_PRIME,
     GENERATOR,
     INFINITY,
     Point,
-    _decompress,
     lift_x,
-    point_add,
     scalar_mult,
 )
+from repro.lru import LRU
+from tests.oracles import point_add
 
 
 def test_generator_on_curve():
@@ -109,18 +110,24 @@ def test_decode_rejects_garbage():
         Point.decode(b"\x05" + b"\x00" * 32)
 
 
-def test_decompression_memo_hits_and_clears():
+def fresh_memo(monkeypatch) -> LRU:
+    """An empty ``Point.decode`` memo of the same bound, counters at 0."""
+    memo = LRU(secp256k1._DECOMPRESSED.capacity)
+    monkeypatch.setattr(secp256k1, "_DECOMPRESSED", memo)
+    return memo
+
+
+def test_decompression_memo_hits_and_clears(monkeypatch):
     encoded = scalar_mult(777).encode()
-    _decompress.cache_clear()
+    memo = fresh_memo(monkeypatch)
     assert Point.decode(encoded) == Point.decode(encoded) == scalar_mult(777)
-    info = _decompress.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    _decompress.cache_clear()  # the cold path again
+    assert (memo.misses, memo.hits, len(memo)) == (1, 1, 1)
+    memo = fresh_memo(monkeypatch)  # the cold path again
     assert Point.decode(encoded) == scalar_mult(777)
-    assert _decompress.cache_info().misses == 1
+    assert memo.misses == 1
 
 
-def test_decompression_memo_remembers_failures_with_their_message():
+def test_decompression_memo_remembers_failures_with_their_message(monkeypatch):
     no_root = next(x for x in range(1, 64) if lift_x(x, odd=False) is None)
     cases = {
         b"\x02" + no_root.to_bytes(32, "big"): (
@@ -128,25 +135,24 @@ def test_decompression_memo_remembers_failures_with_their_message():
         ),
         b"\x03" + FIELD_PRIME.to_bytes(32, "big"): "x coordinate out of range",
     }
-    _decompress.cache_clear()
+    memo = fresh_memo(monkeypatch)
     for encoded, message in cases.items():
         for _ in range(2):
             with pytest.raises(ValueError) as caught:
                 Point.decode(encoded)
             assert str(caught.value) == message
-    info = _decompress.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    assert (memo.misses, memo.hits) == (2, 2)
 
 
 def test_decompression_memo_is_bounded():
-    bound = _decompress.cache_info().maxsize
+    bound = secp256k1._DECOMPRESSED.capacity
     assert bound is not None and bound <= 4096
     for x in range(1, bound + 50):
         try:
             Point.decode(b"\x02" + x.to_bytes(32, "big"))
         except ValueError:
             pass  # failures take a slot too
-    assert _decompress.cache_info().currsize == bound
+    assert len(secp256k1._DECOMPRESSED) == bound
 
 
 def test_sign_verify_roundtrip():
@@ -287,16 +293,7 @@ def test_private_key_range_validation():
         PrivateKey(CURVE_ORDER)
 
 
-def test_new_private_key_unique():
-    assert new_private_key().secret != new_private_key().secret
-
-
 def test_principal_is_key_hash():
     key = PrivateKey.from_seed(b"principal")
     assert key.public.principal == key.public.key_hash
     assert len(key.public.principal) == 20
-
-
-def test_address_roundtrip():
-    key = PrivateKey.from_seed(b"addr")
-    assert PublicKey.hash_from_address(key.public.address) == key.public.key_hash

@@ -32,11 +32,10 @@ from repro.crypto.secp256k1 import (
     _sparse_wnaf,
     dual_scalar_mult,
     multi_scalar_mult,
-    point_add,
     scalar_mult,
 )
 from repro.lru import LRU
-from tests.oracles import scalar_mult_naive
+from tests.oracles import point_add, scalar_mult_naive
 
 _EDGE_SCALARS = [
     0,
@@ -635,14 +634,6 @@ def test_a_child_forked_while_a_map_is_locked_can_verify():
 # ----------------------------------------------------------------------
 # Inverses: zero has none
 # ----------------------------------------------------------------------
-
-
-def test_field_inverse_is_exact_and_refuses_zero():
-    for a in (1, 2, FIELD_PRIME - 1, ec._GX, FIELD_PRIME + 5, -3):
-        assert a * ec._inv(a) % FIELD_PRIME == 1
-    for zero in (0, FIELD_PRIME, -FIELD_PRIME):
-        with pytest.raises(ValueError, match="zero has no inverse"):
-            ec._inv(zero)
 
 
 def test_batch_to_affine_refuses_the_identity():

@@ -1,14 +1,7 @@
 """Tests for Bitcoin-style Merkle trees."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
 from repro.crypto.hashing import sha256d
-from repro.crypto.merkle import merkle_branch, merkle_root, verify_branch
-
-leaves_strategy = st.lists(
-    st.binary(min_size=32, max_size=32), min_size=1, max_size=33
-)
+from repro.crypto.merkle import merkle_root
 
 
 def test_single_leaf_is_root():
@@ -29,29 +22,6 @@ def test_odd_level_duplicates_last():
     a, b, c = (sha256d(x) for x in (b"a", b"b", b"c"))
     expected = sha256d(sha256d(a + b) + sha256d(c + c))
     assert merkle_root([a, b, c]) == expected
-
-
-@given(leaves_strategy)
-@settings(max_examples=30, deadline=None)
-def test_every_branch_verifies(leaves):
-    root = merkle_root(leaves)
-    for i, leaf in enumerate(leaves):
-        assert verify_branch(leaf, merkle_branch(leaves, i), i, root)
-
-
-@given(leaves_strategy)
-@settings(max_examples=30, deadline=None)
-def test_wrong_leaf_fails(leaves):
-    root = merkle_root(leaves)
-    fake = sha256d(b"not a real leaf")
-    for i in range(len(leaves)):
-        if leaves[i] != fake:
-            assert not verify_branch(fake, merkle_branch(leaves, i), i, root)
-
-
-def test_branch_index_out_of_range():
-    with pytest.raises(IndexError):
-        merkle_branch([sha256d(b"a")], 1)
 
 
 def test_root_depends_on_order():

@@ -12,7 +12,6 @@ from repro.logic.conditions import (
     ConditionUndecidable,
     Spent,
     WorldView,
-    conjoin,
     entails,
     evaluate,
     implies,
@@ -155,15 +154,6 @@ class TestEvaluation:
 
 
 class TestStructure:
-    def test_conjoin_empty(self):
-        assert conjoin([]) == CTrue()
-
-    def test_conjoin_drops_true(self):
-        assert conjoin([CTrue(), SPENT_0, CTrue()]) == SPENT_0
-
-    def test_conjoin_pairs(self):
-        assert conjoin([SPENT_0, SPENT_1]) == CAnd(SPENT_0, SPENT_1)
-
     def test_spent_validation(self):
         with pytest.raises(ValueError):
             Spent(b"\x00" * 31, 0)

@@ -99,7 +99,8 @@ def test_retarget_and_budget_exhaustion_disabled_record_nothing(poisoned):
 
     next_target(2**240, 0, (RETARGET_WINDOW - 1) * BLOCK_INTERVAL_TARGET // 2)
     # 1001 pushes blow the stack cap -> ScriptResourceError path.
-    assert execute_script(Script([b"\x01"] * 1001), Script()) is False
+    never = lambda _sig, _pubkey: False
+    assert execute_script(Script([b"\x01"] * 1001), Script(), never) is False
 
 
 def test_disabled_default_registry_stays_empty():
@@ -122,12 +123,6 @@ def test_enable_disable_roundtrip():
     assert "script.ops_total" in obs.snapshot()["counters"]
     obs.disable()
     assert not obs.ENABLED
-
-
-def test_regtest_observe_flag_enables():
-    obs.disable()
-    RegtestNetwork(observe=True)
-    assert obs.ENABLED
 
 
 def test_a1_rows_bit_identical_with_obs_disabled(poisoned):

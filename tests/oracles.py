@@ -69,6 +69,24 @@ def scalar_mult_naive(k, p=ec.GENERATOR):
     return ec._from_jacobian(result)
 
 
+def point_add(p, q):
+    """Affine ``P + Q`` by the chord-and-tangent rule, one field inversion
+    per addition — the textbook formula the Jacobian ladder replaced."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    prime = ec.FIELD_PRIME
+    if p.x == q.x:
+        if (p.y + q.y) % prime == 0:
+            return ec.INFINITY
+        slope = 3 * p.x * p.x * pow(2 * p.y, -1, prime) % prime
+    else:
+        slope = (q.y - p.y) * pow(q.x - p.x, -1, prime) % prime
+    x3 = (slope * slope - p.x - q.x) % prime
+    return ec.Point(x3, (slope * (p.x - x3) - p.y) % prime)
+
+
 def consensus_checkmultisig(sigs, pubkeys, checker):
     """OP_CHECKMULTISIG's verdict in consensus order, whatever ``m`` is:
     ``sigs`` and ``pubkeys`` as pushed, each walked from the last pushed

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.backoff import backoff_delay, backoff_sequence, derive_rng
+from repro.backoff import backoff_delay, derive_rng
 
 
 class TestDelay:
     def test_doubles_until_cap(self):
-        delays = backoff_sequence(6, base=1.0, cap=10.0)
+        delays = [backoff_delay(n, base=1.0, cap=10.0) for n in range(1, 7)]
         assert delays == [1.0, 2.0, 4.0, 8.0, 10.0, 10.0]
 
     def test_custom_factor(self):
@@ -51,9 +51,12 @@ class TestDeriveRng:
         )
 
     def test_jittered_sequences_from_distinct_seeds_diverge(self):
-        make = lambda seed: backoff_sequence(
-            5, base=1.0, cap=30.0, jitter=0.2,
-            rng=derive_rng("seq", seed),
-        )
+        def make(seed):
+            rng = derive_rng("seq", seed)
+            return [
+                backoff_delay(n, base=1.0, cap=30.0, jitter=0.2, rng=rng)
+                for n in range(1, 6)
+            ]
+
         assert make(0) != make(1)
         assert make(0) == make(0)

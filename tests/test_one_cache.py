@@ -3,9 +3,11 @@
 The signature cache, the per-key ecmult tables, the R-parity hints, the
 relay's seen sets and orphan pool, and the service's memo and affirmation
 cache were each their own ``OrderedDict`` or insertion-ordered dict, with
-their own eviction and their own capacity option.  So no ordered-dict
-bookkeeping is spelt outside ``repro/lru.py``, none of the retired names
-or options is spelt at all, and each map is an ``LRU`` at run time.
+their own eviction and their own capacity option, and the ``Point.decode``
+memo was a ``functools.lru_cache``.  So no ordered-dict bookkeeping is
+spelt outside ``repro/lru.py``, no ``functools`` memo is spelt at all,
+none of the retired names or options is spelt at all, and each map is an
+``LRU`` at run time.
 """
 
 import re
@@ -42,6 +44,11 @@ def test_no_ordered_dict_bookkeeping_outside_the_one_lru():
     assert _spelt(re.compile("|".join(BOOKKEEPING)), outside) == []
 
 
+def test_no_functools_memo_in_src():
+    pattern = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|\bfrom functools import [^\n]*\bcache\b")
+    assert _spelt(pattern, sorted(SRC.rglob("*.py"))) == []
+
+
 def test_no_retired_name_is_spelt_in_src():
     pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
     assert _spelt(pattern, sorted(SRC.rglob("*.py"))) == []
@@ -61,6 +68,7 @@ def test_every_bounded_map_is_an_lru():
             "sigcache": sigcache.SignatureCache()._lru,
             "point tables": secp256k1._POINT_TABLE_CACHE,
             "parity hints": ecdsa._PARITY_HINTS,
+            "decompressed points": secp256k1._DECOMPRESSED,
             "seen blocks": node.relay._seen_blocks,
             "seen txs": node.relay._seen_txs,
             "orphans": node.relay._orphans,
