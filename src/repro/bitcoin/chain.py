@@ -477,15 +477,19 @@ class Blockchain:
         block = entry.block
         height = entry.height
         if height > 0:
-            prewarm_script_verdicts(block.txs[1:], self.utxos)  # speed only
+            txs = block.txs[1:]
+            # Speed only: the workers check the tail of the cold
+            # transactions while this loop checks the head, and their
+            # verdicts are recorded before the loop reaches the tail.
+            split, collect = prewarm_script_verdicts(txs, self.utxos)
             # Each transaction is checked as Mempool._accept checks it:
             # finality, no outpoint already claimed, then check_tx_inputs.
-            fees = 0
             # Rule 3 at block scope: check_tx_inputs reads the pre-block
             # table, so a second spender of one outpoint must be caught
             # here, before apply_block_txs mutates anything.
             spent_in_block: set[OutPoint] = set()
-            for tx in block.txs[1:]:
+
+            def fee(tx: Transaction) -> int:
                 if not is_final(tx, height, block.header.timestamp):
                     raise ValidationError("non-final transaction in block")
                 for txin in tx.vin:
@@ -494,7 +498,13 @@ class Blockchain:
                             f"missing or spent input {txin.prevout}"
                         )
                     spent_in_block.add(txin.prevout)
-                fees += check_tx_inputs(tx, self.utxos, height).fee
+                return check_tx_inputs(tx, self.utxos, height).fee
+
+            try:
+                fees = sum(map(fee, txs[:split]))
+            finally:
+                collect()
+            fees += sum(map(fee, txs[split:]))
             coinbase_value = block.txs[0].total_output_value()
             if coinbase_value > block_subsidy(height) + fees:
                 raise ValidationError("coinbase pays more than subsidy plus fees")

@@ -14,7 +14,7 @@ from repro import obs
 from repro.bitcoin.block import Block, MAX_BLOCK_SIZE, build_block
 from repro.bitcoin.chain import Blockchain, block_subsidy
 from repro.bitcoin.mempool import Mempool
-from repro.bitcoin.script import Op, Script
+from repro.bitcoin.script import Script
 from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.transaction import OutPoint, Transaction, TxIn, TxOut
 

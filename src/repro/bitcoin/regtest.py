@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.bitcoin.block import Block
 from repro.bitcoin.chain import Blockchain, ChainParams
-from repro.bitcoin.mempool import Mempool, MempoolError
+from repro.bitcoin.mempool import Mempool
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.transaction import Transaction
 from repro.bitcoin.utxo import COINBASE_MATURITY

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro import obs
 from repro.crypto.hashing import hash160, ripemd160, sha256, sha256d

@@ -17,6 +17,7 @@ the whole prior output); rules 1, 3, 4 are checked here against a UTXO view.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -225,32 +226,62 @@ POOL_MIN_INPUTS = 16  # cold inputs that engage the workers (docs/performance.md
 _pool: tuple[int, list] | None = None  # (owner's pid, [(worker, pipe end)])
 
 
-def prewarm_script_verdicts(txs: tuple[Transaction, ...], utxos: UTXOSet) -> None:
-    """Record the txid verdicts of a block's cold transactions that a worker
-    authorised and echoed; the caller's ``check_tx_inputs`` still judges all."""
+def prewarm_script_verdicts(
+    txs: tuple[Transaction, ...], utxos: UTXOSet
+) -> tuple[int, Callable[[], None]]:
+    """Send the tail of a block's cold transactions to the workers.
+
+    With ``os.cpu_count() − 1`` workers, each of them and the caller take
+    an equal share of the cold jobs; the caller's share is the head, which
+    its own ``check_tx_inputs`` loop checks.  Returns the index in ``txs``
+    of the first transaction sent (``len(txs)`` when none was) and
+    ``collect``, which waits for the workers and records the txids they
+    authorised and echoed.  The caller calls ``collect`` exactly once,
+    before its loop reaches that index or as it leaves on a refusal, so
+    no answer is left in a pipe; ``check_tx_inputs`` still judges all.
+    """
+    workers = (os.cpu_count() or 1) - 1
+    if workers < 1 or sum(len(tx.vin) for tx in txs) < POOL_MIN_INPUTS:
+        return len(txs), _nothing
     cache = sigcache.default_cache()
-    if sum(len(tx.vin) for tx in txs) < POOL_MIN_INPUTS:
-        return
-    jobs = [(tx, [utxos.get(txin.prevout) for txin in tx.vin]) for tx in txs]
-    jobs = [(tx, s) for tx, s in jobs if tx.txid not in cache and None not in s]
-    inputs = sum(len(tx.vin) for tx, _ in jobs)
-    if inputs < POOL_MIN_INPUTS or (os.cpu_count() or 1) < 2:
-        return
-    for (tx, _), txid in zip(jobs, _ask_pool(jobs)):
-        if txid == tx.txid:
-            cache.put_tx(txid)
-    if obs.ENABLED and _pool is not None:  # the pool answered
-        obs.inc("validation.pool_inputs_total", inputs)
+    jobs = [
+        (i, tx, [utxos.get(txin.prevout) for txin in tx.vin])
+        for i, tx in enumerate(txs)
+        if tx.txid not in cache
+    ]
+    jobs = [job for job in jobs if None not in job[2]]
+    if sum(len(tx.vin) for _, tx, _ in jobs) < POOL_MIN_INPUTS:
+        return len(txs), _nothing
+    tail = jobs[len(jobs) // (workers + 1) :]  # never empty: jobs has one
+    answers = _ask_pool([(tx, spent) for _, tx, spent in tail])
+
+    def collect() -> None:
+        for (_, tx, _), txid in zip(tail, answers()):
+            if txid == tx.txid:
+                cache.put_tx(txid)
+        if obs.ENABLED and _pool is not None:  # the pool answered
+            obs.inc(
+                "validation.pool_inputs_total",
+                sum(len(tx.vin) for _, tx, _ in tail),
+            )
+
+    return tail[0][0], collect
 
 
-def _ask_pool(jobs) -> list[bytes | None]:
-    """Each job's answer, in order; ``[]`` and no pool on any failure."""
+def _nothing() -> None:
+    """``collect`` when nothing was sent."""
+
+
+def _ask_pool(jobs) -> Callable[[], list[bytes | None]]:
+    """Send the jobs to the workers; the returned call waits for each
+    job's answer, in order.  On any failure, that call answers ``[]`` and
+    this process has no pool."""
     global _pool
     try:
         if _pool is None or _pool[0] != os.getpid():
             import multiprocessing as mp  # on first use: most processes never pay it
             _pool = (os.getpid(), [])
-            for _ in range(os.cpu_count()):
+            for _ in range(os.cpu_count() - 1):
                 ours, theirs = mp.Pipe()  # not a queue: its lock dies with a worker
                 worker = mp.Process(target=_serve, args=(theirs,), daemon=True)
                 worker.start()
@@ -263,10 +294,18 @@ def _ask_pool(jobs) -> list[bytes | None]:
                 (tx.serialize(), [e.output.script_pubkey.serialize() for e in spent])
                 for tx, spent in jobs[i * share : (i + 1) * share]
             ])
-        return [answer for _, conn in workers for answer in conn.recv()]
-    except Exception:  # a killed worker, a broken pipe, a bad reply
+    except Exception:  # a killed worker, a broken pipe
         _drop_pool()
-        return []
+        return lambda: []
+
+    def answers() -> list[bytes | None]:
+        try:
+            return [answer for _, conn in workers for answer in conn.recv()]
+        except Exception:  # a killed worker, a bad reply
+            _drop_pool()
+            return []
+
+    return answers
 
 
 def _drop_pool() -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.core.proofs import (
@@ -31,7 +31,6 @@ from repro.core.proofs import (
     tensor_intro_all,
 )
 from repro.core.transaction import (
-    TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
 )

@@ -17,7 +17,7 @@ from repro.bitcoin.chain import Blockchain
 from repro.bitcoin.script import Op, Script
 from repro.bitcoin.sighash import SigHashType, signature_hash
 from repro.bitcoin.standard import ScriptType, classify, multisig_script
-from repro.bitcoin.transaction import OutPoint, Transaction
+from repro.bitcoin.transaction import Transaction
 from repro.core.overlay import OverlayError, check_carrier_correspondence
 from repro.core.transaction import (
     TypecoinInput,

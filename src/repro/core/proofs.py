@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 from repro.lf.syntax import SHAPES, fresh_name
 from repro.logic.propositions import (
-    One,
     Proposition,
     Tensor,
     tensor_all,

@@ -18,7 +18,7 @@ kernel is kept at what CPython's bignums cost:
   (4 080 affine points, built once per process on first use), so ``k·G``
   (signing) is one mixed addition per non-zero byte of the two GLV halves —
   at most 32 additions, no doublings; the λ-image of an entry costs one
-  ``β·x``;
+  ``β·x``, taken where the entry is used — no λ-table is stored anywhere;
 * **one sparse Strauss/Shamir ladder** — :func:`_sparse_wnaf` recodes
   each GLV half into its non-zero width-w NAF digits only, as
   ``(position, digit)`` pairs, and :func:`_glv_streams` drops each digit's
@@ -28,13 +28,14 @@ kernel is kept at what CPython's bignums cost:
   coordinates until a single final inversion.  :func:`scalar_mult` on an
   arbitrary point, :func:`dual_scalar_mult` (ECDSA verification) and
   :func:`multi_scalar_mult` differ only in the buckets they fill;
-* **quarter tables for held keys** — a key's table is a list of one or
-  four quarters, the odd multiples of 2^(32j)·Q (and their λ-images) for
-  j = 0..3.  A digit at position i of a GLV half goes to quarter
-  j = i // 32 and bucket i − 32j, so the chain is at most 128 doublings
-  for a key seen once and at most 32 for a key seen again (the
-  generator's four quarters are comb rows 0, 4, 8, 12); the additions are
-  the same digits either way.
+* **eight cuts for held keys** — a key's table is a list of one or eight
+  cuts, the width-6 odd multiples 1·, 3·, …, 31·2^(16j)·Q for j = 0..7.
+  A digit at position i of a GLV half goes to cut j = i // 16 and bucket
+  i − 16j, so the chain is at most 128 doublings for a key seen once and
+  at most 16 for a key seen again (the generator's eight cuts are comb
+  rows 0, 2, …, 14); the additions are the same digits either way.  The
+  second half's addends are λ-images, ``(β·x, y)`` of the entry, computed
+  as :func:`_glv_streams` reads it.
 
 The naive double-and-add ladder the fast paths replaced lives on in the
 test suite as the differential oracle.
@@ -59,13 +60,13 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 # w-NAF window width for arbitrary points (one cached table per point) and
 # for the generator, whose odd multiples are read out of the comb.
-_WNAF_WIDTH = 5
+_WNAF_WIDTH = 6
 _GEN_WNAF_WIDTH = 8
-_POINT_TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1P … 15P
-# A held key's table covers each 32-bit quarter of a GLV half (the last
-# quarter also takes the w-NAF's possible digit at position 128).
-_QUARTER_BITS = 32
-_QUARTERS = 4
+_POINT_TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1P … 31P
+# A held key's table covers each 16-bit cut of a GLV half (the last cut
+# also takes the w-NAF's possible digit at position 128).
+_QUARTER_BITS = 16
+_QUARTERS = 8
 # Generator comb: a GLV half is below 2¹²⁸ (see _glv_split), so 16 byte-wide
 # windows cover it.
 _COMB_WINDOWS = 16
@@ -321,22 +322,16 @@ def _glv_split(k: int) -> tuple[int, int]:
 
 
 _Table = list[tuple[int, int]]
-# One pair of tables per quarter: the odd multiples of 2^(32j)·P and of
-# λ·2^(32j)·P.  One quarter (j = 0) or all four.
-_Quarters = list[tuple[_Table, _Table]]
+# One table per cut: the odd multiples of 2^(16j)·P.  One cut (j = 0) or
+# all eight.
+_Quarters = list[_Table]
 # The ladder's input: bucket i holds the signed affine addends of digit
-# position i, each quarter's positions counted from its own cut.
+# position i, each cut's positions counted from its own start.
 _Buckets = list[list[tuple[int, int]]]
 
 
-def _with_lambda(table: _Table) -> tuple[_Table, _Table]:
-    """``table`` beside the same multiples of λ·P: the endomorphism costs
-    one field multiplication per entry and no group operation."""
-    return table, [(_BETA * x % FIELD_PRIME, y) for x, y in table]
-
-
 def _odd_multiples(jac: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Jacobian ``[1P, 3P, 5P, …, 15P]``, the digits of a width-5 NAF."""
+    """Jacobian ``[1P, 3P, 5P, …, 31P]``, the digits of a width-6 NAF."""
     twice = _jacobian_double(jac)
     muls = [jac]
     for _ in range(_POINT_TABLE_SIZE - 1):
@@ -345,15 +340,15 @@ def _odd_multiples(jac: tuple[int, int, int]) -> list[tuple[int, int, int]]:
 
 
 def _quarter_tables(affine: list[tuple[int, int]]) -> _Quarters:
-    """Cut consecutive runs of odd multiples into per-quarter table pairs."""
+    """Cut consecutive runs of odd multiples into per-cut tables."""
     return [
-        _with_lambda(affine[i : i + _POINT_TABLE_SIZE])
+        affine[i : i + _POINT_TABLE_SIZE]
         for i in range(0, len(affine), _POINT_TABLE_SIZE)
     ]
 
 
 def _upper_quarters(p: Point) -> _Quarters:
-    """Quarters 1–3 of ``p``: the odd multiples of 2³²·P, 2⁶⁴·P and 2⁹⁶·P,
+    """Cuts 1–7 of ``p``: the odd multiples of 2¹⁶·P, 2³²·P, …, 2¹¹²·P,
     normalised together with one inversion."""
     base = _to_jacobian(p)
     jacs: list[tuple[int, int, int]] = []
@@ -367,16 +362,16 @@ def _upper_quarters(p: Point) -> _Quarters:
 # Per-point w-NAF tables are cached, least recently used evicted first:
 # real workloads verify many signatures against few distinct public keys
 # (a wallet's inputs, a miner's coinbase chain).  A key's first sight
-# builds quarter 0 alone (eight group operations and an inversion), so a
-# key used once pays no more than that; its second sight adds quarters
-# 1–3 (96 doublings, 24 group operations, one inversion), which the
-# 96 doublings every later verification skips repay.
+# builds cut 0 alone (sixteen group operations and an inversion), so a
+# key used once pays no more than that; its second sight adds cuts 1–7
+# (112 doublings, 112 group operations, one inversion), which the
+# 112 doublings every later verification skips repay.
 _POINT_TABLE_CACHE = LRU(256)
 
 
 def _point_wnaf_tables(p: Point) -> _Quarters:
-    """The (cached) quarter tables of an arbitrary point: one on its first
-    sight, all four from its second on."""
+    """The (cached) cut tables of an arbitrary point: one on its first
+    sight, all eight from its second on."""
     key = (p.x, p.y)
     quarters = _POINT_TABLE_CACHE.get(key)
     if quarters is not None and len(quarters) == _QUARTERS:
@@ -401,9 +396,9 @@ def _gen_tables() -> tuple[list[_Table], _Quarters]:
     """``(comb, quarters)`` for the generator.
 
     ``comb[i][d-1] = d·256^i·G`` for d in 1..255 and i in 0..15: one row per
-    byte of a GLV half.  ``quarters`` are the ladder's four quarter tables:
-    quarter j's odd multiples of 2^(32j)·G are read out of row 4j, beside
-    their λ-images.
+    byte of a GLV half.  ``quarters`` are the ladder's eight cut tables:
+    cut j's odd multiples of 2^(16j)·G are read out of row 2j, so they
+    hold the comb's own entries and nothing more.
     """
     global _GEN_TABLES
     if _GEN_TABLES is None:
@@ -418,8 +413,8 @@ def _gen_tables() -> tuple[list[_Table], _Quarters]:
         affine = _batch_to_affine(flat)
         comb = [affine[i : i + 255] for i in range(0, len(affine), 255)]
         odd = slice(0, 1 << (_GEN_WNAF_WIDTH - 1), 2)  # d = 1, 3, …, 127
-        rows = range(0, _COMB_WINDOWS, _QUARTER_BITS // 8)  # 0, 4, 8, 12
-        quarters = [_with_lambda(comb[i][odd]) for i in rows]
+        rows = range(0, _COMB_WINDOWS, _QUARTER_BITS // 8)  # 0, 2, …, 14
+        quarters = [comb[i][odd] for i in rows]
         _GEN_TABLES = comb, quarters
         if obs.ENABLED:
             obs.inc("ecmult.table_builds_total")
@@ -449,14 +444,15 @@ def _glv_streams(
     """Drop the addends of ``k·P`` into the ladder's ``buckets``.
 
     A non-zero w-NAF digit ``d`` of a GLV half at position i belongs to
-    quarter j = i // 32 (the last quarter takes every digit above) and goes
-    into bucket i − 32j as the affine odd multiple ``|d|·2^(32j)·P`` — or
-    its λ-image, for the second half — negated for ``d < 0``.  The list
-    grows to the highest bucket filled.
+    cut j = i // 16 (the last cut takes every digit above) and goes into
+    bucket i − 16j as the affine odd multiple ``|d|·2^(16j)·P`` — for the
+    second half its λ-image ``(β·x, y)``, as :func:`_gen_mult_jacobian`
+    takes it — negated for ``d < 0``.  The list grows to the highest
+    bucket filled.
     """
     p = FIELD_PRIME
     last = len(quarters) - 1
-    for lam, half in enumerate(_glv_split(k)):
+    for beta, half in zip((1, _BETA), _glv_split(k)):
         for i, d in _sparse_wnaf(half, width):
             j = i // _QUARTER_BITS
             if j > last:
@@ -464,11 +460,8 @@ def _glv_streams(
             i -= j * _QUARTER_BITS
             while i >= len(buckets):
                 buckets.append([])
-            if d > 0:
-                buckets[i].append(quarters[j][lam][d >> 1])
-            else:
-                x, y = quarters[j][lam][-d >> 1]
-                buckets[i].append((x, p - y))
+            x, y = quarters[j][abs(d) >> 1]
+            buckets[i].append((x * beta % p, y if d > 0 else p - y))
 
 
 def _ladder(buckets: _Buckets) -> tuple[int, int, int]:
@@ -574,10 +567,10 @@ def dual_scalar_mult(u1: int, u2: int, q: Point) -> Point:
 
     Both scalars are split through the λ endomorphism into half-width
     halves, and every half's w-NAF digits fill ONE set of ladder buckets:
-    the generator halves read the process-wide G / λG quarters, the ``Q``
-    halves the cached quarters of Q and λQ.  The generator is cut into as
-    many quarters as ``Q`` has, so a key seen once walks a ~128-step
-    ladder and a held key a ~32-step one.
+    the generator halves read the process-wide cuts of G, the ``Q`` halves
+    the cached cuts of Q (λ applied as each addend is read).  The
+    generator is cut as many times as ``Q`` is, so a key seen once walks
+    a ~128-step ladder and a held key a ~16-step one.
     Everything stays in Jacobian coordinates until the single final
     inversion — this is the primitive ECDSA verification is built on.
     """
@@ -606,11 +599,11 @@ def multi_scalar_mult(terms) -> Point:
     is GLV-split into two ~128-bit halves, each half's w-NAF digits become
     addends from its point's odd-multiples table, and all of them share a
     single doubling ladder.  Generator terms are folded into one scalar
-    first (they share the process-wide G / λG tables); tables for points
-    not already in the per-point cache are built in Jacobian form (quarter
-    0 only) and normalized together with ONE batched field inversion, so
+    first (they share the process-wide generator tables); tables for points
+    not already in the per-point cache are built in Jacobian form (cut 0
+    only) and normalized together with ONE batched field inversion, so
     the marginal cost of an extra term is additions, not inversions.  Every
-    term is cut into as many quarters as the term with fewest has: the
+    term is cut as many times as the term with fewest cuts is: the
     ladder is as long as its highest bucket, so cutting the others finer
     would save no doubling.
 

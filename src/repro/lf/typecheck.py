@@ -14,7 +14,7 @@ types — which keeps equality checking simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.lf.basis import Basis, BasisError, KindDecl, NAT_T, PRINCIPAL_T, TypeDecl

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro import obs
-from repro.crypto.ecdsa import Signature
+from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.hashing import hash160, sha256
-from repro.crypto.keys import PublicKey
+from repro.crypto.secp256k1 import Point
 from repro.lf.basis import Basis, BasisError, NAT_T, PRINCIPAL_T, PropDecl
 from repro.lf.syntax import (
     Kind,
@@ -131,35 +131,32 @@ def verify_affirmation(
     principal: PrincipalLit, payload: bytes, affirmation: Affirmation
 ) -> bool:
     """Check that the affirmation's key hashes to the principal and signs
-    the payload."""
+    the payload.  The payload is hashed once: the digest keys the cache
+    and is the digest the signature is checked against."""
+    digest = sha256(payload)
     cache = AFFIRMATION_CACHE
     if cache is None:
-        return _verify_affirmation(principal, payload, affirmation)
-    key = (
-        principal.key_hash,
-        affirmation.pubkey,
-        sha256(payload),
-        affirmation.signature,
-    )
+        return _verify_affirmation(principal, digest, affirmation)
+    key = (principal.key_hash, affirmation.pubkey, digest, affirmation.signature)
     cached = cache.get(key)
     if cached is not None:
         return cached
-    result = _verify_affirmation(principal, payload, affirmation)
+    result = _verify_affirmation(principal, digest, affirmation)
     cache.put(key, result)
     return result
 
 
 def _verify_affirmation(
-    principal: PrincipalLit, payload: bytes, affirmation: Affirmation
+    principal: PrincipalLit, digest: bytes, affirmation: Affirmation
 ) -> bool:
     if hash160(affirmation.pubkey) != principal.key_hash:
         return False
     try:
-        key = PublicKey.from_bytes(affirmation.pubkey)
+        key = Point.decode(affirmation.pubkey)
         signature = Signature.decode(affirmation.signature)
     except ValueError:
         return False
-    return key.verify(payload, signature)
+    return ecdsa_verify(key, digest, signature)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Cold blocks on every processor: the worker pool in front of block connect.
 
-``validation.prewarm_script_verdicts`` sends a block's cold transactions
-to one worker per processor and records the txids whose every input
-authorised; ``check_tx_inputs`` then runs on every transaction as before.
-So the pool may change how fast a block connects and nothing else: these
-tests hold the tip, the UTXO table and the cached verdicts to what the
+``validation.prewarm_script_verdicts`` sends the tail of a block's cold
+transactions to one worker per processor but one, while the connecting
+process checks the head itself; the txids whose every input a worker
+authorised are recorded before the connecting loop reaches the tail, and
+``check_tx_inputs`` runs on every transaction as before.  So the pool may
+change how fast a block connects and nothing else: these tests hold the
+tip, the UTXO table, the refusal and the cached verdicts to what the
 in-process path gives, with the pool working, broken, killed, lying, and
 absent.
 """
@@ -114,12 +116,25 @@ def history():
 
 @pytest.fixture
 def own_pool(monkeypatch):
-    """Two processors, and a pool this test starts (so its workers fork
-    whatever the test patched) and stops."""
+    """Two processors — one worker beside this process — and a pool this
+    test starts (so its workers fork whatever the test patched) and
+    stops."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     validation._drop_pool()
     yield
     validation._drop_pool()
+
+
+@pytest.fixture
+def two_workers(own_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+
+def workers_share(block: Block) -> list[Transaction]:
+    """The transactions of an all-cold ``block`` sent to the workers: all
+    but the head, one share in ``os.cpu_count()`` (rounded down)."""
+    txs = block.txs[1:]
+    return list(txs[len(txs) // os.cpu_count() :])
 
 
 @pytest.fixture
@@ -138,6 +153,41 @@ def inline_result(blocks):
             return chain.tip.block.hash, chain.utxos.snapshot(), cached_txids()
     finally:
         sigcache.set_default_cache(old)
+
+
+def refusal(blocks, bad: Block):
+    """The message ``bad`` is refused with after ``blocks``, then the tip
+    and the cached txids."""
+    chain = sync(blocks)
+    with pytest.raises(ValidationError) as refused:
+        chain.add_block(bad)
+    return str(refused.value), chain.tip.block.hash, cached_txids()
+
+
+def inline_refusal(blocks, bad: Block):
+    """``refusal`` on the in-process path, on a cache of its own."""
+    old = sigcache.set_default_cache(sigcache.SignatureCache())
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "cpu_count", lambda: 1)
+            return refusal(blocks, bad)
+    finally:
+        sigcache.set_default_cache(old)
+
+
+def assert_refused_as_without_the_pool(prefix, bad: Block, index: int):
+    """The forgery at ``index`` is refused with the in-process message and
+    tip, and never cached; the cache holds what the in-process run cached
+    and, beside it, the verdicts of the workers' honest share."""
+    forged = bad.txs[index].txid
+    message, tip, cached = refusal(prefix, bad)
+    want_message, want_tip, want_cached = inline_refusal(prefix, bad)
+    assert message == want_message
+    assert message.endswith("script validation failed on input 0")
+    assert tip == want_tip == prefix[-1].hash
+    assert forged not in cached
+    honest = {tx.txid for tx in workers_share(bad)} - {forged}
+    assert cached == want_cached | honest
 
 
 # ----------------------------------------------------------------------
@@ -169,18 +219,49 @@ def test_one_processor_never_starts_a_pool(history, own_pool, one_processor):
 def test_a_forged_signature_in_a_wide_block_never_enters_the_cache(
     history, own_pool, index
 ):
+    """One worker: the forgery heads this process's share, or ends the
+    worker's."""
     prefix, wide = history
-    chain = sync(prefix)
     bad = reforged(wide[0], index)
-    forged = bad.txs[index].txid
-    with pytest.raises(ValidationError, match="script validation failed on input 0$"):
-        chain.add_block(bad)
-    assert forged not in sigcache.default_cache()
-    # Every honest transaction was warmed, those after the forgery too —
-    # which the in-process loop, stopping at the forgery, never reaches.
-    honest = {tx.txid for tx in bad.txs[1:]} - {forged}
-    assert honest <= cached_txids()
-    assert chain.tip.block.hash == prefix[-1].hash
+    assert (bad.txs[index] in workers_share(bad)) is (index == SPENDS)
+    assert_refused_as_without_the_pool(prefix, bad, index)
+
+
+@pytest.mark.parametrize("share", ["parent", "workers"])
+def test_a_forgery_in_either_share_is_refused_as_without_the_pool(
+    history, two_workers, share
+):
+    """Two workers: the forgery sits mid-way through this process's share,
+    or first in the second worker's, after the first worker's honest one."""
+    prefix, wide = history
+    tail = len(workers_share(wide[0]))  # 14: two shares of 7
+    index = 3 if share == "parent" else SPENDS + 1 - tail // 2
+    bad = reforged(wide[0], index)
+    assert (bad.txs[index] in workers_share(bad)) is (share == "workers")
+    assert_refused_as_without_the_pool(prefix, bad, index)
+
+
+def scripts_run_here(monkeypatch) -> list[None]:
+    """One entry per input script this process runs from now on (a
+    worker forked later counts in its own copy of the list)."""
+    runs: list[None] = []
+    run = validation.execute_script
+    monkeypatch.setattr(
+        validation,
+        "execute_script",
+        lambda *args: runs.append(None) or run(*args),
+    )
+    return runs
+
+
+def prewarmed(chain: Blockchain, block: Block) -> list[Transaction]:
+    """Send ``block``'s workers' share, wait for the answers and record
+    them, as ``Blockchain._connect`` does; that share."""
+    txs = block.txs[1:]
+    split, collect = validation.prewarm_script_verdicts(txs, chain.utxos)
+    collect()
+    assert list(txs[split:]) == workers_share(block)
+    return workers_share(block)
 
 
 @forked_workers
@@ -194,22 +275,24 @@ def test_a_worker_that_names_another_txid_warms_nothing(
     )
     prefix, wide = history
     chain = sync(prefix)
-    validation.prewarm_script_verdicts(wide[0].txs[1:], chain.utxos)
+    share = prewarmed(chain, wide[0])
     assert validation._pool is not None  # it answered; the answers were refused
-    assert not {tx.txid for tx in wide[0].txs} & cached_txids()
+    assert not {tx.txid for tx in share} & cached_txids()
 
 
 def test_answers_out_of_job_order_warm_nothing(history, own_pool, monkeypatch):
-    """Each answer a real txid of the block, at the wrong position."""
+    """Each answer a real txid of the workers' share, at the wrong
+    position."""
     def rotated(jobs):
         txids = [tx.txid for tx, _ in jobs]
-        return txids[1:] + txids[:1]
+        return lambda: txids[1:] + txids[:1]
 
     monkeypatch.setattr(validation, "_ask_pool", rotated)
     prefix, wide = history
     chain = sync(prefix)
-    validation.prewarm_script_verdicts(wide[0].txs[1:], chain.utxos)
-    assert not {tx.txid for tx in wide[0].txs} & cached_txids()
+    share = prewarmed(chain, wide[0])
+    assert len(share) > 1
+    assert not {tx.txid for tx in share} & cached_txids()
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +302,7 @@ def test_answers_out_of_job_order_warm_nothing(history, own_pool, monkeypatch):
 
 @pytest.mark.parametrize("victim", [0, 1])
 def test_a_worker_killed_between_wide_blocks_changes_nothing(
-    history, own_pool, victim
+    history, two_workers, monkeypatch, victim
 ):
     prefix, wide = history
     chain = sync([*prefix, wide[0]])
@@ -227,10 +310,14 @@ def test_a_worker_killed_between_wide_blocks_changes_nothing(
     os.kill(worker.pid, signal.SIGKILL)
     worker.join(timeout=10)
     assert worker.exitcode == -signal.SIGKILL
-    assert chain.add_block(wide[1])  # connected in-process, the pool dropped
+    runs = scripts_run_here(monkeypatch)
+    assert chain.add_block(wide[1])
     assert validation._pool is None
+    assert len(runs) == SPENDS  # the workers' share too, in-process
+    runs.clear()
     assert chain.add_block(wide[2])  # the next wide block makes a new pool
     assert validation._pool is not None
+    assert len(runs) == SPENDS - len(workers_share(wide[2]))  # the head
     assert (
         chain.tip.block.hash, chain.utxos.snapshot(), cached_txids()
     ) == inline_result([*prefix, *wide])
@@ -239,7 +326,7 @@ def test_a_worker_killed_between_wide_blocks_changes_nothing(
 @forked_workers
 @pytest.mark.parametrize("dying", ["every", "last"])
 def test_a_worker_dying_mid_block_changes_nothing(
-    history, own_pool, monkeypatch, dying
+    history, two_workers, monkeypatch, dying
 ):
     answer = validation._authorised_txid
 
@@ -251,8 +338,13 @@ def test_a_worker_dying_mid_block_changes_nothing(
 
     monkeypatch.setattr(validation, "_authorised_txid", die)
     prefix, wide = history
-    chain = sync([*prefix, *wide])
-    assert validation._pool is None
+    chain = sync(prefix)
+    runs = scripts_run_here(monkeypatch)
+    for block in wide:
+        assert chain.add_block(block)
+        assert validation._pool is None
+    # No worker's verdict was recorded: every share was checked here.
+    assert len(runs) == len(wide) * SPENDS
     assert (
         chain.tip.block.hash, chain.utxos.snapshot(), cached_txids()
     ) == inline_result([*prefix, *wide])

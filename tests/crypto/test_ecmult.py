@@ -2,10 +2,10 @@
 
 The fast paths (the generator's byte comb, per-point w-NAF, GLV split, the
 one Strauss/Shamir ladder behind single, dual and multi multiplication,
-and a held key's four quarter tables) must agree with the naive
+and a held key's eight cut tables) must agree with the naive
 double-and-add ladder on every scalar, including the awkward ones: 0, 1,
 n−1, values at or beyond the curve order, scalars on the comb's window
-boundaries, digits on the quarters' cuts and additions that meet the
+boundaries, digits on either side of each cut and additions that meet the
 accumulator — for a key seen for the first time and for a held one.  The
 budget tests at the end count group operations instead of timing them.
 """
@@ -92,7 +92,7 @@ def _checked_wnaf(k: int, width: int) -> list[int]:
 
 @pytest.mark.parametrize("k", SCALARS)
 def test_wnaf_recoding_reconstructs_scalar(k):
-    for width in (4, 5, 8):
+    for width in (4, 5, 6, 8):
         for signed in (k, -k):
             _checked_wnaf(signed, width)
         negated = [(i, -d) for i, d in _sparse_wnaf(-k, width)]
@@ -214,16 +214,15 @@ def test_comb_rows_are_the_multiples_they_claim():
         for d in (1, 2, 128, 255):
             want = scalar_mult_naive(d << (8 * i))
             assert comb[i][d - 1] == (want.x, want.y)
-    # Quarter q holds the odd multiples of 2^(32q)·G (comb row 4q) and of
-    # λ·2^(32q)·G.
-    assert len(quarters) == 4
-    for q, (odd, lam_odd) in enumerate(quarters):
-        assert len(odd) == len(lam_odd) == 64
+    # Cut q holds the odd multiples of 2^(16q)·G: comb row 2q's own
+    # entries, no λ-image beside them.
+    assert len(quarters) == 8
+    for q, odd in enumerate(quarters):
+        assert len(odd) == 64
         for j in (0, 1, 63):
-            want = scalar_mult_naive((2 * j + 1) << (32 * q))
+            want = scalar_mult_naive((2 * j + 1) << (16 * q))
             assert odd[j] == (want.x, want.y)
-            want = scalar_mult_naive(((2 * j + 1) << (32 * q)) * ec._LAMBDA)
-            assert lam_odd[j] == (want.x, want.y)
+            assert odd[j] is comb[2 * q][2 * j]
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +308,7 @@ def test_ladder_edges_where_addend_meets_accumulator(
 
 def test_ladder_passes_through_infinity_mid_way():
     """Driven directly: +G and −G in the top bucket, then more addends."""
-    g, three_g = (ec._GX, ec._GY), ec._gen_tables()[1][0][0][1]
+    g, three_g = (ec._GX, ec._GY), ec._gen_tables()[1][0][1]
     minus_g = (ec._GX, FIELD_PRIME - ec._GY)
     buckets = [[three_g], [], [], [], [], [], [g, minus_g]]
     assert ec._from_jacobian(ec._ladder(buckets)) == scalar_mult_naive(3)
@@ -318,7 +317,7 @@ def test_ladder_passes_through_infinity_mid_way():
 
 
 # ----------------------------------------------------------------------
-# Held keys: four quarter tables from a key's second sight on
+# Held keys: eight cut tables from a key's second sight on
 # ----------------------------------------------------------------------
 
 
@@ -329,7 +328,7 @@ def _forget(point: Point) -> Point:
 
 
 def _hold(point: Point) -> Point:
-    """Show ``point`` twice, so that its tables are all four quarters."""
+    """Show ``point`` twice, so that its tables are all eight cuts."""
     _forget(point)
     ec._point_wnaf_tables(point)
     ec._point_wnaf_tables(point)
@@ -385,16 +384,22 @@ def test_quarters_verify_matches_naive(sight, secret, digest, tamper):
 
 
 # Scalars whose GLV halves put a non-zero w-NAF digit on either side of
-# each cut between quarters (31/32, 63/64, 95/96) and on position 128, the
-# one the last quarter takes beyond its 32: 17·2¹²³ recodes at width 5 to
-# −15·2¹²³ + 2¹²⁸, 129·2¹²⁰ at width 8 to −127·2¹²⁰ + 2¹²⁸.
-_CUT_POSITIONS = (31, 32, 63, 64, 95, 96, 128)
+# each cut (15/16, 31/32, …, 111/112) and on position 128, the one the
+# last cut takes beyond its 16: 33·2¹²² recodes at width 6 to
+# −31·2¹²² + 2¹²⁸, 129·2¹²⁰ at width 8 to −127·2¹²⁰ + 2¹²⁸.  The last
+# three sets are the scalars of the four 32-bit quarters at width 5, kept.
+_CUT_POSITIONS = tuple(
+    p for cut in range(16, 128, 16) for p in (cut - 1, cut)
+) + (128,)
 _CUT_SCALARS = sorted(
     {sign * (1 << p) % _N for p in _CUT_POSITIONS[:-1] for sign in (1, -1)}
     | {(1 << p) * ec._LAMBDA % _N for p in _CUT_POSITIONS[:-1]}
-    | {sign * (17 << 123) % _N for sign in (1, -1)}
+    | {sign * (33 << 122) % _N for sign in (1, -1)}
     | {sign * (129 << 120) % _N for sign in (1, -1)}
-    | {sum(1 << p for p in _CUT_POSITIONS[:-1:2]) % _N}  # 31, 63, 95 at once
+    | {sum(1 << p for p in _CUT_POSITIONS[:-1:2]) % _N}  # 15, 31, … at once
+    | {sum(1 << p for p in range(16, 128, 16)) + (33 << 122)}
+    | {sign * (17 << 123) % _N for sign in (1, -1)}
+    | {sum(1 << p for p in (31, 63, 95)) % _N}
     | {(1 << 32) + (1 << 64) + (1 << 96) + (17 << 123)}
 )
 
@@ -438,7 +443,7 @@ def test_special_scalar_pairs(sight):
 @pytest.mark.parametrize(
     "u1,u2,q,want",
     [
-        # Q = G, −G and λG, one digit in one quarter of each scalar: the
+        # Q = G, −G and λG, one digit in one cut of each scalar: the
         # Q stream's addend equals or negates the G stream's, which is the
         # whole accumulator, whether the key is seen once or held.
         (1, 1, GENERATOR, scalar_mult_naive(2)),
@@ -509,15 +514,18 @@ def test_a_promotion_is_one_table_build(monkeypatch):
             )
     finally:
         obs.set_registry(saved)
-    assert counts == [(1, 1), (2, 4), (2, 4), (2, 4)]
-    # The promoted entry keeps its first quarter and adds 2^(32j)·P's.
+    assert counts == [(1, 1), (2, 8), (2, 8), (2, 8)]
+    # The promoted entry keeps its first cut and adds 2^(16j)·P's; the
+    # λ-image of an entry is (β·x, y), taken at use.
     quarters = ec._POINT_TABLE_CACHE.get((key.x, key.y))
-    for j, (odd, lam_odd) in enumerate(quarters):
-        for m in (0, 7):
-            want = scalar_mult_naive((2 * m + 1) << (32 * j), key)
+    for j, odd in enumerate(quarters):
+        assert len(odd) == 16
+        for m in (0, 15):
+            want = scalar_mult_naive((2 * m + 1) << (16 * j), key)
             assert odd[m] == (want.x, want.y)
-            want = scalar_mult_naive(((2 * m + 1) << (32 * j)) * ec._LAMBDA, key)
-            assert lam_odd[m] == (want.x, want.y)
+            want = scalar_mult_naive(((2 * m + 1) << (16 * j)) * ec._LAMBDA, key)
+            x, y = odd[m]
+            assert (ec._BETA * x % FIELD_PRIME, y) == (want.x, want.y)
 
 
 # ----------------------------------------------------------------------
@@ -691,10 +699,10 @@ def test_generator_table_is_built_once_and_stays_small(monkeypatch):
     finally:
         obs.set_registry(saved)
     assert builds == 1
-    # The quarters' own entries are the comb's; their λ-images are new.
+    # The cuts' entries are the comb's own: nothing is stored beside it.
     distinct = {id(pt) for row in comb for pt in row}
-    distinct |= {id(pt) for pair in quarters for table in pair for pt in table}
-    assert len(distinct) == 255 * 16 + 4 * 64 <= 4400
+    distinct |= {id(pt) for table in quarters for pt in table}
+    assert len(distinct) == 255 * 16
 
 
 def _budget_scalars() -> list[int]:
@@ -749,21 +757,21 @@ def _ladder_budget(monkeypatch, held: bool) -> tuple[int, int, int]:
 
 
 def test_verification_ladder_budget(monkeypatch):
-    """A key's first sight: one quarter each side, today's long ladder."""
+    """A key's first sight: one cut each side, the long ladder."""
     worst_doublings, worst_additions, total_additions = _ladder_budget(
         monkeypatch, held=False
     )
     assert worst_doublings == 128 <= 130
-    assert worst_additions == 77
-    assert total_additions == 72_437  # 72.4 a verification
+    assert worst_additions == 72
+    assert total_additions == 66_346  # 66.3 a verification
 
 
 def test_verification_ladder_budget_for_a_held_key(monkeypatch):
-    """A held key: four quarters each side, a quarter of the doublings and
+    """A held key: eight cuts each side, an eighth of the doublings and
     the very same additions."""
     worst_doublings, worst_additions, total_additions = _ladder_budget(
         monkeypatch, held=True
     )
-    assert worst_doublings == 32
-    assert worst_additions == 77
-    assert total_additions == 72_437
+    assert worst_doublings == 16
+    assert worst_additions == 72
+    assert total_additions == 66_346

@@ -1,8 +1,11 @@
 """Tests for the proof checker: T;Σ;Ψ;Γ;Δ ⊢ M : A."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.keys import PrivateKey
+from repro.lru import LRU
 from repro.lf.basis import NAT_T, PLUS, PLUS_REFL, PropDecl
 from repro.lf.syntax import (
     Const,
@@ -13,6 +16,7 @@ from repro.lf.syntax import (
     apply_family,
     apply_term,
 )
+from repro.logic import checker
 from repro.logic.checker import (
     CheckerContext,
     ProofError,
@@ -21,6 +25,7 @@ from repro.logic.checker import (
     check_prop_formation,
     infer,
     persistent_assert_payload,
+    verify_affirmation,
 )
 from repro.logic.conditions import Before, CAnd, CNot, CTrue, Spent
 from repro.logic.propositions import (
@@ -393,6 +398,35 @@ class TestAffirmation:
         )
         with pytest.raises(ProofError, match="outside a transaction"):
             check_proof(ctx, term)
+
+    @pytest.mark.parametrize("memo", ["no-cache", "cache"])
+    @pytest.mark.parametrize(
+        "case, want",
+        [("good", True), ("wrong-key", False), ("bad-signature", False)],
+    )
+    def test_a_cold_affirmation_hashes_its_payload_once(
+        self, monkeypatch, memo, case, want
+    ):
+        """One sha256 of the payload per cold check, with the service's
+        cache or without it; the verdicts are the signatures'."""
+        payload = persistent_assert_payload(coin(7))
+        signer = PrivateKey.from_seed(b"mallory") if case == "wrong-key" else ALICE_KEY
+        signed = payload if case != "bad-signature" else payload + b"!"
+        affirmation = Affirmation(
+            signer.public.encoded, signer.sign(signed).encode()
+        )
+        monkeypatch.setattr(
+            checker, "AFFIRMATION_CACHE", LRU(8) if memo == "cache" else None
+        )
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(
+            hashlib,
+            "sha256",
+            lambda data=b"": hashed.append(data) or sha256(data),
+        )
+        assert verify_affirmation(ALICE, payload, affirmation) is want
+        assert hashed.count(payload) == 1
 
 
 class TestConditionalMonad:

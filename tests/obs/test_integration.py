@@ -193,8 +193,9 @@ class TestScriptVerdictMemo:
 
 class TestColdBlockPool:
     """Where a cold block's scripts run shows as a count: one block of 32
-    cold P2PKH spends runs them in the worker pool and none in this
-    process — or all here, with one processor."""
+    cold P2PKH spends runs the head in this process and the tail in the
+    worker pool, one share each on two processors — or all here, with
+    one processor."""
 
     COLD = 32
 
@@ -215,11 +216,11 @@ class TestColdBlockPool:
             counters["validation.pool_inputs_total"],
         )
 
-    def test_the_workers_run_every_cold_script(
+    def test_the_workers_run_the_tail_and_this_process_the_head(
         self, history, fresh_default_cache, monkeypatch
     ):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert self._connect(history) == (0, self.COLD)
+        assert self._connect(history) == (self.COLD // 2, self.COLD // 2)
 
     def test_one_processor_runs_them_here(
         self, history, fresh_default_cache, monkeypatch

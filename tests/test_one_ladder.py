@@ -6,7 +6,10 @@ buckets (``_glv_streams``) and walks them down one ``_ladder``.  The dense
 digit lists it replaced — ``_wnaf``, ``_wnaf_signed`` and ``(digits,
 table)`` streams padded with zeros to a common length — are spelt nowhere
 under ``src/repro/crypto``, and each multiplication that is not the
-generator comb reaches the ladder through that recoder.
+generator comb reaches the ladder through that recoder.  The second GLV
+half's addends are λ-images, ``(β·x, y)`` of a table entry taken as the
+entry is read: ``_with_lambda``, which stored them beside every table, is
+spelt nowhere either, and no cached table holds one.
 """
 
 import ast
@@ -14,6 +17,8 @@ import re
 from pathlib import Path
 
 from repro.crypto import secp256k1 as ec
+from repro.lru import LRU
+from tests.oracles import point_add, scalar_mult_naive
 
 ROOT = Path(__file__).resolve().parents[1]
 CRYPTO = ROOT / "src" / "repro" / "crypto"
@@ -21,6 +26,7 @@ RETIRED = (
     r"\b_wnaf\b", r"\b_wnaf_signed\b",  # the dense recoders
     r"\.append\(0\)", r"\[0\] \*",  # a zero digit, a zero padding
     r"list\[tuple\[list\[int\]",  # a (digits, table) stream
+    r"\b_with_lambda\b",  # a stored λ-table
 )
 MULTIPLIERS = ("scalar_mult", "dual_scalar_mult", "multi_scalar_mult")
 
@@ -81,3 +87,25 @@ def test_each_multiplier_reaches_the_ladder_through_the_recoder(monkeypatch):
         multiply()
         assert seen[-1] == "ladder" and seen.count("ladder") == 1
         assert "recode" in seen
+
+
+def test_no_cached_table_holds_a_lambda_image(monkeypatch):
+    """Every entry a held key's cuts hold is an odd multiple of 2^(16j)·P
+    itself, and the generator's cuts hold the comb's own entries."""
+    monkeypatch.setattr(ec, "_POINT_TABLE_CACHE", LRU(4))
+    key = scalar_mult_naive(0xC0FFEE)
+    for _ in range(2):  # held from its second sight on
+        ec.dual_scalar_mult(5, 7, key)
+    cuts = ec._POINT_TABLE_CACHE.get((key.x, key.y))
+    assert len(cuts) == ec._QUARTERS
+    unit = key
+    for cut in cuts:
+        twice, entry, want = point_add(unit, unit), unit, []
+        for _ in range(len(cut)):
+            want.append((entry.x, entry.y))
+            entry = point_add(entry, twice)
+        assert cut == want
+        unit = scalar_mult_naive(1 << ec._QUARTER_BITS, unit)
+    comb, gen_cuts = ec._gen_tables()
+    in_comb = {id(entry) for row in comb for entry in row}
+    assert all(id(entry) in in_comb for cut in gen_cuts for entry in cut)
