@@ -445,9 +445,6 @@ class Blockchain:
             # A true reorg (not a plain tip extension): the active chain
             # lost blocks before adopting the heavier branch.
             obs.inc("chain.reorg_total")
-            obs.observe(
-                "chain.reorg_depth", len(disconnected), obs.COUNT_BUCKETS
-            )
             obs.emit(
                 "chain.reorg",
                 depth=len(disconnected),

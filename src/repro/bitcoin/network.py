@@ -71,9 +71,6 @@ class Simulation:
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self.events_processed = 0
-        # First time each block hash entered the network (simulated
-        # seconds); feeds the block-propagation latency histogram.
-        self.block_births: dict[bytes, float] = {}
         # Causal trace ids, minted at a block's or transaction's origin
         # (miner / wallet submission) and carried by every relay.hop
         # event — the propagation tree is reconstructable from the event
@@ -514,9 +511,6 @@ class PoissonMiner:
                 )
             self.blocks_found += 1
             if obs.ENABLED:
-                self.node.sim.block_births.setdefault(
-                    block.hash, self.node.sim.now
-                )
                 # The causal trace for this block starts at its miner.
                 self.node.sim.mint_trace("blk", block.hash)
             self.node.submit_block(block)

@@ -142,12 +142,6 @@ class Relay:
                 origin, POINTS_INVALID_BLOCK, f"invalid block: {exc}"
             )
             return
-        if obs.ENABLED:
-            birth = node.sim.block_births.get(block.hash)
-            if birth is not None:
-                obs.observe(
-                    "net.block_propagation_seconds", node.sim.now - birth
-                )
         node.mempool.remove_confirmed(list(block.txs))
         node.mempool.revalidate()
         self._relay_block(block, hop, origin)

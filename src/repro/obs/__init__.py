@@ -56,33 +56,25 @@ import time
 from typing import Callable
 
 from repro.obs.events import EVENT_KINDS, EVENT_SCHEMA_VERSION, Event, EventLog
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    series_name,
-)
+from repro.obs.metrics import Counter, Gauge, Registry
 
 __all__ = [
     "ENABLED", "enable", "disable", "reset",
     "registry", "set_registry",
     "events", "set_event_log", "emit",
     "clock", "set_clock", "reset_clock",
-    "inc", "observe", "gauge_set", "gauge_max",
+    "inc", "gauge_set", "gauge_max",
     "snapshot",
-    "node_scope", "current_node",
-    "Registry", "Counter", "Gauge", "Histogram",
+    "node_scope",
+    "Registry", "Counter", "Gauge",
     "Event", "EventLog", "EVENT_KINDS", "EVENT_SCHEMA_VERSION",
-    "COUNT_BUCKETS", "DEFAULT_BUCKETS", "CATALOGUE", "series_name",
+    "CATALOGUE",
 ]
 
 # The metric catalogue: every series the instrumented pipeline can emit,
 # pre-registered on enable() so reports and dashboards always see the full
 # schema (a counter that never fired reads 0, not "missing").  Kinds:
-# "c" counter, "g" gauge, "h" sim-time histogram, "hc" count histogram.
+# "c" counter, "g" gauge.
 CATALOGUE: tuple[tuple[str, str], ...] = (
     ("script.executions_total", "c"),
     ("script.failures_total", "c"),
@@ -94,7 +86,6 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("chain.blocks_connected_total", "c"),
     ("chain.blocks_disconnected_total", "c"),
     ("chain.reorg_total", "c"),
-    ("chain.reorg_depth", "hc"),
     ("utxo.set_size", "g"),
     ("mempool.accepted_total", "c"),
     ("mempool.rejected_total", "c"),
@@ -104,7 +95,6 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("net.events_total", "c"),
     ("net.blocks_relayed_total", "c"),
     ("net.txs_relayed_total", "c"),
-    ("net.block_propagation_seconds", "h"),
     ("lf.typecheck_total", "c"),
     ("lf.basis_lookups_total", "c"),
     ("proof.nodes_total", "c"),
@@ -209,12 +199,8 @@ def _declare_catalogue(reg: Registry) -> None:
     for name, kind in CATALOGUE:
         if kind == "c":
             reg.counter(name)
-        elif kind == "g":
-            reg.gauge(name)
-        elif kind == "hc":
-            reg.histogram(name, COUNT_BUCKETS)
         else:
-            reg.histogram(name)
+            reg.gauge(name)
 
 
 def _event_clock() -> float:
@@ -335,27 +321,13 @@ def node_scope(name: str | None) -> _NodeScope:
     return _NodeScope(name)
 
 
-def current_node() -> str | None:
-    """The innermost active node scope's name, if any."""
-    return _node_stack[-1] if _node_stack else None
-
-
 # ----------------------------------------------------------------------
 # Recording helpers — call only behind an ``if obs.ENABLED:`` guard.
 # ----------------------------------------------------------------------
 
 
-def inc(name: str, amount: int = 1, **labels: object) -> None:
-    _registry.inc(name, amount, **labels)
-
-
-def observe(
-    name: str,
-    value: float,
-    buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    **labels: object,
-) -> None:
-    _registry.observe(name, value, buckets, **labels)
+def inc(name: str, amount: int = 1) -> None:
+    _registry.inc(name, amount)
 
 
 def gauge_set(name: str, value: float) -> None:

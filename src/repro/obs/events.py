@@ -93,9 +93,10 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "fault.inflation": ("node", "amount"),
     # --- schema v3: fault-tolerant verification service ---
     # One request's terminal verdict (the full status set is documented
-    # in docs/service.md: ok/invalid/timeout/overloaded/draining/error).
+    # in docs/service.md: ok/invalid/overloaded/draining/error).
     "service.verdict": ("status",),
-    # A memoized typecheck entry failed its digest check and was evicted.
+    # A held admission failed its hash check (T's hash or the confirming
+    # block's hash differs) and was evicted.
     "service.poison_rejected": ("txid",),
     # Admission control refused a request (queue full / draining).
     "service.shed": ("inflight", "reason"),

@@ -106,7 +106,10 @@ class VerificationService:
         try:
             verdict = self._verify(bundle)
             if obs.ENABLED:
-                obs.inc("service.verdicts_total", status=verdict.status)
+                obs.inc("service.verdicts_total")
+                # The status is one of the service's own fixed set, so
+                # the per-status series name needs no escaping.
+                obs.inc(f'service.verdicts_total{{status="{verdict.status}"}}')
                 obs.emit("service.verdict", status=verdict.status)
             return verdict
         finally:

@@ -38,8 +38,8 @@ class PoisonedRegistry(obs.Registry):
             "registry touched while observability is disabled"
         )
 
-    counter = gauge = histogram = _poisoned
-    inc = observe = gauge_set = gauge_max = _poisoned
+    counter = gauge = _poisoned
+    inc = gauge_set = gauge_max = _poisoned
 
 
 class PoisonedEventLog(obs.EventLog):
@@ -111,7 +111,6 @@ def test_disabled_default_registry_stays_empty():
     snap = obs.snapshot()
     assert snap["counters"] == {}
     assert snap["gauges"] == {}
-    assert snap["histograms"] == {}
     assert snap["events"] == []
 
 

@@ -20,49 +20,42 @@ class TestNodeScope:
         """Under a scope every signal is recorded once: the counting
         wrappers sit on the class, so a write to *any* registry (a
         second, per-node one included) would be seen."""
-        calls = {"inc": 0, "observe": 0}
-        real_inc, real_observe = obs.Registry.inc, obs.Registry.observe
+        calls = {"inc": 0}
+        real_inc = obs.Registry.inc
 
-        def counting_inc(self, *args, **labels):
+        def counting_inc(self, *args):
             calls["inc"] += 1
-            real_inc(self, *args, **labels)
-
-        def counting_observe(self, *args, **labels):
-            calls["observe"] += 1
-            real_observe(self, *args, **labels)
+            real_inc(self, *args)
 
         monkeypatch.setattr(obs.Registry, "inc", counting_inc)
-        monkeypatch.setattr(obs.Registry, "observe", counting_observe)
         obs.inc("chain.blocks_connected_total")
         with obs.node_scope("n0"):
             obs.inc("chain.blocks_connected_total", 2)
-            obs.observe("net.block_propagation_seconds", 1.5)
-        assert calls == {"inc": 2, "observe": 1}
+        assert calls == {"inc": 2}
         assert (
             obs.registry().counter("chain.blocks_connected_total").value == 3
         )
-        assert (
-            obs.registry().histogram("net.block_propagation_seconds").count
-            == 1
-        )
 
     def test_none_scope_is_noop(self, enabled):
-        with obs.node_scope(None) as name:
-            assert name is None
-            obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
-            assert obs.current_node() is None
-        assert "node" not in obs.events().snapshot()[0]["data"]
+        with obs.node_scope("a"):
+            with obs.node_scope(None) as name:
+                assert name is None
+                obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
+            obs.emit("store.snapshot", height=2, tip=b"\x02", bytes=10)
+        obs.emit("store.snapshot", height=3, tip=b"\x03", bytes=10)
+        # A None scope pushes nothing: the enclosing name still stamps,
+        # and leaving it pops only what was pushed.
+        stamps = [e["data"].get("node") for e in obs.events().snapshot()]
+        assert stamps == ["a", "a", None]
 
     def test_scopes_nest_innermost_wins(self, enabled):
         with obs.node_scope("a"):
             with obs.node_scope("b"):
-                assert obs.current_node() == "b"
                 obs.emit("store.snapshot", height=1, tip=b"\x01", bytes=10)
-            assert obs.current_node() == "a"
             obs.emit("store.snapshot", height=2, tip=b"\x02", bytes=10)
-        assert obs.current_node() is None
-        stamps = [e["data"]["node"] for e in obs.events().snapshot()]
-        assert stamps == ["b", "a"]
+        obs.emit("store.snapshot", height=3, tip=b"\x03", bytes=10)
+        stamps = [e["data"].get("node") for e in obs.events().snapshot()]
+        assert stamps == ["b", "a", None]
 
     def test_event_stamped_with_node_name(self, enabled):
         with obs.node_scope("n3"):

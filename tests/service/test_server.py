@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
 from repro.logic import checker as _checker
@@ -28,6 +29,23 @@ class TestVerdicts:
         assert verdict.status == "invalid"
         assert "claimed type" in verdict.detail
         assert verdict.is_verdict
+
+    def test_each_verdict_counts_once_in_total_and_per_status(
+        self, service, valid_bundle, invalid_bundle, monkeypatch
+    ):
+        monkeypatch.setattr(obs, "ENABLED", True)
+        previous = obs.set_registry(obs.Registry())
+        previous_log = obs.set_event_log(obs.EventLog())
+        try:
+            assert service.verify(valid_bundle).status == "ok"
+            assert service.verify(invalid_bundle).status == "invalid"
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.set_registry(previous)
+            obs.set_event_log(previous_log)
+        assert counters["service.verdicts_total"] == 2
+        assert counters['service.verdicts_total{status="ok"}'] == 1
+        assert counters['service.verdicts_total{status="invalid"}'] == 1
 
     def test_verify_never_raises(self, net, valid_bundle, monkeypatch):
         svc = VerificationService(net.chain)
