@@ -12,7 +12,7 @@ would be worthless and the paper's commitment guarantee would not
 survive contact with a real network.
 """
 
-from repro.bitcoin.faults import PROFILES, run_chaos
+from repro.bitcoin.faults import DURATION, PROFILES, run_chaos
 
 SEED = 7
 # Ordered mildest to nastiest so the printed table reads as a dose response.
@@ -23,7 +23,7 @@ def run_profile(name, seed=SEED):
     profile = PROFILES[name]
     result = run_chaos(profile, seed=seed)
     recovery = (
-        result.convergence_time - profile.duration
+        result.convergence_time - DURATION
         if result.convergence_time is not None
         else None
     )

@@ -116,7 +116,7 @@ def main(seed: int = 7) -> int:
     )
     node = Node("canary", sim, params)
     inject_supply_inflation(node)
-    registry.check_node(node, force=True)
+    registry.check_node(node)
     if not registry.violations:
         print("error: supply-inflation fault went undetected",
               file=sys.stderr)

@@ -5,7 +5,7 @@ P2P catch-up sync (:mod:`repro.bitcoin.sync`) and the verification
 service's client (:mod:`repro.service.client`).  Two failure patterns
 motivate it, both surveyed at length for layer-2 Bitcoin protocols:
 
-* **unbounded exponential growth** — a plain ``base * factor**n`` retry
+* **unbounded exponential growth** — a plain ``base * FACTOR**n`` retry
   schedule quickly grows past any useful timeout, so the delay is
   clamped at ``cap``;
 * **retry synchronization** — peers that observed the same failure at
@@ -13,41 +13,34 @@ motivate it, both surveyed at length for layer-2 Bitcoin protocols:
   failed them ("request storms").  Multiplicative jitter drawn from a
   *seeded* RNG decorrelates them while keeping every run reproducible.
 
-Jitter is multiplicative-around-the-nominal (``delay * U[1-j, 1+j]``)
-rather than AWS-style full jitter (``U[0, delay]``): these delays double
-as *timeouts*, and a near-zero timeout would manufacture spurious
-failures.
+Jitter is multiplicative-around-the-nominal (``delay * U[1-JITTER,
+1+JITTER]``, drawn on every call) rather than AWS-style full jitter
+(``U[0, delay]``): these delays double as *timeouts*, and a near-zero
+timeout would manufacture spurious failures.
 """
 
 from __future__ import annotations
 
 import random
 
-__all__ = ["backoff_delay", "derive_rng"]
+__all__ = ["FACTOR", "JITTER", "backoff_delay", "derive_rng"]
+
+FACTOR = 2.0  # delay multiplier per retry
+JITTER = 0.2  # ± fraction of the delay
 
 
 def backoff_delay(
-    attempt: int,
-    *,
-    base: float,
-    cap: float,
-    factor: float = 2.0,
-    jitter: float = 0.0,
-    rng: random.Random | None = None,
+    attempt: int, *, base: float, cap: float, rng: random.Random
 ) -> float:
     """The delay (or timeout) to use for retry ``attempt`` (1-based).
 
-    ``min(cap, base * factor**(attempt-1))``, then jittered by a factor
-    drawn uniformly from ``[1 - jitter, 1 + jitter]`` when an ``rng`` is
-    supplied.  The jitter draw happens **only** when both ``jitter > 0``
-    and ``rng`` is given, so jitter-free callers don't perturb any
-    random stream.
+    ``min(cap, base * FACTOR**(attempt-1))``, jittered by a factor drawn
+    from ``rng`` uniformly in ``[1 - JITTER, 1 + JITTER]``.
     """
     if attempt < 1:
         raise ValueError(f"attempt is 1-based, got {attempt}")
-    delay = min(cap, base * factor ** (attempt - 1))
-    if jitter > 0.0 and rng is not None:
-        delay *= rng.uniform(1.0 - jitter, 1.0 + jitter)
+    delay = min(cap, base * FACTOR ** (attempt - 1))
+    delay *= rng.uniform(1.0 - JITTER, 1.0 + JITTER)
     return delay
 
 

@@ -167,15 +167,14 @@ def build_block(
     txs: list[Transaction],
     timestamp: int,
     bits: int,
-    nonce: int = 0,
 ) -> Block:
-    """Assemble a block with a correct merkle root (not yet mined)."""
+    """Assemble a block with a correct merkle root (not yet mined:
+    nonce 0)."""
     root = merkle_root([tx.txid for tx in txs])
     header = BlockHeader(
         prev_hash=prev_hash,
         merkle_root=root,
         timestamp=timestamp,
         bits=bits,
-        nonce=nonce,
     )
     return Block(header, txs)

@@ -79,6 +79,9 @@ class LinkPlan:
     spike: float = 0.0  # extra latency added by a spike, if any
 
 
+REORDER_WINDOW = 10.0  # max extra jitter seconds, reordered or echoed
+
+
 @dataclass(frozen=True)
 class LinkPolicy:
     """Per-edge fault probabilities, evaluated per message.
@@ -95,7 +98,6 @@ class LinkPolicy:
     reorder: float = 0.0  # P(extra jitter lets later messages overtake)
     spike: float = 0.0  # P(latency spike)
     spike_mean: float = 30.0  # mean extra seconds when spiked
-    reorder_window: float = 10.0  # max extra jitter seconds
 
     def plan(self, rng: random.Random, base_delay: float) -> LinkPlan:
         if self.drop > 0.0 and rng.random() < self.drop:
@@ -106,9 +108,9 @@ class LinkPolicy:
             spike = rng.expovariate(1.0 / self.spike_mean)
             delay += spike
         if self.reorder > 0.0 and rng.random() < self.reorder:
-            delay += rng.uniform(0.0, self.reorder_window)
+            delay += rng.uniform(0.0, REORDER_WINDOW)
         if self.duplicate > 0.0 and rng.random() < self.duplicate:
-            echo = delay + rng.uniform(0.0, self.reorder_window)
+            echo = delay + rng.uniform(0.0, REORDER_WINDOW)
             return LinkPlan(
                 delays=(delay, echo), duplicated=True, spike=spike
             )
@@ -216,6 +218,9 @@ BYZANTINE_BEHAVIORS = (
 #: exact attack schedule); protocol-specific attacks are opt-in.
 ALL_BEHAVIORS = BYZANTINE_BEHAVIORS + ("garbage_compact",)
 
+FORK_DEPTH = 3  # how far behind the tip a ``stale_fork`` block branches
+SPAM_BATCH = 8  # orphans per ``orphan_spam``, short ids per ``garbage_compact``
+
 
 class ByzantinePeer:
     """An adversary wrapped around a normal :class:`Node`.
@@ -226,14 +231,15 @@ class ByzantinePeer:
 
     * ``invalid_block`` — a block with wrong difficulty bits: consensus-
       invalid, worth :data:`~repro.bitcoin.relay.POINTS_INVALID_BLOCK`
-      misbehavior points at each victim (two of these cross the default
-      ban threshold);
-    * ``stale_fork`` — a valid block extending an ancestor several
-      blocks behind the tip: costs the victims storage but no reorg (the
-      most-work rule holds), and no penalty — honest races produce stale
-      blocks too;
-    * ``orphan_spam`` — blocks with fabricated parent hashes, parked in
-      the victims' orphan pools until the bounded pool evicts them;
+      misbehavior points at each victim (two of these cross the ban
+      threshold);
+    * ``stale_fork`` — a valid block extending the ancestor
+      :data:`FORK_DEPTH` blocks behind the tip: costs the victims storage
+      but no reorg (the most-work rule holds), and no penalty — honest
+      races produce stale blocks too;
+    * ``orphan_spam`` — :data:`SPAM_BATCH` blocks with fabricated parent
+      hashes, parked in the victims' orphan pools until the bounded pool
+      evicts them;
     * ``double_spend`` — two conflicting signed spends of the same
       mature output, each half of the network fed a different one; if
       the attacker has no funds yet it falls back to conflicting spends
@@ -243,7 +249,7 @@ class ByzantinePeer:
       victim round-trips ``getblocktxn``, the attacker cannot back the
       announcement with data, and the victim scores
       :data:`~repro.bitcoin.compact.POINTS_BAD_COMPACT` withheld points
-      (ten of these cross the default ban threshold).
+      (ten of these cross the ban threshold).
 
     Give the wrapped node a :class:`PoissonMiner` with
     ``key_hash=byz.wallet.key_hash`` to fund real double-spends.
@@ -254,8 +260,6 @@ class ByzantinePeer:
         node: Node,
         behaviors: tuple[str, ...] = BYZANTINE_BEHAVIORS,
         interval: float = 1800.0,
-        fork_depth: int = 3,
-        spam_batch: int = 8,
     ):
         unknown = set(behaviors) - set(ALL_BEHAVIORS)
         if unknown:
@@ -265,8 +269,6 @@ class ByzantinePeer:
         self.node = node
         self.behaviors = tuple(behaviors)
         self.interval = interval
-        self.fork_depth = fork_depth
-        self.spam_batch = spam_batch
         self.wallet = Wallet.from_seed(b"byzantine:" + node.name.encode())
         self.attacks_sent: dict[str, int] = {b: 0 for b in self.behaviors}
         self._ticks = 0
@@ -323,7 +325,7 @@ class ByzantinePeer:
 
     def _attack_stale_fork(self) -> None:
         chain = self.node.chain
-        height = max(0, chain.height - self.fork_depth)
+        height = max(0, chain.height - FORK_DEPTH)
         prev = chain.block_at(height)
         block = build_block(
             prev_hash=prev.hash,
@@ -337,7 +339,7 @@ class ByzantinePeer:
         rng = self.node.sim.rng
         chain = self.node.chain
         tip = chain.tip
-        for _ in range(self.spam_batch):
+        for _ in range(SPAM_BATCH):
             fake_parent = bytes(rng.getrandbits(8) for _ in range(32))
             block = build_block(
                 prev_hash=fake_parent,
@@ -417,7 +419,7 @@ class ByzantinePeer:
             nonce=rng.getrandbits(64),
             short_ids=tuple(
                 bytes(rng.getrandbits(8) for _ in range(6))
-                for _ in range(self.spam_batch)
+                for _ in range(SPAM_BATCH)
             ),
             prefilled=(PrefilledTransaction(0, coinbase),),
         )
@@ -442,27 +444,32 @@ class ByzantinePeer:
 # ----------------------------------------------------------------------
 
 
+# Every chaos scenario runs on one network: NODE_COUNT nodes at the
+# simulator's default hop latency, MINER_COUNT honest miners splitting a
+# hashrate that finds a block every BLOCK_INTERVAL seconds, faults firing
+# for DURATION simulated seconds.
+NODE_COUNT = 6
+MINER_COUNT = 4
+BLOCK_INTERVAL = 600.0
+DURATION = 40 * 3600.0
+
+
 @dataclass(frozen=True)
 class ChaosProfile:
-    """A named, fully-parameterized fault scenario."""
+    """A named fault scenario on the one chaos network.  A crashed node
+    restarts from its persisted chain; an adversary attacks every
+    half hour."""
 
     name: str
-    node_count: int = 6
-    miner_count: int = 4
-    duration: float = 40 * 3600.0  # simulated seconds of fault activity
-    interval: float = 600.0  # target block interval
-    latency: float = 2.0  # mean one-hop delay
     link: LinkPolicy | None = None
     partition_at: float | None = None
     heal_at: float | None = None
     crash_at: float | None = None
     restart_at: float | None = None
-    crash_persist: bool = True
     byzantine: tuple[str, ...] = ()
-    byzantine_interval: float = 1800.0
     byzantine_mines: bool = False  # fund the adversary for double-spends
     compact_relay: bool = False  # opt every node into compact block relay
-    convergence_budget: float = 4 * 3600.0  # grace period after duration
+    convergence_budget: float = 4 * 3600.0  # grace period after DURATION
 
 
 @dataclass
@@ -617,31 +624,30 @@ def inject_torn_write(
     return damaged
 
 
-def inject_supply_inflation(
-    node: Node, amount: int = 50 * 100_000_000, salt: int = 0
-) -> OutPoint:
-    """Corrupt a node's UTXO table by conjuring ``amount`` satoshis from
-    nowhere — the bug class the ``supply`` invariant monitor exists to
+INFLATION = 50 * 100_000_000  # one early block subsidy
+
+
+def inject_supply_inflation(node: Node) -> OutPoint:
+    """Corrupt a node's UTXO table by conjuring ``INFLATION`` satoshis
+    from nowhere — the bug class the ``supply`` invariant monitor exists to
     catch (value that no coinbase ever minted).
 
     The bogus entry is added directly to the UTXO set, bypassing
     validation, exactly as a state-corruption bug would.  Returns the
     fabricated outpoint so a test can clean it up afterwards.
     """
-    outpoint = OutPoint(
-        b"\xfa" * 28 + salt.to_bytes(4, "big"), 0xFFFF_FF00 + (salt & 0xFF)
-    )
+    outpoint = OutPoint(b"\xfa" * 28 + bytes(4), 0xFFFF_FF00)
     node.chain.utxos.add(
         outpoint,
         UTXOEntry(
-            output=TxOut(amount, p2pkh_script(b"\x99" * 20)),
+            output=TxOut(INFLATION, p2pkh_script(b"\x99" * 20)),
             height=node.chain.height,
             is_coinbase=False,
         ),
     )
     if obs.ENABLED:
         obs.inc("fault.inflations_total")
-        obs.emit("fault.inflation", node=node.name, amount=amount)
+        obs.emit("fault.inflation", node=node.name, amount=INFLATION)
     return outpoint
 
 
@@ -682,21 +688,22 @@ def _monitor_boundary(nodes: list[Node]) -> None:
         return
     for node in nodes:
         if node.alive:
-            registry.check_node(node, force=True)
+            registry.check_node(node)
+
+
+KILL_HEIGHT = 24  # the victim's height when it is killed
 
 
 def run_kill_mid_write(
     store_dir: str,
     seed: int = 0,
     mode: str = "truncate",
-    target_height: int = 24,
-    snapshot_interval: int = 8,
 ) -> KillMidWriteResult:
     """Kill a store-backed node mid-append and verify durable recovery.
 
     One miner drives a two-node network (so the log is pure connects —
     no reorgs) while the victim persists every block to ``store_dir``.
-    At ``target_height`` the victim crashes and the block log's tail is
+    At height ``KILL_HEIGHT`` the victim crashes and the block log's tail is
     damaged at a seeded offset (:func:`inject_torn_write`).  On restart
     the victim must recover to the last *committed* block — verified
     byte-for-byte against an independent full-validation replay of the
@@ -714,7 +721,7 @@ def run_kill_mid_write(
         sim,
         params,
         store_dir=store_dir,
-        snapshot_interval=snapshot_interval,
+        snapshot_interval=8,
     )
     peer = Node("peer", sim, params)
     victim.connect(peer)
@@ -723,7 +730,7 @@ def run_kill_mid_write(
     miner = PoissonMiner(peer, total_rate, miner_id=1)
     miner.start()
     sim.run_while(
-        lambda: victim.chain.height < target_height, limit=1e9
+        lambda: victim.chain.height < KILL_HEIGHT, limit=1e9
     )
 
     pre_height = victim.chain.height
@@ -769,13 +776,13 @@ def run_chaos(profile: ChaosProfile, seed: int = 0) -> ChaosResult:
     """Execute one seeded chaos scenario and report convergence.
 
     Honest miners split the network hashrate; the configured faults fire
-    on their schedule; after ``profile.duration`` the run continues until
+    on their schedule; after ``DURATION`` the run continues until
     every honest node agrees on one tip (or the convergence budget runs
     out).  Deterministic: the same (profile, seed) always yields the
     same result.
     """
     sim = Simulation(seed=seed)
-    nodes = build_network(sim, profile.node_count, latency=profile.latency)
+    nodes = build_network(sim, NODE_COUNT)
     for node in nodes:
         node.compact_relay = profile.compact_relay
     honest = list(nodes)
@@ -784,15 +791,11 @@ def run_chaos(profile: ChaosProfile, seed: int = 0) -> ChaosResult:
     if profile.byzantine:
         byz_node = nodes[-1]
         honest = nodes[:-1]
-        byz = ByzantinePeer(
-            byz_node,
-            behaviors=profile.byzantine,
-            interval=profile.byzantine_interval,
-        )
+        byz = ByzantinePeer(byz_node, behaviors=profile.byzantine)
         byz.start()
 
-    total_rate = block_work(target_to_bits(2**252)) / profile.interval
-    miner_count = min(profile.miner_count, len(honest))
+    total_rate = block_work(target_to_bits(2**252)) / BLOCK_INTERVAL
+    miner_count = min(MINER_COUNT, len(honest))
     shares = miner_count + (1 if byz is not None and profile.byzantine_mines else 0)
     miners = [
         PoissonMiner(honest[i], total_rate / shares, miner_id=i)
@@ -827,16 +830,13 @@ def run_chaos(profile: ChaosProfile, seed: int = 0) -> ChaosResult:
             raise ValueError("restart must come after the crash")
         victim = honest[1 % len(honest)]
         sim.schedule(profile.crash_at, victim.crash)
-        sim.schedule(
-            profile.restart_at,
-            lambda: victim.restart(persist_chain=profile.crash_persist),
-        )
+        sim.schedule(profile.restart_at, victim.restart)
 
-    sim.run_until(profile.duration)
+    sim.run_until(DURATION)
     _monitor_boundary(honest)
     stop_reason = sim.run_while(
         lambda: not converged(honest),
-        limit=profile.duration + profile.convergence_budget,
+        limit=DURATION + profile.convergence_budget,
     )
     _monitor_boundary(honest)
     monitor_checks = monitor_violations = 0

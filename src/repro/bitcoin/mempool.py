@@ -27,7 +27,7 @@ from repro.bitcoin.validation import (
     is_final,
 )
 
-DEFAULT_MIN_FEE_RATE = 1  # satoshis per byte
+MIN_FEE_RATE = 1  # satoshis per byte
 
 
 class MempoolError(Exception):
@@ -64,15 +64,11 @@ class MempoolEntry:
 class Mempool:
     """Pending transactions awaiting inclusion in a block."""
 
-    def __init__(
-        self,
-        chain: Blockchain,
-        min_fee_rate: int = DEFAULT_MIN_FEE_RATE,
-        require_standard: bool = True,
-    ):
+    def __init__(self, chain: Blockchain):
         self.chain = chain
-        self.min_fee_rate = min_fee_rate
-        self.require_standard = require_standard
+        # Cleared only to stand in for a miner that mines what it is
+        # handed (paper §3.3's miner-assisted submission).
+        self.require_standard = True
         self._entries: dict[bytes, MempoolEntry] = {}
         self._spent: dict[OutPoint, bytes] = {}  # outpoint -> spending txid
         chain.add_reorg_listener(self._on_reorg)
@@ -154,7 +150,7 @@ class Mempool:
             raise MempoolValidationError(str(exc)) from exc
 
         size = len(tx.serialize())
-        if validity.fee < self.min_fee_rate * size:
+        if validity.fee < MIN_FEE_RATE * size:
             raise MempoolError(
                 f"fee {validity.fee} below minimum rate for {size} bytes"
             )

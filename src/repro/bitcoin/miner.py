@@ -20,6 +20,8 @@ from repro.bitcoin.transaction import OutPoint, Transaction, TxIn, TxOut
 
 __all__ = ["Miner", "MiningError", "block_subsidy"]
 
+MAX_NONCE = 2**32  # a header's nonce is four bytes
+
 
 class MiningError(Exception):
     """Raised when a block cannot be assembled or mined."""
@@ -31,7 +33,6 @@ class Miner:
 
     chain: Blockchain
     coinbase_key_hash: bytes
-    max_nonce: int = 2**32
 
     def make_coinbase(self, height: int, fees: int, extra_nonce: int = 0) -> Transaction:
         """The subsidy-claiming transaction; extra_nonce uniquifies txids."""
@@ -81,7 +82,7 @@ class Miner:
         force is known."
         """
         header = block.header
-        for nonce in range(self.max_nonce):
+        for nonce in range(MAX_NONCE):
             candidate = header.with_nonce(nonce)
             if candidate.meets_target():
                 # Count attempts once on success rather than per iteration,
@@ -90,7 +91,7 @@ class Miner:
                     obs.inc("miner.hash_attempts_total", nonce + 1)
                 return Block(candidate, block.txs)
         if obs.ENABLED:
-            obs.inc("miner.hash_attempts_total", self.max_nonce)
+            obs.inc("miner.hash_attempts_total", MAX_NONCE)
         raise MiningError("nonce space exhausted; lower the difficulty")
 
     def mine_block(

@@ -149,7 +149,6 @@ class Node:
     chain: Blockchain = field(init=False)
     mempool: Mempool = field(init=False)
     peers: list["Node"] = field(default_factory=list)
-    ban_threshold: int = DEFAULT_BAN_THRESHOLD
     # BIP 152-style compact block relay (repro.bitcoin.compact).  Off by
     # default: the getblocktxn/blocktxn round-trips draw extra hop delays
     # from the seeded stream, so the pinned full-relay experiments must
@@ -324,7 +323,7 @@ class Node:
                 score=score,
                 reason=reason,
             )
-        if score >= self.ban_threshold and origin.name not in self._banned:
+        if score >= DEFAULT_BAN_THRESHOLD and origin.name not in self._banned:
             self._banned.add(origin.name)
             if obs.ENABLED:
                 obs.inc("peer.bans_total")
@@ -465,13 +464,12 @@ class PoissonMiner:
         node: Node,
         hashrate: float,
         miner_id: int,
-        enabled: bool = True,
         key_hash: bytes | None = None,
     ):
         self.node = node
         self.hashrate = hashrate
         self.miner_id = miner_id
-        self.enabled = enabled
+        self.enabled = True  # cleared to pause the miner
         self.blocks_found = 0
         if key_hash is None:
             key = Wallet.from_seed(b"miner" + miner_id.to_bytes(4, "big"))

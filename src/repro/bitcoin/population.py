@@ -8,14 +8,14 @@ need, without holding a million key pairs in memory:
 
 * **Power-law activity** — real transaction-issuing activity is heavily
   skewed (a few exchanges and services dominate; most users transact
-  rarely).  Wallet ``i`` gets weight ``(i + 1) ** -alpha``; senders are
+  rarely).  Wallet ``i`` gets weight ``(i + 1) ** -ALPHA``; senders are
   drawn by binary search over the cumulative weights, so a draw costs
   O(log n) regardless of population size.
 * **Bursty arrivals** — submissions cluster (market moves, settlement
   batches) rather than arriving as a flat Poisson stream.  Cluster starts
-  are exponential with rate ``burst_rate``; each cluster holds a
-  geometric number of events (mean ``burst_mean``) spread uniformly over
-  ``burst_spread`` seconds.
+  are exponential with rate ``BURST_RATE``; each cluster holds a
+  geometric number of events (mean ``BURST_MEAN``) spread uniformly over
+  ``BURST_SPREAD`` seconds.
 * **Deterministic streams** — every stream is derived via
   :func:`repro.backoff.derive_rng` from the population seed plus the
   event window, so the same configuration always reproduces the same
@@ -42,7 +42,7 @@ from random import Random
 from repro.backoff import derive_rng
 from repro.bitcoin.block import Block
 from repro.bitcoin.chain import Blockchain, ChainParams
-from repro.bitcoin.mempool import Mempool
+from repro.bitcoin.mempool import MIN_FEE_RATE, Mempool
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.transaction import TxOut
@@ -56,30 +56,33 @@ __all__ = [
     "sim_chain_params",
 ]
 
+ALPHA = 1.16  # power-law exponent (~80/20 at 1.16)
+BURST_RATE = 1.0 / 120.0  # cluster arrivals per simulated second
+BURST_MEAN = 6.0  # mean events per cluster (geometric)
+BURST_SPREAD = 45.0  # seconds one cluster's events span
+
 #: Geometric cluster sizes are capped so one unlucky draw cannot stall
-#: event generation (P(hitting the cap) is astronomically small for any
-#: sane ``burst_mean``).
+#: event generation (P(hitting the cap) is astronomically small at
+#: ``BURST_MEAN``).
 MAX_BURST = 10_000
+
+# What fund_wallets credits each key hash, the flat fee of one fan-out
+# transaction, and how many outputs one fan-out pays.
+FUND_VALUE = 50_000
+FUND_FEE = 10_000
+FUND_BATCH = 500
 
 
 @dataclass(frozen=True)
 class PopulationConfig:
-    """Shape of a synthetic population and its submission process."""
+    """Size and seed of a synthetic population."""
 
     wallets: int = 1_000_000  # population size (distinct potential senders)
     seed: int = 0
-    alpha: float = 1.16  # power-law exponent (~80/20 at 1.16)
-    burst_rate: float = 1.0 / 120.0  # cluster arrivals per simulated second
-    burst_mean: float = 6.0  # mean events per cluster (geometric)
-    burst_spread: float = 45.0  # seconds one cluster's events span
 
     def __post_init__(self) -> None:
         if self.wallets <= 0:
             raise ValueError("population needs at least one wallet")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.burst_rate <= 0 or self.burst_mean < 1 or self.burst_spread < 0:
-            raise ValueError("burst parameters out of range")
 
 
 class SyntheticPopulation:
@@ -92,9 +95,7 @@ class SyntheticPopulation:
 
     def __init__(self, config: PopulationConfig):
         self.config = config
-        weights = (
-            (i + 1) ** -config.alpha for i in range(config.wallets)
-        )
+        weights = ((i + 1) ** -ALPHA for i in range(config.wallets))
         self._cum = array("d", accumulate(weights))
         self._total = self._cum[-1]
 
@@ -110,7 +111,7 @@ class SyntheticPopulation:
         """Yield ``(time, wallet)`` submission events in ``[start, start +
         duration)``, time-ordered.
 
-        The stream is a function of (seed, population shape, window)
+        The stream is a function of (seed, population size, window)
         alone: the same call always yields the identical schedule, and
         disjoint windows are decorrelated.
         """
@@ -119,7 +120,7 @@ class SyntheticPopulation:
             "population-events",
             cfg.seed,
             cfg.wallets,
-            cfg.alpha,
+            ALPHA,
             start,
             duration,
         )
@@ -127,14 +128,14 @@ class SyntheticPopulation:
         out: list[tuple[float, int]] = []
         t = start
         while True:
-            t += rng.expovariate(cfg.burst_rate)
+            t += rng.expovariate(BURST_RATE)
             if t >= end:
                 break
             size = 1
-            while rng.random() > 1.0 / cfg.burst_mean and size < MAX_BURST:
+            while rng.random() > 1.0 / BURST_MEAN and size < MAX_BURST:
                 size += 1
             for _ in range(size):
-                at = t + rng.uniform(0.0, cfg.burst_spread)
+                at = t + rng.uniform(0.0, BURST_SPREAD)
                 wallet = self.pick_wallet(rng)
                 if at < end:
                     out.append((at, wallet))
@@ -166,27 +167,20 @@ def sim_chain_params() -> ChainParams:
     return ChainParams(max_target=2**252, retarget_window=2**31, require_pow=False)
 
 
-def fund_wallets(
-    key_hashes: list[bytes],
-    value: int = 50_000,
-    fee: int = 10_000,
-    params: ChainParams | None = None,
-    batch: int = 500,
-) -> list[Block]:
+def fund_wallets(key_hashes: list[bytes]) -> list[Block]:
     """A scratch-chain block sequence crediting each key hash one P2PKH
-    output of ``value`` satoshis.
+    output of ``FUND_VALUE`` satoshis, under :func:`sim_chain_params`.
 
     A bank wallet mines itself ``COINBASE_MATURITY`` + enough subsidy,
-    then fans out to the population keys in ``batch``-output transactions
-    (one mature coinbase funds each).  Returns the full active chain —
-    feed every simulated node these blocks before the swarm starts, so
-    all of them boot at the same funded tip.  Repeat a key hash to give
+    then fans out to the population keys in transactions of up to
+    ``FUND_BATCH`` outputs (one mature coinbase funds each).  Returns the
+    full active chain — feed every simulated node these blocks before the
+    swarm starts, so all of them boot at the same funded tip.  Repeat a key hash to give
     that wallet several independent outputs (one per planned spend).
 
     Deterministic: no RNG anywhere, timestamps follow median-time-past.
     """
-    params = params or sim_chain_params()
-    chain = Blockchain(params)
+    chain = Blockchain(sim_chain_params())
     mempool = Mempool(chain)
     bank = Wallet.from_seed(b"population-bank")
     miner = Miner(chain, bank.key_hash)
@@ -205,17 +199,18 @@ def fund_wallets(
         mempool.remove_confirmed(block.txs)
 
     groups = [
-        key_hashes[i : i + batch] for i in range(0, len(key_hashes), batch)
+        key_hashes[i : i + FUND_BATCH]
+        for i in range(0, len(key_hashes), FUND_BATCH)
     ]
     for _ in range(COINBASE_MATURITY + len(groups)):
         mine()
 
     spent: set = set()
     for group in groups:
-        outputs = [TxOut(value, p2pkh_script(kh)) for kh in group]
-        tx = bank.create_transaction(chain, outputs, fee=fee, exclude=spent)
-        floor = mempool.min_fee_rate * len(tx.serialize())
-        if fee < floor:
+        outputs = [TxOut(FUND_VALUE, p2pkh_script(kh)) for kh in group]
+        tx = bank.create_transaction(chain, outputs, fee=FUND_FEE, exclude=spent)
+        floor = MIN_FEE_RATE * len(tx.serialize())
+        if FUND_FEE < floor:
             # Wide fanouts (hundreds of outputs) outgrow a flat fee; pay
             # double the floor so the rebuilt, slightly larger tx still
             # clears the mempool's rate check.

@@ -14,6 +14,12 @@ from repro.bitcoin.chain import ChainParams
 from repro.bitcoin.network import Node, PoissonMiner, Simulation
 from repro.bitcoin.pow import block_work
 
+# Where each estimate cuts the tail: the walk scores a deficit beyond
+# MAX_DEFICIT as a loss, the exact sum stops after MAX_LEAD attacker
+# blocks past z.  Both tails are astronomically small.
+MAX_DEFICIT = 60
+MAX_LEAD = 400
+
 
 def nakamoto_reversal_probability(q: float, z: int) -> float:
     """Nakamoto's analytic probability that an attacker with hashpower
@@ -41,7 +47,6 @@ def simulate_race(
     z: int,
     trials: int,
     rng: random.Random,
-    max_deficit: int = 60,
 ) -> float:
     """Monte-Carlo estimate of the reversal probability.
 
@@ -50,14 +55,13 @@ def simulate_race(
     probability q), then the remaining race is a biased random walk the
     attacker wins by ever pulling level — Nakamoto's success criterion,
     since a tied private chain released strategically out-paces the public
-    one.  A deficit beyond ``max_deficit`` is scored as a loss (the tail is
-    astronomically small).
+    one.  A deficit beyond ``MAX_DEFICIT`` is scored as a loss.
     """
     if q == 0:
         return 0.0
     wins = 0
     rand = rng.random  # bound-method hoist: ~2M draws per table row
-    floor = -max_deficit
+    floor = -MAX_DEFICIT
     for _ in range(trials):
         # Phase 1: attacker mines privately while z honest blocks appear.
         attacker = 0
@@ -80,7 +84,7 @@ def simulate_race(
     return wins / trials
 
 
-def reversal_probability_exact(q: float, z: int, max_lead: int = 400) -> float:
+def reversal_probability_exact(q: float, z: int) -> float:
     """Exact reversal probability under the same model as the simulator.
 
     The attacker's block count while the honest chain mines its ``z``
@@ -97,7 +101,7 @@ def reversal_probability_exact(q: float, z: int, max_lead: int = 400) -> float:
     p = 1.0 - q
     ratio = q / p
     total = 0.0
-    for k in range(z + max_lead):
+    for k in range(z + MAX_LEAD):
         # P(attacker has k blocks when the z-th honest block appears).
         weight = math.comb(z + k - 1, k) * p**z * q**k
         catch_up = 1.0 if k >= z else ratio ** (z - k)

@@ -19,18 +19,17 @@ from repro.bitcoin.wallet import Wallet
 class RegtestNetwork:
     """One node, one chain, instant mining."""
 
-    def __init__(self, min_fee_rate: int = 1, block_time_step: int = 1):
+    def __init__(self):
         self.chain = Blockchain(ChainParams.regtest())
-        self.mempool = Mempool(self.chain, min_fee_rate=min_fee_rate)
-        self.block_time_step = block_time_step
+        self.mempool = Mempool(self.chain)
         self._extra_nonce = 0
 
     def generate(self, count: int, key_hash: bytes) -> list[Block]:
         """Mine ``count`` blocks paying their coinbases to ``key_hash``.
 
-        Block timestamps advance by ``block_time_step`` simulated seconds
-        per block (never behind median-time-past), so chain time is a
-        usable clock for ``before(t)`` conditions.
+        Block timestamps advance by one simulated second per block (never
+        behind median-time-past), so chain time is a usable clock for
+        ``before(t)`` conditions.
         """
         miner = Miner(self.chain, key_hash)
         blocks = []
@@ -38,7 +37,7 @@ class RegtestNetwork:
             self._extra_nonce += 1
             timestamp = max(
                 self.chain.median_time_past() + 1,
-                self.chain.tip.block.header.timestamp + self.block_time_step,
+                self.chain.tip.block.header.timestamp + 1,
             )
             blocks.append(
                 miner.mine_block(

@@ -28,6 +28,7 @@ MAX_SCRIPT_SIZE = 10_000
 MAX_STACK_SIZE = 1_000
 MAX_OPS_PER_SCRIPT = 201
 MAX_PUSH_SIZE = 520
+MAX_NUM_SIZE = 4  # bytes in a script number an opcode reads
 # Total stack pushes one execution may perform across both scripts.  No
 # legal script approaches this (the stack cap is 1000 and the op budget
 # bounds pops), but an explicit budget turns any interpreter bug that
@@ -265,8 +266,8 @@ def encode_num(value: int) -> bytes:
     return bytes(out)
 
 
-def decode_num(data: bytes, max_size: int = 4) -> int:
-    if len(data) > max_size:
+def decode_num(data: bytes) -> int:
+    if len(data) > MAX_NUM_SIZE:
         raise ScriptError("script number overflow")
     if not data:
         return 0

@@ -44,11 +44,10 @@ __all__ = ["SyncSession", "start_sync"]
 # Retry and timeout constants of one catch-up session.  The two times are
 # counted in the requesting node's mean hop latency, not seconds (30 s and
 # 240 s at the default 2 s hop): a timeout that suits a 2 s link presumes
-# every request lost on a 180 s one.
+# every request lost on a 180 s one.  Each retry's timeout grows and is
+# jittered per (node, peer) by repro.backoff's FACTOR and JITTER.
 TIMEOUT_HOPS = 15.0  # hops before a request is presumed lost
-BACKOFF = 2.0  # timeout multiplier per retry
 MAX_TIMEOUT_HOPS = 120.0  # cap on the backed-off timeout
-JITTER = 0.2  # ± fraction of timeout, seeded per (node, peer)
 MAX_RETRIES = 4  # attempts per request before the session fails
 MAX_HEADERS = 2000  # hashes per getheaders response
 
@@ -228,8 +227,6 @@ class SyncSession:
             attempt,
             base=TIMEOUT_HOPS * hop,
             cap=MAX_TIMEOUT_HOPS * hop,
-            factor=BACKOFF,
-            jitter=JITTER,
             rng=self._backoff_rng,
         )
 

@@ -170,10 +170,10 @@ class Wallet:
         self,
         tx: Transaction,
         prevout_scripts: list[Script],
-        hash_type: int = SigHashType.ALL,
         skip: set[OutPoint] | None = None,
     ) -> Transaction:
-        """Sign every input; ``prevout_scripts[i]`` locks input i.
+        """Sign every input with ``SIGHASH_ALL``; ``prevout_scripts[i]``
+        locks input i.
 
         Inputs whose prevout is in ``skip`` are left unsigned (their
         signatures are collected elsewhere, e.g. from escrow agents).
@@ -183,7 +183,7 @@ class Wallet:
         for index, script in enumerate(prevout_scripts):
             if skip and tx.vin[index].prevout in skip:
                 continue
-            tx = self.sign_input(tx, index, script, hash_type)
+            tx = self.sign_input(tx, index, script)
         return tx
 
     # ------------------------------------------------------------------
@@ -195,7 +195,6 @@ class Wallet:
         chain: Blockchain,
         outputs: list[TxOut],
         fee: int,
-        change_key_hash: bytes | None = None,
         extra_inputs: list[Spendable] | None = None,
         exclude: set[OutPoint] | None = None,
         skip_sign: set[OutPoint] | None = None,
@@ -203,9 +202,9 @@ class Wallet:
         """Fund, build, and sign a transaction paying ``outputs`` plus ``fee``.
 
         Selects this wallet's spendables oldest-first; any surplus above
-        outputs+fee returns to ``change_key_hash`` (default: our key),
-        unless it is under the relay dust limit: no mempool would take
-        that output, so the surplus goes to the fee instead.
+        outputs+fee returns to this wallet's first key, unless it is under
+        the relay dust limit: no mempool would take that output, so the
+        surplus goes to the fee instead.
         ``exclude`` skips outpoints already committed elsewhere (e.g. spent
         by a transaction still in the mempool).
         """
@@ -227,8 +226,7 @@ class Wallet:
         vout = list(outputs)
         change = total - target
         if change >= DUST_THRESHOLD:
-            change_hash = change_key_hash or self.key_hash
-            vout.append(TxOut(change, p2pkh_script(change_hash)))
+            vout.append(TxOut(change, p2pkh_script(self.key_hash)))
 
         tx = Transaction(
             vin=[TxIn(s.outpoint) for s in selected],

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Sequence
 
+from repro.core.overlay import DUST_SAFE_AMOUNT
 from repro.core.proofs import obligation_lambda, tensor_intro_all
 from repro.core.transaction import (
     TypecoinInput,
@@ -41,16 +42,15 @@ def basis_publication(
     basis: Basis,
     self_pubkey: bytes,
     grant: Proposition | None = None,
-    grant_amount: int = 600,
 ) -> TypecoinTransaction:
     """A transaction that only publishes a basis (and optionally banks an
-    affine grant in its first output).
+    affine grant in its first output, of ``DUST_SAFE_AMOUNT`` satoshis).
 
     With no grant, the single output is trivial (type 1) — the basis still
     enters the global basis when the transaction confirms.
     """
     grant = grant if grant is not None else One()
-    output = TypecoinOutput(grant, grant_amount, self_pubkey)
+    output = TypecoinOutput(grant, DUST_SAFE_AMOUNT, self_pubkey)
     proof = obligation_lambda(
         grant,
         [],
@@ -64,9 +64,9 @@ def simple_transfer(
     inputs: Sequence[TypecoinInput],
     outputs: Sequence[TypecoinOutput],
     body: Callable[[list[PVar]], ProofTerm] | None = None,
-    basis: Basis | None = None,
 ) -> TypecoinTransaction:
-    """inputs ⟶ outputs with an optional transformation body.
+    """inputs ⟶ outputs with an optional transformation body, publishing
+    no basis.
 
     The default body forwards the inputs unchanged (a pure transfer, valid
     when the output propositions equal the input propositions in order).
@@ -80,6 +80,4 @@ def simple_transfer(
             body(ins) if body is not None else tensor_intro_all(list(ins))
         ),
     )
-    return TypecoinTransaction(
-        basis if basis is not None else Basis(), One(), inputs, outputs, proof
-    )
+    return TypecoinTransaction(Basis(), One(), inputs, outputs, proof)

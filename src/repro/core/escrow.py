@@ -163,9 +163,10 @@ def template_signature_valid(
 # ----------------------------------------------------------------------
 
 
-def escrow_lock(agent_pubkeys: list[bytes], required: int = 2) -> Script:
-    """The m-of-n lock the escrowed asset sits under (2-of-3 by default)."""
-    return multisig_script(required, agent_pubkeys)
+def escrow_lock(agent_pubkeys: list[bytes]) -> Script:
+    """The 2-of-n lock the escrowed asset sits under (the paper's 2-of-3
+    with three agents)."""
+    return multisig_script(2, agent_pubkeys)
 
 
 def multisig_partial_signature(
@@ -173,11 +174,10 @@ def multisig_partial_signature(
     tx: Transaction,
     input_index: int,
     script_pubkey: Script,
-    hash_type: int = SigHashType.ALL,
 ) -> bytes:
-    """One agent's contribution to an m-of-n input."""
-    digest = signature_hash(tx, input_index, script_pubkey, hash_type)
-    return key.sign_digest(digest).encode() + bytes([hash_type])
+    """One agent's ``SIGHASH_ALL`` contribution to an m-of-n input."""
+    digest = signature_hash(tx, input_index, script_pubkey, SigHashType.ALL)
+    return key.sign_digest(digest).encode() + bytes([SigHashType.ALL])
 
 
 def assemble_multisig_input(

@@ -156,27 +156,18 @@ def build_carrier(
         raise OverlayError(str(exc)) from exc
 
 
-def carrier_embeds_hash(
-    carrier: Transaction,
-    txn_hash: bytes,
-    strategy: EmbeddingStrategy | None = None,
-) -> bool:
-    """Does the carrier commit to this Typecoin transaction hash?
-
-    With no strategy given, all three embeddings are recognized.
-    """
+def carrier_embeds_hash(carrier: Transaction, txn_hash: bytes) -> bool:
+    """Does the carrier commit to this Typecoin transaction hash, by any
+    of the three embeddings?"""
     meta_key = metadata_pubkey(txn_hash)
     for out in carrier.vout:
         info = classify(out.script_pubkey)
-        if strategy in (None, EmbeddingStrategy.MULTISIG_1OF2):
-            if info.type is ScriptType.MULTISIG and meta_key in info.data:
-                return True
-        if strategy in (None, EmbeddingStrategy.BOGUS_OUTPUT):
-            if info.type is ScriptType.P2PK and info.data == (meta_key,):
-                return True
-        if strategy in (None, EmbeddingStrategy.OP_RETURN):
-            if info.type is ScriptType.OP_RETURN and info.data == (txn_hash,):
-                return True
+        if info.type is ScriptType.MULTISIG and meta_key in info.data:
+            return True
+        if info.type is ScriptType.P2PK and info.data == (meta_key,):
+            return True
+        if info.type is ScriptType.OP_RETURN and info.data == (txn_hash,):
+            return True
     return False
 
 

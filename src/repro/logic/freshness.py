@@ -104,10 +104,10 @@ def is_fresh(sort) -> bool:
     raise TypeError(f"not a declaration: {sort!r}")
 
 
-def check_prop_fresh(prop: Proposition, role: str = "affine grant") -> None:
-    """Raise unless A fresh (used for the affine grant C)."""
+def check_prop_fresh(prop: Proposition) -> None:
+    """Raise unless the affine grant C is fresh."""
     if not prop_fresh(prop):
-        raise FreshnessError(f"{role} fails the freshness check: {prop}")
+        raise FreshnessError(f"affine grant fails the freshness check: {prop}")
 
 
 def check_basis_fresh(basis: Basis) -> None:

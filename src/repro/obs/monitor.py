@@ -26,9 +26,10 @@ The catalogue (each named like the metric label it reports under):
     The durable store's manifest snapshot offsets stay within the bytes
     actually written to the block/undo logs.
 
-Checks run sampled (every ``sample_interval``-th call per monitor) so
-the instrumented hot path stays cheap; ``force=True`` bypasses the
-sampler at scenario boundaries.  In normal mode a violation counts —
+On the block-connect path ``supply`` runs sampled (every
+``sample_interval``-th call) so the instrumented hot path stays cheap,
+and ``tip_work`` on every call; ``check_node`` runs every per-node check
+unsampled at scenario boundaries.  In normal mode a violation counts —
 ``monitor.violations_total`` plus a ``monitor.violation`` event — and
 the run continues; in strict mode it
 raises :class:`InvariantViolation` so tests fail at the exact block.
@@ -143,7 +144,7 @@ class MonitorRegistry:
             return False
         return True
 
-    def check_tip_work(self, chain, force: bool = False) -> bool:
+    def check_tip_work(self, chain) -> bool:
         """Chain-work monotonicity of the active tip across add_block."""
         if not self.enabled:
             return True
@@ -163,9 +164,10 @@ class MonitorRegistry:
             return False
         return True
 
-    def check_mempool_disjoint(self, node, force: bool = False) -> bool:
-        """Pooled spends must target outpoints still unspent on chain."""
-        if not self._sampled("mempool_disjoint", force):
+    def check_mempool_disjoint(self, node) -> bool:
+        """Pooled spends must target outpoints still unspent on chain
+        (checked at scenario boundaries only, never sampled)."""
+        if not self.enabled:
             return True
         self.checks_run += 1
         chain = node.chain
@@ -179,12 +181,11 @@ class MonitorRegistry:
                 return False
         return True
 
-    def check_store_offsets(self, node, force: bool = False) -> bool:
-        """Manifest snapshot offsets stay within the written log bytes."""
+    def check_store_offsets(self, node) -> bool:
+        """Manifest snapshot offsets stay within the written log bytes
+        (checked at scenario boundaries only, never sampled)."""
         store = getattr(node.chain, "store", None)
-        if store is None:
-            return True
-        if not self._sampled("store_offsets", force):
+        if store is None or not self.enabled:
             return True
         self.checks_run += 1
         if not store.snapshot_offsets_consistent():
@@ -196,11 +197,12 @@ class MonitorRegistry:
             return False
         return True
 
-    def check_node(self, node, force: bool = False) -> bool:
-        """Every per-node invariant at once (chaos-scenario boundaries)."""
-        ok = self.check_supply(node.chain, force=force)
-        ok = self.check_mempool_disjoint(node, force=force) and ok
-        ok = self.check_store_offsets(node, force=force) and ok
+    def check_node(self, node) -> bool:
+        """Every per-node invariant at once, bypassing the sampling
+        (chaos-scenario boundaries)."""
+        ok = self.check_supply(node.chain, force=True)
+        ok = self.check_mempool_disjoint(node) and ok
+        ok = self.check_store_offsets(node) and ok
         return ok
 
 

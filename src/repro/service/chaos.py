@@ -22,6 +22,10 @@ from repro.service.client import ServiceClient
 from repro.service.server import VerificationService
 
 
+DEPTH = 6  # upstream-set depth of the one claim every request presents
+MAX_INFLIGHT = 3  # the service's admission bound under chaos
+
+
 @dataclass(frozen=True)
 class ServiceChaosProfile:
     """A seeded fault schedule for the verification service.
@@ -34,9 +38,7 @@ class ServiceChaosProfile:
     """
 
     name: str
-    depth: int = 6  # upstream-set depth of the claim chain
     requests: int = 30  # sequential requests driven through the client
-    max_inflight: int = 3
     poison_every: int = 0  # plant a wrong memo entry (hash check must catch)
     invalid_every: int = 0  # requests whose correct verdict is ``invalid``
     overload_burst: int = 0  # concurrent burst fired once, mid-run
@@ -124,7 +126,7 @@ def run_service_chaos(
     the service may fail to answer under chaos, but it may never answer
     incorrectly.
     """
-    net, valid_bundle, invalid_bundle = _service_world(profile.depth)
+    net, valid_bundle, invalid_bundle = _service_world(DEPTH)
 
     # The trusted replay: no memo, no admission.
     def oracle(bundle) -> str:
@@ -138,9 +140,7 @@ def run_service_chaos(
     assert expected == {"valid": "ok", "invalid": "invalid"}
 
     rng = derive_rng("service-chaos", profile.name, seed)
-    service = VerificationService(
-        net.chain, max_inflight=profile.max_inflight
-    )
+    service = VerificationService(net.chain, max_inflight=MAX_INFLIGHT)
     client = ServiceClient(
         service,
         max_attempts=profile.max_attempts,
@@ -169,7 +169,7 @@ def run_service_chaos(
             # Concurrent burst straight at the service (no retry layer).
             # Each request waits for the rest of the burst — an admitted
             # one at the door, holding its slot; a shed one on its way
-            # out — so exactly the excess over ``max_inflight`` sheds as
+            # out — so exactly the excess over ``MAX_INFLIGHT`` sheds as
             # ``overloaded`` whatever the thread scheduler does, and the
             # ones that do get through must still be right.
             verdicts = [None] * profile.overload_burst

@@ -29,10 +29,9 @@ __all__ = ["RETRYABLE_STATUSES", "ServiceClient"]
 RETRYABLE_STATUSES = frozenset({"overloaded", "error"})
 
 # The retry schedule: ``min(MAX_DELAY, BASE_DELAY * 2**(attempt-1))``
-# seconds, jittered by ±JITTER.
+# seconds, jittered by ±``repro.backoff.JITTER``.
 BASE_DELAY = 0.05
 MAX_DELAY = 2.0
-JITTER = 0.2
 
 
 class ServiceClient:
@@ -80,7 +79,6 @@ class ServiceClient:
                     attempt,
                     base=BASE_DELAY,
                     cap=MAX_DELAY,
-                    jitter=JITTER,
                     rng=self._rng,
                 )
             )

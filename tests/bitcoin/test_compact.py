@@ -30,6 +30,7 @@ from repro.bitcoin.compact import (
 from repro.bitcoin.faults import ByzantinePeer, LinkPolicy
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.network import (
+    DEFAULT_BAN_THRESHOLD,
     Node,
     PoissonMiner,
     Simulation,
@@ -347,7 +348,7 @@ class TestByzantineGarbage:
         for victim in victims:
             # Each unbacked announcement scored POINTS_BAD_COMPACT via
             # the withheld-data path, crossing the ban threshold.
-            assert victim._misbehavior.get(nodes[3].name, 0) >= victim.ban_threshold
+            assert victim._misbehavior.get(nodes[3].name, 0) >= DEFAULT_BAN_THRESHOLD
             assert victim.is_banned(nodes[3])
             assert nodes[3] not in victim.peers
         assert byz.banned_by(nodes[:3]) == [v.name for v in victims]

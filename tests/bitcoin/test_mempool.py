@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bitcoin.mempool import MempoolError
+from repro.bitcoin.mempool import MIN_FEE_RATE, MempoolError, MempoolValidationError
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.script import Op, Script
 from repro.bitcoin.standard import p2pkh_script
@@ -110,6 +110,35 @@ def test_low_fee_refused(funded):
     )
     with pytest.raises(MempoolError, match="fee"):
         net.send(tx)
+
+
+def paying(net, payer, payee, fee_for_size):
+    """A payment whose fee is ``fee_for_size(its own size)``, rebuilt
+    until the size its signature gives stops moving."""
+    fee = 0
+    for _ in range(10):
+        tx = payer.create_transaction(
+            net.chain, [TxOut(COIN, p2pkh_script(payee.key_hash))], fee=fee
+        )
+        if fee_for_size(len(tx.serialize())) == fee:
+            return tx
+        fee = fee_for_size(len(tx.serialize()))
+    raise AssertionError("no fee pays for its own size")
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["at-the-floor", "one-below"])
+def test_the_fee_floor_is_exact(funded, short):
+    """``MIN_FEE_RATE`` satoshis a byte is accepted; one satoshi less is
+    a policy refusal, not a consensus one."""
+    net, alice, bob = funded
+    tx = paying(net, alice, bob, lambda size: MIN_FEE_RATE * size - short)
+    if not short:
+        net.send(tx)
+        assert tx.txid in net.mempool
+        return
+    with pytest.raises(MempoolError, match="below minimum rate") as refused:
+        net.send(tx)
+    assert not isinstance(refused.value, MempoolValidationError)
 
 
 def test_coinbase_refused(funded):

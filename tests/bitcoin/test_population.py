@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from repro.bitcoin import population
 from repro.bitcoin.chain import Blockchain
 from repro.bitcoin.population import (
     PopulationConfig,
@@ -25,12 +26,6 @@ class TestConfig:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             PopulationConfig(wallets=0)
-        with pytest.raises(ValueError):
-            PopulationConfig(alpha=-1.0)
-        with pytest.raises(ValueError):
-            PopulationConfig(burst_mean=0.5)
-        with pytest.raises(ValueError):
-            PopulationConfig(burst_rate=0.0)
 
 
 class TestDeterminism:
@@ -74,10 +69,9 @@ class TestShape:
         assert all(0 <= p < 1_000_000 for p in picks)
         assert len(set(picks)) > 100  # the tail does get sampled
 
-    def test_flat_alpha_is_uniform(self):
-        pop = SyntheticPopulation(
-            PopulationConfig(wallets=10_000, seed=5, alpha=0.0)
-        )
+    def test_flat_alpha_is_uniform(self, monkeypatch):
+        monkeypatch.setattr(population, "ALPHA", 0.0)
+        pop = SyntheticPopulation(PopulationConfig(wallets=10_000, seed=5))
         rng = Random(5)
         picks = [pop.pick_wallet(rng) for _ in range(20_000)]
         top = sum(1 for p in picks if p < 100) / len(picks)

@@ -573,12 +573,8 @@ class TestKillMidWrite:
         assert len(calls) == 2  # after recovery and after convergence
 
     def test_deterministic(self, tmp_path):
-        a = run_kill_mid_write(
-            str(tmp_path / "a"), seed=5, target_height=12
-        )
-        b = run_kill_mid_write(
-            str(tmp_path / "b"), seed=5, target_height=12
-        )
+        a = run_kill_mid_write(str(tmp_path / "a"), seed=5)
+        b = run_kill_mid_write(str(tmp_path / "b"), seed=5)
         assert (a.recovered_height, a.refetched_blocks, a.final_height) == (
             b.recovered_height,
             b.refetched_blocks,

@@ -6,8 +6,9 @@ retry on *decorrelated* schedules — while any given seed reproduces its
 schedule exactly.
 """
 
+from repro.backoff import JITTER
 from repro.bitcoin.network import Simulation, build_network
-from repro.bitcoin.sync import JITTER, SyncSession
+from repro.bitcoin.sync import SyncSession
 
 
 def timeout_schedule(seed: int, attempts: int = 4):

@@ -135,8 +135,9 @@ class TestResolution:
     def test_output_prop_resolved(self):
         basis = Basis()
         ref = basis.declare_local("flag", KindDecl(KIND_PROP))
-        txn = simple_transfer(
-            [], [TypecoinOutput(Atom(TConst(ref)), 600, PUBKEY)], basis=basis
+        txn = dataclasses.replace(
+            simple_transfer([], [TypecoinOutput(Atom(TConst(ref)), 600, PUBKEY)]),
+            basis=basis,
         )
         txid = b"\x0f" * 32
         resolved = txn.output_prop_resolved(0, txid)

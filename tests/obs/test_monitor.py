@@ -172,12 +172,12 @@ class TestChecks:
         chain = StubChain(present=[outpoint])
         node = StubNode(chain, spends=[outpoint])
         registry = MonitorRegistry(enabled=True)
-        assert registry.check_mempool_disjoint(node, force=True)
+        assert registry.check_mempool_disjoint(node)
 
     def test_mempool_conflict_detected(self):
         node = StubNode(StubChain(), spends=[("gone", 1)])
         registry = MonitorRegistry(enabled=True)
-        assert not registry.check_mempool_disjoint(node, force=True)
+        assert not registry.check_mempool_disjoint(node)
         assert registry.violations[0][0] == "mempool_disjoint"
 
     def test_store_offsets_uses_chain_store(self):
@@ -189,12 +189,12 @@ class TestChecks:
         chain.store = BadStore()
         node = StubNode(chain)
         registry = MonitorRegistry(enabled=True)
-        assert not registry.check_store_offsets(node, force=True)
+        assert not registry.check_store_offsets(node)
         assert registry.violations[0][0] == "store_offsets"
 
     def test_store_offsets_skip_without_store(self):
         registry = MonitorRegistry(enabled=True)
-        assert registry.check_store_offsets(StubNode(StubChain()), force=True)
+        assert registry.check_store_offsets(StubNode(StubChain()))
         assert registry.checks_run == 0
 
 
@@ -214,7 +214,7 @@ class TestLiveChain:
     def test_clean_node_passes_all(self):
         node = self._node()
         registry = MonitorRegistry(enabled=True, strict=True)
-        assert registry.check_node(node, force=True)
+        assert registry.check_node(node)
         assert registry.checks_run >= 2
         assert registry.violations == []
 
@@ -224,7 +224,7 @@ class TestLiveChain:
         node = self._node()
         inject_supply_inflation(node)
         registry = MonitorRegistry(enabled=True, strict=False)
-        assert not registry.check_node(node, force=True)
+        assert not registry.check_node(node)
         assert registry.violations[0][0] == "supply"
 
     def test_inflation_fault_raises_in_strict(self):
@@ -234,7 +234,7 @@ class TestLiveChain:
         inject_supply_inflation(node)
         registry = MonitorRegistry(enabled=True, strict=True)
         with pytest.raises(InvariantViolation, match="supply"):
-            registry.check_node(node, force=True)
+            registry.check_node(node)
 
     def test_chaos_profile_passes_strict_monitors(self):
         """One chaos profile under strict monitors: zero violations.

@@ -2,34 +2,36 @@
 
 import pytest
 
-from repro.backoff import backoff_delay, derive_rng
+from repro.backoff import JITTER, backoff_delay, derive_rng
+
+
+class Midpoint:
+    """An rng whose every uniform draw is the middle of its band: the
+    jitter factor is exactly 1, so a delay reads as its nominal value."""
+
+    def uniform(self, low, high):
+        return (low + high) / 2
 
 
 class TestDelay:
     def test_doubles_until_cap(self):
-        delays = [backoff_delay(n, base=1.0, cap=10.0) for n in range(1, 7)]
+        delays = [
+            backoff_delay(n, base=1.0, cap=10.0, rng=Midpoint())
+            for n in range(1, 7)
+        ]
         assert delays == [1.0, 2.0, 4.0, 8.0, 10.0, 10.0]
-
-    def test_custom_factor(self):
-        assert backoff_delay(3, base=1.0, cap=100.0, factor=3.0) == 9.0
 
     def test_attempt_is_one_based(self):
         with pytest.raises(ValueError):
-            backoff_delay(0, base=1.0, cap=10.0)
-
-    def test_no_rng_means_no_jitter(self):
-        # jitter requested but no rng supplied: deterministic nominal.
-        assert backoff_delay(2, base=1.0, cap=10.0, jitter=0.5) == 2.0
+            backoff_delay(0, base=1.0, cap=10.0, rng=Midpoint())
 
     def test_jitter_band_is_multiplicative(self):
         rng = derive_rng("band-test")
         for attempt in range(1, 8):
             nominal = min(10.0, 2.0 ** (attempt - 1))
-            delay = backoff_delay(
-                attempt, base=1.0, cap=10.0, jitter=0.25, rng=rng
-            )
+            delay = backoff_delay(attempt, base=1.0, cap=10.0, rng=rng)
             # Never near-zero (these double as timeouts), never above band.
-            assert nominal * 0.75 <= delay <= nominal * 1.25
+            assert nominal * (1 - JITTER) <= delay <= nominal * (1 + JITTER)
 
 
 class TestDeriveRng:
@@ -54,7 +56,7 @@ class TestDeriveRng:
         def make(seed):
             rng = derive_rng("seq", seed)
             return [
-                backoff_delay(n, base=1.0, cap=30.0, jitter=0.2, rng=rng)
+                backoff_delay(n, base=1.0, cap=30.0, rng=rng)
                 for n in range(1, 6)
             ]
 

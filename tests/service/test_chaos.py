@@ -1,6 +1,7 @@
 """Seeded service-chaos scenarios: the no-wrong-verdict invariant."""
 
 from repro.service.chaos import (
+    MAX_INFLIGHT,
     SERVICE_PROFILES,
     ServiceChaosProfile,
     run_service_chaos,
@@ -27,7 +28,6 @@ class TestFaultPaths:
     def test_poisoning_is_rejected_not_believed(self):
         profile = ServiceChaosProfile(
             name="poison-only",
-            depth=4,
             requests=8,
             poison_every=2,
             invalid_every=3,
@@ -40,13 +40,11 @@ class TestFaultPaths:
     def test_overload_burst_sheds_exactly_the_excess(self):
         profile = ServiceChaosProfile(
             name="burst-only",
-            depth=3,
             requests=2,
-            max_inflight=2,
             overload_burst=5,
         )
         result = run_service_chaos(profile, seed=0)
         assert result.ok
-        assert result.shed == 3
-        # Two sequential requests, two admitted of the burst, three shed.
-        assert result.statuses == {"ok": 4, "overloaded": 3}
+        assert result.shed == 5 - MAX_INFLIGHT
+        # Two sequential requests, three admitted of the burst, two shed.
+        assert result.statuses == {"ok": 5, "overloaded": 2}

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.backoff import JITTER
 from repro.service.client import (
     BASE_DELAY,
-    JITTER,
     MAX_DELAY,
     RETRYABLE_STATUSES,
     ServiceClient,

@@ -4,9 +4,9 @@ consensus modules they call into — import each other at module level or
 not at all (a function-level import is how a cycle hides)."""
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+from tests.guards import SRC, imports, sources
+
 SUBSTRATE = ("crypto", "bitcoin", "store")
 ABOVE = ("lf", "logic", "core", "surface", "service")
 NODE_MODULES = (
@@ -14,24 +14,10 @@ NODE_MODULES = (
 )
 
 
-def imports(node):
-    """``(module, lineno)`` of every import under ``node``, at any depth;
-    ``from repro import obs`` reads as ``repro.obs``."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Import):
-            for alias in child.names:
-                yield alias.name, child.lineno
-        elif isinstance(child, ast.ImportFrom):
-            assert child.level == 0, "src/ uses absolute imports"
-            for alias in child.names:
-                yield f"{child.module}.{alias.name}", child.lineno
-
-
 def test_substrate_does_not_import_the_layers_above_it():
     offenders = [
         f"{path.relative_to(SRC)}:{lineno} imports {module}"
-        for package in SUBSTRATE
-        for path in sorted((SRC / package).rglob("*.py"))
+        for path in sources(*(SRC / package for package in SUBSTRATE))
         for module, lineno in imports(ast.parse(path.read_text()))
         if f"{module}.".startswith(tuple(f"repro.{name}." for name in ABOVE))
     ]

@@ -20,24 +20,10 @@ second walk of a transaction it holds:
 """
 
 import ast
-from pathlib import Path
 
-from tests.test_one_way_in import called_names, functions
+from tests.guards import ROOT, SRC, callers, sources
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "repro"
 VERIFIER = SRC / "core" / "verifier.py"
-
-
-def callers(name):
-    """``path:function`` of every function under ``src/`` that calls
-    ``name``, by bare or attribute name."""
-    return {
-        f"{path.relative_to(SRC)}:{function.name}"
-        for path in sorted(SRC.rglob("*.py"))
-        for function in functions(ast.parse(path.read_text()))
-        if name in set(called_names(function))
-    }
 
 
 def test_the_verifier_derives_no_encoding_or_digest_of_its_own():
@@ -66,15 +52,15 @@ def test_only_the_benchmark_leaves_register_to_resolve():
     """Every ``.register(txid, txn)`` outside ``bench/`` hands in the
     resolved parts as well."""
     short = []
-    for top in ("src", "tests", "examples", "benchmarks", "scripts"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "register"
-                    and len(node.args) == 2
-                    and not node.keywords
-                ):
-                    short.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    tops = ("src", "tests", "examples", "benchmarks", "scripts")
+    for path in sources(*(ROOT / top for top in tops)):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "register"
+                and len(node.args) == 2
+                and not node.keywords
+            ):
+                short.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert short == []

@@ -9,14 +9,11 @@ client takes only the values a caller sets.
 """
 
 import inspect
-import re
-from pathlib import Path
 
 from repro.service.client import RETRYABLE_STATUSES, ServiceClient
 from repro.service.server import INFRA_STATUSES
+from tests.guards import SRC, sources, spelt
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "repro"
 GUARDED = ("service", "lf", "logic")
 RETIRED = (
     r"\bcancel\b", r"\bdeadline_scope\b", r"\bcheckpoint\(",
@@ -25,14 +22,8 @@ RETIRED = (
 
 
 def test_no_deadline_machinery_is_spelt():
-    pattern = re.compile("|".join(RETIRED))
-    spelt = [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for top in GUARDED
-        for path in sorted((SRC / top).rglob("*.py"))
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    paths = sources(*(SRC / top for top in GUARDED))
+    assert spelt("|".join(RETIRED), paths) == []
     assert not (SRC / "cancel.py").exists()
 
 

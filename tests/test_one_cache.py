@@ -11,7 +11,6 @@ none of the retired names or options is spelt at all, and each map is an
 """
 
 import re
-from pathlib import Path
 
 from repro.bitcoin import sigcache
 from repro.bitcoin.chain import ChainParams
@@ -21,9 +20,9 @@ from repro.crypto import ecdsa, secp256k1
 from repro.logic import checker
 from repro.lru import LRU
 from repro.service import VerificationService, cache
+from tests.guards import SRC, sources, spelt, words
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-ONE_LRU = SRC / "repro" / "lru.py"
+ONE_LRU = SRC / "lru.py"
 BOOKKEEPING = (r"\bOrderedDict\b", r"\bmove_to_end\b", r"\bpopitem\(", r"\bnext\(iter\(")
 RETIRED = (
     "AffirmationCache", "seen_limit", "orphan_limit", "memo_capacity",
@@ -31,32 +30,23 @@ RETIRED = (
 )
 
 
-def _spelt(pattern: re.Pattern, paths) -> list[str]:
-    return [
-        f"{path.relative_to(SRC)}: {match.group(0)}"
-        for path in paths
-        for match in pattern.finditer(path.read_text())
-    ]
-
-
 def test_no_ordered_dict_bookkeeping_outside_the_one_lru():
-    outside = [p for p in sorted(SRC.rglob("*.py")) if p != ONE_LRU]
-    assert _spelt(re.compile("|".join(BOOKKEEPING)), outside) == []
+    outside = [p for p in sources() if p != ONE_LRU]
+    assert spelt("|".join(BOOKKEEPING), outside) == []
 
 
 def test_no_functools_memo_in_src():
-    pattern = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|\bfrom functools import [^\n]*\bcache\b")
-    assert _spelt(pattern, sorted(SRC.rglob("*.py"))) == []
+    pattern = r"\blru_cache\b|\bfunctools\.cache\b|\bfrom functools import [^\n]*\bcache\b"
+    assert spelt(pattern, sources()) == []
 
 
 def test_no_retired_name_is_spelt_in_src():
-    pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
-    assert _spelt(pattern, sorted(SRC.rglob("*.py"))) == []
+    assert spelt(words(RETIRED), sources()) == []
 
 
 def test_only_repro_lru_defines_an_lru():
-    defined = _spelt(re.compile(r"^class \w*LRU\b", re.M), sorted(SRC.rglob("*.py")))
-    assert defined == ["repro/lru.py: class LRU"]
+    defined = spelt(re.compile(r"^class \w*LRU\b", re.M), sources())
+    assert defined == ["src/repro/lru.py: class LRU"]
     assert "LRU" not in cache.__all__
 
 

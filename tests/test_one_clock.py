@@ -17,14 +17,13 @@ gated on.
 
 import ast
 import importlib
-import re
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-OBS = SRC / "repro" / "obs"
+from tests.guards import ROOT, SRC, sources, spelt, words
+
+OBS = SRC / "obs"
 EXPERIMENTS = sorted((ROOT / "benchmarks").glob("bench_*.py"))
 RETIRED = (
     "trace_span", "set_tracer", "render_trace", "_apply_block_txs_inner",
@@ -44,22 +43,13 @@ def test_retired_obs_module_does_not_import(module):
         importlib.import_module(f"repro.obs.{module}")
 
 
-def _spelt(pattern: re.Pattern, paths) -> list[str]:
-    return [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for path in paths
-        for match in pattern.finditer(path.read_text())
-    ]
-
-
 def test_no_retired_name_is_spelt_in_src():
-    pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
-    assert _spelt(pattern, sorted(SRC.rglob("*.py"))) == []
+    assert spelt(words(RETIRED), sources()) == []
 
 
 def test_only_obs_reads_the_obs_clock():
-    outside = [p for p in sorted(SRC.rglob("*.py")) if OBS not in p.parents]
-    assert _spelt(re.compile(r"\bobs\.clock\b"), outside) == []
+    outside = [p for p in sources() if OBS not in p.parents]
+    assert spelt(r"\bobs\.clock\b", outside) == []
 
 
 def clock_tainted_asserts(source: str) -> list[int]:
@@ -170,7 +160,6 @@ def test_the_clock_taint_follows_values_not_statements(source, lines):
 
 
 def test_the_retired_pytest_benchmark_stand_in_is_spelt_nowhere():
-    pattern = re.compile("|".join(RETIRED_STAND_IN))
     paths = [ROOT / "README.md"] + [
         path
         for top in ("benchmarks", "tests", "scripts", "docs")
@@ -178,7 +167,7 @@ def test_the_retired_pytest_benchmark_stand_in_is_spelt_nowhere():
         if path.is_file() and "__pycache__" not in path.parts
         and path != Path(__file__)
     ]
-    assert _spelt(pattern, paths) == []
+    assert spelt("|".join(RETIRED_STAND_IN), paths) == []
 
 
 def test_an_experiment_runs_only_under_the_runner():

@@ -9,10 +9,8 @@ function are the function's business and are not scanned.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "repro"
+from tests.guards import ROOT, sources
 
 
 def _module_imports(body) -> dict[str, int]:
@@ -81,7 +79,7 @@ def unread_imports(source: str) -> list[tuple[int, str]]:
 def test_every_module_level_import_is_read():
     unread = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
+        for path in sources()
         for line, name in unread_imports(path.read_text())
     ]
     assert unread == []

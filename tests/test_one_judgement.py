@@ -16,15 +16,11 @@ on-chain one is, and with its code, not a copy of it:
 """
 
 import ast
-import re
-from pathlib import Path
 
 from repro.core.batch import VirtualTransaction
 from repro.logic.checker import AFFINE_ASSERT_TAG, PERSISTENT_ASSERT_TAG
-from tests.test_one_admission import callers
+from tests.guards import SRC, callers, sources, spelt, words
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "repro"
 BATCH = SRC / "core" / "batch.py"
 RETIRED = ("_topo_vtxs", "_check_authorization", "_vtx_children")
 
@@ -53,13 +49,7 @@ def test_authorizations_are_affirmations_checked_once():
 
 def test_virtual_history_is_ordered_by_the_verifiers_peel():
     assert "core/batch.py:_affected_vtxs" in callers("peel_levels")
-    pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
-    spelt = [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for path in sorted(SRC.rglob("*.py"))
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    assert spelt(words(RETIRED), sources()) == []
 
 
 def test_a_batch_payload_is_no_assert_payload():

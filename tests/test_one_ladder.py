@@ -13,15 +13,13 @@ spelt nowhere either, and no cached table holds one.
 """
 
 import ast
-import re
-from pathlib import Path
 
 from repro.crypto import secp256k1 as ec
 from repro.lru import LRU
+from tests.guards import SRC, sources, spelt
 from tests.oracles import point_add, scalar_mult_naive
 
-ROOT = Path(__file__).resolve().parents[1]
-CRYPTO = ROOT / "src" / "repro" / "crypto"
+CRYPTO = SRC / "crypto"
 RETIRED = (
     r"\b_wnaf\b", r"\b_wnaf_signed\b",  # the dense recoders
     r"\.append\(0\)", r"\[0\] \*",  # a zero digit, a zero padding
@@ -32,13 +30,7 @@ MULTIPLIERS = ("scalar_mult", "dual_scalar_mult", "multi_scalar_mult")
 
 
 def test_no_dense_recoding_is_spelt():
-    pattern = re.compile("|".join(RETIRED))
-    spelt = [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for path in sorted(CRYPTO.rglob("*.py"))
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    assert spelt("|".join(RETIRED), sources(CRYPTO)) == []
 
 
 def _callers() -> dict[str, set[str]]:

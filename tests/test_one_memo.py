@@ -12,7 +12,6 @@ transaction, each of its scripts is encoded and classified once.
 
 import re
 from functools import cached_property
-from pathlib import Path
 
 import pytest
 
@@ -23,27 +22,18 @@ from repro.bitcoin.population import fund_wallets
 from repro.bitcoin.script import Script
 from repro.bitcoin.transaction import TxOut
 from repro.bitcoin.wallet import Wallet
+from tests.guards import SRC, sources, spelt
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 RETIRED_KEYS = ('"_size"', '"_tags"', "'_size'", "'_tags'")
 
 
-def _spelt(pattern: str, paths) -> list[str]:
-    return [
-        f"{path.relative_to(SRC)}: {match.group(0)}"
-        for path in paths
-        for match in re.finditer(pattern, path.read_text())
-    ]
-
-
 def test_no_dict_poke_under_bitcoin():
-    paths = sorted((SRC / "repro" / "bitcoin").rglob("*.py"))
-    assert _spelt(r"__dict__", paths) == []
+    assert spelt(r"__dict__", sources(SRC / "bitcoin")) == []
 
 
 def test_no_retired_memo_key_is_spelt():
     pattern = "|".join(re.escape(key) for key in RETIRED_KEYS)
-    assert _spelt(pattern, sorted(SRC.rglob("*.py"))) == []
+    assert spelt(pattern, sources()) == []
 
 
 @pytest.fixture

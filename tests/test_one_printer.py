@@ -9,7 +9,6 @@ retired helpers is spelt in ``src/``.
 """
 
 import ast
-import re
 import typing
 
 from repro.lf.syntax import ConstRef, KindT, TConst, Term, TypeFamily
@@ -18,7 +17,7 @@ from repro.logic.proofterms import ProofTerm
 from repro.logic.propositions import Atom, Proposition
 from repro.surface.pretty import pretty
 
-from tests.test_layering import SRC, imports
+from tests.guards import SRC, imports, sources, spelt, words
 
 UNIONS = (KindT, TypeFamily, Term, Condition, Proposition, ProofTerm)
 SYNTAX_MODULES = (
@@ -53,20 +52,14 @@ def test_str_of_every_syntax_node_is_the_surface_printer():
 
 
 def test_no_retired_printer_helper_is_spelt_in_src():
-    pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
-    spelt = [
-        f"{path.relative_to(SRC)}: {match.group(0)}"
-        for path in sorted(SRC.rglob("*.py"))
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    assert spelt(words(RETIRED), sources()) == []
 
 
 def test_only_str_reaches_up_into_surface():
     references = [
         f"{path.relative_to(SRC)}: {module}"
         for package in ("lf", "logic", "core")
-        for path in sorted((SRC / package).rglob("*.py"))
+        for path in sources(SRC / package)
         for module, _ in imports(ast.parse(path.read_text()))
         if module.startswith("repro.surface")
     ]

@@ -12,14 +12,12 @@ itself fails both ways it should.
 import importlib.util
 import inspect
 import re
-from pathlib import Path
 
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.sync import start_sync
 from repro.store import BlockStore
+from tests.guards import ROOT, open_items, sources, spelt
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "repro"
 RETIRED = (
     "base58", "b58", "merkle_branch", "verify_branch", "backoff_sequence",
     "SyncConfig", "fsync_appends",
@@ -36,12 +34,6 @@ def _load_reach():
 reach = _load_reach()
 
 
-def _open_items() -> set[int]:
-    roadmap = (ROOT / "ROADMAP.md").read_text()
-    section = roadmap.split("## Open items", 1)[1].split("\n## ", 1)[0]
-    return {int(n) for n in re.findall(r"^(\d+)\. \*\*", section, re.M)}
-
-
 def test_every_listed_function_exists_with_a_reason():
     allowed = reach.read_allow(reach.ALLOW_FILE.read_text())
     assert allowed
@@ -51,7 +43,7 @@ def test_every_listed_function_exists_with_a_reason():
 def test_every_item_reason_names_an_open_roadmap_item():
     allowed = reach.read_allow(reach.ALLOW_FILE.read_text())
     items = {int(r.split()[1]) for r in allowed.values() if r.startswith("item")}
-    assert items and items <= _open_items()
+    assert items and items <= open_items()
 
 
 def test_a_line_without_one_of_the_four_reasons_is_refused():
@@ -66,19 +58,12 @@ def test_a_line_without_one_of_the_four_reasons_is_refused():
 
 def test_no_retired_name_is_spelt_in_src():
     pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")")
-    spelt = [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for path in sorted(SRC.rglob("*.py"))
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    assert spelt(pattern, sources()) == []
 
 
 def test_only_the_remaining_parameters_are_settable():
     assert list(inspect.signature(BlockStore).parameters) == ["root", "snapshot_interval"]
-    assert list(inspect.signature(RegtestNetwork).parameters) == [
-        "min_fee_rate", "block_time_step",
-    ]
+    assert list(inspect.signature(RegtestNetwork).parameters) == []
     assert list(inspect.signature(start_sync).parameters) == ["node", "peer", "reason"]
 
 

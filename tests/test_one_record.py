@@ -11,13 +11,10 @@ a keyword argument.
 """
 
 import ast
-import re
-from pathlib import Path
 
 from repro import obs
+from tests.guards import ROOT, sources, spelt, words
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 RETIRED = (
     "Histogram", "quantile_from_cumulative", "series_name",
     "escape_label_value", "DEFAULT_BUCKETS", "COUNT_BUCKETS",
@@ -26,13 +23,7 @@ RETIRED = (
 
 
 def test_no_retired_record_is_spelt_in_src():
-    pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
-    spelt = [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for path in sorted(SRC.rglob("*.py"))
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    assert spelt(words(RETIRED), sources()) == []
 
 
 def test_every_catalogued_series_is_a_counter_or_a_gauge():
@@ -48,7 +39,7 @@ def test_a_snapshot_holds_the_series_and_the_events():
 def test_no_inc_call_passes_a_keyword():
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
-        for path in sorted((SRC / "repro").rglob("*.py"))
+        for path in sources()
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)

@@ -6,7 +6,6 @@ here, not in whichever walker meets it first — and none of the
 per-syntax walkers that ``repro.lf.walk`` replaced is spelt anywhere.
 """
 
-import re
 import typing
 from pathlib import Path
 
@@ -14,8 +13,8 @@ from repro.lf.syntax import SHAPES, KindT, Term, TypeFamily
 from repro.logic.conditions import Condition
 from repro.logic.proofterms import ProofTerm
 from repro.logic.propositions import Proposition
+from tests.guards import ROOT, sources, spelt, words
 
-ROOT = Path(__file__).resolve().parents[1]
 UNIONS = {
     "KindT": KindT, "TypeFamily": TypeFamily, "Term": Term,
     "Condition": Condition, "Proposition": Proposition, "ProofTerm": ProofTerm,
@@ -44,12 +43,6 @@ def test_every_node_class_has_a_shape():
 
 
 def test_no_retired_walker_is_spelt():
-    pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
-    spelt = [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for top in ("src", "tests", "benchmarks", "examples", "scripts")
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if path != Path(__file__)
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    tops = ("src", "tests", "benchmarks", "examples", "scripts")
+    paths = sources(*(ROOT / top for top in tops))
+    assert spelt(words(RETIRED), [p for p in paths if p != Path(__file__)]) == []

@@ -4,10 +4,9 @@ chain-formation step — and the functions that used to assemble that step
 by hand call none of its pieces themselves."""
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "repro"
+from tests.guards import ROOT, SRC, called_names, functions, sources
+
 PIECES = {
     "check_carrier_correspondence", "check_typecoin_transaction", "world_at",
 }
@@ -20,26 +19,9 @@ FORMERLY_BY_HAND = {
 RETIRED_OPTION = "check" + "_first"
 
 
-def functions(tree):
-    return [
-        node for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
-def called_names(node):
-    """What ``node`` calls, by bare or attribute name."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            yield func.attr if isinstance(func, ast.Attribute) else getattr(
-                func, "id", None
-            )
-
-
 def test_ledger_register_has_one_caller_and_the_step_is_not_rebuilt():
     register_callers = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sources():
         name = str(path.relative_to(SRC))
         for function in functions(ast.parse(path.read_text())):
             calls = set(called_names(function))
@@ -58,10 +40,10 @@ def test_ledger_register_has_one_caller_and_the_step_is_not_rebuilt():
         for node in ast.walk(function)
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
+    tops = ("src", "tests", "bench", "benchmarks", "examples", "scripts")
     spelt = [
         str(path.relative_to(ROOT))
-        for top in ("src", "tests", "bench", "benchmarks", "examples", "scripts")
-        for path in sorted((ROOT / top).rglob("*.py"))
+        for path in sources(*(ROOT / top for top in tops))
         if RETIRED_OPTION in path.read_text()
     ]
     assert spelt == []

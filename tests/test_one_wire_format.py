@@ -9,7 +9,6 @@ per-syntax codec functions the codec replaced is spelt anywhere.
 """
 
 import dataclasses
-import re
 import typing
 from pathlib import Path
 
@@ -18,8 +17,8 @@ from repro.lf.syntax import SHAPES, KindT, Term, TypeFamily, Var
 from repro.logic.conditions import Condition
 from repro.logic.proofterms import ProofTerm, PVar
 from repro.logic.propositions import Proposition
+from tests.guards import ROOT, sources, spelt, words
 
-ROOT = Path(__file__).resolve().parents[1]
 # union: the tags its members may take
 RANGES = {
     Declaration: range(0x01, 0x10),
@@ -76,12 +75,6 @@ def test_every_field_of_a_tagged_class_has_a_wire_form():
 
 
 def test_no_retired_codec_name_is_spelt():
-    pattern = re.compile(r"\b(" + "|".join(RETIRED) + r")\b")
-    spelt = [
-        f"{path.relative_to(ROOT)}: {match.group(0)}"
-        for top in ("src", "tests", "benchmarks", "examples", "scripts")
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if path != Path(__file__)
-        for match in pattern.finditer(path.read_text())
-    ]
-    assert spelt == []
+    tops = ("src", "tests", "benchmarks", "examples", "scripts")
+    paths = sources(*(ROOT / top for top in tops))
+    assert spelt(words(RETIRED), [p for p in paths if p != Path(__file__)]) == []
