@@ -8,11 +8,12 @@ as ``overloaded``/``draining``/``error``, never as a false ``ok`` or
 verdict stream is a pure function of the seed.
 
 The service's second invariant is gated beside the first: a request
-costs at most one edge walk per transaction it presents (§3's "for each
-T ∈ 𝔗"), whatever the faults around it — counted here, per request, by
-wrapping the one place ``dependency_levels`` gets its edges — and a
-repeat request for the same bytes, decoded afresh, on a warm service
-walks nothing at all.
+costs at most one edge walk and one memo read per transaction it
+presents (§3's "for each T ∈ 𝔗"), whatever the faults around it —
+counted here, per request, by wrapping the one place ``dependency_levels``
+gets its edges and every read of the service's memo map — and a repeat
+request for the same bytes, decoded afresh, on a warm service walks
+nothing at all.
 
 Exit status 0 means the service gate passed.
 
@@ -32,6 +33,7 @@ from repro.service.chaos import (
 )
 from repro.core import verifier
 from repro.core.wire import decode_bundle, encode_bundle
+from repro.lru import LRU
 from repro.service import VerificationService
 from repro.service.server import INFRA_STATUSES, VERDICT_STATUSES
 
@@ -40,35 +42,48 @@ REPEAT_DEPTH = 6
 
 
 @contextmanager
-def edge_walk_meter():
-    """Yield a list that gains ``(transactions, edge walks)`` for every
-    ``VerificationService.verify`` call made inside the block.
+def request_meter():
+    """Yield a list that gains ``(transactions, edge walks, memo reads)``
+    for every ``VerificationService.verify`` call made inside the block.
 
-    Walks are counted per thread — the overload burst runs requests
-    concurrently — and only between a request's entry and its return, so
-    the oracle's own ``verify_claim`` replays are not billed to anyone.
+    A memo read is a ``get`` on that service's memo map, whichever method
+    makes it.  Both are counted per thread — the overload burst runs
+    requests concurrently — and only between a request's entry and its
+    return, so the oracle's own ``verify_claim`` replays are not billed
+    to anyone.
     """
     requests = []
     current = threading.local()
-    walk, verify = verifier.referenced_txids, VerificationService.verify
+    walk, get = verifier.referenced_txids, LRU.get
+    verify = VerificationService.verify
 
     def counting_walk(txn):
         current.walks = getattr(current, "walks", 0) + 1
         return walk(txn)
 
+    def counting_get(self, key):
+        if getattr(current, "memo", None) is self:
+            current.reads += 1
+        return get(self, key)
+
     def metered_verify(self, bundle):
-        current.walks = 0
+        current.walks, current.reads, current.memo = 0, 0, self.memo._lru
         try:
             return verify(self, bundle)
         finally:
-            requests.append((len(bundle.transactions), current.walks))
+            current.memo = None
+            requests.append(
+                (len(bundle.transactions), current.walks, current.reads)
+            )
 
     verifier.referenced_txids = counting_walk
+    LRU.get = counting_get
     VerificationService.verify = metered_verify
     try:
         yield requests
     finally:
         verifier.referenced_txids = walk
+        LRU.get = get
         VerificationService.verify = verify
 
 
@@ -78,13 +93,14 @@ def main(seed: int = 7) -> int:
     )
     results = {}
     for name in SMOKE_PROFILES:
-        with edge_walk_meter() as requests:
+        with request_meter() as requests:
             result = run_service_chaos(SERVICE_PROFILES[name], seed=seed)
         results[name] = result
         status = "ok" if result.ok else "FAIL"
         # Shed and draining requests never reach the levelling, and a
         # warm service walks only what it does not hold: 0 walks.
-        walked = [walks for _size, walks in requests if walks]
+        walked = [walks for _size, walks, _reads in requests if walks]
+        read = [reads for _size, _walks, reads in requests if reads]
         print(
             f"  {name:>16}: answered={result.answered}"
             f" wrong={result.wrong_verdicts}"
@@ -94,23 +110,31 @@ def main(seed: int = 7) -> int:
             f" edge_walks/request={min(walked, default=0)}"
             f"..{max(walked, default=0)}"
             f" ({len(walked)} of {len(requests)} requests walked)"
+            f" memo_reads/request={min(read, default=0)}"
+            f"..{max(read, default=0)}"
             f" [{status}]"
         )
-        superlinear = [(size, walks) for size, walks in requests if walks > size]
-        if superlinear:
-            print(
-                f"error: profile {name!r}: requests made more edge walks"
-                f" than they had transactions, as (transactions, walks):"
-                f" {superlinear[:5]}",
-                file=sys.stderr,
-            )
-            return 1
-        if not walked:
-            print(
-                f"error: profile {name!r}: the edge-walk meter saw no walk",
-                file=sys.stderr,
-            )
-            return 1
+        for what, column in (("edge walks", 1), ("memo reads", 2)):
+            over = [
+                (request[0], request[column])
+                for request in requests
+                if request[column] > request[0]
+            ]
+            if over:
+                print(
+                    f"error: profile {name!r}: requests made more {what}"
+                    f" than they had transactions, as (transactions,"
+                    f" {what}): {over[:5]}",
+                    file=sys.stderr,
+                )
+                return 1
+        for what, seen in (("edge-walk", walked), ("memo-read", read)):
+            if not seen:
+                print(
+                    f"error: profile {name!r}: the {what} meter saw nothing",
+                    file=sys.stderr,
+                )
+                return 1
         unknown = sorted(set(result.statuses) - {*VERDICT_STATUSES, *INFRA_STATUSES})
         if unknown:
             print(
@@ -136,18 +160,30 @@ def main(seed: int = 7) -> int:
     wire_bytes = encode_bundle(valid)
     service = VerificationService(net.chain)
     try:
-        with edge_walk_meter() as requests:
+        with request_meter() as requests:
             for _ in range(3):
                 service.verify(decode_bundle(wire_bytes))
     finally:
         service.close()
-    walked = [walks for _size, walks in requests]
-    print(f"  repeat requests for the same bytes: edge walks {walked}")
+    walked = [walks for _size, walks, _reads in requests]
+    read = [reads for _size, _walks, reads in requests]
+    print(
+        f"  repeat requests for the same bytes: edge walks {walked},"
+        f" memo reads {read}"
+    )
     if walked != [REPEAT_DEPTH, 0, 0]:
         print(
             f"error: a warm service walked {walked} for three requests of"
             f" the same {REPEAT_DEPTH} transactions (want"
             f" [{REPEAT_DEPTH}, 0, 0])",
+            file=sys.stderr,
+        )
+        return 1
+    if read != [REPEAT_DEPTH] * 3:
+        print(
+            f"error: a service read its memo {read} times for three"
+            f" requests of the same {REPEAT_DEPTH} transactions (want"
+            f" {REPEAT_DEPTH} each)",
             file=sys.stderr,
         )
         return 1

@@ -65,17 +65,20 @@ class Admission(NamedTuple):
 
 def _references(
     transactions: dict[bytes, TypecoinTransaction], memo=None
-) -> dict[bytes, frozenset[bytes]]:
+) -> tuple[dict[bytes, frozenset[bytes]], dict]:
     """The carrier txids each bundle transaction refers to, itself
-    excluded — the one structural walk a transaction gets per request,
-    and none for one ``memo`` holds under its hash (``memo.refs``)."""
-    references = {}
+    excluded, and the entry ``memo`` holds under each txid: read once
+    (``memo.get``) and handed on for :func:`admit` to judge.  A transaction
+    held under its hash takes its references from the entry; any other
+    gets the one structural walk it is owed per request."""
+    references, held = {}, {}
     for txid, txn in transactions.items():
-        refs = None if memo is None else memo.refs(txid, txn.hash)
-        if refs is None:
-            refs = referenced_txids(txn) - {txid}
-        references[txid] = refs
-    return references
+        entry = held[txid] = None if memo is None else memo.get(txid)
+        if entry is not None and entry.hash == txn.hash:
+            references[txid] = entry.refs
+        else:
+            references[txid] = referenced_txids(txn) - {txid}
+    return references, held
 
 
 def peel_levels(references: dict) -> list[list]:
@@ -83,28 +86,33 @@ def peel_levels(references: dict) -> list[list]:
     from each node to the nodes it depends on; dependencies outside the map
     are not edges.  The levels concatenated are a parents-first order.  A
     batch server orders its virtual transactions with it too."""
-    dependents: dict[bytes, list[bytes]] = {txid: [] for txid in references}
-    waiting: dict[bytes, int] = {}
-    for txid, refs in references.items():
-        deps = [dep for dep in refs if dep in references]
-        waiting[txid] = len(deps)
-        for dep in deps:
-            dependents[dep].append(txid)
-
-    rank = dict.fromkeys(references, 0)
-    ready = [txid for txid, count in waiting.items() if count == 0]
+    dependents: dict = {}
+    waiting: dict = {}
+    ready = []
+    for txid, refs in references.items():  # the one pass over the edges
+        count = 0
+        for dep in refs:
+            if dep in references:
+                count += 1
+                dependents.setdefault(dep, []).append(txid)
+        if count:
+            waiting[txid] = count
+        else:
+            ready.append(txid)
+    # ``ready`` is peeled first in, first out, so it runs in rank order
+    # and a node's last dependency to be peeled is one of highest rank.
+    rank = dict.fromkeys(ready, 0)
     for txid in ready:  # grows as dependents become ready
-        for child in dependents[txid]:
-            rank[child] = max(rank[child], rank[txid] + 1)
+        for child in dependents.get(txid, ()):
             waiting[child] -= 1
-            if waiting[child] == 0:
+            if not waiting[child]:
+                rank[child] = rank[txid] + 1
                 ready.append(child)
     if len(ready) < len(references):
         raise VerificationError("claim bundle contains a dependency cycle")
 
-    levels: list[list[bytes]] = [
-        [] for _ in range(max(rank.values(), default=-1) + 1)
-    ]
+    depth = rank[ready[-1]] + 1 if ready else 0
+    levels: list[list[bytes]] = [[] for _ in range(depth)]
     for txid in references:
         levels[rank[txid]].append(txid)
     return levels
@@ -122,7 +130,7 @@ def dependency_levels(
     are a parents-first order, and the first failure is the same on every
     run.
     """
-    return peel_levels(_references(transactions))
+    return peel_levels(_references(transactions)[0])
 
 
 def verify_claim(
@@ -159,8 +167,9 @@ def _verify_claim(
     """The §3 loop — the only one: levels, :func:`admit`, the claim checks.
 
     Raises ``VerificationError`` naming the first failing check in level
-    order.  ``memo`` supplies the references of the transactions it
-    holds, and goes to :func:`admit` with each T's references.
+    order.  ``memo`` is read once per presented transaction, for the
+    references of what it holds, and goes to :func:`admit` with each T's
+    references and the entry that read found.
     """
     if base_ledger is None:
         ledger = Ledger()
@@ -177,13 +186,13 @@ def _verify_claim(
             },
         )
 
-    references = _references(bundle.transactions, memo)
+    references, held = _references(bundle.transactions, memo)
     for level in peel_levels(references):
         for txid in level:
             if txid not in ledger.transactions:
                 admit(
                     ledger, chain, txid, bundle.transactions[txid],
-                    min_confirmations, memo, references[txid],
+                    min_confirmations, memo, references[txid], held[txid],
                 )
 
     # Finally: I's type is as claimed.
@@ -208,6 +217,7 @@ def admit(
     min_confirmations: int = 1,
     memo=None,
     refs: frozenset[bytes] | None = None,
+    held: Admission | None = None,
 ) -> None:
     """Chain formation, one step (Appendix A: 𝔗, txid:T : Σ) — the only
     way a transaction enters a ``Ledger``.
@@ -218,10 +228,12 @@ def admit(
     is registered.  Raises ``VerificationError`` naming the failing check
     and leaves ``ledger`` as it was.
 
-    ``memo`` (``lookup(txid, hash, block_hash)`` / ``record(txid,
-    admission)``) holds what earlier calls admitted, and stands in for
-    the correspondence, checks 2–3 and [txid/this] when it holds T under
-    T's hash and the hash of the block that now confirms the carrier.
+    ``memo`` (``judge(txid, held, hash, block_hash)`` / ``record(txid,
+    admission)``) holds what earlier calls admitted; ``held`` is what the
+    caller's one ``memo.get(txid)`` found (ignored without a memo).  It
+    stands in for the correspondence, checks 2–3 and [txid/this] when it
+    was recorded under T's hash and the hash of the block that now
+    confirms the carrier.
     Those are a function of the carrier, which the txid fixes, of T,
     which its hash fixes, and of the block's world and prefix, which its
     hash fixes — so a reorg that moves the carrier is a miss.  Presence
@@ -243,11 +255,14 @@ def admit(
             f"carrier {txid[:8].hex()}… has {confirmations}"
             f" confirmations, policy requires {min_confirmations}"
         )
-    held = None
-    if memo is not None:
+    if memo is None:
+        held = None
+    else:
         block_hash = chain.block_at(height).hash
         if refs <= ledger.transactions.keys():
-            held = memo.lookup(txid, txn.hash, block_hash)
+            held = memo.judge(txid, held, txn.hash, block_hash)
+        else:
+            held = None
     if held is None:
         try:
             check_carrier_correspondence(carrier, txn)

@@ -114,10 +114,10 @@ class Basis:
 
     def extended(self, other: "Basis") -> "Basis":
         """A new basis: self's declarations followed by other's."""
-        merged = Basis(dict(self._decls))
-        for ref, decl in other:
-            merged.declare(ref, decl)
-        return merged
+        if not self._decls.keys().isdisjoint(other._decls):
+            clash = next(ref for ref in other._decls if ref in self._decls)
+            raise BasisError(f"constant {clash} already declared")
+        return Basis({**self._decls, **other._decls})
 
     def resolved(self, txid: bytes) -> "Basis":
         """Rewrite ``this`` to ``txid`` in names *and* bodies.

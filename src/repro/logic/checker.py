@@ -15,7 +15,7 @@ attacks on it."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
@@ -172,15 +172,24 @@ class CheckerContext:
     def with_affine(self, var: str, prop: Proposition) -> "CheckerContext":
         if var in self.affine or var in self.persistent:
             raise ProofError(f"proof variable {var} shadows an existing hypothesis")
-        return replace(self, affine={**self.affine, var: prop})
+        return CheckerContext(
+            self.basis, self.lf_ctx, self.persistent,
+            {**self.affine, var: prop}, self.txn_payload,
+        )
 
     def with_persistent(self, var: str, prop: Proposition) -> "CheckerContext":
         if var in self.affine or var in self.persistent:
             raise ProofError(f"proof variable {var} shadows an existing hypothesis")
-        return replace(self, persistent={**self.persistent, var: prop})
+        return CheckerContext(
+            self.basis, self.lf_ctx, {**self.persistent, var: prop},
+            self.affine, self.txn_payload,
+        )
 
     def with_lf(self, var: str, family: TypeFamily) -> "CheckerContext":
-        return replace(self, lf_ctx=self.lf_ctx.extend(var, family))
+        return CheckerContext(
+            self.basis, self.lf_ctx.extend(var, family), self.persistent,
+            self.affine, self.txn_payload,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,9 @@ the layers built on it.
 * ``in`` neither moves the key nor counts.  A map that only ever asks
   ``in`` and ``put``s absent keys (the relay's) evicts first-in,
   first-out.
+* ``evict(key, value)`` drops the key only while it holds that very
+  value: a reader that judged what ``get`` gave it, outside the lock,
+  cannot drop what another thread stored in the meantime (the memo's).
 
 Thread-safe: the service's requests verify through the module-wide
 crypto maps from several threads at once.  Fork-safe: a worker forked
@@ -83,6 +86,14 @@ class LRU:
         """Drop ``key``; its value, or None if it was not held."""
         with self._lock:
             return self._entries.pop(key, None)
+
+    def evict(self, key, value) -> None:
+        """Drop ``key`` if it still holds ``value`` (the same object): a
+        reader that judged what it read evicts that, never what another
+        thread has stored since."""
+        with self._lock:
+            if key in self._entries and self._entries[key] is value:
+                del self._entries[key]
 
     def clear(self) -> None:
         with self._lock:

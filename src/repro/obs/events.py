@@ -10,9 +10,7 @@ required to carry, so a consumer can validate any line of a dump
 against :func:`validate_event` without knowing who produced it.
 
 Events land in a bounded ring (oldest dropped first, with a drop
-counter) so a long simulation cannot grow memory without limit, and an
-optional file sink streams each event as a JSONL line the moment it is
-emitted — the sink sees every event even when the ring has wrapped.
+counter) so a long simulation cannot grow memory without limit.
 
 Like the rest of :mod:`repro.obs`, the log is storage only: call sites
 guard on ``obs.ENABLED`` and never reach it on a disabled run (the
@@ -24,7 +22,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from typing import Callable, IO
+from typing import Callable
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -190,19 +188,17 @@ def validate_event(obj: dict) -> None:
 
 
 class EventLog:
-    """Bounded in-memory event ring with an optional streaming JSONL sink."""
+    """Bounded in-memory event ring."""
 
     def __init__(
         self,
         capacity: int = 10_000,
         clock: Callable[[], float] = time.perf_counter,
-        sink: IO[str] | None = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.clock = clock
-        self.sink = sink
         self.events: deque[Event] = deque(maxlen=capacity)
         self.dropped = 0
         self._next_seq = 0
@@ -231,8 +227,6 @@ class EventLog:
         if len(self.events) == self.capacity:
             self.dropped += 1  # deque(maxlen) evicts the oldest on append
         self.events.append(event)
-        if self.sink is not None:
-            self.sink.write(event.to_json() + "\n")
         return event
 
     def __len__(self) -> int:

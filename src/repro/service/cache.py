@@ -12,9 +12,11 @@ verifier:
   correspondence check tied the two), and the block's hash fixes the
   world and prefix T was checked in — so a presented T with the held
   hash, confirmed in the held block, is owed the same judgement and the
-  same resolution.  An entry under other hashes (poisoned, or recorded
-  under a block a reorg replaced) is evicted, counted, and the
-  transaction is checked from scratch.
+  same resolution.  A request reads each presented txid once
+  (:meth:`~TxMemoTable.get`, for the references) and ``admit`` judges
+  what that read found (:meth:`~TxMemoTable.judge`).  An entry under
+  other hashes (poisoned, or recorded under a block a reorg replaced) is
+  evicted, counted, and the transaction is checked from scratch.
 
 * The affirmation cache is the sigcache pattern applied to the proof
   checker's hottest leaf: ECDSA verification of ``assert`` /
@@ -48,7 +50,7 @@ class TxMemoTable:
     def __init__(self, capacity: int = 4096):
         self._lru = LRU(capacity)
         # Counted here by outcome, not by the LRU: a found entry whose
-        # hashes disagree is neither a hit nor a miss.  Requests look up
+        # hashes disagree is neither a hit nor a miss.  Requests judge
         # from several threads, so the counts move under a lock.
         self._lock = threading.Lock()
         self.hits = 0
@@ -58,35 +60,41 @@ class TxMemoTable:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def _count(self, outcome: str) -> None:
-        with self._lock:
-            setattr(self, outcome, getattr(self, outcome) + 1)
-        if obs.ENABLED:
-            obs.inc(f"service.memo_{outcome}_total")
+    def get(self, txid: bytes) -> Admission | None:
+        """The admission held under ``txid``, whatever its hashes — the one
+        read a request makes of a presented transaction (uncounted: what
+        it is worth is for :meth:`judge` to say)."""
+        return self._lru.get(txid)
 
-    def refs(self, txid: bytes, txn_hash: bytes) -> frozenset[bytes] | None:
-        """The references of the transaction held under ``txid``, if it
-        has this hash (uncounted: they are a function of T alone)."""
-        held = self._lru.get(txid)
-        return held.refs if held is not None and held.hash == txn_hash else None
-
-    def lookup(self, txid: bytes, txn_hash: bytes, block_hash: bytes):
-        """The admission held for ``txid`` if it was of a transaction with
-        ``txn_hash`` confirmed in block ``block_hash``, else None.  An
-        entry under other hashes (poisoned, or made stale by a reorg) is
-        evicted and counted — the path the chaos scenario exercises."""
-        held = self._lru.get(txid)
+    def judge(
+        self, txid: bytes, held: Admission | None, txn_hash: bytes,
+        block_hash: bytes,
+    ) -> Admission | None:
+        """``held`` (what :meth:`get` read under ``txid``) if it admitted a
+        transaction with ``txn_hash`` confirmed in block ``block_hash``,
+        else None; counted as a hit, a miss or a rejection.  An entry under
+        other hashes (poisoned, or made stale by a reorg) is evicted unless
+        another request has since recorded a fresh one — the path the
+        chaos scenario exercises."""
         if held is None:
-            self._count("misses")
-        elif held.hash != txn_hash or held.block_hash != block_hash:
-            self._lru.pop(txid)
-            self._count("poison_rejected")
+            with self._lock:
+                self.misses += 1
             if obs.ENABLED:
-                obs.emit("service.poison_rejected", txid=txid.hex()[:16])
-            held = None
-        else:
-            self._count("hits")
-        return held
+                obs.inc("service.memo_misses_total")
+            return None
+        if held.hash == txn_hash and held.block_hash == block_hash:
+            with self._lock:
+                self.hits += 1
+            if obs.ENABLED:
+                obs.inc("service.memo_hits_total")
+            return held
+        self._lru.evict(txid, held)
+        with self._lock:
+            self.poison_rejected += 1
+        if obs.ENABLED:
+            obs.inc("service.memo_poison_rejected_total")
+            obs.emit("service.poison_rejected", txid=txid.hex()[:16])
+        return None
 
     def record(self, txid: bytes, admission: Admission) -> None:
         self._lru.put(txid, admission)

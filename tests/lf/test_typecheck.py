@@ -226,6 +226,19 @@ class TestBasis:
         assert len(merged) == len(basis) + 1
         assert ConstRef(THIS, "c") in merged
 
+    def test_extended_names_the_first_clash_in_the_extension(self):
+        """Either side is left as it was, and the message names the first
+        constant of ``other``, in its order, that ``self`` declares."""
+        base, other = Basis(), Basis()
+        for name in ("a", "b", "c"):
+            base.declare_local(name, TypeDecl(NAT_T))
+        for name in ("z", "c", "b"):
+            other.declare_local(name, TypeDecl(NAT_T))
+        with pytest.raises(BasisError) as raised:
+            base.extended(other)
+        assert str(raised.value) == "constant this.c already declared"
+        assert (len(base), len(other)) == (3, 3)
+
     def test_resolved_rewrites_names_and_bodies(self):
         txid = b"\x11" * 32
         basis = Basis()

@@ -18,13 +18,13 @@ class TestTxMemoTable:
 
     def test_miss_then_hit(self):
         memo = TxMemoTable()
-        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is None
-        assert memo.refs(self.TXID, self.HASH) is None
+        assert memo.get(self.TXID) is None
+        assert memo.judge(self.TXID, None, self.HASH, self.BLOCK) is None
         memo.record(self.TXID, self.HELD)
-        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is self.HELD
-        # References are read by T's hash alone, and are not counted.
-        assert memo.refs(self.TXID, self.HASH) == self.HELD.refs
-        assert memo.refs(self.TXID, sha256(b"other")) is None
+        held = memo.get(self.TXID)
+        assert held is self.HELD
+        assert memo.judge(self.TXID, held, self.HASH, self.BLOCK) is self.HELD
+        # The read is not counted: only the judgement is.
         assert (memo.hits, memo.misses, memo.poison_rejected) == (1, 1, 0)
 
     @pytest.mark.parametrize("stale", ["hash", "block"])
@@ -34,7 +34,8 @@ class TestTxMemoTable:
         memo = TxMemoTable()
         memo.record(self.TXID, self.HELD)
         asked = {"hash": self.HASH, "block": self.BLOCK, stale: sha256(b"x")}
-        assert memo.lookup(self.TXID, asked["hash"], asked["block"]) is None
+        held = memo.get(self.TXID)
+        assert memo.judge(self.TXID, held, asked["hash"], asked["block"]) is None
         assert (memo.hits, memo.misses, memo.poison_rejected) == (0, 0, 1)
         assert len(memo) == 0
 
@@ -42,14 +43,30 @@ class TestTxMemoTable:
         memo = TxMemoTable()
         memo.record(self.TXID, self.HELD)
         memo.poison(self.TXID, b"\x00" * 32)
-        # The hash check catches the corruption: no hit, no refs, entry gone.
-        assert memo.refs(self.TXID, self.HASH) is None
-        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is None
+        # The hash check catches the corruption: no hit, entry gone.
+        held = memo.get(self.TXID)
+        assert held.hash != self.HASH
+        assert memo.judge(self.TXID, held, self.HASH, self.BLOCK) is None
         assert (memo.hits, memo.misses, memo.poison_rejected) == (0, 0, 1)
         # The table is empty again, so an honest re-record works.
         assert len(memo) == 0
         memo.record(self.TXID, self.HELD)
-        assert memo.lookup(self.TXID, self.HASH, self.BLOCK) is self.HELD
+        held = memo.get(self.TXID)
+        assert memo.judge(self.TXID, held, self.HASH, self.BLOCK) is self.HELD
+
+    def test_a_stale_read_leaves_a_fresh_admission_held(self):
+        """A request read a stale entry; another request recorded a fresh
+        admission before the first judged what it read.  The stale entry
+        is rejected, and the fresh one is not evicted in its place."""
+        memo = TxMemoTable()
+        stale = self.HELD._replace(block_hash=sha256(b"replaced block"))
+        memo.record(self.TXID, stale)
+        held = memo.get(self.TXID)
+        fresh = self.HELD._replace(refs=frozenset())
+        memo.record(self.TXID, fresh)
+        assert memo.judge(self.TXID, held, self.HASH, self.BLOCK) is None
+        assert (memo.hits, memo.misses, memo.poison_rejected) == (0, 0, 1)
+        assert memo.get(self.TXID) is fresh
 
     def test_capacity_bounds_entries(self):
         memo = TxMemoTable(capacity=2)

@@ -51,7 +51,7 @@ class TestVerdicts:
         svc = VerificationService(net.chain)
         try:
             monkeypatch.setattr(
-                svc.memo, "lookup",
+                svc.memo, "get",
                 lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
             )
             verdict = svc.verify(valid_bundle)
@@ -70,6 +70,22 @@ class TestMemo:
         assert service.verify(received).status == "ok"
         assert service.memo.hits == len(valid_bundle.transactions)
         assert len(service.memo) == len(valid_bundle.transactions)
+
+    def test_a_request_reads_the_memo_once_per_transaction(
+        self, service, valid_bundle, monkeypatch
+    ):
+        """All misses, then all hits: each presented txid is read from the
+        memo's map once per request, and a hit does not read it again."""
+        lru, reads = service.memo._lru, []
+        get = lru.get
+        monkeypatch.setattr(lru, "get", lambda key: reads.append(key) or get(key))
+        presented = sorted(valid_bundle.transactions)
+        assert service.verify(valid_bundle).status == "ok"
+        assert (service.memo.misses, sorted(reads)) == (len(presented), presented)
+        reads.clear()
+        received = decode_bundle(encode_bundle(valid_bundle))
+        assert service.verify(received).status == "ok"
+        assert (service.memo.hits, sorted(reads)) == (len(presented), presented)
 
     def test_poisoned_entry_rejected_and_verdict_still_right(
         self, service, valid_bundle

@@ -60,6 +60,18 @@ class TestLRU:
         lru.clear()
         assert len(lru) == 0 and "b" not in lru
 
+    def test_evict_drops_only_the_value_it_read(self):
+        lru = LRU(2)
+        read, stored = object(), object()
+        lru.put("a", read)
+        lru.evict("a", read)
+        assert "a" not in lru
+        lru.evict("a", read)  # not held: nothing to drop
+        # Another thread stored a value after this one read: it stays.
+        lru.put("a", stored)
+        lru.evict("a", read)
+        assert lru.get("a") is stored
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             LRU(0)

@@ -16,12 +16,18 @@ second walk of a transaction it holds:
   ``record`` are reached from ``admit`` — ``register`` also resolves for
   a caller that hands it nothing, and the only such callers left are the
   repository benchmark's (``bench/``), so the default can go once they
-  pass it.
+  pass it;
+* a request reads the memo once per presented transaction: ``memo.get``
+  is called only from ``_references``, which hands what it read on, and
+  ``judge`` only from ``admit``; the verifier and the service spell no
+  ``.refs(`` or ``.lookup(`` (the two reads a held transaction once got);
+* the proof checker builds its contexts directly: ``logic/checker.py``
+  spells no ``replace(``, which reflects over the fields on every binder.
 """
 
 import ast
 
-from tests.guards import ROOT, SRC, callers, sources
+from tests.guards import ROOT, SRC, callers, functions, sources, spelt
 
 VERIFIER = SRC / "core" / "verifier.py"
 
@@ -64,3 +70,33 @@ def test_only_the_benchmark_leaves_register_to_resolve():
             ):
                 short.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert short == []
+
+
+def _memo_calls(method) -> set[str]:
+    """``path:function`` of every call of ``memo.<method>`` (or
+    ``<x>.memo.<method>``) under ``src/repro``."""
+    found = set()
+    for path in sources():
+        for function in functions(ast.parse(path.read_text())):
+            for node in ast.walk(function):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == method
+                ):
+                    continue
+                owner = node.func.value
+                names = getattr(owner, "id", None), getattr(owner, "attr", None)
+                if "memo" in names:
+                    found.add(f"{path.relative_to(SRC)}:{function.name}")
+    return found
+
+
+def test_a_request_reads_the_memo_once_per_transaction():
+    assert _memo_calls("get") == {"core/verifier.py:_references"}
+    assert callers("judge") == {"core/verifier.py:admit"}
+    assert spelt(r"\.(refs|lookup)\(", [VERIFIER, *sources(SRC / "service")]) == []
+
+
+def test_the_checker_builds_its_contexts_directly():
+    assert spelt(r"\breplace\(", [SRC / "logic" / "checker.py"]) == []

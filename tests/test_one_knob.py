@@ -39,7 +39,6 @@ UNSET = {
     "repro.crypto.ecdsa:batch_verify(seed)": "item 8",
     "repro.crypto.secp256k1:scalar_mult(p)":
         "seam: k·P off the generator, tests/crypto/test_ecmult.py",
-    "repro.obs.events:EventLog.__init__(sink)": "item 10",
     "repro.service.cache:TxMemoTable.__init__(capacity)":
         "seam: eviction at a small bound, tests/service/test_cache.py",
     "repro.service.server:VerificationService.__init__(min_confirmations)":
