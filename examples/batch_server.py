@@ -11,8 +11,15 @@ transaction batching the whole virtual history.
 network" — the final withdrawal is a perfectly ordinary Typecoin
 transaction that any third party can verify with the §3 protocol.
 
+The server keeps a journal, and a second server over it — a restart —
+holds what the first held: deposits and virtual transactions are
+re-verified, and the withdrawal is not submitted again.
+
 Run: ``python examples/batch_server.py``
 """
+
+import os
+import tempfile
 
 from repro.bitcoin.transaction import OutPoint
 from repro.core.batch import (
@@ -37,6 +44,11 @@ from repro.logic.propositions import One
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        run(os.path.join(scratch, "batch.journal"))
+
+
+def run(journal: str) -> None:
     from repro.bitcoin.regtest import RegtestNetwork
 
     net = RegtestNetwork()
@@ -45,7 +57,7 @@ def main() -> None:
     student_a = TypecoinClient(net, b"batch-student-a", ledger)
     student_b = TypecoinClient(net, b"batch-student-b", ledger)
     net.fund_wallet(bank.wallet)
-    server = BatchServer(net, b"batch-it-dept", ledger)
+    server = BatchServer(net, b"batch-it-dept", ledger, journal_path=journal)
     net.fund_wallet(server.client.wallet)
 
     # --- publish the meal-credit currency and issue to the server ---------
@@ -122,6 +134,17 @@ def main() -> None:
     print(f"student B graduated: withdrawal carrier"
           f" {carrier.txid_hex[:16]}… routes coin 8 to her key and"
           " the rest back to the server")
+
+    # --- a restart: the journal replays to the same holdings ---------------
+    height = net.chain.height
+    restarted = BatchServer(net, b"batch-it-dept", Ledger(), journal_path=journal)
+    assert server.holdings_of(student_a.principal)  # A's 12 credits
+    for student in (student_a, student_b):
+        held = server.holdings_of(student.principal)
+        assert restarted.holdings_of(student.principal) == held
+    assert net.chain.height == height and not net.mempool
+    print("a restarted server replayed its journal to the same holdings,"
+          " submitting nothing")
 
     # --- any third party can verify the withdrawn txout --------------------
     claim = server.client.claim_bundle(

@@ -38,17 +38,21 @@ from repro.bitcoin.validation import (
 HALVING_INTERVAL = 210_000
 INITIAL_SUBSIDY = 50 * COIN
 MEDIAN_TIME_SPAN = 11
+GENESIS_TIMESTAMP = 1_000_000_000
 
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Consensus parameters; the regtest preset makes mining instant."""
+    """Consensus parameters; the regtest preset makes mining instant.
+
+    Every chain's genesis is stamped :data:`GENESIS_TIMESTAMP`, so two
+    chains have the same genesis exactly when their parameters agree.
+    """
 
     max_target: int = MAX_TARGET
     retarget_window: int = RETARGET_WINDOW
     block_interval: int = BLOCK_INTERVAL_TARGET
     require_pow: bool = True
-    genesis_timestamp: int = 1_000_000_000
 
     @staticmethod
     def regtest() -> "ChainParams":
@@ -69,7 +73,7 @@ def make_genesis(params: ChainParams) -> Block:
     block = build_block(
         prev_hash=b"\x00" * 32,
         txs=[coinbase],
-        timestamp=params.genesis_timestamp,
+        timestamp=GENESIS_TIMESTAMP,
         bits=bits,
     )
     if params.require_pow:

@@ -220,6 +220,7 @@ ALL_BEHAVIORS = BYZANTINE_BEHAVIORS + ("garbage_compact",)
 
 FORK_DEPTH = 3  # how far behind the tip a ``stale_fork`` block branches
 SPAM_BATCH = 8  # orphans per ``orphan_spam``, short ids per ``garbage_compact``
+ATTACK_INTERVAL = 1800.0  # sim-seconds between a ``ByzantinePeer``'s attacks
 
 
 class ByzantinePeer:
@@ -227,7 +228,7 @@ class ByzantinePeer:
 
     The underlying node gossips honestly (so the attacker stays connected
     and informed), while this controller periodically pushes attacks at
-    its peers, cycling through ``behaviors``:
+    its peers every :data:`ATTACK_INTERVAL`, cycling through ``behaviors``:
 
     * ``invalid_block`` — a block with wrong difficulty bits: consensus-
       invalid, worth :data:`~repro.bitcoin.relay.POINTS_INVALID_BLOCK`
@@ -259,7 +260,6 @@ class ByzantinePeer:
         self,
         node: Node,
         behaviors: tuple[str, ...] = BYZANTINE_BEHAVIORS,
-        interval: float = 1800.0,
     ):
         unknown = set(behaviors) - set(ALL_BEHAVIORS)
         if unknown:
@@ -268,7 +268,6 @@ class ByzantinePeer:
             raise ValueError("at least one behavior required")
         self.node = node
         self.behaviors = tuple(behaviors)
-        self.interval = interval
         self.wallet = Wallet.from_seed(b"byzantine:" + node.name.encode())
         self.attacks_sent: dict[str, int] = {b: 0 for b in self.behaviors}
         self._ticks = 0
@@ -276,7 +275,7 @@ class ByzantinePeer:
         self._spent: set[OutPoint] = set()
 
     def start(self) -> None:
-        self.node.sim.schedule(self.interval, self._tick)
+        self.node.sim.schedule(ATTACK_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         if self.node.alive and self.node.peers:
@@ -284,7 +283,7 @@ class ByzantinePeer:
             getattr(self, "_attack_" + behavior)()
             self.attacks_sent[behavior] += 1
         self._ticks += 1
-        self.node.sim.schedule(self.interval, self._tick)
+        self.node.sim.schedule(ATTACK_INTERVAL, self._tick)
 
     # -- helpers -------------------------------------------------------
 

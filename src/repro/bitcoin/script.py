@@ -298,13 +298,12 @@ class ExecutionBudget:
     """Resource accounting for one script execution.
 
     Tracks totals (``ops``, ``pushes``) across both scripts for metrics,
-    while enforcing the per-script op limit Bitcoin imposes and an overall
-    push budget; exhaustion raises :class:`ScriptResourceError` rather
-    than letting a runaway script spin.
+    while enforcing the per-script op limit Bitcoin imposes
+    (:data:`MAX_OPS_PER_SCRIPT`) and an overall push budget
+    (:data:`MAX_SCRIPT_PUSHES`); exhaustion raises
+    :class:`ScriptResourceError` rather than letting a runaway script spin.
     """
 
-    max_ops: int = MAX_OPS_PER_SCRIPT
-    max_pushes: int = MAX_SCRIPT_PUSHES
     ops: int = 0
     pushes: int = 0
     script_ops: int = 0  # ops within the currently running script
@@ -315,12 +314,12 @@ class ExecutionBudget:
     def count_op(self) -> None:
         self.ops += 1
         self.script_ops += 1
-        if self.script_ops > self.max_ops:
+        if self.script_ops > MAX_OPS_PER_SCRIPT:
             raise ScriptResourceError("op count limit exceeded")
 
     def count_push(self) -> None:
         self.pushes += 1
-        if self.pushes > self.max_pushes:
+        if self.pushes > MAX_SCRIPT_PUSHES:
             raise ScriptResourceError("push budget exceeded")
 
 

@@ -34,15 +34,16 @@ from __future__ import annotations
 from repro import obs
 from repro.lru import LRU
 
-DEFAULT_MAX_ENTRIES = 65_536
+MAX_ENTRIES = 65_536
+
 
 class SignatureCache:
     """Bounded LRU of ECDSA verdicts by triple — digest, pubkey bytes,
     signature bytes without the hashtype byte — and script verdicts by
-    txid (always True)."""
+    txid (always True); it holds ``MAX_ENTRIES``, read at construction."""
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self._lru = LRU(max_entries)
+    def __init__(self):
+        self._lru = LRU(MAX_ENTRIES)
 
     def __len__(self) -> int:
         return len(self._lru)

@@ -24,6 +24,8 @@ from repro.bitcoin.transaction import OutPoint, Transaction, TxIn, TxOut
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.crypto.keys import PrivateKey
 
+_ALL = bytes([SigHashType.ALL])  # the hashtype byte every signature carries
+
 
 class WalletError(Exception):
     """Raised for signing and funding failures."""
@@ -133,29 +135,29 @@ class Wallet:
         tx: Transaction,
         input_index: int,
         script_pubkey: Script,
-        hash_type: int = SigHashType.ALL,
     ) -> Transaction:
-        """Sign one input, returning the transaction with scriptSig filled."""
+        """Sign one input with ``SIGHASH_ALL``, returning the transaction
+        with scriptSig filled."""
         classified = classify(script_pubkey)
-        digest = signature_hash(tx, input_index, script_pubkey, hash_type)
+        digest = signature_hash(tx, input_index, script_pubkey, SigHashType.ALL)
         if classified.type is ScriptType.P2PKH:
             key = self._key_for_hash(classified.data[0])
             if key is None:
                 raise WalletError("no key for P2PKH output")
-            sig = key.sign_digest(digest).encode() + bytes([hash_type])
+            sig = key.sign_digest(digest).encode() + _ALL
             script_sig = Script([sig, key.public.encoded])
         elif classified.type is ScriptType.P2PK:
             key = self._key_for_pubkey(classified.data[0])
             if key is None:
                 raise WalletError("no key for P2PK output")
-            sig = key.sign_digest(digest).encode() + bytes([hash_type])
+            sig = key.sign_digest(digest).encode() + _ALL
             script_sig = Script([sig])
         elif classified.type is ScriptType.MULTISIG:
             sigs: list[bytes] = []
             for pubkey in classified.data:
                 key = self._key_for_pubkey(pubkey)
                 if key is not None:
-                    sigs.append(key.sign_digest(digest).encode() + bytes([hash_type]))
+                    sigs.append(key.sign_digest(digest).encode() + _ALL)
                 if len(sigs) == classified.required_sigs:
                     break
             if len(sigs) < classified.required_sigs:

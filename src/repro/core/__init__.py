@@ -26,7 +26,6 @@ from repro.core.overlay import (
 )
 from repro.core.verifier import ClaimBundle, VerificationError, verify_claim
 from repro.core.wallet import TypecoinClient
-from repro.core.fallback import FallbackError, FallbackList
 from repro.core.batch import BatchServer, BatchError, VirtualTransaction
 from repro.core.escrow import EscrowAgent, EscrowError, OpenTransaction
 from repro.core.builder import basis_publication, build_with_payload, simple_transfer
@@ -58,8 +57,6 @@ __all__ = [
     "VerificationError",
     "verify_claim",
     "TypecoinClient",
-    "FallbackError",
-    "FallbackList",
     "BatchServer",
     "BatchError",
     "VirtualTransaction",

@@ -160,7 +160,6 @@ class FileServer:
 
     chain: Blockchain
     vocab: AuthVocabulary
-    min_confirmations: int = 1
     contents: dict[str, bytes] = field(default_factory=dict)
     _tickets: dict[int, WriteTicket] = field(default_factory=dict)
     _used_nonces: set[int] = field(default_factory=set)
@@ -202,7 +201,6 @@ class FileServer:
             verify_claim(
                 self.chain,
                 bundle,
-                min_confirmations=self.min_confirmations,
                 require_unspent=False,  # spending the spent credential later
                 # is the writer's cleanup business (§3.1)
             )

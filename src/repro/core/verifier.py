@@ -47,6 +47,10 @@ from repro.core.validate import (
 )
 from repro.lf.walk import convertible, normalize
 
+# The confirmation policy (§1 item 6 suggests six ≈ one hour; regtest runs
+# use one): how deep a carrier must be before :func:`admit` takes its T.
+MIN_CONFIRMATIONS = 1
+
 
 class VerificationError(Exception):
     """A claim failed verification, with the failing check named."""
@@ -136,20 +140,18 @@ def dependency_levels(
 def verify_claim(
     chain: Blockchain,
     bundle: ClaimBundle,
-    min_confirmations: int = 1,
     require_unspent: bool = True,
     base_ledger: Ledger | None = None,
 ) -> Ledger:
     """Run the full §3 protocol; returns the ledger built from the bundle.
 
-    ``min_confirmations`` is the verifier's confirmation policy (§1 item 6
-    suggests six ≈ one hour; regtest tests use one).  ``base_ledger`` seeds
-    verification with already-trusted history (e.g. a batch server's own
-    records) — the bundle only needs transactions *beyond* it.
+    Every carrier must be :data:`MIN_CONFIRMATIONS` deep.
+    ``require_unspent`` also refuses a claimed txout already spent.
+    ``base_ledger`` seeds verification with already-trusted history (e.g. a
+    batch server's own records) — the bundle only needs transactions
+    *beyond* it.
     """
-    ledger = _verify_claim(
-        chain, bundle, min_confirmations, require_unspent, base_ledger
-    )
+    ledger = _verify_claim(chain, bundle, require_unspent, base_ledger)
     if obs.ENABLED:
         obs.inc("verify.claims_total")
         obs.inc("verify.carriers_total", len(bundle.transactions))
@@ -159,7 +161,6 @@ def verify_claim(
 def _verify_claim(
     chain: Blockchain,
     bundle: ClaimBundle,
-    min_confirmations: int,
     require_unspent: bool,
     base_ledger: Ledger | None = None,
     memo=None,
@@ -192,7 +193,7 @@ def _verify_claim(
             if txid not in ledger.transactions:
                 admit(
                     ledger, chain, txid, bundle.transactions[txid],
-                    min_confirmations, memo, references[txid], held[txid],
+                    memo, references[txid], held[txid],
                 )
 
     # Finally: I's type is as claimed.
@@ -214,7 +215,6 @@ def admit(
     chain: Blockchain,
     txid: bytes,
     txn: TypecoinTransaction,
-    min_confirmations: int = 1,
     memo=None,
     refs: frozenset[bytes] | None = None,
     held: Admission | None = None,
@@ -222,10 +222,10 @@ def admit(
     """Chain formation, one step (Appendix A: 𝔗, txid:T : Σ) — the only
     way a transaction enters a ``Ledger``.
 
-    T's carrier is on the active chain under ``txid`` at the caller's
-    confirmation policy and embeds hash(T) (§3 check 1), and 𝔗;Σ ⊢ T ok
-    in the world of the block that confirmed it (checks 2 and 3); then T
-    is registered.  Raises ``VerificationError`` naming the failing check
+    T's carrier is on the active chain under ``txid``, at least
+    :data:`MIN_CONFIRMATIONS` deep, and embeds hash(T) (§3 check 1), and
+    𝔗;Σ ⊢ T ok in the world of the block that confirmed it (checks 2 and
+    3); then T is registered.  Raises ``VerificationError`` naming the failing check
     and leaves ``ledger`` as it was.
 
     ``memo`` (``judge(txid, held, hash, block_hash)`` / ``record(txid,
@@ -250,10 +250,10 @@ def admit(
         )
     carrier, height = found
     confirmations = chain.height - height + 1
-    if confirmations < min_confirmations:
+    if confirmations < MIN_CONFIRMATIONS:
         raise VerificationError(
             f"carrier {txid[:8].hex()}… has {confirmations}"
-            f" confirmations, policy requires {min_confirmations}"
+            f" confirmations, policy requires {MIN_CONFIRMATIONS}"
         )
     if memo is None:
         held = None

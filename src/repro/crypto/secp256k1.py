@@ -25,8 +25,8 @@ kernel is kept at what CPython's bignums cost:
   signed affine table entry into the bucket of its position; :func:`_ladder`
   then doubles once per position and adds only that position's bucket,
   with the doubling and the mixed addition inlined, and stays in Jacobian
-  coordinates until a single final inversion.  :func:`scalar_mult` on an
-  arbitrary point, :func:`dual_scalar_mult` (ECDSA verification) and
+  coordinates until a single final inversion.  :func:`dual_scalar_mult`
+  (ECDSA verification; ``dual_scalar_mult(0, k, P)`` is k·P) and
   :func:`multi_scalar_mult` differ only in the buckets they fill;
 * **eight cuts for held keys** — a key's table is a list of one or eight
   cuts, the width-6 odd multiples 1·, 3·, …, 31·2^(16j)·Q for j = 0..7.
@@ -502,18 +502,16 @@ def _ladder(buckets: _Buckets) -> tuple[int, int, int]:
     return x, y, z
 
 
-def scalar_mult(k: int, p: Point = GENERATOR) -> Point:
-    """Compute k·P — the comb for the generator, the ladder otherwise."""
+def scalar_mult(k: int) -> Point:
+    """Compute k·G from the generator's comb (a key's public point, a
+    signature's nonce point); k·P for another P is
+    ``dual_scalar_mult(0, k, P)``."""
     k %= CURVE_ORDER
-    if k == 0 or p.is_infinity:
+    if k == 0:
         return INFINITY
     if obs.ENABLED:
         obs.inc("ecmult.mults_total")
-    if p.x == _GX and p.y == _GY:
-        return _from_jacobian(_gen_mult_jacobian(k))
-    buckets: _Buckets = []
-    _glv_streams(buckets, k, _point_wnaf_tables(p), _WNAF_WIDTH)
-    return _from_jacobian(_ladder(buckets))
+    return _from_jacobian(_gen_mult_jacobian(k))
 
 
 def lift_x(x: int, odd: bool) -> Point | None:

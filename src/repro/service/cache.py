@@ -42,13 +42,16 @@ from repro.lru import LRU
 
 __all__ = ["TxMemoTable", "install_affirmation_cache"]
 
+MEMO_CAPACITY = 4096
+
 
 class TxMemoTable:
     """carrier txid → the :class:`~repro.core.verifier.Admission` that
-    ``admit`` recorded, believed only under the same hashes."""
+    ``admit`` recorded, believed only under the same hashes; it holds
+    ``MEMO_CAPACITY``, read at construction."""
 
-    def __init__(self, capacity: int = 4096):
-        self._lru = LRU(capacity)
+    def __init__(self):
+        self._lru = LRU(MEMO_CAPACITY)
         # Counted here by outcome, not by the LRU: a found entry whose
         # hashes disagree is neither a hit nor a miss.  Requests judge
         # from several threads, so the counts move under a lock.

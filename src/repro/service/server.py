@@ -64,19 +64,19 @@ class Verdict:
 
 
 class VerificationService:
-    """A memoizing, bounded claim verifier."""
+    """A memoizing, bounded claim verifier.
+
+    It asks what ``verify_claim`` asks by default: every carrier
+    ``core.verifier.MIN_CONFIRMATIONS`` deep and the claimed txout unspent.
+    """
 
     def __init__(
         self,
         chain,
         *,
-        min_confirmations: int = 1,
-        require_unspent: bool = True,
         max_inflight: int = 4,
     ):
         self.chain = chain
-        self.min_confirmations = min_confirmations
-        self.require_unspent = require_unspent
         self.max_inflight = max_inflight
         self.memo = TxMemoTable()
         self._lock = threading.Lock()
@@ -179,11 +179,7 @@ class VerificationService:
     def _verify(self, bundle: ClaimBundle) -> Verdict:
         try:
             _verify_claim(
-                self.chain,
-                bundle,
-                self.min_confirmations,
-                self.require_unspent,
-                memo=self.memo,
+                self.chain, bundle, require_unspent=True, memo=self.memo
             )
         except VerificationError as exc:
             return Verdict("invalid", str(exc))

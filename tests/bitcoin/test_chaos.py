@@ -39,7 +39,7 @@ from repro.bitcoin.network import (
     Simulation,
     build_network,
 )
-from repro.bitcoin import relay
+from repro.bitcoin import faults, relay
 from repro.bitcoin.pow import block_work, target_to_bits
 from repro.bitcoin.relay import (
     POINTS_INVALID_BLOCK,
@@ -691,11 +691,10 @@ class TestByzantinePeer:
         with pytest.raises(ValueError):
             ByzantinePeer(node, behaviors=())
 
-    def test_invalid_block_attacker_gets_banned(self):
+    def test_invalid_block_attacker_gets_banned(self, monkeypatch):
+        monkeypatch.setattr(faults, "ATTACK_INTERVAL", 600.0)
         sim, nodes = make_nodes(4, seed=31)
-        byz = ByzantinePeer(
-            nodes[-1], behaviors=("invalid_block",), interval=600.0
-        )
+        byz = ByzantinePeer(nodes[-1], behaviors=("invalid_block",))
         byz.start()
         miner = PoissonMiner(nodes[0], TOTAL_RATE, miner_id=1)
         miner.start()
@@ -713,24 +712,22 @@ class TestByzantinePeer:
 
     def test_orphan_spam_is_bounded(self, monkeypatch):
         monkeypatch.setattr(relay, "ORPHAN_LIMIT", 8)
+        monkeypatch.setattr(faults, "ATTACK_INTERVAL", 600.0)
         sim, nodes = make_nodes(4, seed=32)
-        byz = ByzantinePeer(
-            nodes[-1], behaviors=("orphan_spam",), interval=600.0
-        )
+        byz = ByzantinePeer(nodes[-1], behaviors=("orphan_spam",))
         byz.start()
         sim.run_until(24 * 3600)
         assert byz.attacks_sent["orphan_spam"] > 10
         for node in nodes[:-1]:
             assert len(node.relay._orphans) <= 8
 
-    def test_stale_fork_does_not_reorg_or_penalize(self):
+    def test_stale_fork_does_not_reorg_or_penalize(self, monkeypatch):
+        monkeypatch.setattr(faults, "ATTACK_INTERVAL", 600.0)
         sim, nodes = make_nodes(4, seed=33)
         miner = PoissonMiner(nodes[0], TOTAL_RATE, miner_id=1)
         miner.start()
         sim.run_while(lambda: nodes[0].chain.height < 10, limit=1e12)
-        byz = ByzantinePeer(
-            nodes[-1], behaviors=("stale_fork",), interval=600.0
-        )
+        byz = ByzantinePeer(nodes[-1], behaviors=("stale_fork",))
         byz.start()
         sim.run_until(sim.now + 6 * 3600)
         assert byz.attacks_sent["stale_fork"] > 0

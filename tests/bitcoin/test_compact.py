@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bitcoin import compact as cmod
+from repro.bitcoin import compact as cmod, faults
 from repro.bitcoin.chain import ChainParams
 from repro.bitcoin.compact import (
     COMPACT_MAX_ATTEMPTS,
@@ -332,14 +332,13 @@ class TestRecoveryLadder:
 
 
 class TestByzantineGarbage:
-    def test_garbage_announcements_penalize_and_ban(self):
+    def test_garbage_announcements_penalize_and_ban(self, monkeypatch):
+        monkeypatch.setattr(faults, "ATTACK_INTERVAL", 50.0)
         sim = Simulation(seed=8)
         nodes = build_network(sim, 4)
         for node in nodes:
             node.compact_relay = True
-        byz = ByzantinePeer(
-            nodes[3], behaviors=("garbage_compact",), interval=50.0
-        )
+        byz = ByzantinePeer(nodes[3], behaviors=("garbage_compact",))
         byz.start()
         victims = [n for n in nodes[:3] if nodes[3] in n.peers]
         assert victims

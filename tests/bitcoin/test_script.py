@@ -258,10 +258,10 @@ class TestExecution:
         assert len(script) == 3
 
 
+from repro.bitcoin import script as script_module
 from repro.bitcoin.script import (
     MAX_OPS_PER_SCRIPT,
     MAX_STACK_SIZE,
-    ExecutionBudget,
     ScriptResourceError,
     _Machine,
     _run,
@@ -287,17 +287,18 @@ class TestExecutionBudget:
         _run(Script([Op.OP_NOP] * 150), machine, no_signatures)
         assert machine.budget.ops == 300
 
-    def test_stack_size_limit(self):
-        machine = _Machine(
-            budget=ExecutionBudget(max_ops=10_000, max_pushes=10_000)
-        )
+    def test_stack_size_limit(self, monkeypatch):
+        monkeypatch.setattr(script_module, "MAX_OPS_PER_SCRIPT", 10_000)
+        monkeypatch.setattr(script_module, "MAX_SCRIPT_PUSHES", 10_000)
+        machine = _Machine()
         script = Script([Op.OP_1] + [Op.OP_DUP] * MAX_STACK_SIZE)
         with pytest.raises(ScriptResourceError, match="stack size limit"):
             _run(script, machine, no_signatures)
         assert len(machine.stack) + len(machine.alt) == MAX_STACK_SIZE + 1
 
-    def test_push_budget(self):
-        machine = _Machine(budget=ExecutionBudget(max_pushes=5))
+    def test_push_budget(self, monkeypatch):
+        monkeypatch.setattr(script_module, "MAX_SCRIPT_PUSHES", 5)
+        machine = _Machine()
         with pytest.raises(ScriptResourceError, match="push budget"):
             _run(Script([Op.OP_1] * 6), machine, no_signatures)
         assert machine.budget.pushes == 6

@@ -75,8 +75,9 @@ def script_runs(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_lru_eviction_order():
-    cache = SignatureCache(max_entries=2)
+def test_lru_eviction_order(monkeypatch):
+    monkeypatch.setattr(sigcache, "MAX_ENTRIES", 2)
+    cache = SignatureCache()
     cache.put(b"d1", b"p", b"s", True)
     cache.put(b"d2", b"p", b"s", True)
     # Touch d1 so d2 becomes least recently used.
@@ -88,18 +89,14 @@ def test_lru_eviction_order():
     assert len(cache) == 2
 
 
-def test_put_existing_key_updates_without_eviction():
-    cache = SignatureCache(max_entries=2)
+def test_put_existing_key_updates_without_eviction(monkeypatch):
+    monkeypatch.setattr(sigcache, "MAX_ENTRIES", 2)
+    cache = SignatureCache()
     cache.put(b"d1", b"p", b"s", True)
     cache.put(b"d2", b"p", b"s", True)
     cache.put(b"d1", b"p", b"s", True)  # refresh, no overflow
     assert len(cache) == 2
     assert cache.get(b"d2", b"p", b"s") is True
-
-
-def test_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        SignatureCache(max_entries=0)
 
 
 def test_clear():
@@ -111,7 +108,7 @@ def test_clear():
 
 
 def test_default_cache_swap():
-    mine = SignatureCache(max_entries=4)
+    mine = SignatureCache()
     old = sigcache.set_default_cache(mine)
     try:
         assert sigcache.default_cache() is mine
@@ -127,7 +124,7 @@ def test_default_cache_swap():
 # ----------------------------------------------------------------------
 
 
-def test_eviction_never_changes_verdicts():
+def test_eviction_never_changes_verdicts(monkeypatch):
     """Random triples through a 4-entry cache: the cache's answer always
     equals direct ECDSA verification, no matter what was evicted between
     asks — including cached ``False`` verdicts."""
@@ -146,7 +143,8 @@ def test_eviction_never_changes_verdicts():
         for t in triples
     }
 
-    cache = SignatureCache(max_entries=4)
+    monkeypatch.setattr(sigcache, "MAX_ENTRIES", 4)
+    cache = SignatureCache()
     for _ in range(200):
         digest, pub, sig = rng.choice(triples)
         verdict = cache.get(digest, pub, sig)
@@ -331,10 +329,11 @@ def _run_scenario(cache):
     return verdicts
 
 
-def test_differential_verdicts_cache():
+def test_differential_verdicts_cache(monkeypatch):
     baseline = _run_scenario(cache=_Forgetful())
     cached = _run_scenario(cache=SignatureCache())
-    evicting = _run_scenario(cache=SignatureCache(max_entries=1))
+    monkeypatch.setattr(sigcache, "MAX_ENTRIES", 1)
+    evicting = _run_scenario(cache=SignatureCache())
     assert baseline == cached == evicting
 
 
@@ -895,8 +894,9 @@ def test_a_fresh_default_cache_holds_no_verdict(script_runs):
     assert len(script_runs) == 3 * len(tx.vin)
 
 
-def test_the_lru_bound_counts_both_key_shapes():
-    cache = SignatureCache(max_entries=2)
+def test_the_lru_bound_counts_both_key_shapes(monkeypatch):
+    monkeypatch.setattr(sigcache, "MAX_ENTRIES", 2)
+    cache = SignatureCache()
     cache.put(b"d", b"p", b"s", True)
     cache.put_tx(b"\x01" * 32)
     assert cache.has_tx(b"\x01" * 32) and len(cache) == 2

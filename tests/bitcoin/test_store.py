@@ -446,9 +446,7 @@ class TestBlockStore:
     def test_foreign_chain_store_rejected(self, tmp_path):
         _, store = stored_chain(tmp_path, blocks=1)
         store.close()
-        foreign = replace(
-            ChainParams.regtest(), genesis_timestamp=2_000_000_000
-        )
+        foreign = replace(ChainParams.regtest(), max_target=2**251)
         other = Blockchain(foreign)
         with pytest.raises(StoreError, match="different chain"):
             other.attach_store(BlockStore(tmp_path).open())
@@ -457,9 +455,7 @@ class TestBlockStore:
         _, store = stored_chain(tmp_path, blocks=1)
         store.close()
         reopened = BlockStore(tmp_path).open()
-        foreign = replace(
-            ChainParams.regtest(), genesis_timestamp=2_000_000_000
-        )
+        foreign = replace(ChainParams.regtest(), max_target=2**251)
         with pytest.raises(ValidationError, match="genesis mismatch"):
             Blockchain.restore(reopened.recover(), params=foreign)
 

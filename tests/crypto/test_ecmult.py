@@ -74,7 +74,7 @@ def test_generator_mult_matches_naive(k):
 @pytest.mark.parametrize("k", SCALARS[:60])
 @pytest.mark.parametrize("base", BASE_POINTS)
 def test_arbitrary_point_mult_matches_naive(k, base):
-    assert scalar_mult(k, base) == scalar_mult_naive(k, base)
+    assert dual_scalar_mult(0, k, base) == scalar_mult_naive(k, base)
 
 
 def _checked_wnaf(k: int, width: int) -> list[int]:
@@ -153,11 +153,11 @@ def test_point_table_cache_bounded(monkeypatch):
     rng = random.Random(77)
     points = [scalar_mult_naive(rng.getrandbits(200) | 1) for _ in range(12)]
     for p in points:
-        assert scalar_mult(3, p) == scalar_mult_naive(3, p)
+        assert dual_scalar_mult(0, 3, p) == scalar_mult_naive(3, p)
     assert len(ec._POINT_TABLE_CACHE) <= 8
     # Cached and uncached paths agree.
     for p in points:
-        assert scalar_mult(99, p) == scalar_mult_naive(99, p)
+        assert dual_scalar_mult(0, 99, p) == scalar_mult_naive(99, p)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +240,7 @@ _points = st.integers(min_value=1, max_value=_N - 1).map(scalar_mult_naive)
 @given(_scalars, _points)
 @settings(max_examples=40, deadline=None)
 def test_ladder_single_matches_naive(k, base):
-    assert scalar_mult(k, base) == scalar_mult_naive(k, base)
+    assert dual_scalar_mult(0, k, base) == scalar_mult_naive(k, base)
 
 
 @given(_scalars, _scalars, _points)
@@ -260,7 +260,8 @@ def test_ladder_multi_matches_naive(terms):
     ec._POINT_TABLE_CACHE.clear()  # the uncached, jointly normalised tables
     assert multi_scalar_mult(terms) == want
     for _, point in terms[:2]:  # …beside cached ones
-        scalar_mult(3, point)
+        if point != GENERATOR:
+            dual_scalar_mult(0, 3, point)
     assert multi_scalar_mult(terms) == want
     for _, point in terms:  # …and all held
         if point != GENERATOR:
@@ -358,7 +359,7 @@ def _naive_verify(public: Point, digest: bytes, sig: ecdsa.Signature) -> bool:
 def test_quarters_dual_and_single_match_naive(sight, u1, u2, q):
     want = point_add(scalar_mult_naive(u1), scalar_mult_naive(u2, q))
     assert dual_scalar_mult(u1, u2, _SIGHT[sight](q)) == want
-    assert scalar_mult(u2, _SIGHT[sight](q)) == scalar_mult_naive(u2, q)
+    assert dual_scalar_mult(0, u2, _SIGHT[sight](q)) == scalar_mult_naive(u2, q)
 
 
 @pytest.mark.parametrize("sight", list(_SIGHT))
@@ -419,7 +420,7 @@ def test_cut_scalars_put_digits_on_every_cut():
 def test_digits_on_the_cuts(k, sight):
     q = BASE_POINTS[1]
     want = scalar_mult_naive(k, q)
-    assert scalar_mult(k, _SIGHT[sight](q)) == want
+    assert dual_scalar_mult(0, k, _SIGHT[sight](q)) == want
     assert dual_scalar_mult(k, k, _SIGHT[sight](q)) == point_add(
         scalar_mult_naive(k), want
     )
@@ -473,7 +474,7 @@ def test_an_evicted_key_comes_back_at_first_sight(monkeypatch):
         ec._point_wnaf_tables(scalar_mult(1000 + i))
     assert (key.x, key.y) not in ec._POINT_TABLE_CACHE
     assert len(ec._point_wnaf_tables(key)) == 1
-    assert scalar_mult(77, key) == scalar_mult_naive(77, key)
+    assert dual_scalar_mult(0, 77, key) == scalar_mult_naive(77, key)
     assert len(ec._POINT_TABLE_CACHE.get((key.x, key.y))) == ec._QUARTERS
 
 

@@ -1,6 +1,14 @@
 """Reference implementations the suite (and the smoke scripts) compare
 the program against.  Nothing under ``src/`` imports this module."""
 
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec as openssl_ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    Prehashed,
+    encode_dss_signature,
+)
+
 from repro.bitcoin.block import HEADER_SIZE, Block, BlockHeader
 from repro.bitcoin.script import Op, Script
 from repro.bitcoin.transaction import (
@@ -85,6 +93,31 @@ def point_add(p, q):
         slope = (q.y - p.y) * pow(q.x - p.x, -1, prime) % prime
     x3 = (slope * slope - p.x - q.x) % prime
     return ec.Point(x3, (slope * (p.x - x3) - p.y) % prime)
+
+
+def openssl_verify(public, digest, signature) -> bool:
+    """OpenSSL's verdict on ECDSA ``signature`` (any ``r``, ``s``) by the
+    key ``public`` over the 32-byte ``digest``, taken as already hashed."""
+    key = openssl_ec.EllipticCurvePublicKey.from_encoded_point(
+        openssl_ec.SECP256K1(), public.encode(compressed=False)
+    )
+    try:
+        key.verify(
+            encode_dss_signature(signature.r, signature.s),
+            digest,
+            openssl_ec.ECDSA(Prehashed(hashes.SHA256())),
+        )
+    except InvalidSignature:
+        return False
+    return True
+
+
+def openssl_public(secret: int):
+    """The public point OpenSSL derives from the scalar ``secret``."""
+    numbers = openssl_ec.derive_private_key(
+        secret, openssl_ec.SECP256K1()
+    ).public_key().public_numbers()
+    return ec.Point(numbers.x, numbers.y)
 
 
 def consensus_checkmultisig(sigs, pubkeys, checker):

@@ -7,6 +7,7 @@ from repro.core.verifier import Admission
 from repro.crypto.hashing import sha256
 from repro.logic import checker as _checker
 from repro.lru import LRU
+from repro.service import cache
 from repro.service.cache import TxMemoTable, install_affirmation_cache
 
 
@@ -68,8 +69,9 @@ class TestTxMemoTable:
         assert (memo.hits, memo.misses, memo.poison_rejected) == (0, 0, 1)
         assert memo.get(self.TXID) is fresh
 
-    def test_capacity_bounds_entries(self):
-        memo = TxMemoTable(capacity=2)
+    def test_capacity_bounds_entries(self, monkeypatch):
+        monkeypatch.setattr(cache, "MEMO_CAPACITY", 2)
+        memo = TxMemoTable()
         for i in range(5):
             memo.record(bytes([i]) * 32, self.HELD)
         assert len(memo) == 2

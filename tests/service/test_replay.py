@@ -26,6 +26,7 @@ from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint
 from repro.core.proofs import obligation_lambda
 from repro.core.transaction import TypecoinTransaction, trivial_output
+from repro.core import verifier
 from repro.core.verifier import VerificationError, verify_claim
 from repro.core.wallet import TypecoinClient
 from repro.lf.basis import Basis
@@ -84,15 +85,20 @@ def mutants(bundle):
         yield "dependency cycle", variant(looped)
 
 
-def assert_all_agree(chain, label, original, variants, **policy):
-    warmed = VerificationService(chain, **policy)
+def assert_all_agree(chain, label, original, variants):
+    """The library and the service read ``verifier.MIN_CONFIRMATIONS``;
+    the replay is told it."""
+    depth = verifier.MIN_CONFIRMATIONS
+    warmed = VerificationService(chain)
     try:
         for what, bundle in variants:
-            want, _ = outcome(replay_claim, chain, bundle, **policy)
-            library = outcome(verify_claim, chain, bundle, **policy)
+            want, _ = outcome(
+                replay_claim, chain, bundle, min_confirmations=depth
+            )
+            library = outcome(verify_claim, chain, bundle)
             assert library[0] == want, (label, what, library)
 
-            fresh = VerificationService(chain, **policy)
+            fresh = VerificationService(chain)
             try:
                 answers = {"fresh": fresh.verify(bundle)}
             finally:
@@ -110,7 +116,7 @@ def assert_all_agree(chain, label, original, variants, **policy):
         warmed.close()
 
 
-def test_library_and_service_agree_with_the_replay(working_set):
+def test_library_and_service_agree_with_the_replay(working_set, monkeypatch):
     chain = working_set.chain
     faults = set()
     for claim in working_set.claims:
@@ -121,11 +127,14 @@ def test_library_and_service_agree_with_the_replay(working_set):
         # One confirmation more than the claimed carrier has: upstream
         # transactions pass the policy, the claimed one does not.
         _, height = chain.get_transaction(claim.bundle.outpoint.txid)
-        assert_all_agree(
-            chain, claim.label, claim.bundle,
-            [("policy above the tip distance", claim.bundle)],
-            min_confirmations=chain.height - height + 2,
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                verifier, "MIN_CONFIRMATIONS", chain.height - height + 2
+            )
+            assert_all_agree(
+                chain, claim.label, claim.bundle,
+                [("policy above the tip distance", claim.bundle)],
+            )
     # The set has room for every kind of fault.
     assert faults == {"as", "wrong", "dropped", "two", "claimed", "dependency"}
 

@@ -2,18 +2,20 @@
 
 An option is a defaulted parameter of a function or method under
 ``src/repro`` (dunders other than ``__init__`` aside) or a field of a
-frozen dataclass with a plain default (a ``default_factory`` field is
-state, not an option).  It is *set* when a call in ``src/``,
+dataclass, frozen or not, with a plain default (a ``default_factory``
+field is state, not an option).  It is *set* when a call in ``src/``,
 ``examples/``, ``scripts/``, ``benchmarks/`` or ``bench/`` (its own tests
 aside) names the function or class and passes it, by keyword or by
-position; a ``*`` or ``**`` splat counts as passing what it could.  Calls
-are matched by name, so a name two callables share errs towards "set".
+position; a ``*`` or ``**`` splat counts as passing what it could.  A
+field is also set when code there assigns it (``x.field = …`` or
+``x.field += …``).  Calls and assignments are matched by name, so a name
+two callables or two classes share errs towards "set".
 
-An option no such call sets has one value, so it is a module constant or
-simply what the code does.  The few left are listed in ``UNSET``, each
-with the open ROADMAP item that decides it or the seam a test reaches
-through it.  The list only shrinks: an unlisted unset option fails, and
-so does a listed one that gained a caller or is gone.
+An option no caller sets has one value, so it is a module constant or
+simply what the code does; a test that needs another value monkeypatches
+the constant.  The few left are listed in ``UNSET``, each with the open
+ROADMAP item that decides it.  The list only shrinks: an unlisted unset
+option fails, and so does a listed one that gained a caller or is gone.
 """
 
 import ast
@@ -24,44 +26,20 @@ from tests.guards import ROOT, SRC, open_items, sources
 
 CALLERS = ("src", "examples", "scripts", "benchmarks", "bench")
 UNSET = {
-    "repro.bitcoin.chain:ChainParams(genesis_timestamp)":
-        "seam: a second genesis, tests/bitcoin/test_store.py",
     "repro.bitcoin.compact:CompactBlock.from_block(nonce)": "item 8",
-    "repro.bitcoin.faults:ByzantinePeer.__init__(interval)":
-        "seam: a faster attack clock, tests/bitcoin/test_chaos.py",
-    "repro.bitcoin.sigcache:SignatureCache.__init__(max_entries)":
-        "seam: eviction at a small bound, tests/bitcoin/test_sigcache.py",
-    "repro.bitcoin.wallet:Wallet.sign_input(hash_type)":
-        "seam: SIGHASH_ANYONECANPAY (§7), tests/bitcoin/test_wallet.py",
     "repro.core.auditor:audit_chain(strict)": "item 2",
-    "repro.core.batch:BatchServer.__init__(journal_path)":
-        "seam: journal replay, tests/core/test_batch.py",
     "repro.crypto.ecdsa:batch_verify(seed)": "item 8",
-    "repro.crypto.secp256k1:scalar_mult(p)":
-        "seam: k·P off the generator, tests/crypto/test_ecmult.py",
-    "repro.service.cache:TxMemoTable.__init__(capacity)":
-        "seam: eviction at a small bound, tests/service/test_cache.py",
-    "repro.service.server:VerificationService.__init__(min_confirmations)":
-        "seam: the library's policy, tests/service/test_replay.py",
-    "repro.service.server:VerificationService.__init__(require_unspent)":
-        "seam: the library's policy, tests/service/test_replay.py",
     "repro.surface.parser:parse_basis_text(resolver)": "item 18",
     "repro.surface.proofs:parse_proof(resolver)": "item 18",
 }
-REASON = re.compile(r"item \d+|seam: \S.*")
+REASON = re.compile(r"item \d+")
 
 
-def _frozen_dataclass(cls: ast.ClassDef) -> bool:
-    for decorator in cls.decorator_list:
-        if isinstance(decorator, ast.Call) and "dataclass" in ast.unparse(
-            decorator.func
-        ):
-            return any(
-                keyword.arg == "frozen"
-                and getattr(keyword.value, "value", None) is True
-                for keyword in decorator.keywords
-            )
-    return False
+def _dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        ast.unparse(getattr(d, "func", d)).endswith("dataclass")
+        for d in cls.decorator_list
+    )
 
 
 def _fields(cls: ast.ClassDef):
@@ -104,14 +82,15 @@ def _parameters(function, method: bool):
 
 
 def options(tree: ast.Module):
-    """``(called as, qualname, option, position)`` of every option."""
+    """``(called as, qualname, option, position, field)`` of every
+    option; ``field`` is true of a dataclass field."""
 
     def visit(body, prefix, in_class):
         for node in body:
             if isinstance(node, ast.ClassDef):
-                if _frozen_dataclass(node):
+                if _dataclass(node):
                     for name, position in _fields(node):
-                        yield node.name, prefix + node.name, name, position
+                        yield node.name, prefix + node.name, name, position, True
                 yield from visit(node.body, f"{prefix}{node.name}.", True)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = node.name
@@ -122,7 +101,7 @@ def options(tree: ast.Module):
                 else:
                     called = name
                 for option, position in _parameters(node, in_class):
-                    yield called, prefix + name, option, position
+                    yield called, prefix + name, option, position, False
                 yield from visit(node.body, f"{prefix}{name}.<locals>.", False)
 
     yield from visit(tree.body, "", False)
@@ -139,12 +118,35 @@ def _passes(call: ast.Call, option: str, position) -> bool:
     )
 
 
+def _assigned(node) -> set[str]:
+    """The attribute names ``node`` assigns, if it is an assignment
+    (``x.a = …``, ``x.a, y.b = …``, ``x.a += …``)."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return set()
+    names = set()
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif isinstance(target, ast.Attribute):
+            names.add(target.attr)
+    return names
+
+
 def scan(src: Path, callers) -> tuple[set[str], set[str]]:
     """Every option under ``src`` as ``module:qualname(option)``, and the
-    ones no call in ``callers`` sets."""
+    ones no call or assignment in ``callers`` sets."""
     calls: dict[str, list[ast.Call]] = {}
+    assigned: set[str] = set()
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text())):
+            assigned |= _assigned(node)
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(
@@ -154,11 +156,13 @@ def scan(src: Path, callers) -> tuple[set[str], set[str]]:
     every, unset = set(), set()
     for path in sources(src):
         module = ".".join(path.relative_to(src.parent).with_suffix("").parts)
-        for called, qualname, option, position in options(
+        for called, qualname, option, position, field in options(
             ast.parse(path.read_text())
         ):
             key = f"{module}:{qualname}({option})"
             every.add(key)
+            if field and option in assigned:
+                continue
             if not any(_passes(c, option, position) for c in calls.get(called, ())):
                 unset.add(key)
     return every, unset
@@ -193,9 +197,9 @@ def test_every_unset_option_is_listed_and_every_listed_one_is_unset():
 
 
 def test_every_entry_has_a_reason_and_every_item_is_open():
-    assert len(UNSET) <= 25
+    assert len(UNSET) <= 5
     assert [r for r in UNSET.values() if not REASON.fullmatch(r)] == []
-    items = {int(r.split()[1]) for r in UNSET.values() if r.startswith("item")}
+    items = {int(r.split()[1]) for r in UNSET.values()}
     assert items <= open_items()
 
 
@@ -209,22 +213,35 @@ def test_the_check_fails_both_ways(tmp_path):
         "    name: str\n"
         "    size: int = 1\n"
         "    parts: list = field(default_factory=list)\n"
+        "@dataclass\n"
+        "class Budget:\n"
+        "    limit: int = 5\n"
+        "    used: int = 0\n"
         "class Net:\n"
         "    def __init__(self, step=1): pass\n"
         "    def send(self, tx, *, fee=0): pass\n"
         "def _f(a, b=2): pass\n"
     )
     caller = tmp_path / "use.py"
-    caller.write_text("Shape('s', 3)\nNet().send(1)\n_f(1, 2)\n")
+    caller.write_text(
+        "Shape('s', 3)\nNet().send(1)\n_f(1, 2)\nb = Budget()\nb.used += 1\n"
+    )
     every, unset = scan(src, [caller])
     assert every == {
-        "pkg.mod:Shape(size)", "pkg.mod:Net.__init__(step)",
+        "pkg.mod:Shape(size)", "pkg.mod:Budget(limit)",
+        "pkg.mod:Budget(used)", "pkg.mod:Net.__init__(step)",
         "pkg.mod:Net.send(fee)", "pkg.mod:_f(b)",
     }
+    # A plain dataclass's field that no caller passes or assigns is unset
+    # (only a test sets it); one a caller assigns, as state is, is set.
     assert compare(every, unset, {"pkg.mod:Net.send(fee)": "item 8"}) == [
+        "unset and not listed: pkg.mod:Budget(limit)",
         "unset and not listed: pkg.mod:Net.__init__(step)",
     ]
-    caller.write_text("Shape('s')\nNet(step=2).send(1, fee=1)\n_f(1, 2)\n")
+    caller.write_text(
+        "Shape('s')\nNet(step=2).send(1, fee=1)\n_f(1, 2)\n"
+        "b = Budget(limit=9)\nb.used = 1\n"
+    )
     every, unset = scan(src, [caller])
     assert compare(every, unset, {
         "pkg.mod:Net.send(fee)": "item 8", "pkg.mod:Gone(x)": "item 8",

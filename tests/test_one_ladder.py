@@ -26,7 +26,7 @@ RETIRED = (
     r"list\[tuple\[list\[int\]",  # a (digits, table) stream
     r"\b_with_lambda\b",  # a stored λ-table
 )
-MULTIPLIERS = ("scalar_mult", "dual_scalar_mult", "multi_scalar_mult")
+MULTIPLIERS = ("dual_scalar_mult", "multi_scalar_mult")
 
 
 def test_no_dense_recoding_is_spelt():
@@ -58,6 +58,9 @@ def test_the_multipliers_share_one_recoder_and_one_ladder():
     assert {f for f, names in calls.items() if "_sparse_wnaf" in names} == {
         "_glv_streams"
     }
+    # k·G is the comb alone; k·P for another P is dual_scalar_mult(0, k, P).
+    assert "_gen_mult_jacobian" in calls["scalar_mult"]
+    assert "_ladder" not in calls["scalar_mult"]
 
 
 def test_each_multiplier_reaches_the_ladder_through_the_recoder(monkeypatch):
@@ -71,7 +74,7 @@ def test_each_multiplier_reaches_the_ladder_through_the_recoder(monkeypatch):
     )
     point = ec.scalar_mult(0xC0FFEE)
     for multiply in (
-        lambda: ec.scalar_mult(12345, point),
+        lambda: ec.dual_scalar_mult(0, 12345, point),
         lambda: ec.dual_scalar_mult(777, 12345, point),
         lambda: ec.multi_scalar_mult([(777, ec.GENERATOR), (12345, point)]),
     ):
