@@ -13,11 +13,11 @@ under the canonical 600 s block interval.
 
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint
-from repro.core.batch import BatchServer, VirtualOutput, VirtualTransaction, authorize
+from repro.core.batch import BatchServer, authorize
 from repro.core.builder import basis_publication, build_with_payload, simple_transfer
 from repro.core.currency import issue_proof, newcoin_basis
 from repro.core.proofs import obligation_lambda, tensor_intro_all
-from repro.core.transaction import TypecoinOutput
+from repro.core.transaction import TypecoinOutput, TypecoinTransaction
 from repro.core.validate import Ledger
 from repro.core.wallet import TypecoinClient
 from repro.lf.basis import Basis
@@ -85,21 +85,23 @@ def run_batched(net, bank, vocab, ledger):
     net.fund_wallet(server.client.wallet)
     carrier, _ = issue_coins(net, bank, vocab, 1, server.pubkey)
     bundle = bank.claim_bundle(OutPoint(carrier.txid, 0), vocab.coin_prop(1))
-    rid = server.deposit(bundle, owner=bank.principal)
+    held = server.deposit(bundle, bank.pubkey)
     total_fees = FEE  # the issuance/deposit carrier
     blocks_waited = CONFIRMATIONS
 
     for _ in range(N_OPERATIONS):
-        vtx = VirtualTransaction(
-            inputs=[rid],
-            outputs=[VirtualOutput(vocab.coin_prop(1), 600, bank.principal)],
-            proof=LolliIntro("x", vocab.coin_prop(1), PVar("x")),
+        txn = TypecoinTransaction(
+            Basis(), One(),
+            [server.input_for(held)],
+            [TypecoinOutput(vocab.coin_prop(1), 600, bank.pubkey)],
+            LolliIntro("x", vocab.coin_prop(1), PVar("x")),
         )
-        server.transact(vtx, {bank.principal: authorize(bank.key, vtx)})
-        rid = next(iter(server.holdings_of(bank.principal)))
+        held = OutPoint(
+            server.transact(txn, {bank.principal: authorize(bank.key, txn)}), 0
+        )
         # No fee, no block: the server just records it.
 
-    server.withdraw(rid, bank.pubkey, fee=FEE)
+    server.withdraw(held, fee=FEE)
     net.confirm(1)
     server.sync()
     total_fees += FEE

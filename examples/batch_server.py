@@ -22,17 +22,11 @@ import os
 import tempfile
 
 from repro.bitcoin.transaction import OutPoint
-from repro.core.batch import (
-    BatchServer,
-    VirtualOutput,
-    VirtualTransaction,
-    WriteThroughRequired,
-    authorize,
-)
+from repro.core.batch import BatchServer, WriteThroughRequired, authorize
 from repro.core.builder import basis_publication, build_with_payload
 from repro.core.currency import issue_proof, newcoin_basis, split_proof
 from repro.core.proofs import obligation_lambda, tensor_intro_all
-from repro.core.transaction import TypecoinOutput
+from repro.core.transaction import TypecoinOutput, TypecoinTransaction
 from repro.core.validate import Ledger
 from repro.core.verifier import verify_claim
 from repro.core.wallet import TypecoinClient
@@ -84,36 +78,39 @@ def run(journal: str) -> None:
     net.confirm(1)
     bank.sync()
     bundle = bank.claim_bundle(OutPoint(issue_carrier.txid, 0), vocab.coin_prop(20))
-    rid = server.deposit(bundle, owner=student_a.principal)
-    print(f"deposited: 20 meal credits for student A (resource #{rid})")
+    coin_a = server.deposit(bundle, student_a.pubkey)
+    print(f"deposited: 20 meal credits for student A (held at {coin_a})")
 
     # --- instant, free, off-chain transactions -----------------------------
+    # A virtual transaction is an ordinary Typecoin transaction the server
+    # records instead of submitting; its proof is A ⊸ B.
     height_before = net.chain.height
-    split = VirtualTransaction(
-        inputs=[rid],
-        outputs=[
-            VirtualOutput(vocab.coin_prop(12), 1_000, student_a.principal),
-            VirtualOutput(vocab.coin_prop(8), 800, student_b.principal),
+    split = TypecoinTransaction(
+        Basis(), One(),
+        [server.input_for(coin_a)],
+        [
+            TypecoinOutput(vocab.coin_prop(12), 1_000, student_a.pubkey),
+            TypecoinOutput(vocab.coin_prop(8), 800, student_b.pubkey),
         ],
-        proof=LolliIntro(
-            "x", vocab.coin_prop(20), split_proof(vocab, 12, 8, PVar("x"))
-        ),
+        LolliIntro("x", vocab.coin_prop(20), split_proof(vocab, 12, 8, PVar("x"))),
     )
-    server.transact(split, {student_a.principal: authorize(student_a.key, split)})
+    split_hash = server.transact(
+        split, {student_a.principal: authorize(student_a.key, split)}
+    )
     print("student A paid student B 8 credits — no fee, no block, instant")
     assert net.chain.height == height_before
 
-    # The server refuses conditional discharges (must write through, §5).
-    b_rid = next(iter(server.holdings_of(student_b.principal)))
+    # Output 1 of the split is B's, named as [txid/this] names it.
+    coin_b = OutPoint(split_hash, 1)
     # Anyone may ask about a resource: the server answers from its own
     # records (§3.2), with no chain lookup.
-    assert server.query(b_rid) == VirtualOutput(
-        vocab.coin_prop(8), 800, student_b.principal
-    )
-    risky = VirtualTransaction(
-        inputs=[b_rid],
-        outputs=[VirtualOutput(vocab.coin_prop(8), 800, student_b.principal)],
-        proof=LolliIntro(
+    assert server.query(coin_b) == split.outputs[1]
+    # The server refuses conditional discharges (must write through, §5).
+    risky = TypecoinTransaction(
+        Basis(), One(),
+        [server.input_for(coin_b)],
+        [TypecoinOutput(vocab.coin_prop(8), 800, student_b.pubkey)],
+        LolliIntro(
             "x", vocab.coin_prop(8),
             IfReturn(Before(NatLit(2_000_000_000)), PVar("x")),
         ),
@@ -127,8 +124,8 @@ def run(journal: str) -> None:
         print(f"conditional transaction refused ({exc}) — write-through")
 
     # --- withdrawal: one on-chain transaction for the whole history --------
-    carrier = server.withdraw(b_rid, student_b.pubkey)
-    assert server.query(b_rid) is None  # withdrawn: no longer held here
+    carrier = server.withdraw(coin_b)
+    assert server.query(coin_b) is None  # withdrawn: no longer held here
     net.confirm(1)
     server.sync()
     print(f"student B graduated: withdrawal carrier"

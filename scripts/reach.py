@@ -6,7 +6,7 @@ that records each ``src/repro`` code object the first time it runs, then
 compares what ran against an AST list of every function and method under
 ``src/repro`` (dunder methods left out).  The entry points:
 
-- the six ``examples/*.py``, the three ``scripts/*_smoke.py``,
+- every ``examples/*.py`` and ``scripts/*_smoke.py``,
   ``benchmarks/runner.py`` (its spawned children included) and
   ``bench/run.py --smoke`` (its workload subprocesses included), each with
   ``REPRO_OBS`` off and on;
@@ -55,13 +55,14 @@ ALLOW_FILE = ROOT / "scripts" / "reach_allow.txt"
 
 REASON = re.compile(r"crash-path|refusal|fallback|item (\d+)")
 
-SMOKES = ("monitor_smoke.py", "service_smoke.py", "swarm_smoke.py")
-
 
 def entry_points() -> list[tuple[list[str], str]]:
     """``(argv, REPRO_OBS)`` for every run, in order."""
-    commands = [[f"examples/{p.name}"] for p in sorted((ROOT / "examples").glob("*.py"))]
-    commands += [[f"scripts/{name}"] for name in SMOKES]
+    commands = [
+        [f"{p.parent.name}/{p.name}"]
+        for pattern in ("examples/*.py", "scripts/*_smoke.py")
+        for p in sorted(ROOT.glob(pattern))
+    ]
     commands += [["benchmarks/runner.py"], ["bench/run.py", "--smoke"]]
     runs = [(argv, obs) for obs in ("0", "1") for argv in commands]
     runs.append((["bench/run.py", "--workload", "block-sync", "--seconds", "1"], "0"))

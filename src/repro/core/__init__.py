@@ -26,7 +26,7 @@ from repro.core.overlay import (
 )
 from repro.core.verifier import ClaimBundle, VerificationError, verify_claim
 from repro.core.wallet import TypecoinClient
-from repro.core.batch import BatchServer, BatchError, VirtualTransaction
+from repro.core.batch import BatchServer, BatchError
 from repro.core.escrow import EscrowAgent, EscrowError, OpenTransaction
 from repro.core.builder import basis_publication, build_with_payload, simple_transfer
 from repro.core.proofs import decompose_tensor, obligation_lambda, tensor_intro_all
@@ -59,7 +59,6 @@ __all__ = [
     "TypecoinClient",
     "BatchServer",
     "BatchError",
-    "VirtualTransaction",
     "EscrowAgent",
     "EscrowError",
     "OpenTransaction",

@@ -8,11 +8,18 @@ withdrawal "the server batches together all the transactions upstream of
 the resource in question, routing that resource to its owner's key and the
 rest back to its own key."
 
+What the server records is a :class:`TypecoinTransaction`.  Its inputs
+name held resources by outpoint: a deposit by its carrier outpoint, a
+virtual output by ``(T.hash, i)`` — mirroring ``[txid/this]`` — and a
+resource a withdrawal routed back by ``(carrier txid, i)``.  A holding is
+an output: its key is the owner's.
+
 Scope notes (documented in DESIGN.md):
 
-* virtual transactions may not carry local bases or affine grants, and may
-  not use affine ``assert`` — those forms are bound to a specific on-chain
-  transaction, so they must be written through;
+* a virtual transaction has an empty basis, the grant ``1`` and a proof
+  of A ⊸ B with no receipts: it has no carrier for ``spent(txid.n)`` to
+  name.  A local basis, a grant and an affine ``assert`` are bound to a
+  specific on-chain transaction, so they must be written through;
 * per §5, "batch-mode servers must write transactions discharging anything
   other than true through to the blockchain": a virtual proof whose result
   is conditional raises :class:`WriteThroughRequired`.
@@ -20,17 +27,14 @@ Scope notes (documented in DESIGN.md):
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 from repro.bitcoin.transaction import OutPoint, Transaction
-from repro.core.proofs import (
-    decompose_tensor,
-    obligation_lambda,
-    tensor_intro_all,
-)
+from repro.core.proofs import decompose_tensor, obligation_lambda, tensor_intro_all
 from repro.core.transaction import (
+    TxnError,
+    TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
 )
@@ -43,25 +47,29 @@ from repro.core.verifier import (
     verify_claim,
 )
 from repro.core.wallet import TypecoinClient
-from repro.core.wire import (
-    decode_bundle,
-    decode_transaction,
-    encode_bundle,
-    encode_transaction,
-)
-from repro.crypto.hashing import hash160, sha256
+from repro.core.wire import decode_bundle, decode_transaction, encode_bundle
+from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
 from repro.lf.basis import Basis
-from repro.lf.syntax import PrincipalLit, declare_shape
-from repro.lf.walk import nodes_of_type
+from repro.lf.syntax import PrincipalLit
+from repro.lf.walk import convertible, nodes_of_type
 from repro.logic import proofterms as pt
 from repro.logic.checker import verify_affirmation
-from repro.logic.codec import Cursor, DecodingError, decode, encode, write_uint
+from repro.logic.codec import Cursor, DecodingError, write_blob, write_uint
 from repro.logic.conditions import CTrue
-from repro.logic.propositions import One, Proposition, tensor_all
+from repro.logic.propositions import One, tensor_all
 from repro.store import framing
 
-JOURNAL_MAGIC = b"RPRBJRN1"
+JOURNAL_MAGIC = b"RPRBJRN2"
+
+# A journal record is one of these bytes, then its fields in the wire
+# format (repro.logic.codec):
+#   DEPOSIT   bundle, owner key
+#   TRANSACT  transaction, affirmation count, (key, signature) each
+#   WITHDRAW  carrier txid, outpoints (the resource, then those routed
+#             back), transaction
+#   REBIND    carrier txid
+DEPOSIT, TRANSACT, WITHDRAW, REBIND = 1, 2, 3, 4
 
 
 class BatchError(Exception):
@@ -69,89 +77,36 @@ class BatchError(Exception):
 
 
 class WriteThroughRequired(BatchError):
-    """The operation discharges a non-trivial condition (or uses a
-    transaction-bound form) and must go to the blockchain instead."""
+    """The transaction has a local basis, a grant or an affine ``assert``,
+    or discharges a condition other than true: it must go to the
+    blockchain instead."""
 
 
-# What an intact journal record that cannot be replayed raises: JSON that
-# does not parse, nests too deep, or is not a record (``ValueError``,
-# ``RecursionError``, ``KeyError``, ``TypeError``, ``AttributeError``), hex
-# or wire bytes that do not decode, or an operation re-verification
-# refuses.
-_UNREPLAYABLE = (
-    ValueError, RecursionError, KeyError, TypeError, AttributeError,
-    DecodingError, BatchError,
-)
-
-
-@dataclass(frozen=True)
-class VirtualOutput:
-    """A resource a virtual transaction creates, and who owns it."""
-
-    prop: Proposition
-    amount: int
-    owner: bytes  # 20-byte principal
-
-    def __post_init__(self) -> None:
-        if self.amount < 0:
-            raise BatchError("output amount must be non-negative")
-        _check_owner(self.owner)
-
-
-def _check_owner(owner: bytes) -> None:
-    """An owner no key hashes to would strand the resource it holds."""
-    if len(owner) != 20:
-        raise BatchError("owners are 20-byte principals")
-
-
-# An untagged wire layout: what an authorization signs of each output.
-declare_shape(VirtualOutput, data=("amount", "owner"))
-
-
-@dataclass(frozen=True)
-class VirtualTransaction:
-    """A recorded-but-not-submitted transaction (§3.2).
-
-    ``inputs`` name server-held resources by id; the proof must have type
-    A ⊸ B with A the inputs tensor and B the outputs tensor.
-    """
-
-    inputs: tuple[int, ...]
-    outputs: tuple[VirtualOutput, ...]
-    proof: pt.ProofTerm
-
-    def __init__(self, inputs, outputs, proof):
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "outputs", tuple(outputs))
-        object.__setattr__(self, "proof", proof)
-
-    def payload(self) -> bytes:
-        """What input owners sign to authorize this transaction."""
-        parts = [b"typecoin-batch:", write_uint(len(self.inputs))]
-        parts += map(write_uint, self.inputs)
-        parts.append(write_uint(len(self.outputs)))
-        parts += map(encode, self.outputs)
-        return b"".join(parts)
+# What an intact journal record that cannot be replayed raises: bytes the
+# wire decoders refuse, an owner key ``TypecoinOutput`` refuses, or an
+# operation re-verification refuses.
+_UNREPLAYABLE = (DecodingError, TxnError, BatchError)
 
 
 @dataclass
-class _Resource:
-    prop: Proposition
-    amount: int
-    owner: bytes
-    # Where the backing came from: an on-chain outpoint, or a virtual
-    # transaction's output.
-    onchain: OutPoint | None = None
-    virtual: tuple[int, int] | None = None  # (vtx id, output index)
-    consumed_by: int | None = None  # vtx id
+class _Holding:
+    """A resource the server holds: the output it is (its key is the
+    owner's), and what became of it."""
+
+    output: TypecoinOutput
+    consumed_by: bytes | None = None  # the virtual transaction's hash
     withdrawn: bool = False
+
+    @property
+    def held(self) -> bool:
+        return self.consumed_by is None and not self.withdrawn
 
 
 class BatchServer:
     """The §3.2 credential server.
 
-    With ``journal_path`` set, every accepted operation appends one JSON
-    record in a :mod:`repro.store.framing` frame to a durable journal, and
+    With ``journal_path`` set, every accepted operation appends one record
+    in a :mod:`repro.store.framing` frame to a durable journal, and
     constructing a server over an existing journal *replays* it: deposits
     and virtual transactions are re-verified from scratch (the journal is
     trusted for *what* happened, never for *whether it was valid*), while
@@ -168,15 +123,13 @@ class BatchServer:
         journal_path: str | None = None,
     ):
         self.client = TypecoinClient(net, seed, ledger)
-        self._resources: dict[int, _Resource] = {}
-        self._vtxs: dict[int, VirtualTransaction] = {}
-        # Manual id counter (not itertools.count) so journal replay can
-        # reproduce the exact id sequence of the original process.
-        self._next_id = 1
-        self._pending_rebind: tuple[bytes, list] | None = None
-        # payload digest -> vtx id: duplicate notifies collapse (§3.2
-        # "principals ... notify the server" — the notify may be retried).
-        self._seen_payloads: dict[bytes, int] = {}
+        # Every resource the server has held, by the outpoint naming it.
+        self._holdings: dict[OutPoint, _Holding] = {}
+        # Recorded virtual transactions by hash, in the order recorded.
+        self._virtual: dict[bytes, TypecoinTransaction] = {}
+        # Withdrawal carrier txid -> the outpoints it routes back, in its
+        # output order from 1; sync() rebinds them once it confirms.
+        self._rebinds: dict[bytes, list[OutPoint]] = {}
         # Carriers recovered from the journal that the fresh wallet client
         # never tracked; sync() adopts them once confirmed.
         self._recovered_pending: dict[bytes, TypecoinTransaction] = {}
@@ -184,11 +137,6 @@ class BatchServer:
         self._replaying = False
         if journal_path is not None:
             self._replay_journal()
-
-    def _new_id(self) -> int:
-        allocated = self._next_id
-        self._next_id += 1
-        return allocated
 
     @property
     def net(self):
@@ -204,14 +152,16 @@ class BatchServer:
 
     # -- deposits --------------------------------------------------------
 
-    def deposit(self, bundle: ClaimBundle, owner: bytes) -> int:
-        """Accept a resource a principal sent to the server's key.
+    def deposit(self, bundle: ClaimBundle, owner_pubkey: bytes) -> OutPoint:
+        """Accept a resource a principal sent to the server's key; returns
+        the outpoint that names it.
 
         The server verifies the §3 claim itself (it is an "interested
-        party"), requires the txout to be locked to its own key, and
-        credits ``owner``.
+        party"), requires the txout to be locked to its own key, and holds
+        the resource for ``owner_pubkey``.
         """
-        _check_owner(owner)
+        if bundle.outpoint in self._holdings:
+            raise BatchError(f"{bundle.outpoint} is already deposited")
         try:
             # Replay relaxes ONLY the is-currently-unspent check: the
             # journal witnessed the outpoint unspent at deposit time, and
@@ -229,83 +179,73 @@ class BatchServer:
         assert entry is not None
         if entry.principal != self.principal:
             raise BatchError("deposited txout is not locked to the server")
+        holding = _Holding(TypecoinOutput(entry.prop, entry.amount, owner_pubkey))
         # Adopt the verified history into the server's own ledger, parents
         # first — with a fresh ledger (journal replay after a restart) a
         # child would otherwise fail to re-validate before its ancestors.
         for level in dependency_levels(bundle.transactions):
             for txid in level:
                 self.client.learn(txid, bundle.transactions[txid])
-        resource_id = self._new_id()
-        self._resources[resource_id] = _Resource(
-            prop=entry.prop,
-            amount=entry.amount,
-            owner=owner,
-            onchain=bundle.outpoint,
-        )
-        self._journal(
-            {
-                "op": "deposit",
-                "bundle": encode_bundle(bundle).hex(),
-                "owner": owner.hex(),
-            }
-        )
-        return resource_id
+        self._holdings[bundle.outpoint] = holding
+        self._journal(DEPOSIT, write_blob(encode_bundle(bundle)), write_blob(owner_pubkey))
+        return bundle.outpoint
 
     # -- queries -----------------------------------------------------------
 
-    def query(self, resource_id: int) -> VirtualOutput | None:
+    def query(self, outpoint: OutPoint) -> TypecoinOutput | None:
         """Answer a validity question "based on its own records" (§3.2)."""
-        resource = self._resources.get(resource_id)
-        if resource is None or resource.consumed_by is not None or resource.withdrawn:
-            return None
-        return VirtualOutput(resource.prop, resource.amount, resource.owner)
+        holding = self._holdings.get(outpoint)
+        return holding.output if holding is not None and holding.held else None
 
-    def holdings_of(self, owner: bytes) -> dict[int, VirtualOutput]:
+    def holdings_of(self, owner: bytes) -> dict[OutPoint, TypecoinOutput]:
         return {
-            rid: VirtualOutput(r.prop, r.amount, r.owner)
-            for rid, r in self._resources.items()
-            if r.owner == owner and r.consumed_by is None and not r.withdrawn
+            outpoint: holding.output
+            for outpoint, holding in self._holdings.items()
+            if holding.held and holding.output.principal == owner
         }
+
+    def input_for(self, outpoint: OutPoint) -> TypecoinInput:
+        """The ι naming the resource held at ``outpoint``."""
+        held = self._held(outpoint)
+        return TypecoinInput(outpoint.txid, outpoint.index, held.prop, held.amount)
 
     # -- virtual transactions -----------------------------------------------
 
     def transact(
         self,
-        vtx: VirtualTransaction,
+        txn: TypecoinTransaction,
         authorizations: dict[bytes, pt.Affirmation],
-    ) -> int:
-        """Record a batch-mode transaction.
+    ) -> bytes:
+        """Record a batch-mode transaction; returns its hash, which names
+        its outputs.
 
         ``authorizations`` maps each input owner's principal to its
         :func:`authorize` affirmation.  The proof is judged by the formation
         rule's own :func:`~repro.core.validate.check_obligation`, A ⊸ B.
+        A re-sent transaction has a recorded hash and is answered with it.
         """
-        if not vtx.inputs:
-            raise BatchError("virtual transactions need at least one input")
-        # Duplicate notify: the payload signs the complete operation, so
-        # an identical payload IS the same transaction — re-notifying
-        # (client retry, at-least-once delivery) returns the original id
-        # instead of failing on already-consumed inputs.
-        payload = vtx.payload()
-        digest = sha256(payload)
-        already = self._seen_payloads.get(digest)
-        if already is not None:
-            return already
-        if nodes_of_type(vtx.proof, pt.Assert):
+        name = txn.hash
+        if name in self._virtual:
+            return name
+        if txn.basis or txn.grant != One() or nodes_of_type(txn.proof, pt.Assert):
             raise WriteThroughRequired(
-                "affine assert signs a real transaction; write through"
+                "a local basis, a grant or an affine assert is bound to a real"
+                " transaction; write through"
             )
-        input_props = []
-        total_in = 0
-        for resource_id in vtx.inputs:
-            resource = self._resources.get(resource_id)
-            if resource is None:
-                raise BatchError(f"unknown resource {resource_id}")
-            if resource.consumed_by is not None or resource.withdrawn:
-                raise BatchError(f"resource {resource_id} is no longer held")
-            owner = resource.owner
+        outpoints = [OutPoint(inp.txid, inp.index) for inp in txn.inputs]
+        if not outpoints:
+            raise BatchError("virtual transactions need at least one input")
+        if len(set(outpoints)) != len(outpoints):
+            raise BatchError("virtual transaction names an input twice")
+        payload = txn.signing_payload()
+        signers: dict[bytes, pt.Affirmation] = {}
+        for outpoint, inp in zip(outpoints, txn.inputs):
+            held = self._held(outpoint)
+            if inp.amount != held.amount or not convertible(inp.prop, held.prop):
+                raise BatchError(f"input {outpoint} is not the resource held there")
+            owner = held.principal
             # The server authorizes its own spends implicitly.
-            if owner != self.principal:
+            if owner != self.principal and owner not in signers:
                 affirmation = authorizations.get(owner)
                 if affirmation is None or not verify_affirmation(
                     PrincipalLit(owner), payload, affirmation
@@ -313,9 +253,9 @@ class BatchServer:
                     raise BatchError(
                         f"no valid authorization from {owner.hex()[:8]}…"
                     )
-            input_props.append(resource.prop)
-            total_in += resource.amount
-        total_out = sum(out.amount for out in vtx.outputs)
+                signers[owner] = affirmation
+        total_in = sum(inp.amount for inp in txn.inputs)
+        total_out = sum(out.amount for out in txn.outputs)
         if total_in != total_out:
             raise BatchError(
                 f"virtual transaction does not conserve satoshis"
@@ -325,9 +265,9 @@ class BatchServer:
         try:
             condition, _ = check_obligation(
                 self.client.ledger.global_basis,
-                vtx.proof,
-                tensor_all(input_props),
-                tensor_all([out.prop for out in vtx.outputs]),
+                txn.proof,
+                tensor_all([inp.prop for inp in txn.inputs]),
+                txn.outputs_tensor(),
             )
         except ValidationFailure as exc:
             raise BatchError(f"virtual transaction refused: {exc}") from exc
@@ -336,95 +276,52 @@ class BatchServer:
                 "conditional discharge must be written through (§5)"
             )
 
-        vtx_id = self._new_id()
-        self._vtxs[vtx_id] = vtx
-        self._seen_payloads[digest] = vtx_id
-        for resource_id in vtx.inputs:
-            self._resources[resource_id].consumed_by = vtx_id
-        for index, out in enumerate(vtx.outputs):
-            new_id = self._new_id()
-            self._resources[new_id] = _Resource(
-                prop=out.prop,
-                amount=out.amount,
-                owner=out.owner,
-                virtual=(vtx_id, index),
-            )
+        self._virtual[name] = txn
+        for outpoint in outpoints:
+            self._holdings[outpoint].consumed_by = name
+        for index, out in enumerate(txn.outputs):
+            self._holdings[OutPoint(name, index)] = _Holding(out)
         self._journal(
-            {
-                "op": "transact",
-                "inputs": list(vtx.inputs),
-                "outputs": [
-                    [encode(out.prop).hex(), out.amount, out.owner.hex()]
-                    for out in vtx.outputs
-                ],
-                "proof": encode(vtx.proof).hex(),
-                "auth": {
-                    owner.hex(): [aff.pubkey.hex(), aff.signature.hex()]
-                    for owner, aff in authorizations.items()
-                },
-            }
+            TRANSACT,
+            write_blob(txn.serialize()),
+            write_uint(len(signers)),
+            *(write_blob(a.pubkey) + write_blob(a.signature) for a in signers.values()),
         )
-        return vtx_id
+        return name
 
     # -- withdrawal --------------------------------------------------------
 
-    def withdraw(
-        self, resource_id: int, recipient_pubkey: bytes, fee: int = 10_000
-    ) -> Transaction:
-        """Materialize a held resource on-chain (§3.2).
+    def withdraw(self, outpoint: OutPoint, fee: int = 10_000) -> Transaction:
+        """Materialize a held resource on-chain, to its owner's key (§3.2).
 
         Builds one Typecoin transaction whose inputs are every on-chain
         txout backing the affected virtual history, routes the withdrawn
-        resource to ``recipient_pubkey``, the other live resources back to
-        the server's key, and submits it.  Returns the carrier.
+        resource to its owner's key, the other live resources back to the
+        server's key, and submits it.  Returns the carrier.
 
         State mutates only after the carrier is handed to the network: a
         submission the client refuses leaves the server's records as they
         were, so the caller can simply retry.
         """
-        target = self._resources.get(resource_id)
-        if target is None or target.consumed_by is not None or target.withdrawn:
-            raise BatchError("resource is not available for withdrawal")
-        if hash160(recipient_pubkey) != target.owner:
-            raise BatchError("withdrawal key does not match the owner")
-
-        # Held on-chain, a resource has no virtual history: a plain
-        # one-in-one-out transfer.
-        vtx_order = [] if target.onchain else self._affected_vtxs(resource_id)
-
-        roots, live = self._roots_and_live(vtx_order, resource_id)
-
-        inputs = [
-            self.client.input_for(self._resources[rid].onchain)
-            for rid in roots
+        target = self._held(outpoint)
+        # A resource held on-chain has no virtual history: its withdrawal
+        # is a plain one-in-one-out transfer.
+        order = self._history(outpoint)
+        roots, live = self._roots_and_live(order, outpoint)
+        outputs = [target] + [
+            TypecoinOutput(held.prop, held.amount, self.pubkey)
+            for held in (self._holdings[op].output for op in live)
         ]
-        outputs = [TypecoinOutput(target.prop, target.amount, recipient_pubkey)]
-        for rid in live:
-            resource = self._resources[rid]
-            outputs.append(
-                TypecoinOutput(resource.prop, resource.amount, self.pubkey)
-            )
-        proof = self._compose_proof(roots, vtx_order, [resource_id] + live, outputs)
+        proof = self._compose_proof(roots, order, [outpoint, *live], outputs)
+        inputs = [self.client.input_for(root) for root in roots]
         txn = TypecoinTransaction(Basis(), One(), inputs, outputs, proof)
         carrier = self.client.submit(txn, fee=fee)
-        target.withdrawn = True
-        for rid in live:
-            # The rest re-enter as fresh on-chain holdings after confirm;
-            # callers invoke sync() to rebind them.
-            self._resources[rid].withdrawn = True
-        bindings = [(resource_id, 0)] + [
-            (rid, idx + 1) for idx, rid in enumerate(live)
-        ]
-        self._pending_rebind = (carrier.txid, bindings)
+        self._mark_withdrawn(carrier.txid, [outpoint, *live])
         self._journal(
-            {
-                "op": "withdraw",
-                "resource": resource_id,
-                "live": live,
-                "carrier": carrier.txid.hex(),
-                "txn": encode_transaction(txn).hex(),
-                "bindings": [[rid, idx] for rid, idx in bindings],
-            }
+            WITHDRAW,
+            write_blob(carrier.txid),
+            _write_outpoints([outpoint, *live]),
+            write_blob(txn.serialize()),
         )
         return carrier
 
@@ -440,39 +337,39 @@ class BatchServer:
                 self.client.learn(carrier_txid, txn)
                 del self._recovered_pending[carrier_txid]
                 registered.add(carrier_txid)
-        pending = self._pending_rebind
-        if pending and pending[0] in registered:
-            carrier_txid, bindings = pending
-            self._apply_rebind(carrier_txid, bindings)
+        for carrier_txid in [t for t in self._rebinds if t in registered]:
+            self._apply_rebind(carrier_txid)
             # The rebind itself must be journaled: a replay that re-applied
             # the withdraw but not this step would rebind *again* on its
             # first sync, duplicating every surviving resource.
-            self._journal({"op": "rebind", "carrier": carrier_txid.hex()})
+            self._journal(REBIND, write_blob(carrier_txid))
 
-    def _apply_rebind(self, carrier_txid: bytes, bindings: list) -> None:
-        for rid, output_index in bindings:
-            if output_index == 0:
-                continue  # withdrawn to its owner; it left the server
-            resource = self._resources[rid]
-            # The rest routed back to the server's key: resurrect each
-            # as a fresh on-chain holding for the same beneficial owner.
-            new_id = self._new_id()
-            self._resources[new_id] = _Resource(
-                prop=resource.prop,
-                amount=resource.amount,
-                owner=resource.owner,
-                onchain=OutPoint(carrier_txid, output_index),
+    def _mark_withdrawn(self, carrier_txid: bytes, withdrawn: list[OutPoint]) -> None:
+        """The resource ``withdrawn[0]`` left for its owner's key and the
+        rest route back under ``carrier_txid``; they leave the server's
+        holdings until the carrier confirms."""
+        if not withdrawn:
+            raise BatchError("a withdrawal names the resource it withdraws")
+        for outpoint in withdrawn:
+            self._held(outpoint)
+            self._holdings[outpoint].withdrawn = True
+        self._rebinds[carrier_txid] = withdrawn[1:]
+
+    def _apply_rebind(self, carrier_txid: bytes) -> None:
+        # What routed back to the server's key is held again, under the
+        # carrier's output, for the same owner.
+        for index, outpoint in enumerate(self._rebinds.pop(carrier_txid), 1):
+            self._holdings[OutPoint(carrier_txid, index)] = _Holding(
+                self._holdings[outpoint].output
             )
-        self._pending_rebind = None
 
     # -- durability ----------------------------------------------------------
 
-    def _journal(self, record: dict) -> None:
+    def _journal(self, op: int, *fields: bytes) -> None:
         if self._journal_path is None or self._replaying:
             return
-        payload = json.dumps(record, sort_keys=True).encode()
         with open(self._journal_path, "ab") as handle:
-            handle.write(framing.encode_record(payload))
+            handle.write(framing.encode_record(bytes((op,)) + b"".join(fields)))
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -489,18 +386,18 @@ class BatchServer:
 
         A torn tail is cut off before the next append, which would
         otherwise be lost with it at the following restart.  An intact
-        record that cannot be replayed — not JSON, not a record this server
-        writes, or refused on re-verification — stops the replay with a
-        :class:`BatchError` naming its offset.  Skipping it is not safe: a
-        skipped ``transact`` forgets a consumption, and the resource it
-        consumed could be spent again.
+        record that cannot be replayed — bytes the wire decoders refuse, a
+        kind this server does not write, or refused on re-verification —
+        stops the replay with a :class:`BatchError` naming its offset.
+        Skipping it is not safe: a skipped ``transact`` forgets a
+        consumption, and the resource it consumed could be spent again.
         """
         scan = framing.scan_records(self._journal_path, JOURNAL_MAGIC)
         self._replaying = True
         try:
-            for offset, payload in scan.records:
+            for offset, record in scan.records:
                 try:
-                    self._apply_journal(json.loads(payload))
+                    self._apply_journal(Cursor(record))
                 except _UNREPLAYABLE as exc:
                     raise BatchError(
                         f"journal record at offset {offset} cannot be replayed:"
@@ -512,177 +409,159 @@ class BatchServer:
             self._journal_path, JOURNAL_MAGIC, scan.valid_length
         ).close()
 
-    def _apply_journal(self, record: dict) -> None:
-        op = record["op"]
-        if op == "deposit":
-            self.deposit(
-                decode_bundle(bytes.fromhex(record["bundle"])),
-                bytes.fromhex(record["owner"]),
-            )
-        elif op == "transact":
-            outputs = [
-                VirtualOutput(
-                    decode(Cursor(bytes.fromhex(prop_hex)), Proposition),
-                    amount,
-                    bytes.fromhex(owner_hex),
-                )
-                for prop_hex, amount, owner_hex in record["outputs"]
+    def _apply_journal(self, cursor: Cursor) -> None:
+        op = cursor.byte()
+        if op == DEPOSIT:
+            bundle, owner_pubkey = decode_bundle(cursor.blob()), cursor.blob()
+            _end(cursor)
+            self.deposit(bundle, owner_pubkey)
+        elif op == TRANSACT:
+            txn = decode_transaction(cursor.blob())
+            signed = [
+                pt.Affirmation(cursor.blob(), cursor.blob())
+                for _ in range(cursor.uint())
             ]
-            vtx = VirtualTransaction(
-                record["inputs"],
-                outputs,
-                decode(Cursor(bytes.fromhex(record["proof"])), pt.ProofTerm),
-            )
-            auths = {
-                bytes.fromhex(owner_hex): pt.Affirmation(
-                    bytes.fromhex(pub_hex), bytes.fromhex(sig_hex)
-                )
-                for owner_hex, (pub_hex, sig_hex) in record["auth"].items()
-            }
-            self.transact(vtx, auths)
-        elif op == "withdraw":
-            carrier_txid = bytes.fromhex(record["carrier"])
-            self._resources[record["resource"]].withdrawn = True
-            for rid in record["live"]:
-                self._resources[rid].withdrawn = True
-            self._pending_rebind = (
-                carrier_txid,
-                [(rid, idx) for rid, idx in record["bindings"]],
-            )
+            _end(cursor)
+            self.transact(txn, {hash160(a.pubkey): a for a in signed})
+        elif op == WITHDRAW:
+            carrier_txid, withdrawn = cursor.blob(), _read_outpoints(cursor)
+            txn = decode_transaction(cursor.blob())
+            _end(cursor)
+            self._mark_withdrawn(carrier_txid, withdrawn)
             # Decoded, not resubmitted: sync() adopts it once confirmed.
-            self._recovered_pending[carrier_txid] = decode_transaction(
-                bytes.fromhex(record["txn"])
-            )
-        elif op == "rebind":
-            carrier_txid = bytes.fromhex(record["carrier"])
-            txn = self._recovered_pending.pop(carrier_txid, None)
-            if txn is not None:
-                self.client.learn(carrier_txid, txn)
-            pending = self._pending_rebind
-            if pending and pending[0] == carrier_txid:
-                self._apply_rebind(carrier_txid, pending[1])
+            self._recovered_pending[carrier_txid] = txn
+        elif op == REBIND:
+            carrier_txid = cursor.blob()
+            _end(cursor)
+            if carrier_txid not in self._rebinds:
+                raise BatchError("rebind of a carrier no withdrawal names")
+            self.client.learn(carrier_txid, self._recovered_pending.pop(carrier_txid))
+            self._apply_rebind(carrier_txid)
         else:
-            raise BatchError(f"unknown journal record {op!r}")
+            raise BatchError(f"unknown journal record kind {op}")
 
     # -- internals -----------------------------------------------------------
 
-    def _affected_vtxs(self, resource_id: int) -> list[int]:
-        """All virtual transactions entangled with the target's history:
-        backward closure, then forward closure over shared roots."""
-        affected: set[int] = set()
-        frontier_resources = {resource_id}
-        while True:
-            before = len(affected)
-            # Backward: producers of any frontier resource.
-            for rid in list(frontier_resources):
-                resource = self._resources[rid]
-                if resource.virtual is not None:
-                    vtx_id = resource.virtual[0]
-                    if vtx_id not in affected:
-                        affected.add(vtx_id)
-                        frontier_resources.update(self._vtxs[vtx_id].inputs)
-            # Forward: consumers of any output of an affected vtx.
-            for vtx_id in list(affected):
-                for rid, resource in self._resources.items():
-                    if resource.virtual and resource.virtual[0] == vtx_id:
-                        if resource.consumed_by is not None:
-                            child = resource.consumed_by
-                            if child not in affected:
-                                affected.add(child)
-                                frontier_resources.update(self._vtxs[child].inputs)
-            if len(affected) == before:
-                break
-        # Parents first, by the verifier's own peel: each vtx depends on
-        # the producers of its inputs.
+    def _held(self, outpoint: OutPoint) -> TypecoinOutput:
+        holding = self._holdings.get(outpoint)
+        if holding is None or not holding.held:
+            raise BatchError(f"resource {outpoint} is not held")
+        return holding.output
+
+    def _history(self, outpoint: OutPoint) -> list[bytes]:
+        """Every virtual transaction entangled with the resource at
+        ``outpoint``, parents first: the connected part of the history
+        through producers of inputs and consumers of outputs."""
+        affected: set[bytes] = set()
+        frontier = [outpoint.txid]
+        while frontier:
+            name = frontier.pop()
+            if name in affected or name not in self._virtual:
+                continue
+            affected.add(name)
+            txn = self._virtual[name]
+            frontier += [inp.txid for inp in txn.inputs]
+            for index in range(len(txn.outputs)):
+                consumer = self._holdings[OutPoint(name, index)].consumed_by
+                if consumer is not None:
+                    frontier.append(consumer)
+        # Parents first, by the verifier's own peel; recording order
+        # within a level.
         producers = {
-            vtx_id: frozenset(
-                self._resources[rid].virtual[0]
-                for rid in self._vtxs[vtx_id].inputs
-                if self._resources[rid].virtual is not None
-            )
-            for vtx_id in sorted(affected)
+            name: frozenset(inp.txid for inp in txn.inputs)
+            for name, txn in self._virtual.items()
+            if name in affected
         }
-        return [vtx_id for level in peel_levels(producers) for vtx_id in level]
+        return [name for level in peel_levels(producers) for name in level]
 
     def _roots_and_live(
-        self, vtx_order: list[int], target_id: int
-    ) -> tuple[list[int], list[int]]:
-        in_closure = set(vtx_order)
-        roots: list[int] = []
-        live: list[int] = []
-        if not vtx_order:
-            return [target_id], []
-        for rid, resource in sorted(self._resources.items()):
-            if resource.withdrawn:
-                continue
-            produced_in = resource.virtual and resource.virtual[0] in in_closure
-            consumed_in = resource.consumed_by in in_closure
-            if resource.onchain is not None and consumed_in:
-                roots.append(rid)
-            elif produced_in and resource.consumed_by is None and rid != target_id:
-                live.append(rid)
+        self, order: list[bytes], target: OutPoint
+    ) -> tuple[list[OutPoint], list[OutPoint]]:
+        """The on-chain resources ``order`` consumes, and the resources it
+        produced that are still held, the target aside."""
+        if not order:
+            return [target], []
+        closure = set(order)
+        roots: list[OutPoint] = []
+        live: list[OutPoint] = []
+        for name in order:
+            txn = self._virtual[name]
+            roots += [
+                OutPoint(inp.txid, inp.index)
+                for inp in txn.inputs
+                if inp.txid not in closure
+            ]
+            for index in range(len(txn.outputs)):
+                outpoint = OutPoint(name, index)
+                if outpoint != target and self._holdings[outpoint].held:
+                    live.append(outpoint)
         return roots, live
 
     def _compose_proof(
         self,
-        root_ids: list[int],
-        vtx_order: list[int],
-        final_resource_ids: list[int],
+        roots: list[OutPoint],
+        order: list[bytes],
+        final: list[OutPoint],
         outputs: list[TypecoinOutput],
     ) -> pt.ProofTerm:
         """Compose the virtual proofs into one transaction proof.
 
         Replay each virtual transaction in order, binding its outputs, then
-        assemble the final outputs tensor in declared order.
+        assemble the final outputs tensor in declared order; with no
+        history that is the identity on the one input.
         """
-        if not vtx_order:
-            # Direct transfer: identity on the single input.
-            return obligation_lambda(
-                One(),
-                [self._resources[root_ids[0]].prop],
-                [out.receipt() for out in outputs],
-                lambda _c, ins, _rs: tensor_intro_all(list(ins)),
-            )
 
         def body(_c, input_vars, _receipts):
-            bound: dict[int, pt.ProofTerm] = dict(zip(root_ids, input_vars))
+            bound: dict[OutPoint, pt.ProofTerm] = dict(zip(roots, input_vars))
 
             def replay(step: int) -> pt.ProofTerm:
-                if step == len(vtx_order):
-                    return tensor_intro_all(
-                        [bound[rid] for rid in final_resource_ids]
-                    )
-                vtx_id = vtx_order[step]
-                vtx = self._vtxs[vtx_id]
-                arg = tensor_intro_all([bound[rid] for rid in vtx.inputs])
-                result = pt.LolliElim(vtx.proof, arg)
-                produced_ids = [
-                    rid
-                    for rid, resource in sorted(self._resources.items())
-                    if resource.virtual and resource.virtual[0] == vtx_id
-                ]
+                if step == len(order):
+                    return tensor_intro_all([bound[op] for op in final])
+                name = order[step]
+                txn = self._virtual[name]
+                arg = tensor_intro_all(
+                    [bound[OutPoint(inp.txid, inp.index)] for inp in txn.inputs]
+                )
 
                 def bind_outputs(vars_):
-                    for rid, var in zip(produced_ids, vars_):
-                        bound[rid] = var
+                    for index, var in enumerate(vars_):
+                        bound[OutPoint(name, index)] = var
                     return replay(step + 1)
 
                 return decompose_tensor(
-                    result, len(produced_ids), bind_outputs, prefix=f"v{vtx_id}_"
+                    pt.LolliElim(txn.proof, arg), len(txn.outputs), bind_outputs,
+                    prefix=f"v{step}_",
                 )
 
             return replay(0)
 
         return obligation_lambda(
             One(),
-            [self._resources[rid].prop for rid in root_ids],
+            [self._holdings[op].output.prop for op in roots],
             [out.receipt() for out in outputs],
             body,
         )
 
 
-def authorize(key: PrivateKey, vtx: VirtualTransaction) -> pt.Affirmation:
+def _write_outpoints(outpoints: list[OutPoint]) -> bytes:
+    return write_uint(len(outpoints)) + b"".join(
+        write_blob(op.txid) + write_uint(op.index) for op in outpoints
+    )
+
+
+def _read_outpoints(cursor: Cursor) -> list[OutPoint]:
+    return [OutPoint(cursor.blob(), cursor.uint()) for _ in range(cursor.uint())]
+
+
+def _end(cursor: Cursor) -> None:
+    if not cursor.exhausted:
+        raise DecodingError("trailing bytes after journal record")
+
+
+def authorize(key: PrivateKey, txn: TypecoinTransaction) -> pt.Affirmation:
     """An owner's authorization for :meth:`BatchServer.transact`: an
-    affirmation of the virtual transaction's payload, whose
-    ``typecoin-batch:`` prefix no ``assert`` payload shares."""
-    return pt.Affirmation(key.public.encoded, key.sign(vtx.payload()).encode())
+    affirmation of the transaction's signing payload, whose
+    ``typecoin-txn:`` prefix no ``assert`` payload shares."""
+    return pt.Affirmation(
+        key.public.encoded, key.sign(txn.signing_payload()).encode()
+    )

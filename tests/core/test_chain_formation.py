@@ -11,7 +11,6 @@ given exactly as it found it.
 
 import copy
 import dataclasses
-import json
 import re
 
 import pytest
@@ -19,6 +18,7 @@ import pytest
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.core.auditor import audit_chain
+from repro.core import batch
 from repro.core.batch import JOURNAL_MAGIC, BatchServer
 from repro.core.builder import simple_transfer
 from repro.core.overlay import build_carrier
@@ -32,6 +32,7 @@ from repro.core import verifier
 from repro.core.verifier import VerificationError, verify_claim
 from repro.core.wallet import PendingSubmission, TypecoinClient
 from repro.core.wire import encode_bundle, encode_transaction
+from repro.logic.codec import write_blob, write_uint
 from repro.logic.propositions import One
 from repro.service import VerificationService
 from repro.store.framing import encode_record, write_file_header
@@ -262,26 +263,18 @@ def journal_replay(world, case, tmp_path):
         {world.deposit: world.history[world.deposit]},
     )
     records = [
-        {
-            "op": "deposit",
-            "bundle": encode_bundle(deposit).hex(),
-            "owner": (b"\x01" * 20).hex(),
-        },
-        {
-            "op": "withdraw",
-            "resource": 1,
-            "live": [],
-            "carrier": case.txid.hex(),
-            "txn": encode_transaction(case.txn).hex(),
-            "bindings": [[1, 0]],
-        },
-        {"op": "rebind", "carrier": case.txid.hex()},
+        bytes((batch.DEPOSIT,)) + write_blob(encode_bundle(deposit))
+        + write_blob(TypecoinClient(world.net, b"formation-owner").pubkey),
+        bytes((batch.WITHDRAW,)) + write_blob(case.txid)
+        + write_uint(1) + write_blob(world.deposit) + write_uint(0)
+        + write_blob(encode_transaction(case.txn)),
+        bytes((batch.REBIND,)) + write_blob(case.txid),
     ]
     journal = tmp_path / "journal.log"
     with open(journal, "wb") as fh:
         write_file_header(fh, JOURNAL_MAGIC)
         for record in records:
-            fh.write(encode_record(json.dumps(record).encode()))
+            fh.write(encode_record(record))
     try:
         BatchServer(world.net, SERVER_SEED, given, journal_path=str(journal))
     except VerificationError as exc:

@@ -8,8 +8,9 @@ field is state, not an option).  It is *set* when a call in ``src/``,
 aside) names the function or class and passes it, by keyword or by
 position; a ``*`` or ``**`` splat counts as passing what it could.  A
 field is also set when code there assigns it (``x.field = …`` or
-``x.field += …``).  Calls and assignments are matched by name, so a name
-two callables or two classes share errs towards "set".
+``x.field += …``), except that ``self.field = …`` sets only the field of
+the class whose body it is in.  Other calls and assignments are matched
+by name, so a name two callables or two classes share errs towards "set".
 
 An option no caller sets has one value, so it is a module constant or
 simply what the code does; a test that needs another value monkeypatches
@@ -118,16 +119,16 @@ def _passes(call: ast.Call, option: str, position) -> bool:
     )
 
 
-def _assigned(node) -> set[str]:
-    """The attribute names ``node`` assigns, if it is an assignment
+def _targets(node) -> list[ast.Attribute]:
+    """The attributes ``node`` assigns, if it is an assignment
     (``x.a = …``, ``x.a, y.b = …``, ``x.a += …``)."""
     if isinstance(node, ast.Assign):
         targets = list(node.targets)
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         targets = [node.target]
     else:
-        return set()
-    names = set()
+        return []
+    found = []
     while targets:
         target = targets.pop()
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -135,8 +136,33 @@ def _assigned(node) -> set[str]:
         elif isinstance(target, ast.Starred):
             targets.append(target.value)
         elif isinstance(target, ast.Attribute):
-            names.add(target.attr)
-    return names
+            found.append(target)
+    return found
+
+
+def _assigned(tree: ast.Module) -> tuple[set[str], set[tuple[str, str]]]:
+    """The attribute names ``tree`` assigns through anything but ``self``,
+    and ``(class, name)`` for each ``self.name`` it assigns inside a class
+    (``class`` is the qualname ``options`` gives it)."""
+    by_name, by_self = set(), set()
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            for target in _targets(child):
+                value = target.value
+                if cls and isinstance(value, ast.Name) and value.id == "self":
+                    by_self.add((cls, target.attr))
+                else:
+                    by_name.add(target.attr)
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", prefix + child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.<locals>.", cls)
+            else:
+                visit(child, prefix, cls)
+
+    visit(tree, "", None)
+    return by_name, by_self
 
 
 def scan(src: Path, callers) -> tuple[set[str], set[str]]:
@@ -144,9 +170,13 @@ def scan(src: Path, callers) -> tuple[set[str], set[str]]:
     ones no call or assignment in ``callers`` sets."""
     calls: dict[str, list[ast.Call]] = {}
     assigned: set[str] = set()
+    assigned_self: set[tuple[Path, str, str]] = set()
     for path in callers:
-        for node in ast.walk(ast.parse(path.read_text())):
-            assigned |= _assigned(node)
+        tree = ast.parse(path.read_text())
+        by_name, by_self = _assigned(tree)
+        assigned |= by_name
+        assigned_self |= {(path, cls, name) for cls, name in by_self}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(
@@ -161,7 +191,9 @@ def scan(src: Path, callers) -> tuple[set[str], set[str]]:
         ):
             key = f"{module}:{qualname}({option})"
             every.add(key)
-            if field and option in assigned:
+            if field and (
+                option in assigned or (path, qualname, option) in assigned_self
+            ):
                 continue
             if not any(_passes(c, option, position) for c in calls.get(called, ())):
                 unset.add(key)
@@ -221,28 +253,38 @@ def test_the_check_fails_both_ways(tmp_path):
         "    def __init__(self, step=1): pass\n"
         "    def send(self, tx, *, fee=0): pass\n"
         "def _f(a, b=2): pass\n"
+        "@dataclass\n"
+        "class Tally:\n"
+        "    count: int = 0\n"
+        "    def bump(self): self.count += 1\n"
+        "@dataclass\n"
+        "class Meter:\n"
+        "    count: int = 0\n"
     )
     caller = tmp_path / "use.py"
     caller.write_text(
         "Shape('s', 3)\nNet().send(1)\n_f(1, 2)\nb = Budget()\nb.used += 1\n"
     )
-    every, unset = scan(src, [caller])
+    every, unset = scan(src, [caller, src / "mod.py"])
     assert every == {
         "pkg.mod:Shape(size)", "pkg.mod:Budget(limit)",
         "pkg.mod:Budget(used)", "pkg.mod:Net.__init__(step)",
         "pkg.mod:Net.send(fee)", "pkg.mod:_f(b)",
+        "pkg.mod:Tally(count)", "pkg.mod:Meter(count)",
     }
     # A plain dataclass's field that no caller passes or assigns is unset
     # (only a test sets it); one a caller assigns, as state is, is set.
+    # ``self.count`` in Tally's own method sets Tally's field, not Meter's.
     assert compare(every, unset, {"pkg.mod:Net.send(fee)": "item 8"}) == [
         "unset and not listed: pkg.mod:Budget(limit)",
+        "unset and not listed: pkg.mod:Meter(count)",
         "unset and not listed: pkg.mod:Net.__init__(step)",
     ]
     caller.write_text(
         "Shape('s')\nNet(step=2).send(1, fee=1)\n_f(1, 2)\n"
-        "b = Budget(limit=9)\nb.used = 1\n"
+        "b = Budget(limit=9)\nb.used = 1\nMeter(count=2)\n"
     )
-    every, unset = scan(src, [caller])
+    every, unset = scan(src, [caller, src / "mod.py"])
     assert compare(every, unset, {
         "pkg.mod:Net.send(fee)": "item 8", "pkg.mod:Gone(x)": "item 8",
     }) == [
