@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bitcoin.chain import Blockchain
-from repro.core.transaction import TypecoinTransaction, referenced_txids
+from repro.core.transaction import TypecoinTransaction
 from repro.core.validate import Ledger
 from repro.core.verifier import VerificationError, admit
 
@@ -71,7 +71,7 @@ def audit_chain(
                 continue
             seen.add(txid)
             # Skip anything depending on an already-rejected transaction.
-            tainted = referenced_txids(txn) & rejected
+            tainted = txn.references & rejected
             if tainted:
                 rejected.add(txid)
                 report.issues.append(

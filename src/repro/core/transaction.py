@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.bitcoin.transaction import OutPoint
-from repro.crypto.hashing import sha256d
+from repro.crypto.hashing import hash160, sha256d
 from repro.lf.basis import Basis, Declaration
 from repro.lf.syntax import ConstRef, PrincipalLit, declare_shape
 from repro.lf.walk import nodes_of_type, substitute_this
@@ -79,10 +79,9 @@ class TypecoinOutput:
         if len(self.recipient_pubkey) != 33:
             raise TxnError("recipient public keys are 33-byte compressed SEC1")
 
-    @property
+    @cached_property
     def principal(self) -> bytes:
-        from repro.crypto.hashing import hash160
-
+        """hash160(K), hashed once: the receipt and ``resolve`` both ask."""
         return hash160(self.recipient_pubkey)
 
     @property
@@ -162,12 +161,14 @@ class TypecoinTransaction:
 
         The decoder returns only values whose encoding is the bytes it
         read, so those bytes are pinned as the transaction's payload and
-        encoding: its ``hash`` costs one sha256d and no re-encode."""
-        start = cursor.pos
+        encoding: its ``hash`` costs one sha256d and no re-encode.  Every
+        reference it holds was read by ``cursor.ref``, so what the cursor
+        recorded, with the input txids, is pinned as :attr:`references`."""
+        start, mark = cursor.pos, len(cursor.txids)
         cursor.expect(_MAGIC, "transaction")
         basis = Basis()
         for _ in range(cursor.uint()):
-            basis.declare(cursor.ref(), decode(cursor, Declaration))
+            basis.declare(cursor.name(), decode(cursor, Declaration))
         grant = decode(cursor, Proposition)
         inputs = [decode(cursor, TypecoinInput) for _ in range(cursor.uint())]
         outputs = [decode(cursor, TypecoinOutput) for _ in range(cursor.uint())]
@@ -175,6 +176,9 @@ class TypecoinTransaction:
         txn = cls(basis, grant, inputs, outputs, decode(cursor, ProofTerm))
         txn.__dict__["_payload"] = bytes(cursor.data[start:signed])
         txn.__dict__["_encoding"] = bytes(cursor.data[start : cursor.pos])
+        txn.__dict__["references"] = frozenset(cursor.txids[mark:]).union(
+            inp.txid for inp in inputs
+        )
         return txn
 
     def serialize(self) -> bytes:
@@ -189,6 +193,24 @@ class TypecoinTransaction:
     def hash(self) -> bytes:
         """The hash embedded into the Bitcoin carrier (§3)."""
         return sha256d(self.serialize())
+
+    @cached_property
+    def references(self) -> frozenset[bytes]:
+        """Every carrier txid this transaction depends on, found once.
+
+        Two kinds of upstream edges: the outputs it spends, and the
+        transactions whose bases declared the constants it mentions
+        (anywhere — basis bodies, grant, input/output propositions, or the
+        proof term; a name its own basis declares is none).  The
+        verifier's "set of all Typecoin transactions upstream" (§3) is the
+        closure of both.  :meth:`read` pins what the decoder met; a
+        constructed transaction pays this one walk.
+        """
+        found = {inp.txid for inp in self.inputs}
+        for ref in nodes_of_type(self, ConstRef):
+            if isinstance(ref.space, bytes):
+                found.add(ref.space)
+        return frozenset(found)
 
     # -- resolution ---------------------------------------------------------
 
@@ -226,18 +248,3 @@ def trivial_output(recipient_pubkey: bytes, amount: int) -> TypecoinOutput:
     """A type-1 output: plain bitcoins escaping the Typecoin level (§3.1)."""
     return TypecoinOutput(One(), amount, recipient_pubkey)
 
-
-def referenced_txids(txn: TypecoinTransaction) -> frozenset[bytes]:
-    """Every carrier txid this transaction depends on.
-
-    Two kinds of upstream edges: the outputs it spends, and the
-    transactions whose bases declared the constants it mentions (anywhere —
-    basis bodies, grant, input/output propositions, or the proof term).
-    The verifier's "set of all Typecoin transactions upstream" (§3) is the
-    closure of both.
-    """
-    found = {inp.txid for inp in txn.inputs}
-    for ref in nodes_of_type(txn, ConstRef):
-        if isinstance(ref.space, bytes):
-            found.add(ref.space)
-    return frozenset(found)

@@ -32,11 +32,7 @@ from typing import NamedTuple
 from repro import obs
 from repro.bitcoin.chain import Blockchain
 from repro.core.overlay import OverlayError, check_carrier_correspondence
-from repro.core.transaction import (
-    ClaimBundle,
-    TypecoinTransaction,
-    referenced_txids,
-)
+from repro.core.transaction import ClaimBundle, TypecoinTransaction
 from repro.core.validate import (
     Ledger,
     Resolved,
@@ -74,14 +70,14 @@ def _references(
     excluded, and the entry ``memo`` holds under each txid: read once
     (``memo.get``) and handed on for :func:`admit` to judge.  A transaction
     held under its hash takes its references from the entry; any other
-    gets the one structural walk it is owed per request."""
+    reads the ones it holds (:attr:`TypecoinTransaction.references`)."""
     references, held = {}, {}
     for txid, txn in transactions.items():
         entry = held[txid] = None if memo is None else memo.get(txid)
         if entry is not None and entry.hash == txn.hash:
             references[txid] = entry.refs
         else:
-            references[txid] = referenced_txids(txn) - {txid}
+            references[txid] = txn.references - {txid}
     return references, held
 
 
@@ -127,12 +123,12 @@ def dependency_levels(
 ) -> list[list[bytes]]:
     """Group a bundle into dependency levels, in time linear in its size.
 
-    Each transaction is walked exactly once (``referenced_txids``) for its
-    in-bundle edges; references to itself or out of the bundle are not
-    edges.  A transaction ranks one above its highest dependency, and the
-    bundle is bucketed by rank in insertion order: the levels concatenated
-    are a parents-first order, and the first failure is the same on every
-    run.
+    Each transaction's in-bundle edges come from the references it holds
+    (walked at most once in its lifetime, never for a decoded one);
+    references to itself or out of the bundle are not edges.  A
+    transaction ranks one above its highest dependency, and the bundle is
+    bucketed by rank in insertion order: the levels concatenated are a
+    parents-first order, and the first failure is the same on every run.
     """
     return peel_levels(_references(transactions)[0])
 

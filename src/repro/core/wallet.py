@@ -14,11 +14,7 @@ from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.transaction import OutPoint, Transaction
 from repro.bitcoin.wallet import Wallet
 from repro.core.overlay import EmbeddingStrategy, build_carrier
-from repro.core.transaction import (
-    TypecoinInput,
-    TypecoinTransaction,
-    referenced_txids,
-)
+from repro.core.transaction import TypecoinInput, TypecoinTransaction
 from repro.core.validate import (
     Ledger,
     ValidationFailure,
@@ -193,7 +189,7 @@ class TypecoinClient:
                     f"missing upstream transaction {txid[:8].hex()}…"
                 )
             needed[txid] = txn
-            frontier.extend(referenced_txids(txn))
+            frontier.extend(txn.references)
         return ClaimBundle(outpoint=outpoint, prop=prop, transactions=needed)
 
     # -- typecoin inputs from ledger state -----------------------------------

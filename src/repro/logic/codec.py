@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.lf.basis import Declaration
@@ -104,11 +104,15 @@ def write_ref(ref: ConstRef) -> bytes:
 class Cursor:
     """A byte reader over wire data, counting the constructor levels open
     above its position (across every category a term passes through, and
-    independent of the caller's own stack)."""
+    independent of the caller's own stack), and recording the txid
+    namespace of every constant reference it reads (``txids``, in order:
+    what a node's ``ConstRef`` fields name, so a transaction's decoder
+    knows its references without walking what it built)."""
 
     data: bytes
     pos: int = 0
     nesting: int = 0
+    txids: list[bytes] = field(default_factory=list, init=False)
 
     def byte(self) -> int:
         if self.pos >= len(self.data):
@@ -140,6 +144,15 @@ class Cursor:
         return value
 
     def ref(self) -> ConstRef:
+        """A constant reference; a txid namespace is recorded in ``txids``."""
+        ref = self.name()
+        if isinstance(ref.space, bytes):
+            self.txids.append(ref.space)
+        return ref
+
+    def name(self) -> ConstRef:
+        """A constant as a basis declares it: read, not recorded — a
+        declared name is no reference."""
         space = self.blob()
         try:
             name = self.blob().decode()
@@ -228,9 +241,9 @@ def _layout(cls: type) -> _Layout:
         over.setdefault(child, []).append(binder)
     writes, reads = [], []
     # A variable is an index, not its field: see _write and _read.
-    for field in () if cls in (Var, PVar) else dataclasses.fields(cls):
-        name = field.name
-        annotation = getattr(field.type, "__name__", field.type).strip("'\"")
+    for spec in () if cls in (Var, PVar) else dataclasses.fields(cls):
+        name = spec.name
+        annotation = getattr(spec.type, "__name__", spec.type).strip("'\"")
         if name == shape.binder:
             reads.append((_LF_NAME, None, 0, 0))
         elif name in scopes:

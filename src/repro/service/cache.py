@@ -25,8 +25,9 @@ verifier:
   :class:`~repro.lru.LRU` over that 4-tuple is malleability-safe for
   the same reason :mod:`repro.bitcoin.sigcache` is — the signature
   bytes are part of the key.  Install it with
-  :func:`install_affirmation_cache`; the service installs one at
-  construction and restores the previous one at close.
+  :func:`install_affirmation_cache`; each service opens one at
+  construction and closes it at close, and the hook is the newest live
+  service's (``None`` when no service is live).
 """
 
 from __future__ import annotations
@@ -54,14 +55,26 @@ class TxMemoTable:
         self._lru = LRU(MEMO_CAPACITY)
         # Counted here by outcome, not by the LRU: a found entry whose
         # hashes disagree is neither a hit nor a miss.  Requests judge
-        # from several threads, so the counts move under a lock.
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.poison_rejected = 0
+        # from several threads, so each thread counts into its own list
+        # (no lock on the request path: ``get`` already took the map's)
+        # and a read sums them.
+        self._every: list[list[int]] = []  # per thread: hits, misses, rejections
+        self._counts = _ThreadCounts(self._every)
 
     def __len__(self) -> int:
         return len(self._lru)
+
+    @property
+    def hits(self) -> int:
+        return sum(counts[0] for counts in self._every)
+
+    @property
+    def misses(self) -> int:
+        return sum(counts[1] for counts in self._every)
+
+    @property
+    def poison_rejected(self) -> int:
+        return sum(counts[2] for counts in self._every)
 
     def get(self, txid: bytes) -> Admission | None:
         """The admission held under ``txid``, whatever its hashes — the one
@@ -79,21 +92,19 @@ class TxMemoTable:
         other hashes (poisoned, or made stale by a reorg) is evicted unless
         another request has since recorded a fresh one — the path the
         chaos scenario exercises."""
+        counts = self._counts.outcomes
         if held is None:
-            with self._lock:
-                self.misses += 1
+            counts[1] += 1
             if obs.ENABLED:
                 obs.inc("service.memo_misses_total")
             return None
         if held.hash == txn_hash and held.block_hash == block_hash:
-            with self._lock:
-                self.hits += 1
+            counts[0] += 1
             if obs.ENABLED:
                 obs.inc("service.memo_hits_total")
             return held
         self._lru.evict(txid, held)
-        with self._lock:
-            self.poison_rejected += 1
+        counts[2] += 1
         if obs.ENABLED:
             obs.inc("service.memo_poison_rejected_total")
             obs.emit("service.poison_rejected", txid=txid.hex()[:16])
@@ -110,13 +121,42 @@ class TxMemoTable:
         ))
 
 
-def install_affirmation_cache(cache: LRU | None):
-    """Install (or, with ``None``, remove) the checker-level cache.
+class _ThreadCounts(threading.local):
+    """One thread's memo outcomes: ``threading.local`` runs ``__init__``
+    once in each thread that reads it, so each list joins ``every`` (an
+    atomic append) the first time its thread judges."""
 
-    Returns the previously installed cache so callers can restore it —
-    the service does this at close, keeping the global hook's lifetime
-    exactly the service's.
-    """
+    def __init__(self, every: list):
+        self.outcomes = [0, 0, 0]
+        every.append(self.outcomes)
+
+
+def install_affirmation_cache(cache: LRU | None):
+    """Install (or, with ``None``, remove) the checker-level cache;
+    returns the one it replaced."""
     previous = _checker.AFFIRMATION_CACHE
     _checker.AFFIRMATION_CACHE = cache
     return previous
+
+
+# The live services' affirmation caches, oldest first.  The hook is the
+# newest's, and ``None`` once none is live: services may close in any
+# order, so a closing one cannot hand back what it found at its start.
+_LIVE_AFFIRMATIONS: list[LRU] = []
+_LIVE_LOCK = threading.Lock()
+
+
+def open_affirmation_cache(cache: LRU) -> None:
+    """A service starts: its cache is the newest live one, and the hook."""
+    with _LIVE_LOCK:
+        _LIVE_AFFIRMATIONS.append(cache)
+        install_affirmation_cache(cache)
+
+
+def close_affirmation_cache(cache: LRU) -> None:
+    """A service closes: the hook becomes the newest cache still live."""
+    with _LIVE_LOCK:
+        _LIVE_AFFIRMATIONS.remove(cache)
+        install_affirmation_cache(
+            _LIVE_AFFIRMATIONS[-1] if _LIVE_AFFIRMATIONS else None
+        )

@@ -35,7 +35,11 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.verifier import ClaimBundle, VerificationError, _verify_claim
 from repro.lru import LRU
-from repro.service.cache import TxMemoTable, install_affirmation_cache
+from repro.service.cache import (
+    TxMemoTable,
+    close_affirmation_cache,
+    open_affirmation_cache,
+)
 
 __all__ = ["ServiceUnavailable", "Verdict", "VerificationService"]
 
@@ -86,9 +90,7 @@ class VerificationService:
         self._closed = False
         # The affirmation sigcache, shared by every request.
         self._affirmations = LRU(1 << 14)
-        self._prior_affirmation_cache = install_affirmation_cache(
-            self._affirmations
-        )
+        open_affirmation_cache(self._affirmations)
         self.requests = 0
         self.shed = 0
 
@@ -136,7 +138,7 @@ class VerificationService:
             if self._closed:
                 return
             self._closed = True
-        install_affirmation_cache(self._prior_affirmation_cache)
+        close_affirmation_cache(self._affirmations)
 
     # -- admission -----------------------------------------------------
 

@@ -17,19 +17,24 @@ def working_set():
 
 @pytest.fixture
 def edge_walks(monkeypatch):
-    """The transactions ``dependency_levels`` walks for their edges, in
-    order — it is the one place a request's (or a replay's) edges come
-    from, so the list's length is the request's edge-walk count."""
-    from repro.core import verifier
+    """The transactions walked for their references, in order: the one
+    walk is ``TypecoinTransaction.references`` of a constructed
+    transaction, once in its lifetime (a decoded one holds what its
+    decoder read), so the list's length is what whatever ran walked."""
+    from functools import cached_property
+
+    from repro.core.transaction import TypecoinTransaction
 
     walks = []
-    walk = verifier.referenced_txids
+    walk = TypecoinTransaction.references.func
 
     def counting(txn):
         walks.append(txn)
         return walk(txn)
 
-    monkeypatch.setattr(verifier, "referenced_txids", counting)
+    memo = cached_property(counting)
+    memo.__set_name__(TypecoinTransaction, "references")
+    monkeypatch.setattr(TypecoinTransaction, "references", memo)
     return walks
 
 

@@ -5,7 +5,9 @@ levelling, and ``nodes_of_type`` from two reflective
 ``dataclasses.fields`` walkers.  The old bodies live on here, as oracles
 only: generated dependency graphs must level identically (same levels,
 same order, same cycle error), and every transaction of the rich working
-set must yield the same references and ``spent`` atoms.
+set must yield the same references and ``spent`` atoms — the references
+a constructed transaction walks for and the ones a decoded one holds
+from its decoder alike.
 """
 
 import dataclasses
@@ -17,15 +19,17 @@ from repro.core.transaction import (
     TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
-    referenced_txids,
 )
+from repro.core.wire import decode_transaction
 from repro.lf.walk import nodes_of_type
 from repro.core.verifier import VerificationError, dependency_levels
-from repro.lf.basis import Basis
-from repro.lf.syntax import ConstRef, TConst
+from repro.lf.basis import Basis, PropDecl
+from repro.lf.syntax import THIS, ConstRef, TConst
 from repro.logic.conditions import Spent
-from repro.logic.proofterms import OneIntro
+from repro.logic.proofterms import OneIntro, PConst
 from repro.logic.propositions import Atom, One, Tensor
+
+from tests.oracles import rebuilt
 
 PUBKEY = b"\x02" + b"\x44" * 32
 
@@ -45,7 +49,7 @@ def quadratic_levels(transactions):
             for txid, txn in pending.items()
             if all(
                 dep in placed or dep not in transactions or dep == txid
-                for dep in referenced_txids(txn)
+                for dep in txn.references
             )
         ]
         if not level:
@@ -58,7 +62,8 @@ def quadratic_levels(transactions):
 
 
 def reflective_nodes(txn, node_type):
-    """The walker ``referenced_txids`` and the pool's ``spent``-atom
+    """The reference walker (``referenced_txids``, now
+    ``TypecoinTransaction.references``) and the pool's ``spent``-atom
     collector each carried: ``is_dataclass``/``fields`` asked of every
     node."""
     found = []
@@ -235,10 +240,19 @@ def test_cycle_is_the_same_verification_error(edges):
 
 def test_each_transaction_is_walked_once(edge_walks):
     """The point of the rewrite, at the helper: a reversed chain cost the
-    old levelling n(n+1)/2 walks."""
+    old levelling n(n+1)/2 walks.  A transaction walks once in its
+    lifetime, and one decoded from bytes not at all."""
     edges = {n: ((n - 1,) if n else (), ()) for n in range(12)}
     transactions = bundle_of(edges, list(reversed(range(12))))
     assert len(dependency_levels(transactions)) == 12
+    assert len(edge_walks) == 12
+    assert len(dependency_levels(transactions)) == 12
+    assert len(edge_walks) == 12
+    decoded = {
+        txid: decode_transaction(txn.serialize())
+        for txid, txn in transactions.items()
+    }
+    assert dependency_levels(decoded) == dependency_levels(transactions)
     assert len(edge_walks) == 12
 
 
@@ -252,16 +266,70 @@ def test_traversal_equals_the_reflective_walkers(working_set):
     assert len(seen) > 40
     with_basis_refs = with_spent = 0
     for txn in seen.values():
-        assert referenced_txids(txn) == reflective_referenced_txids(txn)
+        walked = rebuilt(txn).references
+        assert walked == reflective_referenced_txids(txn)
+        # What the decoder pinned, read back from the bytes.
+        assert decode_transaction(txn.serialize()).references == walked
         assert spent_nodes(nodes_of_type, txn) == spent_nodes(
             reflective_nodes, txn
         )
-        with_basis_refs += bool(
-            referenced_txids(txn) - {inp.txid for inp in txn.inputs}
-        )
+        with_basis_refs += bool(walked - {inp.txid for inp in txn.inputs})
         with_spent += bool(nodes_of_type(txn, Spent))
     # The set exercises both collectors, not just input edges.
     assert with_basis_refs and with_spent
+
+
+ELSEWHERE = txid_of(77)
+
+
+def _declaring(ref, decl, proof=OneIntro()):
+    basis = Basis()
+    basis.declare(ref, decl)
+    return TypecoinTransaction(
+        basis, One(), [], [TypecoinOutput(One(), 0, PUBKEY)], proof
+    )
+
+
+# Where a reference may hide, and the references it makes.
+PLACES = {
+    # ``this.p : prop`` and ``this.q : ⟨this.p⟩``: declared names, not
+    # references, and ``this`` names no transaction.
+    "local basis": (
+        _declaring(
+            ConstRef(THIS, "q"), PropDecl(Atom(TConst(ConstRef(THIS, "p"))))
+        ),
+        frozenset(),
+    ),
+    # A basis name in a txid's namespace (validation refuses it, the
+    # decoder reads it): still a declared name, not a reference.
+    "txid-named declaration": (
+        _declaring(ConstRef(ELSEWHERE, "q"), PropDecl(One())), frozenset()
+    ),
+    "declaration body": (
+        _declaring(
+            ConstRef(THIS, "q"),
+            PropDecl(Atom(TConst(ConstRef(ELSEWHERE, "p")))),
+        ),
+        frozenset({ELSEWHERE}),
+    ),
+    "proof": (
+        TypecoinTransaction(
+            Basis(), One(), [], [TypecoinOutput(One(), 0, PUBKEY)],
+            PConst(ConstRef(ELSEWHERE, "axiom")),
+        ),
+        frozenset({ELSEWHERE}),
+    ),
+}
+
+
+@pytest.mark.parametrize("place", PLACES)
+def test_pinned_references_equal_walked_ones(place):
+    txn, expected = PLACES[place]
+    decoded = decode_transaction(txn.serialize())
+    assert "references" in decoded.__dict__  # pinned by the decoder
+    assert decoded.references == expected
+    assert rebuilt(txn).references == expected
+    assert reflective_referenced_txids(txn) == expected
 
 
 def test_traversal_survives_a_proof_deeper_than_the_stack():
@@ -275,5 +343,5 @@ def test_traversal_survives_a_proof_deeper_than_the_stack():
     txn = TypecoinTransaction(
         Basis(), One(), [], [TypecoinOutput(One(), 0, PUBKEY)], proof
     )
-    assert referenced_txids(txn) == frozenset()
+    assert txn.references == frozenset()
     assert nodes_of_type(txn, Spent) == []

@@ -10,7 +10,6 @@ from repro.core.transaction import (
     TypecoinInput,
     TypecoinOutput,
     TypecoinTransaction,
-    referenced_txids,
     trivial_output,
 )
 from repro.core.wire import decode_transaction
@@ -130,6 +129,28 @@ class TestEncodingMemo:
             "basis", "grant", "inputs", "outputs", "proof"
         ]
 
+    def test_an_output_hashes_its_key_once(self, monkeypatch):
+        """The receipt (in the obligation) and ``resolve`` both ask for an
+        output's principal; the key is hashed the first time only."""
+        from repro.core import transaction
+        from repro.core.validate import resolve
+
+        hashed = []
+        hash160 = transaction.hash160
+        monkeypatch.setattr(
+            transaction, "hash160", lambda key: hashed.append(key) or hash160(key)
+        )
+        other = b"\x03" + b"\x34" * 32
+        txn = simple_transfer(
+            [], [TypecoinOutput(One(), 600, PUBKEY), TypecoinOutput(One(), 1, other)]
+        )
+        for _ in range(2):
+            txn.obligation_antecedent()
+            resolve(b"\x0f" * 32, txn)
+        assert hashed == [PUBKEY, other]
+        assert txn.outputs[0].principal == hash160(PUBKEY)
+        assert txn.outputs[0] == TypecoinOutput(One(), 600, PUBKEY)
+
 
 class TestResolution:
     def test_output_prop_resolved(self):
@@ -156,16 +177,16 @@ class TestReferences:
             [TypecoinInput(txid, 0, One(), 600)],
             [TypecoinOutput(One(), 600, PUBKEY)],
         )
-        assert txid in referenced_txids(txn)
+        assert txid in txn.references
 
     def test_constant_namespaces_referenced(self):
         basis_txid = b"\x0e" * 32
         prop = Atom(TConst(ConstRef(basis_txid, "flag")))
         txn = simple_transfer([], [TypecoinOutput(prop, 600, PUBKEY)])
-        assert basis_txid in referenced_txids(txn)
+        assert basis_txid in txn.references
 
     def test_local_and_builtin_not_referenced(self):
         basis = Basis()
         basis.declare_local("p", KindDecl(KIND_PROP))
         txn = basis_publication(basis, PUBKEY)
-        assert referenced_txids(txn) == frozenset()
+        assert txn.references == frozenset()

@@ -116,10 +116,13 @@ def _whole_transaction(cursor):
 
 
 def _pinned_and_computed(txn):
+    """What ``read`` pinned (encoding, payload, hash and the references its
+    cursor met) beside what the same fields give once built afresh (the
+    references by the one walk)."""
     fresh = rebuilt(txn)
     return (
-        (txn.serialize(), txn.signing_payload(), txn.hash),
-        (fresh.serialize(), fresh.signing_payload(), fresh.hash),
+        (txn.serialize(), txn.signing_payload(), txn.hash, txn.references),
+        (fresh.serialize(), fresh.signing_payload(), fresh.hash, fresh.references),
     )
 
 
@@ -218,7 +221,8 @@ def test_a_pinned_encoding_is_the_encoding_of_the_decoded_fields(
     encodings, data
 ):
     """Hostile bytes that decode pin an encoding, a payload and so a hash
-    their fields would give too — the verifier's memo keys on that hash."""
+    their fields would give too — the verifier's memo keys on that hash —
+    and the references the walk of those fields finds, which order 𝔗."""
     original = data.draw(st.sampled_from(
         [raw for what, raw in encodings if what == "transaction"]
     ))

@@ -21,7 +21,7 @@ from repro.bitcoin.transaction import (
 from repro.bitcoin.utxo import COINBASE_MATURITY
 from repro.bitcoin.wallet import Spendable
 from repro.core.overlay import OverlayError, check_carrier_correspondence
-from repro.core.transaction import TypecoinTransaction, referenced_txids
+from repro.core.transaction import TypecoinTransaction
 from repro.core.validate import (
     Ledger,
     ValidationFailure,
@@ -239,7 +239,7 @@ def sweep_order(transactions):
         for txid in list(pending):
             deps = {
                 dep
-                for dep in referenced_txids(pending[txid])
+                for dep in pending[txid].references
                 if dep in transactions and dep != txid
             }
             if deps <= placed_set:

@@ -1,15 +1,17 @@
 """A request pays only for what its service has not been shown.
 
 §3 has the verifier check "for each T ∈ 𝔗": linear in the upstream set.
-A service's first request for a bundle walks each transaction once for
-its edges (the levelling used to re-walk every pending transaction at
-every level, n(n+1)/2 walks for a chain of n) and typechecks each once.
-What ``admit`` accepted is then held per carrier txid under T's hash, so
-the same bytes presented again — decoded afresh, as a prover's bytes
-arrive, so no state on an object can carry over — cost no walk, no
-correspondence and no typecheck.  A new service, and ``verify_claim``,
-hold nothing.  A request that failed part-way holds exactly what it
-finished.
+A service's first request for a bundle typechecks each transaction once
+and takes each one's edges from the references it holds: a decoded
+transaction holds what its decoder read, so it is never walked, and a
+constructed one is walked once in its lifetime (the levelling used to
+re-walk every pending transaction at every level, n(n+1)/2 walks for a
+chain of n).  What ``admit`` accepted is then held per carrier txid under
+T's hash, so the same bytes presented again — decoded afresh, as a
+prover's bytes arrive, so no state on an object can carry over — cost no
+walk, no correspondence and no typecheck.  A new service, and
+``verify_claim``, hold nothing.  A request that failed part-way holds
+exactly what it finished.
 """
 
 import pytest
@@ -17,8 +19,11 @@ import pytest
 from bench.common import replay_verdict as replay
 from repro.service.chaos import _service_world
 from repro.core import verifier
+from repro.core.transaction import ClaimBundle
 from repro.core.wire import decode_bundle, encode_bundle
 from repro.service import VerificationService
+
+from tests.oracles import rebuilt
 
 DEPTH = 32
 
@@ -74,20 +79,26 @@ def test_a_first_request_walks_and_typechecks_each_transaction_once(
     for bundle in (valid, invalid):
         wire_bytes = encode_bundle(bundle)
         expected = replay(net.chain, decode_bundle(wire_bytes))
-        received = decode_bundle(wire_bytes)
-        assert len(received.transactions) == DEPTH
-        work()
-        service = VerificationService(net.chain)
-        try:
-            verdict = service.verify(received)
-        finally:
-            service.close()
-        assert verdict.status == expected, verdict.detail
-        # The parent of the levelling made 528 = 32·33/2 walks here.
-        (counts, (walked, checked)) = work()
-        assert counts == (DEPTH, DEPTH, DEPTH)
-        presented = {id(txn) for txn in received.transactions.values()}
-        assert walked == checked == presented
+        decoded = decode_bundle(wire_bytes)
+        built = ClaimBundle(decoded.outpoint, decoded.prop, {
+            txid: rebuilt(txn) for txid, txn in decoded.transactions.items()
+        })
+        # Decoded, T holds its references; built, it walks for them once.
+        for received, walks in ((decoded, 0), (built, DEPTH)):
+            assert len(received.transactions) == DEPTH
+            work()
+            service = VerificationService(net.chain)
+            try:
+                verdict = service.verify(received)
+            finally:
+                service.close()
+            assert verdict.status == expected, verdict.detail
+            # The parent of the levelling made 528 = 32·33/2 walks here.
+            (counts, (walked, checked)) = work()
+            assert counts == (walks, DEPTH, DEPTH)
+            presented = {id(txn) for txn in received.transactions.values()}
+            assert checked == presented
+            assert walked == (presented if walks else set())
 
 
 def test_the_same_bytes_decoded_afresh_cost_a_warm_service_nothing(
@@ -110,7 +121,7 @@ def test_the_same_bytes_decoded_afresh_cost_a_warm_service_nothing(
         service.close()
 
 
-def test_a_new_service_walks_and_typechecks_everything_again(deep_world, work):
+def test_a_new_service_typechecks_everything_again(deep_world, work):
     net, valid, _ = deep_world
     wire_bytes = encode_bundle(valid)
     for _ in range(2):
@@ -119,12 +130,10 @@ def test_a_new_service_walks_and_typechecks_everything_again(deep_world, work):
             assert service.verify(decode_bundle(wire_bytes)).status == "ok"
         finally:
             service.close()
-        assert work()[0] == (DEPTH, DEPTH, DEPTH)
+        assert work()[0] == (0, DEPTH, DEPTH)
 
 
-def test_verify_claim_walks_and_typechecks_everything_every_time(
-    deep_world, work
-):
+def test_verify_claim_typechecks_everything_every_time(deep_world, work):
     net, valid, _ = deep_world
     service = VerificationService(net.chain)
     try:
@@ -132,9 +141,11 @@ def test_verify_claim_walks_and_typechecks_everything_every_time(
     finally:
         service.close()
     work()
+    # No walk: the prover's objects read theirs building the bundle, and
+    # the decoder records them.
     for bundle in (valid, valid, decode_bundle(encode_bundle(valid))):
         verifier.verify_claim(net.chain, bundle)
-        assert work()[0] == (DEPTH, DEPTH, DEPTH)
+        assert work()[0] == (0, DEPTH, DEPTH)
 
 
 @pytest.mark.parametrize("done", [0, 1, 17, DEPTH - 1])

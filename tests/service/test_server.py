@@ -246,6 +246,33 @@ class TestClose:
         svc.close()
         assert _checker.AFFIRMATION_CACHE is before
 
+    def test_overlapping_services_leave_the_newest_live_cache(self, net):
+        """A and B alive, closed A first: closing in start order once left
+        B without its cache, then restored A's closed one."""
+        before = _checker.AFFIRMATION_CACHE
+        a = VerificationService(net.chain)
+        b = VerificationService(net.chain)
+        try:
+            assert _checker.AFFIRMATION_CACHE is b._affirmations
+            a.close()
+            assert _checker.AFFIRMATION_CACHE is b._affirmations
+        finally:
+            a.close()
+            b.close()
+        assert _checker.AFFIRMATION_CACHE is before
+        assert _checker.AFFIRMATION_CACHE is not a._affirmations
+        c = VerificationService(net.chain)
+        d = VerificationService(net.chain)
+        d.close()
+        assert _checker.AFFIRMATION_CACHE is c._affirmations
+        c.close()
+        assert _checker.AFFIRMATION_CACHE is before
+
+    def test_no_live_service_leaves_no_cache(self, net):
+        for _ in range(2):
+            VerificationService(net.chain).close()
+        assert _checker.AFFIRMATION_CACHE is None
+
     def test_close_is_idempotent(self, net):
         svc = VerificationService(net.chain)
         svc.close()

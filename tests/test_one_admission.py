@@ -8,10 +8,12 @@ second walk of a transaction it holds:
 
 * ``core/verifier.py`` spells neither ``encode_transaction`` nor
   ``sha256``;
-* in the verifier, ``referenced_txids`` (the edge walk) is called only
-  from ``_references``; the other callers under ``src/`` are the
-  prover's ``claim_bundle`` and the auditor's taint, which answer no
-  request;
+* the reference walk (``nodes_of_type(…, ConstRef)``) is spelt once,
+  in ``TypecoinTransaction.references`` (``core/transaction.py``), which
+  a decoded transaction holds from its decoder and a constructed one
+  computes once; its readers — the verifier's ``_references``, the
+  prover's ``claim_bundle`` and the auditor's taint — read that value,
+  and a second walker fails here;
 * ``Ledger.register``, ``resolve`` (``[txid/this]``) and the memo's
   ``record`` are reached from ``admit`` — ``register`` also resolves for
   a caller that hands it nothing, and the only such callers left are the
@@ -38,8 +40,36 @@ def test_the_verifier_derives_no_encoding_or_digest_of_its_own():
     assert "sha256" not in source
 
 
-def test_the_edge_walk_is_called_only_from_references():
-    assert callers("referenced_txids") == {
+def _functions_where(found) -> set[str]:
+    """``path:function`` of every function under ``src/repro`` holding a
+    node for which ``found(node)`` is true."""
+    return {
+        f"{path.relative_to(SRC)}:{function.name}"
+        for path in sources()
+        for function in functions(ast.parse(path.read_text()))
+        if any(found(node) for node in ast.walk(function))
+    }
+
+
+def _walks_references(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "nodes_of_type"
+        and any(getattr(arg, "id", None) == "ConstRef" for arg in node.args)
+    )
+
+
+def _reads_references(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "references"
+
+
+def test_the_reference_walk_is_spelt_once_and_read_everywhere_else():
+    assert _functions_where(_walks_references) == {
+        "core/transaction.py:references"
+    }
+    assert spelt(r"\breferenced_txids\b", sources()) == []
+    assert _functions_where(_reads_references) == {
         "core/verifier.py:_references",
         "core/wallet.py:claim_bundle",
         "core/auditor.py:audit_chain",
