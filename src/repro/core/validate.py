@@ -2,15 +2,14 @@
 
 The :class:`Ledger` is the Typecoin view of history 𝔗: every validated
 transaction, the global basis accumulated from their local bases (with
-``this`` resolved to carrier txids), and the typed outputs with their spend
-status.  :func:`check_typecoin_transaction` implements the big
-transaction-formation rule, including the top-level implicit conditional
-discharge of §5.
+``this`` resolved to carrier txids), and the typed outputs.
+:func:`check_typecoin_transaction` implements the big transaction-formation
+rule, including the top-level implicit conditional discharge of §5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro import obs
@@ -35,27 +34,28 @@ class ValidationFailure(Exception):
     """A Typecoin transaction violates the formation judgement."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LedgerOutput:
-    """A typed txout the ledger knows about."""
+    """A typed txout the ledger knows about.  :func:`resolve` builds it
+    and nothing edits it, so a ledger stores the record it is handed."""
 
     prop: Proposition  # with this already resolved
     amount: int
     principal: bytes  # 20-byte key hash
-    spent_by: bytes | None = None
 
 
 class Resolved(NamedTuple):
     """What T adds to 𝔗 under its carrier txid, ``this`` resolved to it:
-    [txid/this]Σ, and each output's (proposition, amount, principal).
+    [txid/this]Σ, whose every constant is in the txid's namespace, and
+    T's outputs.
 
     Nothing here is edited after :func:`resolve` builds it — the ledger
-    extends a copy of its basis with ``basis`` and builds its own
-    ``LedgerOutput`` per entry — so one can be held across requests.
+    stacks ``basis`` and stores the ``outputs`` records themselves — so
+    one can be held across requests and registered in many ledgers.
     """
 
     basis: Basis
-    outputs: tuple[tuple[Proposition, int, bytes], ...]
+    outputs: tuple[LedgerOutput, ...]
 
 
 def resolve(carrier_txid: bytes, txn: TypecoinTransaction) -> Resolved:
@@ -63,20 +63,56 @@ def resolve(carrier_txid: bytes, txn: TypecoinTransaction) -> Resolved:
     return Resolved(
         txn.basis.resolved(carrier_txid),
         tuple([
-            (txn.output_prop_resolved(index, carrier_txid), out.amount,
-             out.principal)
+            LedgerOutput(
+                txn.output_prop_resolved(index, carrier_txid), out.amount,
+                out.principal,
+            )
             for index, out in enumerate(txn.outputs)
         ]),
     )
 
 
-@dataclass
 class Ledger:
-    """𝔗 plus its accumulated global basis Σ_global."""
+    """𝔗 plus its accumulated global basis Σ_global.
 
-    global_basis: Basis = field(default_factory=builtin_basis)
-    transactions: dict[bytes, TypecoinTransaction] = field(default_factory=dict)
-    outputs: dict[tuple[bytes, int], LedgerOutput] = field(default_factory=dict)
+    A declaring T's resolved basis is stacked when T is registered and
+    merged into Σ_global the next time :attr:`global_basis` is read, so
+    registrations that no check reads between copy Σ_global at most once.
+    Equality is logical: stacked or merged, the same Σ_global.
+    """
+
+    def __init__(
+        self,
+        global_basis: Basis | None = None,
+        transactions: dict[bytes, TypecoinTransaction] | None = None,
+        outputs: dict[tuple[bytes, int], LedgerOutput] | None = None,
+    ):
+        self._sigma = builtin_basis() if global_basis is None else global_basis
+        self._stacked: list[Basis] = []
+        # The namespaces Σ_global declares in, read off it the first time
+        # a declaring T is registered and kept up to date from then on.
+        self._spaces: set | None = None
+        self.transactions = {} if transactions is None else transactions
+        self.outputs = {} if outputs is None else outputs
+
+    @property
+    def global_basis(self) -> Basis:
+        """Σ_global.  A merge makes a new ``Basis``: one that was read is
+        never edited, since a claim under ``base_ledger`` shares the
+        caller's."""
+        if self._stacked:
+            self._sigma = self._sigma.extended(*self._stacked)
+            self._stacked = []
+        return self._sigma
+
+    def __eq__(self, other):
+        if not isinstance(other, Ledger):
+            return NotImplemented
+        return (
+            self.transactions == other.transactions
+            and self.outputs == other.outputs
+            and self.global_basis == other.global_basis
+        )
 
     def output(self, txid: bytes, index: int) -> LedgerOutput | None:
         return self.outputs.get((txid, index))
@@ -96,25 +132,35 @@ class Ledger:
         too, except the repository benchmark's working-set builder, for
         which alone it is still computed here when omitted.
 
-        Σ_global is replaced by an extended copy when T declares and kept
-        when it does not, never edited in place: a claim verified under
-        ``base_ledger`` shares the caller's.
+        T's records are stored as they are and its basis is stacked.  A
+        basis with a constant outside the carrier's namespace, or in a
+        namespace Σ_global already declares in, is refused before the
+        ledger changes: every constant :func:`resolve` makes from a
+        ``this``-only basis is in the carrier's namespace, so that is
+        every redeclaration, found without a lookup in Σ_global.
         """
         if carrier_txid in self.transactions:
             raise ValidationFailure("transaction already registered")
         if resolved is None:
             resolved = resolve(carrier_txid, txn)
-        self.transactions[carrier_txid] = txn
         if resolved.basis:
-            self.global_basis = self.global_basis.extended(resolved.basis)
-        for index, (prop, amount, principal) in enumerate(resolved.outputs):
-            self.outputs[(carrier_txid, index)] = LedgerOutput(
-                prop, amount, principal
-            )
-        for inp in txn.inputs:
-            entry = self.outputs.get((inp.txid, inp.index))
-            if entry is not None:
-                entry.spent_by = carrier_txid
+            for ref, _decl in resolved.basis:
+                if ref.space != carrier_txid:
+                    raise ValidationFailure(
+                        f"constant {ref} is outside its carrier's namespace"
+                    )
+            if self._spaces is None:
+                self._spaces = {ref.space for ref, _decl in self._sigma}
+            if carrier_txid in self._spaces:
+                raise ValidationFailure(
+                    f"namespace 0x{carrier_txid.hex()} is already declared"
+                    " in the global basis"
+                )
+            self._spaces.add(carrier_txid)
+            self._stacked.append(resolved.basis)
+        self.transactions[carrier_txid] = txn
+        for index, output in enumerate(resolved.outputs):
+            self.outputs[(carrier_txid, index)] = output
 
 
 def check_typecoin_transaction(

@@ -26,7 +26,6 @@ has no other way in.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple
 
 from repro import obs
@@ -171,16 +170,13 @@ def _verify_claim(
     if base_ledger is None:
         ledger = Ledger()
     else:
-        # Entries are copied: ``register`` marks the outputs a transaction
-        # spends, and a claim — a refused one above all — must not edit
-        # the caller's trusted records.
+        # The maps are copied; their records and Σ_global are never
+        # edited, so a claim — a refused one above all — leaves the
+        # caller's trusted ledger as it was.
         ledger = Ledger(
             global_basis=base_ledger.global_basis,
             transactions=dict(base_ledger.transactions),
-            outputs={
-                key: dataclasses.replace(entry)
-                for key, entry in base_ledger.outputs.items()
-            },
+            outputs=dict(base_ledger.outputs),
         )
 
     references, held = _references(bundle.transactions, memo)

@@ -112,12 +112,15 @@ class Basis:
         declare local constants.")"""
         return all(ref.is_local for ref in self._decls)
 
-    def extended(self, other: "Basis") -> "Basis":
-        """A new basis: self's declarations followed by other's."""
-        if not self._decls.keys().isdisjoint(other._decls):
-            clash = next(ref for ref in other._decls if ref in self._decls)
-            raise BasisError(f"constant {clash} already declared")
-        return Basis({**self._decls, **other._decls})
+    def extended(self, *others: "Basis") -> "Basis":
+        """A new basis: self's declarations followed by each of others'."""
+        decls = dict(self._decls)
+        for other in others:
+            if not decls.keys().isdisjoint(other._decls):
+                clash = next(ref for ref in other._decls if ref in decls)
+                raise BasisError(f"constant {clash} already declared")
+            decls.update(other._decls)
+        return Basis(decls)
 
     def resolved(self, txid: bytes) -> "Basis":
         """Rewrite ``this`` to ``txid`` in names *and* bodies.

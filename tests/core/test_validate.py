@@ -1,6 +1,8 @@
 """Tests for the transaction-formation judgement (Appendix A)."""
 
+import copy
 import dataclasses
+import re
 
 import pytest
 
@@ -225,27 +227,16 @@ class TestLedger:
         ledger = Ledger()
         check_typecoin_transaction(ledger, txn, world)
         txid = b"\x0a" * 32
-        ledger.register(txid, txn, resolve(txid, txn))
+        resolved = resolve(txid, txn)
+        ledger.register(txid, txn, resolved)
         entry = ledger.output(txid, 0)
         assert convertible(entry.prop, coin_prop(ref.resolved(txid), 5))
         assert ConstRef(txid, "coin") in ledger.global_basis
-
-    def test_register_marks_spent(self, world):
-        basis, ref = coin_basis()
-        txn = basis_publication(basis, PUBKEY, grant=coin_prop(ref, 5))
-        ledger = Ledger()
-        check_typecoin_transaction(ledger, txn, world)
-        txid = b"\x0a" * 32
-        ledger.register(txid, txn, resolve(txid, txn))
-        resolved = ref.resolved(txid)
-        spend = simple_transfer(
-            [TypecoinInput(txid, 0, coin_prop(resolved, 5), 600)],
-            [TypecoinOutput(coin_prop(resolved, 5), 600, PUBKEY)],
-        )
-        check_typecoin_transaction(ledger, spend, world)
-        ledger.register(b"\x0b" * 32, spend, resolve(b"\x0b" * 32, spend))
-        assert ledger.outputs[(txid, 0)].spent_by == b"\x0b" * 32
-        assert ledger.outputs[(b"\x0b" * 32, 0)].spent_by is None
+        # The record is the one ``resolve`` built, stored as it is: a memo
+        # holds it across requests, so nothing may edit it.
+        assert entry is resolved.outputs[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.amount = 1
 
     def test_double_registration_rejected(self, world):
         txn = basis_publication(Basis(), PUBKEY)
@@ -271,6 +262,56 @@ class TestLedger:
         assert ledger.global_basis is not sigma
         assert ConstRef(b"\x0e" * 32, "coin") in ledger.global_basis
         assert list(sigma) == before
+
+    def test_register_refuses_a_constant_outside_its_carriers_namespace(self):
+        basis, _ = coin_basis()
+        stray = ConstRef(b"\x99" * 32, "stray")
+        basis.declare(stray, TypeDecl(NAT_T))
+        txn = basis_publication(basis, PUBKEY)
+        ledger = Ledger()
+        plain = basis_publication(Basis(), PUBKEY)
+        ledger.register(b"\x0d" * 32, plain, resolve(b"\x0d" * 32, plain))
+        before = copy.deepcopy(ledger)
+        with pytest.raises(ValidationFailure, match=re.escape(str(stray))):
+            ledger.register(b"\x0f" * 32, txn, resolve(b"\x0f" * 32, txn))
+        assert ledger == before
+        assert b"\x0f" * 32 not in ledger.transactions
+
+    def test_register_refuses_a_namespace_the_global_basis_holds(self):
+        """A ledger over trusted history (``base_ledger``'s Σ_global, its
+        transactions not among this ledger's) refuses a basis in a
+        namespace Σ_global already declares in."""
+        txid = b"\x0e" * 32
+        basis, ref = coin_basis()
+        txn = basis_publication(basis, PUBKEY, grant=coin_prop(ref, 5))
+        trusted = Ledger()
+        trusted.register(txid, txn, resolve(txid, txn))
+        ledger = Ledger(
+            global_basis=trusted.global_basis, transactions={}, outputs={}
+        )
+        before = copy.deepcopy(ledger)
+        with pytest.raises(ValidationFailure, match=txid.hex()):
+            ledger.register(txid, txn, resolve(txid, txn))
+        assert ledger == before
+        assert ledger.transactions == {} and ledger.outputs == {}
+
+    def test_equality_is_logical_whichever_side_merged(self):
+        """Registered declarations wait on a stack until Σ_global is read;
+        a ledger equals its copy whichever of the two merged first."""
+        ledger = Ledger()
+        for index, name in enumerate(("coin", "token")):
+            basis = Basis()
+            basis.declare_local(name, KindDecl(KIND_PROP))
+            txn = basis_publication(basis, PUBKEY)
+            txid = bytes([0x20 + index]) * 32
+            ledger.register(txid, txn, resolve(txid, txn))
+        unmerged, merged = copy.deepcopy(ledger), copy.deepcopy(ledger)
+        assert ConstRef(b"\x21" * 32, "token") in merged.global_basis
+        assert ledger == merged  # stacked against merged
+        assert unmerged == ledger  # and the other way round
+        plain = basis_publication(Basis(), PUBKEY)
+        unmerged.register(b"\x2f" * 32, plain, resolve(b"\x2f" * 32, plain))
+        assert unmerged != ledger
 
 
 class TestCheckLeavesGlobalBasis:

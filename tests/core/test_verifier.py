@@ -167,15 +167,14 @@ class TestVerifyClaim:
 
         base = Ledger()
         base.register(first_txid, first, resolve(first_txid, first))
+        record = base.outputs[(first_txid, 0)]
 
+        # The records are immutable, so a copy of each map is a snapshot.
         def fields():
             return (
                 list(base.global_basis),
                 dict(base.transactions),
-                {
-                    key: dataclasses.replace(entry)
-                    for key, entry in base.outputs.items()
-                },
+                dict(base.outputs),
             )
 
         before = fields()
@@ -192,5 +191,7 @@ class TestVerifyClaim:
             with pytest.raises(VerificationError, match="claimed type"):
                 verify_claim(net.chain, wrong, base_ledger=base)
             assert fields() == before
-        held = base.outputs.get((first_txid, 0))
-        assert held is None or held.spent_by is None
+        # ``second`` spends ``first``'s output, and the trusted record is
+        # still the one ``base`` was handed, as ``resolve`` makes it.
+        assert base.outputs[(first_txid, 0)] is record
+        assert record == resolve(first_txid, first).outputs[0]

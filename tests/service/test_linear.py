@@ -21,7 +21,8 @@ from repro.service.chaos import _service_world
 from repro.core import verifier
 from repro.core.transaction import ClaimBundle
 from repro.core.wire import decode_bundle, encode_bundle
-from repro.service import VerificationService
+from repro.lf.basis import Basis
+from repro.service import VerificationService, server
 
 from tests.oracles import rebuilt
 
@@ -119,6 +120,52 @@ def test_the_same_bytes_decoded_afresh_cost_a_warm_service_nothing(
         assert service.memo.hits == 4 * DEPTH
     finally:
         service.close()
+
+
+def test_a_warm_request_registers_the_held_records_and_forms_no_basis(
+    deep_world, working_set, calls, monkeypatch
+):
+    """A repeat request whose transactions are all held costs its ledger
+    a few dict stores: each output it registers is the record the memo
+    holds (``Admission.resolved.outputs[i]``, not a copy), and it forms
+    Σ_global not once (no ``Basis.extended``), also where the held
+    transactions declare: their bases wait on the ledger's stack for a
+    check that never comes."""
+    ledgers = []
+    verify = server._verify_claim
+
+    def keeping(*args, **kwargs):
+        ledgers.append(verify(*args, **kwargs))
+        return ledgers[-1]
+
+    monkeypatch.setattr(server, "_verify_claim", keeping)
+    formed = calls(Basis, "extended")
+    net, valid, _ = deep_world
+    asked = [(net.chain, valid)]
+    asked += [(working_set.chain, claim.bundle) for claim in working_set.claims]
+    assert any(
+        txn.basis for _, bundle in asked for txn in bundle.transactions.values()
+    )
+    for chain, bundle in asked:
+        wire_bytes = encode_bundle(bundle)
+        service = VerificationService(chain)
+        try:
+            assert service.verify(decode_bundle(wire_bytes)).status == "ok"
+            repeat = decode_bundle(wire_bytes)
+            del ledgers[:], formed[:]
+            assert service.verify(repeat).status == "ok"
+            assert service.memo.hits == len(repeat.transactions)
+            assert formed == []
+            [ledger] = ledgers
+            for txid in repeat.transactions:
+                held = service.memo.get(txid).resolved.outputs
+                for index, record in enumerate(held):
+                    assert ledger.outputs[(txid, index)] is record
+            assert len(ledger.outputs) == sum(
+                len(txn.outputs) for txn in repeat.transactions.values()
+            )
+        finally:
+            service.close()
 
 
 def test_a_new_service_typechecks_everything_again(deep_world, work):
